@@ -191,17 +191,22 @@ def classify_orbits(p: int, parity: str = "S",
     }
 
 
-def scan_theorem1(p: int, oracle_wmax: int = 2, oracle_parity: str = "S") -> dict:
+def scan_theorem1(p: int, oracle_wmax: int = 2, oracle_parity: str = "S",
+                  orbits: dict | None = None) -> dict:
     """Split orbit representatives by the literal three-condition verdict.
 
     Returns the representatives passing all three conditions and, as the
     operationally meaningful list, those passing conditions 1 and 2 whose
     string bound max length <= 2w is confirmed by the segment solver up
-    to width ``oracle_wmax``.
+    to width ``oracle_wmax``.  ``orbits`` may supply the
+    ``classify_orbits(p, oracle_parity)`` report already built.
     """
     from .oracle import max_nontrivial_length
 
-    report = classify_orbits(p, parity=oracle_parity)
+    report = classify_orbits(p, parity=oracle_parity) if orbits is None else orbits
+    if (report["p"], report["parity"]) != (p, oracle_parity):
+        raise ValueError(f"orbit report is for p={report['p']} parity {report['parity']}, "
+                         f"not p={p} parity {oracle_parity}")
     literal_pass = []
     cond12_oracle_pass = []
     for entry in report["orbits"]:

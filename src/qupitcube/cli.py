@@ -293,7 +293,7 @@ def cmd_scan(args, parser) -> int:
     }
     if orbits["deformable_count"]:
         results["theorem1_scan"] = classify_mod.scan_theorem1(
-            args.p, oracle_wmax=args.oracle_wmax)
+            args.p, oracle_wmax=args.oracle_wmax, orbits=orbits)
     discrepancies = []
     for entry in orbits["orbits"]:
         discrepancies.extend(entry["theorem1"]["discrepancies"])

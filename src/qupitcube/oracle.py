@@ -16,6 +16,12 @@ equivalent to the existence of a single witness acting at both ends,
 which is the operational stand-in for "every equivalent segment stays
 connected between the anchors".
 
+Length scans do not solve one system per length: the strip system is
+translation invariant, so one block elimination per strip family
+(``strip_transfer``) decides every length.  ``solve_segment`` solves a
+single geometry densely; it is the fallback for rank-deficient pivot
+blocks and the reference the tests compare the scan against.
+
 Column layout: sites are ordered along the strip (length-major, then
 cross-section); each site contributes two adjacent columns holding
 (z-exponent, x-exponent).  With that order the width-1 constraint blocks
@@ -25,7 +31,7 @@ formalism, which the canonical block reduction exploits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import permutations
 
@@ -198,9 +204,9 @@ def build_segment_constraints(params: CodeParams, geom: SegmentGeometry) -> Cons
     return ConstraintSystem(params, geom, support, rows, cubes)
 
 
-def _vector_to_config(system: ConstraintSystem, vec: np.ndarray) -> PauliConfig:
-    cfg = PauliConfig(system.params.p)
-    for t, q in enumerate(system.sites):
+def _vector_to_config(params: CodeParams, sites: list[Site], vec: np.ndarray) -> PauliConfig:
+    cfg = PauliConfig(params.p)
+    for t, q in enumerate(sites):
         pair = (int(vec[2 * t + 1]), int(vec[2 * t]))  # columns hold (z, x)
         if pair != (0, 0):
             cfg.add(q, pair)
@@ -235,7 +241,8 @@ def solve_segment(params: CodeParams, geom: SegmentGeometry) -> SegmentSolution:
         nullspace_dim=basis.shape[0],
         end_projections=(_projects(basis, first), _projects(basis, last)),
         nontrivial=witness_vec is not None,
-        witness=None if witness_vec is None else _vector_to_config(system, witness_vec),
+        witness=None if witness_vec is None else
+            _vector_to_config(params, system.sites, witness_vec),
     )
 
 
@@ -311,43 +318,121 @@ class SegmentReport:
         }
 
 
+def strip_transfer(params: CodeParams, geom: SegmentGeometry) -> tuple[np.ndarray, np.ndarray]:
+    """Transfer matrix ``A`` and leftover rows ``v`` of a strip family.
+
+    The strip system is translation invariant along the length axis: the
+    generators whose cubes start at length position g act on column
+    blocks g and g+1 through the same two blocks for every g.  Eliminating
+    the length-2 system against its first column block therefore gives,
+    at every length, ``x_g = A x_{g+1}`` (``A = -T``) and ``v x_{g+1} = 0``.
+    Only ``geom.kind``, width, orientation and corner are used.
+
+    Raises PivotError when the first column block is rank deficient,
+    which can only happen for codes failing deformability.
+    """
+    p = params.p
+    system = build_segment_constraints(params, replace(geom, length=2))
+    ncols = system.matrix.shape[1] // 2
+    R, pivots = fp.mat_rref(system.matrix, p, n_pivot_cols=ncols)
+    if len(pivots) < ncols:
+        raise PivotError(f"pivot block of the {geom.kind} width-{geom.width} strip "
+                         f"along axis {geom.length_axis} has rank < {ncols}")
+    return (-R[:ncols, ncols:]) % p, R[ncols:, ncols:]
+
+
+def _transfer_witness(params: CodeParams, geom: SegmentGeometry, A: np.ndarray,
+                      kernel: np.ndarray) -> PauliConfig:
+    """The witness ``solve_segment`` reports, from ``_scan_family``'s basis of ``K_l``.
+
+    Each ``x`` in ``K_l`` expands to the strip solution
+    ``(A^(l-1) x, ..., A x, x)``.  The expanded basis is already the one
+    ``fp.nullspace`` returns: the kernel basis is a product of
+    ``fp.nullspace`` bases, so each vector ends in a 1 at its own column
+    of the last block, with zeros there in the others, in increasing order.
+    """
+    p = params.p
+    blocks = [kernel]
+    for _ in range(geom.length - 1):
+        blocks.append((blocks[-1] @ A.T) % p)
+    basis = np.concatenate(blocks[::-1], axis=1)
+    ncols = A.shape[0]
+    first = list(range(ncols))
+    last = list(range(ncols * (geom.length - 1), ncols * geom.length))
+    return _vector_to_config(params, geom.support(), _ends_witness(basis, first, last, p))
+
+
+def _scan_family(params: CodeParams, geom: SegmentGeometry, l_max: int) -> list:
+    """``(nullspace_dim, nontrivial, witness)`` for lengths 2..l_max of one
+    strip family; ``witness`` is a callable building the witness config.
+
+    The solutions of length l are fixed by their last column x, which
+    ranges over ``K_l = {x : v A^i x = 0 for i < l-1}``; the first column
+    is ``A^(l-1) x``.  So ``dim K_l`` is the nullspace dimension and the
+    segment is nontrivial iff ``A^(l-1) K_l != 0``.  A family whose pivot
+    block is rank deficient is solved densely at every length instead.
+    """
+    p = params.p
+    try:
+        A, v = strip_transfer(params, geom)
+    except PivotError:
+        out = []
+        for length in range(2, l_max + 1):
+            sol = solve_segment(params, replace(geom, length=length))
+            out.append((sol.nullspace_dim, sol.nontrivial, lambda sol=sol: sol.witness))
+        return out
+    kernel = np.eye(A.shape[0], dtype=np.int64)  # basis of K_1, one vector per row
+    power = np.eye(A.shape[0], dtype=np.int64)   # A^(l-2)
+    out = []
+    for length in range(2, l_max + 1):
+        if kernel.shape[0]:
+            coeffs = fp.nullspace(((v @ power) % p @ kernel.T) % p, p)
+            kernel = (coeffs @ kernel) % p
+        power = (A @ power) % p
+        nontrivial = bool(((kernel @ power.T) % p).any())
+        out.append((kernel.shape[0], nontrivial,
+                    lambda g=replace(geom, length=length), k=kernel:
+                    _transfer_witness(params, g, A, k)))
+    return out
+
+
 def max_nontrivial_length(params: CodeParams, width: int, l_max: int | None = None,
                           kind: str = "flat", orientations=None) -> SegmentReport:
     """Scan lengths 2..l_max over all orientations (and corner positions).
 
     The default horizon 2*width + 4 comfortably covers both the w+1 and
     the 2w length bounds.  Width-1 cornered strips have no admissible
-    corner and come back empty.
+    corner and come back empty.  Each strip family is decided at every
+    length from one block elimination (``strip_transfer``); the report
+    equals the one ``solve_segment`` gives length by length.
     """
     if l_max is None:
         l_max = 2 * width + 4
     if l_max < 2:
         raise ValueError(f"l_max must be >= 2, got {l_max}")
+    lengths = list(range(2, l_max + 1))
+    families = [(geom, _scan_family(params, geom, l_max))
+                for geom in geometries(width, 2, kind, orientations)]
     dims: dict[int, int] = {}
     found: list[int] = []
+    if families:
+        for i, length in enumerate(lengths):
+            dims[length] = max(scan[i][0] for _, scan in families)
+            if any(scan[i][1] for _, scan in families):
+                found.append(length)
     witness = None
     witness_geom = None
-    for length in range(2, l_max + 1):
-        geoms = geometries(width, length, kind, orientations)
-        if not geoms:
-            break  # no admissible geometry at this width (width-1 cornered)
-        best_dim = 0
-        hit = False
-        for geom in geoms:
-            sol = solve_segment(params, geom)
-            best_dim = max(best_dim, sol.nullspace_dim)
-            if sol.nontrivial and not hit:
-                hit = True
-                witness = sol.witness
-                witness_geom = geom
-        dims[length] = best_dim
-        if hit:
-            found.append(length)
     max_len = max(found) if found else None
+    if max_len is not None:
+        # as the length-by-length scan: the first nontrivial family at the last hit
+        i = max_len - 2
+        geom, scan = next((g, s) for g, s in families if s[i][1])
+        witness = scan[i][2]()
+        witness_geom = replace(geom, length=max_len)
     return SegmentReport(
         width=width,
         kind=kind,
-        lengths_scanned=list(range(2, l_max + 1)),
+        lengths_scanned=lengths,
         nullspace_dims=dims,
         nontrivial_lengths=found,
         max_nontrivial_length=max_len,
@@ -388,7 +473,6 @@ class ReductionResult:
 
     width: int
     length: int
-    triangular: np.ndarray
     transfer_blocks: list[np.ndarray]
     leftover_blocks: list[np.ndarray]
     residual: np.ndarray
@@ -396,8 +480,7 @@ class ReductionResult:
     nullspace_dim: int
     direct_rank: int
     agrees_with_direct: bool
-    krylov_matrix: np.ndarray | None
-    krylov_bound_ok: bool | None
+    krylov_bound_ok: bool
 
 
 def canonical_reduction(params: CodeParams, width: int, length: int,
@@ -406,101 +489,44 @@ def canonical_reduction(params: CodeParams, width: int, length: int,
     """Block-eliminate the strip system into upper block-triangular form.
 
     Constraint rows split by the length coordinate of their cube; every
-    group touches only two adjacent column blocks, so eliminating each
-    group against its own column block leaves an identity block, a
-    transfer block feeding the next column, and two leftover rows.  The
-    leftover rows propagate to the final column block, whose rank fixes
-    the rank of the whole system:
+    group touches only two adjacent column blocks through the same pair
+    of blocks, so eliminating each group against its own column block
+    (``strip_transfer``) leaves an identity block, a transfer block T
+    feeding the next column, and leftover rows v.  The leftover rows
+    propagate to the final column block, whose rank fixes the rank of
+    the whole system:
 
         rank = 2w(l-1) + rank(residual)
              <= 2w(l-1) + rank(Krylov stack of the leftover rows).
 
+    The rank is compared with a direct elimination of the full system.
     Raises PivotError when a pivot block is rank deficient, which can
     only happen for codes failing deformability.
     """
     geom = SegmentGeometry(kind, width, length, orientation, corner_at)
-    system = build_segment_constraints(params, geom)
     p = params.p
-    la = geom.length_axis
-    k = len(geom.cross_section())
-    ncols = 2 * k
-
-    groups: dict[int, list[int]] = {}
-    for r, c in enumerate(system.cubes):
-        groups.setdefault(c[la], []).append(r)
-    if sorted(groups) != list(range(length - 1)):
-        raise PivotError(f"unexpected cube grouping {sorted(groups)}")
-
-    transfer: list[np.ndarray] = []
-    leftovers: list[np.ndarray] = []
-    tri_rows = []
-    v_rows = []
-    for g in range(length - 1):
-        block = system.matrix[groups[g]]
-        local = np.concatenate(
-            [block[:, ncols * g: ncols * (g + 1)], block[:, ncols * (g + 1): ncols * (g + 2)]],
-            axis=1)
-        R, pivots = fp.mat_rref(local, p, n_pivot_cols=ncols)
-        if pivots != list(range(ncols)):
-            raise PivotError(f"pivot block at length position {g} has rank < {ncols}")
-        T = R[:ncols, ncols:]
-        v = R[ncols:, ncols:]
-        if R[ncols:, :ncols].any():
-            raise PivotError(f"leftover rows at position {g} not cleared")
-        transfer.append(T)
-        leftovers.append(v)
-        full_t = np.zeros((ncols, system.matrix.shape[1]), dtype=np.int64)
-        full_t[:, ncols * g: ncols * (g + 1)] = np.eye(ncols, dtype=np.int64)
-        full_t[:, ncols * (g + 1): ncols * (g + 2)] = T
-        tri_rows.append(full_t)
-        full_v = np.zeros((v.shape[0], system.matrix.shape[1]), dtype=np.int64)
-        full_v[:, ncols * (g + 1): ncols * (g + 2)] = v
-        v_rows.append(full_v)
-
-    triangular = np.concatenate(tri_rows + v_rows, axis=0) if tri_rows else \
-        np.zeros((0, system.matrix.shape[1]), dtype=np.int64)
-
-    residual_rows = []
-    for g, v in enumerate(leftovers):
-        vec = v
-        for nxt in range(g + 1, length - 1):
-            vec = (-(vec @ transfer[nxt])) % p
-        residual_rows.append(vec)
-    residual = np.concatenate(residual_rows, axis=0) if residual_rows else \
-        np.zeros((0, ncols), dtype=np.int64)
+    A, v = strip_transfer(params, geom)
+    ncols = A.shape[0]
+    krylov = [v]  # v A^i; the residual takes i < l-1, the Krylov stack i < 2w
+    while len(krylov) < max(length - 1, ncols):
+        krylov.append((krylov[-1] @ A) % p)
+    residual = np.concatenate(krylov[:length - 1][::-1], axis=0)  # v A^(l-2), ..., v
 
     rank = ncols * (length - 1) + fp.mat_rank(residual, p)
-    nullspace_dim = system.matrix.shape[1] - rank
-    direct_rank = fp.mat_rank(system.matrix, p)
-
-    krylov = None
-    bound_ok = None
-    uniform = all((t == transfer[0]).all() for t in transfer[1:]) and \
-        all((v == leftovers[0]).all() for v in leftovers[1:])
-    if uniform and leftovers:
-        T = transfer[0]
-        rowstrip = leftovers[0]
-        stack = []
-        vec = rowstrip
-        for _ in range(ncols):
-            stack.append(vec)
-            vec = (vec @ T) % p
-        krylov = np.concatenate(stack, axis=0)
-        bound_ok = rank <= ncols * (length - 1) + fp.mat_rank(krylov, p)
+    direct_rank = fp.mat_rank(build_segment_constraints(params, geom).matrix, p)
+    krylov_rank = fp.mat_rank(np.concatenate(krylov[:ncols], axis=0), p)
 
     return ReductionResult(
         width=width,
         length=length,
-        triangular=triangular,
-        transfer_blocks=transfer,
-        leftover_blocks=leftovers,
+        transfer_blocks=[(-A) % p] * (length - 1),
+        leftover_blocks=[v] * (length - 1),
         residual=residual,
         rank=rank,
-        nullspace_dim=nullspace_dim,
+        nullspace_dim=ncols * length - rank,
         direct_rank=direct_rank,
         agrees_with_direct=rank == direct_rank,
-        krylov_matrix=krylov,
-        krylov_bound_ok=bound_ok,
+        krylov_bound_ok=rank <= ncols * (length - 1) + krylov_rank,
     )
 
 

@@ -125,6 +125,9 @@ def test_scan_theorem1_p3_and_p2():
     out = scan_theorem1(3, oracle_wmax=1)
     assert out["literal_pass"] == []
     assert len(out["cond12_oracle_pass"]) == 2   # both orbits obey the 2w bound
+    assert scan_theorem1(3, oracle_wmax=1, orbits=classify_orbits(3)) == out
+    with pytest.raises(ValueError):
+        scan_theorem1(3, oracle_wmax=1, orbits=classify_orbits(3, parity="A"))
     out2 = scan_theorem1(2)
     assert out2["literal_pass"] == [] and out2["cond12_oracle_pass"] == []
 

@@ -1,5 +1,6 @@
 """Command-line interface: reports, exit codes, determinism."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -49,6 +50,19 @@ def test_strings_d5_within_bound():
     assert out.returncode == 0
     report = json.loads(out.stdout)
     assert report["results"]["bound_2w_exceeded"] == []
+
+
+def test_strings_d5_report_digest():
+    # sha256 of the stdout report, pinned from the dense length-by-length
+    # scan; the transfer-matrix scan must reproduce it byte for byte
+    expected = {
+        "S": "64cf9fa6303680e2e5ab9570b2eab09eda4c1ed30472a5055e62692c24a51e40",
+        "A": "d74458a81ec549d7f9476a3d4ce2d23f0cb061f67d0811026b981950c9e359f7",
+    }
+    for parity, digest in expected.items():
+        out = run_cli("strings", *D5_FLAGS[:-1], parity, "--wmax", "3")
+        assert out.returncode == 0
+        assert hashlib.sha256(out.stdout.encode()).hexdigest() == digest
 
 
 def test_usage_errors():

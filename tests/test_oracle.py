@@ -14,6 +14,7 @@ from qupitcube.oracle import (
     FlattenError,
     PivotError,
     SegmentGeometry,
+    SegmentReport,
     build_segment_constraints,
     canonical_reduction,
     flatten_segment,
@@ -23,10 +24,11 @@ from qupitcube.oracle import (
     kink_profile,
     max_nontrivial_length,
     solve_segment,
+    strip_transfer,
     verify_witness,
     width1_criterion,
 )
-from conftest import random_code
+from conftest import random_code, random_deformable_tuple
 
 P2_TUPLE = CodeParams(2, (1, 0), (0, 1), (1, 1), (1, 0))
 
@@ -113,6 +115,70 @@ def test_scan_monotonicity():
         for l in found:
             if l > 2:
                 assert l - 1 in found
+
+
+def dense_scan(params, width, kind, l_max=None):
+    """The length-by-length scan by ``solve_segment``: the transfer scan's oracle."""
+    l_max = 2 * width + 4 if l_max is None else l_max
+    dims, found = {}, []
+    witness = witness_geom = None
+    for length in range(2, l_max + 1):
+        geoms = geometries(width, length, kind)
+        if not geoms:
+            break
+        sols = [solve_segment(params, g) for g in geoms]
+        dims[length] = max(s.nullspace_dim for s in sols)
+        hit = next((s for s in sols if s.nontrivial), None)
+        if hit is not None:
+            found.append(length)
+            witness, witness_geom = hit.witness, hit.geometry
+    max_len = max(found) if found else None
+    return SegmentReport(width, kind, list(range(2, l_max + 1)), dims, found, max_len,
+                         None if max_len is None else Fraction(max_len, width),
+                         witness, witness_geom)
+
+
+def assert_scan_matches_dense(params, width, kind, l_max=None):
+    rpt = max_nontrivial_length(params, width, l_max=l_max, kind=kind)
+    want = dense_scan(params, width, kind, l_max)
+    assert rpt.as_dict() == want.as_dict()
+    assert rpt.witness_geometry == want.witness_geometry
+    if rpt.witness is not None:
+        assert verify_witness(params, rpt.witness_geometry, rpt.witness)
+    return rpt
+
+
+def test_transfer_scan_matches_dense_solver():
+    rng = random.Random(73)
+    codes = [d3_code("S"), d3_code("A"), d5_code("S"), d5_code("A")]
+    codes += [CodeParams(p, *random_deformable_tuple(rng, p), parity=rng.choice("SA"))
+              for p in (3, 5, 7)]
+    witnesses = 0
+    for code in codes:
+        for w in (1, 2, 3):
+            for kind in ("flat", "cornered"):
+                witnesses += assert_scan_matches_dense(code, w, kind).witness is not None
+    assert witnesses >= 10
+
+
+def test_transfer_scan_falls_back_per_family():
+    def pivot_fails(code, geom):
+        try:
+            strip_transfer(code, geom)
+        except PivotError:
+            return True
+        return False
+
+    mixed = CodeParams(3, (1, 2), (1, 1), (1, 2), (1, 1))
+    degenerate = CodeParams(2, (1, 0), (1, 0), (1, 0), (1, 0))
+    fails = {code: [pivot_fails(code, g) for g in geometries(2, 2, "flat")]
+             for code in (mixed, degenerate, P2_TUPLE)}
+    assert sum(fails[mixed]) == 2
+    assert all(fails[degenerate]) and not any(fails[P2_TUPLE])
+    for code in fails:
+        for w in (1, 2):
+            for kind in ("flat", "cornered"):
+                assert_scan_matches_dense(code, w, kind, l_max=7)
 
 
 def test_width1_cornered_scan_is_empty():
