@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .codes import CodeParams, PauliConfig, Site, build_generator
+from .codes import CodeParams, PauliConfig, Site, build_generator, doubled_center
 from .fp import check_prime
 
 
@@ -306,14 +306,7 @@ def inversion_conjugate(P: OperatorSum, center, dims) -> OperatorSum:
     Site permutations carry no phase: each term's exponent vectors are
     re-indexed and the coefficient kept.
     """
-    from .codes import InvalidCenterError
-
-    c2 = []
-    for comp in center:
-        doubled = 2 * comp
-        if abs(doubled - round(doubled)) > 1e-9:
-            raise InvalidCenterError(f"centre component {comp} is not a half-integer")
-        c2.append(int(round(doubled)))
+    c2 = doubled_center(center)
     sites = P.sites
     idx = {q: i for i, q in enumerate(sites)}
     perm = []

@@ -8,24 +8,27 @@ in the bulk and at even lengths only, so it is carried as a flagged
 generator and excluded from fixed-parity orbits (where it is redundant
 anyway, since -I lies in SL(2, p)).
 
-Orbits are computed by breadth-first closure and named by their
-lexicographically least member, which is convention free and cheap at
-the moduli of interest.
+SL(2, p) acts freely on deformable tuples, since alpha and beta are not
+proportional.  So each SL(2, p) class has exactly one normal form with
+alpha = (0, 1) and beta = (-<alpha, beta>, 0), read off from the
+symplectic products, and an orbit is the union of the classes of its
+permuted and scaled copies.  Orbits are named by their lexicographically
+least member, which is the least of those normal forms, and counted
+without enumerating tuples.  ``enumerate_deformable``, ``group_generators``
+and the breadth-first ``orbit`` remain as references for tests.
 """
 
 from __future__ import annotations
 
+from itertools import combinations, permutations
+
 from .codes import CodeParams, Pair, symplectic_product
 from .conditions import theorem1_report
-from .fp import check_prime
+from .fp import check_prime, fp_inv
 
 Tuple4 = tuple[Pair, Pair, Pair, Pair]
 
 SL2_GENERATORS = (((1, 1), (0, 1)), ((0, -1), (1, 0)))
-
-
-class OrbitOverflowError(RuntimeError):
-    """Raised when a breadth-first orbit closure exceeds its cap."""
 
 
 def nonzero_pairs(p: int) -> list[Pair]:
@@ -112,10 +115,13 @@ def group_generators(p: int) -> list[tuple[str, callable, bool]]:
     return gens
 
 
-def orbit(t: Tuple4, p: int, include_bulk: bool = False,
-          cap: int | None = 10**6) -> set[Tuple4]:
-    """Breadth-first closure of a tuple under the equivalence generators."""
-    actions = [fn for _, fn, bulk in group_generators(p) if include_bulk or not bulk]
+def orbit(t: Tuple4, p: int) -> set[Tuple4]:
+    """Breadth-first closure of a tuple under the fixed-parity generators.
+
+    Reference implementation only: tests compare the normal-form
+    classification against it.
+    """
+    actions = [fn for _, fn, bulk in group_generators(p) if not bulk]
     seen = {t}
     frontier = [t]
     while frontier:
@@ -126,51 +132,71 @@ def orbit(t: Tuple4, p: int, include_bulk: bool = False,
                 if v not in seen:
                     seen.add(v)
                     nxt.append(v)
-                    if cap is not None and len(seen) > cap:
-                        raise OrbitOverflowError(f"orbit of {t} exceeded cap {cap}")
         frontier = nxt
     return seen
 
 
-def orbit_canonical(t: Tuple4, p: int, include_bulk: bool = False) -> Tuple4:
-    """Lexicographically least member of the orbit (idempotent by construction)."""
-    return min(orbit(t, p, include_bulk))
+def _normal_form(t: Tuple4, p: int) -> Tuple4:
+    """The unique SL(2, p)-image of ``t`` with alpha = (0, 1), beta = (-w, 0).
+
+    With w = <alpha, beta>, the image of a pair v is
+    (-<alpha, v>, -<beta, v> / w), because SL(2, p) preserves the
+    symplectic product.  Requires w != 0.
+    """
+    a, b = t[0], t[1]
+    w_inv = fp_inv(symplectic_product(a, b, p), p)
+    return tuple(((-symplectic_product(a, v, p)) % p,
+                  (-symplectic_product(b, v, p) * w_inv) % p) for v in t)
 
 
-class OrbitCache:
-    """Per-process canonical-form cache; amortizes one BFS per orbit."""
+def _orbit_normal_forms(t: Tuple4, p: int) -> set[Tuple4]:
+    """Normal forms of the SL(2, p) classes that make up the orbit of ``t``.
 
-    def __init__(self, p: int):
-        self.p = p
-        self.cache: dict[Tuple4, Tuple4] = {}
-
-    def canonical(self, t: Tuple4) -> Tuple4:
-        hit = self.cache.get(t)
-        if hit is not None:
-            return hit
-        orb = orbit(t, self.p)
-        canon = min(orb)
-        for u in orb:
-            self.cache[u] = canon
-        return canon
+    These are the normal forms of c * sigma(t) over the 24 permutations
+    sigma and the scalars c.  Scaling by c multiplies every symplectic
+    product by c^2, so it multiplies the first coordinates of the normal
+    form by c^2 and leaves the second ones alone.
+    """
+    if any(symplectic_product(u, v, p) == 0 for u, v in combinations(t, 2)):
+        raise ValueError(f"tuple {t} is not deformable mod {p}")
+    squares = {c * c % p for c in range(1, p)}
+    forms = [_normal_form(s, p) for s in permutations(t)]
+    return {tuple(((q * x) % p, y) for x, y in nf) for nf in forms for q in squares}
 
 
-def classify_orbits(p: int, parity: str = "S",
-                    canonical_map: dict[Tuple4, Tuple4] | None = None) -> dict:
+def orbit_canonical(t: Tuple4, p: int) -> Tuple4:
+    """Lexicographically least member of the orbit of a deformable tuple.
+
+    Every orbit member is some c * M * sigma(t).  The least one has
+    alpha = (0, 1) and second component of beta 0, so it is the least
+    normal form over the permutations sigma and scalars c.
+    """
+    return min(_orbit_normal_forms(t, p))
+
+
+def classify_orbits(p: int, parity: str = "S") -> dict:
     """Partition the deformable tuples at modulus p into equivalence orbits.
 
-    Attaches the three-condition report of each orbit representative for
-    the requested parity.  ``canonical_map`` may supply precomputed
-    canonical forms (e.g. from a cache file or a worker pool).
+    Walks the normal forms alpha = (0, 1), beta = (-w, 0), gamma and delta
+    with both coordinates nonzero and not proportional, one orbit at a
+    time.  SL(2, p) acts freely, so each normal form stands for p(p^2 - 1)
+    tuples.  Attaches the three-condition report of each orbit
+    representative for the requested parity.
     """
-    tuples = enumerate_deformable(p)
-    cache = OrbitCache(p)
+    p = check_prime(p)
+    sl2_order = p * (p * p - 1)
+    units = range(1, p)
+    mixed = [(x, y) for x in units for y in units]
+    forms = [((0, 1), (p - w, 0), g, d) for w in units for g in mixed for d in mixed
+             if symplectic_product(g, d, p)]
+    seen: set[Tuple4] = set()
     orbits: dict[Tuple4, int] = {}
-    for t in tuples:
-        canon = canonical_map.get(t) if canonical_map else None
-        if canon is None:
-            canon = cache.canonical(t)
-        orbits[canon] = orbits.get(canon, 0) + 1
+    for t in forms:
+        if t in seen:
+            continue
+        members = _orbit_normal_forms(t, p)
+        seen |= members
+        orbits[min(members)] = len(members) * sl2_order
     entries = []
     for canon in sorted(orbits):
         rep = CodeParams(p, *canon, parity=parity)
@@ -185,7 +211,7 @@ def classify_orbits(p: int, parity: str = "S",
     return {
         "p": p,
         "parity": parity,
-        "deformable_count": len(tuples),
+        "deformable_count": len(forms) * sl2_order,
         "orbit_count": len(orbits),
         "orbits": entries,
     }
@@ -237,33 +263,3 @@ def scan_theorem1(p: int, oracle_wmax: int = 2, oracle_parity: str = "S",
         "literal_pass": literal_pass,
         "cond12_oracle_pass": cond12_oracle_pass,
     }
-
-
-def write_canonical_cache(path, canonical_map: dict[Tuple4, Tuple4]) -> None:
-    """Write one 'tuple -> canonical' line per entry (resume file for scans)."""
-    with open(path, "w") as f:
-        for t in sorted(canonical_map):
-            f.write(_fmt(t) + " -> " + _fmt(canonical_map[t]) + "\n")
-
-
-def read_canonical_cache(path) -> dict[Tuple4, Tuple4]:
-    out: dict[Tuple4, Tuple4] = {}
-    with open(path) as f:
-        for line in f:
-            line = line.strip()
-            if not line:
-                continue
-            left, right = line.split("->")
-            out[_parse(left)] = _parse(right)
-    return out
-
-
-def _fmt(t: Tuple4) -> str:
-    return " ".join(f"{a},{b}" for a, b in t)
-
-
-def _parse(s: str) -> Tuple4:
-    parts = s.split()
-    if len(parts) != 4:
-        raise ValueError(f"bad tuple line: {s!r}")
-    return tuple(tuple(int(x) for x in part.split(",")) for part in parts)

@@ -11,9 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from multiprocessing import Pool
 
 from . import classify as classify_mod
 from . import conditions, oracle
@@ -104,9 +102,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_classify = sub.add_parser("classify", help="orbit classification at a modulus")
     p_classify.add_argument("--p", type=int, required=True)
     p_classify.add_argument("--parity", choices=("S", "A"), default="S")
-    p_classify.add_argument("--workers", type=int, default=1)
-    p_classify.add_argument("--cache", metavar="FILE",
-                            help="canonical-form cache file to reuse and extend")
 
     p_logical = sub.add_parser("logical", help="planar census and encoded-qudit count")
     _add_code_arguments(p_logical)
@@ -123,7 +118,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_scan = sub.add_parser("scan", help="whole parameter space at a modulus")
     p_scan.add_argument("--p", type=int, required=True)
-    p_scan.add_argument("--workers", type=int, default=1)
     p_scan.add_argument("--oracle-wmax", type=int, default=2,
                         help="width horizon for solver-verified candidates")
 
@@ -190,39 +184,8 @@ def cmd_strings(args, parser) -> int:
     return _emit(_report("strings", opts, results, [], ok, code))
 
 
-def _canonical_chunk(payload):
-    p, chunk = payload
-    cache = classify_mod.OrbitCache(p)
-    return [(t, cache.canonical(t)) for t in chunk]
-
-
-def _canonical_map(p: int, workers: int, cache_path: str | None) -> dict:
-    known = {}
-    if cache_path and os.path.exists(cache_path):
-        known = classify_mod.read_canonical_cache(cache_path)
-    tuples = [t for t in classify_mod.enumerate_deformable(p) if t not in known]
-    if tuples:
-        if workers > 1:
-            chunks = [tuples[i::workers] for i in range(workers)]
-            with Pool(workers) as pool:
-                for part in pool.map(_canonical_chunk, [(p, c) for c in chunks if c]):
-                    known.update(part)
-        else:
-            cache = classify_mod.OrbitCache(p)
-            for t in tuples:
-                known[t] = cache.canonical(t)
-    if cache_path:
-        classify_mod.write_canonical_cache(cache_path, known)
-    return known
-
-
 def cmd_classify(args, parser) -> int:
-    if args.workers < 1:
-        parser.error("--workers must be >= 1")
-    canonical = _canonical_map(args.p, args.workers, args.cache)
-    results = classify_mod.classify_orbits(args.p, args.parity, canonical_map=canonical)
-    # worker count is an execution detail, not an input: reports stay
-    # byte-identical across pool sizes
+    results = classify_mod.classify_orbits(args.p, args.parity)
     opts = {"p": args.p, "parity": args.parity}
     return _emit(_report("classify", opts, results, [], True))
 
@@ -282,10 +245,7 @@ def cmd_algebra(args, parser) -> int:
 
 
 def cmd_scan(args, parser) -> int:
-    if args.workers < 1:
-        parser.error("--workers must be >= 1")
-    canonical = _canonical_map(args.p, args.workers, None)
-    orbits = classify_mod.classify_orbits(args.p, "S", canonical_map=canonical)
+    orbits = classify_mod.classify_orbits(args.p, "S")
     results = {
         "deformable_count": orbits["deformable_count"],
         "orbit_count": orbits["orbit_count"],

@@ -278,6 +278,17 @@ def verify_translation_commutation(params: CodeParams,
     return bad
 
 
+def doubled_center(center) -> list[int]:
+    """Twice an inversion centre, as integers; components must be half-integers."""
+    c2 = []
+    for comp in center:
+        doubled = 2 * comp
+        if abs(doubled - round(doubled)) > 1e-9:
+            raise InvalidCenterError(f"centre component {comp} is not a half-integer")
+        c2.append(int(round(doubled)))
+    return c2
+
+
 def inversion_image(config: PauliConfig, center) -> PauliConfig:
     """Reflect a configuration through a lattice or dual-lattice centre.
 
@@ -287,12 +298,7 @@ def inversion_image(config: PauliConfig, center) -> PauliConfig:
     such a reflection has a fixed site under wrap and cannot pair the
     lattice consistently.
     """
-    c2 = []
-    for comp in center:
-        doubled = 2 * comp
-        if abs(doubled - round(doubled)) > 1e-9:
-            raise InvalidCenterError(f"centre component {comp} is not a half-integer")
-        c2.append(int(round(doubled)))
+    c2 = doubled_center(center)
     if config.dims is not None:
         for axis, L in enumerate(config.dims):
             if L % 2 == 1 and c2[axis] % 2 == 1:

@@ -12,12 +12,19 @@ from __future__ import annotations
 import numpy as np
 
 
+# Largest accepted modulus.  Entries are reduced into [0, p), so an int64
+# inner product of length n is bounded by n (p - 1)^2, and
+# (p - 1)^2 * 2^22 < 2^63: every int64 product in the package stays exact
+# for inner dimensions up to 2^22.
+MAX_MODULUS = 1 << 20
+
+
 class SingularMatrixError(ValueError):
     """Raised when a matrix required to be invertible is singular."""
 
 
 def check_prime(p: int) -> int:
-    """Validate that ``p`` is a prime >= 2 and return it.
+    """Validate that ``p`` is a prime in [2, MAX_MODULUS] and return it.
 
     Trial division is plenty for the moduli this toolkit targets
     (single-digit primes in practice).
@@ -27,6 +34,9 @@ def check_prime(p: int) -> int:
     p = int(p)
     if p < 2:
         raise ValueError(f"modulus must be >= 2, got {p}")
+    if p > MAX_MODULUS:
+        raise ValueError(f"modulus must be <= {MAX_MODULUS} so int64 arithmetic "
+                         f"stays exact, got {p}")
     d = 2
     while d * d <= p:
         if p % d == 0:
@@ -139,19 +149,6 @@ def mat_det(M, p: int) -> int:
     return det
 
 
-def mat_reduce(M, p: int) -> tuple[int, np.ndarray, int | None]:
-    """Rank, nullspace basis, and determinant (square input only) of ``M``.
-
-    The determinant slot is ``None`` for rectangular input.  Always
-    satisfies ``rank + nullspace rows == n_cols``.
-    """
-    M = normalize(M, p)
-    rank = mat_rank(M, p)
-    ns = nullspace(M, p)
-    det = mat_det(M, p) if M.shape[0] == M.shape[1] else None
-    return rank, ns, det
-
-
 def mat_inverse(M, p: int) -> np.ndarray:
     """Inverse of a square matrix over F_p.  Raises SingularMatrixError."""
     M = normalize(M, p)
@@ -201,16 +198,6 @@ def poly_is_zero(c: list[int]) -> bool:
 def poly_deg(c: list[int]) -> int:
     """Degree, with the zero polynomial mapped to -1."""
     return -1 if poly_is_zero(c) else len(c) - 1
-
-
-def poly_add(a: list[int], b: list[int], p: int) -> list[int]:
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, x in enumerate(b):
-        out[i] += x
-    return poly_trim(out, p)
 
 
 def poly_mul(a: list[int], b: list[int], p: int) -> list[int]:

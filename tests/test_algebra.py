@@ -27,7 +27,7 @@ from qupitcube.algebra import (
     verify_projector_identities,
 )
 from qupitcube.codes import commutation_exponent as config_commutation
-from qupitcube.codes import PauliConfig, d3_code, d5_code, generator_config
+from qupitcube.codes import InvalidCenterError, PauliConfig, d3_code, d5_code, generator_config
 
 ONE_SITE = ((0, 0, 0),)
 
@@ -170,6 +170,8 @@ def test_inversion_conjugate_is_permutation_only():
     P = build_projector(s, 1)
     conj = inversion_conjugate(P, (0.5, 0.5, 0.5), (2, 2, 2))
     assert sorted(conj.terms.values(), key=str) == sorted(P.terms.values(), key=str)
+    with pytest.raises(InvalidCenterError, match="centre component 0.3 is not a half-integer"):
+        inversion_conjugate(P, (0.3, 0.5, 0.5), (2, 2, 2))
 
 
 def test_scale_guard():

@@ -5,16 +5,13 @@ import random
 import pytest
 
 from qupitcube.classify import (
-    OrbitOverflowError,
     classify_orbits,
     enumerate_deformable,
     group_generators,
     orbit,
     orbit_canonical,
     primitive_root,
-    read_canonical_cache,
     scan_theorem1,
-    write_canonical_cache,
 )
 from qupitcube.codes import CodeParams
 from qupitcube.conditions import check_deformability, theorem1_report
@@ -69,9 +66,44 @@ def test_orbit_canonical_invariance():
             assert orbit_canonical(u, p) == canon
 
 
-def test_orbit_overflow_guard():
-    with pytest.raises(OrbitOverflowError):
-        orbit(D5_TUPLE, 5, cap=10)
+def test_normal_form_matches_breadth_first_orbits():
+    # every representative and orbit size against the BFS closure
+    for p in (3, 5):
+        rep = classify_orbits(p)
+        covered = 0
+        for entry in rep["orbits"]:
+            canon = tuple(tuple(x) for x in entry["representative"])
+            members = orbit(canon, p)
+            assert min(members) == canon
+            assert len(members) == entry["orbit_size"]
+            covered += len(members)
+            for u in sorted(members)[::97]:
+                assert orbit_canonical(u, p) == canon
+        assert covered == rep["deformable_count"] == len(enumerate_deformable(p))
+    # p=7: BFS orbits of a seeded sample
+    sizes = {tuple(tuple(x) for x in o["representative"]): o["orbit_size"]
+             for o in classify_orbits(7)["orbits"]}
+    rng = random.Random(71)
+    for _ in range(3):
+        t = random_deformable_tuple(rng, 7)
+        members = orbit(t, 7)
+        canon = orbit_canonical(t, 7)
+        assert canon == min(members)
+        assert sizes[canon] == len(members)
+
+
+def test_orbit_canonical_rejects_non_deformable():
+    with pytest.raises(ValueError):
+        orbit_canonical(((1, 0), (0, 1), (1, 1), (2, 2)), 3)
+
+
+def test_classification_p11():
+    p = 11
+    rep = classify_orbits(p)
+    assert rep["orbit_count"] == 750
+    total = (p * p - 1) * (p * p - p) * (p - 1) ** 3 * (p - 2)
+    assert total == 118_800_000
+    assert sum(o["orbit_size"] for o in rep["orbits"]) == rep["deformable_count"] == total
 
 
 def test_classification_p3():
@@ -137,11 +169,3 @@ def test_scan_theorem1_p5_contains_reference_orbit():
     passing = {tuple(tuple(x) for x in e["representative"])
                for e in out["cond12_oracle_pass"]}
     assert orbit_canonical(D5_TUPLE, 5) in passing
-
-
-def test_cache_roundtrip(tmp_path):
-    path = tmp_path / "canon.txt"
-    mapping = {D3_TUPLE: orbit_canonical(D3_TUPLE, 3),
-               D3_TUPLE_B: orbit_canonical(D3_TUPLE_B, 3)}
-    write_canonical_cache(path, mapping)
-    assert read_canonical_cache(path) == mapping

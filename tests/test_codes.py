@@ -160,11 +160,11 @@ def test_inversion_image_examples():
     moved = inversion_image(cfg, (1, 0, 0))
     assert moved.support == {(2, 0, 0): (1, 0)}
 
-    with pytest.raises(InvalidCenterError):
+    with pytest.raises(InvalidCenterError, match="centre component 0.3 is not a half-integer"):
         inversion_image(cfg, (0.3, 0, 0))
 
     on_torus = PauliConfig(3, dims=(3, 4, 4), support={(0, 0, 0): (1, 0)})
-    with pytest.raises(InvalidCenterError):
+    with pytest.raises(InvalidCenterError, match="misaligned on odd length 3"):
         inversion_image(on_torus, (0.5, 0.5, 0.5))
     ok = inversion_image(on_torus, (1, 0.5, 0.5))
     assert ok.support == {(2, 1, 1): (1, 0)}

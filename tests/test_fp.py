@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from qupitcube import fp
+from qupitcube.codes import CodeParams
+from qupitcube.conditions import theorem1_report
 
 PRIMES = (3, 5, 7)
 
@@ -27,14 +29,32 @@ def test_inverse_examples():
         fp.fp_inv(0, 5)
 
 
+def test_modulus_bound():
+    # past 2^20 an int64 product of two residues can overflow
+    with pytest.raises(ValueError):
+        fp.check_prime(4294967291)
+    with pytest.raises(ValueError):
+        CodeParams(4294967291, (1, 0), (0, 1), (1, 1), (1, 2))
+    p = 1048573                       # largest prime <= MAX_MODULUS = 2^20
+    assert fp.MAX_MODULUS == 2**20 and fp.check_prime(p) == p
+    code = CodeParams(p, (1, 0), (0, 1), (1, 1), (p - 1, p - 2))
+    assert code.delta == (p - 1, p - 2)
+    assert (fp.mat_mul([[p - 1]], [[p - 2]], p) == [[2]]).all()
+    assert fp.mat_det([[p - 1, p - 2], [p - 3, p - 1]], p) == (1 - 6) % p
+    assert theorem1_report(code).deformability
+
+
 def test_mat_reduce_examples():
-    rank, ns, det = fp.mat_reduce(np.eye(2, dtype=int), 5)
+    def reduce(M, p):
+        return fp.mat_rank(M, p), fp.nullspace(M, p), fp.mat_det(M, p)
+
+    rank, ns, det = reduce(np.eye(2, dtype=int), 5)
     assert (rank, len(ns), det) == (2, 0, 1)
 
-    rank, ns, det = fp.mat_reduce([[1, 0], [1, 4]], 5)
+    rank, ns, det = reduce([[1, 0], [1, 4]], 5)
     assert (rank, det) == (2, 4)      # cofactor expansion: 1*4 - 0*1
 
-    rank, ns, det = fp.mat_reduce(np.zeros((3, 3), dtype=int), 5)
+    rank, ns, det = reduce(np.zeros((3, 3), dtype=int), 5)
     assert (rank, len(ns), det) == (0, 3, 0)
 
 
@@ -86,7 +106,7 @@ def test_rank_nullspace_invariants():
         for _ in range(1000):
             n = rng.randrange(1, 6)
             M = _random_matrix(rng, p, n, n)
-            rank, ns, det = fp.mat_reduce(M, p)
+            rank, ns, det = fp.mat_rank(M, p), fp.nullspace(M, p), fp.mat_det(M, p)
             assert rank == fp.mat_rank(M.T, p)
             assert rank + len(ns) == n
             for v in ns:
