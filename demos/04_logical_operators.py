@@ -23,16 +23,16 @@ code = d3_code("A")
 # --- the 4 / 2 / 1 pattern ----------------------------------------------------
 print("census for the antisymmetric p=3 code:")
 for dims in ((4, 4, 4), (4, 4, 3), (4, 3, 3), (3, 3, 3)):
-    census = planar_census(code, dims)
+    census = planar_census(TorusCode(code, dims))
     counts = {k: v["count"] for k, v in census.items()}
     print(f"  torus {dims}: {counts}")
 
 # --- the global relation of antisymmetric codes --------------------------------
-prod = product_of_all_generators(code, (3, 4, 5))
+prod = product_of_all_generators(TorusCode(code, (3, 4, 5)))
 print("\nantisymmetric: product of all generators is the identity:",
       prod.is_identity())
 print("symmetric p=5: product is uniform, pair",
-      set(product_of_all_generators(d5_code('S'), (2, 2, 2)).support.values()))
+      set(product_of_all_generators(TorusCode(d5_code('S'), (2, 2, 2))).support.values()))
 
 # --- encoded qudits change with the system size ---------------------------------
 table = encoded_qudit_table(code, sizes=range(2, 5))
@@ -44,11 +44,12 @@ print("k is never 0 for the antisymmetric family:",
 
 # --- commutation between transverse planes certify logical content --------------
 dims = (4, 4, 4)
+torus = TorusCode(code, dims)
 ops = []
 for normal in range(3):
-    ops.extend(census_operators(code, dims, normal))
+    ops.extend(census_operators(torus, normal))
 table = logical_commutation_table(ops)
 print(f"\n{len(ops)} plane operators on {dims}; pairwise commutation exponents:")
 print(table)
 print("some exponent is nonzero, so a logical qudit is certified:", bool(table.any()))
-print("k on this torus:", encoded_qudit_count(TorusCode(code, dims)))
+print("k on this torus:", encoded_qudit_count(torus))

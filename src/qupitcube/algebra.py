@@ -10,32 +10,28 @@ which reproduces the commutation law S_a S_b = S_b S_a omega^<a, b>.
 
 Sums of monomials carry coefficients in the cyclotomic field Q(omega),
 stored as rational vectors on the basis 1, omega, ..., omega^(p-2) and
-reduced with 1 + omega + ... + omega^(p-1) = 0.  Everything is exact;
-term counts grow quickly, so products are guarded to generator-sized
-problems (p = 3 on a 2x2x2 torus) unless explicitly unlocked.
+reduced with 1 + omega + ... + omega^(p-1) = 0.  Everything is exact and
+unguarded: a projector has only p terms, so products of projectors stay
+small at any modulus and torus size the callers use.
+
+Cube generators carry the Weyl-symmetric phase omega^(-2^-1 x.z) in front
+of X^x Z^z (Appleby, quant-ph/0412001).  Negating every label then gives
+exactly the inverse, so inversion maps P(s, r) to P(s, -r) for
+antisymmetric codes at every odd p.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import product
 
-from .codes import CodeParams, PauliConfig, Site, build_generator, doubled_center
+from .codes import CodeParams, PauliConfig, Site, doubled_center, generator_config
 from .fp import check_prime
 
 
 class NotOrderPError(ValueError):
     """Raised when a projector is requested for an operator with s^p != 1."""
-
-
-def _guard(p: int, n_sites: int, allow_large: bool) -> None:
-    if allow_large:
-        return
-    if p > 3 or n_sites > 8:
-        raise ValueError(
-            f"operator-sum algebra guarded to p <= 3 on <= 8 sites "
-            f"(got p={p}, sites={n_sites}); pass allow_large=True to override")
 
 
 def _check_odd_prime(p: int) -> int:
@@ -183,18 +179,14 @@ def pauli_from_config(config: PauliConfig, sites=None) -> PhasedPauli:
 
 
 def generator_pauli(params: CodeParams, dims, position: Site = (0, 0, 0)) -> PhasedPauli:
-    """The cube generator at ``position`` as a phase-0 monomial on the torus."""
-    sites = torus_sites(dims)
-    idx = {q: i for i, q in enumerate(sites)}
-    x = [0] * len(sites)
-    z = [0] * len(sites)
-    p = params.p
-    for v, g in build_generator(params).items():
-        q = tuple((position[a] + v[a]) % dims[a] for a in range(3))
-        i = idx[q]
-        x[i] = (x[i] + g[0]) % p
-        z[i] = (z[i] + g[1]) % p
-    return PhasedPauli(p, sites, tuple(x), tuple(z))
+    """The cube generator at ``position`` on the torus, Weyl-symmetric.
+
+    The phase is -2^-1 * sum_i x_i z_i: with Z X = omega^-1 X Z, that is
+    the monomial whose label-negated copy is its inverse.
+    """
+    mono = pauli_from_config(generator_config(params, position, dims))
+    xz = sum(a * b for a, b in zip(mono.x, mono.z))
+    return replace(mono, phase=-xz * pow(2, -1, params.p))
 
 
 # ---------------------------------------------------------------------------
@@ -267,12 +259,11 @@ def operator_identity(p: int, sites) -> OperatorSum:
     return out
 
 
-def op_mul(a: OperatorSum, b: OperatorSum, allow_large: bool = False) -> OperatorSum:
+def op_mul(a: OperatorSum, b: OperatorSum) -> OperatorSum:
     """Exact product; term pairs pick up the normal-ordering phase."""
     if a.p != b.p or a.sites != b.sites:
         raise ValueError("operator sums must share modulus and sites")
     p = a.p
-    _guard(p, len(a.sites), allow_large)
     out = OperatorSum(p, a.sites)
     for (x1, z1), c1 in a.terms.items():
         for (x2, z2), c2 in b.terms.items():
@@ -283,10 +274,9 @@ def op_mul(a: OperatorSum, b: OperatorSum, allow_large: bool = False) -> Operato
     return out
 
 
-def build_projector(s: PhasedPauli, r: int, allow_large: bool = False) -> OperatorSum:
+def build_projector(s: PhasedPauli, r: int) -> OperatorSum:
     """P(s, r) = (1/p) sum_m (omega^r s)^m; requires s^p = identity exactly."""
     p = s.p
-    _guard(p, len(s.sites), allow_large)
     if not pauli_power(s, p).is_identity():
         raise NotOrderPError("operator does not have order p (including phase)")
     out = OperatorSum(p, s.sites)
@@ -347,16 +337,15 @@ def verify_commutation_law(p: int, trials: int = 200, seed: int = 7) -> bool:
     return True
 
 
-def verify_projector_identities(params: CodeParams, dims=(2, 2, 2),
-                                allow_large: bool = False) -> dict:
+def verify_projector_identities(params: CodeParams, dims=(2, 2, 2)) -> dict:
     """Idempotence, orthogonality, completeness of {P(s, r)} for the
     cube generator on the given torus."""
     p = params.p
     s = generator_pauli(params, dims)
-    projectors = [build_projector(s, r, allow_large) for r in range(p)]
-    idempotent = all(op_mul(P, P, allow_large) == P for P in projectors)
+    projectors = [build_projector(s, r) for r in range(p)]
+    idempotent = all(op_mul(P, P) == P for P in projectors)
     orthogonal = all(
-        op_mul(projectors[r], projectors[q], allow_large).is_zero()
+        op_mul(projectors[r], projectors[q]).is_zero()
         for r in range(p) for q in range(p) if r != q)
     total = projectors[0]
     for P in projectors[1:]:
@@ -365,16 +354,15 @@ def verify_projector_identities(params: CodeParams, dims=(2, 2, 2),
     return {"idempotent": idempotent, "orthogonal": orthogonal, "complete": complete}
 
 
-def verify_inversion_action(params: CodeParams, dims=(2, 2, 2), r: int = 1,
-                            allow_large: bool = False) -> dict:
+def verify_inversion_action(params: CodeParams, dims=(2, 2, 2), r: int = 1) -> dict:
     """Conjugating P(s, r) by inversion about the cube centre.
 
     Expected fixed for symmetric codes and mapped to P(s, -r) for
     antisymmetric ones.
     """
     s = generator_pauli(params, dims)
-    P = build_projector(s, r, allow_large)
+    P = build_projector(s, r)
     conj = inversion_conjugate(P, (0.5, 0.5, 0.5), dims)
     expect_r = r if params.parity == "S" else (-r) % params.p
-    expected = build_projector(s, expect_r, allow_large)
+    expected = build_projector(s, expect_r)
     return {"r": r, "expected_r": expect_r, "matches": conj == expected}

@@ -12,6 +12,9 @@ pairs scaled by +1 (symmetric code) or -1 (antisymmetric code):
     (0,1,0) gamma     (1,0,1) s*gamma
     (0,0,1) delta     (1,1,0) s*delta
 
+Every module places generators on sites through this one: ``cube_sites``,
+``cubes_touching``, ``generator_config`` and ``generator_rows``.
+
 Pauli operators are kept phase-free here: commutation questions depend
 only on the symplectic data (the exact phase algebra lives in
 :mod:`qupitcube.algebra`).
@@ -22,6 +25,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import product
+
+import numpy as np
 
 from .fp import check_prime
 
@@ -130,6 +135,14 @@ def add_pairs(a: Pair, b: Pair, p: int) -> Pair:
     return ((a[0] + b[0]) % p, (a[1] + b[1]) % p)
 
 
+def check_dims(dims) -> Site:
+    """Torus dimensions as three ints, each at least 2."""
+    dims = tuple(int(L) for L in dims)
+    if len(dims) != 3 or any(L < 2 for L in dims):
+        raise ValueError(f"torus dims must be three sizes >= 2, got {dims}")
+    return dims
+
+
 def build_generator(params: CodeParams, scale_override: int | None = None) -> dict[Site, Pair]:
     """Vertex-to-pair labels of the cube generator at the origin.
 
@@ -165,11 +178,7 @@ class PauliConfig:
     def __init__(self, p: int, dims: Site | None = None,
                  support: dict[Site, Pair] | None = None):
         self.p = check_prime(p)
-        if dims is not None:
-            dims = tuple(int(L) for L in dims)
-            if len(dims) != 3 or any(L < 2 for L in dims):
-                raise ValueError(f"torus dims must be three sizes >= 2, got {dims}")
-        self.dims = dims
+        self.dims = None if dims is None else check_dims(dims)
         self.support: dict[Site, Pair] = {}
         if support:
             for site, pair in support.items():
@@ -236,14 +245,45 @@ class PauliConfig:
         return f"PauliConfig(p={self.p}, dims={self.dims}, weight={len(self.support)})"
 
 
+def cube_sites(c: Site) -> list[Site]:
+    """The 8 sites of the cube at ``c``, in ``VERTICES`` order."""
+    return [(c[0] + v[0], c[1] + v[1], c[2] + v[2]) for v in VERTICES]
+
+
+def cubes_touching(sites, avoid=()) -> list[Site]:
+    """The sorted cubes that touch ``sites`` and no site in ``avoid``."""
+    avoid = set(avoid)
+    candidates = {(q[0] - v[0], q[1] - v[1], q[2] - v[2]) for q in sites for v in VERTICES}
+    return [c for c in sorted(candidates) if avoid.isdisjoint(cube_sites(c))]
+
+
 def generator_config(params: CodeParams, position: Site = (0, 0, 0),
                      dims: Site | None = None,
                      scale_override: int | None = None) -> PauliConfig:
     """The cube generator at ``position`` as a PauliConfig."""
+    labels = build_generator(params, scale_override)
     cfg = PauliConfig(params.p, dims)
-    for v, pair in build_generator(params, scale_override).items():
-        cfg.add((position[0] + v[0], position[1] + v[1], position[2] + v[2]), pair)
+    for q, v in zip(cube_sites(position), VERTICES):
+        cfg.add(q, labels[v])
     return cfg
+
+
+def generator_rows(params: CodeParams, cubes, index, n_sites: int) -> np.ndarray:
+    """One int64 row per cube generator over 2 * ``n_sites`` columns.
+
+    ``index(site)`` gives the site's column pair (x-exponent at 2t,
+    z-exponent at 2t + 1), or None to leave the site out.  Labels landing
+    on the same site are summed mod p.
+    """
+    labels = build_generator(params)
+    M = np.zeros((len(cubes), 2 * n_sites), dtype=np.int64)
+    for r, c in enumerate(cubes):
+        for q, v in zip(cube_sites(c), VERTICES):
+            t, g = index(q), labels[v]
+            if t is not None:
+                M[r, 2 * t] += g[0]
+                M[r, 2 * t + 1] += g[1]
+    return M % params.p
 
 
 def commutation_exponent(a: PauliConfig, b: PauliConfig) -> int:

@@ -28,19 +28,14 @@ from .codes import (
     PauliConfig,
     Site,
     build_generator,
+    check_dims,
     commutation_exponent,
+    generator_rows,
 )
 
 
 class InvalidCodeError(ValueError):
     """Raised when a generator family on a torus is not abelian."""
-
-
-def check_dims(dims) -> Site:
-    dims = tuple(int(L) for L in dims)
-    if len(dims) != 3 or any(L < 2 for L in dims):
-        raise ValueError(f"torus dims must be three sizes >= 2, got {dims}")
-    return dims
 
 
 class TorusCode:
@@ -52,6 +47,7 @@ class TorusCode:
         self.n = self.dims[0] * self.dims[1] * self.dims[2]
         self._matrix = None
         self._rank = None
+        self._abelian = None
 
     def site_index(self, site: Site) -> int:
         x, y, z = (c % L for c, L in zip(site, self.dims))
@@ -65,15 +61,8 @@ class TorusCode:
     def generator_matrix(self) -> np.ndarray:
         """One row per cube over 2n columns (x-exponent, z-exponent per site)."""
         if self._matrix is None:
-            labels = build_generator(self.params)
-            p = self.params.p
-            M = np.zeros((self.n, 2 * self.n), dtype=np.int64)
-            for r, c in enumerate(self.cube_positions()):
-                for v, g in labels.items():
-                    t = self.site_index((c[0] + v[0], c[1] + v[1], c[2] + v[2]))
-                    M[r, 2 * t] = (M[r, 2 * t] + g[0]) % p
-                    M[r, 2 * t + 1] = (M[r, 2 * t + 1] + g[1]) % p
-            self._matrix = M
+            self._matrix = generator_rows(self.params, self.cube_positions(),
+                                          self.site_index, self.n)
         return self._matrix
 
     def config_vector(self, config: PauliConfig) -> np.ndarray:
@@ -86,12 +75,12 @@ class TorusCode:
 
     def check_abelian(self) -> bool:
         """All generator rows pairwise symplectically orthogonal."""
-        M = self.generator_matrix
-        p = self.params.p
-        X = M[:, 0::2]
-        Z = M[:, 1::2]
-        comm = (X @ Z.T - Z @ X.T) % p
-        return not comm.any()
+        if self._abelian is None:
+            M = self.generator_matrix
+            X = M[:, 0::2]
+            Z = M[:, 1::2]
+            self._abelian = not ((X @ Z.T - Z @ X.T) % self.params.p).any()
+        return self._abelian
 
     @property
     def rank(self) -> int:
@@ -167,84 +156,60 @@ def build_planar_operator(params: CodeParams, pattern: PlanarPattern, dims) -> t
     return cfg, seam
 
 
-def planar_census(params: CodeParams, dims) -> dict:
+def _census_tier(torus: TorusCode, normal: int) -> tuple[dict, list[PauliConfig]]:
+    """The first tier with a logical, nonempty configuration, and its operators.
+
+    Tier order: the four translated tilings, then the paper pairing of
+    translate products (periodic across one direction), then the product
+    of all four (uniform).  The plain tile alignment is tried before the
+    transposed one.
+    """
+    for transpose in (False, True):
+        built = [build_planar_operator(torus.params, PlanarPattern(normal, 0, t, transpose),
+                                       torus.dims)[0]
+                 for t in ((0, 0), (1, 0), (0, 1), (1, 1))]
+        pairs = [built[0].mul(built[1]), built[2].mul(built[3]),
+                 built[0].mul(built[2]), built[1].mul(built[3])]
+        for tier, configs in (("base", built), ("pair-products", pairs),
+                              ("full-product", [pairs[0].mul(pairs[1])])):
+            ok = [cfg for cfg in configs if not cfg.is_identity() and is_logical(cfg, torus)]
+            if ok:
+                return {"count": len(ok), "tier": tier, "transpose": transpose}, ok
+    return {"count": 0, "tier": None, "transpose": None}, []
+
+
+def planar_census(torus: TorusCode) -> dict:
     """Count valid plane-operator constructions for each orientation.
 
-    Tier order per orientation: the four translated tilings, then the
-    paper pairing of translate products (periodic across one direction),
-    then the product of all four (uniform).  The first tier containing a
-    logical, nonempty configuration supplies the count: 4 when both
-    in-plane dimensions are even, 2 when one is, 1 when none are.  Both
-    tile alignments (plain and transposed) are tried; the first that
-    produces a nonzero census is reported.
+    The first tier containing a logical, nonempty configuration supplies
+    the count: 4 when both in-plane dimensions are even, 2 when one is,
+    1 when none are.
     """
-    dims = check_dims(dims)
-    torus = TorusCode(params, dims)
     out = {}
     for normal in range(3):
+        entry = _census_tier(torus, normal)[0]
         u, v = [a for a in range(3) if a != normal]
-        entry = None
-        for transpose in (False, True):
-            pats = [PlanarPattern(normal, 0, t, transpose)
-                    for t in ((0, 0), (1, 0), (0, 1), (1, 1))]
-            built = [build_planar_operator(params, pat, dims)[0] for pat in pats]
-            base_ok = [cfg for cfg in built if not cfg.is_identity() and is_logical(cfg, torus)]
-            if base_ok:
-                entry = {"count": len(base_ok), "tier": "base", "transpose": transpose}
-                break
-            pair_products = [built[0].mul(built[1]), built[2].mul(built[3]),
-                             built[0].mul(built[2]), built[1].mul(built[3])]
-            pair_ok = [cfg for cfg in pair_products
-                       if not cfg.is_identity() and is_logical(cfg, torus)]
-            if pair_ok:
-                entry = {"count": len(pair_ok), "tier": "pair-products", "transpose": transpose}
-                break
-            total = built[0].mul(built[1]).mul(built[2]).mul(built[3])
-            if not total.is_identity() and is_logical(total, torus):
-                entry = {"count": 1, "tier": "full-product", "transpose": transpose}
-                break
-        if entry is None:
-            entry = {"count": 0, "tier": None, "transpose": None}
-        entry["in_plane_dims"] = (dims[u], dims[v])
+        entry["in_plane_dims"] = (torus.dims[u], torus.dims[v])
         out[f"normal_{'xyz'[normal]}"] = entry
     return out
 
 
-def census_operators(params: CodeParams, dims, normal: int) -> list[PauliConfig]:
+def census_operators(torus: TorusCode, normal: int) -> list[PauliConfig]:
     """The logical plane operators the census counts for one orientation."""
-    dims = check_dims(dims)
-    torus = TorusCode(params, dims)
-    for transpose in (False, True):
-        pats = [PlanarPattern(normal, 0, t, transpose)
-                for t in ((0, 0), (1, 0), (0, 1), (1, 1))]
-        built = [build_planar_operator(params, pat, dims)[0] for pat in pats]
-        ok = [cfg for cfg in built if not cfg.is_identity() and is_logical(cfg, torus)]
-        if ok:
-            return ok
-        pair_products = [built[0].mul(built[1]), built[2].mul(built[3]),
-                         built[0].mul(built[2]), built[1].mul(built[3])]
-        ok = [cfg for cfg in pair_products if not cfg.is_identity() and is_logical(cfg, torus)]
-        if ok:
-            return ok
-        total = built[0].mul(built[1]).mul(built[2]).mul(built[3])
-        if not total.is_identity() and is_logical(total, torus):
-            return [total]
-    return []
+    return _census_tier(torus, normal)[1]
 
 
-def product_of_all_generators(params: CodeParams, dims) -> PauliConfig:
+def product_of_all_generators(torus: TorusCode) -> PauliConfig:
     """Sitewise product over every cube generator on the torus.
 
     Each site collects (1 + s) times the sum of the four pairs: the zero
     configuration for antisymmetric codes (the global relation behind
     their guaranteed encoded qudit), a uniform configuration otherwise.
     """
-    dims = check_dims(dims)
-    out = PauliConfig(params.p, dims)
-    labels = build_generator(params)
-    for c in product(range(dims[0]), range(dims[1]), range(dims[2])):
-        for v, g in labels.items():
-            out.add((c[0] + v[0], c[1] + v[1], c[2] + v[2]), g)
+    total = torus.generator_matrix.sum(axis=0) % torus.params.p
+    out = PauliConfig(torus.params.p, torus.dims)
+    for t, site in enumerate(torus.cube_positions()):
+        out.add(site, (int(total[2 * t]), int(total[2 * t + 1])))
     return out
 
 

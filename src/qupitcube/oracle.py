@@ -42,10 +42,10 @@ from .codes import (
     CodeParams,
     PauliConfig,
     Site,
-    VERTICES,
-    build_generator,
     commutation_exponent,
+    cubes_touching,
     generator_config,
+    generator_rows,
 )
 from .conditions import (
     PrerequisiteError,
@@ -170,37 +170,19 @@ class ConstraintSystem:
 
 
 def build_segment_constraints(params: CodeParams, geom: SegmentGeometry) -> ConstraintSystem:
-    """One scalar row per generator overlapping the strip but not the anchors."""
+    """One scalar row per generator overlapping the strip but not the anchors.
+
+    A row pairs the generator symplectically with the (z, x) unknowns: its
+    (x, z) labels land on the (z, x) columns with the second one negated.
+    """
     support = geom.support()
     if not support:
         raise DegenerateGeometryError("empty strip support")
     index = {q: t for t, q in enumerate(support)}
     anchor1, anchor2 = geom.anchors()
-    anchors = anchor1 | anchor2
-    labels = build_generator(params)
-    p = params.p
-
-    candidates = set()
-    for q in support:
-        for v in VERTICES:
-            candidates.add((q[0] - v[0], q[1] - v[1], q[2] - v[2]))
-    cubes = []
-    for c in sorted(candidates):
-        cube_sites = [(c[0] + v[0], c[1] + v[1], c[2] + v[2]) for v in VERTICES]
-        if any(s in anchors for s in cube_sites):
-            continue
-        cubes.append(c)
-
-    rows = np.zeros((len(cubes), 2 * len(support)), dtype=np.int64)
-    for r, c in enumerate(cubes):
-        for v in VERTICES:
-            q = (c[0] + v[0], c[1] + v[1], c[2] + v[2])
-            t = index.get(q)
-            if t is None:
-                continue
-            g = labels[v]
-            rows[r, 2 * t] = (rows[r, 2 * t] + g[0]) % p
-            rows[r, 2 * t + 1] = (rows[r, 2 * t + 1] - g[1]) % p
+    cubes = cubes_touching(support, avoid=anchor1 | anchor2)
+    rows = generator_rows(params, cubes, index.get, len(support))
+    rows[:, 1::2] = (-rows[:, 1::2]) % params.p
     return ConstraintSystem(params, geom, support, rows, cubes)
 
 
@@ -449,15 +431,7 @@ def verify_witness(params: CodeParams, geom: SegmentGeometry, witness: PauliConf
     configurations and tested through the commutation exponent.
     """
     anchor1, anchor2 = geom.anchors()
-    anchors = anchor1 | anchor2
-    candidates = set()
-    for q in witness.support:
-        for v in VERTICES:
-            candidates.add((q[0] - v[0], q[1] - v[1], q[2] - v[2]))
-    for c in sorted(candidates):
-        cube_sites = [(c[0] + v[0], c[1] + v[1], c[2] + v[2]) for v in VERTICES]
-        if any(s in anchors for s in cube_sites):
-            continue
+    for c in cubes_touching(witness.support, avoid=anchor1 | anchor2):
         if commutation_exponent(generator_config(params, c), witness) != 0:
             return False
     return True
@@ -586,29 +560,25 @@ def in_box_cubes(box: tuple[int, int, int]) -> list[Site]:
     return [(x, y, z) for x in range(w - 1) for y in range(h - 1) for z in range(l - 1)]
 
 
+def box_sites(box: tuple[int, int, int]) -> list[Site]:
+    w, h, l = box
+    return [(x, y, z) for x in range(w) for y in range(h) for z in range(l)]
+
+
 def in_box_generator_matrix(params: CodeParams, box: tuple[int, int, int]):
     """Matrix of in-box generator vectors over the box coordinates.
 
     Returns (matrix, cubes, sites); rows are generators, columns run over
     box sites with two components each (x-exponent then z-exponent).
     """
-    w, h, l = box
-    sites = [(x, y, z) for x in range(w) for y in range(h) for z in range(l)]
+    sites = box_sites(box)
     index = {q: t for t, q in enumerate(sites)}
     cubes = in_box_cubes(box)
-    labels = build_generator(params)
-    M = np.zeros((len(cubes), 2 * len(sites)), dtype=np.int64)
-    for r, c in enumerate(cubes):
-        for v, g in labels.items():
-            t = index[(c[0] + v[0], c[1] + v[1], c[2] + v[2])]
-            M[r, 2 * t] = g[0]
-            M[r, 2 * t + 1] = g[1]
-    return M % params.p, cubes, sites
+    return generator_rows(params, cubes, index.get, len(sites)), cubes, sites
 
 
 def config_to_box_vector(config: PauliConfig, box: tuple[int, int, int]) -> np.ndarray:
-    w, h, l = box
-    sites = [(x, y, z) for x in range(w) for y in range(h) for z in range(l)]
+    sites = box_sites(box)
     vec = np.zeros(2 * len(sites), dtype=np.int64)
     for t, q in enumerate(sites):
         pair = config.support.get(q)
@@ -643,44 +613,25 @@ def flatten_segment(params: CodeParams, config: PauliConfig,
         if not (0 <= q[0] < w and 0 <= q[1] < h and 0 <= q[2] < l):
             raise ValueError(f"config has support outside the box at {q}")
     profile = kink_profile(box)
-    off_sites = sorted(q for q in ((x, y, z)
-                                   for x in range(w) for y in range(h) for z in range(l))
-                       if q not in profile)
     if all(q in profile for q in config.support):
         return config.copy()
 
-    cubes = in_box_cubes(box)
-    labels = build_generator(params)
     p = params.p
-    cube_cols = {}
-    for j, c in enumerate(cubes):
-        col = {}
-        for v, g in labels.items():
-            col[(c[0] + v[0], c[1] + v[1], c[2] + v[2])] = g
-        cube_cols[j] = col
+    M, cubes, sites = in_box_generator_matrix(params, box)
+    target = (-config_to_box_vector(config, box)) % p
+    off = [(q, t) for t, q in enumerate(sites) if q not in profile]
 
-    def build_rows(site_list):
-        A = np.zeros((2 * len(site_list), len(cubes)), dtype=np.int64)
-        b = np.zeros(2 * len(site_list), dtype=np.int64)
-        for i, q in enumerate(site_list):
-            cur = config.support.get(q, (0, 0))
-            b[2 * i] = (-cur[0]) % p
-            b[2 * i + 1] = (-cur[1]) % p
-            for j in range(len(cubes)):
-                g = cube_cols[j].get(q)
-                if g:
-                    A[2 * i, j] = g[0]
-                    A[2 * i + 1, j] = g[1]
-        return A % p, b
+    def build_rows(n):
+        # the generators' (x, z) columns at the first n off-profile sites
+        cols = [j for _, t in off[:n] for j in (2 * t, 2 * t + 1)]
+        return M[:, cols].T, target[cols]
 
-    A, b = build_rows(off_sites)
-    coeffs = fp.solve(A, b, p)
+    coeffs = fp.solve(*build_rows(len(off)), p)
     if coeffs is None:
-        for n in range(1, len(off_sites) + 1):
-            Ap, bp = build_rows(off_sites[:n])
-            if fp.solve(Ap, bp, p) is None:
-                raise FlattenError(off_sites[n - 1])
-        raise FlattenError(off_sites[-1])  # unreachable; defensive
+        for n in range(1, len(off) + 1):
+            if fp.solve(*build_rows(n), p) is None:
+                raise FlattenError(off[n - 1][0])
+        raise FlattenError(off[-1][0])  # unreachable; defensive
 
     out = config.copy()
     for j, c in enumerate(cubes):

@@ -1,8 +1,15 @@
+import os
 import random
+from pathlib import Path
 
 import pytest
 
 from qupitcube.codes import CodeParams, d3_code, d5_code
+
+# the CLI tests run qupitcube in subprocesses, which import it from this checkout
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [str(Path(__file__).resolve().parent.parent / "src"),
+                  os.environ.get("PYTHONPATH")]))
 
 
 @pytest.fixture

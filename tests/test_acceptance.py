@@ -195,7 +195,7 @@ def test_criterion_09_planar_census_parity_table():
             (4, 4, 4), (2, 3, 4))
     for code in (d3_code("S"), d3_code("A"), d5_code("S"), d5_code("A")):
         for dims in tori:
-            census = planar_census(code, dims)
+            census = planar_census(TorusCode(code, dims))
             for normal in range(3):
                 u, v = [a for a in range(3) if a != normal]
                 got = census[f"normal_{'xyz'[normal]}"]["count"]
@@ -212,10 +212,10 @@ def test_criterion_10_antisymmetric_global_relation():
         for lx in sizes:
             for ly in sizes:
                 for lz in sizes:
-                    dims = (lx, ly, lz)
-                    if not product_of_all_generators(code, dims).is_identity():
+                    torus = TorusCode(code, (lx, ly, lz))
+                    if not product_of_all_generators(torus).is_identity():
                         ok = False
-                    if encoded_qudit_count(TorusCode(code, dims)) < 1:
+                    if encoded_qudit_count(torus) < 1:
                         ok = False
     _verdict(10, "antisymmetric codes: product of all generators is the "
                  "identity and k >= 1 on every torus with sides 2..5", ok)
@@ -223,17 +223,21 @@ def test_criterion_10_antisymmetric_global_relation():
 
 def test_criterion_11_exact_algebra_identities():
     t0 = time.monotonic()
-    ok = verify_commutation_law(3)
-    for parity in "SA":
-        code = d3_code(parity)
+    ok = all(verify_commutation_law(p) for p in (3, 5, 7))
+    # the p = 7 tuple has sum(a * b) = 2 mod 7, so its A code would expose
+    # any phase convention in which negating the labels is not inversion
+    p7 = CodeParams(7, (1, 0), (0, 1), (1, 1), (3, 5), "A")
+    codes = [d3_code("S"), d3_code("A"), d5_code("S"), d5_code("A"), p7]
+    for code in codes:
         proj = verify_projector_identities(code, (2, 2, 2))
         ok = ok and all(proj.values())
-        for r in range(3):
+        for r in range(code.p):
             out = verify_inversion_action(code, (2, 2, 2), r=r)
-            expected_r = r if parity == "S" else (-r) % 3
+            expected_r = r if code.parity == "S" else (-r) % code.p
             ok = ok and out["matches"] and out["expected_r"] == expected_r
     elapsed = time.monotonic() - t0
-    _verdict(11, "p=3 on a 2x2x2 torus: commutation phase law, projector "
+    _verdict(11, "p=3, 5 and 7 on a 2x2x2 torus (d3 and d5 S/A, one p=7 A "
+                 "code): commutation phase law, projector "
                  "idempotence/orthogonality/completeness, and the inversion "
                  "action P(s,r) -> P(s,-+r) per parity, < 1 min",
              ok and elapsed < 60.0)

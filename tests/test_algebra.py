@@ -174,13 +174,14 @@ def test_inversion_conjugate_is_permutation_only():
         inversion_conjugate(P, (0.3, 0.5, 0.5), (2, 2, 2))
 
 
-def test_scale_guard():
+def test_p5_runs_without_guard():
+    # no size guard: p = 5 needs no opt-in
     code = d5_code("S")
-    with pytest.raises(ValueError):
-        verify_projector_identities(code)   # p = 5 exceeds the default guard
+    assert verify_projector_identities(code) == {
+        "idempotent": True, "orthogonal": True, "complete": True}
     s = generator_pauli(code, (2, 2, 2))
-    P = build_projector(s, 0, allow_large=True)
-    assert op_mul(P, P, allow_large=True) == P
+    P = build_projector(s, 0)
+    assert op_mul(P, P) == P
 
 
 def test_rejects_even_modulus():

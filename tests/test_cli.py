@@ -127,6 +127,43 @@ def test_logical_antisymmetric():
     assert census["normal_z"]["count"] == 4    # in-plane dims (2, 2)
 
 
+def test_logical_report_digests():
+    # sha256 of the stdout reports, pinned from the per-module generator
+    # scatter loops and the duplicated census tiers; the shared codes
+    # helpers and the single tier search must reproduce them byte for byte
+    codes = {"d3": ["--p", "3", "--alpha", "1,0", "--beta", "0,1",
+                    "--gamma", "1,1", "--delta", "1,2"],
+             "d5": D5_FLAGS[:-2]}
+    expected = {
+        ("d3", "S", "2x2x2"): "9cb1a812f2428304bed43de9e368ca4a1a1822120f498c7866326dcb0f22afb6",
+        ("d3", "S", "3x4x5"): "ca7e5a6183f486ec8b8271d64e99180fec71fac699b75b16ea00974b70a82cb5",
+        ("d3", "S", "4x4x3"): "b0116ed450a444edd048f6401624d3d7e3b86a63ea4942b376780c5ce42d50ff",
+        ("d3", "A", "2x2x2"): "f2841a81b7288838380b0b1c08d83f02761a8b8141e61fac87bc4b99015ca7b5",
+        ("d3", "A", "3x4x5"): "9b2bd673bab6ee48b084ec0d2678012ae0863c683d1fd6bd9b87f57f667e6177",
+        ("d3", "A", "4x4x3"): "2f9118c4ad6806392ecab95ddca2831485b576415b12401c609e9015270ded70",
+        ("d5", "S", "2x2x2"): "558362d5aea872d6afbdaf57f0af352b2a1c4aefbea140a4af3c967cf8fb5e97",
+        ("d5", "S", "3x4x5"): "18fdd5b0a802b17a559820ac13035d77e15535997236f3491e219874ab103904",
+        ("d5", "S", "4x4x3"): "31467b7771e9de2ea902c46a16240d878d29a1d9aec0f9c1b65269736d948254",
+        ("d5", "A", "2x2x2"): "84d979ccd098df36207829ce6a9205925462044c63e24b2654f3e9f4e48168b8",
+        ("d5", "A", "3x4x5"): "3f0d737618ebb59816b4858d3b07e2d9554e73578713a88c49ea84958ea54d20",
+        ("d5", "A", "4x4x3"): "5dfe1e4be36e304713d990360259f6f7500bcff81845180218241c99a2cf5d97",
+        ("d5", "A", "2x3x2", "--ktable", "3"):
+            "be4c28c37179956f2d1f01cf29b5d1112875b5b129c533a0c3fdbec78256e8b7",
+    }
+    for (code, parity, dims, *extra), digest in expected.items():
+        out = run_cli("logical", *codes[code], "--parity", parity, "--dims", dims, *extra)
+        assert out.returncode == 0
+        assert hashlib.sha256(out.stdout.encode()).hexdigest() == digest, (code, parity, dims)
+
+
+def test_algebra_allow_large_is_a_no_op():
+    argv = ("algebra", *D5_FLAGS[:-1], "A", "--dims", "2x2x2")
+    plain = run_cli(*argv)
+    flagged = run_cli(*argv, "--allow-large")
+    assert plain.returncode == flagged.returncode == 0
+    assert plain.stdout == flagged.stdout
+
+
 def test_algebra_subcommand():
     out = run_cli("algebra", "--p", "3", "--alpha", "1,0", "--beta", "0,1",
                   "--gamma", "1,1", "--delta", "1,2", "--parity", "A")

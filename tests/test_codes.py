@@ -2,7 +2,9 @@
 
 import json
 import random
+from itertools import product
 
+import numpy as np
 import pytest
 
 from qupitcube.codes import (
@@ -11,9 +13,11 @@ from qupitcube.codes import (
     PauliConfig,
     build_generator,
     commutation_exponent,
+    cubes_touching,
     d3_code,
     d5_code,
     generator_config,
+    generator_rows,
     inversion_image,
     load_params,
     symplectic_product,
@@ -168,6 +172,31 @@ def test_inversion_image_examples():
         inversion_image(on_torus, (0.5, 0.5, 0.5))
     ok = inversion_image(on_torus, (1, 0.5, 0.5))
     assert ok.support == {(2, 1, 1): (1, 0)}
+
+
+def test_generator_rows_match_generator_config():
+    # on a side of 2 every cube spans that axis, so every row's far face wraps
+    for code in (d3_code("S"), d3_code("A"), d5_code("S"), d5_code("A")):
+        for dims in ((2, 2, 2), (2, 3, 4), (3, 2, 5)):
+            sites = sorted(product(*map(range, dims)))
+
+            def index(q):
+                return sites.index(tuple(c % L for c, L in zip(q, dims)))
+
+            rows = generator_rows(code, sites, index, len(sites))
+            assert rows.shape == (len(sites), 2 * len(sites))
+            for c, row in zip(sites, rows):
+                vec = np.zeros(2 * len(sites), dtype=np.int64)
+                for q, pair in generator_config(code, c, dims).support.items():
+                    vec[2 * index(q):2 * index(q) + 2] = pair
+                assert (row == vec).all(), (code, dims, c)
+
+
+def test_cubes_touching():
+    assert len(cubes_touching([(0, 0, 0)])) == 8
+    assert cubes_touching([(0, 0, 0)], avoid=[(1, 1, 1)]) == [
+        (-1, -1, -1), (-1, -1, 0), (-1, 0, -1), (-1, 0, 0),
+        (0, -1, -1), (0, -1, 0), (0, 0, -1)]
 
 
 def test_torus_wrapping_canonical():

@@ -65,7 +65,7 @@ def test_is_logical_examples():
 def test_census_parity_table(code):
     expected = {(0, 0): 4, (0, 1): 2, (1, 0): 2, (1, 1): 1}
     for dims in ((4, 4, 4), (4, 4, 3), (4, 3, 3), (3, 3, 3), (2, 2, 2), (5, 4, 2)):
-        census = planar_census(code, dims)
+        census = planar_census(TorusCode(code, dims))
         for normal in range(3):
             u, v = [a for a in range(3) if a != normal]
             entry = census[f"normal_{'xyz'[normal]}"]
@@ -75,20 +75,20 @@ def test_census_parity_table(code):
 def test_census_depends_only_on_parities():
     code = d3_code("A")
     for L in (2, 4, 6):
-        census = planar_census(code, (L, L, 3))
+        census = planar_census(TorusCode(code, (L, L, 3)))
         assert census["normal_z"]["count"] == 4
         assert census["normal_x"]["count"] == 2
     for L in (3, 5):
-        census = planar_census(code, (L, L, 4))
+        census = planar_census(TorusCode(code, (L, L, 4)))
         assert census["normal_z"]["count"] == 1
 
 
 def test_product_of_all_generators():
     for code in (d3_code("A"), d5_code("A")):
         for dims in ((2, 2, 2), (3, 4, 5), (3, 3, 3)):
-            assert product_of_all_generators(code, dims).is_identity()
+            assert product_of_all_generators(TorusCode(code, dims)).is_identity()
 
-    prod = product_of_all_generators(d5_code("S"), (2, 3, 2))
+    prod = product_of_all_generators(TorusCode(d5_code("S"), (2, 3, 2)))
     assert set(prod.support.values()) == {(0, 3)}   # 2 * (sum of pairs) mod 5
     assert len(prod.support) == 2 * 3 * 2
 
@@ -141,7 +141,7 @@ def test_rank_invariant_under_row_operations():
 def test_commutation_table_structure():
     code = d3_code("S")
     dims = (4, 4, 4)
-    ops = census_operators(code, dims, 2)
+    ops = census_operators(TorusCode(code, dims), 2)
     assert len(ops) == 4
     table = logical_commutation_table(ops)
     assert (np.diag(table) == 0).all()
@@ -157,8 +157,9 @@ def test_census_operators_reverify_per_generator():
     dims = (3, 4, 2)
     from qupitcube.codes import commutation_exponent
 
+    torus = TorusCode(code, dims)
     for normal in range(3):
-        for op in census_operators(code, dims, normal):
+        for op in census_operators(torus, normal):
             for x in range(dims[0]):
                 for y in range(dims[1]):
                     for z in range(dims[2]):
@@ -171,8 +172,9 @@ def test_transverse_operators_certify_encoded_qudit():
     # on an even torus, so neither is a stabilizer element
     code = d3_code("S")
     dims = (4, 4, 4)
+    torus = TorusCode(code, dims)
     ops = []
     for normal in range(3):
-        ops.extend(census_operators(code, dims, normal))
+        ops.extend(census_operators(torus, normal))
     table = logical_commutation_table(ops)
     assert table.any()
