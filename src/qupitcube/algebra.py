@@ -7,12 +7,15 @@ on one site costs omega^-1, so the product rule is
     (a, b, c) * (a', b', c') = (a + a', b + b', c + c' - b . a'),
 
 which reproduces the commutation law S_a S_b = S_b S_a omega^<a, b>.
+Monomials and operator sums share this one rule.
 
-Sums of monomials carry coefficients in the cyclotomic field Q(omega),
-stored as rational vectors on the basis 1, omega, ..., omega^(p-2) and
-reduced with 1 + omega + ... + omega^(p-1) = 0.  Everything is exact and
-unguarded: a projector has only p terms, so products of projectors stay
-small at any modulus and torus size the callers use.
+An operator sum is a rational combination of phased monomials, keyed by
+(a, b, c), so every coefficient is a plain Fraction and a product of
+sums costs one Fraction product per term pair.  The only relation among
+keys, 1 + omega + ... + omega^(p-1) = 0, is applied once, when sums are
+compared.  Everything is exact and unguarded: a projector has only p
+terms, so products of projectors stay small at any modulus and torus
+size the callers use.
 
 Cube generators carry the Weyl-symmetric phase omega^(-2^-1 x.z) in front
 of X^x Z^z (Appleby, quant-ph/0412001).  Negating every label then gives
@@ -42,53 +45,6 @@ def _check_odd_prime(p: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Cyclotomic coefficients: tuples of p-1 Fractions on basis omega^0..omega^(p-2)
-
-
-def cyc_zero(p: int) -> tuple:
-    return tuple(Fraction(0) for _ in range(p - 1))
-
-
-def cyc_is_zero(v: tuple) -> bool:
-    return all(x == 0 for x in v)
-
-
-def cyc_from_power(k: int, p: int) -> tuple:
-    """omega^k as a basis vector, with omega^(p-1) = -(1 + ... + omega^(p-2))."""
-    k %= p
-    if k < p - 1:
-        return tuple(Fraction(1) if i == k else Fraction(0) for i in range(p - 1))
-    return tuple(Fraction(-1) for _ in range(p - 1))
-
-
-def cyc_add(u: tuple, v: tuple) -> tuple:
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def cyc_scale(u: tuple, c) -> tuple:
-    c = Fraction(c)
-    return tuple(a * c for a in u)
-
-
-def cyc_mul(u: tuple, v: tuple, p: int) -> tuple:
-    """Product in Q(omega): convolve exponents mod p, then reduce."""
-    acc = [Fraction(0)] * p
-    for i, a in enumerate(u):
-        if a == 0:
-            continue
-        for j, b in enumerate(v):
-            if b == 0:
-                continue
-            acc[(i + j) % p] += a * b
-    top = acc[p - 1]
-    return tuple(acc[k] - top for k in range(p - 1))
-
-
-def cyc_mul_power(u: tuple, k: int, p: int) -> tuple:
-    return cyc_mul(u, cyc_from_power(k, p), p)
-
-
-# ---------------------------------------------------------------------------
 # Phased Pauli monomials
 
 
@@ -112,8 +68,8 @@ class PhasedPauli:
         if not (len(self.sites) == len(self.x) == len(self.z)):
             raise ValueError("sites, x, z must have equal length")
 
-    def monomial(self) -> tuple:
-        return (self.x, self.z)
+    def key(self) -> tuple:
+        return (self.x, self.z, self.phase)
 
     def is_identity(self) -> bool:
         return self.phase == 0 and not any(self.x) and not any(self.z)
@@ -124,18 +80,19 @@ def identity_pauli(p: int, sites) -> PhasedPauli:
     return PhasedPauli(p, sites, (0,) * len(sites), (0,) * len(sites))
 
 
+def _key_mul(u: tuple, v: tuple, p: int) -> tuple:
+    """Normal-ordered product of (x, z, phase) keys; the phase collects -z_u . x_v."""
+    (xu, zu, cu), (xv, zv, cv) = u, v
+    return (tuple((a + b) % p for a, b in zip(xu, xv)),
+            tuple((a + b) % p for a, b in zip(zu, zv)),
+            (cu + cv - sum(a * b for a, b in zip(zu, xv))) % p)
+
+
 def pauli_mul(u: PhasedPauli, v: PhasedPauli) -> PhasedPauli:
-    """Normal-ordered product; the phase collects -z_u . x_v."""
+    """Normal-ordered product u v."""
     if u.p != v.p or u.sites != v.sites:
         raise ValueError("operands must share modulus and site set")
-    p = u.p
-    cross = sum(zu * xv for zu, xv in zip(u.z, v.x))
-    return PhasedPauli(
-        p, u.sites,
-        tuple((a + b) % p for a, b in zip(u.x, v.x)),
-        tuple((a + b) % p for a, b in zip(u.z, v.z)),
-        (u.phase + v.phase - cross) % p,
-    )
+    return PhasedPauli(u.p, u.sites, *_key_mul(u.key(), v.key(), u.p))
 
 
 def pauli_power(u: PhasedPauli, m: int) -> PhasedPauli:
@@ -194,37 +151,50 @@ def generator_pauli(params: CodeParams, dims, position: Site = (0, 0, 0)) -> Pha
 
 
 class OperatorSum:
-    """Finite sum of monomials with exact cyclotomic-rational coefficients.
+    """Finite rational combination of phased monomials.
 
-    Terms are keyed by exponent vectors; zero-coefficient terms are
-    dropped, so equality of term maps is canonical regardless of how the
-    sum was assembled.
+    ``terms`` maps (x, z, phase) keys, standing for omega^phase X^x Z^z,
+    to nonzero Fractions.  Keys that differ only in phase are dependent,
+    so equality and ``is_zero`` compare ``canonical()`` forms.
     """
 
     __slots__ = ("p", "sites", "terms")
 
-    def __init__(self, p: int, sites, terms: dict | None = None):
+    def __init__(self, p: int, sites):
         self.p = _check_odd_prime(p)
         self.sites = tuple(sites)
         self.terms: dict = {}
-        if terms:
-            for key, coeff in terms.items():
-                self._accumulate(key, coeff)
 
     def _accumulate(self, key, coeff) -> None:
-        cur = self.terms.get(key)
-        new = cyc_add(cur, coeff) if cur is not None else tuple(coeff)
-        if cyc_is_zero(new):
-            self.terms.pop(key, None)
-        else:
+        new = self.terms.get(key, 0) + coeff
+        if new:
             self.terms[key] = new
+        else:
+            self.terms.pop(key, None)
 
     def add_monomial(self, mono: PhasedPauli, coeff=Fraction(1)) -> None:
         if mono.p != self.p or mono.sites != self.sites:
             raise ValueError("monomial does not match this operator sum")
-        vec = cyc_scale(cyc_from_power(mono.phase, self.p), coeff) \
-            if not isinstance(coeff, tuple) else cyc_mul_power(coeff, mono.phase, self.p)
-        self._accumulate(mono.monomial(), vec)
+        self._accumulate(mono.key(), Fraction(coeff))
+
+    def canonical(self) -> dict:
+        """The unique form: Q(omega) coefficients per monomial (x, z).
+
+        Each value is a tuple on the basis omega^0..omega^(p-2): the
+        phase-(p-1) coefficient is subtracted from the others, which is
+        1 + omega + ... + omega^(p-1) = 0.  Monomials whose tuple is zero
+        are dropped, so only the zero operator has an empty form.
+        """
+        p = self.p
+        gathered: dict = {}
+        for (x, z, phase), coeff in self.terms.items():
+            gathered.setdefault((x, z), [Fraction(0)] * p)[phase] += coeff
+        out = {}
+        for mono, vec in gathered.items():
+            reduced = tuple(c - vec[p - 1] for c in vec[:p - 1])
+            if any(reduced):
+                out[mono] = reduced
+        return out
 
     def copy(self) -> "OperatorSum":
         out = OperatorSum(self.p, self.sites)
@@ -232,11 +202,12 @@ class OperatorSum:
         return out
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.canonical()
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, OperatorSum) and self.p == other.p
-                and self.sites == other.sites and self.terms == other.terms)
+                and self.sites == other.sites
+                and self.canonical() == other.canonical())
 
     def __add__(self, other: "OperatorSum") -> "OperatorSum":
         if self.p != other.p or self.sites != other.sites:
@@ -260,17 +231,15 @@ def operator_identity(p: int, sites) -> OperatorSum:
 
 
 def op_mul(a: OperatorSum, b: OperatorSum) -> OperatorSum:
-    """Exact product; term pairs pick up the normal-ordering phase."""
+    """Exact product: the monomial product rule and one Fraction product
+    per term pair."""
     if a.p != b.p or a.sites != b.sites:
         raise ValueError("operator sums must share modulus and sites")
     p = a.p
     out = OperatorSum(p, a.sites)
-    for (x1, z1), c1 in a.terms.items():
-        for (x2, z2), c2 in b.terms.items():
-            cross = sum(zu * xv for zu, xv in zip(z1, x2)) % p
-            key = (tuple((u + v) % p for u, v in zip(x1, x2)),
-                   tuple((u + v) % p for u, v in zip(z1, z2)))
-            out._accumulate(key, cyc_mul_power(cyc_mul(c1, c2, p), -cross, p))
+    for u, cu in a.terms.items():
+        for v, cv in b.terms.items():
+            out._accumulate(_key_mul(u, v, p), cu * cv)
     return out
 
 
@@ -282,10 +251,7 @@ def build_projector(s: PhasedPauli, r: int) -> OperatorSum:
     out = OperatorSum(p, s.sites)
     power = identity_pauli(p, s.sites)
     for m in range(p):
-        out.add_monomial(
-            PhasedPauli(p, s.sites, power.x, power.z,
-                        (power.phase + r * m) % p),
-            Fraction(1, p))
+        out._accumulate((power.x, power.z, (power.phase + r * m) % p), Fraction(1, p))
         power = pauli_mul(power, s)
     return out
 
@@ -294,23 +260,15 @@ def inversion_conjugate(P: OperatorSum, center, dims) -> OperatorSum:
     """Conjugate by the inversion permutation about a (half-)lattice centre.
 
     Site permutations carry no phase: each term's exponent vectors are
-    re-indexed and the coefficient kept.
+    re-indexed, and its phase and coefficient kept.  Inversion is an
+    involution, so the site landing at position i comes from ``perm[i]``.
     """
     c2 = doubled_center(center)
-    sites = P.sites
-    idx = {q: i for i, q in enumerate(sites)}
-    perm = []
-    for q in sites:
-        image = tuple((c2[a] - q[a]) % dims[a] for a in range(3))
-        perm.append(idx[image])
-    out = OperatorSum(P.p, sites)
-    for (x, z), coeff in P.terms.items():
-        nx = [0] * len(sites)
-        nz = [0] * len(sites)
-        for i, j in enumerate(perm):
-            nx[j] = x[i]
-            nz[j] = z[i]
-        out._accumulate((tuple(nx), tuple(nz)), coeff)
+    idx = {q: i for i, q in enumerate(P.sites)}
+    perm = [idx[tuple((c2[a] - q[a]) % dims[a] for a in range(3))] for q in P.sites]
+    out = OperatorSum(P.p, P.sites)
+    for (x, z, phase), coeff in P.terms.items():
+        out._accumulate((tuple(x[i] for i in perm), tuple(z[i] for i in perm), phase), coeff)
     return out
 
 
@@ -358,8 +316,10 @@ def verify_inversion_action(params: CodeParams, dims=(2, 2, 2), r: int = 1) -> d
     """Conjugating P(s, r) by inversion about the cube centre.
 
     Expected fixed for symmetric codes and mapped to P(s, -r) for
-    antisymmetric ones.
+    antisymmetric ones.  The syndrome label r must lie in 0..p-1.
     """
+    if not 0 <= r < params.p:
+        raise ValueError(f"syndrome label r must be in 0..{params.p - 1}, got {r}")
     s = generator_pauli(params, dims)
     P = build_projector(s, r)
     conj = inversion_conjugate(P, (0.5, 0.5, 0.5), dims)

@@ -13,7 +13,8 @@ pairs scaled by +1 (symmetric code) or -1 (antisymmetric code):
     (0,0,1) delta     (1,1,0) s*delta
 
 Every module places generators on sites through this one: ``cube_sites``,
-``cubes_touching``, ``generator_config`` and ``generator_rows``.
+``cubes_touching``, ``generator_config`` and ``generator_rows``;
+``config_row`` writes a configuration in the same column layout.
 
 Pauli operators are kept phase-free here: commutation questions depend
 only on the symplectic data (the exact phase algebra lives in
@@ -284,6 +285,18 @@ def generator_rows(params: CodeParams, cubes, index, n_sites: int) -> np.ndarray
                 M[r, 2 * t] += g[0]
                 M[r, 2 * t + 1] += g[1]
     return M % params.p
+
+
+def config_row(config: PauliConfig, index, n_sites: int) -> np.ndarray | None:
+    """A configuration in ``generator_rows``' column layout, or None when
+    ``index`` gives some support site no column."""
+    vec = np.zeros(2 * n_sites, dtype=np.int64)
+    for q, pair in config.support.items():
+        t = index(q)
+        if t is None:
+            return None
+        vec[2 * t], vec[2 * t + 1] = pair
+    return vec
 
 
 def commutation_exponent(a: PauliConfig, b: PauliConfig) -> int:

@@ -30,8 +30,12 @@ from .codes import (
     build_generator,
     check_dims,
     commutation_exponent,
+    config_row,
     generator_rows,
 )
+
+# Largest dense torus: its n x 2n int64 generator matrix takes 256 MiB.
+MAX_TORUS_SITES = 16 ** 3
 
 
 class InvalidCodeError(ValueError):
@@ -45,6 +49,9 @@ class TorusCode:
         self.params = params
         self.dims = check_dims(dims)
         self.n = self.dims[0] * self.dims[1] * self.dims[2]
+        if self.n > MAX_TORUS_SITES:
+            raise ValueError(f"torus {self.dims} has {self.n} sites; the dense "
+                             f"generator matrix is limited to {MAX_TORUS_SITES}")
         self._matrix = None
         self._rank = None
         self._abelian = None
@@ -65,14 +72,6 @@ class TorusCode:
                                           self.site_index, self.n)
         return self._matrix
 
-    def config_vector(self, config: PauliConfig) -> np.ndarray:
-        vec = np.zeros(2 * self.n, dtype=np.int64)
-        for site, pair in config.support.items():
-            t = self.site_index(site)
-            vec[2 * t] = pair[0]
-            vec[2 * t + 1] = pair[1]
-        return vec
-
     def check_abelian(self) -> bool:
         """All generator rows pairwise symplectically orthogonal."""
         if self._abelian is None:
@@ -91,7 +90,7 @@ class TorusCode:
 
 def is_logical(config: PauliConfig, torus: TorusCode) -> bool:
     """True when the configuration commutes with every cube generator."""
-    vec = torus.config_vector(config)
+    vec = config_row(config, torus.site_index, torus.n)
     M = torus.generator_matrix
     p = torus.params.p
     # symplectic pairing of each generator row with the config
@@ -225,11 +224,12 @@ def encoded_qudit_count(torus: TorusCode) -> int:
 
 
 def encoded_qudit_table(params: CodeParams, sizes=range(2, 5)) -> dict[Site, int]:
-    """k over a cube of torus sizes; exposes the size dependence of k."""
-    table = {}
-    for dims in product(sizes, repeat=3):
-        table[dims] = encoded_qudit_count(TorusCode(params, dims))
-    return table
+    """k over a cube of torus sizes; exposes the size dependence of k.
+
+    Every torus is checked against the size limit before any matrix is built.
+    """
+    tori = [TorusCode(params, dims) for dims in product(sizes, repeat=3)]
+    return {torus.dims: encoded_qudit_count(torus) for torus in tori}
 
 
 def logical_commutation_table(configs: list[PauliConfig]) -> np.ndarray:

@@ -43,6 +43,7 @@ from .codes import (
     PauliConfig,
     Site,
     commutation_exponent,
+    config_row,
     cubes_touching,
     generator_config,
     generator_rows,
@@ -568,31 +569,23 @@ def box_sites(box: tuple[int, int, int]) -> list[Site]:
 def in_box_generator_matrix(params: CodeParams, box: tuple[int, int, int]):
     """Matrix of in-box generator vectors over the box coordinates.
 
-    Returns (matrix, cubes, sites); rows are generators, columns run over
-    box sites with two components each (x-exponent then z-exponent).
+    Returns (matrix, cubes, index); rows are generators, and ``index`` maps
+    each box site, in ``box_sites`` order, to its column pair
+    (x-exponent then z-exponent).
     """
-    sites = box_sites(box)
-    index = {q: t for t, q in enumerate(sites)}
+    index = {q: t for t, q in enumerate(box_sites(box))}
     cubes = in_box_cubes(box)
-    return generator_rows(params, cubes, index.get, len(sites)), cubes, sites
-
-
-def config_to_box_vector(config: PauliConfig, box: tuple[int, int, int]) -> np.ndarray:
-    sites = box_sites(box)
-    vec = np.zeros(2 * len(sites), dtype=np.int64)
-    for t, q in enumerate(sites):
-        pair = config.support.get(q)
-        if pair:
-            vec[2 * t] = pair[0]
-            vec[2 * t + 1] = pair[1]
-    return vec
+    return generator_rows(params, cubes, index.get, len(index)), cubes, index
 
 
 def is_stabilizer_combination(params: CodeParams, config: PauliConfig,
                               box: tuple[int, int, int]) -> bool:
-    """Exact span membership of a box-supported config in the in-box generators."""
-    M, _, _ = in_box_generator_matrix(params, box)
-    vec = config_to_box_vector(config, box)
+    """Exact span membership of a config in the in-box generators; False
+    when the config has support outside the box."""
+    M, _, index = in_box_generator_matrix(params, box)
+    vec = config_row(config, index.get, len(index))
+    if vec is None:
+        return False
     return fp.mat_rank(np.concatenate([M, vec.reshape(1, -1)]), params.p) == fp.mat_rank(M, params.p)
 
 
@@ -617,9 +610,9 @@ def flatten_segment(params: CodeParams, config: PauliConfig,
         return config.copy()
 
     p = params.p
-    M, cubes, sites = in_box_generator_matrix(params, box)
-    target = (-config_to_box_vector(config, box)) % p
-    off = [(q, t) for t, q in enumerate(sites) if q not in profile]
+    M, cubes, index = in_box_generator_matrix(params, box)
+    target = (-config_row(config, index.get, len(index))) % p
+    off = [(q, t) for q, t in index.items() if q not in profile]
 
     def build_rows(n):
         # the generators' (x, z) columns at the first n off-profile sites

@@ -1,8 +1,10 @@
 """Exact phase algebra: products, projectors, inversion action."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from qupitcube.algebra import (
@@ -11,8 +13,6 @@ from qupitcube.algebra import (
     PhasedPauli,
     build_projector,
     commutator_exponent,
-    cyc_from_power,
-    cyc_mul,
     generator_pauli,
     inversion_conjugate,
     op_mul,
@@ -115,14 +115,87 @@ def test_pauli_mul_associative():
             pauli_mul(ops[0], pauli_mul(ops[1], ops[2]))
 
 
+def _sum(p, sites, *terms):
+    out = OperatorSum(p, sites)
+    for mono, coeff in terms:
+        out.add_monomial(mono, coeff)
+    return out
+
+
 def test_cyclotomic_reduction():
+    # the two relations of Q(omega), through phase-only operator sums
+    for p in (3, 5):
+        def omega(k):
+            return PhasedPauli(p, ONE_SITE, (0,), (0,), k)
+        # omega * omega^(p-1) = omega^p = 1
+        prod = op_mul(_sum(p, ONE_SITE, (omega(1), 1)), _sum(p, ONE_SITE, (omega(p - 1), 1)))
+        assert prod == operator_identity(p, ONE_SITE)
+        # 1 + omega + ... + omega^(p-1) = 0, although every term is nonzero
+        total = _sum(p, ONE_SITE, *((omega(c), 1) for c in range(p)))
+        assert len(total.terms) == p
+        assert total.is_zero()
+        assert total == OperatorSum(p, ONE_SITE)
+
+
+def _dense(op: OperatorSum) -> np.ndarray:
+    """The operator sum as a p^n x p^n complex matrix, with Z X = omega^-1 X Z."""
+    p = op.p
+    w = np.exp(2j * np.pi / p)
+    X = np.roll(np.eye(p), -1, axis=0)          # X|j> = |j-1>
+    Z = np.diag(w ** np.arange(p))
+    assert np.allclose(Z @ X, X @ Z / w)
+    out = np.zeros((p ** len(op.sites),) * 2, dtype=complex)
+    for (x, z, phase), coeff in op.terms.items():
+        term = np.eye(1)
+        for a, b in zip(x, z):
+            term = np.kron(term, np.linalg.matrix_power(X, a) @ np.linalg.matrix_power(Z, b))
+        out += float(coeff) * w ** phase * term
+    return out
+
+
+def _random_sum(rng, p, sites, n_terms):
+    return _sum(p, sites, *(
+        (PhasedPauli(p, sites, tuple(rng.randrange(p) for _ in sites),
+                     tuple(rng.randrange(p) for _ in sites), rng.randrange(p)),
+         Fraction(rng.randrange(-3, 4), rng.randrange(1, 4)))
+        for _ in range(n_terms)))
+
+
+def test_operator_sums_match_dense_matrices():
+    rng = random.Random(89)
+    for p in (3, 5):
+        for sites in (ONE_SITE, ((0, 0, 0), (0, 1, 0))):
+            for _ in range(15):
+                a = _random_sum(rng, p, sites, rng.randrange(1, 6))
+                b = _random_sum(rng, p, sites, rng.randrange(1, 6))
+                assert np.allclose(_dense(op_mul(a, b)), _dense(a) @ _dense(b))
+                assert (a == b) == np.allclose(_dense(a), _dense(b))
+                # a plus a multiple of (1 + omega + ... + omega^(p-1)) M is a
+                mono = PhasedPauli(p, sites, tuple(rng.randrange(p) for _ in sites),
+                                   tuple(rng.randrange(p) for _ in sites))
+                zero = _sum(p, sites, *((replace(mono, phase=c), Fraction(2, 3))
+                                        for c in range(p)))
+                assert zero.is_zero() and np.allclose(_dense(zero), 0)
+                shifted = a + zero
+                assert shifted.terms != a.terms
+                assert shifted == a and np.allclose(_dense(shifted), _dense(a))
+                diff = a + _sum(p, sites, *((PhasedPauli(p, sites, *key), -c)
+                                            for key, c in b.terms.items()))
+                assert diff.is_zero() == np.allclose(_dense(diff), 0) == (a == b)
+
+
+def test_projector_canonical_form():
+    # P(XZ, 2) at p = 3, with (XZ)^2 = omega^-1 X^2 Z^2:
+    # (1/3)(1 + omega^2 XZ + omega^4 omega^-1 X^2 Z^2)
+    #   = (1/3)(1 + (-1 - omega) XZ + X^2 Z^2)
     p = 3
-    # omega * omega^2 = omega^3 = 1
-    assert cyc_mul(cyc_from_power(1, p), cyc_from_power(2, p), p) == cyc_from_power(0, p)
-    # 1 + omega + omega^2 = 0
-    s = tuple(a + b for a, b in zip(cyc_from_power(0, p), cyc_from_power(1, p)))
-    s = tuple(a + b for a, b in zip(s, cyc_from_power(2, p)))
-    assert all(v == 0 for v in s)
+    third = Fraction(1, 3)
+    P = build_projector(PhasedPauli(p, ONE_SITE, (1,), (1,)), 2)
+    assert P.canonical() == {
+        ((0,), (0,)): (third, 0),
+        ((1,), (1,)): (-third, -third),
+        ((2,), (2,)): (third, 0),
+    }
 
 
 def test_projector_identities_reference_codes():

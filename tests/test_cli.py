@@ -4,6 +4,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import time
 
 from qupitcube.codes import d5_code
 
@@ -154,6 +155,53 @@ def test_logical_report_digests():
         out = run_cli("logical", *codes[code], "--parity", parity, "--dims", dims, *extra)
         assert out.returncode == 0
         assert hashlib.sha256(out.stdout.encode()).hexdigest() == digest, (code, parity, dims)
+
+
+def test_algebra_report_digests():
+    # sha256 of the stdout reports, pinned from the cyclotomic-coefficient
+    # operator sums; the rational phased-monomial sums must reproduce them
+    codes = {"d3": ["--p", "3", "--alpha", "1,0", "--beta", "0,1",
+                    "--gamma", "1,1", "--delta", "1,2"],
+             "d5": D5_FLAGS[:-2],
+             "p7": ["--p", "7", "--alpha", "1,0", "--beta", "0,1",
+                    "--gamma", "1,1", "--delta", "3,5"]}
+    expected = {
+        ("d3", "S", "2x2x2", "1"): "5d880d235c8cb9bffbf72dd028b93203d8387b1b361fd721ad4148340601bcf2",
+        ("d3", "S", "3x3x3", "1"): "8bfd01581a5c953b769efbb1bf18d90912838df24423f18c0e5a346afc81a012",
+        ("d3", "A", "2x2x2", "1"): "f45075d2ed68bf7cb669e285dc2e43f5136eaafd95ad312cf5629970b653a5dd",
+        ("d3", "A", "3x3x3", "1"): "e4c1320b3af0f5b273bbe0ad47ddd9c9a951c6eed9e4e44699f85a5e8dc47104",
+        ("d5", "S", "2x2x2", "1"): "e883cc7bdb30743f7a338adc1d37f5dfb2033875de815681aee1f1112b93e1aa",
+        ("d5", "S", "3x3x3", "1"): "88cc7ee90dce04e6ce29c43ac3abd8a8f4d10ebc7626d66f4000a1a38dbe80c2",
+        ("d5", "A", "2x2x2", "1"): "d7fe8a0f82deb2d21455bf148da28a1fbe01cfd0946100b61e3a9f94e3c74ca4",
+        ("d5", "A", "3x3x3", "1"): "3c2691113282a0fb41332e99fea48dbbcc1e9f7fc66f76708c48cc008bf24fdc",
+        ("p7", "A", "2x2x2", "1"): "e52b9b22d558d3be5fe585381c85f1f627f5c534f7798725554f644f5c2108e5",
+        ("p7", "A", "3x3x3", "1"): "200b310118f5d7b09ae3d91f7977c82ab293660bd3b61416de4d69fe2d8866d8",
+        ("d5", "A", "2x2x2", "0"): "16bde34f6c0eb205854b55f86c576b36317290de259d63a6cee78f6ab7ce22bc",
+        ("d3", "S", "3x3x3", "0"): "4d7be0b82d14f3a965733edb58b9471d31839b93a6bf9a218175be7ccd862fbf",
+    }
+    for (code, parity, dims, r), digest in expected.items():
+        out = run_cli("algebra", *codes[code], "--parity", parity, "--dims", dims, "--r", r)
+        assert out.returncode == 0
+        assert hashlib.sha256(out.stdout.encode()).hexdigest() == digest, (code, parity, dims, r)
+
+
+def test_algebra_r_out_of_range():
+    # p = 5: labels run over 0..4
+    for r in ("-1", "5", "7"):
+        out = run_cli("algebra", *D5_FLAGS[:-1], "A", "--r", r)
+        assert out.returncode == 2
+        assert out.stdout == ""
+        assert "syndrome label" in out.stderr
+
+
+def test_logical_refuses_dense_torus_beyond_budget():
+    for extra in (("--dims", "17x16x16"), ("--dims", "2x2x2", "--ktable", "17")):
+        start = time.perf_counter()
+        out = run_cli("logical", *D5_FLAGS, *extra)
+        assert time.perf_counter() - start < 5
+        assert out.returncode == 2
+        assert out.stdout == ""
+        assert "4096" in out.stderr
 
 
 def test_algebra_allow_large_is_a_no_op():

@@ -13,6 +13,7 @@ from qupitcube.codes import (
     PauliConfig,
     build_generator,
     commutation_exponent,
+    config_row,
     cubes_touching,
     d3_code,
     d5_code,
@@ -190,6 +191,15 @@ def test_generator_rows_match_generator_config():
                 for q, pair in generator_config(code, c, dims).support.items():
                     vec[2 * index(q):2 * index(q) + 2] = pair
                 assert (row == vec).all(), (code, dims, c)
+
+
+def test_config_row_layout():
+    sites = [(0, 0, 0), (1, 0, 0), (0, 1, 0)]
+    index = {q: t for t, q in enumerate(sites)}.get
+    cfg = PauliConfig(5, support={(1, 0, 0): (2, 3), (0, 1, 0): (0, 4)})
+    assert config_row(cfg, index, len(sites)).tolist() == [0, 0, 2, 3, 0, 4]
+    cfg.add((9, 9, 9), (1, 0))
+    assert config_row(cfg, index, len(sites)) is None
 
 
 def test_cubes_touching():

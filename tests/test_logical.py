@@ -7,6 +7,7 @@ import pytest
 
 from qupitcube.codes import PauliConfig, d3_code, d5_code, generator_config
 from qupitcube.logical import (
+    MAX_TORUS_SITES,
     InvalidCodeError,
     PlanarPattern,
     TorusCode,
@@ -103,6 +104,17 @@ def test_encoded_qudit_count():
     table = encoded_qudit_table(d3_code("A"), sizes=range(2, 5))
     assert all(k >= 1 for k in table.values())
     assert len(set(table.values())) > 1   # k changes with system size
+
+
+def test_dense_torus_size_limit():
+    # construction is lazy: nothing here builds a generator matrix
+    assert MAX_TORUS_SITES == 4096
+    assert TorusCode(d3_code("S"), (16, 16, 16)).n == MAX_TORUS_SITES
+    with pytest.raises(ValueError, match="limited to 4096"):
+        TorusCode(d3_code("S"), (17, 16, 16))
+    # the table checks every torus before computing any
+    with pytest.raises(ValueError, match="limited to 4096"):
+        encoded_qudit_table(d3_code("S"), sizes=range(2, 18))
 
 
 def test_encoded_qudit_count_rejects_nonabelian():

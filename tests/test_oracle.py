@@ -300,6 +300,16 @@ def test_flatten_two_by_two_box():
     assert is_stabilizer_combination(d5, diff, box)
 
 
+def test_stabilizer_combination_rejects_support_outside_box():
+    d5 = d5_code()
+    box = (3, 3, 3)
+    gen = generator_config(d5, (0, 0, 0))
+    assert is_stabilizer_combination(d5, gen, box)
+    far = gen.copy()
+    far.add((9, 9, 9), (1, 0))
+    assert not is_stabilizer_combination(d5, far, box)
+
+
 def test_flatten_blocking_site():
     cfg = PauliConfig(2)
     cfg.add((0, 1, 1), (1, 0))
