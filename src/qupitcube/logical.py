@@ -3,7 +3,9 @@
 A torus L_x x L_y x L_z carries one qupit per site and one cube
 generator per site, so the stabilizer group has at most n = L_x L_y L_z
 independent generators acting on n qupits; the encoded qudit count is
-k = n - rank of the generator matrix over F_p.
+k = n - rank of the generator family over F_p.  That k is the dimension
+of the relations among the generators, counted by a transfer sweep
+across layers of the torus, so no n x 2n matrix is built.
 
 Noncontractible plane operators are built from a 2x2 tile that matches
 the generator's face across the plane: the tile entry at in-plane parity
@@ -24,17 +26,21 @@ import numpy as np
 
 from . import fp
 from .codes import (
+    NEIGHBOR_OFFSETS,
     CodeParams,
     PauliConfig,
     Site,
+    add_pairs,
     build_generator,
     check_dims,
     commutation_exponent,
-    config_row,
+    generator_config,
     generator_rows,
 )
 
-# Largest dense torus: its n x 2n int64 generator matrix takes 256 MiB.
+# Largest torus.  k comes from a sweep along the longest side, whose
+# eliminations act on one cross-section: at 16^3 that is 16 x 16 cubes
+# and matrices of at most 256 x 1024 entries, once per layer.
 MAX_TORUS_SITES = 16 ** 3
 
 
@@ -43,59 +49,102 @@ class InvalidCodeError(ValueError):
 
 
 class TorusCode:
-    """A code instantiated on a periodic L_x x L_y x L_z lattice."""
+    """A code instantiated on a periodic L_x x L_y x L_z lattice.
+
+    Nothing here builds the n x 2n generator matrix: every quantity comes
+    from the origin generator and translation invariance.
+    """
 
     def __init__(self, params: CodeParams, dims):
         self.params = params
         self.dims = check_dims(dims)
         self.n = self.dims[0] * self.dims[1] * self.dims[2]
         if self.n > MAX_TORUS_SITES:
-            raise ValueError(f"torus {self.dims} has {self.n} sites; the dense "
-                             f"generator matrix is limited to {MAX_TORUS_SITES}")
-        self._matrix = None
+            raise ValueError(f"torus {self.dims} has {self.n} sites; tori are "
+                             f"limited to {MAX_TORUS_SITES}")
         self._rank = None
         self._abelian = None
 
-    def site_index(self, site: Site) -> int:
-        x, y, z = (c % L for c, L in zip(site, self.dims))
-        return (x * self.dims[1] + y) * self.dims[2] + z
-
-    def cube_positions(self) -> list[Site]:
-        return [c for c in product(range(self.dims[0]), range(self.dims[1]),
-                                   range(self.dims[2]))]
-
-    @property
-    def generator_matrix(self) -> np.ndarray:
-        """One row per cube over 2n columns (x-exponent, z-exponent per site)."""
-        if self._matrix is None:
-            self._matrix = generator_rows(self.params, self.cube_positions(),
-                                          self.site_index, self.n)
-        return self._matrix
-
     def check_abelian(self) -> bool:
-        """All generator rows pairwise symplectically orthogonal."""
+        """All cube generators pairwise commute on the torus.
+
+        By translation invariance it suffices that the origin generator
+        commutes with its translates by the 26 neighbour offsets, folded
+        modulo the torus sides; generators further apart share no site.
+        """
         if self._abelian is None:
-            M = self.generator_matrix
-            X = M[:, 0::2]
-            Z = M[:, 1::2]
-            self._abelian = not ((X @ Z.T - Z @ X.T) % self.params.p).any()
+            g = generator_config(self.params, dims=self.dims)
+            offsets = {tuple(o % L for o, L in zip(off, self.dims))
+                       for off in NEIGHBOR_OFFSETS}
+            self._abelian = all(commutation_exponent(g, g.shift(o)) == 0
+                                for o in sorted(offsets))
         return self._abelian
 
     @property
     def rank(self) -> int:
+        """Rank of the n cube generators over F_p, as n - k."""
         if self._rank is None:
-            self._rank = fp.mat_rank(self.generator_matrix, self.params.p)
+            self._rank = self.n - _left_kernel_dim(self.params, self.dims)
         return self._rank
 
 
+def _left_kernel_dim(params: CodeParams, dims: Site) -> int:
+    """Dimension of the space of cube coefficients whose product is identity.
+
+    Sweep along the longest side L, with m cubes per layer.  Layer-0 cubes
+    act on site layer 0 through B0 and on site layer 1 through B1, so
+    coefficients lambda_0..lambda_{L-1} (one vector per layer) multiply to
+    the identity iff every cyclically consecutive pair (a, b) lies in
+    W = {(a, b) : a B1 + b B0 = 0}.  W is composed with itself L - 1
+    times: Q is the relation between the first and last layer, and h the
+    dimension of the sequences with both ends zero.  Closing the cycle
+    adds the dimension of Q on the diagonal.
+    """
+    p = params.p
+    a = max(range(3), key=lambda i: dims[i])
+    u, v = [i for i in range(3) if i != a]
+    m = dims[u] * dims[v]
+
+    def index(site):
+        return site[a] * m + (site[u] % dims[u]) * dims[v] + site[v] % dims[v]
+
+    cubes = []
+    for cu, cv in product(range(dims[u]), range(dims[v])):
+        c = [0, 0, 0]
+        c[u], c[v] = cu, cv
+        cubes.append(tuple(c))
+    B = generator_rows(params, cubes, index, 2 * m)
+    B0, B1 = B[:, :2 * m], B[:, 2 * m:]
+    W = fp.nullspace(np.vstack([B1, B0]).T, p)
+    Wa, Wb = W[:, :m], W[:, m:]
+    Q, h = W, 0
+    for _ in range(dims[a] - 1):
+        q = len(Q)
+        # (alpha, beta) with alpha Q_last = beta W_first
+        N = fp.nullspace(np.vstack([Q[:, m:], (-Wa) % p]).T, p)
+        image = np.hstack([N[:, :q] @ Q[:, :m], N[:, q:] @ Wb]) % p
+        R, pivots = fp.mat_rref(image, p)
+        Q = R[:len(pivots)]
+        h += len(N) - len(pivots)
+    return h + len(Q) - fp.mat_rank(Q[:, :m] - Q[:, m:], p)
+
+
 def is_logical(config: PauliConfig, torus: TorusCode) -> bool:
-    """True when the configuration commutes with every cube generator."""
-    vec = config_row(config, torus.site_index, torus.n)
-    M = torus.generator_matrix
-    p = torus.params.p
-    # symplectic pairing of each generator row with the config
-    e = (M[:, 0::2] @ vec[1::2] - M[:, 1::2] @ vec[0::2]) % p
-    return not e.any()
+    """True when the configuration commutes with every cube generator.
+
+    The syndrome at cube c sums, over the cube's vertices u, the
+    symplectic product of the label at u with the config at c + u, so it
+    is a sum of the config array rolled by -u.
+    """
+    p, dims = torus.params.p, torus.dims
+    C = np.zeros((*dims, 2), dtype=np.int64)
+    for site, pair in config.support.items():
+        C[tuple(c % L for c, L in zip(site, dims))] = pair
+    e = np.zeros(dims, dtype=np.int64)
+    for u, (lx, lz) in build_generator(torus.params).items():
+        shifted = np.roll(C, tuple(-c for c in u), axis=(0, 1, 2))
+        e += lx * shifted[..., 1] - lz * shifted[..., 0]
+    return not (e % p).any()
 
 
 @dataclass(frozen=True)
@@ -205,15 +254,18 @@ def product_of_all_generators(torus: TorusCode) -> PauliConfig:
     configuration for antisymmetric codes (the global relation behind
     their guaranteed encoded qudit), a uniform configuration otherwise.
     """
-    total = torus.generator_matrix.sum(axis=0) % torus.params.p
-    out = PauliConfig(torus.params.p, torus.dims)
-    for t, site in enumerate(torus.cube_positions()):
-        out.add(site, (int(total[2 * t]), int(total[2 * t + 1])))
+    p = torus.params.p
+    total = (0, 0)
+    for pair in build_generator(torus.params).values():
+        total = add_pairs(total, pair, p)
+    out = PauliConfig(p, torus.dims)
+    for site in product(*map(range, torus.dims)):
+        out.add(site, total)
     return out
 
 
 def encoded_qudit_count(torus: TorusCode) -> int:
-    """k = n - rank of the generator matrix over F_p.
+    """k = n - rank of the generator family over F_p.
 
     Raises InvalidCodeError for a non-commuting generator family (the
     quantity is undefined there).
@@ -226,7 +278,7 @@ def encoded_qudit_count(torus: TorusCode) -> int:
 def encoded_qudit_table(params: CodeParams, sizes=range(2, 5)) -> dict[Site, int]:
     """k over a cube of torus sizes; exposes the size dependence of k.
 
-    Every torus is checked against the size limit before any matrix is built.
+    Every torus is checked against the size limit before any k is computed.
     """
     tori = [TorusCode(params, dims) for dims in product(sizes, repeat=3)]
     return {torus.dims: encoded_qudit_count(torus) for torus in tori}

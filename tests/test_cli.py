@@ -204,6 +204,15 @@ def test_logical_refuses_dense_torus_beyond_budget():
         assert "4096" in out.stderr
 
 
+def test_logical_runs_at_the_torus_size_limit():
+    out = run_cli("logical", *D5_FLAGS[:-1], "A", "--dims", "16x16x16")
+    assert out.returncode == 0
+    results = json.loads(out.stdout)["results"]
+    assert [results["census"][f"normal_{a}"]["count"] for a in "xyz"] == [4, 4, 4]
+    assert results["encoded_qudits"] >= 1
+    assert results["product_of_all_generators_identity"] is True
+
+
 def test_algebra_allow_large_is_a_no_op():
     argv = ("algebra", *D5_FLAGS[:-1], "A", "--dims", "2x2x2")
     plain = run_cli(*argv)

@@ -1,11 +1,22 @@
 """Planar logical operators, global relations, encoded-qudit counts."""
 
 import random
+from itertools import product
 
 import numpy as np
 import pytest
 
-from qupitcube.codes import PauliConfig, d3_code, d5_code, generator_config
+from conftest import random_code, random_deformable_tuple
+from qupitcube import fp, logical
+from qupitcube.codes import (
+    CodeParams,
+    PauliConfig,
+    config_row,
+    d3_code,
+    d5_code,
+    generator_config,
+    generator_rows,
+)
 from qupitcube.logical import (
     MAX_TORUS_SITES,
     InvalidCodeError,
@@ -23,6 +34,27 @@ from qupitcube.logical import (
 )
 
 ALL_CODES = [d3_code("S"), d3_code("A"), d5_code("S"), d5_code("A")]
+
+
+def dense_generator_matrix(code, dims):
+    """The reference n x 2n torus matrix: one row per cube, (x, z) per site."""
+    def index(site):
+        x, y, z = (c % L for c, L in zip(site, dims))
+        return (x * dims[1] + y) * dims[2] + z
+
+    n = dims[0] * dims[1] * dims[2]
+    return generator_rows(code, list(product(*map(range, dims))), index, n)
+
+
+def dense_k(code, dims):
+    return dims[0] * dims[1] * dims[2] - fp.mat_rank(dense_generator_matrix(code, dims), code.p)
+
+
+def seeded_cases(seed, count):
+    """Arbitrary codes at p = 2, 3, 5, 7, both parities, on sides 2-6."""
+    rng = random.Random(seed)
+    return [(random_code(rng, rng.choice((2, 3, 5, 7))),
+             tuple(rng.randint(2, 6) for _ in range(3))) for _ in range(count)]
 
 
 def test_face_tile_uses_each_label_once():
@@ -117,13 +149,18 @@ def test_dense_torus_size_limit():
         encoded_qudit_table(d3_code("S"), sizes=range(2, 18))
 
 
-def test_encoded_qudit_count_rejects_nonabelian():
-    torus = TorusCode(d5_code("S"), (2, 2, 2))
-    M = torus.generator_matrix.copy()
-    M[0] = 0
-    M[0, 0] = 1   # a bare X breaks commutation
-    torus._matrix = M
-    torus._rank = None
+def scaled_generators(monkeypatch, scale):
+    """Make ``logical`` place generators with inversion scale ``scale``."""
+    def scaled(params, position=(0, 0, 0), dims=None, scale_override=None):
+        return generator_config(params, position, dims, scale_override=scale)
+
+    monkeypatch.setattr(logical, "generator_config", scaled)
+
+
+def test_encoded_qudit_count_rejects_nonabelian(monkeypatch):
+    # an inversion scale s with s^2 != 1 breaks translation commutation
+    scaled_generators(monkeypatch, 2)
+    torus = TorusCode(d5_code("S"), (3, 3, 3))
     with pytest.raises(InvalidCodeError):
         encoded_qudit_count(torus)
 
@@ -135,11 +172,8 @@ def test_generator_rows_symplectically_orthogonal():
 
 
 def test_rank_invariant_under_row_operations():
-    from qupitcube import fp
-
     code = d3_code("A")
-    torus = TorusCode(code, (3, 3, 2))
-    M = torus.generator_matrix
+    M = dense_generator_matrix(code, (3, 3, 2))
     p = code.p
     rng = random.Random(71)
     R = M.copy()
@@ -147,7 +181,7 @@ def test_rank_invariant_under_row_operations():
         i, j = rng.randrange(len(R)), rng.randrange(len(R))
         if i != j:
             R[i] = (R[i] + rng.randrange(1, p) * R[j]) % p
-    assert fp.mat_rank(R, p) == fp.mat_rank(M, p)
+    assert fp.mat_rank(R, p) == fp.mat_rank(M, p) == TorusCode(code, (3, 3, 2)).rank
 
 
 def test_commutation_table_structure():
@@ -190,3 +224,94 @@ def test_transverse_operators_certify_encoded_qudit():
         ops.extend(census_operators(torus, normal))
     table = logical_commutation_table(ops)
     assert table.any()
+
+
+def test_sweep_k_matches_dense_rank():
+    cases = seeded_cases(131, 60)
+    # p | L along the sweep axis, each axis the longest, and ties
+    cases += [(d3_code("S"), (3, 6, 3)), (d3_code("A"), (3, 6, 3)),
+              (d5_code("S"), (5, 2, 5)), (d5_code("A"), (5, 2, 5)),
+              (d3_code("A"), (6, 3, 2)), (d3_code("S"), (2, 3, 6)),
+              (d5_code("A"), (4, 4, 4)), (d5_code("S"), (2, 5, 5))]
+    for code, dims in cases:
+        torus = TorusCode(code, dims)
+        assert torus.n - torus.rank == dense_k(code, dims), (code, dims)
+
+
+@pytest.mark.parametrize("scale", [None, 2, 3])
+def test_check_abelian_matches_dense(monkeypatch, scale):
+    # every inversion scale with s^2 = 1 gives an abelian family; other
+    # scales break commutation on most tori
+    if scale is not None:
+        scaled_generators(monkeypatch, scale)
+    seen = set()
+    rng = random.Random(137)
+    for _ in range(40):
+        code = random_code(rng, rng.choice((2, 3, 5, 7) if scale is None else (5, 7)))
+        dims = tuple(rng.randint(2, 5) for _ in range(3))
+        n = dims[0] * dims[1] * dims[2]
+        index = dict(zip(product(*map(range, dims)), range(n))).get
+        M = np.array([config_row(generator_config(code, c, dims, scale_override=scale), index, n)
+                      for c in product(*map(range, dims))])
+        X, Z = M[:, 0::2], M[:, 1::2]
+        dense = not ((X @ Z.T - Z @ X.T) % code.p).any()
+        assert TorusCode(code, dims).check_abelian() == dense, (code, dims)
+        seen.add(dense)
+    assert seen == ({True} if scale is None else {True, False})
+
+
+def test_is_logical_matches_dense_syndrome():
+    rng = random.Random(139)
+    seen = set()
+    cases = seeded_cases(139, 30) + [(c, (4, 3, 2)) for c in ALL_CODES]
+    for code, dims in cases:
+        torus = TorusCode(code, dims)
+        M = dense_generator_matrix(code, dims)
+        configs = [op for normal in range(3) for op in census_operators(torus, normal)]
+        configs.append(generator_config(code, (1, 0, 1), dims))
+        for _ in range(3):
+            configs.append(PauliConfig(code.p, dims, {
+                tuple(rng.randrange(L) for L in dims): (rng.randrange(code.p),
+                                                        rng.randrange(code.p))
+                for _ in range(rng.randint(1, 4))}))
+        for cfg in configs:
+            vec = np.zeros(2 * torus.n, dtype=np.int64)
+            for (x, y, z), pair in cfg.support.items():
+                t = (x * dims[1] + y) * dims[2] + z
+                vec[2 * t], vec[2 * t + 1] = pair
+            dense = not ((M[:, 0::2] @ vec[1::2] - M[:, 1::2] @ vec[0::2]) % code.p).any()
+            assert is_logical(cfg, torus) == dense, (code, dims, cfg.support)
+            seen.add(dense)
+    assert seen == {True, False}
+
+
+def test_product_of_all_generators_matches_dense_row_sum():
+    for code, dims in seeded_cases(149, 30) + [(c, (3, 2, 4)) for c in ALL_CODES]:
+        torus = TorusCode(code, dims)
+        total = dense_generator_matrix(code, dims).sum(axis=0) % code.p
+        expected = PauliConfig(code.p, dims)
+        for t, site in enumerate(product(*map(range, dims))):
+            expected.add(site, (int(total[2 * t]), int(total[2 * t + 1])))
+        assert product_of_all_generators(torus) == expected, (code, dims)
+
+
+def test_k_of_symmetric_code_equals_k_of_its_antisymmetric_complement():
+    # -1 on the odd sublattice maps S(a, b, c, d) to A(a, -b, -c, -d) up to
+    # an overall sign on odd cubes; only tori with every side even have
+    # that sublattice
+    rng = random.Random(151)
+    even = [(2, 2, 2), (2, 4, 6), (4, 4, 4), (6, 2, 4), (4, 8, 2), (8, 8, 8)]
+    odd = [(3, 3, 3), (3, 4, 5), (2, 2, 3), (5, 5, 5)]
+    differs = 0
+    for p in (3, 5, 7):
+        for _ in range(3):
+            a, b, c, d = random_deformable_tuple(rng, p)
+            neg = [((-x) % p, (-z) % p) for x, z in (b, c, d)]
+            sym = CodeParams(p, a, b, c, d, "S")
+            anti = CodeParams(p, a, *neg, "A")
+            for dims in even:
+                assert (encoded_qudit_count(TorusCode(sym, dims))
+                        == encoded_qudit_count(TorusCode(anti, dims))), (sym, dims)
+            differs += sum(encoded_qudit_count(TorusCode(sym, dims))
+                           != encoded_qudit_count(TorusCode(anti, dims)) for dims in odd)
+    assert differs > 0
