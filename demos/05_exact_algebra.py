@@ -40,9 +40,10 @@ assert xz_p.is_identity()
 print(f"(XZ)^{p} is the exact identity:", xz_p.is_identity())
 
 # --- syndrome projectors ----------------------------------------------------------
+# the origin cube generator on its eight sites; every operator below is the
+# identity elsewhere, so the identities hold on any torus
 code = d3_code("A")
-dims = (2, 2, 2)
-s = generator_pauli(code, dims)
+s = generator_pauli(code)
 projectors = [build_projector(s, r) for r in range(p)]
 
 total = projectors[0]
@@ -61,12 +62,12 @@ print("  the sum of all three has", len(total.terms), "terms but only",
       len(total.canonical()), "monomial once 1 + omega + omega^2 = 0 is applied")
 
 # --- inversion action on the syndrome label ----------------------------------------
-conj = inversion_conjugate(projectors[1], (0.5, 0.5, 0.5), dims)
+conj = inversion_conjugate(projectors[1], (0.5, 0.5, 0.5))
 assert conj == projectors[2]
 print("\nantisymmetric code: inversion maps P(s,1) to P(s,2):",
       conj == projectors[2])
 for parity in "SA":
-    out = verify_inversion_action(d3_code(parity), dims, r=1)
+    out = verify_inversion_action(d3_code(parity), r=1)
     assert out["matches"]
     print(f"parity {parity}: P(s,1) -> P(s,{out['expected_r']}), verified:",
           out["matches"])

@@ -14,22 +14,31 @@ An operator sum is a rational combination of phased monomials, keyed by
 sums costs one Fraction product per term pair.  The only relation among
 keys, 1 + omega + ... + omega^(p-1) = 0, is applied once, when sums are
 compared.  Everything is exact and unguarded: a projector has only p
-terms, so products of projectors stay small at any modulus and torus
-size the callers use.
+terms, so products of projectors stay small at any modulus.
 
-Cube generators carry the Weyl-symmetric phase omega^(-2^-1 x.z) in front
-of X^x Z^z (Appleby, quant-ph/0412001).  Negating every label then gives
-exactly the inverse, so inversion maps P(s, r) to P(s, -r) for
-antisymmetric codes at every odd p.
+The identities are checked on the origin cube generator, on its eight
+``VERTICES`` sites: every operator involved is the identity elsewhere,
+so no torus (all sides >= 2) can change a verdict.  The generator
+carries the Weyl-symmetric phase omega^(-2^-1 x.z) in front of X^x Z^z
+(Appleby, quant-ph/0412001).  Negating every label then gives exactly
+the inverse, so inversion maps P(s, r) to P(s, -r) for antisymmetric
+codes at every odd p.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 
-from .codes import CodeParams, PauliConfig, Site, doubled_center, generator_config
+from .codes import (
+    VERTICES,
+    CodeParams,
+    InvalidCenterError,
+    PauliConfig,
+    Site,
+    build_generator,
+    doubled_center,
+)
 from .fp import check_prime
 
 
@@ -116,16 +125,8 @@ def commutator_exponent(u: PhasedPauli, v: PhasedPauli) -> int:
     return e % u.p
 
 
-def torus_sites(dims) -> tuple[Site, ...]:
-    return tuple(sorted(product(range(dims[0]), range(dims[1]), range(dims[2]))))
-
-
-def pauli_from_config(config: PauliConfig, sites=None) -> PhasedPauli:
-    """Lift a phase-free configuration to a phase-0 monomial."""
-    if sites is None:
-        if config.dims is None:
-            raise ValueError("need explicit sites for a non-torus configuration")
-        sites = torus_sites(config.dims)
+def pauli_from_config(config: PauliConfig, sites) -> PhasedPauli:
+    """Lift a phase-free configuration on ``sites`` to a phase-0 monomial."""
     sites = tuple(sites)
     idx = {q: i for i, q in enumerate(sites)}
     x = [0] * len(sites)
@@ -135,15 +136,16 @@ def pauli_from_config(config: PauliConfig, sites=None) -> PhasedPauli:
     return PhasedPauli(config.p, sites, tuple(x), tuple(z))
 
 
-def generator_pauli(params: CodeParams, dims, position: Site = (0, 0, 0)) -> PhasedPauli:
-    """The cube generator at ``position`` on the torus, Weyl-symmetric.
+def generator_pauli(params: CodeParams) -> PhasedPauli:
+    """The origin cube generator on its eight ``VERTICES`` sites, Weyl-symmetric.
 
     The phase is -2^-1 * sum_i x_i z_i: with Z X = omega^-1 X Z, that is
     the monomial whose label-negated copy is its inverse.
     """
-    mono = pauli_from_config(generator_config(params, position, dims))
-    xz = sum(a * b for a, b in zip(mono.x, mono.z))
-    return replace(mono, phase=-xz * pow(2, -1, params.p))
+    labels = build_generator(params)
+    x, z = zip(*(labels[v] for v in VERTICES))
+    xz = sum(a * b for a, b in zip(x, z))
+    return PhasedPauli(params.p, VERTICES, x, z, -xz * pow(2, -1, params.p))
 
 
 # ---------------------------------------------------------------------------
@@ -256,16 +258,21 @@ def build_projector(s: PhasedPauli, r: int) -> OperatorSum:
     return out
 
 
-def inversion_conjugate(P: OperatorSum, center, dims) -> OperatorSum:
+def inversion_conjugate(P: OperatorSum, center) -> OperatorSum:
     """Conjugate by the inversion permutation about a (half-)lattice centre.
 
     Site permutations carry no phase: each term's exponent vectors are
     re-indexed, and its phase and coefficient kept.  Inversion is an
     involution, so the site landing at position i comes from ``perm[i]``.
+    Raises InvalidCenterError unless the centre maps P's sites onto
+    themselves.
     """
     c2 = doubled_center(center)
     idx = {q: i for i, q in enumerate(P.sites)}
-    perm = [idx[tuple((c2[a] - q[a]) % dims[a] for a in range(3))] for q in P.sites]
+    perm = [idx.get(tuple(c2[a] - q[a] for a in range(3))) for q in P.sites]
+    if None in perm:
+        raise InvalidCenterError(f"inversion about {tuple(center)} does not map "
+                                 f"the operator's sites onto themselves")
     out = OperatorSum(P.p, P.sites)
     for (x, z, phase), coeff in P.terms.items():
         out._accumulate((tuple(x[i] for i in perm), tuple(z[i] for i in perm), phase), coeff)
@@ -295,11 +302,11 @@ def verify_commutation_law(p: int, trials: int = 200, seed: int = 7) -> bool:
     return True
 
 
-def verify_projector_identities(params: CodeParams, dims=(2, 2, 2)) -> dict:
+def verify_projector_identities(params: CodeParams) -> dict:
     """Idempotence, orthogonality, completeness of {P(s, r)} for the
-    cube generator on the given torus."""
+    cube generator."""
     p = params.p
-    s = generator_pauli(params, dims)
+    s = generator_pauli(params)
     projectors = [build_projector(s, r) for r in range(p)]
     idempotent = all(op_mul(P, P) == P for P in projectors)
     orthogonal = all(
@@ -312,7 +319,7 @@ def verify_projector_identities(params: CodeParams, dims=(2, 2, 2)) -> dict:
     return {"idempotent": idempotent, "orthogonal": orthogonal, "complete": complete}
 
 
-def verify_inversion_action(params: CodeParams, dims=(2, 2, 2), r: int = 1) -> dict:
+def verify_inversion_action(params: CodeParams, r: int = 1) -> dict:
     """Conjugating P(s, r) by inversion about the cube centre.
 
     Expected fixed for symmetric codes and mapped to P(s, -r) for
@@ -320,9 +327,9 @@ def verify_inversion_action(params: CodeParams, dims=(2, 2, 2), r: int = 1) -> d
     """
     if not 0 <= r < params.p:
         raise ValueError(f"syndrome label r must be in 0..{params.p - 1}, got {r}")
-    s = generator_pauli(params, dims)
+    s = generator_pauli(params)
     P = build_projector(s, r)
-    conj = inversion_conjugate(P, (0.5, 0.5, 0.5), dims)
+    conj = inversion_conjugate(P, (0.5, 0.5, 0.5))
     expect_r = r if params.parity == "S" else (-r) % params.p
     expected = build_projector(s, expect_r)
     return {"r": r, "expected_r": expect_r, "matches": conj == expected}

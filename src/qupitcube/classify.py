@@ -30,6 +30,10 @@ Tuple4 = tuple[Pair, Pair, Pair, Pair]
 
 SL2_GENERATORS = (((1, 1), (0, 1)), ((0, -1), (1, 0)))
 
+# Largest modulus ``classify_orbits`` accepts: its ``seen`` set ends up
+# holding all (p-1)^4 (p-2) normal forms, 4.9 M and gigabytes at p = 23.
+MAX_CLASSIFY_MODULUS = 19
+
 
 def nonzero_pairs(p: int) -> list[Pair]:
     return [(a, b) for a in range(p) for b in range(p) if (a, b) != (0, 0)]
@@ -179,16 +183,20 @@ def classify_orbits(p: int, parity: str = "S") -> dict:
 
     Walks the normal forms alpha = (0, 1), beta = (-w, 0), gamma and delta
     with both coordinates nonzero and not proportional, one orbit at a
-    time.  SL(2, p) acts freely, so each normal form stands for p(p^2 - 1)
-    tuples.  Attaches the three-condition report of each orbit
-    representative for the requested parity.
+    time; there are (p-1)^4 (p-2) of them.  SL(2, p) acts freely, so each
+    normal form stands for p(p^2 - 1) tuples.  Attaches the
+    three-condition report of each orbit representative for the
+    requested parity.  Refuses p > ``MAX_CLASSIFY_MODULUS``.
     """
     p = check_prime(p)
+    if p > MAX_CLASSIFY_MODULUS:
+        raise ValueError(f"classification is limited to p <= {MAX_CLASSIFY_MODULUS}, "
+                         f"got p = {p}")
     sl2_order = p * (p * p - 1)
     units = range(1, p)
     mixed = [(x, y) for x in units for y in units]
-    forms = [((0, 1), (p - w, 0), g, d) for w in units for g in mixed for d in mixed
-             if symplectic_product(g, d, p)]
+    forms = (((0, 1), (p - w, 0), g, d) for w in units for g in mixed for d in mixed
+             if symplectic_product(g, d, p))
     seen: set[Tuple4] = set()
     orbits: dict[Tuple4, int] = {}
     for t in forms:
@@ -211,7 +219,7 @@ def classify_orbits(p: int, parity: str = "S") -> dict:
     return {
         "p": p,
         "parity": parity,
-        "deformable_count": len(forms) * sl2_order,
+        "deformable_count": (p - 1) ** 4 * (p - 2) * sl2_order,
         "orbit_count": len(orbits),
         "orbits": entries,
     }

@@ -20,15 +20,14 @@ from .algebra import (
     verify_inversion_action,
     verify_projector_identities,
 )
-from .codes import CodeParams, load_params, verify_translation_commutation
+from .codes import CodeParams, check_dims, load_params, verify_translation_commutation
 from .logical import (
     InvalidCodeError,
     TorusCode,
-    census_operators,
     encoded_qudit_count,
     encoded_qudit_table,
     logical_commutation_table,
-    planar_census,
+    plane_census,
     product_of_all_generators,
 )
 
@@ -83,8 +82,6 @@ def _resolve_code(args, parser: argparse.ArgumentParser) -> CodeParams:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="qupitcube",
                                      description=__doc__.splitlines()[0])
-    parser.add_argument("--schema-version", default=SCHEMA_VERSION,
-                        help="report schema version (only '1')")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_check = sub.add_parser("check", help="generator consistency and the three "
@@ -112,7 +109,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_algebra = sub.add_parser("algebra", help="exact phase-algebra identity checks")
     _add_code_arguments(p_algebra)
-    p_algebra.add_argument("--dims", type=_parse_dims, default=(2, 2, 2), metavar="LxLyLz")
+    p_algebra.add_argument("--dims", type=_parse_dims, default=(2, 2, 2), metavar="LxLyLz",
+                           help="checked and echoed only; no torus changes a verdict")
     p_algebra.add_argument("--r", type=int, default=1, help="syndrome label to conjugate")
     p_algebra.add_argument("--allow-large", action="store_true",
                            help="accepted and ignored: the operator-sum size guard "
@@ -204,11 +202,11 @@ def cmd_logical(args, parser) -> int:
     ok = abelian
     if abelian:
         prod = product_of_all_generators(torus)
-        tables = {f"normal_{'xyz'[normal]}":
-                  logical_commutation_table(census_operators(torus, normal)).tolist()
-                  for normal in range(3)}
+        census = plane_census(torus)
+        tables = {name: logical_commutation_table(ops).tolist()
+                  for name, (_, ops) in census.items()}
         results.update({
-            "census": planar_census(torus),
+            "census": {name: entry for name, (entry, _) in census.items()},
             "encoded_qudits": k,
             "product_of_all_generators_identity": prod.is_identity(),
             "commutation_tables": tables,
@@ -225,16 +223,17 @@ def cmd_logical(args, parser) -> int:
 
 def cmd_algebra(args, parser) -> int:
     code = _resolve_code(args, parser)
+    dims = check_dims(args.dims)
     law = verify_commutation_law(code.p)
-    proj = verify_projector_identities(code, args.dims)
-    inv = verify_inversion_action(code, args.dims, r=args.r)
+    proj = verify_projector_identities(code)
+    inv = verify_inversion_action(code, r=args.r)
     results = {
         "commutation_law": law,
         "projectors": proj,
         "inversion_action": inv,
     }
     ok = law and all(proj.values()) and inv["matches"]
-    opts = {"dims": list(args.dims), "r": args.r}
+    opts = {"dims": list(dims), "r": args.r}
     return _emit(_report("algebra", opts, results, [], ok, code))
 
 
@@ -268,8 +267,6 @@ COMMANDS = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.schema_version != SCHEMA_VERSION:
-        parser.error(f"unsupported schema version {args.schema_version!r}")
     try:
         return COMMANDS[args.command](args, parser)
     except (ValueError, OSError) as e:

@@ -44,7 +44,7 @@ NEIGHBOR_OFFSETS: tuple[Site, ...] = tuple(
 
 class InvalidCenterError(ValueError):
     """Raised for an inversion centre off the lattice and dual lattice,
-    or one that cannot pair sites consistently under periodic wrap."""
+    or one that cannot pair the sites it acts on consistently."""
 
 
 def symplectic_product(a: Pair, b: Pair, p: int) -> int:

@@ -149,10 +149,9 @@ def is_logical(config: PauliConfig, torus: TorusCode) -> bool:
 
 @dataclass(frozen=True)
 class PlanarPattern:
-    """A tiled plane: normal axis, layer offset, tile translation, transpose."""
+    """A tiled plane through the origin: normal axis, tile translation, transpose."""
 
     normal_axis: int
-    offset: int = 0
     translation: tuple[int, int] = (0, 0)
     transpose: bool = False
 
@@ -196,7 +195,6 @@ def build_planar_operator(params: CodeParams, pattern: PlanarPattern, dims) -> t
             if pattern.transpose:
                 a, b = b, a
             site = [0, 0, 0]
-            site[pattern.normal_axis] = pattern.offset
             site[u] = cu
             site[v] = cv
             cfg.add(tuple(site), tile[(a, b)])
@@ -213,7 +211,7 @@ def _census_tier(torus: TorusCode, normal: int) -> tuple[dict, list[PauliConfig]
     transposed one.
     """
     for transpose in (False, True):
-        built = [build_planar_operator(torus.params, PlanarPattern(normal, 0, t, transpose),
+        built = [build_planar_operator(torus.params, PlanarPattern(normal, t, transpose),
                                        torus.dims)[0]
                  for t in ((0, 0), (1, 0), (0, 1), (1, 1))]
         pairs = [built[0].mul(built[1]), built[2].mul(built[3]),
@@ -226,8 +224,9 @@ def _census_tier(torus: TorusCode, normal: int) -> tuple[dict, list[PauliConfig]
     return {"count": 0, "tier": None, "transpose": None}, []
 
 
-def planar_census(torus: TorusCode) -> dict:
-    """Count valid plane-operator constructions for each orientation.
+def plane_census(torus: TorusCode) -> dict[str, tuple[dict, list[PauliConfig]]]:
+    """Each orientation's census entry and the logical operators it counts,
+    from one tier search per normal axis.
 
     The first tier containing a logical, nonempty configuration supplies
     the count: 4 when both in-plane dimensions are even, 2 when one is,
@@ -235,11 +234,16 @@ def planar_census(torus: TorusCode) -> dict:
     """
     out = {}
     for normal in range(3):
-        entry = _census_tier(torus, normal)[0]
+        entry, ops = _census_tier(torus, normal)
         u, v = [a for a in range(3) if a != normal]
         entry["in_plane_dims"] = (torus.dims[u], torus.dims[v])
-        out[f"normal_{'xyz'[normal]}"] = entry
+        out[f"normal_{'xyz'[normal]}"] = (entry, ops)
     return out
+
+
+def planar_census(torus: TorusCode) -> dict:
+    """Count valid plane-operator constructions for each orientation."""
+    return {name: entry for name, (entry, _) in plane_census(torus).items()}
 
 
 def census_operators(torus: TorusCode, normal: int) -> list[PauliConfig]:

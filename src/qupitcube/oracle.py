@@ -157,17 +157,10 @@ class SegmentGeometry:
 
 @dataclass
 class ConstraintSystem:
-    """Assembled constraint matrix with its site and cube bookkeeping."""
+    """Assembled constraint matrix over the strip sites, in column order."""
 
-    params: CodeParams
-    geometry: SegmentGeometry
     sites: list[Site]
     matrix: np.ndarray
-    cubes: list[Site]
-
-    @property
-    def site_index(self) -> dict[Site, int]:
-        return {q: t for t, q in enumerate(self.sites)}
 
 
 def build_segment_constraints(params: CodeParams, geom: SegmentGeometry) -> ConstraintSystem:
@@ -184,7 +177,7 @@ def build_segment_constraints(params: CodeParams, geom: SegmentGeometry) -> Cons
     cubes = cubes_touching(support, avoid=anchor1 | anchor2)
     rows = generator_rows(params, cubes, index.get, len(support))
     rows[:, 1::2] = (-rows[:, 1::2]) % params.p
-    return ConstraintSystem(params, geom, support, rows, cubes)
+    return ConstraintSystem(support, rows)
 
 
 def _vector_to_config(params: CodeParams, sites: list[Site], vec: np.ndarray) -> PauliConfig:
@@ -198,13 +191,10 @@ def _vector_to_config(params: CodeParams, sites: list[Site], vec: np.ndarray) ->
 
 @dataclass
 class SegmentSolution:
-    """Verdict for one geometry: solution space size, ends, and a witness."""
+    """Verdict for one geometry: solution space size, nontriviality, and a witness."""
 
     geometry: SegmentGeometry
-    n_rows: int
-    n_cols: int
     nullspace_dim: int
-    end_projections: tuple[bool, bool]
     nontrivial: bool
     witness: PauliConfig | None
 
@@ -219,18 +209,11 @@ def solve_segment(params: CodeParams, geom: SegmentGeometry) -> SegmentSolution:
     witness_vec = _ends_witness(basis, first, last, params.p)
     return SegmentSolution(
         geometry=geom,
-        n_rows=system.matrix.shape[0],
-        n_cols=system.matrix.shape[1],
         nullspace_dim=basis.shape[0],
-        end_projections=(_projects(basis, first), _projects(basis, last)),
         nontrivial=witness_vec is not None,
         witness=None if witness_vec is None else
             _vector_to_config(params, system.sites, witness_vec),
     )
-
-
-def _projects(basis: np.ndarray, idx: list[int]) -> bool:
-    return bool(basis.size) and bool(basis[:, idx].any())
 
 
 def _ends_witness(basis: np.ndarray, idx1: list[int], idx2: list[int], p: int):
@@ -255,12 +238,10 @@ def _ends_witness(basis: np.ndarray, idx1: list[int], idx2: list[int], p: int):
     return (u + v) % p
 
 
-def geometries(width: int, length: int, kind: str,
-               orientations=None) -> list[SegmentGeometry]:
+def geometries(width: int, length: int, kind: str) -> list[SegmentGeometry]:
     """All scan geometries for a width and length (cornered: all corners)."""
-    orients = ORIENTATIONS if orientations is None else tuple(orientations)
     out = []
-    for o in orients:
+    for o in ORIENTATIONS:
         if kind == "flat":
             out.append(SegmentGeometry("flat", width, length, o))
         else:
@@ -380,7 +361,7 @@ def _scan_family(params: CodeParams, geom: SegmentGeometry, l_max: int) -> list:
 
 
 def max_nontrivial_length(params: CodeParams, width: int, l_max: int | None = None,
-                          kind: str = "flat", orientations=None) -> SegmentReport:
+                          kind: str = "flat") -> SegmentReport:
     """Scan lengths 2..l_max over all orientations (and corner positions).
 
     The default horizon 2*width + 4 comfortably covers both the w+1 and
@@ -395,7 +376,7 @@ def max_nontrivial_length(params: CodeParams, width: int, l_max: int | None = No
         raise ValueError(f"l_max must be >= 2, got {l_max}")
     lengths = list(range(2, l_max + 1))
     families = [(geom, _scan_family(params, geom, l_max))
-                for geom in geometries(width, 2, kind, orientations)]
+                for geom in geometries(width, 2, kind)]
     dims: dict[int, int] = {}
     found: list[int] = []
     if families:

@@ -229,15 +229,15 @@ def test_criterion_11_exact_algebra_identities():
     p7 = CodeParams(7, (1, 0), (0, 1), (1, 1), (3, 5), "A")
     codes = [d3_code("S"), d3_code("A"), d5_code("S"), d5_code("A"), p7]
     for code in codes:
-        proj = verify_projector_identities(code, (2, 2, 2))
+        proj = verify_projector_identities(code)
         ok = ok and all(proj.values())
         for r in range(code.p):
-            out = verify_inversion_action(code, (2, 2, 2), r=r)
+            out = verify_inversion_action(code, r=r)
             expected_r = r if code.parity == "S" else (-r) % code.p
             ok = ok and out["matches"] and out["expected_r"] == expected_r
     elapsed = time.monotonic() - t0
-    _verdict(11, "p=3, 5 and 7 on a 2x2x2 torus (d3 and d5 S/A, one p=7 A "
-                 "code): commutation phase law, projector "
+    _verdict(11, "p=3, 5 and 7 on the cube generator's eight sites (d3 and "
+                 "d5 S/A, one p=7 A code): commutation phase law, projector "
                  "idempotence/orthogonality/completeness, and the inversion "
                  "action P(s,r) -> P(s,-+r) per parity, < 1 min",
              ok and elapsed < 60.0)

@@ -3,6 +3,7 @@
 import random
 from dataclasses import replace
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -21,7 +22,6 @@ from qupitcube.algebra import (
     pauli_inverse,
     pauli_mul,
     pauli_power,
-    torus_sites,
     verify_commutation_law,
     verify_inversion_action,
     verify_projector_identities,
@@ -71,7 +71,7 @@ def test_commutator_matches_configuration_computation():
     for _ in range(1000):
         p = rng.choice((3, 5))
         dims = (2, 2, 2)
-        sites = torus_sites(dims)
+        sites = tuple(product(range(2), repeat=3))
         a = PauliConfig(p, dims)
         b = PauliConfig(p, dims)
         for _ in range(rng.randrange(1, 5)):
@@ -86,7 +86,7 @@ def test_commutator_matches_configuration_computation():
 def test_generator_commutators_cross_module():
     code = d5_code("A")
     dims = (4, 4, 4)
-    sites = torus_sites(dims)
+    sites = tuple(product(range(4), repeat=3))
     g0 = generator_config(code, (0, 0, 0), dims)
     g1 = generator_config(code, (1, 1, 0), dims)
     assert commutator_exponent(pauli_from_config(g0, sites),
@@ -206,7 +206,7 @@ def test_projector_identities_reference_codes():
 
 def test_projector_sum_is_identity():
     code = d3_code("S")
-    s = generator_pauli(code, (2, 2, 2))
+    s = generator_pauli(code)
     total = build_projector(s, 0)
     for r in (1, 2):
         total = total + build_projector(s, r)
@@ -239,12 +239,21 @@ def test_inversion_action_examples():
 
 def test_inversion_conjugate_is_permutation_only():
     code = d3_code("A")
-    s = generator_pauli(code, (2, 2, 2))
+    s = generator_pauli(code)
     P = build_projector(s, 1)
-    conj = inversion_conjugate(P, (0.5, 0.5, 0.5), (2, 2, 2))
+    conj = inversion_conjugate(P, (0.5, 0.5, 0.5))
     assert sorted(conj.terms.values(), key=str) == sorted(P.terms.values(), key=str)
     with pytest.raises(InvalidCenterError, match="centre component 0.3 is not a half-integer"):
-        inversion_conjugate(P, (0.3, 0.5, 0.5), (2, 2, 2))
+        inversion_conjugate(P, (0.3, 0.5, 0.5))
+
+
+def test_inversion_conjugate_rejects_centres_off_the_cube():
+    # the generator lives on the eight cube sites; only the cube centre
+    # maps them onto themselves
+    P = build_projector(generator_pauli(d5_code("A")), 1)
+    for center in ((1.5, 0.5, 0.5), (0, 0, 0), (0.5, 0.5, 1)):
+        with pytest.raises(InvalidCenterError, match="onto themselves"):
+            inversion_conjugate(P, center)
 
 
 def test_p5_runs_without_guard():
@@ -252,7 +261,7 @@ def test_p5_runs_without_guard():
     code = d5_code("S")
     assert verify_projector_identities(code) == {
         "idempotent": True, "orthogonal": True, "complete": True}
-    s = generator_pauli(code, (2, 2, 2))
+    s = generator_pauli(code)
     P = build_projector(s, 0)
     assert op_mul(P, P) == P
 

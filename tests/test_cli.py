@@ -6,6 +6,8 @@ import subprocess
 import sys
 import time
 
+from qupitcube import cli, logical
+from qupitcube.classify import MAX_CLASSIFY_MODULUS
 from qupitcube.codes import d5_code
 
 D5_FLAGS = ["--p", "5", "--alpha", "1,0", "--beta", "0,1",
@@ -211,6 +213,52 @@ def test_logical_runs_at_the_torus_size_limit():
     assert [results["census"][f"normal_{a}"]["count"] for a in "xyz"] == [4, 4, 4]
     assert results["encoded_qudits"] >= 1
     assert results["product_of_all_generators_identity"] is True
+
+
+def test_algebra_report_is_independent_of_dims():
+    # every operator is the identity off the generator's eight sites, so
+    # --dims is only checked and echoed
+    codes = {"d5": D5_FLAGS[:-2],
+             "p7": ["--p", "7", "--alpha", "1,0", "--beta", "0,1",
+                    "--gamma", "1,1", "--delta", "3,5"]}
+    for flags in codes.values():
+        reports = []
+        for dims in ("2x2x2", "3x4x5", "4x4x4"):
+            out = run_cli("algebra", *flags, "--parity", "A", "--dims", dims)
+            assert out.returncode == 0
+            report = json.loads(out.stdout)
+            assert report["options"].pop("dims") == [int(L) for L in dims.split("x")]
+            reports.append(report)
+        assert reports[0] == reports[1] == reports[2]
+    out = run_cli("algebra", *D5_FLAGS, "--dims", "1x1x1")
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert "sizes >= 2" in out.stderr
+
+
+def test_logical_runs_one_census_tier_search_per_normal(monkeypatch, capsys):
+    calls = []
+    search = logical._census_tier
+
+    def counted(torus, normal):
+        calls.append(normal)
+        return search(torus, normal)
+
+    monkeypatch.setattr(logical, "_census_tier", counted)
+    assert cli.main(["logical", *D5_FLAGS[:-1], "A", "--dims", "3x4x4"]) == 0
+    assert json.loads(capsys.readouterr().out)["results"]["census"]["normal_x"]["count"] == 4
+    assert sorted(calls) == [0, 1, 2]
+
+
+def test_classify_and_scan_refuse_moduli_beyond_the_bound():
+    assert MAX_CLASSIFY_MODULUS == 19
+    for command in ("classify", "scan"):
+        start = time.perf_counter()
+        out = run_cli(command, "--p", "23")
+        assert time.perf_counter() - start < 5
+        assert out.returncode == 2
+        assert out.stdout == ""
+        assert "p <= 19" in out.stderr
 
 
 def test_algebra_allow_large_is_a_no_op():
