@@ -8,6 +8,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+from qupitcube import algebra
 from qupitcube.algebra import (
     NotOrderPError,
     OperatorSum,
@@ -27,9 +28,17 @@ from qupitcube.algebra import (
     verify_projector_identities,
 )
 from qupitcube.codes import commutation_exponent as config_commutation
-from qupitcube.codes import InvalidCenterError, PauliConfig, d3_code, d5_code, generator_config
+from qupitcube.codes import (
+    CodeParams,
+    InvalidCenterError,
+    PauliConfig,
+    d3_code,
+    d5_code,
+    generator_config,
+)
 
 ONE_SITE = ((0, 0, 0),)
+P7_CODE = CodeParams(7, (1, 0), (0, 1), (1, 1), (3, 5), "A")
 
 
 def _x(p):
@@ -163,8 +172,10 @@ def _random_sum(rng, p, sites, n_terms):
 
 def test_operator_sums_match_dense_matrices():
     rng = random.Random(89)
-    for p in (3, 5):
-        for sites in (ONE_SITE, ((0, 0, 0), (0, 1, 0))):
+    two_sites = ((0, 0, 0), (0, 1, 0))
+    for p, site_sets in ((3, (ONE_SITE, two_sites)), (5, (ONE_SITE, two_sites)),
+                         (7, (ONE_SITE,))):
+        for sites in site_sets:
             for _ in range(15):
                 a = _random_sum(rng, p, sites, rng.randrange(1, 6))
                 b = _random_sum(rng, p, sites, rng.randrange(1, 6))
@@ -182,6 +193,89 @@ def test_operator_sums_match_dense_matrices():
                 diff = a + _sum(p, sites, *((PhasedPauli(p, sites, *key), -c)
                                             for key, c in b.terms.items()))
                 assert diff.is_zero() == np.allclose(_dense(diff), 0) == (a == b)
+
+
+def _fraction_product(a, b):
+    """Reference product: one Fraction product and sum per term pair."""
+    out = {}
+    for u, cu in a.terms.items():
+        for v, cv in b.terms.items():
+            key = pauli_mul(PhasedPauli(a.p, a.sites, *u), PhasedPauli(a.p, a.sites, *v)).key()
+            out[key] = out.get(key, 0) + cu * cv
+    return {key: c for key, c in out.items() if c}
+
+
+def _fraction_canonical(op):
+    """Reference canonical form, summed in Fractions."""
+    p = op.p
+    gathered = {}
+    for (x, z, phase), coeff in op.terms.items():
+        gathered.setdefault((x, z), [Fraction(0)] * p)[phase] += coeff
+    out = {}
+    for mono, vec in gathered.items():
+        reduced = tuple(c - vec[p - 1] for c in vec[:p - 1])
+        if any(reduced):
+            out[mono] = reduced
+    return out
+
+
+def _mixed_sum(rng, p, sites, n_terms):
+    # few distinct monomials, so keys collide and numerators cancel
+    monos = [(tuple(rng.randrange(p) for _ in sites), tuple(rng.randrange(p) for _ in sites))
+             for _ in range(3)]
+    return _sum(p, sites, *(
+        (PhasedPauli(p, sites, *rng.choice(monos), rng.randrange(p)),
+         Fraction(rng.randrange(-4, 5), rng.randrange(1, 5)))
+        for _ in range(n_terms)))
+
+
+def test_integer_products_and_canonical_forms_match_fractions():
+    rng = random.Random(97)
+    for p in (3, 5, 7):
+        for sites in (ONE_SITE, ((0, 0, 0), (1, 0, 0))):
+            for _ in range(20):
+                a = _mixed_sum(rng, p, sites, rng.randrange(0, 8))
+                b = _mixed_sum(rng, p, sites, rng.randrange(0, 8))
+                prod = op_mul(a, b)
+                assert prod.terms == _fraction_product(a, b)
+                assert all(type(c) is Fraction for c in prod.terms.values())
+                for op in (a, b, prod, a + b):
+                    form = op.canonical()
+                    assert form == _fraction_canonical(op)
+                    assert all(type(c) is Fraction for vec in form.values() for c in vec)
+
+
+def test_projector_checks_form_p_squared_monomial_products(monkeypatch):
+    # the p projectors' terms pair up p^4 times, but only p^2 distinct
+    # monomial pairs s^m s^n occur; each is formed once per verification
+    calls = []
+    rule = algebra._monomial_mul
+
+    def counted(u, v, p):
+        calls.append((u, v))
+        return rule(u, v, p)
+
+    monkeypatch.setattr(algebra, "_monomial_mul", counted)
+    for p, code in ((3, d3_code("A")), (5, d5_code("S")), (7, P7_CODE)):
+        calls.clear()
+        assert verify_projector_identities(code) == {
+            "idempotent": True, "orthogonal": True, "complete": True}
+        assert len(calls) == len(set(calls)) <= p * p + p
+        calls.clear()
+        assert verify_inversion_action(code, r=1)["matches"]
+        assert len(calls) == p
+    # the memo lives for one call: a second verification forms them again
+    calls.clear()
+    verify_projector_identities(d3_code("S"))
+    assert len(calls) == 9
+
+
+def test_commutation_law_rejects_bad_moduli():
+    for p in (2, 9, 37):
+        with pytest.raises(ValueError):
+            verify_commutation_law(p)
+    with pytest.raises(ValueError, match="p <= 31"):
+        verify_projector_identities(replace(P7_CODE, p=37))
 
 
 def test_projector_canonical_form():

@@ -6,7 +6,10 @@ import subprocess
 import sys
 import time
 
-from qupitcube import cli, logical
+import pytest
+
+from qupitcube import algebra, cli, logical
+from qupitcube.algebra import MAX_ALGEBRA_MODULUS
 from qupitcube.classify import MAX_CLASSIFY_MODULUS
 from qupitcube.codes import d5_code
 
@@ -259,6 +262,24 @@ def test_classify_and_scan_refuse_moduli_beyond_the_bound():
         assert out.returncode == 2
         assert out.stdout == ""
         assert "p <= 19" in out.stderr
+
+
+def test_algebra_refuses_moduli_beyond_the_bound(monkeypatch, capsys):
+    assert MAX_ALGEBRA_MODULUS == 31
+    argv = ("algebra", "--p", "37", *D5_FLAGS[2:])
+    start = time.perf_counter()
+    out = run_cli(*argv)
+    assert time.perf_counter() - start < 5
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert "p <= 31" in out.stderr
+    # refused before any monomial product is formed
+    calls = []
+    monkeypatch.setattr(algebra, "_monomial_mul", lambda *a: calls.append(a))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(argv))
+    assert exc.value.code == 2 and calls == []
+    assert "p <= 31" in capsys.readouterr().err
 
 
 def test_algebra_allow_large_is_a_no_op():
