@@ -9,13 +9,11 @@ solutions reach both ends of the strip.
 
 from qupitcube import CodeParams, d3_code, d5_code, max_nontrivial_length
 from qupitcube.codes import PauliConfig, generator_config
-from qupitcube.oracle import (
-    SegmentGeometry,
-    build_segment_constraints,
+from qupitcube.oracle import SegmentGeometry, build_segment_constraints
+from qupitcube.reference import (
     canonical_reduction,
     flatten_segment,
     kink_profile,
-    solve_segment,
     width1_criterion,
 )
 

@@ -6,8 +6,9 @@ antisymmetric families in the bulk.  Orbits under that group organize the
 whole deformable parameter space.
 """
 
-from qupitcube import CodeParams, enumerate_deformable, orbit_canonical, scan_theorem1
-from qupitcube.classify import classify_orbits, group_generators
+from qupitcube import orbit_canonical, scan_theorem1
+from qupitcube.classify import classify_orbits
+from qupitcube.reference import enumerate_deformable, group_generators
 
 # --- enumeration sizes -------------------------------------------------------
 for p in (2, 3, 5):
@@ -30,7 +31,7 @@ for o in rep["orbits"]:
           f"width-1 ok {all(t1['minimal_string'])}  squares {t1['squares']}")
 
 # --- p=5: the no-string candidates ---------------------------------------------
-out = scan_theorem1(5, oracle_wmax=1)
+out = scan_theorem1(classify_orbits(5), oracle_wmax=1)
 print(f"\np=5: {out['orbit_count']} orbits; literal three-condition passes:",
       len(out["literal_pass"]))
 print("orbits passing conditions 1-2 with the solver confirming the 2w bound:")

@@ -4,7 +4,9 @@ Builds inversion-symmetric cube-generator codes over a prime field,
 decides the three algebraic no-string conditions, measures nontrivial
 string-segment lengths with an exact linear-algebra solver, classifies
 parameter tuples up to the lattice/Clifford equivalence group, and
-constructs planar logical operators on tori.
+constructs planar logical operators on tori.  The slow reference oracles
+the tests check these against live in ``qupitcube.reference``, which the
+package does not import.
 """
 
 from .codes import (
@@ -33,16 +35,11 @@ from .oracle import (
     SegmentGeometry,
     SegmentReport,
     build_segment_constraints,
-    canonical_reduction,
-    flatten_segment,
     max_nontrivial_length,
     solve_segment,
-    width1_criterion,
 )
 from .classify import (
     classify_orbits,
-    enumerate_deformable,
-    group_generators,
     orbit_canonical,
     scan_theorem1,
 )

@@ -1,12 +1,11 @@
-"""Enumeration and orbit classification of deformable parameter tuples.
+"""Orbit classification of deformable parameter tuples.
 
 Two codes are equivalent when their defining tuples are related by a
 permutation of (alpha, beta, gamma, delta), by a common left action of
 SL(2, p), or by a common nonzero scalar.  Negating every pair maps a
 symmetric code to the antisymmetric one on the same tuple; it is valid
-in the bulk and at even lengths only, so it is carried as a flagged
-generator and excluded from fixed-parity orbits (where it is redundant
-anyway, since -I lies in SL(2, p)).
+in the bulk and at even lengths only, so it is left out of fixed-parity
+orbits (where it is redundant anyway, since -I lies in SL(2, p)).
 
 SL(2, p) acts freely on deformable tuples, since alpha and beta are not
 proportional.  So each SL(2, p) class has exactly one normal form with
@@ -14,8 +13,7 @@ alpha = (0, 1) and beta = (-<alpha, beta>, 0), read off from the
 symplectic products, and an orbit is the union of the classes of its
 permuted and scaled copies.  Orbits are named by their lexicographically
 least member, which is the least of those normal forms, and counted
-without enumerating tuples.  ``enumerate_deformable``, ``group_generators``
-and the breadth-first ``orbit`` remain as references for tests.
+without enumerating tuples.
 """
 
 from __future__ import annotations
@@ -25,119 +23,13 @@ from itertools import combinations, permutations
 from .codes import CodeParams, Pair, symplectic_product
 from .conditions import theorem1_report
 from .fp import check_prime, fp_inv
+from .oracle import max_nontrivial_length
 
 Tuple4 = tuple[Pair, Pair, Pair, Pair]
-
-SL2_GENERATORS = (((1, 1), (0, 1)), ((0, -1), (1, 0)))
 
 # Largest modulus ``classify_orbits`` accepts: its ``seen`` set ends up
 # holding all (p-1)^4 (p-2) normal forms, 4.9 M and gigabytes at p = 23.
 MAX_CLASSIFY_MODULUS = 19
-
-
-def nonzero_pairs(p: int) -> list[Pair]:
-    return [(a, b) for a in range(p) for b in range(p) if (a, b) != (0, 0)]
-
-
-def enumerate_deformable(p: int) -> list[Tuple4]:
-    """All ordered 4-tuples of nonzero, pairwise non-proportional pairs.
-
-    Pairwise non-proportionality is exactly the deformability condition
-    (all six symplectic products nonzero).  Empty for p = 2: there are
-    only three nontrivial pairs up to scale.
-    """
-    p = check_prime(p)
-    pairs = nonzero_pairs(p)
-    out = []
-    for a in pairs:
-        for b in pairs:
-            if symplectic_product(a, b, p) == 0:
-                continue
-            for g in pairs:
-                if symplectic_product(a, g, p) == 0 or symplectic_product(b, g, p) == 0:
-                    continue
-                for d in pairs:
-                    if (symplectic_product(a, d, p) and symplectic_product(b, d, p)
-                            and symplectic_product(g, d, p)):
-                        out.append((a, b, g, d))
-    return out
-
-
-def primitive_root(p: int) -> int:
-    """Smallest primitive root mod p (p prime)."""
-    if p == 2:
-        return 1
-    order = p - 1
-    factors = []
-    n, d = order, 2
-    while d * d <= n:
-        if n % d == 0:
-            factors.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        factors.append(n)
-    for g in range(2, p):
-        if all(pow(g, order // q, p) != 1 for q in factors):
-            return g
-    raise ValueError(f"no primitive root found for {p}")
-
-
-def _apply_matrix(t: Tuple4, M, p: int) -> Tuple4:
-    return tuple(
-        (((M[0][0] * a[0] + M[0][1] * a[1]) % p, (M[1][0] * a[0] + M[1][1] * a[1]) % p))
-        for a in t
-    )
-
-
-def _apply_scalar(t: Tuple4, c: int, p: int) -> Tuple4:
-    return tuple(((a[0] * c) % p, (a[1] * c) % p) for a in t)
-
-
-def _swap(t: Tuple4, i: int) -> Tuple4:
-    out = list(t)
-    out[i], out[i + 1] = out[i + 1], out[i]
-    return tuple(out)
-
-
-def group_generators(p: int) -> list[tuple[str, callable, bool]]:
-    """Equivalence-group generators as (name, action, bulk_only) triples.
-
-    Adjacent transpositions generate the permutation action; the two
-    SL(2, p) generators plus a primitive-root scalar generate the matrix
-    action; the global negation is the bulk/even-length parity flip.
-    """
-    gens: list[tuple[str, callable, bool]] = []
-    for i, name in ((0, "swap-alpha-beta"), (1, "swap-beta-gamma"), (2, "swap-gamma-delta")):
-        gens.append((name, (lambda t, i=i: _swap(t, i)), False))
-    for M in SL2_GENERATORS:
-        gens.append((f"sl2-{M}", (lambda t, M=M: _apply_matrix(t, M, p)), False))
-    r = primitive_root(p)
-    gens.append((f"scalar-{r}", (lambda t: _apply_scalar(t, r, p)), False))
-    gens.append(("parity-flip", (lambda t: _apply_scalar(t, p - 1, p)), True))
-    return gens
-
-
-def orbit(t: Tuple4, p: int) -> set[Tuple4]:
-    """Breadth-first closure of a tuple under the fixed-parity generators.
-
-    Reference implementation only: tests compare the normal-form
-    classification against it.
-    """
-    actions = [fn for _, fn, bulk in group_generators(p) if not bulk]
-    seen = {t}
-    frontier = [t]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for act in actions:
-                v = act(u)
-                if v not in seen:
-                    seen.add(v)
-                    nxt.append(v)
-        frontier = nxt
-    return seen
 
 
 def _normal_form(t: Tuple4, p: int) -> Tuple4:
@@ -225,22 +117,16 @@ def classify_orbits(p: int, parity: str = "S") -> dict:
     }
 
 
-def scan_theorem1(p: int, oracle_wmax: int = 2, oracle_parity: str = "S",
-                  orbits: dict | None = None) -> dict:
+def scan_theorem1(report: dict, oracle_wmax: int = 2) -> dict:
     """Split orbit representatives by the literal three-condition verdict.
 
-    Returns the representatives passing all three conditions and, as the
-    operationally meaningful list, those passing conditions 1 and 2 whose
-    string bound max length <= 2w is confirmed by the segment solver up
-    to width ``oracle_wmax``.  ``orbits`` may supply the
-    ``classify_orbits(p, oracle_parity)`` report already built.
+    ``report`` is a ``classify_orbits`` report; its modulus and parity
+    are the scan's.  Returns the representatives passing all three
+    conditions and, as the operationally meaningful list, those passing
+    conditions 1 and 2 whose string bound max length <= 2w is confirmed
+    by the segment solver up to width ``oracle_wmax``.
     """
-    from .oracle import max_nontrivial_length
-
-    report = classify_orbits(p, parity=oracle_parity) if orbits is None else orbits
-    if (report["p"], report["parity"]) != (p, oracle_parity):
-        raise ValueError(f"orbit report is for p={report['p']} parity {report['parity']}, "
-                         f"not p={p} parity {oracle_parity}")
+    p, parity = report["p"], report["parity"]
     literal_pass = []
     cond12_oracle_pass = []
     for entry in report["orbits"]:
@@ -254,7 +140,7 @@ def scan_theorem1(p: int, oracle_wmax: int = 2, oracle_parity: str = "S",
             for w in range(1, oracle_wmax + 1):
                 for kind in ("flat", "cornered"):
                     rpt = max_nontrivial_length(
-                        CodeParams(p, *canon, parity=oracle_parity), w, kind=kind)
+                        CodeParams(p, *canon, parity=parity), w, kind=kind)
                     m = rpt.max_nontrivial_length
                     widths[f"{kind}-w{w}"] = m
                     if m is not None and m > 2 * w:

@@ -165,6 +165,7 @@ def cmd_check(args, parser) -> int:
 
 def cmd_strings(args, parser) -> int:
     code = _resolve_code(args, parser)
+    oracle.check_scan_bounds(args.wmax, args.lmax)
     kinds = ("flat", "cornered") if args.kind == "both" else (args.kind,)
     results = {"widths": {}}
     exceeded = []
@@ -238,6 +239,7 @@ def cmd_algebra(args, parser) -> int:
 
 
 def cmd_scan(args, parser) -> int:
+    oracle.check_scan_bounds(args.oracle_wmax)
     orbits = classify_mod.classify_orbits(args.p, "S")
     results = {
         "deformable_count": orbits["deformable_count"],
@@ -246,7 +248,7 @@ def cmd_scan(args, parser) -> int:
     }
     if orbits["deformable_count"]:
         results["theorem1_scan"] = classify_mod.scan_theorem1(
-            args.p, oracle_wmax=args.oracle_wmax, orbits=orbits)
+            orbits, oracle_wmax=args.oracle_wmax)
     discrepancies = []
     for entry in orbits["orbits"]:
         discrepancies.extend(entry["theorem1"]["discrepancies"])

@@ -13,8 +13,7 @@ pairs scaled by +1 (symmetric code) or -1 (antisymmetric code):
     (0,0,1) delta     (1,1,0) s*delta
 
 Every module places generators on sites through this one: ``cube_sites``,
-``cubes_touching``, ``generator_config`` and ``generator_rows``;
-``config_row`` writes a configuration in the same column layout.
+``cubes_touching``, ``generator_config`` and ``generator_rows``.
 
 Pauli operators are kept phase-free here: commutation questions depend
 only on the symplectic data (the exact phase algebra lives in
@@ -79,7 +78,14 @@ class CodeParams:
             raise ValueError(f"parity must be 'S' or 'A', got {self.parity!r}")
         for name in ("alpha", "beta", "gamma", "delta"):
             a = getattr(self, name)
-            pair = (int(a[0]) % p, int(a[1]) % p)
+            try:
+                x, z = a
+            except (TypeError, ValueError):
+                x = z = None
+            if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+                       for v in (x, z)):
+                raise ValueError(f"pair {name} must hold exactly two integers, got {a!r}")
+            pair = (int(x) % p, int(z) % p)
             if pair == (0, 0):
                 raise ValueError(f"pair {name} must be nonzero mod {p}")
             object.__setattr__(self, name, pair)
@@ -108,18 +114,18 @@ class CodeParams:
 
 
 def params_from_dict(d: dict) -> CodeParams:
-    """Build CodeParams from the parameter-file dictionary layout."""
+    """Build CodeParams from the parameter-file layout: a JSON object with
+    an integer p, four pairs of two integers each, and an optional parity.
+    Anything else raises ValueError."""
+    if not isinstance(d, dict):
+        raise ValueError(f"parameter file must hold a JSON object, got {type(d).__name__}")
     try:
-        return CodeParams(
-            int(d["p"]),
-            tuple(int(x) for x in d["alpha"]),
-            tuple(int(x) for x in d["beta"]),
-            tuple(int(x) for x in d["gamma"]),
-            tuple(int(x) for x in d["delta"]),
-            str(d.get("parity", "S")),
-        )
+        return CodeParams(d["p"], d["alpha"], d["beta"], d["gamma"], d["delta"],
+                          d.get("parity", "S"))
     except KeyError as e:
         raise ValueError(f"parameter file is missing field {e.args[0]!r}") from None
+    except TypeError as e:
+        raise ValueError(f"parameter file: {e}") from None
 
 
 def load_params(path) -> CodeParams:
@@ -285,18 +291,6 @@ def generator_rows(params: CodeParams, cubes, index, n_sites: int) -> np.ndarray
                 M[r, 2 * t] += g[0]
                 M[r, 2 * t + 1] += g[1]
     return M % params.p
-
-
-def config_row(config: PauliConfig, index, n_sites: int) -> np.ndarray | None:
-    """A configuration in ``generator_rows``' column layout, or None when
-    ``index`` gives some support site no column."""
-    vec = np.zeros(2 * n_sites, dtype=np.int64)
-    for q, pair in config.support.items():
-        t = index(q)
-        if t is None:
-            return None
-        vec[2 * t], vec[2 * t + 1] = pair
-    return vec
 
 
 def commutation_exponent(a: PauliConfig, b: PauliConfig) -> int:

@@ -2,9 +2,7 @@
 
 Matrices are numpy ``int64`` arrays with entries reduced into ``[0, p)``.
 All routines are pure: inputs are never mutated and every result is exact
-(no floating point anywhere).  Polynomials are plain Python lists of
-coefficients, lowest degree first, trimmed so the leading coefficient is
-nonzero (the zero polynomial is ``[0]``).
+(no floating point anywhere).
 """
 
 from __future__ import annotations
@@ -160,159 +158,3 @@ def mat_inverse(M, p: int) -> np.ndarray:
     if pivot_cols[:n] != list(range(n)):
         raise SingularMatrixError(f"matrix is singular mod {p}")
     return R[:, n:]
-
-
-def solve(A, b, p: int) -> np.ndarray | None:
-    """One exact solution of ``A x = b`` over F_p, or ``None`` if inconsistent.
-
-    Free variables are set to 0.
-    """
-    A = normalize(A, p)
-    b = normalize(b, p).reshape(-1)
-    m, n = A.shape
-    aug = np.concatenate([A, b.reshape(-1, 1)], axis=1)
-    R, pivot_cols = mat_rref(aug, p)
-    if n in pivot_cols:
-        return None
-    x = np.zeros(n, dtype=np.int64)
-    for i, c in enumerate(pivot_cols):
-        x[c] = R[i, n]
-    return x
-
-
-# ---------------------------------------------------------------------------
-# Polynomials over F_p (coefficient lists, lowest degree first)
-
-
-def poly_trim(c: list[int], p: int) -> list[int]:
-    c = [int(x) % p for x in c]
-    while len(c) > 1 and c[-1] == 0:
-        c.pop()
-    return c if c else [0]
-
-
-def poly_is_zero(c: list[int]) -> bool:
-    return all(x == 0 for x in c)
-
-
-def poly_deg(c: list[int]) -> int:
-    """Degree, with the zero polynomial mapped to -1."""
-    return -1 if poly_is_zero(c) else len(c) - 1
-
-
-def poly_mul(a: list[int], b: list[int], p: int) -> list[int]:
-    if poly_is_zero(a) or poly_is_zero(b):
-        return [0]
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] = (out[i + j] + x * y) % p
-    return poly_trim(out, p)
-
-
-def poly_divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
-    """Quotient and remainder of ``a / b`` over F_p."""
-    a = poly_trim(a, p)
-    b = poly_trim(b, p)
-    if poly_is_zero(b):
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [0] * max(1, len(a) - len(b) + 1)
-    r = list(a)
-    inv_lead = fp_inv(b[-1], p)
-    while not poly_is_zero(r) and len(r) >= len(b):
-        shift = len(r) - len(b)
-        coef = (r[-1] * inv_lead) % p
-        q[shift] = coef
-        for i, x in enumerate(b):
-            r[shift + i] = (r[shift + i] - coef * x) % p
-        r = poly_trim(r, p)
-    return poly_trim(q, p), r
-
-
-def poly_divides(a: list[int], b: list[int], p: int) -> bool:
-    """True when ``a`` divides ``b`` exactly over F_p."""
-    if poly_is_zero(a):
-        return poly_is_zero(b)
-    _, r = poly_divmod(b, a, p)
-    return poly_is_zero(r)
-
-
-def poly_monic(a: list[int], p: int) -> list[int]:
-    a = poly_trim(a, p)
-    if poly_is_zero(a):
-        return a
-    inv = fp_inv(a[-1], p)
-    return [(x * inv) % p for x in a]
-
-
-def poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
-    a, b = poly_trim(a, p), poly_trim(b, p)
-    while not poly_is_zero(b):
-        _, r = poly_divmod(a, b, p)
-        a, b = b, r
-    return poly_monic(a, p)
-
-
-def poly_lcm(a: list[int], b: list[int], p: int) -> list[int]:
-    if poly_is_zero(a) or poly_is_zero(b):
-        return [0]
-    g = poly_gcd(a, b, p)
-    q, _ = poly_divmod(poly_mul(a, b, p), g, p)
-    return poly_monic(q, p)
-
-
-def poly_eval_mat(c: list[int], T, p: int) -> np.ndarray:
-    """Evaluate the polynomial at a square matrix (Horner), mod p."""
-    T = normalize(T, p)
-    n = T.shape[0]
-    out = np.zeros((n, n), dtype=np.int64)
-    for coef in reversed(poly_trim(c, p)):
-        out = (out @ T + coef * np.eye(n, dtype=np.int64)) % p
-    return out
-
-
-def char_poly_2x2(T, p: int) -> list[int]:
-    """Characteristic polynomial x^2 - tr(T) x + det(T) of a 2x2 block."""
-    T = normalize(T, p)
-    if T.shape != (2, 2):
-        raise ValueError("closed form is for 2x2 matrices only")
-    tr = int(T[0, 0] + T[1, 1]) % p
-    det = int(T[0, 0] * T[1, 1] - T[0, 1] * T[1, 0]) % p
-    return [det, (-tr) % p, 1]
-
-
-def krylov_min_poly(T, v, p: int) -> list[int]:
-    """Least-degree monic m with m(T) v = 0.
-
-    The Krylov vectors v, Tv, ..., T^(d-1)v are linearly independent when
-    the result has degree d.  The zero vector yields the constant 1.
-    """
-    T = normalize(T, p)
-    v = normalize(v, p).reshape(-1)
-    if not v.any():
-        return [1]
-    rows = [v]
-    while True:
-        nxt = (T @ rows[-1]) % p
-        K = np.stack(rows, axis=1)  # n x k, columns are Krylov vectors
-        coeffs = solve(K, nxt, p)
-        if coeffs is not None:
-            k = len(rows)
-            return poly_trim([(-int(coeffs[i])) % p for i in range(k)] + [1], p)
-        rows.append(nxt)
-
-
-def matrix_min_poly(T, p: int) -> list[int]:
-    """Least-degree monic m with m(T) = 0, via lcm of per-basis-vector polys."""
-    T = normalize(T, p)
-    n = T.shape[0]
-    m = [1]
-    for i in range(n):
-        e = np.zeros(n, dtype=np.int64)
-        e[i] = 1
-        m = poly_lcm(m, krylov_min_poly(T, e, p), p)
-        if poly_deg(m) == n:
-            break
-    return m

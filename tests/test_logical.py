@@ -11,7 +11,6 @@ from qupitcube import fp, logical
 from qupitcube.codes import (
     CodeParams,
     PauliConfig,
-    config_row,
     d3_code,
     d5_code,
     generator_config,
@@ -32,6 +31,7 @@ from qupitcube.logical import (
     planar_census,
     product_of_all_generators,
 )
+from qupitcube.reference import config_row
 
 ALL_CODES = [d3_code("S"), d3_code("A"), d5_code("S"), d5_code("A")]
 

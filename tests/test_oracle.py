@@ -11,20 +11,22 @@ from qupitcube.codes import CodeParams, PauliConfig, d3_code, d5_code, generator
 from qupitcube.conditions import PrerequisiteError, base_matrix, rel_transition
 from qupitcube.oracle import (
     DegenerateGeometryError,
-    FlattenError,
     PivotError,
     SegmentGeometry,
     SegmentReport,
     build_segment_constraints,
-    canonical_reduction,
-    flatten_segment,
     geometries,
-    in_box_cubes,
-    is_stabilizer_combination,
-    kink_profile,
     max_nontrivial_length,
     solve_segment,
     strip_transfer,
+)
+from qupitcube.reference import (
+    FlattenError,
+    canonical_reduction,
+    flatten_segment,
+    in_box_cubes,
+    is_stabilizer_combination,
+    kink_profile,
     verify_witness,
     width1_criterion,
 )
