@@ -23,7 +23,8 @@ production code it checks, and the tests that compare them:
   ``test_acceptance.test_criterion_07_*``).
 - ``flatten_segment`` and ``is_stabilizer_combination`` deform a box
   configuration onto the kinked surface profile by in-box generators and
-  decide span membership, the constructive side of the segment solver
+  decide span membership.  They back the segment solver's restriction to
+  flat and cornered strips, the shapes that profile is made of
   (``test_oracle.test_flatten_*``,
   ``test_oracle.test_stabilizer_combination_rejects_support_outside_box``).
   ``config_row`` writes a configuration in ``codes.generator_rows``'
@@ -38,8 +39,10 @@ production code it checks, and the tests that compare them:
   ``test_conditions.test_*_invariant_*``,
   ``test_acceptance.test_criterion_01_*``, ``_07_*`` and ``_12d_*``).
 - ``solve`` and the polynomials through ``matrix_min_poly`` give minimal
-  polynomials by Krylov sequences, for the Cayley--Hamilton divisibility
-  chain behind the Krylov bound (``test_fp.test_*min_poly*``,
+  polynomials by Krylov sequences.  No production code uses them; they
+  check the Cayley--Hamilton divisibility chain that the Krylov bound of
+  ``canonical_reduction`` rests on (``test_fp.test_*min_poly*``,
+  ``test_fp.test_divisibility_chain_and_krylov_independence``,
   ``test_fp.test_poly_division``, ``test_fp.test_solve_consistency``,
   ``test_acceptance.test_criterion_12a_*``).
 """

@@ -12,7 +12,7 @@ from qupitcube import algebra, cli, fp, logical
 from qupitcube.algebra import MAX_ALGEBRA_MODULUS
 from qupitcube.classify import MAX_CLASSIFY_MODULUS
 from qupitcube.codes import d5_code
-from qupitcube.oracle import MAX_STRIP_LENGTH, MAX_STRIP_WIDTH
+from qupitcube.oracle import MAX_STRIP_LENGTH, MAX_STRIP_WIDTH, max_nontrivial_length
 
 D5_FLAGS = ["--p", "5", "--alpha", "1,0", "--beta", "0,1",
             "--gamma", "1,1", "--delta", "3,2", "--parity", "S"]
@@ -304,6 +304,10 @@ def test_strings_and_scan_refuse_scans_beyond_the_bounds(monkeypatch, capsys):
             cli.main(list(argv))
         assert exc.value.code == 2 and calls == []
         assert message in capsys.readouterr().err
+    for width, l_max, message in ((17, None, "width <= 16"), (1, 65, "length <= 64")):
+        with pytest.raises(ValueError, match=message):
+            max_nontrivial_length(d5_code(), width, l_max=l_max)
+    assert calls == []
 
 
 def test_algebra_refuses_moduli_beyond_the_bound(monkeypatch, capsys):
