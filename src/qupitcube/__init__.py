@@ -36,7 +36,6 @@ from .oracle import (
     SegmentReport,
     build_segment_constraints,
     max_nontrivial_length,
-    solve_segment,
 )
 from .classify import (
     classify_orbits,

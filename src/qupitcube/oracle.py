@@ -18,9 +18,9 @@ connected between the anchors".
 
 Length scans do not solve one system per length: the strip system is
 translation invariant, so one block elimination per strip family
-(``strip_transfer``) decides every length.  ``solve_segment`` solves a
-single geometry densely; it is the fallback for rank-deficient pivot
-blocks and the reference the tests compare the scan against.
+(``strip_transfer``) decides every length, whether or not the code is
+deformable.  The dense per-geometry solver the tests compare the scan
+against is ``reference.solve_segment``.
 
 Column layout: sites are ordered along the strip (length-major, then
 cross-section); each site contributes two adjacent columns holding
@@ -45,19 +45,16 @@ class DegenerateGeometryError(ValueError):
     """Raised for geometries too small to separate the two anchors."""
 
 
-class PivotError(ValueError):
-    """Raised when block elimination meets a rank-deficient pivot block
-    (possible only when deformability fails)."""
-
-
 ORIENTATIONS: tuple[tuple[int, int], ...] = tuple(permutations(range(3), 2))
 
 # Widest strip and longest length horizon ``max_nontrivial_length``
 # scans.  Measured on a 2-core x86_64 VM: ``strings --wmax 16`` on d5
-# takes 3.4 s and ``--wmax 20`` 8.3 s; at ``--wmax 16 --lmax 64`` d5 takes
-# 4.7 s at 40 MB and the p = 2 string code 7.9 s at 66 MB.  Memory grows
-# with the horizon, since each length keeps its witness kernel: the p = 2
-# code takes 101 MB at --lmax 128.
+# takes 1.7-2.5 s at 35 MB, and at ``--lmax 64`` the p = 2 string code
+# takes 5-8 s at 37 MB.  A family keeps only the kernel of its last
+# nontrivial length, so memory does not grow with each length kept.
+# Families with free columns are not bounded in time by these: their
+# kernel grows with the length, and on the p = 3 tuple (1,0)^4
+# ``--wmax 8`` takes 2.9 s and ``--wmax 12`` about a minute.
 MAX_STRIP_WIDTH = 16
 MAX_STRIP_LENGTH = 64
 
@@ -107,34 +104,23 @@ class SegmentGeometry:
 
     def cross_section(self) -> list[Site]:
         """Cross-section offsets (zero along the length axis)."""
-        offs = []
-        for i in range(self.width if self.kind == "flat" else self.corner_at):
+        def offset(i: int, k: int = 0) -> Site:
             o = [0, 0, 0]
-            o[self.width_axis] = i
-            offs.append(tuple(o))
-        if self.kind == "cornered":
-            for k in range(1, self.width - self.corner_at + 1):
-                o = [0, 0, 0]
-                o[self.width_axis] = self.corner_at - 1
-                o[self.bend_axis] = k
-                offs.append(tuple(o))
-        return offs
+            o[self.width_axis], o[self.bend_axis] = i, k
+            return tuple(o)
+
+        straight = self.width if self.kind == "flat" else self.corner_at
+        return ([offset(i) for i in range(straight)]
+                + [offset(straight - 1, k) for k in range(1, self.width - straight + 1)])
 
     def column_sites(self, j: int) -> list[Site]:
-        cs = self.cross_section()
-        out = []
-        for o in cs:
-            q = list(o)
-            q[self.length_axis] += j
-            out.append(tuple(q))
-        return out
+        """The cross section at length position j."""
+        return [tuple(c + j * (a == self.length_axis) for a, c in enumerate(o))
+                for o in self.cross_section()]
 
     def support(self) -> list[Site]:
         """All strip sites, length-major then cross-section order."""
-        out = []
-        for j in range(self.length):
-            out.extend(self.column_sites(j))
-        return out
+        return [q for j in range(self.length) for q in self.column_sites(j)]
 
     def anchors(self) -> tuple[set[Site], set[Site]]:
         """The two anchor cross-sections, one step beyond each strip end."""
@@ -143,9 +129,8 @@ class SegmentGeometry:
 
 @dataclass
 class ConstraintSystem:
-    """Assembled constraint matrix over the strip sites, in column order."""
+    """Assembled constraint matrix over ``geom.support()``, in column order."""
 
-    sites: list[Site]
     matrix: np.ndarray
 
 
@@ -163,7 +148,7 @@ def build_segment_constraints(params: CodeParams, geom: SegmentGeometry) -> Cons
     cubes = cubes_touching(support, avoid=anchor1 | anchor2)
     rows = generator_rows(params, cubes, index.get, len(support))
     rows[:, 1::2] = (-rows[:, 1::2]) % params.p
-    return ConstraintSystem(support, rows)
+    return ConstraintSystem(rows)
 
 
 def _vector_to_config(params: CodeParams, sites: list[Site], vec: np.ndarray) -> PauliConfig:
@@ -175,65 +160,34 @@ def _vector_to_config(params: CodeParams, sites: list[Site], vec: np.ndarray) ->
     return cfg
 
 
-@dataclass
-class SegmentSolution:
-    """Verdict for one geometry: solution space size, nontriviality, and a witness."""
-
-    geometry: SegmentGeometry
-    nullspace_dim: int
-    nontrivial: bool
-    witness: PauliConfig | None
-
-
-def solve_segment(params: CodeParams, geom: SegmentGeometry) -> SegmentSolution:
-    """Solve the constraint system and decide nontriviality for one geometry."""
-    system = build_segment_constraints(params, geom)
-    basis = fp.nullspace(system.matrix, params.p)
-    k = len(geom.cross_section())
-    first = list(range(0, 2 * k))
-    last = list(range(2 * k * (geom.length - 1), 2 * k * geom.length))
-    witness_vec = _ends_witness(basis, first, last, params.p)
-    return SegmentSolution(
-        geometry=geom,
-        nullspace_dim=basis.shape[0],
-        nontrivial=witness_vec is not None,
-        witness=None if witness_vec is None else
-            _vector_to_config(params, system.sites, witness_vec),
-    )
-
-
-def _ends_witness(basis: np.ndarray, idx1: list[int], idx2: list[int], p: int):
-    """A nullspace vector nonzero on both end-column index sets, if one exists.
+def _ends_witness(basis: np.ndarray, n: int, p: int):
+    """A vector of the span nonzero on both end column blocks (the first and
+    the last ``n`` columns), if one exists.
 
     Both projections nonzero is sufficient: a space over F_p is never the
     union of two proper subspaces, and u + v repairs a vector vanishing
     at one end.
     """
-    if basis.size == 0:
-        return None
-    on1 = [v for v in basis if v[idx1].any()]
-    on2 = [v for v in basis if v[idx2].any()]
+    on1 = [v for v in basis if v[:n].any()]
+    on2 = [v for v in basis if v[-n:].any()]
     if not on1 or not on2:
         return None
-    u = on1[0]
-    if u[idx2].any():
+    u, v = on1[0], on2[0]
+    if u[-n:].any():
         return u
-    v = on2[0]
-    if v[idx1].any():
+    if v[:n].any():
         return v
     return (u + v) % p
 
 
 def geometries(width: int, length: int, kind: str) -> list[SegmentGeometry]:
     """All scan geometries for a width and length (cornered: all corners)."""
-    out = []
-    for o in ORIENTATIONS:
-        if kind == "flat":
-            out.append(SegmentGeometry("flat", width, length, o))
-        else:
-            for w1 in range(1, width):
-                out.append(SegmentGeometry("cornered", width, length, o, w1))
-    return out
+    if kind == "flat":
+        return [SegmentGeometry("flat", width, length, o) for o in ORIENTATIONS]
+    if kind == "cornered":
+        return [SegmentGeometry("cornered", width, length, o, w1)
+                for o in ORIENTATIONS for w1 in range(1, width)]
+    raise ValueError(f"kind must be 'flat' or 'cornered', got {kind!r}")
 
 
 @dataclass
@@ -268,82 +222,92 @@ class SegmentReport:
         }
 
 
-def strip_transfer(params: CodeParams, geom: SegmentGeometry) -> tuple[np.ndarray, np.ndarray]:
-    """Transfer matrix ``A`` and leftover rows ``v`` of a strip family.
+def strip_transfer(params: CodeParams,
+                   geom: SegmentGeometry) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Transfer blocks ``A``, ``F`` and leftover rows ``v`` of a strip family.
 
     The strip system is translation invariant along the length axis: the
     generators whose cubes start at length position g act on column
     blocks g and g+1 through the same two blocks for every g.  Eliminating
     the length-2 system against its first column block therefore gives,
-    at every length, ``x_g = A x_{g+1}`` (``A = -T``) and ``v x_{g+1} = 0``.
-    Only ``geom.kind``, width, orientation and corner are used.
-
-    Raises PivotError when the first column block is rank deficient,
-    which can only happen for codes failing deformability.
+    at every length, ``x_g = A x_{g+1} + F z_g`` and ``v x_{g+1} = 0``,
+    where ``z_g`` is free and holds one entry per non-pivot column of that
+    block.  ``F`` has no columns when the block has full rank, as it always
+    does for deformable codes.  Only ``geom.kind``, width, orientation and
+    corner are used.
     """
     p = params.p
-    system = build_segment_constraints(params, replace(geom, length=2))
-    ncols = system.matrix.shape[1] // 2
-    R, pivots = fp.mat_rref(system.matrix, p, n_pivot_cols=ncols)
-    if len(pivots) < ncols:
-        raise PivotError(f"pivot block of the {geom.kind} width-{geom.width} strip "
-                         f"along axis {geom.length_axis} has rank < {ncols}")
-    return (-R[:ncols, ncols:]) % p, R[ncols:, ncols:]
+    M = build_segment_constraints(params, replace(geom, length=2)).matrix
+    n = M.shape[1] // 2
+    R, pivots = fp.mat_rref(M, p, n_pivot_cols=n)
+    r = len(pivots)
+    free = sorted(set(range(n)) - set(pivots))
+    A = np.zeros((n, n), dtype=np.int64)
+    A[pivots] = (-R[:r, n:]) % p
+    F = np.zeros((n, len(free)), dtype=np.int64)
+    F[pivots] = (-R[:r, free]) % p
+    F[free, np.arange(len(free))] = 1
+    return A, F, R[r:, n:]
 
 
 def _transfer_witness(params: CodeParams, geom: SegmentGeometry, A: np.ndarray,
-                      kernel: np.ndarray) -> PauliConfig:
-    """The witness ``solve_segment`` reports, from ``_scan_family``'s basis of ``K_l``.
+                      F: np.ndarray, kernel: np.ndarray) -> PauliConfig:
+    """The witness ``reference.solve_segment`` reports, from ``_scan_family``'s
+    kernel basis at ``geom.length``.
 
-    Each ``x`` in ``K_l`` expands to the strip solution
-    ``(A^(l-1) x, ..., A x, x)``.  The expanded basis is already the one
-    ``fp.nullspace`` returns: the kernel basis is a product of
-    ``fp.nullspace`` bases, so each vector ends in a 1 at its own column
-    of the last block, with zeros there in the others, in increasing order.
+    Each basis row (x_{l-1}, z_{l-2}, ..., z_0) expands to the strip
+    solution (x_0, ..., x_{l-1}) by ``x_g = A x_{g+1} + F z_g``.  The
+    expanded basis is then put in the form ``fp.nullspace`` returns, which
+    is unique for the space: each vector is 1 at its own last nonzero
+    column and 0 there in the others.  That is the reduced echelon form of
+    the column-reversed basis, with rows and columns reversed back.
     """
     p = params.p
-    blocks = [kernel]
-    for _ in range(geom.length - 1):
-        blocks.append((blocks[-1] @ A.T) % p)
-    basis = np.concatenate(blocks[::-1], axis=1)
-    ncols = A.shape[0]
-    first = list(range(ncols))
-    last = list(range(ncols * (geom.length - 1), ncols * geom.length))
-    return _vector_to_config(params, geom.support(), _ends_witness(basis, first, last, p))
+    n, f = F.shape
+    blocks = [kernel[:, :n]]
+    for g in range(geom.length - 1):
+        z = kernel[:, n + f * g:n + f * (g + 1)]
+        blocks.append((blocks[-1] @ A.T + z @ F.T) % p)
+    R, _ = fp.mat_rref(np.concatenate(blocks[::-1], axis=1)[:, ::-1], p)
+    basis = R[:kernel.shape[0], ::-1][::-1]
+    return _vector_to_config(params, geom.support(), _ends_witness(basis, n, p))
 
 
-def _scan_family(params: CodeParams, geom: SegmentGeometry, l_max: int) -> list:
-    """``(nullspace_dim, nontrivial, witness)`` for lengths 2..l_max of one
-    strip family; ``witness`` is a callable building the witness config.
+def _scan_family(params: CodeParams, geom: SegmentGeometry, l_max: int):
+    """``(dims, nontrivial, (A, F, kernel))`` of one strip family: the
+    nullspace dimension and nontriviality at lengths 2..l_max, and what
+    ``_transfer_witness`` needs at the last nontrivial length.
 
-    The solutions of length l are fixed by their last column x, which
-    ranges over ``K_l = {x : v A^i x = 0 for i < l-1}``; the first column
-    is ``A^(l-1) x``.  So ``dim K_l`` is the nullspace dimension and the
-    segment is nontrivial iff ``A^(l-1) K_l != 0``.  A family whose pivot
-    block is rank deficient is solved densely at every length instead.
+    A length-l solution is fixed by the parameters (x_{l-1}, z_{l-2}, ...,
+    z_0) of ``strip_transfer``'s recursion, and distinct parameters give
+    distinct solutions, since z_g is part of x_g.  One length more puts the
+    constraint ``v x_0 = 0`` on the old first column and prepends the new
+    first column ``A x_0 + F z`` with z free: the kernel basis (rows, in
+    parameter coordinates) is cut by one nullspace and grows by an identity
+    block for z.  Its row count is the nullspace dimension, and the length
+    is nontrivial when the kernel's first and last columns are both nonzero.
+    Only the kernel of the last nontrivial length is kept.
     """
     p = params.p
-    try:
-        A, v = strip_transfer(params, geom)
-    except PivotError:
-        out = []
-        for length in range(2, l_max + 1):
-            sol = solve_segment(params, replace(geom, length=length))
-            out.append((sol.nullspace_dim, sol.nontrivial, lambda sol=sol: sol.witness))
-        return out
-    kernel = np.eye(A.shape[0], dtype=np.int64)  # basis of K_1, one vector per row
-    power = np.eye(A.shape[0], dtype=np.int64)   # A^(l-2)
-    out = []
-    for length in range(2, l_max + 1):
-        if kernel.shape[0]:
-            coeffs = fp.nullspace(((v @ power) % p @ kernel.T) % p, p)
-            kernel = (coeffs @ kernel) % p
-        power = (A @ power) % p
-        nontrivial = bool(((kernel @ power.T) % p).any())
-        out.append((kernel.shape[0], nontrivial,
-                    lambda g=replace(geom, length=length), k=kernel:
-                    _transfer_witness(params, g, A, k)))
-    return out
+    A, F, v = strip_transfer(params, geom)
+    n, f = F.shape
+    kernel = np.eye(n, dtype=np.int64)  # length 1: the parameters are x_0
+    first = kernel                      # each basis row's first column x_0
+    dims, nontrivial, last = [0] * (l_max - 1), [False] * (l_max - 1), None
+    for i in range(l_max - 1):  # length i + 2
+        if not kernel.shape[0]:
+            break  # then F has no columns, and no longer strip has a solution
+        coeffs = fp.nullspace((v @ first.T) % p, p)
+        first = np.concatenate([((coeffs @ first) % p @ A.T) % p, F.T])
+        cut = (coeffs @ kernel) % p
+        kernel = np.zeros((cut.shape[0] + f, cut.shape[1] + f), dtype=np.int64)
+        kernel[:cut.shape[0], :cut.shape[1]] = cut
+        kernel[cut.shape[0]:, cut.shape[1]:] = np.eye(f, dtype=np.int64)
+        dims[i] = kernel.shape[0]
+        nontrivial[i] = bool(first.any() and kernel[:, :n].any())
+        if nontrivial[i]:
+            last = kernel
+    return dims, nontrivial, (A, F, last)
 
 
 def check_scan_bounds(width: int, l_max: int | None = None) -> None:
@@ -365,8 +329,9 @@ def max_nontrivial_length(params: CodeParams, width: int, l_max: int | None = No
     the 2w length bounds.  Width-1 cornered strips have no admissible
     corner and come back empty.  Each strip family is decided at every
     length from one block elimination (``strip_transfer``); the report
-    equals the one ``solve_segment`` gives length by length.  Refuses
-    scans beyond ``MAX_STRIP_WIDTH`` or ``MAX_STRIP_LENGTH``.
+    equals the one ``reference.solve_segment`` gives length by length.
+    Refuses scans beyond ``MAX_STRIP_WIDTH`` or ``MAX_STRIP_LENGTH``, and
+    any ``kind`` but "flat" or "cornered".
     """
     check_scan_bounds(width, l_max)
     if l_max is None:
@@ -376,22 +341,16 @@ def max_nontrivial_length(params: CodeParams, width: int, l_max: int | None = No
     lengths = list(range(2, l_max + 1))
     families = [(geom, _scan_family(params, geom, l_max))
                 for geom in geometries(width, 2, kind)]
-    dims: dict[int, int] = {}
-    found: list[int] = []
-    if families:
-        for i, length in enumerate(lengths):
-            dims[length] = max(scan[i][0] for _, scan in families)
-            if any(scan[i][1] for _, scan in families):
-                found.append(length)
-    witness = None
-    witness_geom = None
-    max_len = max(found) if found else None
+    dims = {l: max(s[0][l - 2] for _, s in families) for l in lengths} if families else {}
+    found = [l for l in lengths if any(s[1][l - 2] for _, s in families)]
+    max_len = max(found, default=None)
+    witness = witness_geom = None
     if max_len is not None:
-        # as the length-by-length scan: the first nontrivial family at the last hit
-        i = max_len - 2
-        geom, scan = next((g, s) for g, s in families if s[i][1])
-        witness = scan[i][2]()
+        # as the length-by-length scan: the first nontrivial family at the
+        # last hit, which is that family's own last nontrivial length
+        geom, scan = next((g, s) for g, s in families if s[1][max_len - 2])
         witness_geom = replace(geom, length=max_len)
+        witness = _transfer_witness(params, witness_geom, *scan[2])
     return SegmentReport(
         width=width,
         kind=kind,

@@ -5,9 +5,13 @@ production modules and never the reverse, and ``qupitcube.cli`` never
 loads it; ``tests/test_reference.py`` checks both.  Each oracle, the
 production code it checks, and the tests that compare them:
 
+- ``solve_segment`` solves one strip geometry by a dense nullspace of
+  its whole constraint matrix.  Run at every length (``test_oracle.dense_scan``)
+  it checks each ``oracle.max_nontrivial_length`` report, witness
+  included, deformable or not (``test_oracle.test_transfer_scan_*``).
 - ``verify_witness`` rebuilds every anchor-avoiding cube generator as a
   configuration and tests commutation, independent of the constraint
-  matrix.  It checks the witnesses of ``oracle.solve_segment`` and
+  matrix.  It checks the witnesses of ``solve_segment`` and
   ``oracle.max_nontrivial_length``
   (``test_oracle.test_transfer_scan_*``,
   ``test_oracle.test_witness_reverification``,
@@ -16,10 +20,12 @@ production code it checks, and the tests that compare them:
   transfer blocks and compares it with a direct elimination and with the
   Krylov bound.  It checks ``oracle.strip_transfer``
   (``test_oracle.test_canonical_reduction_*``,
-  ``test_acceptance.test_criterion_08_*``).
+  ``test_acceptance.test_criterion_08_*``).  It raises ``PivotError`` when
+  the first column block is rank deficient (``F`` has columns), where
+  its rank formula does not hold.
 - ``width1_criterion`` sets the width-1 determinant test of
   ``conditions.minimal_string_determinants`` against
-  ``oracle.solve_segment`` (``test_oracle.test_width1_criterion_agreement``,
+  ``solve_segment`` (``test_oracle.test_width1_criterion_agreement``,
   ``test_acceptance.test_criterion_07_*``).
 - ``flatten_segment`` and ``is_stabilizer_combination`` deform a box
   configuration onto the kinked surface profile by in-box generators and
@@ -73,8 +79,9 @@ from .conditions import (
 )
 from .oracle import (
     SegmentGeometry,
+    _ends_witness,
+    _vector_to_config,
     build_segment_constraints,
-    solve_segment,
     strip_transfer,
 )
 
@@ -93,7 +100,34 @@ def verify_witness(params: CodeParams, geom: SegmentGeometry, witness: PauliConf
 
 
 # ---------------------------------------------------------------------------
+# Dense segment solver
+
+
+@dataclass
+class SegmentSolution:
+    """Verdict for one geometry: solution space size, nontriviality, and a witness."""
+
+    geometry: SegmentGeometry
+    nullspace_dim: int
+    nontrivial: bool
+    witness: PauliConfig | None
+
+
+def solve_segment(params: CodeParams, geom: SegmentGeometry) -> SegmentSolution:
+    """Solve the constraint system and decide nontriviality for one geometry."""
+    basis = fp.nullspace(build_segment_constraints(params, geom).matrix, params.p)
+    vec = _ends_witness(basis, 2 * len(geom.cross_section()), params.p)
+    witness = None if vec is None else _vector_to_config(params, geom.support(), vec)
+    return SegmentSolution(geom, basis.shape[0], vec is not None, witness)
+
+
+# ---------------------------------------------------------------------------
 # Canonical block reduction
+
+
+class PivotError(ValueError):
+    """Raised when block elimination meets a rank-deficient pivot block
+    (possible only when deformability fails)."""
 
 
 @dataclass
@@ -134,8 +168,11 @@ def canonical_reduction(params: CodeParams, width: int, length: int,
     """
     geom = SegmentGeometry(kind, width, length, orientation, corner_at)
     p = params.p
-    A, v = strip_transfer(params, geom)
+    A, F, v = strip_transfer(params, geom)
     ncols = A.shape[0]
+    if F.shape[1]:
+        raise PivotError(f"pivot block of the {kind} width-{width} strip "
+                         f"along axis {orientation[0]} has rank < {ncols}")
     krylov = [v]  # v A^i; the residual takes i < l-1, the Krylov stack i < 2w
     while len(krylov) < max(length - 1, ncols):
         krylov.append((krylov[-1] @ A) % p)

@@ -37,12 +37,12 @@ from qupitcube.oracle import (
     SegmentGeometry,
     build_segment_constraints,
     max_nontrivial_length,
-    solve_segment,
 )
 from qupitcube.reference import (
     canonical_reduction,
     enumerate_deformable,
     group_generators,
+    solve_segment,
     verify_witness,
     width1_criterion,
 )

@@ -72,6 +72,23 @@ def test_strings_d5_report_digest():
         assert hashlib.sha256(out.stdout.encode()).hexdigest() == digest
 
 
+def test_strings_rank_deficient_report_digests():
+    # sha256 of the stdout reports, pinned from the dense per-length solve
+    # of every family whose first column block is rank deficient
+    expected = {
+        ("1,0", "1,0", "1,0", "1,0"):
+            "20780c459a8bbcabd86b8abb551c023bf94306f88ab553b71b2155aa7a673c7c",
+        ("1,2", "1,1", "1,2", "1,1"):
+            "9b51ecb1c80f4a457e58cf378338416c6cf0aebfc98c3a39386223e023af904e",
+    }
+    for pairs, digest in expected.items():
+        flags = [f for name, pair in zip(("alpha", "beta", "gamma", "delta"), pairs)
+                 for f in (f"--{name}", pair)]
+        out = run_cli("strings", "--p", "3", *flags, "--wmax", "3")
+        assert out.returncode == 0
+        assert hashlib.sha256(out.stdout.encode()).hexdigest() == digest, pairs
+
+
 def test_usage_errors():
     assert run_cli("bogus").returncode == 2
     assert run_cli("scan").returncode == 2                      # missing --p

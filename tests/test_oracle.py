@@ -6,27 +6,27 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qupitcube import fp
+from qupitcube import fp, oracle
 from qupitcube.codes import CodeParams, PauliConfig, d3_code, d5_code, generator_config
 from qupitcube.conditions import PrerequisiteError, base_matrix, rel_transition
 from qupitcube.oracle import (
     DegenerateGeometryError,
-    PivotError,
     SegmentGeometry,
     SegmentReport,
     build_segment_constraints,
     geometries,
     max_nontrivial_length,
-    solve_segment,
     strip_transfer,
 )
 from qupitcube.reference import (
     FlattenError,
+    PivotError,
     canonical_reduction,
     flatten_segment,
     in_box_cubes,
     is_stabilizer_combination,
     kink_profile,
+    solve_segment,
     verify_witness,
     width1_criterion,
 )
@@ -163,14 +163,13 @@ def test_transfer_scan_matches_dense_solver():
     assert witnesses >= 10
 
 
-def test_transfer_scan_falls_back_per_family():
-    def pivot_fails(code, geom):
-        try:
-            strip_transfer(code, geom)
-        except PivotError:
-            return True
-        return False
+def pivot_fails(code, geom):
+    """True when the family's first column block is rank deficient, so its
+    transfer recursion has free columns ``z_g``."""
+    return strip_transfer(code, geom)[1].shape[1] > 0
 
+
+def test_transfer_scan_handles_rank_deficient_pivot_blocks():
     mixed = CodeParams(3, (1, 2), (1, 1), (1, 2), (1, 1))
     degenerate = CodeParams(2, (1, 0), (1, 0), (1, 0), (1, 0))
     fails = {code: [pivot_fails(code, g) for g in geometries(2, 2, "flat")]
@@ -181,6 +180,62 @@ def test_transfer_scan_falls_back_per_family():
         for w in (1, 2):
             for kind in ("flat", "cornered"):
                 assert_scan_matches_dense(code, w, kind, l_max=7)
+
+
+def test_transfer_scan_matches_dense_solver_on_rank_deficient_tuples():
+    # the witness must be canonicalised to fp.nullspace's basis to match
+    # the dense solver on these three
+    for code, kind in ((CodeParams(2, (0, 1), (0, 1), (0, 1), (0, 1)), "flat"),
+                       (CodeParams(2, (0, 1), (0, 1), (0, 1), (0, 1)), "cornered"),
+                       (CodeParams(3, (0, 2), (0, 1), (0, 2), (0, 1)), "cornered")):
+        assert_scan_matches_dense(code, 2, kind, l_max=7)
+    rng = random.Random(97)
+    checked = witnesses = 0
+    while checked < 24:
+        p = rng.choice((2, 3, 5))
+        code = random_code(rng, p)
+        w = rng.choice((1, 2))
+        kind = "flat" if w == 1 else rng.choice(("flat", "cornered"))
+        if not any(pivot_fails(code, g) for g in geometries(w, 2, kind)):
+            continue
+        witnesses += assert_scan_matches_dense(code, w, kind, l_max=7).witness is not None
+        checked += 1
+    assert witnesses >= 12
+
+
+def test_scan_builds_one_constraint_system_per_family(monkeypatch):
+    calls = []
+    build = oracle.build_segment_constraints
+
+    def counting(params, geom):
+        calls.append(geom)
+        return build(params, geom)
+
+    monkeypatch.setattr(oracle, "build_segment_constraints", counting)
+    code = CodeParams(3, (1, 0), (1, 0), (1, 0), (1, 0))
+    for w, kind in ((1, "flat"), (2, "flat"), (3, "cornered")):
+        calls.clear()
+        rpt = max_nontrivial_length(code, w, kind=kind)
+        families = geometries(w, 2, kind)
+        assert rpt.max_nontrivial_length is not None
+        assert calls == families
+
+
+def test_scan_needs_both_end_columns(monkeypatch):
+    # a recursion whose solutions all vanish on the last column: v forces
+    # x_{g+1} = 0 while the free columns z_g fill the first one
+    eye, zero = np.eye(2, dtype=np.int64), np.zeros((2, 2), dtype=np.int64)
+    monkeypatch.setattr(oracle, "strip_transfer", lambda params, geom: (zero, eye, eye))
+    dims, nontrivial, _ = oracle._scan_family(d3_code(), SegmentGeometry("flat", 1, 2), 5)
+    assert dims == [2, 2, 2, 2] and not any(nontrivial)
+
+
+def test_scan_refuses_unknown_kinds():
+    for kind in ("flta", "both", ""):
+        with pytest.raises(ValueError, match="kind must be"):
+            max_nontrivial_length(d5_code(), 2, kind=kind)
+        with pytest.raises(ValueError, match="kind must be"):
+            geometries(2, 3, kind)
 
 
 def test_width1_cornered_scan_is_empty():
