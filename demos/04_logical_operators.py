@@ -13,10 +13,10 @@ from qupitcube import (
     d5_code,
     encoded_qudit_count,
     logical_commutation_table,
-    planar_census,
     product_of_all_generators,
 )
-from qupitcube.logical import census_operators, encoded_qudit_table
+from qupitcube.logical import encoded_qudit_table
+from qupitcube.reference import census_operators, planar_census
 
 code = d3_code("A")
 

@@ -12,12 +12,10 @@ package does not import.
 from .codes import (
     CodeParams,
     PauliConfig,
-    commutation_exponent,
     build_generator,
     generator_config,
     d3_code,
     d5_code,
-    inversion_image,
     load_params,
     symplectic_product,
     verify_translation_commutation,
@@ -44,11 +42,8 @@ from .classify import (
 )
 from .logical import (
     TorusCode,
-    build_planar_operator,
     encoded_qudit_count,
-    is_logical,
     logical_commutation_table,
-    planar_census,
     product_of_all_generators,
 )
 from .algebra import (

@@ -28,6 +28,8 @@ codes at every odd p.
 
 from __future__ import annotations
 
+import functools
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -337,10 +339,13 @@ def inversion_conjugate(P: OperatorSum, center) -> OperatorSum:
 # Identity verifiers used by the CLI and the acceptance suite
 
 
+@functools.cache
 def verify_commutation_law(p: int, trials: int = 200, seed: int = 7) -> bool:
-    """u v = v u omega^<u, v> on random two-site (x, z, phase) keys."""
-    import random
+    """u v = v u omega^<u, v> on random two-site (x, z, phase) keys.
 
+    The verdict depends only on the arguments, so each process computes
+    it once per argument list; ``cache_clear()`` forgets the verdicts.
+    """
     p = _check_odd_prime(p, MAX_ALGEBRA_MODULUS)
     products = _Products(p)
     rng = random.Random(seed)

@@ -10,6 +10,7 @@ checked property failed, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -79,7 +80,9 @@ def _resolve_code(args, parser: argparse.ArgumentParser) -> CodeParams:
         parser.error(str(e))
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing never changes it."""
     parser = argparse.ArgumentParser(prog="qupitcube",
                                      description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)

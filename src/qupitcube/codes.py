@@ -293,19 +293,26 @@ def generator_rows(params: CodeParams, cubes, index, n_sites: int) -> np.ndarray
     return M % params.p
 
 
-def commutation_exponent(a: PauliConfig, b: PauliConfig) -> int:
-    """Exponent e with A B = B A omega^e, summed over shared sites."""
-    a._check_compatible(b)
-    small, big = (a, b) if len(a.support) <= len(b.support) else (b, a)
-    e = 0
-    for site, pair in small.support.items():
-        other = big.support.get(site)
-        if other is not None:
-            e += pair[0] * other[1] - pair[1] * other[0]
-    e %= a.p
-    if small is b:
-        e = (-e) % a.p
-    return e
+def translation_exponents(g: PauliConfig, offsets) -> list[int]:
+    """Commutation exponent e_o with G T_o(G) = T_o(G) G omega^e_o, per offset o.
+
+    The translate T_o(G) holds at site s what G holds at s - o (folded on
+    a torus), so each exponent is read off G's own support and no shifted
+    copy is built.
+    """
+    p, dims, support = g.p, g.dims, g.support
+    out = []
+    for ox, oy, oz in offsets:
+        e = 0
+        for (x, y, z), (ax, az) in support.items():
+            q = (x - ox, y - oy, z - oz)
+            if dims is not None:
+                q = (q[0] % dims[0], q[1] % dims[1], q[2] % dims[2])
+            b = support.get(q)
+            if b is not None:
+                e += ax * b[1] - az * b[0]
+        out.append(e % p)
+    return out
 
 
 def verify_translation_commutation(params: CodeParams,
@@ -317,12 +324,8 @@ def verify_translation_commutation(params: CodeParams,
     generators further apart never overlap.
     """
     base = generator_config(params, scale_override=scale_override)
-    bad = []
-    for off in NEIGHBOR_OFFSETS:
-        e = commutation_exponent(base, base.shift(off))
-        if e != 0:
-            bad.append((off, e))
-    return bad
+    exponents = translation_exponents(base, NEIGHBOR_OFFSETS)
+    return [(off, e) for off, e in zip(NEIGHBOR_OFFSETS, exponents) if e != 0]
 
 
 def doubled_center(center) -> list[int]:
@@ -334,27 +337,6 @@ def doubled_center(center) -> list[int]:
             raise InvalidCenterError(f"centre component {comp} is not a half-integer")
         c2.append(int(round(doubled)))
     return c2
-
-
-def inversion_image(config: PauliConfig, center) -> PauliConfig:
-    """Reflect a configuration through a lattice or dual-lattice centre.
-
-    ``center`` components may be integers or half-integers.  Pairs are
-    carried unchanged; only sites move (site -> 2*center - site).  On a
-    torus, a half-integer component along an odd-length axis is rejected:
-    such a reflection has a fixed site under wrap and cannot pair the
-    lattice consistently.
-    """
-    c2 = doubled_center(center)
-    if config.dims is not None:
-        for axis, L in enumerate(config.dims):
-            if L % 2 == 1 and c2[axis] % 2 == 1:
-                raise InvalidCenterError(
-                    f"dual-lattice inversion along axis {axis} is misaligned on odd length {L}")
-    out = PauliConfig(config.p, config.dims)
-    for (x, y, z), pair in config.support.items():
-        out.add((c2[0] - x, c2[1] - y, c2[2] - z), pair)
-    return out
 
 
 # Reference codes used throughout the tests and narrative examples.

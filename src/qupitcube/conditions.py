@@ -11,6 +11,11 @@ A code admits no width-1 string segment in a given direction when
 det(T - T^-1) != 0 for that direction's transition matrix, and no string
 of any width when additionally all squared symplectic products of
 complementary pairings differ.
+
+Every matrix here is 2x2, so the matrix algebra is written out in
+closed form on ints (``det2``, ``inv2``, ``mul2``, ``sub2``); the general
+eliminations ``reference.mat_det`` and ``reference.mat_inverse`` are
+their test oracles.
 """
 
 from __future__ import annotations
@@ -22,6 +27,10 @@ import numpy as np
 
 from . import fp
 from .codes import CodeParams, Pair, symplectic_product
+
+
+# A 2x2 matrix over F_p as rows of ints.
+Mat2 = tuple[tuple[int, int], tuple[int, int]]
 
 
 class SingularDenominatorError(ValueError):
@@ -47,9 +56,52 @@ WIDTH1_TRANSITIONS = (
 PAIRINGS = (((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2)))
 
 
+def det2(m: Mat2, p: int) -> int:
+    """Determinant ad - bc of a 2x2 matrix ((a, b), (c, d)) over F_p."""
+    (a, b), (c, d) = m
+    return (a * d - b * c) % p
+
+
+def inv2(m: Mat2, p: int) -> Mat2:
+    """Inverse of a 2x2 matrix over F_p: the adjugate over the determinant.
+
+    Raises fp.SingularMatrixError when the determinant vanishes mod p.
+    """
+    det = det2(m, p)
+    if det == 0:
+        raise fp.SingularMatrixError(f"matrix is singular mod {p}")
+    s = pow(det, -1, p)
+    (a, b), (c, d) = m
+    return ((d * s % p, -b * s % p), (-c * s % p, a * s % p))
+
+
+def mul2(m: Mat2, n: Mat2, p: int) -> Mat2:
+    """Product of two 2x2 matrices over F_p."""
+    (a, b), (c, d) = m
+    (e, f), (g, h) = n
+    return (((a * e + b * g) % p, (a * f + b * h) % p),
+            ((c * e + d * g) % p, (c * f + d * h) % p))
+
+
+def sub2(m: Mat2, n: Mat2, p: int) -> Mat2:
+    """Difference of two 2x2 matrices over F_p."""
+    return tuple(tuple((x - y) % p for x, y in zip(mr, nr)) for mr, nr in zip(m, n))
+
+
+def _base(a: Pair, c: Pair, p: int) -> Mat2:
+    return ((a[0] % p, -a[1] % p), (c[0] % p, -c[1] % p))
+
+
+def _transition(num: tuple[Pair, Pair], den: tuple[Pair, Pair], p: int) -> Mat2:
+    if symplectic_product(den[0], den[1], p) == 0:
+        raise SingularDenominatorError(
+            f"denominator pairs {den} are proportional mod {p}")
+    return mul2(inv2(_base(*den, p), p), _base(*num, p), p)
+
+
 def base_matrix(a: Pair, c: Pair, p: int) -> np.ndarray:
     """[[a1, -a2], [c1, -c2]] mod p."""
-    return np.array([[a[0], -a[1]], [c[0], -c[1]]], dtype=np.int64) % p
+    return np.array(_base(a, c, p), dtype=np.int64)
 
 
 def rel_transition(num: tuple[Pair, Pair], den: tuple[Pair, Pair], p: int) -> np.ndarray:
@@ -58,12 +110,7 @@ def rel_transition(num: tuple[Pair, Pair], den: tuple[Pair, Pair], p: int) -> np
     Requires <den[0], den[1]> != 0; raises SingularDenominatorError
     otherwise.
     """
-    if symplectic_product(den[0], den[1], p) == 0:
-        raise SingularDenominatorError(
-            f"denominator pairs {den} are proportional mod {p}")
-    den_m = base_matrix(den[0], den[1], p)
-    num_m = base_matrix(num[0], num[1], p)
-    return fp.mat_mul(fp.mat_inverse(den_m, p), num_m, p)
+    return np.array(_transition(num, den, p), dtype=np.int64)
 
 
 def check_deformability(params: CodeParams) -> bool:
@@ -74,23 +121,17 @@ def check_deformability(params: CodeParams) -> bool:
     )
 
 
-def width1_matrices(params: CodeParams) -> list[np.ndarray]:
+def width1_matrices(params: CodeParams) -> list[Mat2]:
     """The three direction transition matrices entering the width-1 test."""
     pairs = params.pairs
-    out = []
-    for (n0, n1), (d0, d1) in WIDTH1_TRANSITIONS:
-        out.append(rel_transition((pairs[n0], pairs[n1]), (pairs[d0], pairs[d1]), params.p))
-    return out
+    return [_transition((pairs[n0], pairs[n1]), (pairs[d0], pairs[d1]), params.p)
+            for (n0, n1), (d0, d1) in WIDTH1_TRANSITIONS]
 
 
 def minimal_string_determinants(params: CodeParams) -> list[int]:
     """det(T - T^-1) for each of the three direction matrices."""
     p = params.p
-    dets = []
-    for T in width1_matrices(params):
-        diff = (T - fp.mat_inverse(T, p)) % p
-        dets.append(fp.mat_det(diff, p))
-    return dets
+    return [det2(sub2(T, inv2(T, p), p), p) for T in width1_matrices(params)]
 
 
 def check_no_minimal_string(params: CodeParams) -> tuple[bool, bool, bool]:
@@ -201,11 +242,10 @@ def corner_determinant_check(params: CodeParams) -> dict:
     a, b, g, d = params.pairs
     zero: Pair = (0, 0)
     den = (g, a)
-    t_d0 = rel_transition((d, zero), den, p)
-    t_bd = rel_transition((b, d), den, p)
-    t_a0 = rel_transition((a, zero), den, p)
-    t_int = (t_d0 - fp.mat_mul(t_bd, t_a0, p)) % p
-    det = fp.mat_det(t_int, p)
+    t_d0 = _transition((d, zero), den, p)
+    t_bd = _transition((b, d), den, p)
+    t_a0 = _transition((a, zero), den, p)
+    det = det2(sub2(t_d0, mul2(t_bd, t_a0, p), p), p)
     ag = symplectic_product(a, g, p)
     ad = symplectic_product(a, d, p)
     da = symplectic_product(d, a, p)

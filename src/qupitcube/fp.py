@@ -56,11 +56,6 @@ def fp_inv(x: int, p: int) -> int:
     return pow(x, -1, p)
 
 
-def mat_mul(A, B, p: int) -> np.ndarray:
-    """Exact matrix product mod p."""
-    return (normalize(A, p) @ normalize(B, p)) % p
-
-
 def mat_rref(M, p: int, n_pivot_cols: int | None = None) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form of ``M`` over F_p.
 
@@ -112,49 +107,11 @@ def nullspace(M, p: int) -> np.ndarray:
     if m == 0:
         return np.eye(n, dtype=np.int64)
     R, pivot_cols = mat_rref(M, p)
-    free_cols = [c for c in range(n) if c not in set(pivot_cols)]
+    pivots = set(pivot_cols)
+    free_cols = [c for c in range(n) if c not in pivots]
     basis = np.zeros((len(free_cols), n), dtype=np.int64)
     for k, f in enumerate(free_cols):
         basis[k, f] = 1
         for i, c in enumerate(pivot_cols):
             basis[k, c] = (-R[i, f]) % p
     return basis
-
-
-def mat_det(M, p: int) -> int:
-    """Determinant of a square matrix over F_p."""
-    A = normalize(M, p).copy()
-    m, n = A.shape
-    if m != n:
-        raise ValueError(f"determinant needs a square matrix, got {m}x{n}")
-    det = 1
-    for c in range(n):
-        nz = np.nonzero(A[c:, c])[0]
-        if nz.size == 0:
-            return 0
-        pr = c + int(nz[0])
-        if pr != c:
-            A[[c, pr]] = A[[pr, c]]
-            det = (-det) % p
-        piv = int(A[c, c])
-        det = (det * piv) % p
-        inv = fp_inv(piv, p)
-        below = np.nonzero(A[c + 1:, c])[0]
-        if below.size:
-            rows = c + 1 + below
-            factors = (A[rows, c] * inv) % p
-            A[rows] = (A[rows] - np.outer(factors, A[c])) % p
-    return det
-
-
-def mat_inverse(M, p: int) -> np.ndarray:
-    """Inverse of a square matrix over F_p.  Raises SingularMatrixError."""
-    M = normalize(M, p)
-    m, n = M.shape
-    if m != n:
-        raise ValueError(f"inverse needs a square matrix, got {m}x{n}")
-    aug = np.concatenate([M, np.eye(n, dtype=np.int64)], axis=1)
-    R, pivot_cols = mat_rref(aug, p)
-    if pivot_cols[:n] != list(range(n)):
-        raise SingularMatrixError(f"matrix is singular mod {p}")
-    return R[:, n:]

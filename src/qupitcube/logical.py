@@ -14,12 +14,20 @@ the label diagonal to alpha inherits the inversion sign of the code.
 The four unit translates of the tile are the base patterns; products of
 translate pairs stay periodic across one odd direction, and the product
 of all four is uniform, giving the 4 / 2 / 1 census by the parities of
-the two in-plane dimensions.
+the two in-plane dimensions.  The census keeps each candidate as an
+L_u x L_v array of pairs on the plane, and decides all nine of one tile
+alignment at once from their syndromes on the only two cube layers that
+touch the plane; only the operators it counts become configurations.
+
+Commutation on a torus is read off the origin generator: its exponent
+with each translate comes from its own support (``check_abelian``).  The
+slower constructions these are checked against (``is_logical`` over the
+whole torus, ``build_planar_operator``, the 26 shifted copies) live in
+``qupitcube.reference``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
@@ -33,9 +41,9 @@ from .codes import (
     add_pairs,
     build_generator,
     check_dims,
-    commutation_exponent,
     generator_config,
     generator_rows,
+    translation_exponents,
 )
 
 # Largest torus.  k comes from a sweep along the longest side, whose
@@ -76,8 +84,7 @@ class TorusCode:
             g = generator_config(self.params, dims=self.dims)
             offsets = {tuple(o % L for o, L in zip(off, self.dims))
                        for off in NEIGHBOR_OFFSETS}
-            self._abelian = all(commutation_exponent(g, g.shift(o)) == 0
-                                for o in sorted(offsets))
+            self._abelian = not any(translation_exponents(g, sorted(offsets)))
         return self._abelian
 
     @property
@@ -129,38 +136,6 @@ def _left_kernel_dim(params: CodeParams, dims: Site) -> int:
     return h + len(Q) - fp.mat_rank(Q[:, :m] - Q[:, m:], p)
 
 
-def is_logical(config: PauliConfig, torus: TorusCode) -> bool:
-    """True when the configuration commutes with every cube generator.
-
-    The syndrome at cube c sums, over the cube's vertices u, the
-    symplectic product of the label at u with the config at c + u, so it
-    is a sum of the config array rolled by -u.
-    """
-    p, dims = torus.params.p, torus.dims
-    C = np.zeros((*dims, 2), dtype=np.int64)
-    for site, pair in config.support.items():
-        C[tuple(c % L for c, L in zip(site, dims))] = pair
-    e = np.zeros(dims, dtype=np.int64)
-    for u, (lx, lz) in build_generator(torus.params).items():
-        shifted = np.roll(C, tuple(-c for c in u), axis=(0, 1, 2))
-        e += lx * shifted[..., 1] - lz * shifted[..., 0]
-    return not (e % p).any()
-
-
-@dataclass(frozen=True)
-class PlanarPattern:
-    """A tiled plane through the origin: normal axis, tile translation, transpose."""
-
-    normal_axis: int
-    translation: tuple[int, int] = (0, 0)
-    transpose: bool = False
-
-    @property
-    def plane_axes(self) -> tuple[int, int]:
-        u, v = [a for a in range(3) if a != self.normal_axis]
-        return (u, v)
-
-
 def face_tile(params: CodeParams, normal_axis: int) -> dict[tuple[int, int], tuple]:
     """Tile entries from the zero-side face of the cube generator.
 
@@ -177,50 +152,85 @@ def face_tile(params: CodeParams, normal_axis: int) -> dict[tuple[int, int], tup
     return tile
 
 
-def build_planar_operator(params: CodeParams, pattern: PlanarPattern, dims) -> tuple[PauliConfig, bool]:
-    """Tile a plane of the torus with the pattern.
+def _plane_syndromes(params: CodeParams, normal: int, planes: np.ndarray) -> np.ndarray:
+    """Syndromes of configurations supported on the site layer 0 along ``normal``.
 
-    Labels are assigned by absolute coordinate parity, so on a plane with
-    an odd dimension the wrap breaks the periodicity; the returned flag
-    reports such a seam (the configuration itself is still well formed).
+    ``planes`` is (k, L_u, L_v, 2).  Only the cube layers 0 and -1 touch
+    that site layer, layer 0 through its vertices with offset 0 along
+    ``normal`` and layer -1 through those with offset 1, so the whole
+    syndrome is (2, k, L_u, L_v).  At cube c it sums the symplectic
+    product of each such vertex's label with the plane at c + vertex, so
+    it is a sum of the plane arrays rolled by -vertex.
     """
-    dims = check_dims(dims)
-    u, v = pattern.plane_axes
-    tile = face_tile(params, pattern.normal_axis)
-    cfg = PauliConfig(params.p, dims)
-    ta, tb = pattern.translation
-    for cu in range(dims[u]):
-        for cv in range(dims[v]):
-            a, b = (cu + ta) % 2, (cv + tb) % 2
-            if pattern.transpose:
-                a, b = b, a
-            site = [0, 0, 0]
-            site[u] = cu
-            site[v] = cv
-            cfg.add(tuple(site), tile[(a, b)])
-    seam = dims[u] % 2 == 1 or dims[v] % 2 == 1
-    return cfg, seam
+    u, v = [a for a in range(3) if a != normal]
+    out = np.zeros((2, *planes.shape[:-1]), dtype=np.int64)
+    for vert, (lx, lz) in build_generator(params).items():
+        shifted = np.roll(planes, (-vert[u], -vert[v]), axis=(1, 2))
+        out[vert[normal]] += lx * shifted[..., 1] - lz * shifted[..., 0]
+    return out % params.p
+
+
+def _plane_config(torus: TorusCode, normal: int, plane: np.ndarray) -> PauliConfig:
+    """The (L_u, L_v, 2) plane array as a configuration on site layer 0."""
+    u, v = [a for a in range(3) if a != normal]
+    support = {}
+    for cu, row in enumerate(plane.tolist()):
+        for cv, pair in enumerate(row):
+            if pair != [0, 0]:
+                site = [0, 0, 0]
+                site[u], site[v] = cu, cv
+                support[tuple(site)] = tuple(pair)
+    return PauliConfig(torus.params.p, torus.dims, support)
+
+
+def _census_candidates(params: CodeParams, dims: Site, normal: int,
+                       transpose: bool) -> np.ndarray:
+    """The nine census candidates of one tile alignment, as (9, L_u, L_v, 2).
+
+    A tiling labels each site of the plane through the origin by its
+    in-plane coordinate parities, shifted by a translation (ta, tb) in
+    {0, 1}^2 and swapped when ``transpose`` is set.  Candidates 0-3 are
+    the four translated tilings, 4-7 the paper pairing of translate
+    products (periodic across one direction), and 8 the product of all
+    four (uniform); products are sitewise sums mod p.
+    """
+    p = params.p
+    u, v = [a for a in range(3) if a != normal]
+    tile = face_tile(params, normal)
+    tile = np.array([[tile[(0, 0)], tile[(0, 1)]], [tile[(1, 0)], tile[(1, 1)]]],
+                    dtype=np.int64)
+    cu = np.arange(dims[u])[:, None]
+    cv = np.arange(dims[v])[None, :]
+    base = []
+    for ta, tb in ((0, 0), (1, 0), (0, 1), (1, 1)):
+        a, b = (cu + ta) % 2, (cv + tb) % 2
+        base.append(tile[b, a] if transpose else tile[a, b])
+    base = np.array(base)
+    pairs = (base[[0, 2, 0, 1]] + base[[1, 3, 2, 3]]) % p
+    return np.concatenate([base, pairs, (pairs[:1] + pairs[1:2]) % p])
+
+
+CENSUS_TIERS = (("base", (0, 1, 2, 3)), ("pair-products", (4, 5, 6, 7)),
+                ("full-product", (8,)))
 
 
 def _census_tier(torus: TorusCode, normal: int) -> tuple[dict, list[PauliConfig]]:
     """The first tier with a logical, nonempty configuration, and its operators.
 
-    Tier order: the four translated tilings, then the paper pairing of
-    translate products (periodic across one direction), then the product
-    of all four (uniform).  The plain tile alignment is tried before the
-    transposed one.
+    Tiers run through ``CENSUS_TIERS`` in order, the plain tile alignment
+    before the transposed one.  The nine candidates of an alignment get
+    their syndromes in one batch, and only the counted ones become
+    configurations.
     """
     for transpose in (False, True):
-        built = [build_planar_operator(torus.params, PlanarPattern(normal, t, transpose),
-                                       torus.dims)[0]
-                 for t in ((0, 0), (1, 0), (0, 1), (1, 1))]
-        pairs = [built[0].mul(built[1]), built[2].mul(built[3]),
-                 built[0].mul(built[2]), built[1].mul(built[3])]
-        for tier, configs in (("base", built), ("pair-products", pairs),
-                              ("full-product", [pairs[0].mul(pairs[1])])):
-            ok = [cfg for cfg in configs if not cfg.is_identity() and is_logical(cfg, torus)]
+        candidates = _census_candidates(torus.params, torus.dims, normal, transpose)
+        logical = ~_plane_syndromes(torus.params, normal, candidates).any(axis=(0, 2, 3))
+        good = logical & candidates.any(axis=(1, 2, 3))
+        for tier, indices in CENSUS_TIERS:
+            ok = [k for k in indices if good[k]]
             if ok:
-                return {"count": len(ok), "tier": tier, "transpose": transpose}, ok
+                return ({"count": len(ok), "tier": tier, "transpose": transpose},
+                        [_plane_config(torus, normal, candidates[k]) for k in ok])
     return {"count": 0, "tier": None, "transpose": None}, []
 
 
@@ -239,16 +249,6 @@ def plane_census(torus: TorusCode) -> dict[str, tuple[dict, list[PauliConfig]]]:
         entry["in_plane_dims"] = (torus.dims[u], torus.dims[v])
         out[f"normal_{'xyz'[normal]}"] = (entry, ops)
     return out
-
-
-def planar_census(torus: TorusCode) -> dict:
-    """Count valid plane-operator constructions for each orientation."""
-    return {name: entry for name, (entry, _) in plane_census(torus).items()}
-
-
-def census_operators(torus: TorusCode, normal: int) -> list[PauliConfig]:
-    """The logical plane operators the census counts for one orientation."""
-    return _census_tier(torus, normal)[1]
 
 
 def product_of_all_generators(torus: TorusCode) -> PauliConfig:
@@ -289,10 +289,21 @@ def encoded_qudit_table(params: CodeParams, sizes=range(2, 5)) -> dict[Site, int
 
 
 def logical_commutation_table(configs: list[PauliConfig]) -> np.ndarray:
-    """Pairwise commutation exponents; antisymmetric with zero diagonal."""
-    n = len(configs)
-    out = np.zeros((n, n), dtype=np.int64)
-    for i in range(n):
-        for j in range(n):
-            out[i, j] = commutation_exponent(configs[i], configs[j])
-    return out
+    """Pairwise commutation exponents; antisymmetric with zero diagonal.
+
+    Entry (i, j) is e with C_i C_j = C_j C_i omega^e: the configurations
+    become rows over the union of their sites, and e is X Z^T - Z X^T.
+    """
+    if not configs:
+        return np.zeros((0, 0), dtype=np.int64)
+    index: dict[Site, int] = {}
+    for cfg in configs:
+        configs[0]._check_compatible(cfg)
+        for site in cfg.support:
+            index.setdefault(site, len(index))
+    V = np.zeros((len(configs), len(index), 2), dtype=np.int64)
+    for k, cfg in enumerate(configs):
+        if cfg.support:
+            V[k, [index[site] for site in cfg.support]] = list(cfg.support.values())
+    X, Z = V[..., 0], V[..., 1]
+    return (X @ Z.T - Z @ X.T) % configs[0].p

@@ -51,6 +51,36 @@ production code it checks, and the tests that compare them:
   ``test_fp.test_divisibility_chain_and_krylov_independence``,
   ``test_fp.test_poly_division``, ``test_fp.test_solve_consistency``,
   ``test_acceptance.test_criterion_12a_*``).
+- ``mat_mul``, ``mat_det`` and ``mat_inverse`` are dense products and
+  eliminations of any square size.  They check the closed-form 2x2
+  ``conditions.det2``, ``inv2`` and ``mul2``
+  (``test_conditions.test_closed_form_2x2_helpers_match_dense_oracles``)
+  and the transition identities (``test_conditions``,
+  ``test_acceptance.test_criterion_12b_*``, ``test_fp``).
+- ``commutation_exponent`` sums the symplectic form over the shared
+  sites of two configurations; ``verify_witness`` uses it.
+  ``translation_exponents_by_shift`` applies it to shifted copies of a
+  generator.  Together they check ``codes.translation_exponents``,
+  ``codes.verify_translation_commutation``,
+  ``logical.TorusCode.check_abelian`` and
+  ``logical.logical_commutation_table``
+  (``test_codes.test_translation_exponents_match_shifted_copies``,
+  ``test_logical.test_census_candidates_match_planar_operators``,
+  ``test_logical.test_census_operators_reverify_per_generator``).
+- ``inversion_image`` reflects a configuration through a (half-)lattice
+  centre.  It checks the inversion symmetry that
+  ``codes.build_generator`` builds in (``test_codes.test_inversion_*``,
+  ``test_codes.test_generator_inversion_invariant``).
+- ``is_logical`` takes the syndrome on the whole torus, and
+  ``build_planar_operator`` (with ``PlanarPattern``) tiles one plane
+  as a configuration, one site at a time.  They check the census
+  candidates that ``logical._census_tier`` builds as plane arrays and
+  judges on the two cube layers touching the plane
+  (``test_logical.test_census_candidates_match_planar_operators``,
+  ``test_logical.test_is_logical_matches_dense_syndrome``).
+  ``planar_census`` and ``census_operators`` are views of
+  ``logical.plane_census`` and ``logical._census_tier`` for the tests
+  and demo 04 (``test_logical``, ``test_acceptance.test_criterion_09_*``).
 """
 
 from __future__ import annotations
@@ -63,11 +93,14 @@ from . import fp
 from .classify import Tuple4
 from .codes import (
     CodeParams,
+    InvalidCenterError,
     Pair,
     PauliConfig,
     Site,
-    commutation_exponent,
+    build_generator,
+    check_dims,
     cubes_touching,
+    doubled_center,
     generator_config,
     generator_rows,
     symplectic_product,
@@ -77,6 +110,7 @@ from .conditions import (
     check_deformability,
     minimal_string_determinants,
 )
+from .logical import TorusCode, _census_tier, face_tile, plane_census
 from .oracle import (
     SegmentGeometry,
     _ends_witness,
@@ -458,6 +492,55 @@ def orbit(t: Tuple4, p: int) -> set[Tuple4]:
 
 
 # ---------------------------------------------------------------------------
+# Dense square matrices over F_p
+
+
+def mat_mul(A, B, p: int) -> np.ndarray:
+    """Exact matrix product mod p."""
+    return (fp.normalize(A, p) @ fp.normalize(B, p)) % p
+
+
+
+def mat_det(M, p: int) -> int:
+    """Determinant of a square matrix over F_p."""
+    A = fp.normalize(M, p).copy()
+    m, n = A.shape
+    if m != n:
+        raise ValueError(f"determinant needs a square matrix, got {m}x{n}")
+    det = 1
+    for c in range(n):
+        nz = np.nonzero(A[c:, c])[0]
+        if nz.size == 0:
+            return 0
+        pr = c + int(nz[0])
+        if pr != c:
+            A[[c, pr]] = A[[pr, c]]
+            det = (-det) % p
+        piv = int(A[c, c])
+        det = (det * piv) % p
+        inv = fp.fp_inv(piv, p)
+        below = np.nonzero(A[c + 1:, c])[0]
+        if below.size:
+            rows = c + 1 + below
+            factors = (A[rows, c] * inv) % p
+            A[rows] = (A[rows] - np.outer(factors, A[c])) % p
+    return det
+
+
+def mat_inverse(M, p: int) -> np.ndarray:
+    """Inverse of a square matrix over F_p.  Raises SingularMatrixError."""
+    M = fp.normalize(M, p)
+    m, n = M.shape
+    if m != n:
+        raise ValueError(f"inverse needs a square matrix, got {m}x{n}")
+    aug = np.concatenate([M, np.eye(n, dtype=np.int64)], axis=1)
+    R, pivot_cols = fp.mat_rref(aug, p)
+    if pivot_cols[:n] != list(range(n)):
+        raise fp.SingularMatrixError(f"matrix is singular mod {p}")
+    return R[:, n:]
+
+
+# ---------------------------------------------------------------------------
 # Linear solve and polynomials over F_p (coefficient lists, lowest degree
 # first, trimmed so the leading coefficient is nonzero; zero is ``[0]``)
 
@@ -612,3 +695,119 @@ def matrix_min_poly(T, p: int) -> list[int]:
         if poly_deg(m) == n:
             break
     return m
+
+
+# ---------------------------------------------------------------------------
+# Pauli configurations: commutation, translates, inversion
+
+
+def commutation_exponent(a: PauliConfig, b: PauliConfig) -> int:
+    """Exponent e with A B = B A omega^e, summed over shared sites."""
+    a._check_compatible(b)
+    small, big = (a, b) if len(a.support) <= len(b.support) else (b, a)
+    e = 0
+    for site, pair in small.support.items():
+        other = big.support.get(site)
+        if other is not None:
+            e += pair[0] * other[1] - pair[1] * other[0]
+    e %= a.p
+    if small is b:
+        e = (-e) % a.p
+    return e
+
+
+def translation_exponents_by_shift(g: PauliConfig, offsets) -> list[int]:
+    """``codes.translation_exponents`` from shifted copies of ``g``."""
+    return [commutation_exponent(g, g.shift(o)) for o in offsets]
+
+
+def inversion_image(config: PauliConfig, center) -> PauliConfig:
+    """Reflect a configuration through a lattice or dual-lattice centre.
+
+    ``center`` components may be integers or half-integers.  Pairs are
+    carried unchanged; only sites move (site -> 2*center - site).  On a
+    torus, a half-integer component along an odd-length axis is rejected:
+    such a reflection has a fixed site under wrap and cannot pair the
+    lattice consistently.
+    """
+    c2 = doubled_center(center)
+    if config.dims is not None:
+        for axis, L in enumerate(config.dims):
+            if L % 2 == 1 and c2[axis] % 2 == 1:
+                raise InvalidCenterError(
+                    f"dual-lattice inversion along axis {axis} is misaligned on odd length {L}")
+    out = PauliConfig(config.p, config.dims)
+    for (x, y, z), pair in config.support.items():
+        out.add((c2[0] - x, c2[1] - y, c2[2] - z), pair)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Planar operators on tori
+
+
+def is_logical(config: PauliConfig, torus: TorusCode) -> bool:
+    """True when the configuration commutes with every cube generator.
+
+    The syndrome at cube c sums, over the cube's vertices u, the
+    symplectic product of the label at u with the config at c + u, so it
+    is a sum of the config array rolled by -u.
+    """
+    p, dims = torus.params.p, torus.dims
+    C = np.zeros((*dims, 2), dtype=np.int64)
+    for site, pair in config.support.items():
+        C[tuple(c % L for c, L in zip(site, dims))] = pair
+    e = np.zeros(dims, dtype=np.int64)
+    for u, (lx, lz) in build_generator(torus.params).items():
+        shifted = np.roll(C, tuple(-c for c in u), axis=(0, 1, 2))
+        e += lx * shifted[..., 1] - lz * shifted[..., 0]
+    return not (e % p).any()
+
+
+@dataclass(frozen=True)
+class PlanarPattern:
+    """A tiled plane through the origin: normal axis, tile translation, transpose."""
+
+    normal_axis: int
+    translation: tuple[int, int] = (0, 0)
+    transpose: bool = False
+
+    @property
+    def plane_axes(self) -> tuple[int, int]:
+        u, v = [a for a in range(3) if a != self.normal_axis]
+        return (u, v)
+
+
+def build_planar_operator(params: CodeParams, pattern: PlanarPattern, dims) -> tuple[PauliConfig, bool]:
+    """Tile a plane of the torus with the pattern.
+
+    Labels are assigned by absolute coordinate parity, so on a plane with
+    an odd dimension the wrap breaks the periodicity; the returned flag
+    reports such a seam (the configuration itself is still well formed).
+    """
+    dims = check_dims(dims)
+    u, v = pattern.plane_axes
+    tile = face_tile(params, pattern.normal_axis)
+    cfg = PauliConfig(params.p, dims)
+    ta, tb = pattern.translation
+    for cu in range(dims[u]):
+        for cv in range(dims[v]):
+            a, b = (cu + ta) % 2, (cv + tb) % 2
+            if pattern.transpose:
+                a, b = b, a
+            site = [0, 0, 0]
+            site[u] = cu
+            site[v] = cv
+            cfg.add(tuple(site), tile[(a, b)])
+    seam = dims[u] % 2 == 1 or dims[v] % 2 == 1
+    return cfg, seam
+
+
+def planar_census(torus: TorusCode) -> dict:
+    """Count valid plane-operator constructions for each orientation."""
+    return {name: entry for name, (entry, _) in plane_census(torus).items()}
+
+
+def census_operators(torus: TorusCode, normal: int) -> list[PauliConfig]:
+    """The logical plane operators the census counts for one orientation."""
+    return _census_tier(torus, normal)[1]

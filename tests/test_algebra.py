@@ -27,7 +27,7 @@ from qupitcube.algebra import (
     verify_inversion_action,
     verify_projector_identities,
 )
-from qupitcube.codes import commutation_exponent as config_commutation
+from qupitcube.reference import commutation_exponent as config_commutation
 from qupitcube.codes import (
     CodeParams,
     InvalidCenterError,
@@ -268,6 +268,34 @@ def test_projector_checks_form_p_squared_monomial_products(monkeypatch):
     calls.clear()
     verify_projector_identities(d3_code("S"))
     assert len(calls) == 9
+
+
+def test_commutation_law_is_computed_once_per_process(monkeypatch):
+    rule = algebra._monomial_mul
+    calls = []
+
+    def counted(u, v, p):
+        calls.append(p)
+        return rule(u, v, p)
+
+    def wrong(u, v, p):  # phase +z.x' in place of -z.x'
+        x, z, c = rule(u, v, p)
+        return (x, z, -c % p)
+
+    verify_commutation_law.cache_clear()
+    try:
+        monkeypatch.setattr(algebra, "_monomial_mul", counted)
+        assert verify_commutation_law(5)
+        formed = len(calls)
+        assert formed > 0
+        assert verify_commutation_law(5) and len(calls) == formed
+        monkeypatch.setattr(algebra, "_monomial_mul", wrong)
+        assert verify_commutation_law(5)  # the verdict computed above
+        verify_commutation_law.cache_clear()
+        assert not verify_commutation_law(5)
+        assert not verify_commutation_law(7, trials=50, seed=3)
+    finally:
+        verify_commutation_law.cache_clear()
 
 
 def test_commutation_law_rejects_bad_moduli():

@@ -288,6 +288,33 @@ def test_logical_runs_one_census_tier_search_per_normal(monkeypatch, capsys):
     assert sorted(calls) == [0, 1, 2]
 
 
+def test_in_process_calls_match_fresh_interpreters(capsys):
+    # the parser and the commutation-law verdict are built once per
+    # process; a sequence of calls in one process reports what fresh
+    # interpreters do, usage errors and --lmax included
+    sequence = [
+        ("check", *D5_FLAGS),
+        ("strings", *D5_FLAGS, "--wmax", "2", "--lmax", "9"),
+        ("check", "--p", "5", "--alpha", "1,0"),
+        ("strings", *D5_FLAGS, "--wmax", "2"),
+        ("algebra", *D5_FLAGS[:-1], "A", "--r", "2"),
+        ("algebra", "--p", "3", "--alpha", "1,0", "--beta", "0,1",
+         "--gamma", "1,1", "--delta", "1,2"),
+        ("logical", *D5_FLAGS, "--dims", "3x4x2"),
+        ("algebra", *D5_FLAGS, "--dims", "1x1x1"),
+        ("check", *D5_FLAGS[:-1], "A"),
+    ]
+    for argv in sequence:
+        try:
+            rc = cli.main(list(argv))
+        except SystemExit as e:
+            rc = e.code
+        out = capsys.readouterr().out
+        fresh = run_cli(*argv)
+        assert (rc, out) == (fresh.returncode, fresh.stdout), argv
+    assert cli.build_parser() is cli.build_parser()
+
+
 def test_classify_and_scan_refuse_moduli_beyond_the_bound():
     assert MAX_CLASSIFY_MODULUS == 19
     for command in ("classify", "scan"):

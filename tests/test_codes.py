@@ -8,22 +8,27 @@ import numpy as np
 import pytest
 
 from qupitcube.codes import (
+    NEIGHBOR_OFFSETS,
     CodeParams,
     InvalidCenterError,
     PauliConfig,
     build_generator,
-    commutation_exponent,
     cubes_touching,
     d3_code,
     d5_code,
     generator_config,
     generator_rows,
-    inversion_image,
     load_params,
     symplectic_product,
+    translation_exponents,
     verify_translation_commutation,
 )
-from qupitcube.reference import config_row
+from qupitcube.reference import (
+    commutation_exponent,
+    config_row,
+    inversion_image,
+    translation_exponents_by_shift,
+)
 from conftest import random_code, random_pair
 
 
@@ -129,6 +134,28 @@ def test_translation_commutation_reference_codes():
         for parity in "SA":
             assert verify_translation_commutation(make(parity)) == []
     assert verify_translation_commutation(d3_code("S", variant=1)) == []
+
+
+@pytest.mark.parametrize("scale", [None, 2, 3])
+def test_translation_exponents_match_shifted_copies(scale):
+    # every offset of [-2, 2]^3, on the open lattice and on tori with
+    # sides 2-5, where offsets fold and labels sum on wrapped sites
+    rng = random.Random(47)
+    offsets = list(product(range(-2, 3), repeat=3))
+    nonzero = False
+    for _ in range(40):
+        code = random_code(rng, rng.choice((2, 3, 5, 7) if scale is None else (5, 7)))
+        dims = tuple(rng.randint(2, 5) for _ in range(3))
+        for on in (None, dims):
+            g = generator_config(code, dims=on, scale_override=scale)
+            exps = translation_exponents(g, offsets)
+            assert exps == translation_exponents_by_shift(g, offsets), (code, on)
+            nonzero = nonzero or any(exps)
+        g = generator_config(code, scale_override=scale)
+        shifted = translation_exponents_by_shift(g, NEIGHBOR_OFFSETS)
+        assert verify_translation_commutation(code, scale_override=scale) == [
+            (o, e) for o, e in zip(NEIGHBOR_OFFSETS, shifted) if e]
+    assert nonzero == (scale is not None)
 
 
 def test_translation_commutation_bad_scale():

