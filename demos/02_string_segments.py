@@ -9,8 +9,9 @@ solutions reach both ends of the strip.
 
 from qupitcube import CodeParams, d3_code, d5_code, max_nontrivial_length
 from qupitcube.codes import PauliConfig, generator_config
-from qupitcube.oracle import SegmentGeometry, build_segment_constraints
+from qupitcube.oracle import SegmentGeometry
 from qupitcube.reference import (
+    build_segment_constraints,
     canonical_reduction,
     flatten_segment,
     kink_profile,
@@ -20,8 +21,8 @@ from qupitcube.reference import (
 # --- the constraint system at a glance -------------------------------------
 d3 = d3_code("S")
 system = build_segment_constraints(d3, SegmentGeometry("flat", 2, 3, (0, 1)))
-print("w=2, l=3 strip:", system.matrix.shape[0], "constraints on",
-      system.matrix.shape[1], "unknowns")
+print("w=2, l=3 strip:", system.shape[0], "constraints on",
+      system.shape[1], "unknowns")
 
 # --- p=2 cannot avoid strings ----------------------------------------------
 p2 = CodeParams(2, (1, 0), (0, 1), (1, 1), (1, 0))

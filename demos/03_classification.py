@@ -6,9 +6,9 @@ antisymmetric families in the bulk.  Orbits under that group organize the
 whole deformable parameter space.
 """
 
-from qupitcube import orbit_canonical, scan_theorem1
+from qupitcube import scan_theorem1
 from qupitcube.classify import classify_orbits
-from qupitcube.reference import enumerate_deformable, group_generators
+from qupitcube.reference import enumerate_deformable, group_generators, orbit_canonical
 
 # --- enumeration sizes -------------------------------------------------------
 for p in (2, 3, 5):

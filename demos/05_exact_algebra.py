@@ -10,8 +10,6 @@ and every identity printed is also asserted.
 from qupitcube import d3_code
 from qupitcube.algebra import (
     PhasedPauli,
-    build_projector,
-    commutator_exponent,
     generator_pauli,
     inversion_conjugate,
     op_mul,
@@ -20,6 +18,7 @@ from qupitcube.algebra import (
     pauli_power,
     verify_inversion_action,
 )
+from qupitcube.reference import build_projector, commutator_exponent
 
 p = 3
 site = ((0, 0, 0),)

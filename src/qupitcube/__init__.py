@@ -32,12 +32,11 @@ from .conditions import (
 from .oracle import (
     SegmentGeometry,
     SegmentReport,
-    build_segment_constraints,
     max_nontrivial_length,
+    scan_width,
 )
 from .classify import (
     classify_orbits,
-    orbit_canonical,
     scan_theorem1,
 )
 from .logical import (
@@ -49,7 +48,6 @@ from .logical import (
 from .algebra import (
     OperatorSum,
     PhasedPauli,
-    build_projector,
     inversion_conjugate,
     pauli_mul,
     pauli_power,

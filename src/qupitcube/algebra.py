@@ -38,7 +38,6 @@ from .codes import (
     VERTICES,
     CodeParams,
     InvalidCenterError,
-    PauliConfig,
     Site,
     build_generator,
     doubled_center,
@@ -144,28 +143,6 @@ def pauli_power(u: PhasedPauli, m: int) -> PhasedPauli:
     for _ in range(m):
         out = pauli_mul(out, u)
     return out
-
-
-def pauli_inverse(u: PhasedPauli) -> PhasedPauli:
-    return pauli_power(u, u.p - 1) if not u.is_identity() else u
-
-
-def commutator_exponent(u: PhasedPauli, v: PhasedPauli) -> int:
-    """e with u v = v u omega^e; the summed sitewise symplectic product."""
-    if u.p != v.p or u.sites != v.sites:
-        raise ValueError("operands must share modulus and site set")
-    return _symplectic(u.key(), v.key(), u.p)
-
-
-def pauli_from_config(config: PauliConfig, sites) -> PhasedPauli:
-    """Lift a phase-free configuration on ``sites`` to a phase-0 monomial."""
-    sites = tuple(sites)
-    idx = {q: i for i, q in enumerate(sites)}
-    x = [0] * len(sites)
-    z = [0] * len(sites)
-    for q, pair in config.support.items():
-        x[idx[q]], z[idx[q]] = pair
-    return PhasedPauli(config.p, sites, tuple(x), tuple(z))
 
 
 def generator_pauli(params: CodeParams) -> PhasedPauli:
@@ -307,11 +284,6 @@ def _projector(s: PhasedPauli, r: int, products: _Products) -> OperatorSum:
     if power != one:
         raise NotOrderPError("operator does not have order p (including phase)")
     return out
-
-
-def build_projector(s: PhasedPauli, r: int) -> OperatorSum:
-    """P(s, r) = (1/p) sum_m (omega^r s)^m; requires s^p = identity exactly."""
-    return _projector(s, r, _Products(s.p))
 
 
 def inversion_conjugate(P: OperatorSum, center) -> OperatorSum:

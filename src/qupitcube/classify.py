@@ -23,7 +23,7 @@ from itertools import combinations, permutations
 from .codes import CodeParams, Pair, symplectic_product
 from .conditions import theorem1_report
 from .fp import check_prime, fp_inv
-from .oracle import max_nontrivial_length
+from .oracle import scan_width
 
 Tuple4 = tuple[Pair, Pair, Pair, Pair]
 
@@ -58,16 +58,6 @@ def _orbit_normal_forms(t: Tuple4, p: int) -> set[Tuple4]:
     squares = {c * c % p for c in range(1, p)}
     forms = [_normal_form(s, p) for s in permutations(t)]
     return {tuple(((q * x) % p, y) for x, y in nf) for nf in forms for q in squares}
-
-
-def orbit_canonical(t: Tuple4, p: int) -> Tuple4:
-    """Lexicographically least member of the orbit of a deformable tuple.
-
-    Every orbit member is some c * M * sigma(t).  The least one has
-    alpha = (0, 1) and second component of beta 0, so it is the least
-    normal form over the permutations sigma and scalars c.
-    """
-    return min(_orbit_normal_forms(t, p))
 
 
 def classify_orbits(p: int, parity: str = "S") -> dict:
@@ -137,10 +127,9 @@ def scan_theorem1(report: dict, oracle_wmax: int = 2) -> dict:
         if t1["deformability"] and t1["minimal_string"] and all(t1["minimal_string"]):
             ok = True
             widths = {}
+            code = CodeParams(p, *canon, parity=parity)
             for w in range(1, oracle_wmax + 1):
-                for kind in ("flat", "cornered"):
-                    rpt = max_nontrivial_length(
-                        CodeParams(p, *canon, parity=parity), w, kind=kind)
+                for kind, rpt in scan_width(code, w).items():
                     m = rpt.max_nontrivial_length
                     widths[f"{kind}-w{w}"] = m
                     if m is not None and m > 2 * w:

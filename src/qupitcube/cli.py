@@ -174,8 +174,7 @@ def cmd_strings(args, parser) -> int:
     exceeded = []
     for w in range(1, args.wmax + 1):
         per_kind = {}
-        for kind in kinds:
-            rpt = oracle.max_nontrivial_length(code, w, l_max=args.lmax, kind=kind)
+        for kind, rpt in oracle.scan_width(code, w, l_max=args.lmax, kinds=kinds).items():
             per_kind[kind] = rpt.as_dict()
             if rpt.max_nontrivial_length is not None and rpt.max_nontrivial_length > 2 * w:
                 exceeded.append({"width": w, "kind": kind,

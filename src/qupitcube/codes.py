@@ -241,9 +241,6 @@ class PauliConfig:
     def is_identity(self) -> bool:
         return not self.support
 
-    def sites(self) -> list[Site]:
-        return sorted(self.support)
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, PauliConfig) and self.p == other.p
                 and self.dims == other.dims and self.support == other.support)
@@ -261,7 +258,7 @@ def cubes_touching(sites, avoid=()) -> list[Site]:
     """The sorted cubes that touch ``sites`` and no site in ``avoid``."""
     avoid = set(avoid)
     candidates = {(q[0] - v[0], q[1] - v[1], q[2] - v[2]) for q in sites for v in VERTICES}
-    return [c for c in sorted(candidates) if avoid.isdisjoint(cube_sites(c))]
+    return [c for c in sorted(candidates) if not avoid or avoid.isdisjoint(cube_sites(c))]
 
 
 def generator_config(params: CodeParams, position: Site = (0, 0, 0),

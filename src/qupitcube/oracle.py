@@ -47,14 +47,14 @@ class DegenerateGeometryError(ValueError):
 
 ORIENTATIONS: tuple[tuple[int, int], ...] = tuple(permutations(range(3), 2))
 
-# Widest strip and longest length horizon ``max_nontrivial_length``
-# scans.  Measured on a 2-core x86_64 VM: ``strings --wmax 16`` on d5
-# takes 1.7-2.5 s at 35 MB, and at ``--lmax 64`` the p = 2 string code
-# takes 5-8 s at 37 MB.  A family keeps only the kernel of its last
-# nontrivial length, so memory does not grow with each length kept.
-# Families with free columns are not bounded in time by these: their
-# kernel grows with the length, and on the p = 3 tuple (1,0)^4
-# ``--wmax 8`` takes 2.9 s and ``--wmax 12`` about a minute.
+# Widest strip and longest length horizon ``scan_width`` scans.  Measured
+# on a 2-core x86_64 VM: ``strings --wmax 16 --lmax 64`` takes 1.1-1.2 s
+# on d5 at 35 MB and 2.9-3.4 s on the p = 2 string code at 37 MB.  A
+# family keeps only the kernel of its last nontrivial length, so memory
+# does not grow with each length kept.  Families with free columns are
+# not bounded in time by these: their kernel grows with the length, and
+# on the p = 3 tuple (1,0)^4 ``--wmax 8`` takes 0.9-1.6 s and
+# ``--wmax 12`` 23 s at 75 MB.
 MAX_STRIP_WIDTH = 16
 MAX_STRIP_LENGTH = 64
 
@@ -66,6 +66,10 @@ class SegmentGeometry:
     ``orientation`` is (length_axis, width_axis).  For a cornered strip
     the cross section runs ``corner_at`` sites along the width axis and
     then bends along the remaining axis; 1 <= corner_at < width.
+    ``corner_at`` = 1 is the flat strip along the bend axis, same sites in
+    the same order: a width-2 "cornered" report is a flat one, and no
+    genuine L exists below width 3.  Families are scanned once per class
+    under point inversion, which maps (la, wa, c) to (la, bend, w - c + 1).
     """
 
     kind: str
@@ -125,30 +129,6 @@ class SegmentGeometry:
     def anchors(self) -> tuple[set[Site], set[Site]]:
         """The two anchor cross-sections, one step beyond each strip end."""
         return set(self.column_sites(-1)), set(self.column_sites(self.length))
-
-
-@dataclass
-class ConstraintSystem:
-    """Assembled constraint matrix over ``geom.support()``, in column order."""
-
-    matrix: np.ndarray
-
-
-def build_segment_constraints(params: CodeParams, geom: SegmentGeometry) -> ConstraintSystem:
-    """One scalar row per generator overlapping the strip but not the anchors.
-
-    A row pairs the generator symplectically with the (z, x) unknowns: its
-    (x, z) labels land on the (z, x) columns with the second one negated.
-    """
-    support = geom.support()
-    if not support:
-        raise DegenerateGeometryError("empty strip support")
-    index = {q: t for t, q in enumerate(support)}
-    anchor1, anchor2 = geom.anchors()
-    cubes = cubes_touching(support, avoid=anchor1 | anchor2)
-    rows = generator_rows(params, cubes, index.get, len(support))
-    rows[:, 1::2] = (-rows[:, 1::2]) % params.p
-    return ConstraintSystem(rows)
 
 
 def _vector_to_config(params: CodeParams, sites: list[Site], vec: np.ndarray) -> PauliConfig:
@@ -222,6 +202,22 @@ class SegmentReport:
         }
 
 
+def _pair_system(params: CodeParams, geom: SegmentGeometry) -> np.ndarray:
+    """The length-2 system of ``geom``'s family, from its cross-section: a
+    cube at length position -1 or +1 that meets the strip meets an anchor,
+    so the rows are the cubes at 0 whose footprint meets the cross-section,
+    labels (x, z) landing on the (z, x) columns of block ``v[la]`` with the
+    second negated.  ``reference.build_segment_constraints`` is the oracle.
+    """
+    la = geom.length_axis
+    support = replace(geom, length=2).support()
+    index = {q: t for t, q in enumerate(support)}
+    cubes = [c for c in cubes_touching(geom.cross_section()) if c[la] == 0]
+    M = generator_rows(params, cubes, index.get, len(support))
+    M[:, 1::2] = (-M[:, 1::2]) % params.p
+    return M
+
+
 def strip_transfer(params: CodeParams,
                    geom: SegmentGeometry) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Transfer blocks ``A``, ``F`` and leftover rows ``v`` of a strip family.
@@ -229,15 +225,15 @@ def strip_transfer(params: CodeParams,
     The strip system is translation invariant along the length axis: the
     generators whose cubes start at length position g act on column
     blocks g and g+1 through the same two blocks for every g.  Eliminating
-    the length-2 system against its first column block therefore gives,
-    at every length, ``x_g = A x_{g+1} + F z_g`` and ``v x_{g+1} = 0``,
-    where ``z_g`` is free and holds one entry per non-pivot column of that
-    block.  ``F`` has no columns when the block has full rank, as it always
-    does for deformable codes.  Only ``geom.kind``, width, orientation and
-    corner are used.
+    the length-2 system (``_pair_system``) against its first column block
+    therefore gives, at every length, ``x_g = A x_{g+1} + F z_g`` and
+    ``v x_{g+1} = 0``, where ``z_g`` is free and holds one entry per
+    non-pivot column of that block.  ``F`` has no columns when the block
+    has full rank, as it always does for deformable codes.  Only
+    ``geom.kind``, width, orientation and corner are used.
     """
     p = params.p
-    M = build_segment_constraints(params, replace(geom, length=2)).matrix
+    M = _pair_system(params, geom)
     n = M.shape[1] // 2
     R, pivots = fp.mat_rref(M, p, n_pivot_cols=n)
     r = len(pivots)
@@ -321,17 +317,29 @@ def check_scan_bounds(width: int, l_max: int | None = None) -> None:
                          f"got {l_max}")
 
 
-def max_nontrivial_length(params: CodeParams, width: int, l_max: int | None = None,
-                          kind: str = "flat") -> SegmentReport:
-    """Scan lengths 2..l_max over all orientations (and corner positions).
+def _inversion_class(geom: SegmentGeometry) -> tuple:
+    """Length axis and cross-section up to translation and point inversion,
+    which maps the cube generator to +-itself and swaps the anchors: the
+    families of one class have equal nullspace dimensions and nontriviality."""
+    section = geom.cross_section()
 
-    The default horizon 2*width + 4 comfortably covers both the w+1 and
-    the 2w length bounds.  Width-1 cornered strips have no admissible
-    corner and come back empty.  Each strip family is decided at every
-    length from one block elimination (``strip_transfer``); the report
-    equals the one ``reference.solve_segment`` gives length by length.
-    Refuses scans beyond ``MAX_STRIP_WIDTH`` or ``MAX_STRIP_LENGTH``, and
-    any ``kind`` but "flat" or "cornered".
+    def normal(sign: int) -> tuple:
+        low = [min(sign * q[a] for q in section) for a in range(3)]
+        return tuple(sorted(tuple(sign * q[a] - low[a] for a in range(3)) for q in section))
+
+    return geom.length_axis, min(normal(1), normal(-1))
+
+
+def scan_width(params: CodeParams, width: int, l_max: int | None = None,
+               kinds=("flat", "cornered")) -> dict[str, SegmentReport]:
+    """One report per kind at one width: lengths 2..l_max (default 2w + 4,
+    past both the w+1 and the 2w bounds) over all orientations and corners.
+
+    Each ``_inversion_class`` is scanned once, by its first family in
+    ``geometries`` order; the reports equal ``reference.solve_segment``'s
+    length by length.  Width-1 cornered reports are empty.  Refuses scans
+    beyond ``MAX_STRIP_WIDTH`` or ``MAX_STRIP_LENGTH``, and any kind but
+    "flat" or "cornered".
     """
     check_scan_bounds(width, l_max)
     if l_max is None:
@@ -339,26 +347,43 @@ def max_nontrivial_length(params: CodeParams, width: int, l_max: int | None = No
     if l_max < 2:
         raise ValueError(f"l_max must be >= 2, got {l_max}")
     lengths = list(range(2, l_max + 1))
-    families = [(geom, _scan_family(params, geom, l_max))
-                for geom in geometries(width, 2, kind)]
-    dims = {l: max(s[0][l - 2] for _, s in families) for l in lengths} if families else {}
-    found = [l for l in lengths if any(s[1][l - 2] for _, s in families)]
-    max_len = max(found, default=None)
-    witness = witness_geom = None
-    if max_len is not None:
-        # as the length-by-length scan: the first nontrivial family at the
-        # last hit, which is that family's own last nontrivial length
-        geom, scan = next((g, s) for g, s in families if s[1][max_len - 2])
-        witness_geom = replace(geom, length=max_len)
-        witness = _transfer_witness(params, witness_geom, *scan[2])
-    return SegmentReport(
-        width=width,
-        kind=kind,
-        lengths_scanned=lengths,
-        nullspace_dims=dims,
-        nontrivial_lengths=found,
-        max_nontrivial_length=max_len,
-        aspect_ratio=None if max_len is None else Fraction(max_len, width),
-        witness=witness,
-        witness_geometry=witness_geom,
-    )
+    scanned = {}  # inversion class -> (first geometry, its scan)
+    reports = {}
+    for kind in kinds:
+        families = []
+        for geom in geometries(width, 2, kind):
+            key = _inversion_class(geom)
+            if key not in scanned:
+                scanned[key] = geom, _scan_family(params, geom, l_max)
+            families.append((geom, *scanned[key]))
+        dims = {l: max(s[0][l - 2] for *_, s in families) for l in lengths} if families else {}
+        found = [l for l in lengths if any(s[1][l - 2] for *_, s in families)]
+        max_len = max(found, default=None)
+        witness = witness_geom = None
+        if max_len is not None:
+            # as the length-by-length scan: the first nontrivial family at the
+            # last hit (its own last one); it heads its class, but the class
+            # representative may have other sites
+            geom, first, scan = next(f for f in families if f[2][1][max_len - 2])
+            if first.cross_section() != geom.cross_section():
+                scan = _scan_family(params, geom, max_len)
+            witness_geom = replace(geom, length=max_len)
+            witness = _transfer_witness(params, witness_geom, *scan[2])
+        reports[kind] = SegmentReport(
+            width=width,
+            kind=kind,
+            lengths_scanned=lengths,
+            nullspace_dims=dims,
+            nontrivial_lengths=found,
+            max_nontrivial_length=max_len,
+            aspect_ratio=None if max_len is None else Fraction(max_len, width),
+            witness=witness,
+            witness_geometry=witness_geom,
+        )
+    return reports
+
+
+def max_nontrivial_length(params: CodeParams, width: int, l_max: int | None = None,
+                          kind: str = "flat") -> SegmentReport:
+    """``scan_width``'s report for one kind."""
+    return scan_width(params, width, l_max, (kind,))[kind]

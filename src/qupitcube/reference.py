@@ -5,8 +5,15 @@ production modules and never the reverse, and ``qupitcube.cli`` never
 loads it; ``tests/test_reference.py`` checks both.  Each oracle, the
 production code it checks, and the tests that compare them:
 
+- ``build_segment_constraints`` assembles a strip's whole constraint
+  matrix, one row per cube generator that meets the strip and neither
+  anchor.  At length 2 it checks the row space of ``oracle._pair_system``,
+  which reads the same rows off the cross-section alone
+  (``test_oracle.test_pair_system_matches_whole_strip_assembly``,
+  ``test_oracle.test_constraint_matrix_shapes``,
+  ``test_oracle.test_width1_system_matches_block_form``).
 - ``solve_segment`` solves one strip geometry by a dense nullspace of
-  its whole constraint matrix.  Run at every length (``test_oracle.dense_scan``)
+  that whole matrix.  Run at every length (``test_oracle.dense_scan``)
   it checks each ``oracle.max_nontrivial_length`` report, witness
   included, deformable or not (``test_oracle.test_transfer_scan_*``).
 - ``verify_witness`` rebuilds every anchor-avoiding cube generator as a
@@ -39,7 +46,8 @@ production code it checks, and the tests that compare them:
 - ``enumerate_deformable`` lists every deformable tuple, and ``orbit``
   closes a tuple breadth-first under ``group_generators``.  They check
   the normal-form walk of ``classify.classify_orbits`` and
-  ``classify.orbit_canonical``
+  ``orbit_canonical``, which names an orbit by the least of
+  ``classify._orbit_normal_forms``
   (``test_classify.test_normal_form_matches_breadth_first_orbits`` and the
   other ``test_classify`` tests,
   ``test_conditions.test_*_invariant_*``,
@@ -81,6 +89,14 @@ production code it checks, and the tests that compare them:
   ``planar_census`` and ``census_operators`` are views of
   ``logical.plane_census`` and ``logical._census_tier`` for the tests
   and demo 04 (``test_logical``, ``test_acceptance.test_criterion_09_*``).
+- ``build_projector`` builds one syndrome projector P(s, r) by
+  ``algebra._projector``, which ``algebra.verify_projector_identities``
+  and ``verify_inversion_action`` call with a shared product table.
+  ``pauli_inverse`` is the (p - 1)-th power, ``commutator_exponent`` the
+  summed symplectic form of two monomials, and ``pauli_from_config``
+  lifts a configuration to a phase-0 monomial.  The tests and demo 05
+  use them to state the algebra's identities one operator at a time
+  (``test_algebra``).
 """
 
 from __future__ import annotations
@@ -90,7 +106,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fp
-from .classify import Tuple4
+from .algebra import (
+    OperatorSum,
+    PhasedPauli,
+    _Products,
+    _projector,
+    _symplectic,
+    pauli_power,
+)
+from .classify import Tuple4, _orbit_normal_forms
 from .codes import (
     CodeParams,
     InvalidCenterError,
@@ -112,10 +136,10 @@ from .conditions import (
 )
 from .logical import TorusCode, _census_tier, face_tile, plane_census
 from .oracle import (
+    DegenerateGeometryError,
     SegmentGeometry,
     _ends_witness,
     _vector_to_config,
-    build_segment_constraints,
     strip_transfer,
 )
 
@@ -137,6 +161,23 @@ def verify_witness(params: CodeParams, geom: SegmentGeometry, witness: PauliConf
 # Dense segment solver
 
 
+def build_segment_constraints(params: CodeParams, geom: SegmentGeometry) -> np.ndarray:
+    """One scalar row per generator overlapping the strip but not the anchors.
+
+    A row pairs the generator symplectically with the (z, x) unknowns: its
+    (x, z) labels land on the (z, x) columns with the second one negated.
+    """
+    support = geom.support()
+    if not support:
+        raise DegenerateGeometryError("empty strip support")
+    index = {q: t for t, q in enumerate(support)}
+    anchor1, anchor2 = geom.anchors()
+    cubes = cubes_touching(support, avoid=anchor1 | anchor2)
+    rows = generator_rows(params, cubes, index.get, len(support))
+    rows[:, 1::2] = (-rows[:, 1::2]) % params.p
+    return rows
+
+
 @dataclass
 class SegmentSolution:
     """Verdict for one geometry: solution space size, nontriviality, and a witness."""
@@ -149,7 +190,7 @@ class SegmentSolution:
 
 def solve_segment(params: CodeParams, geom: SegmentGeometry) -> SegmentSolution:
     """Solve the constraint system and decide nontriviality for one geometry."""
-    basis = fp.nullspace(build_segment_constraints(params, geom).matrix, params.p)
+    basis = fp.nullspace(build_segment_constraints(params, geom), params.p)
     vec = _ends_witness(basis, 2 * len(geom.cross_section()), params.p)
     witness = None if vec is None else _vector_to_config(params, geom.support(), vec)
     return SegmentSolution(geom, basis.shape[0], vec is not None, witness)
@@ -213,7 +254,7 @@ def canonical_reduction(params: CodeParams, width: int, length: int,
     residual = np.concatenate(krylov[:length - 1][::-1], axis=0)  # v A^(l-2), ..., v
 
     rank = ncols * (length - 1) + fp.mat_rank(residual, p)
-    direct_rank = fp.mat_rank(build_segment_constraints(params, geom).matrix, p)
+    direct_rank = fp.mat_rank(build_segment_constraints(params, geom), p)
     krylov_rank = fp.mat_rank(np.concatenate(krylov[:ncols], axis=0), p)
 
     return ReductionResult(
@@ -489,6 +530,16 @@ def orbit(t: Tuple4, p: int) -> set[Tuple4]:
                     nxt.append(v)
         frontier = nxt
     return seen
+
+
+def orbit_canonical(t: Tuple4, p: int) -> Tuple4:
+    """Lexicographically least member of the orbit of a deformable tuple.
+
+    Every orbit member is some c * M * sigma(t).  The least one has
+    alpha = (0, 1) and second component of beta 0, so it is the least
+    normal form over the permutations sigma and scalars c.
+    """
+    return min(_orbit_normal_forms(t, p))
 
 
 # ---------------------------------------------------------------------------
@@ -811,3 +862,34 @@ def planar_census(torus: TorusCode) -> dict:
 def census_operators(torus: TorusCode, normal: int) -> list[PauliConfig]:
     """The logical plane operators the census counts for one orientation."""
     return _census_tier(torus, normal)[1]
+
+
+# ---------------------------------------------------------------------------
+# Phased Paulis and syndrome projectors
+
+
+def commutator_exponent(u: PhasedPauli, v: PhasedPauli) -> int:
+    """e with u v = v u omega^e; the summed sitewise symplectic product."""
+    if u.p != v.p or u.sites != v.sites:
+        raise ValueError("operands must share modulus and site set")
+    return _symplectic(u.key(), v.key(), u.p)
+
+
+def pauli_from_config(config: PauliConfig, sites) -> PhasedPauli:
+    """Lift a phase-free configuration on ``sites`` to a phase-0 monomial."""
+    sites = tuple(sites)
+    idx = {q: i for i, q in enumerate(sites)}
+    x = [0] * len(sites)
+    z = [0] * len(sites)
+    for q, pair in config.support.items():
+        x[idx[q]], z[idx[q]] = pair
+    return PhasedPauli(config.p, sites, tuple(x), tuple(z))
+
+
+def pauli_inverse(u: PhasedPauli) -> PhasedPauli:
+    return pauli_power(u, u.p - 1) if not u.is_identity() else u
+
+
+def build_projector(s: PhasedPauli, r: int) -> OperatorSum:
+    """P(s, r) = (1/p) sum_m (omega^r s)^m; requires s^p = identity exactly."""
+    return _projector(s, r, _Products(s.p))

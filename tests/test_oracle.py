@@ -1,26 +1,28 @@
 """Segment solver: constraint systems, scans, reduction, flattening."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from qupitcube import fp, oracle
+from qupitcube import cli, fp, oracle
 from qupitcube.codes import CodeParams, PauliConfig, d3_code, d5_code, generator_config
 from qupitcube.conditions import PrerequisiteError, base_matrix, rel_transition
 from qupitcube.oracle import (
     DegenerateGeometryError,
     SegmentGeometry,
     SegmentReport,
-    build_segment_constraints,
     geometries,
     max_nontrivial_length,
+    scan_width,
     strip_transfer,
 )
 from qupitcube.reference import (
     FlattenError,
     PivotError,
+    build_segment_constraints,
     canonical_reduction,
     flatten_segment,
     in_box_cubes,
@@ -40,7 +42,7 @@ def test_constraint_matrix_shapes():
     for w, l in ((1, 2), (2, 3), (3, 5), (2, 8)):
         geom = SegmentGeometry("flat", w, l, (0, 1))
         system = build_segment_constraints(d3, geom)
-        assert system.matrix.shape == (2 * (w + 1) * (l - 1), 2 * w * l)
+        assert system.shape == (2 * (w + 1) * (l - 1), 2 * w * l)
 
 
 def test_width1_system_matches_block_form():
@@ -53,7 +55,7 @@ def test_width1_system_matches_block_form():
         t_gb = base_matrix(g, b, p)
         t_da = base_matrix(d, a, p)
         block = np.block([[t_gb, t_da], [t_da, t_gb]]) % p
-        mine = sorted(map(tuple, system.matrix.tolist()))
+        mine = sorted(map(tuple, system.tolist()))
         theirs = sorted(map(tuple, block.tolist()))
         assert mine == theirs
 
@@ -203,22 +205,99 @@ def test_transfer_scan_matches_dense_solver_on_rank_deficient_tuples():
     assert witnesses >= 12
 
 
-def test_scan_builds_one_constraint_system_per_family(monkeypatch):
-    calls = []
-    build = oracle.build_segment_constraints
+def test_scan_runs_one_family_per_inversion_class(monkeypatch):
+    # width 1: the six flat strips are three single-site cross-sections, one
+    # per length axis.  Width w >= 2: six flat classes; each corner_at = 1
+    # family is a flat strip, and the other 6(w - 2) cornered families pair
+    # up under inversion, 3w classes in all.  Both kinds to width 16 have
+    # 3 + 3 * (2 + ... + 16) = 408 classes among 816 families.
+    scanned = []
+    scan = oracle._scan_family
 
-    def counting(params, geom):
-        calls.append(geom)
-        return build(params, geom)
+    def counting(params, geom, l_max):
+        scanned.append(oracle._inversion_class(geom))
+        return scan(params, geom, l_max)
 
-    monkeypatch.setattr(oracle, "build_segment_constraints", counting)
+    monkeypatch.setattr(oracle, "_scan_family", counting)
+    d5 = ["--p", "5", "--alpha", "1,0", "--beta", "0,1", "--gamma", "1,1", "--delta", "3,2"]
+    for wmax, classes in ((4, 30), (16, 408)):
+        scanned.clear()
+        assert cli.main(["strings", *d5, "--wmax", str(wmax)]) == 0
+        assert len(scanned) == classes and len(set(scanned)) == classes
+
+
+def inversion_partner(geom):
+    """The family point inversion maps a cornered ``geom`` onto, in closed
+    form: (la, wa, c) goes to (la, ba, w - c + 1), and to the flat strip
+    along the bend axis ba when c = 1."""
+    la, ba = geom.length_axis, geom.bend_axis
+    if geom.corner_at == 1:
+        return SegmentGeometry("flat", geom.width, geom.length, (la, ba))
+    return SegmentGeometry("cornered", geom.width, geom.length, (la, ba),
+                           geom.width - geom.corner_at + 1)
+
+
+def test_cornered_families_scan_like_their_inversion_partners():
+    rng = random.Random(131)
+    pairs = 0
+    for p in (2, 3, 5, 7):
+        for parity in "SA":
+            # one deformable code (none exists at p = 2) and one arbitrary
+            codes = [random_code(rng, p, parity) if p == 2 else
+                     CodeParams(p, *random_deformable_tuple(rng, p), parity=parity),
+                     random_code(rng, p, parity)]
+            for code in codes:
+                for w in range(2, 7):
+                    for geom in geometries(w, 2, "cornered"):
+                        partner = inversion_partner(geom)
+                        assert oracle._inversion_class(partner) == oracle._inversion_class(geom)
+                        mine = oracle._scan_family(code, geom, 2 * w + 4)[:2]
+                        theirs = oracle._scan_family(code, partner, 2 * w + 4)[:2]
+                        assert mine == theirs, (code, geom)
+                        pairs += 1
+    assert pairs == 4 * 2 * 2 * 6 * (1 + 2 + 3 + 4 + 5)
+
+
+def test_pair_system_matches_whole_strip_assembly():
+    rng = random.Random(137)
+    codes = [d3_code("S"), d5_code("A"), P2_TUPLE,
+             *(random_code(rng, p) for p in (2, 3, 5, 7))]
+    for code in codes:
+        for w in range(1, 7):
+            for kind in ("flat", "cornered"):
+                for geom in geometries(w, 2, kind):
+                    mine = oracle._pair_system(code, geom)
+                    theirs = build_segment_constraints(code, geom)
+                    assert mine.shape[1] == theirs.shape[1] == 4 * len(geom.cross_section())
+                    r_mine, piv_mine = fp.mat_rref(mine, code.p)
+                    r_theirs, piv_theirs = fp.mat_rref(theirs, code.p)
+                    assert piv_mine == piv_theirs, (code, geom)
+                    assert (r_mine[:len(piv_mine)] == r_theirs[:len(piv_theirs)]).all()
+
+
+def test_witness_family_is_rescanned_when_its_representative_differs(monkeypatch):
+    # (1,0)^4 is symmetric under every axis permutation, so merging all the
+    # width-2 families along one length axis keeps every scan.  The cornered
+    # witness family (0, 1) with corner 1 then has the flat (0, 1) strip,
+    # whose sites differ, as its representative, and must be scanned itself.
     code = CodeParams(3, (1, 0), (1, 0), (1, 0), (1, 0))
-    for w, kind in ((1, "flat"), (2, "flat"), (3, "cornered")):
-        calls.clear()
-        rpt = max_nontrivial_length(code, w, kind=kind)
-        families = geometries(w, 2, kind)
-        assert rpt.max_nontrivial_length is not None
-        assert calls == families
+    want = scan_width(code, 2, l_max=5)
+    scanned = []
+    scan = oracle._scan_family
+
+    def recording(params, geom, l_max):
+        scanned.append((geom, l_max))
+        return scan(params, geom, l_max)
+
+    monkeypatch.setattr(oracle, "_inversion_class", lambda geom: geom.length_axis)
+    monkeypatch.setattr(oracle, "_scan_family", recording)
+    got = scan_width(code, 2, l_max=5)
+    family = SegmentGeometry("cornered", 2, 2, (0, 1), 1)
+    assert got["cornered"].witness_geometry == replace(family, length=5)
+    assert scanned[-1] == (family, 5)
+    for kind in want:
+        assert got[kind].as_dict() == want[kind].as_dict()
+        assert got[kind].witness_geometry == want[kind].witness_geometry
 
 
 def test_scan_needs_both_end_columns(monkeypatch):

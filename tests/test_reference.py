@@ -34,10 +34,13 @@ def test_cli_run_does_not_load_reference():
     script = (
         "import sys, contextlib, io\n"
         "import qupitcube.cli as cli\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    code = cli.main(['check', '--p', '5', '--alpha', '1,0', '--beta', '0,1',\n"
-        "                     '--gamma', '1,1', '--delta', '3,2'])\n"
-        "assert code == 0, code\n"
+        "d5 = ['--p', '5', '--alpha', '1,0', '--beta', '0,1', '--gamma', '1,1',\n"
+        "      '--delta', '3,2']\n"
+        "for argv in (['check', *d5], ['strings', *d5, '--wmax', '2'],\n"
+        "             ['scan', '--p', '3']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = cli.main(argv)\n"
+        "    assert code == 0, (argv, code)\n"
         "print('qupitcube.reference' in sys.modules)\n"
     )
     out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
