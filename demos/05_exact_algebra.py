@@ -1,8 +1,8 @@
 """Exact phase algebra: commutation phases, projectors, inversion.
 
 Everything here runs in exact arithmetic: monomial phases live in Z_p, and
-an operator sum is a combination of phased monomials omega^c X^x Z^z with
-Fraction coefficients.  Sums are compared after applying
+an operator sum maps phased monomials omega^c X^x Z^z to integer
+numerators over one common denominator.  Sums are compared after applying
 1 + omega + ... + omega^(p-1) = 0.  No floating point is involved anywhere,
 and every identity printed is also asserted.
 """
@@ -56,9 +56,9 @@ print("\nsum of the three projectors is the identity:", complete)
 print("P(s,1)^2 = P(s,1):", idempotent)
 print("P(s,1) P(s,2) = 0:", orthogonal)
 print("a projector keeps", len(projectors[1].terms), "phased monomial terms with "
-      "coefficients like", next(iter(projectors[1].terms.values())))
+      f"coefficients like {next(iter(projectors[1].terms.values()))}/{projectors[1].den}")
 print("  the sum of all three has", len(total.terms), "terms but only",
-      len(total.canonical()), "monomial once 1 + omega + omega^2 = 0 is applied")
+      len(total.canonical()[1]), "monomial once 1 + omega + omega^2 = 0 is applied")
 
 # --- inversion action on the syndrome label ----------------------------------------
 conj = inversion_conjugate(projectors[1], (0.5, 0.5, 0.5))

@@ -9,12 +9,12 @@ on one site costs omega^-1, so the product rule is
 which reproduces the commutation law S_a S_b = S_b S_a omega^<a, b>.
 Monomials and operator sums share this one rule.
 
-An operator sum is a rational combination of phased monomials, keyed by
-(a, b, c), with Fraction coefficients; products and canonical forms sum
-integer numerators over one common denominator.  The only relation among
-keys, 1 + omega + ... + omega^(p-1) = 0, is applied once, when sums are
-compared.  A verifier forms each distinct phase-0 monomial product once
-(p^2 of them for the p^4 projector term pairs) and accepts
+An operator sum is a rational combination of phased monomials: integer
+numerators keyed by (a, b, c) over one positive denominator, which
+products multiply, so no step leaves the integers.  The only relation
+among keys, 1 + omega + ... + omega^(p-1) = 0, is applied once, when
+sums are compared.  A verifier forms each distinct phase-0 monomial
+product once (p^2 of them for the p^4 projector term pairs) and accepts
 p <= MAX_ALGEBRA_MODULUS.
 
 The identities are checked on the origin cube generator, on its eight
@@ -31,8 +31,7 @@ from __future__ import annotations
 import functools
 import random
 from dataclasses import dataclass
-from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .codes import (
     VERTICES,
@@ -50,7 +49,7 @@ class NotOrderPError(ValueError):
 
 
 # The projector checks make p^4 term pairs: one `algebra` command took
-# 4.8 s at p = 31 and 8.9 s at p = 37 (2-core x86_64 VM, Python 3.11).
+# 2.3-2.5 s at p = 31 and 4.3-4.5 s at p = 37 (2-core x86_64 VM, Python 3.11).
 MAX_ALGEBRA_MODULUS = 31
 
 
@@ -165,57 +164,62 @@ class OperatorSum:
     """Finite rational combination of phased monomials.
 
     ``terms`` maps (x, z, phase) keys, standing for omega^phase X^x Z^z,
-    to nonzero Fractions.  Keys that differ only in phase are dependent,
-    so equality and ``is_zero`` compare ``canonical()`` forms.
+    to nonzero integer numerators over the positive integer ``den``.
+    Keys that differ only in phase are dependent, so equality and
+    ``is_zero`` compare ``canonical()`` forms.
     """
 
-    __slots__ = ("p", "sites", "terms")
+    __slots__ = ("p", "sites", "den", "terms")
 
     def __init__(self, p: int, sites):
         self.p = _check_odd_prime(p)
         self.sites = tuple(sites)
+        self.den = 1
         self.terms: dict = {}
 
-    def _accumulate(self, key, coeff) -> None:
-        new = self.terms.get(key, 0) + coeff
+    def _accumulate(self, key, n: int) -> None:
+        new = self.terms.get(key, 0) + n
         if new:
             self.terms[key] = new
         else:
             self.terms.pop(key, None)
 
-    def add_monomial(self, mono: PhasedPauli, coeff=Fraction(1)) -> None:
+    def _over(self, den: int) -> dict:
+        """The numerators over ``den``, a multiple of ``self.den``."""
+        k = den // self.den
+        return {key: n * k for key, n in self.terms.items()}
+
+    def add_monomial(self, mono: PhasedPauli, coeff=1) -> None:
+        """Add coeff * mono, for an integer or rational coeff."""
         if mono.p != self.p or mono.sites != self.sites:
             raise ValueError("monomial does not match this operator sum")
-        self._accumulate(mono.key(), Fraction(coeff))
+        den = lcm(self.den, coeff.denominator)
+        if den != self.den:
+            self.terms, self.den = self._over(den), den
+        self._accumulate(mono.key(), coeff.numerator * (den // coeff.denominator))
 
-    def canonical(self) -> dict:
-        """The unique form: Q(omega) coefficients per monomial (x, z).
+    def canonical(self) -> tuple[int, dict]:
+        """The unique form (d, {(x, z): numerators}) of Q(omega) coefficients.
 
-        Each value is a tuple of Fractions on the basis
-        omega^0..omega^(p-2): the phase-(p-1) coefficient is subtracted
-        from the others, which is 1 + omega + ... + omega^(p-1) = 0.
-        Monomials whose tuple is zero are dropped, so only the zero
-        operator has an empty form.
+        Each tuple holds numerators over d on the basis omega^0..omega^(p-2):
+        the phase-(p-1) one is subtracted from the others, which is
+        1 + omega + ... + omega^(p-1) = 0.  Zero tuples are dropped and d
+        shares no factor with all numerators, so zero alone is (1, {}).
         """
         p = self.p
-        den, numerators = _integer_terms(self)
         gathered: dict = {}
-        for (x, z, phase), n in numerators:
+        for (x, z, phase), n in self.terms.items():
             gathered.setdefault((x, z), [0] * p)[phase] += n
         out = {}
         for mono, vec in gathered.items():
             last = vec[p - 1]
             if any(n != last for n in vec[:p - 1]):
-                out[mono] = tuple(Fraction(n - last, den) for n in vec[:p - 1])
-        return out
-
-    def copy(self) -> "OperatorSum":
-        out = OperatorSum(self.p, self.sites)
-        out.terms = dict(self.terms)
-        return out
+                out[mono] = [n - last for n in vec[:p - 1]]
+        g = gcd(self.den, *(n for vec in out.values() for n in vec))
+        return self.den // g, {mono: tuple(n // g for n in vec) for mono, vec in out.items()}
 
     def is_zero(self) -> bool:
-        return not self.canonical()
+        return not self.canonical()[1]
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, OperatorSum) and self.p == other.p
@@ -225,9 +229,11 @@ class OperatorSum:
     def __add__(self, other: "OperatorSum") -> "OperatorSum":
         if self.p != other.p or self.sites != other.sites:
             raise ValueError("operator sums must share modulus and sites")
-        out = self.copy()
-        for key, coeff in other.terms.items():
-            out._accumulate(key, coeff)
+        out = OperatorSum(self.p, self.sites)
+        out.den = lcm(self.den, other.den)
+        out.terms = self._over(out.den)
+        for key, n in other._over(out.den).items():
+            out._accumulate(key, n)
         return out
 
     def __mul__(self, other: "OperatorSum") -> "OperatorSum":
@@ -243,43 +249,37 @@ def operator_identity(p: int, sites) -> OperatorSum:
     return out
 
 
-def _integer_terms(op: OperatorSum) -> tuple[int, list]:
-    """(d, [(key, n)]): each coefficient is n / d, d the lcm of the denominators."""
-    den = lcm(*(c.denominator for c in op.terms.values()))
-    return den, [(key, c.numerator * (den // c.denominator)) for key, c in op.terms.items()]
-
-
 def _product(a: OperatorSum, b: OperatorSum, products: _Products) -> OperatorSum:
     if a.p != b.p or a.sites != b.sites:
         raise ValueError("operator sums must share modulus and sites")
     p = a.p
-    da, left = _integer_terms(a)
-    db, right = _integer_terms(b)
-    right = [((x, z), c, n) for (x, z, c), n in right]
+    right = [((x, z), c, n) for (x, z, c), n in b.terms.items()]
     acc: dict = {}
-    for (xu, zu, cu), nu in left:
+    for (xu, zu, cu), nu in a.terms.items():
         u = (xu, zu)
         for v, cv, nv in right:
             x, z, c = products[u, v]
             key = (x, z, (cu + cv + c) % p)
             acc[key] = acc.get(key, 0) + nu * nv
     out = OperatorSum(p, a.sites)
-    out.terms = {key: Fraction(n, da * db) for key, n in acc.items() if n}
+    out.den = a.den * b.den
+    out.terms = {key: n for key, n in acc.items() if n}
     return out
 
 
 def op_mul(a: OperatorSum, b: OperatorSum) -> OperatorSum:
-    """Exact product: the monomial product rule per term pair, integer
-    numerators over the product of the operands' common denominators."""
+    """Exact product: the monomial product rule per term pair, numerators
+    summed over the product of the operands' denominators."""
     return _product(a, b, _Products(a.p))
 
 
 def _projector(s: PhasedPauli, r: int, products: _Products) -> OperatorSum:
     p, one = s.p, identity_pauli(s.p, s.sites).key()
     out = OperatorSum(p, s.sites)
+    out.den = p
     power = one
     for m in range(p):
-        out._accumulate((power[0], power[1], (power[2] + r * m) % p), Fraction(1, p))
+        out._accumulate((power[0], power[1], (power[2] + r * m) % p), 1)
         power = _key_mul(power, s.key(), products)
     if power != one:
         raise NotOrderPError("operator does not have order p (including phase)")
@@ -290,7 +290,7 @@ def inversion_conjugate(P: OperatorSum, center) -> OperatorSum:
     """Conjugate by the inversion permutation about a (half-)lattice centre.
 
     Site permutations carry no phase: each term's exponent vectors are
-    re-indexed, and its phase and coefficient kept.  Inversion is an
+    re-indexed; phases, numerators and ``den`` are kept.  Inversion is an
     involution, so the site landing at position i comes from ``perm[i]``.
     Raises InvalidCenterError unless the centre maps P's sites onto
     themselves.
@@ -302,8 +302,9 @@ def inversion_conjugate(P: OperatorSum, center) -> OperatorSum:
         raise InvalidCenterError(f"inversion about {tuple(center)} does not map "
                                  f"the operator's sites onto themselves")
     out = OperatorSum(P.p, P.sites)
-    for (x, z, phase), coeff in P.terms.items():
-        out._accumulate((tuple(x[i] for i in perm), tuple(z[i] for i in perm), phase), coeff)
+    out.den = P.den
+    for (x, z, phase), n in P.terms.items():
+        out._accumulate((tuple(x[i] for i in perm), tuple(z[i] for i in perm), phase), n)
     return out
 
 

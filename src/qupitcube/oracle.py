@@ -347,26 +347,24 @@ def scan_width(params: CodeParams, width: int, l_max: int | None = None,
     if l_max < 2:
         raise ValueError(f"l_max must be >= 2, got {l_max}")
     lengths = list(range(2, l_max + 1))
-    scanned = {}  # inversion class -> (first geometry, its scan)
+    scanned = {}  # inversion class -> the scan of its first geometry
     reports = {}
     for kind in kinds:
         families = []
         for geom in geometries(width, 2, kind):
             key = _inversion_class(geom)
             if key not in scanned:
-                scanned[key] = geom, _scan_family(params, geom, l_max)
-            families.append((geom, *scanned[key]))
-        dims = {l: max(s[0][l - 2] for *_, s in families) for l in lengths} if families else {}
-        found = [l for l in lengths if any(s[1][l - 2] for *_, s in families)]
+                scanned[key] = _scan_family(params, geom, l_max)
+            families.append((geom, scanned[key]))
+        dims = {l: max(s[0][l - 2] for _, s in families) for l in lengths} if families else {}
+        found = [l for l in lengths if any(s[1][l - 2] for _, s in families)]
         max_len = max(found, default=None)
         witness = witness_geom = None
         if max_len is not None:
             # as the length-by-length scan: the first nontrivial family at the
-            # last hit (its own last one); it heads its class, but the class
-            # representative may have other sites
-            geom, first, scan = next(f for f in families if f[2][1][max_len - 2])
-            if first.cross_section() != geom.cross_section():
-                scan = _scan_family(params, geom, max_len)
+            # last hit (its own last one); it heads its class within the kind,
+            # so it has the sites of the geometry scanned for the class
+            geom, scan = next(f for f in families if f[1][1][max_len - 2])
             witness_geom = replace(geom, length=max_len)
             witness = _transfer_witness(params, witness_geom, *scan[2])
         reports[kind] = SegmentReport(

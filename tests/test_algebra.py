@@ -4,6 +4,7 @@ import random
 from dataclasses import replace
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 import numpy as np
 import pytest
@@ -156,11 +157,11 @@ def _dense(op: OperatorSum) -> np.ndarray:
     Z = np.diag(w ** np.arange(p))
     assert np.allclose(Z @ X, X @ Z / w)
     out = np.zeros((p ** len(op.sites),) * 2, dtype=complex)
-    for (x, z, phase), coeff in op.terms.items():
+    for (x, z, phase), n in op.terms.items():
         term = np.eye(1)
         for a, b in zip(x, z):
             term = np.kron(term, np.linalg.matrix_power(X, a) @ np.linalg.matrix_power(Z, b))
-        out += float(coeff) * w ** phase * term
+        out += n / op.den * w ** phase * term
     return out
 
 
@@ -192,16 +193,21 @@ def test_operator_sums_match_dense_matrices():
                 shifted = a + zero
                 assert shifted.terms != a.terms
                 assert shifted == a and np.allclose(_dense(shifted), _dense(a))
-                diff = a + _sum(p, sites, *((PhasedPauli(p, sites, *key), -c)
-                                            for key, c in b.terms.items()))
+                diff = a + _sum(p, sites, *((PhasedPauli(p, sites, *key), Fraction(-n, b.den))
+                                            for key, n in b.terms.items()))
                 assert diff.is_zero() == np.allclose(_dense(diff), 0) == (a == b)
+
+
+def _fractions(op):
+    """The terms as Fractions, each numerator over the sum's denominator."""
+    return {key: Fraction(n, op.den) for key, n in op.terms.items()}
 
 
 def _fraction_product(a, b):
     """Reference product: one Fraction product and sum per term pair."""
     out = {}
-    for u, cu in a.terms.items():
-        for v, cv in b.terms.items():
+    for u, cu in _fractions(a).items():
+        for v, cv in _fractions(b).items():
             key = pauli_mul(PhasedPauli(a.p, a.sites, *u), PhasedPauli(a.p, a.sites, *v)).key()
             out[key] = out.get(key, 0) + cu * cv
     return {key: c for key, c in out.items() if c}
@@ -211,7 +217,7 @@ def _fraction_canonical(op):
     """Reference canonical form, summed in Fractions."""
     p = op.p
     gathered = {}
-    for (x, z, phase), coeff in op.terms.items():
+    for (x, z, phase), coeff in _fractions(op).items():
         gathered.setdefault((x, z), [Fraction(0)] * p)[phase] += coeff
     out = {}
     for mono, vec in gathered.items():
@@ -221,30 +227,50 @@ def _fraction_canonical(op):
     return out
 
 
-def _mixed_sum(rng, p, sites, n_terms):
+def _mixed_sum(rng, p, sites, n_terms, dens=range(1, 5)):
     # few distinct monomials, so keys collide and numerators cancel
     monos = [(tuple(rng.randrange(p) for _ in sites), tuple(rng.randrange(p) for _ in sites))
              for _ in range(3)]
     return _sum(p, sites, *(
         (PhasedPauli(p, sites, *rng.choice(monos), rng.randrange(p)),
-         Fraction(rng.randrange(-4, 5), rng.randrange(1, 5)))
+         Fraction(rng.randrange(-4, 5), rng.choice(dens)))
         for _ in range(n_terms)))
+
+
+def _scaled(op, k):
+    out = OperatorSum(op.p, op.sites)
+    out.den = op.den * k
+    out.terms = {key: n * k for key, n in op.terms.items()}
+    return out
 
 
 def test_integer_products_and_canonical_forms_match_fractions():
     rng = random.Random(97)
-    for p in (3, 5, 7):
+    for p in (3, 5, 7, 11):
         for sites in (ONE_SITE, ((0, 0, 0), (1, 0, 0))):
             for _ in range(20):
                 a = _mixed_sum(rng, p, sites, rng.randrange(0, 8))
                 b = _mixed_sum(rng, p, sites, rng.randrange(0, 8))
+                # coprime denominators, mixed within one sum and across two
+                c = _mixed_sum(rng, p, sites, rng.randrange(1, 8), dens=(3, 7, 10, 11))
+                d = _mixed_sum(rng, p, sites, rng.randrange(1, 8), dens=(13,))
                 prod = op_mul(a, b)
-                assert prod.terms == _fraction_product(a, b)
-                assert all(type(c) is Fraction for c in prod.terms.values())
-                for op in (a, b, prod, a + b):
-                    form = op.canonical()
-                    assert form == _fraction_canonical(op)
-                    assert all(type(c) is Fraction for vec in form.values() for c in vec)
+                assert _fractions(prod) == _fraction_product(a, b)
+                fc, fd = _fractions(c), _fractions(d)
+                total = {key: fc.get(key, 0) + fd.get(key, 0) for key in fc.keys() | fd.keys()}
+                assert _fractions(c + d) == {key: coeff for key, coeff in total.items() if coeff}
+                for op in (a, b, prod, a + b, c, d, c + d, op_mul(c, d)):
+                    assert type(op.den) is int and op.den > 0
+                    assert all(type(n) is int and n for n in op.terms.values())
+                    den, form = op.canonical()
+                    assert den > 0 and gcd(den, *(n for vec in form.values() for n in vec)) == 1
+                    assert all(type(n) is int for vec in form.values() for n in vec)
+                    assert {mono: tuple(Fraction(n, den) for n in vec)
+                            for mono, vec in form.items()} == _fraction_canonical(op)
+                    for k in (2, 3, p):
+                        scaled = _scaled(op, k)
+                        assert scaled.canonical() == (den, form)
+                        assert scaled == op and scaled.is_zero() == op.is_zero()
 
 
 def test_projector_checks_form_p_squared_monomial_products(monkeypatch):
@@ -313,13 +339,13 @@ def test_projector_canonical_form():
     # (1/3)(1 + omega^2 XZ + omega^4 omega^-1 X^2 Z^2)
     #   = (1/3)(1 + (-1 - omega) XZ + X^2 Z^2)
     p = 3
-    third = Fraction(1, 3)
     P = build_projector(PhasedPauli(p, ONE_SITE, (1,), (1,)), 2)
-    assert P.canonical() == {
-        ((0,), (0,)): (third, 0),
-        ((1,), (1,)): (-third, -third),
-        ((2,), (2,)): (third, 0),
-    }
+    assert P.den == 3 and set(P.terms.values()) == {1}
+    assert P.canonical() == (3, {
+        ((0,), (0,)): (1, 0),
+        ((1,), (1,)): (-1, -1),
+        ((2,), (2,)): (1, 0),
+    })
 
 
 def test_projector_identities_reference_codes():
@@ -366,7 +392,8 @@ def test_inversion_conjugate_is_permutation_only():
     s = generator_pauli(code)
     P = build_projector(s, 1)
     conj = inversion_conjugate(P, (0.5, 0.5, 0.5))
-    assert sorted(conj.terms.values(), key=str) == sorted(P.terms.values(), key=str)
+    assert conj.den == P.den
+    assert sorted(conj.terms.values()) == sorted(P.terms.values())
     with pytest.raises(InvalidCenterError, match="centre component 0.3 is not a half-integer"):
         inversion_conjugate(P, (0.3, 0.5, 0.5))
 

@@ -1,7 +1,6 @@
 """Segment solver: constraint systems, scans, reduction, flattening."""
 
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -275,29 +274,21 @@ def test_pair_system_matches_whole_strip_assembly():
                     assert (r_mine[:len(piv_mine)] == r_theirs[:len(piv_theirs)]).all()
 
 
-def test_witness_family_is_rescanned_when_its_representative_differs(monkeypatch):
-    # (1,0)^4 is symmetric under every axis permutation, so merging all the
-    # width-2 families along one length axis keeps every scan.  The cornered
-    # witness family (0, 1) with corner 1 then has the flat (0, 1) strip,
-    # whose sites differ, as its representative, and must be scanned itself.
-    code = CodeParams(3, (1, 0), (1, 0), (1, 0), (1, 0))
-    want = scan_width(code, 2, l_max=5)
-    scanned = []
-    scan = oracle._scan_family
-
-    def recording(params, geom, l_max):
-        scanned.append((geom, l_max))
-        return scan(params, geom, l_max)
-
-    monkeypatch.setattr(oracle, "_inversion_class", lambda geom: geom.length_axis)
-    monkeypatch.setattr(oracle, "_scan_family", recording)
-    got = scan_width(code, 2, l_max=5)
-    family = SegmentGeometry("cornered", 2, 2, (0, 1), 1)
-    assert got["cornered"].witness_geometry == replace(family, length=5)
-    assert scanned[-1] == (family, 5)
-    for kind in want:
-        assert got[kind].as_dict() == want[kind].as_dict()
-        assert got[kind].witness_geometry == want[kind].witness_geometry
+def test_class_heads_have_their_representatives_sites():
+    # scan_width gives the witness family its class representative's kernel:
+    # the first family of each inversion class within a kind must have the
+    # exact cross-section list of the geometry that was scanned for it
+    for kinds in (("flat", "cornered"), ("cornered", "flat"), ("cornered",), ("flat",)):
+        for width in range(1, 17):
+            representative = {}
+            for kind in kinds:
+                heads = set()
+                for geom in geometries(width, 2, kind):
+                    key = oracle._inversion_class(geom)
+                    first = representative.setdefault(key, geom)
+                    if key not in heads:
+                        heads.add(key)
+                        assert geom.cross_section() == first.cross_section(), (kinds, geom)
 
 
 def test_scan_needs_both_end_columns(monkeypatch):
