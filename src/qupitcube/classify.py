@@ -23,7 +23,7 @@ from itertools import combinations, permutations
 from .codes import CodeParams, Pair, symplectic_product
 from .conditions import theorem1_report
 from .fp import check_prime, fp_inv
-from .oracle import scan_width
+from .oracle import check_scan_bounds, scan_width
 
 Tuple4 = tuple[Pair, Pair, Pair, Pair]
 
@@ -114,8 +114,10 @@ def scan_theorem1(report: dict, oracle_wmax: int = 2) -> dict:
     are the scan's.  Returns the representatives passing all three
     conditions and, as the operationally meaningful list, those passing
     conditions 1 and 2 whose string bound max length <= 2w is confirmed
-    by the segment solver up to width ``oracle_wmax``.
+    by the segment solver up to width ``oracle_wmax``, which must lie in
+    1..``oracle.MAX_STRIP_WIDTH``.
     """
+    check_scan_bounds(oracle_wmax)
     p, parity = report["p"], report["parity"]
     literal_pass = []
     cond12_oracle_pass = []

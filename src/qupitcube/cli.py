@@ -108,7 +108,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_code_arguments(p_logical)
     p_logical.add_argument("--dims", type=_parse_dims, required=True, metavar="LxLyLz")
     p_logical.add_argument("--ktable", type=int, default=0, metavar="LMAX",
-                           help="also tabulate k over all tori with sides 2..LMAX")
+                           help="also tabulate k over all tori with sides 2..LMAX "
+                                "(LMAX >= 2; 0, the default, is off)")
 
     p_algebra = sub.add_parser("algebra", help="exact phase-algebra identity checks")
     _add_code_arguments(p_algebra)
@@ -195,6 +196,8 @@ def cmd_classify(args, parser) -> int:
 
 def cmd_logical(args, parser) -> int:
     code = _resolve_code(args, parser)
+    if args.ktable < 0 or args.ktable == 1:
+        raise ValueError(f"--ktable must be 0 (off) or >= 2, got {args.ktable}")
     torus = TorusCode(code, args.dims)
     try:
         k = encoded_qudit_count(torus)
@@ -214,7 +217,7 @@ def cmd_logical(args, parser) -> int:
             "product_of_all_generators_identity": prod.is_identity(),
             "commutation_tables": tables,
         })
-        if args.ktable >= 2:
+        if args.ktable:
             table = encoded_qudit_table(code, sizes=range(2, args.ktable + 1))
             results["k_table"] = {"x".join(map(str, dims)): kk
                                   for dims, kk in sorted(table.items())}

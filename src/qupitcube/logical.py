@@ -263,8 +263,8 @@ def product_of_all_generators(torus: TorusCode) -> PauliConfig:
     for pair in build_generator(torus.params).values():
         total = add_pairs(total, pair, p)
     out = PauliConfig(p, torus.dims)
-    for site in product(*map(range, torus.dims)):
-        out.add(site, total)
+    if total != (0, 0):
+        out.support = dict.fromkeys(product(*map(range, torus.dims)), total)
     return out
 
 

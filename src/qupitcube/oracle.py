@@ -307,11 +307,16 @@ def _scan_family(params: CodeParams, geom: SegmentGeometry, l_max: int):
 
 
 def check_scan_bounds(width: int, l_max: int | None = None) -> None:
-    """Refuse a scan wider than ``MAX_STRIP_WIDTH`` or a length horizon
-    beyond ``MAX_STRIP_LENGTH``."""
+    """Refuse a scan outside widths 1..``MAX_STRIP_WIDTH`` or a length
+    horizon outside 2..``MAX_STRIP_LENGTH``: an empty scan would report
+    "no string" without solving anything."""
+    if width < 1:
+        raise ValueError(f"string scans need width >= 1, got {width}")
     if width > MAX_STRIP_WIDTH:
         raise ValueError(f"string scans are limited to width <= {MAX_STRIP_WIDTH}, "
                          f"got {width}")
+    if l_max is not None and l_max < 2:
+        raise ValueError(f"string scans need length >= 2, got {l_max}")
     if l_max is not None and l_max > MAX_STRIP_LENGTH:
         raise ValueError(f"string scans are limited to length <= {MAX_STRIP_LENGTH}, "
                          f"got {l_max}")
@@ -344,8 +349,6 @@ def scan_width(params: CodeParams, width: int, l_max: int | None = None,
     check_scan_bounds(width, l_max)
     if l_max is None:
         l_max = 2 * width + 4
-    if l_max < 2:
-        raise ValueError(f"l_max must be >= 2, got {l_max}")
     lengths = list(range(2, l_max + 1))
     scanned = {}  # inversion class -> the scan of its first geometry
     reports = {}

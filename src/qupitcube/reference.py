@@ -90,9 +90,16 @@ production code it checks, and the tests that compare them:
   ``logical.plane_census`` and ``logical._census_tier`` for the tests
   and demo 04 (``test_logical``, ``test_acceptance.test_criterion_09_*``).
 - ``build_projector`` builds one syndrome projector P(s, r) by
-  ``algebra._projector``, which ``algebra.verify_projector_identities``
-  and ``verify_inversion_action`` call with a shared product table.
-  ``pauli_inverse`` is the (p - 1)-th power, ``commutator_exponent`` the
+  ``algebra._projector``, which ``algebra.verify_inversion_action``
+  calls with a shared product table, from the powers of s that
+  ``algebra._powers`` lists.
+- ``verify_projector_identities_by_sums`` multiplies the p projectors
+  term pair by term pair as ``OperatorSum`` products and compares
+  ``canonical()`` forms.  It checks the verdicts that
+  ``algebra.verify_projector_identities`` reads off one integer count
+  array, under the real product rule and broken ones
+  (``test_algebra.test_batched_projector_checks_match_operator_sums``).
+- ``pauli_inverse`` is the (p - 1)-th power, ``commutator_exponent`` the
   summed symplectic form of two monomials, and ``pauli_from_config``
   lifts a configuration to a phase-0 monomial.  The tests and demo 05
   use them to state the algebra's identities one operator at a time
@@ -107,11 +114,16 @@ import numpy as np
 
 from . import fp
 from .algebra import (
+    MAX_ALGEBRA_MODULUS,
     OperatorSum,
     PhasedPauli,
+    _check_odd_prime,
+    _product,
     _Products,
     _projector,
     _symplectic,
+    generator_pauli,
+    operator_identity,
     pauli_power,
 )
 from .classify import Tuple4, _orbit_normal_forms
@@ -893,3 +905,22 @@ def pauli_inverse(u: PhasedPauli) -> PhasedPauli:
 def build_projector(s: PhasedPauli, r: int) -> OperatorSum:
     """P(s, r) = (1/p) sum_m (omega^r s)^m; requires s^p = identity exactly."""
     return _projector(s, r, _Products(s.p))
+
+
+def verify_projector_identities_by_sums(params: CodeParams) -> dict:
+    """Idempotence, orthogonality, completeness of {P(s, r)} for the cube
+    generator, each product summed term pair by term pair as an
+    ``OperatorSum`` and compared by ``canonical()`` forms."""
+    p = _check_odd_prime(params.p, MAX_ALGEBRA_MODULUS)
+    products = _Products(p)
+    s = generator_pauli(params)
+    projectors = [_projector(s, r, products) for r in range(p)]
+    idempotent = all(_product(P, P, products) == P for P in projectors)
+    orthogonal = all(
+        _product(projectors[r], projectors[q], products).is_zero()
+        for r in range(p) for q in range(p) if r != q)
+    total = projectors[0]
+    for P in projectors[1:]:
+        total = total + P
+    complete = total == operator_identity(p, s.sites)
+    return {"idempotent": idempotent, "orthogonal": orthogonal, "complete": complete}

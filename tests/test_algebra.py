@@ -29,6 +29,7 @@ from qupitcube.reference import (
     commutator_exponent,
     pauli_from_config,
     pauli_inverse,
+    verify_projector_identities_by_sums,
 )
 from qupitcube.reference import commutation_exponent as config_commutation
 from qupitcube.codes import (
@@ -284,7 +285,8 @@ def test_projector_checks_form_p_squared_monomial_products(monkeypatch):
         return rule(u, v, p)
 
     monkeypatch.setattr(algebra, "_monomial_mul", counted)
-    for p, code in ((3, d3_code("A")), (5, d5_code("S")), (7, P7_CODE)):
+    for p, code in ((3, d3_code("A")), (5, d5_code("S")), (7, P7_CODE),
+                    (11, replace(P7_CODE, p=11, parity="S")), (31, replace(P7_CODE, p=31))):
         calls.clear()
         assert verify_projector_identities(code) == {
             "idempotent": True, "orthogonal": True, "complete": True}
@@ -296,6 +298,64 @@ def test_projector_checks_form_p_squared_monomial_products(monkeypatch):
     calls.clear()
     verify_projector_identities(d3_code("S"))
     assert len(calls) == 9
+
+
+def _broken_rules():
+    """Product rules and power tables that are wrong, by name.
+
+    Negating or dropping the phase leaves a twisted group algebra, in
+    which the projectors are still projectors; a cubed phase breaks
+    associativity, and a power table that starts at s instead of 1
+    breaks idempotence and completeness.
+    """
+    rule, powers = algebra._monomial_mul, algebra._powers
+
+    def with_phase(f):
+        def wrong(u, v, p):
+            x, z, c = rule(u, v, p)
+            return (x, z, f(c, p))
+        return wrong
+
+    def off_by_one(s, products):
+        table = powers(s, products)
+        return table[1:] + table[:1]
+
+    return {
+        "phase -c": ("_monomial_mul", with_phase(lambda c, p: -c % p)),
+        "phase dropped": ("_monomial_mul", with_phase(lambda c, p: 0)),
+        "phase cubed": ("_monomial_mul", with_phase(lambda c, p: c ** 3 % p)),
+        "powers from s": ("_powers", off_by_one),
+    }
+
+
+def test_batched_projector_checks_match_operator_sums(monkeypatch):
+    # the count-array verdicts against the term-pair operator sums, under
+    # the real product rule (every verdict true) and under broken ones
+    rng = random.Random(101)
+    codes = [d3_code(parity) for parity in "SA"] + [d5_code(parity) for parity in "SA"]
+    # the broken rules see each random tuple in one parity, which bounds
+    # the time the oracle's p^4 term pairs take
+    some_codes = list(codes)
+    for p in (3, 5, 7, 11, 13):
+        for i in range(10):
+            pairs = [(rng.randrange(p), rng.randrange(p)) for _ in range(4)]
+            pairs = [pair if any(pair) else (1, 0) for pair in pairs]
+            codes += [CodeParams(p, *pairs, parity) for parity in "SA"]
+            some_codes.append(codes[-1 - i % 2])
+    for code in codes:
+        out = verify_projector_identities(code)
+        assert out == verify_projector_identities_by_sums(code)
+        assert out == {"idempotent": True, "orthogonal": True, "complete": True}
+    verdicts = set()
+    for name, (attr, broken) in _broken_rules().items():
+        with monkeypatch.context() as m:
+            m.setattr(algebra, attr, broken)
+            for code in some_codes:
+                out = verify_projector_identities(code)
+                assert out == verify_projector_identities_by_sums(code), (name, code)
+                verdicts.update(out.items())
+    assert verdicts == {(key, value) for key in ("idempotent", "orthogonal", "complete")
+                        for value in (True, False)}
 
 
 def test_commutation_law_is_computed_once_per_process(monkeypatch):

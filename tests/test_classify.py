@@ -159,6 +159,9 @@ def test_scan_theorem1_p3_and_p2():
     assert scan_theorem1(classify_orbits(3), oracle_wmax=1) == out
     out2 = scan_theorem1(classify_orbits(2))
     assert out2["literal_pass"] == [] and out2["cond12_oracle_pass"] == []
+    # no width, no solver run: refused rather than reported as confirmed
+    with pytest.raises(ValueError, match="width >= 1"):
+        scan_theorem1(classify_orbits(3), oracle_wmax=0)
 
 
 def test_scan_theorem1_p5_contains_reference_orbit():

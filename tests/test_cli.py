@@ -377,6 +377,35 @@ def test_strings_and_scan_refuse_scans_beyond_the_bounds(monkeypatch, capsys):
     assert calls == []
 
 
+def test_empty_scans_and_tables_are_refused(monkeypatch, capsys):
+    # a scan of no width or no length would report "no string" without
+    # solving anything; a k table needs sides 2..LMAX, and 0 means off
+    refused = {
+        ("strings", *D5_FLAGS, "--wmax", "0", "--expect-no-string"): "width >= 1",
+        ("strings", *D5_FLAGS, "--wmax", "-3"): "width >= 1",
+        ("strings", *D5_FLAGS, "--wmax", "1", "--lmax", "1"): "length >= 2",
+        ("scan", "--p", "5", "--oracle-wmax", "0"): "width >= 1",
+        ("logical", *D5_FLAGS, "--dims", "2x2x2", "--ktable", "1"): "--ktable must be",
+        ("logical", *D5_FLAGS, "--dims", "2x2x2", "--ktable", "-2"): "--ktable must be",
+    }
+    calls = []
+    monkeypatch.setattr(fp, "mat_rref", lambda *a, **k: calls.append(a))
+    for argv, message in refused.items():
+        with pytest.raises(SystemExit) as exc:
+            cli.main(list(argv))
+        assert exc.value.code == 2 and calls == [], argv
+        err = capsys.readouterr()
+        assert err.out == "" and message in err.err, argv
+    for width, l_max in ((0, None), (1, 1)):
+        with pytest.raises(ValueError, match=">= "):
+            max_nontrivial_length(d5_code(), width, l_max=l_max)
+    monkeypatch.undo()
+    out = run_cli("strings", *D5_FLAGS, "--wmax", "0", "--expect-no-string")
+    assert (out.returncode, out.stdout) == (2, "")
+    assert cli.main(["logical", *D5_FLAGS, "--dims", "2x2x2", "--ktable", "0"]) == 0
+    assert "k_table" not in json.loads(capsys.readouterr().out)["results"]
+
+
 def test_algebra_refuses_moduli_beyond_the_bound(monkeypatch, capsys):
     assert MAX_ALGEBRA_MODULUS == 31
     argv = ("algebra", "--p", "37", *D5_FLAGS[2:])
@@ -393,6 +422,19 @@ def test_algebra_refuses_moduli_beyond_the_bound(monkeypatch, capsys):
         cli.main(list(argv))
     assert exc.value.code == 2 and calls == []
     assert "p <= 31" in capsys.readouterr().err
+
+
+def test_algebra_runs_at_the_modulus_bound():
+    # the projector checks count all p^2 products in one integer array,
+    # so a fresh interpreter decides p = 31 in well under two seconds
+    assert MAX_ALGEBRA_MODULUS == 31
+    start = time.perf_counter()
+    out = run_cli("algebra", "--p", "31", *D5_FLAGS[2:-1], "A", "--r", "2")
+    assert time.perf_counter() - start < 2
+    assert out.returncode == 0
+    report = json.loads(out.stdout)
+    assert report["status"] == "ok"
+    assert report["results"]["inversion_action"]["expected_r"] == 29
 
 
 def test_algebra_allow_large_is_a_no_op():
