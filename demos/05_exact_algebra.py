@@ -12,13 +12,18 @@ from qupitcube.algebra import (
     PhasedPauli,
     generator_pauli,
     inversion_conjugate,
-    op_mul,
-    operator_identity,
     pauli_mul,
     pauli_power,
     verify_inversion_action,
 )
-from qupitcube.reference import build_projector, commutator_exponent
+from qupitcube.reference import (
+    build_projector,
+    commutator_exponent,
+    op_add,
+    op_is_zero,
+    op_mul,
+    operator_identity,
+)
 
 p = 3
 site = ((0, 0, 0),)
@@ -47,10 +52,10 @@ projectors = [build_projector(s, r) for r in range(p)]
 
 total = projectors[0]
 for P in projectors[1:]:
-    total = total + P
+    total = op_add(total, P)
 complete = total == operator_identity(p, s.sites)
 idempotent = op_mul(projectors[1], projectors[1]) == projectors[1]
-orthogonal = op_mul(projectors[1], projectors[2]).is_zero()
+orthogonal = op_is_zero(op_mul(projectors[1], projectors[2]))
 assert complete and idempotent and orthogonal
 print("\nsum of the three projectors is the identity:", complete)
 print("P(s,1)^2 = P(s,1):", idempotent)

@@ -177,8 +177,8 @@ class OperatorSum:
 
     ``terms`` maps (x, z, phase) keys, standing for omega^phase X^x Z^z,
     to nonzero integer numerators over the positive integer ``den``.
-    Keys that differ only in phase are dependent, so equality and
-    ``is_zero`` compare ``canonical()`` forms.
+    Keys that differ only in phase are dependent, so equality compares
+    ``canonical()`` forms.
     """
 
     __slots__ = ("p", "sites", "den", "terms")
@@ -230,59 +230,13 @@ class OperatorSum:
         g = gcd(self.den, *(n for vec in out.values() for n in vec))
         return self.den // g, {mono: tuple(n // g for n in vec) for mono, vec in out.items()}
 
-    def is_zero(self) -> bool:
-        return not self.canonical()[1]
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, OperatorSum) and self.p == other.p
                 and self.sites == other.sites
                 and self.canonical() == other.canonical())
 
-    def __add__(self, other: "OperatorSum") -> "OperatorSum":
-        if self.p != other.p or self.sites != other.sites:
-            raise ValueError("operator sums must share modulus and sites")
-        out = OperatorSum(self.p, self.sites)
-        out.den = lcm(self.den, other.den)
-        out.terms = self._over(out.den)
-        for key, n in other._over(out.den).items():
-            out._accumulate(key, n)
-        return out
-
-    def __mul__(self, other: "OperatorSum") -> "OperatorSum":
-        return op_mul(self, other)
-
     def __repr__(self) -> str:
         return f"OperatorSum(p={self.p}, terms={len(self.terms)})"
-
-
-def operator_identity(p: int, sites) -> OperatorSum:
-    out = OperatorSum(p, sites)
-    out.add_monomial(identity_pauli(p, sites))
-    return out
-
-
-def _product(a: OperatorSum, b: OperatorSum, products: _Products) -> OperatorSum:
-    if a.p != b.p or a.sites != b.sites:
-        raise ValueError("operator sums must share modulus and sites")
-    p = a.p
-    right = [((x, z), c, n) for (x, z, c), n in b.terms.items()]
-    acc: dict = {}
-    for (xu, zu, cu), nu in a.terms.items():
-        u = (xu, zu)
-        for v, cv, nv in right:
-            x, z, c = products[u, v]
-            key = (x, z, (cu + cv + c) % p)
-            acc[key] = acc.get(key, 0) + nu * nv
-    out = OperatorSum(p, a.sites)
-    out.den = a.den * b.den
-    out.terms = {key: n for key, n in acc.items() if n}
-    return out
-
-
-def op_mul(a: OperatorSum, b: OperatorSum) -> OperatorSum:
-    """Exact product: the monomial product rule per term pair, numerators
-    summed over the product of the operands' denominators."""
-    return _product(a, b, _Products(a.p))
 
 
 def _powers(s: PhasedPauli, products: _Products) -> list[tuple]:

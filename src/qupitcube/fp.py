@@ -96,22 +96,59 @@ def mat_rank(M, p: int) -> int:
     return len(mat_rref(M, p)[1])
 
 
+def mat_power(M, e: int, p: int) -> np.ndarray:
+    """``M``^e over F_p for a square ``M`` and e >= 0, by repeated squaring."""
+    base, out = normalize(M, p), None
+    while True:
+        if e & 1:
+            out = base if out is None else out @ base % p
+        e >>= 1
+        if not e:
+            return np.eye(len(base), dtype=np.int64) if out is None else out
+        base = base @ base % p
+
+
+def _non_pivots(n: int, pivots: list[int]) -> list[int]:
+    pivot_set = set(pivots)
+    return [c for c in range(n) if c not in pivot_set]
+
+
 def nullspace(M, p: int) -> np.ndarray:
     """Basis of the right nullspace of ``M`` over F_p, one vector per row.
 
     Returns a ``(dim, n)`` array; ``dim`` may be 0.  A matrix with zero
-    rows has the full space as its nullspace.
+    rows has the full space as its nullspace.  Each basis vector is 1 at
+    its own free column and 0 at the others.
     """
     M = normalize(M, p)
     m, n = M.shape
     if m == 0:
         return np.eye(n, dtype=np.int64)
     R, pivot_cols = mat_rref(M, p)
-    pivots = set(pivot_cols)
-    free_cols = [c for c in range(n) if c not in pivots]
-    basis = np.zeros((len(free_cols), n), dtype=np.int64)
-    for k, f in enumerate(free_cols):
-        basis[k, f] = 1
-        for i, c in enumerate(pivot_cols):
-            basis[k, c] = (-R[i, f]) % p
+    free = _non_pivots(n, pivot_cols)
+    basis = np.zeros((len(free), n), dtype=np.int64)
+    if free:
+        basis[range(len(free)), free] = 1
+        basis[:, pivot_cols] = (-R[:len(pivot_cols), free]).T % p
     return basis
+
+
+def transfer(M, n: int, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eliminate a two-block system ``M [x; y] = 0`` against its first
+    ``n`` columns.
+
+    Returns ``(A, F, v)`` with the solutions exactly ``x = A y + F z`` and
+    ``v y = 0`` for free ``z``, which holds one entry per non-pivot column
+    of the first block and equals ``x`` there.  ``F`` has no columns when
+    that block has full column rank.  The rows of ``v`` need not be
+    independent.
+    """
+    R, pivots = mat_rref(M, p, n_pivot_cols=n)
+    r = len(pivots)
+    free = _non_pivots(n, pivots)
+    A = np.zeros((n, R.shape[1] - n), dtype=np.int64)
+    A[pivots] = (-R[:r, n:]) % p
+    F = np.zeros((n, len(free)), dtype=np.int64)
+    F[pivots] = (-R[:r, free]) % p
+    F[free, range(len(free))] = 1
+    return A, F, R[r:, n:]

@@ -226,24 +226,15 @@ def strip_transfer(params: CodeParams,
     generators whose cubes start at length position g act on column
     blocks g and g+1 through the same two blocks for every g.  Eliminating
     the length-2 system (``_pair_system``) against its first column block
-    therefore gives, at every length, ``x_g = A x_{g+1} + F z_g`` and
-    ``v x_{g+1} = 0``, where ``z_g`` is free and holds one entry per
-    non-pivot column of that block.  ``F`` has no columns when the block
-    has full rank, as it always does for deformable codes.  Only
-    ``geom.kind``, width, orientation and corner are used.
+    therefore gives (``fp.transfer``), at every length,
+    ``x_g = A x_{g+1} + F z_g`` and ``v x_{g+1} = 0``, where ``z_g`` is
+    free and holds one entry per non-pivot column of that block.  ``F``
+    has no columns when the block has full rank, as it always does for
+    deformable codes.  Only ``geom.kind``, width, orientation and corner
+    are used.
     """
-    p = params.p
     M = _pair_system(params, geom)
-    n = M.shape[1] // 2
-    R, pivots = fp.mat_rref(M, p, n_pivot_cols=n)
-    r = len(pivots)
-    free = sorted(set(range(n)) - set(pivots))
-    A = np.zeros((n, n), dtype=np.int64)
-    A[pivots] = (-R[:r, n:]) % p
-    F = np.zeros((n, len(free)), dtype=np.int64)
-    F[pivots] = (-R[:r, free]) % p
-    F[free, np.arange(len(free))] = 1
-    return A, F, R[r:, n:]
+    return fp.transfer(M, M.shape[1] // 2, params.p)
 
 
 def _transfer_witness(params: CodeParams, geom: SegmentGeometry, A: np.ndarray,

@@ -89,13 +89,28 @@ production code it checks, and the tests that compare them:
   ``planar_census`` and ``census_operators`` are views of
   ``logical.plane_census`` and ``logical._census_tier`` for the tests
   and demo 04 (``test_logical``, ``test_acceptance.test_criterion_09_*``).
+- ``layer_relation_by_nullspace`` is the layer relation W as the dense
+  nullspace of [B1; B0]^T, 2m x 2m for m cubes per layer.  It checks
+  the row space of ``logical._layer_relation``, which a cyclic transfer
+  along one cube row gives
+  (``test_logical.test_layer_relation_matches_dense_nullspace``).
+  ``left_kernel_dim_by_composition`` composes W layer by layer around
+  the torus.  It checks ``logical._left_kernel_dim`` on tori too large
+  for the dense rank, degenerate tuples included
+  (``test_logical.test_transfer_k_matches_composition_sweep``).
 - ``build_projector`` builds one syndrome projector P(s, r) by
   ``algebra._projector``, which ``algebra.verify_inversion_action``
   calls with a shared product table, from the powers of s that
   ``algebra._powers`` lists.
+- ``op_mul``, ``op_add``, ``op_is_zero`` and ``operator_identity`` are
+  the term-pair product, the sum, the zero test and the identity of
+  ``algebra.OperatorSum``; the command line never needs them.  The
+  tests and demo 05 check the sums against dense matrices and
+  fractions with them (``test_algebra.test_operator_sums_*``,
+  ``test_algebra.test_integer_products_*``).
 - ``verify_projector_identities_by_sums`` multiplies the p projectors
-  term pair by term pair as ``OperatorSum`` products and compares
-  ``canonical()`` forms.  It checks the verdicts that
+  term pair by term pair by ``op_mul`` and compares ``canonical()``
+  forms.  It checks the verdicts that
   ``algebra.verify_projector_identities`` reads off one integer count
   array, under the real product rule and broken ones
   (``test_algebra.test_batched_projector_checks_match_operator_sums``).
@@ -109,6 +124,8 @@ production code it checks, and the tests that compare them:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
+from math import lcm
 
 import numpy as np
 
@@ -118,12 +135,11 @@ from .algebra import (
     OperatorSum,
     PhasedPauli,
     _check_odd_prime,
-    _product,
     _Products,
     _projector,
     _symplectic,
     generator_pauli,
-    operator_identity,
+    identity_pauli,
     pauli_power,
 )
 from .classify import Tuple4, _orbit_normal_forms
@@ -146,7 +162,7 @@ from .conditions import (
     check_deformability,
     minimal_string_determinants,
 )
-from .logical import TorusCode, _census_tier, face_tile, plane_census
+from .logical import TorusCode, _census_tier, _sweep_axes, face_tile, plane_census
 from .oracle import (
     DegenerateGeometryError,
     SegmentGeometry,
@@ -806,6 +822,61 @@ def inversion_image(config: PauliConfig, center) -> PauliConfig:
 
 
 # ---------------------------------------------------------------------------
+# Encoded qudits on tori
+
+
+def layer_relation_by_nullspace(params: CodeParams, dims) -> np.ndarray:
+    """W = {(a, b) : a B1 + b B0 = 0} as the dense nullspace of [B1; B0]^T.
+
+    The cubes of layer 0 across the sweep axis of ``logical._sweep_axes``,
+    in the order of ``logical._layer_relation``, act on site layer 0
+    through B0 and on site layer 1 through B1.
+    """
+    a, u, v = _sweep_axes(dims)
+    du, dv = dims[u], dims[v]
+    m = du * dv
+
+    def index(site):
+        return site[a] * m + (site[u] % du) * dv + site[v] % dv
+
+    cubes = []
+    for cu, cv in product(range(du), range(dv)):
+        c = [0, 0, 0]
+        c[u], c[v] = cu, cv
+        cubes.append(tuple(c))
+    B = generator_rows(params, cubes, index, 2 * m)
+    return fp.nullspace(np.vstack([B[:, 2 * m:], B[:, :2 * m]]).T, params.p)
+
+
+def left_kernel_dim_by_composition(params: CodeParams, dims) -> int:
+    """The relation count of ``logical._left_kernel_dim`` by composing W.
+
+    Layer coefficients lambda_0..lambda_{L-1} multiply to the identity iff
+    every cyclically consecutive pair (a, b) lies in W
+    (``layer_relation_by_nullspace``).  W is composed with itself L - 1
+    times: Q is the relation between the first and last layer, and h the
+    dimension of the sequences with both ends zero.  Closing the cycle
+    adds the dimension of Q on the diagonal.  It eliminates 2m x 2m and
+    larger matrices, m the cubes per layer, where the dense rank would
+    need the whole n x 2n generator matrix.
+    """
+    p = params.p
+    W = layer_relation_by_nullspace(params, dims)
+    m = W.shape[1] // 2
+    Wa, Wb = W[:, :m], W[:, m:]
+    Q, h = W, 0
+    for _ in range(dims[_sweep_axes(dims)[0]] - 1):
+        q = len(Q)
+        # (alpha, beta) with alpha Q_last = beta W_first
+        N = fp.nullspace(np.vstack([Q[:, m:], (-Wa) % p]).T, p)
+        image = np.hstack([N[:, :q] @ Q[:, :m], N[:, q:] @ Wb]) % p
+        R, pivots = fp.mat_rref(image, p)
+        Q = R[:len(pivots)]
+        h += len(N) - len(pivots)
+    return h + len(Q) - fp.mat_rank(Q[:, :m] - Q[:, m:], p)
+
+
+# ---------------------------------------------------------------------------
 # Planar operators on tori
 
 
@@ -907,20 +978,63 @@ def build_projector(s: PhasedPauli, r: int) -> OperatorSum:
     return _projector(s, r, _Products(s.p))
 
 
+def operator_identity(p: int, sites) -> OperatorSum:
+    out = OperatorSum(p, sites)
+    out.add_monomial(identity_pauli(p, sites))
+    return out
+
+
+def op_mul(a: OperatorSum, b: OperatorSum, products: _Products | None = None) -> OperatorSum:
+    """Exact product: the monomial product rule per term pair, numerators
+    summed over the product of the operands' denominators."""
+    if a.p != b.p or a.sites != b.sites:
+        raise ValueError("operator sums must share modulus and sites")
+    p = a.p
+    products = products if products is not None else _Products(p)
+    right = [((x, z), c, n) for (x, z, c), n in b.terms.items()]
+    acc: dict = {}
+    for (xu, zu, cu), nu in a.terms.items():
+        u = (xu, zu)
+        for v, cv, nv in right:
+            x, z, c = products[u, v]
+            key = (x, z, (cu + cv + c) % p)
+            acc[key] = acc.get(key, 0) + nu * nv
+    out = OperatorSum(p, a.sites)
+    out.den = a.den * b.den
+    out.terms = {key: n for key, n in acc.items() if n}
+    return out
+
+
+def op_add(a: OperatorSum, b: OperatorSum) -> OperatorSum:
+    """Exact sum, over the least common multiple of the denominators."""
+    if a.p != b.p or a.sites != b.sites:
+        raise ValueError("operator sums must share modulus and sites")
+    out = OperatorSum(a.p, a.sites)
+    out.den = lcm(a.den, b.den)
+    for op in (a, b):
+        for key, n in op.terms.items():
+            out._accumulate(key, n * (out.den // op.den))
+    return out
+
+
+def op_is_zero(a: OperatorSum) -> bool:
+    return not a.canonical()[1]
+
+
 def verify_projector_identities_by_sums(params: CodeParams) -> dict:
     """Idempotence, orthogonality, completeness of {P(s, r)} for the cube
-    generator, each product summed term pair by term pair as an
-    ``OperatorSum`` and compared by ``canonical()`` forms."""
+    generator, each product summed term pair by term pair by ``op_mul``
+    and compared by ``canonical()`` forms."""
     p = _check_odd_prime(params.p, MAX_ALGEBRA_MODULUS)
     products = _Products(p)
     s = generator_pauli(params)
     projectors = [_projector(s, r, products) for r in range(p)]
-    idempotent = all(_product(P, P, products) == P for P in projectors)
+    idempotent = all(op_mul(P, P, products) == P for P in projectors)
     orthogonal = all(
-        _product(projectors[r], projectors[q], products).is_zero()
+        op_is_zero(op_mul(projectors[r], projectors[q], products))
         for r in range(p) for q in range(p) if r != q)
     total = projectors[0]
     for P in projectors[1:]:
-        total = total + P
+        total = op_add(total, P)
     complete = total == operator_identity(p, s.sites)
     return {"idempotent": idempotent, "orthogonal": orthogonal, "complete": complete}

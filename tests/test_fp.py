@@ -135,6 +135,77 @@ def test_nullspace_basis_is_reduced_on_the_free_columns():
             assert ((0 <= ns) & (ns < p)).all()
 
 
+def _nullspace_by_loop(M, p):
+    """The free x pivot double loop ``fp.nullspace`` assembled its basis with."""
+    M = fp.normalize(M, p)
+    rows, cols = M.shape
+    if rows == 0:
+        return np.eye(cols, dtype=np.int64)
+    R, pivot_cols = fp.mat_rref(M, p)
+    free_cols = [c for c in range(cols) if c not in pivot_cols]
+    basis = np.zeros((len(free_cols), cols), dtype=np.int64)
+    for k, f in enumerate(free_cols):
+        basis[k, f] = 1
+        for i, c in enumerate(pivot_cols):
+            basis[k, c] = (-R[i, f]) % p
+    return basis
+
+
+def test_nullspace_matches_loop_assembly():
+    rng = random.Random(19)
+    cases = [np.zeros((0, 4), dtype=np.int64), np.zeros((3, 5), dtype=np.int64),
+             np.eye(4, dtype=np.int64), np.zeros((2, 0), dtype=np.int64),
+             np.array([[1, 2, 0], [2, 4, 0]])]
+    kinds = set()
+    for p in (2,) + PRIMES:
+        for _ in range(150):
+            rows, cols = rng.randrange(0, 9), rng.randrange(1, 10)
+            M = _random_matrix(rng, p, rows, cols).reshape(rows, cols)
+            if rows > 2 and rng.random() < 0.4:  # dependent rows lower the rank
+                M[-1] = (M[0] + 2 * M[1]) % p
+            cases.append(M)
+        for M in cases:
+            ns = fp.nullspace(M, p)
+            loop = _nullspace_by_loop(M, p)
+            assert ns.dtype == loop.dtype and np.array_equal(ns, loop), (p, M)
+            rank = M.shape[1] - len(ns)
+            kinds.add("zero rows" if not M.shape[0] else "rank 0" if not rank
+                      else "full rank" if rank == min(M.shape) else "deficient")
+    assert kinds == {"zero rows", "rank 0", "full rank", "deficient"}
+
+
+def test_transfer_parametrises_the_two_block_solutions():
+    # x = A y + F z with v y = 0 is exactly the kernel of M [x; y]
+    rng = random.Random(23)
+    for p in (2, 3, 5):
+        for _ in range(60):
+            n, m = rng.randrange(0, 4), rng.randrange(0, 4)
+            rows = rng.randrange(0, 6)
+            M = _random_matrix(rng, p, rows, n + m).reshape(rows, n + m)
+            A, F, v = fp.transfer(M, n, p)
+            assert A.shape == (n, m) and F.shape[0] == n and v.shape[1] == m
+            kernel = fp.nullspace(M, p)
+            # every (F z + A y, y) with v y = 0 solves M, and they fill the kernel
+            ys = fp.nullspace(v, p)
+            params = [np.concatenate([A @ y % p, y]) for y in ys]
+            params += [np.concatenate([f, np.zeros(m, dtype=np.int64)]) for f in F.T]
+            span = np.array(params, dtype=np.int64).reshape(len(params), n + m)
+            assert not (M @ span.T % p).any()
+            assert fp.mat_rank(span, p) == len(span) == len(kernel)
+
+
+def test_mat_power_matches_repeated_products():
+    rng = random.Random(29)
+    for p in PRIMES:
+        for _ in range(30):
+            n = rng.randrange(0, 5)
+            M = _random_matrix(rng, p, n, n).reshape(n, n)
+            expected = np.eye(n, dtype=np.int64)
+            for e in range(10):
+                assert np.array_equal(fp.mat_power(M, e, p), expected), (M, e)
+                expected = expected @ M % p
+
+
 def test_divisibility_chain_and_krylov_independence():
     rng = random.Random(13)
     for p in PRIMES:

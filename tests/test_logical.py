@@ -1,6 +1,7 @@
 """Planar logical operators, global relations, encoded-qudit counts."""
 
 import random
+import time
 from itertools import product
 
 import numpy as np
@@ -33,6 +34,8 @@ from qupitcube.reference import (
     commutation_exponent,
     config_row,
     is_logical,
+    layer_relation_by_nullspace,
+    left_kernel_dim_by_composition,
     planar_census,
 )
 
@@ -239,6 +242,107 @@ def test_sweep_k_matches_dense_rank():
     for code, dims in cases:
         torus = TorusCode(code, dims)
         assert torus.n - torus.rank == dense_k(code, dims), (code, dims)
+
+
+# (1,0)^4 is X on all eight vertices; the others are tuples whose
+# periodic part is smaller than the kernel of the transfer's leftover rows
+NON_DEFORMABLE = [CodeParams(3, (1, 0), (1, 0), (1, 0), (1, 0), "S"),
+                  CodeParams(2, (1, 0), (1, 0), (1, 0), (1, 0), "A"),
+                  CodeParams(5, (1, 0), (0, 1), (1, 0), (0, 1), "S"),
+                  CodeParams(3, (2, 0), (0, 1), (2, 2), (1, 1), "S"),
+                  CodeParams(3, (0, 1), (0, 2), (2, 0), (1, 2), "S"),
+                  CodeParams(5, (0, 1), (1, 2), (4, 2), (4, 4), "A"),
+                  CodeParams(7, (5, 0), (2, 2), (1, 5), (1, 6), "A")]
+
+
+def transfer_shapes(monkeypatch):
+    """Record (dim x, columns of F, dim ker v, dim V*) of each periodic part."""
+    seen, periodic_part = [], logical._periodic_part
+
+    def spy(A, F, v, p):
+        out = periodic_part(A, F, v, p)
+        seen.append((len(A), F.shape[1], len(fp.nullspace(v, p)), len(out[0])))
+        return out
+
+    monkeypatch.setattr(logical, "_periodic_part", spy)
+    return seen
+
+
+def test_periodic_dim_counts_cyclic_sequences_by_enumeration():
+    # every periodic sequence x_0..x_{L-1} with M [x_{j+1}; x_j] = 0 for all
+    # j (cyclically), enumerated, against fp.transfer and _periodic_dim
+    rng = random.Random(173)
+    seen = set()
+    for p, n, L in [(2, 1, 5), (2, 2, 3), (2, 3, 4), (2, 4, 3), (3, 1, 4), (3, 2, 3),
+                    (3, 3, 2), (5, 1, 4), (5, 2, 2), (2, 3, 1), (3, 2, 1)]:
+        seqs = np.array(list(product(range(p), repeat=n * L)), dtype=np.int64)
+        seqs = seqs.reshape(len(seqs), L, n)
+        for _ in range(40):
+            rows = rng.randrange(0, 2 * n + 1)
+            M = np.array([[rng.randrange(p) for _ in range(2 * n)] for _ in range(rows)],
+                         dtype=np.int64).reshape(rows, 2 * n)
+            if rows and rng.random() < 0.3:  # a row on one block only
+                M[0, :n] = 0
+            pairs = np.concatenate([np.roll(seqs, -1, axis=1), seqs], axis=2)
+            count = int((~(pairs @ M.T % p).any(axis=(1, 2))).sum())
+            A, F, v = fp.transfer(M, n, p)
+            dim = logical._periodic_dim(A, F, v, L, p)
+            assert p ** dim == count, (p, n, L, M)
+            Ab, Bb, _ = logical._periodic_part(A, F, v, p)
+            seen.add((F.shape[1] > 0, len(Bb) > 0, len(Ab) < len(fp.nullspace(v, p))))
+    assert seen >= {(True, True, False), (False, False, True), (True, False, True)}
+
+
+def test_transfer_k_matches_dense_rank_on_small_sides(monkeypatch):
+    # sides 1-6 at p = 2..11, deformable or not: the layer transfer along u
+    # and the theta transfer along the sweep axis, both closed cyclically
+    seen = transfer_shapes(monkeypatch)
+    rng = random.Random(163)
+    cases = [(random_code(rng, p), tuple(rng.randint(1, 6) for _ in range(3)))
+             for p in (2, 3, 5, 7, 11) for _ in range(24)]
+    cases += [(code, dims) for code in NON_DEFORMABLE
+              for dims in ((1, 1, 1), (1, 4, 1), (2, 1, 3), (3, 6, 5), (5, 5, 4), (6, 3, 5))]
+    cases += [(code, (1, 1, 6)) for code in ALL_CODES]
+    for code, dims in cases:
+        assert logical._left_kernel_dim(code, dims) == dense_k(code, dims), (code, dims)
+    # free columns at both levels, and a periodic part cut below ker v
+    assert any(f for _, f, _, _ in seen[0::2]) and any(f for _, f, _, _ in seen[1::2])
+    assert any(kernel > periodic for _, _, kernel, periodic in seen)
+
+
+def test_layer_relation_matches_dense_nullspace():
+    rng = random.Random(167)
+    cases = [(random_code(rng, p), tuple(rng.randint(1, 6) for _ in range(3)))
+             for p in (2, 3, 5, 7) for _ in range(10)]
+    cases += [(code, (4, 3, 5)) for code in NON_DEFORMABLE + ALL_CODES]
+    for code, dims in cases:
+        W = logical._layer_relation(code, dims)
+        dense = layer_relation_by_nullspace(code, dims)
+        assert W.shape == dense.shape, (code, dims)
+        assert fp.mat_rank(W, code.p) == len(W)
+        assert np.array_equal(fp.mat_rref(W, code.p)[0], fp.mat_rref(dense, code.p)[0])
+
+
+def test_transfer_k_matches_composition_sweep():
+    # tori too large for the dense rank, where the composition sweep is the oracle
+    cases = [(d5_code("S"), (8, 8, 8)), (d5_code("A"), (10, 9, 12)),
+             (d3_code("A"), (12, 12, 12)), (d3_code("S"), (11, 8, 10)),
+             (NON_DEFORMABLE[0], (8, 8, 8)), (NON_DEFORMABLE[1], (9, 10, 8)),
+             (NON_DEFORMABLE[3], (12, 10, 11)), (NON_DEFORMABLE[6], (10, 10, 10)),
+             (NON_DEFORMABLE[0], (256, 4, 4)), (NON_DEFORMABLE[3], (1024, 2, 2))]
+    for code, dims in cases:
+        k = logical._left_kernel_dim(code, dims)
+        assert k == left_kernel_dim_by_composition(code, dims), (code, dims)
+
+
+def test_encoded_qudits_at_the_torus_cap_take_under_a_tenth_of_a_second():
+    for parity in "SA":
+        code = d5_code(parity)
+        encoded_qudit_count(TorusCode(code, (2, 2, 2)))  # first-call costs
+        start = time.perf_counter()
+        k = encoded_qudit_count(TorusCode(code, (16, 16, 16)))
+        assert time.perf_counter() - start < 0.1
+        assert k == 4
 
 
 @pytest.mark.parametrize("scale", [None, 2, 3])
