@@ -25,9 +25,9 @@ from .codes import CodeParams, check_dims, load_params, verify_translation_commu
 from .logical import (
     InvalidCodeError,
     TorusCode,
+    commutation_table,
     encoded_qudit_count,
     encoded_qudit_table,
-    logical_commutation_table,
     plane_census,
     product_of_all_generators,
 )
@@ -209,7 +209,7 @@ def cmd_logical(args, parser) -> int:
     if abelian:
         prod = product_of_all_generators(torus)
         census = plane_census(torus)
-        tables = {name: logical_commutation_table(ops).tolist()
+        tables = {name: commutation_table(ops, code.p).tolist()
                   for name, (_, ops) in census.items()}
         results.update({
             "census": {name: entry for name, (entry, _) in census.items()},

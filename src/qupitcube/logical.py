@@ -9,6 +9,9 @@ layer coefficients whose consecutive pairs lie in one layer relation W;
 W comes from a cyclic transfer along a cross-section row, and the count
 from a second cyclic transfer along the sweep axis, so nothing larger
 than one cross-section is eliminated and no n x 2n matrix is built.
+Both transfers depend on the cross-section only, so a table of k over
+many tori builds them once per cross-section and closes them once per
+length.
 
 Noncontractible plane operators are built from a 2x2 tile that matches
 the generator's face across the plane: the tile entry at in-plane parity
@@ -20,7 +23,8 @@ of all four is uniform, giving the 4 / 2 / 1 census by the parities of
 the two in-plane dimensions.  The census keeps each candidate as an
 L_u x L_v array of pairs on the plane, and decides all nine of one tile
 alignment at once from their syndromes on the only two cube layers that
-touch the plane; only the operators it counts become configurations.
+touch the plane.  The operators it counts stay plane arrays, and their
+commutation table is X Z^T - Z X^T on the flattened planes.
 
 Commutation on a torus is read off the origin generator: its exponent
 with each translate comes from its own support (``check_abelian``).  The
@@ -52,7 +56,9 @@ from .codes import (
 # Largest torus.  k comes from two cyclic transfers whose eliminations
 # act on one row or one layer of cubes.  At 16^3, d5 takes under 10 ms,
 # and the non-deformable p = 3 tuple (1,0)^4, whose layer relation has 287
-# dimensions, 0.2-0.3 s at 42 MB peak RSS (2-core x86_64 VM, Python 3.11,
+# dimensions, 0.2-0.3 s at 42 MB peak RSS.  The k table over all sides
+# 2..16, 3,375 tori, builds each cross-section's transfers once: under a
+# second for d5, 15-16 s for (1,0)^4 (2-core x86_64 VM, Python 3.11,
 # numpy 2.4).  The census and check_abelian keep to the same bound.
 MAX_TORUS_SITES = 16 ** 3
 
@@ -140,47 +146,65 @@ def _periodic_part(A: np.ndarray, F: np.ndarray, v: np.ndarray,
     return Ab, pairs[:, :s], V
 
 
-def _closure(Ab: np.ndarray, Bb: np.ndarray, L: int, blocks: int, p: int) -> np.ndarray:
-    """Rows [Ab^L - I; Bb Ab^(blocks-1); ...; Bb Ab; Bb].
+def _krylov(Ab: np.ndarray, Bb: np.ndarray, blocks: int, p: int) -> list[np.ndarray]:
+    """The blocks [Bb, Bb Ab, ..., Bb Ab^(blocks-1)]."""
+    krylov = [Bb]
+    for _ in range(blocks - 1):
+        krylov.append(krylov[-1] @ Ab % p)
+    return krylov[:blocks]
 
-    With ``blocks`` = L, (c_0, w_0, ..., w_{L-1}) is a period-L solution of
+
+def _closure(power: np.ndarray, krylov: list[np.ndarray], p: int) -> np.ndarray:
+    """Rows [Ab^L - I; Bb Ab^(b-1); ...; Bb Ab; Bb] from ``power`` = Ab^L
+    and the first b blocks of ``_krylov``.
+
+    With b = L, (c_0, w_0, ..., w_{L-1}) is a period-L solution of
     ``_periodic_part``'s recursion iff it lies in the left kernel, since
     c_L = c_0 Ab^L + sum_i w_i Bb Ab^(L-1-i).  The rows Bb Ab^k span their
-    final space once k reaches dim c, so ``blocks`` = min(L, dim c) gives
-    the same rank.
+    final space once k reaches dim c, so b = min(L, dim c) gives the same
+    rank.
     """
-    s = len(Ab)
-    krylov, block = [], Bb
-    for _ in range(blocks):
-        krylov.append(block)
-        block = block @ Ab % p
-    power = fp.mat_power(Ab, L, p) - np.eye(s, dtype=np.int64)
-    return np.vstack([power % p, *krylov[::-1]])
+    eye = np.eye(len(power), dtype=np.int64)
+    return np.vstack([(power - eye) % p, *krylov[::-1]])
 
 
-def _periodic_dim(A: np.ndarray, F: np.ndarray, v: np.ndarray, L: int, p: int) -> int:
-    """Dimension of the period-L solutions of ``fp.transfer``'s recursion."""
+def _periodic_dims(A: np.ndarray, F: np.ndarray, v: np.ndarray, lengths,
+                   p: int) -> list[int]:
+    """Dimension of the period-L solutions of ``fp.transfer``'s recursion,
+    one per L in ``lengths``, from one periodic part.
+
+    The Krylov blocks are formed once, and the lengths are closed in
+    increasing order, so each Ab^L is the previous power times Ab to the
+    gap.
+    """
     Ab, Bb, _ = _periodic_part(A, F, v, p)
     s = len(Ab)
-    return s + L * len(Bb) - fp.mat_rank(_closure(Ab, Bb, L, min(L, s), p), p)
+    krylov = _krylov(Ab, Bb, min(max(lengths), s), p)
+    dims, power, done = {}, None, 0
+    for L in sorted(set(lengths)):
+        step = fp.mat_power(Ab, L - done, p)
+        power, done = (step if power is None else power @ step % p), L
+        dims[L] = s + L * len(Bb) - fp.mat_rank(_closure(power, krylov[:min(L, s)], p), p)
+    return [dims[L] for L in lengths]
 
 
-def _layer_relation(params: CodeParams, dims: Site) -> np.ndarray:
+def _layer_relation(params: CodeParams, axes: Site, du: int, dv: int) -> np.ndarray:
     """Basis (a | b) of W = {(a, b) : a B1 + b B0 = 0}, one row each.
 
     a and b are coefficients on the cubes of two consecutive layers
-    across the sweep axis (``_sweep_axes``), indexed row-major by their
-    (u, v) position; B1 and B0 are how those layers act on the site layer
-    between them.  W comes from a cyclic transfer along u: block y_j holds
-    the a and then the b entries of cube row j.  The four cube rows of two
-    layers and two rows meet site row 1 of site layer 1 in one length-2
-    system, with v wrapped mod L_v and u and the layers left open;
-    eliminating it against the new row gives y_{j+1} = A y_j + F z_j, and
-    the period-L_u closure wraps u, sides 1 and 2 included.
+    across the sweep axis, the first of ``axes``; the other two are the
+    cross-section sides u and v, of sizes ``du`` and ``dv``.  Entries are
+    indexed row-major by their (u, v) position; B1 and B0 are how those
+    layers act on the site layer between them.  W comes from a cyclic
+    transfer along u: block y_j holds the a and then the b entries of
+    cube row j.  The four cube rows of two layers and two rows meet site
+    row 1 of site layer 1 in one length-2 system, with v wrapped mod dv
+    and u and the layers left open; eliminating it against the new row
+    gives y_{j+1} = A y_j + F z_j, and the period-du closure wraps u,
+    sides 1 and 2 included.  W depends on the cross-section only.
     """
     p = params.p
-    a, u, v = _sweep_axes(dims)
-    du, dv = dims[u], dims[v]
+    a, u, v = axes
 
     def cube(layer, row, cv):
         c = [0, 0, 0]
@@ -194,7 +218,8 @@ def _layer_relation(params: CodeParams, dims: Site) -> np.ndarray:
     A, F, w = fp.transfer(generator_rows(params, cubes, index, dv).T, 2 * dv, p)
     Ab, Bb, V = _periodic_part(A, F, w, p)
     s, dw = Bb.shape[1], len(Bb)
-    kernel = fp.nullspace(_closure(Ab, Bb, du, du, p).T, p)  # rows (c_0, w_0, ...)
+    closure = _closure(fp.mat_power(Ab, du, p), _krylov(Ab, Bb, du, p), p)
+    kernel = fp.nullspace(closure.T, p)  # rows (c_0, w_0, ...)
     c, rows = kernel[:, :s], []
     for j in range(du):
         rows.append(c @ V % p)
@@ -204,24 +229,36 @@ def _layer_relation(params: CodeParams, dims: Site) -> np.ndarray:
                       y[..., dv:].reshape(len(y), du * dv)])
 
 
-def _left_kernel_dim(params: CodeParams, dims: Site) -> int:
-    """Dimension of the space of cube coefficients whose product is identity.
+def _left_kernel_dims(params: CodeParams, axes: Site, du: int, dv: int,
+                      lengths) -> list[int]:
+    """Relation counts of the tori with one cross-section, one per length.
 
-    Coefficients lambda_0..lambda_{L-1}, one vector per layer along the
-    sweep axis, multiply to the identity iff every cyclically consecutive
-    pair lies in the layer relation W (``_layer_relation``).  W's rows are
-    independent, so each such sequence is (theta_g W_a) for exactly one
-    cyclic theta-sequence with theta_{g+1} W_a = theta_g W_b: a second
-    transfer, with dim W entries per layer, closed with period L.  Both
-    transfers come from ``fp.transfer`` and eliminate nothing larger than
-    one cross-section.  ``reference.left_kernel_dim_by_composition`` is
-    the relation-composition sweep this replaced.
+    The torus has sides ``du`` and ``dv`` along the cross-section axes
+    ``axes[1:]`` and each L in ``lengths`` along the sweep axis
+    ``axes[0]``.  Coefficients lambda_0..lambda_{L-1}, one vector per
+    layer along the sweep axis, multiply to the identity iff every
+    cyclically consecutive pair lies in the layer relation W
+    (``_layer_relation``).  W's rows are independent, so each such
+    sequence is (theta_g W_a) for exactly one cyclic theta-sequence with
+    theta_{g+1} W_a = theta_g W_b: a second transfer, with dim W entries
+    per layer, closed with period L.  Neither W nor that transfer depends
+    on L, so only the closure runs once per length.  Both transfers come
+    from ``fp.transfer`` and eliminate nothing larger than one
+    cross-section.  ``reference.left_kernel_dim_by_composition`` is the
+    relation-composition sweep this replaced.
     """
     p = params.p
-    W = _layer_relation(params, dims)
+    W = _layer_relation(params, axes, du, dv)
     m = W.shape[1] // 2
     A, F, v = fp.transfer(np.hstack([W[:, :m].T, (-W[:, m:].T) % p]), len(W), p)
-    return _periodic_dim(A, F, v, dims[_sweep_axes(dims)[0]], p)
+    return _periodic_dims(A, F, v, lengths, p)
+
+
+def _left_kernel_dim(params: CodeParams, dims: Site) -> int:
+    """Dimension of the space of cube coefficients whose product is identity,
+    swept along the longest side (``_sweep_axes``)."""
+    a, u, v = _sweep_axes(dims)
+    return _left_kernel_dims(params, (a, u, v), dims[u], dims[v], [dims[a]])[0]
 
 
 def face_tile(params: CodeParams, normal_axis: int) -> dict[tuple[int, int], tuple]:
@@ -258,19 +295,6 @@ def _plane_syndromes(params: CodeParams, normal: int, planes: np.ndarray) -> np.
     return out % params.p
 
 
-def _plane_config(torus: TorusCode, normal: int, plane: np.ndarray) -> PauliConfig:
-    """The (L_u, L_v, 2) plane array as a configuration on site layer 0."""
-    u, v = [a for a in range(3) if a != normal]
-    support = {}
-    for cu, row in enumerate(plane.tolist()):
-        for cv, pair in enumerate(row):
-            if pair != [0, 0]:
-                site = [0, 0, 0]
-                site[u], site[v] = cu, cv
-                support[tuple(site)] = tuple(pair)
-    return PauliConfig(torus.params.p, torus.dims, support)
-
-
 def _census_candidates(params: CodeParams, dims: Site, normal: int,
                        transpose: bool) -> np.ndarray:
     """The nine census candidates of one tile alignment, as (9, L_u, L_v, 2).
@@ -302,13 +326,13 @@ CENSUS_TIERS = (("base", (0, 1, 2, 3)), ("pair-products", (4, 5, 6, 7)),
                 ("full-product", (8,)))
 
 
-def _census_tier(torus: TorusCode, normal: int) -> tuple[dict, list[PauliConfig]]:
-    """The first tier with a logical, nonempty configuration, and its operators.
+def _census_tier(torus: TorusCode, normal: int) -> tuple[dict, np.ndarray]:
+    """The first tier with a logical, nonempty candidate, and its operators.
 
     Tiers run through ``CENSUS_TIERS`` in order, the plain tile alignment
     before the transposed one.  The nine candidates of an alignment get
-    their syndromes in one batch, and only the counted ones become
-    configurations.
+    their syndromes in one batch; the counted ones are returned as their
+    (count, L_u, L_v, 2) plane arrays.
     """
     for transpose in (False, True):
         candidates = _census_candidates(torus.params, torus.dims, normal, transpose)
@@ -318,17 +342,18 @@ def _census_tier(torus: TorusCode, normal: int) -> tuple[dict, list[PauliConfig]
             ok = [k for k in indices if good[k]]
             if ok:
                 return ({"count": len(ok), "tier": tier, "transpose": transpose},
-                        [_plane_config(torus, normal, candidates[k]) for k in ok])
-    return {"count": 0, "tier": None, "transpose": None}, []
+                        candidates[ok])
+    return {"count": 0, "tier": None, "transpose": None}, candidates[:0]
 
 
-def plane_census(torus: TorusCode) -> dict[str, tuple[dict, list[PauliConfig]]]:
-    """Each orientation's census entry and the logical operators it counts,
-    from one tier search per normal axis.
+def plane_census(torus: TorusCode) -> dict[str, tuple[dict, np.ndarray]]:
+    """Each orientation's census entry and the plane arrays of the logical
+    operators it counts, from one tier search per normal axis.
 
     The first tier containing a logical, nonempty configuration supplies
     the count: 4 when both in-plane dimensions are even, 2 when one is,
-    1 when none are.
+    1 when none are.  Each (L_u, L_v, 2) array holds the operator on the
+    site layer 0 along the normal.
     """
     out = {}
     for normal in range(3):
@@ -370,18 +395,43 @@ def encoded_qudit_count(torus: TorusCode) -> int:
 def encoded_qudit_table(params: CodeParams, sizes=range(2, 5)) -> dict[Site, int]:
     """k over a cube of torus sizes; exposes the size dependence of k.
 
-    Every torus is checked against the size limit before any k is computed.
+    Every torus is checked against the size limit before any k is
+    computed.  Abelian-ness is decided once per pattern of sides capped at
+    3: from side 3 on, the 26 folded neighbour offsets are distinct and
+    each translate meets the origin cube on the sites it meets on the
+    infinite lattice, so a side of 3 answers for every longer one.  The
+    sweep runs along the first axis, so each cross-section (L_y, L_z)
+    gives its layer relation once, and all L_x close it.
     """
+    sizes = list(sizes)
     tori = [TorusCode(params, dims) for dims in product(sizes, repeat=3)]
-    return {torus.dims: encoded_qudit_count(torus) for torus in tori}
+    patterns = {tuple(min(L, 3) for L in torus.dims) for torus in tori}
+    if not all(TorusCode(params, dims).check_abelian() for dims in patterns):
+        raise InvalidCodeError("generator family is not abelian on this torus")
+    table = {}
+    for Ly, Lz in product(sizes, repeat=2):
+        axes = (0, 1, 2) if Ly >= Lz else (0, 2, 1)
+        ks = _left_kernel_dims(params, axes, max(Ly, Lz), min(Ly, Lz), sizes)
+        table.update({(Lx, Ly, Lz): k for Lx, k in zip(sizes, ks)})
+    return {torus.dims: table[torus.dims] for torus in tori}
+
+
+def commutation_table(ops: np.ndarray, p: int) -> np.ndarray:
+    """Pairwise commutation exponents; antisymmetric with zero diagonal.
+
+    ``ops`` is (k, ..., 2): k operators as (x, z) pairs over one shared
+    array of sites.  Entry (i, j) is e with C_i C_j = C_j C_i omega^e,
+    which is X Z^T - Z X^T with the sites flattened.
+    """
+    X, Z = ops[..., 0], ops[..., 1]
+    sites = list(range(1, X.ndim))
+    XZ = np.tensordot(X, Z, (sites, sites))
+    return (XZ - XZ.T) % p
 
 
 def logical_commutation_table(configs: list[PauliConfig]) -> np.ndarray:
-    """Pairwise commutation exponents; antisymmetric with zero diagonal.
-
-    Entry (i, j) is e with C_i C_j = C_j C_i omega^e: the configurations
-    become rows over the union of their sites, and e is X Z^T - Z X^T.
-    """
+    """``commutation_table`` of configurations, as rows over the union of
+    their sites."""
     if not configs:
         return np.zeros((0, 0), dtype=np.int64)
     index: dict[Site, int] = {}
@@ -393,5 +443,4 @@ def logical_commutation_table(configs: list[PauliConfig]) -> np.ndarray:
     for k, cfg in enumerate(configs):
         if cfg.support:
             V[k, [index[site] for site in cfg.support]] = list(cfg.support.values())
-    X, Z = V[..., 0], V[..., 1]
-    return (X @ Z.T - Z @ X.T) % configs[0].p
+    return commutation_table(V, configs[0].p)

@@ -88,7 +88,12 @@ production code it checks, and the tests that compare them:
   ``test_logical.test_is_logical_matches_dense_syndrome``).
   ``planar_census`` and ``census_operators`` are views of
   ``logical.plane_census`` and ``logical._census_tier`` for the tests
-  and demo 04 (``test_logical``, ``test_acceptance.test_criterion_09_*``).
+  and demo 04 (``test_logical``, ``test_acceptance.test_criterion_09_*``);
+  ``plane_config`` turns the census's plane arrays into the
+  configurations ``census_operators`` returns.  Through it,
+  ``logical_commutation_table`` checks the tables the command line takes
+  straight from the plane arrays
+  (``test_logical.test_census_tables_from_plane_arrays_match_configurations``).
 - ``layer_relation_by_nullspace`` is the layer relation W as the dense
   nullspace of [B1; B0]^T, 2m x 2m for m cubes per layer.  It checks
   the row space of ``logical._layer_relation``, which a cyclic transfer
@@ -942,9 +947,23 @@ def planar_census(torus: TorusCode) -> dict:
     return {name: entry for name, (entry, _) in plane_census(torus).items()}
 
 
+def plane_config(torus: TorusCode, normal: int, plane: np.ndarray) -> PauliConfig:
+    """The (L_u, L_v, 2) plane array as a configuration on site layer 0."""
+    u, v = [a for a in range(3) if a != normal]
+    support = {}
+    for cu, row in enumerate(plane.tolist()):
+        for cv, pair in enumerate(row):
+            if pair != [0, 0]:
+                site = [0, 0, 0]
+                site[u], site[v] = cu, cv
+                support[tuple(site)] = tuple(pair)
+    return PauliConfig(torus.params.p, torus.dims, support)
+
+
 def census_operators(torus: TorusCode, normal: int) -> list[PauliConfig]:
-    """The logical plane operators the census counts for one orientation."""
-    return _census_tier(torus, normal)[1]
+    """The logical plane operators the census counts for one orientation,
+    as configurations."""
+    return [plane_config(torus, normal, plane) for plane in _census_tier(torus, normal)[1]]
 
 
 # ---------------------------------------------------------------------------

@@ -194,10 +194,15 @@ def test_logical_antisymmetric():
 def test_logical_report_digests():
     # sha256 of the stdout reports, pinned from the per-module generator
     # scatter loops and the duplicated census tiers; the shared codes
-    # helpers and the single tier search must reproduce them byte for byte
+    # helpers and the single tier search must reproduce them byte for byte.
+    # The --ktable 6 digests were pinned from the per-torus k table, before
+    # the table built one layer relation per cross-section and the
+    # commutation tables came from the census's plane arrays.
     codes = {"d3": ["--p", "3", "--alpha", "1,0", "--beta", "0,1",
                     "--gamma", "1,1", "--delta", "1,2"],
-             "d5": D5_FLAGS[:-2]}
+             "d5": D5_FLAGS[:-2],
+             "x4": ["--p", "3", "--alpha", "1,0", "--beta", "1,0",
+                    "--gamma", "1,0", "--delta", "1,0"]}
     expected = {
         ("d3", "S", "2x2x2"): "9cb1a812f2428304bed43de9e368ca4a1a1822120f498c7866326dcb0f22afb6",
         ("d3", "S", "3x4x5"): "ca7e5a6183f486ec8b8271d64e99180fec71fac699b75b16ea00974b70a82cb5",
@@ -213,6 +218,12 @@ def test_logical_report_digests():
         ("d5", "A", "4x4x3"): "5dfe1e4be36e304713d990360259f6f7500bcff81845180218241c99a2cf5d97",
         ("d5", "A", "2x3x2", "--ktable", "3"):
             "be4c28c37179956f2d1f01cf29b5d1112875b5b129c533a0c3fdbec78256e8b7",
+        ("d3", "A", "3x4x5", "--ktable", "6"):
+            "258b3c96ba3a7b7721a048be817883d7f1e6399322087dd1761e1eb9d750cf3f",
+        ("d5", "S", "3x4x5", "--ktable", "6"):
+            "10d49aec03d88c8341ac65d3f97ffb2c69b6cc9fad129013d63bb0c679d5f5a9",
+        ("x4", "S", "3x4x5", "--ktable", "6"):
+            "58f5641cedf01208047fc95f81b5c0edf3e1dc076aedbe6c5dae9a866b24b0a7",
     }
     for (code, parity, dims, *extra), digest in expected.items():
         out = run_cli("logical", *codes[code], "--parity", parity, "--dims", dims, *extra)

@@ -21,10 +21,12 @@ from qupitcube.logical import (
     MAX_TORUS_SITES,
     InvalidCodeError,
     TorusCode,
+    commutation_table,
     encoded_qudit_count,
     encoded_qudit_table,
     face_tile,
     logical_commutation_table,
+    plane_census,
     product_of_all_generators,
 )
 from qupitcube.reference import (
@@ -37,6 +39,7 @@ from qupitcube.reference import (
     layer_relation_by_nullspace,
     left_kernel_dim_by_composition,
     planar_census,
+    plane_config,
 )
 
 ALL_CODES = [d3_code("S"), d3_code("A"), d5_code("S"), d5_code("A")]
@@ -269,25 +272,28 @@ def transfer_shapes(monkeypatch):
 
 
 def test_periodic_dim_counts_cyclic_sequences_by_enumeration():
-    # every periodic sequence x_0..x_{L-1} with M [x_{j+1}; x_j] = 0 for all
-    # j (cyclically), enumerated, against fp.transfer and _periodic_dim
+    # every periodic sequence x_0..x_{l-1} with M [x_{j+1}; x_j] = 0 for all
+    # j (cyclically), enumerated for each l <= L, against fp.transfer and
+    # one _periodic_dims call over the lengths L, ..., 1
     rng = random.Random(173)
     seen = set()
     for p, n, L in [(2, 1, 5), (2, 2, 3), (2, 3, 4), (2, 4, 3), (3, 1, 4), (3, 2, 3),
                     (3, 3, 2), (5, 1, 4), (5, 2, 2), (2, 3, 1), (3, 2, 1)]:
-        seqs = np.array(list(product(range(p), repeat=n * L)), dtype=np.int64)
-        seqs = seqs.reshape(len(seqs), L, n)
+        lengths = range(L, 0, -1)
+        seqs = [np.array(list(product(range(p), repeat=n * l)),
+                         dtype=np.int64).reshape(p ** (n * l), l, n) for l in lengths]
         for _ in range(40):
             rows = rng.randrange(0, 2 * n + 1)
             M = np.array([[rng.randrange(p) for _ in range(2 * n)] for _ in range(rows)],
                          dtype=np.int64).reshape(rows, 2 * n)
             if rows and rng.random() < 0.3:  # a row on one block only
                 M[0, :n] = 0
-            pairs = np.concatenate([np.roll(seqs, -1, axis=1), seqs], axis=2)
-            count = int((~(pairs @ M.T % p).any(axis=(1, 2))).sum())
             A, F, v = fp.transfer(M, n, p)
-            dim = logical._periodic_dim(A, F, v, L, p)
-            assert p ** dim == count, (p, n, L, M)
+            dims = logical._periodic_dims(A, F, v, lengths, p)
+            for l, seq, dim in zip(lengths, seqs, dims):
+                pairs = np.concatenate([np.roll(seq, -1, axis=1), seq], axis=2)
+                count = int((~(pairs @ M.T % p).any(axis=(1, 2))).sum())
+                assert p ** dim == count, (p, n, l, M)
             Ab, Bb, _ = logical._periodic_part(A, F, v, p)
             seen.add((F.shape[1] > 0, len(Bb) > 0, len(Ab) < len(fp.nullspace(v, p))))
     assert seen >= {(True, True, False), (False, False, True), (True, False, True)}
@@ -316,7 +322,8 @@ def test_layer_relation_matches_dense_nullspace():
              for p in (2, 3, 5, 7) for _ in range(10)]
     cases += [(code, (4, 3, 5)) for code in NON_DEFORMABLE + ALL_CODES]
     for code, dims in cases:
-        W = logical._layer_relation(code, dims)
+        a, u, v = logical._sweep_axes(dims)
+        W = logical._layer_relation(code, (a, u, v), dims[u], dims[v])
         dense = layer_relation_by_nullspace(code, dims)
         assert W.shape == dense.shape, (code, dims)
         assert fp.mat_rank(W, code.p) == len(W)
@@ -343,6 +350,70 @@ def test_encoded_qudits_at_the_torus_cap_take_under_a_tenth_of_a_second():
         k = encoded_qudit_count(TorusCode(code, (16, 16, 16)))
         assert time.perf_counter() - start < 0.1
         assert k == 4
+
+
+def test_k_table_matches_per_torus_sweep():
+    # one layer relation per cross-section, closed once per length along
+    # the first axis, against the sweep along each torus's longest side
+    for code in ALL_CODES + NON_DEFORMABLE:
+        for sizes in (range(2, 7), (2, 5, 3)):
+            table = encoded_qudit_table(code, sizes=sizes)
+            assert list(table) == list(product(sizes, repeat=3))
+            for dims, k in table.items():
+                assert k == logical._left_kernel_dim(code, dims), (code, dims)
+
+
+def test_k_table_of_sides_2_to_16_takes_under_three_seconds():
+    rng = random.Random(179)
+    for parity in "SA":
+        code = d5_code(parity)
+        encoded_qudit_table(code, sizes=(2,))  # first-call costs
+        start = time.perf_counter()
+        table = encoded_qudit_table(code, sizes=range(2, 17))
+        assert time.perf_counter() - start < 3
+        assert len(table) == 15 ** 3
+        for dims in rng.sample(sorted(table), 20):
+            assert table[dims] == logical._left_kernel_dim(code, dims), (parity, dims)
+
+
+@pytest.mark.parametrize("scale", [None, 2, 3])
+def test_k_table_abelian_check_matches_per_torus(monkeypatch, scale):
+    # the table decides abelian-ness on sides capped at 3; it must raise
+    # exactly when some torus of its cube fails check_abelian
+    if scale is not None:
+        scaled_generators(monkeypatch, scale)
+    rng = random.Random(181)
+    codes = [random_code(rng, rng.choice((2, 3, 5, 7) if scale is None else (5, 7)))
+             for _ in range(4)] + [d5_code("S")]
+    size_sets = [(L,) for L in range(2, 7)] + [(2, L) for L in range(3, 7)]
+    size_sets += [(3, 4), (4, 6), (2, 5, 3), tuple(range(2, 7))]
+    seen = set()
+    for code in codes:
+        abelian = {dims: TorusCode(code, dims).check_abelian()
+                   for dims in product(range(2, 7), repeat=3)}
+        for sizes in size_sets:
+            expected = all(abelian[dims] for dims in product(sizes, repeat=3))
+            try:
+                encoded_qudit_table(code, sizes=sizes)
+                got = True
+            except InvalidCodeError:
+                got = False
+            assert got == expected, (code, sizes)
+            seen.add(got)
+    assert seen == ({True} if scale is None else {True, False})
+
+
+def test_census_tables_from_plane_arrays_match_configurations():
+    # the command line takes each table straight from the census's plane
+    # arrays; logical_commutation_table rebuilds it from configurations
+    for code in ALL_CODES:
+        for dims in product(range(2, 9), repeat=3):
+            torus = TorusCode(code, dims)
+            for normal, (entry, planes) in enumerate(plane_census(torus).values()):
+                assert planes.shape == (entry["count"], *entry["in_plane_dims"], 2)
+                configs = [plane_config(torus, normal, plane) for plane in planes]
+                assert (commutation_table(planes, code.p).tolist()
+                        == logical_commutation_table(configs).tolist()), (code, dims, normal)
 
 
 @pytest.mark.parametrize("scale", [None, 2, 3])
@@ -409,7 +480,7 @@ def test_census_candidates_match_planar_operators():
             expected = built + pairs + [pairs[0].mul(pairs[1])]
             planes = logical._census_candidates(code, dims, normal, transpose)
             syndromes = logical._plane_syndromes(code, normal, planes)
-            configs = [logical._plane_config(torus, normal, plane) for plane in planes]
+            configs = [plane_config(torus, normal, plane) for plane in planes]
             assert configs == expected, (code, dims, normal, transpose)
             for k, cfg in enumerate(expected):
                 verdict = not syndromes[:, k].any()
@@ -417,8 +488,10 @@ def test_census_candidates_match_planar_operators():
                 seen.add(verdict)
             table = [[commutation_exponent(a, b) for b in configs] for a in configs]
             assert logical_commutation_table(configs).tolist() == table
+            assert commutation_table(planes, code.p).tolist() == table
     assert seen == {True, False}
     assert logical_commutation_table([]).shape == (0, 0)
+    assert commutation_table(np.zeros((0, 3, 4, 2), dtype=np.int64), 5).shape == (0, 0)
 
 
 def test_product_of_all_generators_matches_dense_row_sum():
