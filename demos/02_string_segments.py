@@ -7,9 +7,9 @@ computes the solution space over F_p and flags a nontrivial segment when
 solutions reach both ends of the strip.
 """
 
-from qupitcube import CodeParams, d3_code, d5_code, max_nontrivial_length
+from qupitcube import CodeParams, d3_code, d5_code, scan_width
 from qupitcube.codes import PauliConfig, generator_config
-from qupitcube.oracle import SegmentGeometry
+from qupitcube.oracle import SegmentGeometry, sections
 from qupitcube.reference import (
     build_segment_constraints,
     canonical_reduction,
@@ -19,22 +19,27 @@ from qupitcube.reference import (
 )
 
 # --- the constraint system at a glance -------------------------------------
+# a strip is a cross-section of sites repeated along one axis; here two
+# sites in a row along y, repeated at x = 0, 1, 2
 d3 = d3_code("S")
-system = build_segment_constraints(d3, SegmentGeometry("flat", 2, 3, (0, 1)))
+strip = SegmentGeometry(0, ((0, 0, 0), (0, 1, 0)), 3)
+system = build_segment_constraints(d3, strip)
 print("w=2, l=3 strip:", system.shape[0], "constraints on",
       system.shape[1], "unknowns")
+print("the named cross-sections at width 3:", len(sections(3, "flat")), "flat,",
+      len(sections(3, "cornered")), "cornered; the first cornered one:",
+      sections(3, "cornered")[0])
 
 # --- p=2 cannot avoid strings ----------------------------------------------
 p2 = CodeParams(2, (1, 0), (0, 1), (1, 1), (1, 0))
-rpt = max_nontrivial_length(p2, width=1, l_max=8)
+rpt = scan_width(p2, 1, l_max=8, kinds=("flat",))["flat"]
 print("\np=2 tuple, width 1: nontrivial lengths", rpt.nontrivial_lengths)
 print("a witness operator:", sorted(rpt.witness.support.items())[:4], "...")
 
 # --- the p=3 code obeys the w+1 bound ---------------------------------------
 print("\np=3 code, both strip kinds:")
 for w in range(1, 5):
-    for kind in ("flat", "cornered"):
-        out = max_nontrivial_length(d3, w, kind=kind)
+    for kind, out in scan_width(d3, w).items():
         print(f"  w={w:d} {kind:8s} max nontrivial length = "
               f"{out.max_nontrivial_length}  (bound w+1 = {w + 1})")
 
@@ -42,7 +47,7 @@ for w in range(1, 5):
 d5 = d5_code("S")
 print("\np=5 code (3,-3):")
 for w in range(1, 4):
-    out = max_nontrivial_length(d5, w, kind="cornered")
+    out = scan_width(d5, w, kinds=("cornered",))["cornered"]
     print(f"  w={w:d} cornered max = {out.max_nontrivial_length}, "
           f"aspect ratio = {out.aspect_ratio}  (bound 2w = {2 * w})")
 
@@ -50,10 +55,12 @@ for w in range(1, 4):
 print("\nwidth-1 cross-check (p=3):", width1_criterion(d3))
 
 # --- block reduction reproduces the direct solve -----------------------------
-red = canonical_reduction(d5, width=2, length=5)
+red = canonical_reduction(d5, SegmentGeometry(0, ((0, 0, 0), (0, 1, 0)), 5))
 print("\nblock reduction w=2, l=5: rank", red.rank, "| direct rank",
       red.direct_rank, "| nullspace dim", red.nullspace_dim,
       "| Krylov bound holds:", red.krylov_bound_ok)
+print("the transfer block every column shares:")
+print(red.transfer_block)
 
 # --- constructive flattening -------------------------------------------------
 # a kinked-surface operator, hidden under a stabilizer product that fills

@@ -7,16 +7,17 @@ two in-plane dimensions: 4 when both are even, 2 when one is, 1 when
 none are (via products of tilings).
 """
 
+import numpy as np
+
 from qupitcube import (
     TorusCode,
     d3_code,
     d5_code,
     encoded_qudit_count,
-    logical_commutation_table,
     product_of_all_generators,
 )
 from qupitcube.logical import encoded_qudit_table
-from qupitcube.reference import census_operators, planar_census
+from qupitcube.reference import census_operators, commutation_exponent, planar_census
 
 code = d3_code("A")
 
@@ -48,7 +49,7 @@ torus = TorusCode(code, dims)
 ops = []
 for normal in range(3):
     ops.extend(census_operators(torus, normal))
-table = logical_commutation_table(ops)
+table = np.array([[commutation_exponent(a, b) for b in ops] for a in ops])
 print(f"\n{len(ops)} plane operators on {dims}; pairwise commutation exponents:")
 print(table)
 print("some exponent is nonzero, so a logical qudit is certified:", bool(table.any()))

@@ -32,7 +32,6 @@ from .conditions import (
 from .oracle import (
     SegmentGeometry,
     SegmentReport,
-    max_nontrivial_length,
     scan_width,
 )
 from .classify import (
@@ -42,7 +41,6 @@ from .classify import (
 from .logical import (
     TorusCode,
     encoded_qudit_count,
-    logical_commutation_table,
     product_of_all_generators,
 )
 from .algebra import (

@@ -428,19 +428,3 @@ def commutation_table(ops: np.ndarray, p: int) -> np.ndarray:
     XZ = np.tensordot(X, Z, (sites, sites))
     return (XZ - XZ.T) % p
 
-
-def logical_commutation_table(configs: list[PauliConfig]) -> np.ndarray:
-    """``commutation_table`` of configurations, as rows over the union of
-    their sites."""
-    if not configs:
-        return np.zeros((0, 0), dtype=np.int64)
-    index: dict[Site, int] = {}
-    for cfg in configs:
-        configs[0]._check_compatible(cfg)
-        for site in cfg.support:
-            index.setdefault(site, len(index))
-    V = np.zeros((len(configs), len(index), 2), dtype=np.int64)
-    for k, cfg in enumerate(configs):
-        if cfg.support:
-            V[k, [index[site] for site in cfg.support]] = list(cfg.support.values())
-    return commutation_table(V, configs[0].p)

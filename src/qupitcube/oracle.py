@@ -1,13 +1,16 @@
 """Exact decision procedure for nontrivial logical string segments.
 
-A candidate segment lives on a width-w, length-l strip of lattice sites,
-either flat (contained in one lattice plane) or cornered (an L-shaped
-cross section bent around an edge).  Its unknowns are the symplectic
-pairs on the strip.  Every cube generator that overlaps the strip while
-staying clear of the two anchor cross-sections (one lattice step beyond
-each end) imposes one linear constraint: the total symplectic product
-between the generator's labels and the unknowns on the shared sites must
-vanish.  The solution space of that system is computed exactly over F_p.
+A candidate segment lives on a strip (``SegmentGeometry``): a
+cross-section of w lattice sites repeated at l positions along a
+coordinate axis.  The scan runs over two named families of
+cross-sections (``sections``): flat (a row of sites, so the strip lies in
+one lattice plane) and cornered (an L bent around an edge).  The
+segment's unknowns are the symplectic pairs on the strip.  Every cube
+generator that overlaps the strip while staying clear of the two anchor
+cross-sections (one lattice step beyond each end) imposes one linear
+constraint: the total symplectic product between the generator's labels
+and the unknowns on the shared sites must vanish.  The solution space of
+that system is computed exactly over F_p.
 
 A solution is counted as a nontrivial segment when the solution space
 projects nonzero onto BOTH end columns of the strip.  Over a field a
@@ -19,7 +22,7 @@ connected between the anchors".
 Length scans do not solve one system per length: the strip system is
 translation invariant, so one block elimination per strip family
 (``strip_transfer``) decides every length, whether or not the code is
-deformable.  The dense per-geometry solver the tests compare the scan
+deformable.  The dense per-strip solver the tests compare the scan
 against is ``reference.solve_segment``.
 
 Column layout: sites are ordered along the strip (length-major, then
@@ -31,7 +34,7 @@ formalism.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 
@@ -42,10 +45,11 @@ from .codes import CodeParams, PauliConfig, Site, cubes_touching, generator_rows
 
 
 class DegenerateGeometryError(ValueError):
-    """Raised for geometries too small to separate the two anchors."""
+    """Raised for strips too small to separate the two anchors."""
 
 
 ORIENTATIONS: tuple[tuple[int, int], ...] = tuple(permutations(range(3), 2))
+Section = tuple[Site, ...]
 
 # Widest strip and longest length horizon ``scan_width`` scans.  Measured
 # on a 2-core x86_64 VM: ``strings --wmax 16 --lmax 64`` takes 1.1-1.2 s
@@ -53,74 +57,41 @@ ORIENTATIONS: tuple[tuple[int, int], ...] = tuple(permutations(range(3), 2))
 # family keeps only the kernel of its last nontrivial length, so memory
 # does not grow with each length kept.  Families with free columns are
 # not bounded in time by these: their kernel grows with the length, and
-# on the p = 3 tuple (1,0)^4 ``--wmax 8`` takes 0.9-1.6 s and
-# ``--wmax 12`` 23 s at 75 MB.
+# on the p = 3 tuple (1,0)^4 ``--wmax 8`` takes 1.0-1.3 s at 37 MB,
+# ``--wmax 11`` 12 s at 60 MB and ``--wmax 12`` 21 s at 74 MB.
 MAX_STRIP_WIDTH = 16
 MAX_STRIP_LENGTH = 64
 
 
 @dataclass(frozen=True)
 class SegmentGeometry:
-    """Strip geometry: kind, width, length, axes, and corner position.
+    """A strip: the cross-section ``section`` translated along ``axis`` to
+    positions 0..length-1.
 
-    ``orientation`` is (length_axis, width_axis).  For a cornered strip
-    the cross section runs ``corner_at`` sites along the width axis and
-    then bends along the remaining axis; 1 <= corner_at < width.
-    ``corner_at`` = 1 is the flat strip along the bend axis, same sites in
-    the same order: a width-2 "cornered" report is a flat one, and no
-    genuine L exists below width 3.  Families are scanned once per class
-    under point inversion, which maps (la, wa, c) to (la, bend, w - c + 1).
+    ``section`` lists the cross-section's sites, each at 0 on the axis, in
+    column order.  ``sections`` names the flat and cornered families the
+    scan runs over.
     """
 
-    kind: str
-    width: int
+    axis: int
+    section: Section
     length: int
-    orientation: tuple[int, int] = (0, 1)
-    corner_at: int | None = None
 
     def __post_init__(self):
-        if self.kind not in ("flat", "cornered"):
-            raise ValueError(f"kind must be 'flat' or 'cornered', got {self.kind!r}")
-        la, wa = self.orientation
-        if la == wa or not {la, wa} <= {0, 1, 2}:
-            raise ValueError(f"orientation must be two distinct axes, got {self.orientation}")
-        if self.width < 1 or self.length < 2:
+        if self.axis not in (0, 1, 2):
+            raise ValueError(f"axis must be 0, 1 or 2, got {self.axis!r}")
+        if not self.section or self.length < 2:
             raise DegenerateGeometryError(
-                f"need width >= 1 and length >= 2, got w={self.width}, l={self.length}")
-        if self.kind == "cornered":
-            if self.corner_at is None or not 1 <= self.corner_at < self.width:
-                raise DegenerateGeometryError(
-                    f"cornered strip needs 1 <= corner_at < width, got {self.corner_at}")
-        elif self.corner_at is not None:
-            raise ValueError("corner_at is only meaningful for cornered strips")
-
-    @property
-    def length_axis(self) -> int:
-        return self.orientation[0]
-
-    @property
-    def width_axis(self) -> int:
-        return self.orientation[1]
-
-    @property
-    def bend_axis(self) -> int:
-        return 3 - self.orientation[0] - self.orientation[1]
-
-    def cross_section(self) -> list[Site]:
-        """Cross-section offsets (zero along the length axis)."""
-        def offset(i: int, k: int = 0) -> Site:
-            o = [0, 0, 0]
-            o[self.width_axis], o[self.bend_axis] = i, k
-            return tuple(o)
-
-        straight = self.width if self.kind == "flat" else self.corner_at
-        return ([offset(i) for i in range(straight)]
-                + [offset(straight - 1, k) for k in range(1, self.width - straight + 1)])
+                f"need a nonempty section and length >= 2, got "
+                f"{len(self.section)} sites, l={self.length}")
+        if len(set(self.section)) != len(self.section):
+            raise ValueError(f"section repeats a site: {self.section}")
+        if any(q[self.axis] for q in self.section):
+            raise ValueError(f"section sites must be 0 on axis {self.axis}: {self.section}")
 
     def column_sites(self, j: int) -> list[Site]:
         """The cross section at length position j."""
-        return [tuple(c + j * (a == self.length_axis) for a, c in enumerate(o))
-                for o in self.cross_section()]
+        return [_shift(q, self.axis, j) for q in self.section]
 
     def support(self) -> list[Site]:
         """All strip sites, length-major then cross-section order."""
@@ -129,6 +100,37 @@ class SegmentGeometry:
     def anchors(self) -> tuple[set[Site], set[Site]]:
         """The two anchor cross-sections, one step beyond each strip end."""
         return set(self.column_sites(-1)), set(self.column_sites(self.length))
+
+
+def _shift(q: Site, axis: int, j: int) -> Site:
+    return tuple(c + j * (a == axis) for a, c in enumerate(q))
+
+
+def sections(width: int, kind: str) -> list[tuple[int, Section]]:
+    """The (axis, section) families of a kind at one width, for each
+    ``ORIENTATIONS`` (length axis la, width axis wa) in order.
+
+    A flat section runs ``width`` sites along wa.  A cornered one runs c
+    sites along wa and then bends along the remaining axis ba, one family
+    per corner c = 1..width-1.  c = 1 is the flat section along ba, same
+    sites in the same order: a width-2 "cornered" report is a flat one,
+    and no genuine L exists below width 3.  Point inversion maps
+    (la, wa, c) to (la, ba, width - c + 1).
+    """
+    if kind == "flat":
+        corners = (width,)
+    elif kind == "cornered":
+        corners = range(1, width)
+    else:
+        raise ValueError(f"kind must be 'flat' or 'cornered', got {kind!r}")
+    out = []
+    for la, wa in ORIENTATIONS:
+        ba = 3 - la - wa
+        for c in corners:
+            straight = [_shift((0, 0, 0), wa, i) for i in range(c)]
+            bend = [_shift(straight[-1], ba, k) for k in range(1, width - c + 1)]
+            out.append((la, tuple(straight + bend)))
+    return out
 
 
 def _vector_to_config(params: CodeParams, sites: list[Site], vec: np.ndarray) -> PauliConfig:
@@ -158,16 +160,6 @@ def _ends_witness(basis: np.ndarray, n: int, p: int):
     if v[:n].any():
         return v
     return (u + v) % p
-
-
-def geometries(width: int, length: int, kind: str) -> list[SegmentGeometry]:
-    """All scan geometries for a width and length (cornered: all corners)."""
-    if kind == "flat":
-        return [SegmentGeometry("flat", width, length, o) for o in ORIENTATIONS]
-    if kind == "cornered":
-        return [SegmentGeometry("cornered", width, length, o, w1)
-                for o in ORIENTATIONS for w1 in range(1, width)]
-    raise ValueError(f"kind must be 'flat' or 'cornered', got {kind!r}")
 
 
 @dataclass
@@ -202,25 +194,26 @@ class SegmentReport:
         }
 
 
-def _pair_system(params: CodeParams, geom: SegmentGeometry) -> np.ndarray:
-    """The length-2 system of ``geom``'s family, from its cross-section: a
+def _pair_system(params: CodeParams, axis: int, section: Section) -> np.ndarray:
+    """The length-2 system of a strip family, from its cross-section: a
     cube at length position -1 or +1 that meets the strip meets an anchor,
     so the rows are the cubes at 0 whose footprint meets the cross-section,
-    labels (x, z) landing on the (z, x) columns of block ``v[la]`` with the
-    second negated.  ``reference.build_segment_constraints`` is the oracle.
+    labels (x, z) landing on the (z, x) columns of block ``v[axis]`` with
+    the second negated.  ``reference.build_segment_constraints`` is the
+    oracle.
     """
-    la = geom.length_axis
-    support = replace(geom, length=2).support()
+    support = [*section, *(_shift(q, axis, 1) for q in section)]
     index = {q: t for t, q in enumerate(support)}
-    cubes = [c for c in cubes_touching(geom.cross_section()) if c[la] == 0]
+    cubes = [c for c in cubes_touching(section) if c[axis] == 0]
     M = generator_rows(params, cubes, index.get, len(support))
     M[:, 1::2] = (-M[:, 1::2]) % params.p
     return M
 
 
-def strip_transfer(params: CodeParams,
-                   geom: SegmentGeometry) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Transfer blocks ``A``, ``F`` and leftover rows ``v`` of a strip family.
+def strip_transfer(params: CodeParams, axis: int,
+                   section: Section) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Transfer blocks ``A``, ``F`` and leftover rows ``v`` of the strip
+    family of ``section`` along ``axis``.
 
     The strip system is translation invariant along the length axis: the
     generators whose cubes start at length position g act on column
@@ -230,10 +223,9 @@ def strip_transfer(params: CodeParams,
     ``x_g = A x_{g+1} + F z_g`` and ``v x_{g+1} = 0``, where ``z_g`` is
     free and holds one entry per non-pivot column of that block.  ``F``
     has no columns when the block has full rank, as it always does for
-    deformable codes.  Only ``geom.kind``, width, orientation and corner
-    are used.
+    deformable codes.
     """
-    M = _pair_system(params, geom)
+    M = _pair_system(params, axis, section)
     return fp.transfer(M, M.shape[1] // 2, params.p)
 
 
@@ -260,7 +252,7 @@ def _transfer_witness(params: CodeParams, geom: SegmentGeometry, A: np.ndarray,
     return _vector_to_config(params, geom.support(), _ends_witness(basis, n, p))
 
 
-def _scan_family(params: CodeParams, geom: SegmentGeometry, l_max: int):
+def _scan_family(params: CodeParams, axis: int, section: Section, l_max: int):
     """``(dims, nontrivial, (A, F, kernel))`` of one strip family: the
     nullspace dimension and nontriviality at lengths 2..l_max, and what
     ``_transfer_witness`` needs at the last nontrivial length.
@@ -276,7 +268,7 @@ def _scan_family(params: CodeParams, geom: SegmentGeometry, l_max: int):
     Only the kernel of the last nontrivial length is kept.
     """
     p = params.p
-    A, F, v = strip_transfer(params, geom)
+    A, F, v = strip_transfer(params, axis, section)
     n, f = F.shape
     kernel = np.eye(n, dtype=np.int64)  # length 1: the parameters are x_0
     first = kernel                      # each basis row's first column x_0
@@ -313,17 +305,15 @@ def check_scan_bounds(width: int, l_max: int | None = None) -> None:
                          f"got {l_max}")
 
 
-def _inversion_class(geom: SegmentGeometry) -> tuple:
+def _inversion_class(axis: int, section: Section) -> tuple:
     """Length axis and cross-section up to translation and point inversion,
     which maps the cube generator to +-itself and swaps the anchors: the
     families of one class have equal nullspace dimensions and nontriviality."""
-    section = geom.cross_section()
-
     def normal(sign: int) -> tuple:
         low = [min(sign * q[a] for q in section) for a in range(3)]
         return tuple(sorted(tuple(sign * q[a] - low[a] for a in range(3)) for q in section))
 
-    return geom.length_axis, min(normal(1), normal(-1))
+    return axis, min(normal(1), normal(-1))
 
 
 def scan_width(params: CodeParams, width: int, l_max: int | None = None,
@@ -332,7 +322,7 @@ def scan_width(params: CodeParams, width: int, l_max: int | None = None,
     past both the w+1 and the 2w bounds) over all orientations and corners.
 
     Each ``_inversion_class`` is scanned once, by its first family in
-    ``geometries`` order; the reports equal ``reference.solve_segment``'s
+    ``sections`` order; the reports equal ``reference.solve_segment``'s
     length by length.  Width-1 cornered reports are empty.  Refuses scans
     beyond ``MAX_STRIP_WIDTH`` or ``MAX_STRIP_LENGTH``, and any kind but
     "flat" or "cornered".
@@ -341,25 +331,25 @@ def scan_width(params: CodeParams, width: int, l_max: int | None = None,
     if l_max is None:
         l_max = 2 * width + 4
     lengths = list(range(2, l_max + 1))
-    scanned = {}  # inversion class -> the scan of its first geometry
+    scanned = {}  # inversion class -> the scan of its first family
     reports = {}
     for kind in kinds:
         families = []
-        for geom in geometries(width, 2, kind):
-            key = _inversion_class(geom)
+        for axis, section in sections(width, kind):
+            key = _inversion_class(axis, section)
             if key not in scanned:
-                scanned[key] = _scan_family(params, geom, l_max)
-            families.append((geom, scanned[key]))
-        dims = {l: max(s[0][l - 2] for _, s in families) for l in lengths} if families else {}
-        found = [l for l in lengths if any(s[1][l - 2] for _, s in families)]
+                scanned[key] = _scan_family(params, axis, section, l_max)
+            families.append((axis, section, scanned[key]))
+        dims = {l: max(s[0][l - 2] for *_, s in families) for l in lengths} if families else {}
+        found = [l for l in lengths if any(s[1][l - 2] for *_, s in families)]
         max_len = max(found, default=None)
         witness = witness_geom = None
         if max_len is not None:
             # as the length-by-length scan: the first nontrivial family at the
             # last hit (its own last one); it heads its class within the kind,
-            # so it has the sites of the geometry scanned for the class
-            geom, scan = next(f for f in families if f[1][1][max_len - 2])
-            witness_geom = replace(geom, length=max_len)
+            # so it has the sites of the family scanned for the class
+            axis, section, scan = next(f for f in families if f[2][1][max_len - 2])
+            witness_geom = SegmentGeometry(axis, section, max_len)
             witness = _transfer_witness(params, witness_geom, *scan[2])
         reports[kind] = SegmentReport(
             width=width,
@@ -374,8 +364,3 @@ def scan_width(params: CodeParams, width: int, l_max: int | None = None,
         )
     return reports
 
-
-def max_nontrivial_length(params: CodeParams, width: int, l_max: int | None = None,
-                          kind: str = "flat") -> SegmentReport:
-    """``scan_width``'s report for one kind."""
-    return scan_width(params, width, l_max, (kind,))[kind]

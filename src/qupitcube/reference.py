@@ -12,15 +12,15 @@ production code it checks, and the tests that compare them:
   (``test_oracle.test_pair_system_matches_whole_strip_assembly``,
   ``test_oracle.test_constraint_matrix_shapes``,
   ``test_oracle.test_width1_system_matches_block_form``).
-- ``solve_segment`` solves one strip geometry by a dense nullspace of
-  that whole matrix.  Run at every length (``test_oracle.dense_scan``)
-  it checks each ``oracle.max_nontrivial_length`` report, witness
-  included, deformable or not (``test_oracle.test_transfer_scan_*``).
+- ``solve_segment`` solves one strip by a dense nullspace of that whole
+  matrix.  Run at every length on every ``oracle.sections`` family
+  (``test_oracle.dense_scan``) it checks each ``oracle.scan_width``
+  report, witness included, deformable or not
+  (``test_oracle.test_transfer_scan_*``).
 - ``verify_witness`` rebuilds every anchor-avoiding cube generator as a
   configuration and tests commutation, independent of the constraint
   matrix.  It checks the witnesses of ``solve_segment`` and
-  ``oracle.max_nontrivial_length``
-  (``test_oracle.test_transfer_scan_*``,
+  ``oracle.scan_width`` (``test_oracle.test_transfer_scan_*``,
   ``test_oracle.test_witness_reverification``,
   ``test_acceptance.test_criterion_12c_witness_reverification_1000``).
 - ``canonical_reduction`` rebuilds the rank of a strip system from its
@@ -70,10 +70,10 @@ production code it checks, and the tests that compare them:
   ``translation_exponents_by_shift`` applies it to shifted copies of a
   generator.  Together they check ``codes.translation_exponents``,
   ``codes.verify_translation_commutation``,
-  ``logical.TorusCode.check_abelian`` and
-  ``logical.logical_commutation_table``
+  ``logical.TorusCode.check_abelian`` and ``logical.commutation_table``
   (``test_codes.test_translation_exponents_match_shifted_copies``,
   ``test_logical.test_census_candidates_match_planar_operators``,
+  ``test_logical.test_census_tables_from_plane_arrays_match_configurations``,
   ``test_logical.test_census_operators_reverify_per_generator``).
 - ``inversion_image`` reflects a configuration through a (half-)lattice
   centre.  It checks the inversion symmetry that
@@ -91,7 +91,7 @@ production code it checks, and the tests that compare them:
   and demo 04 (``test_logical``, ``test_acceptance.test_criterion_09_*``);
   ``plane_config`` turns the census's plane arrays into the
   configurations ``census_operators`` returns.  Through it,
-  ``logical_commutation_table`` checks the tables the command line takes
+  ``commutation_exponent`` checks the tables the command line takes
   straight from the plane arrays
   (``test_logical.test_census_tables_from_plane_arrays_match_configurations``).
 - ``layer_relation_by_nullspace`` is the layer relation W as the dense
@@ -169,7 +169,6 @@ from .conditions import (
 )
 from .logical import TorusCode, _census_tier, _sweep_axes, face_tile, plane_census
 from .oracle import (
-    DegenerateGeometryError,
     SegmentGeometry,
     _ends_witness,
     _vector_to_config,
@@ -201,8 +200,6 @@ def build_segment_constraints(params: CodeParams, geom: SegmentGeometry) -> np.n
     (x, z) labels land on the (z, x) columns with the second one negated.
     """
     support = geom.support()
-    if not support:
-        raise DegenerateGeometryError("empty strip support")
     index = {q: t for t, q in enumerate(support)}
     anchor1, anchor2 = geom.anchors()
     cubes = cubes_touching(support, avoid=anchor1 | anchor2)
@@ -213,7 +210,7 @@ def build_segment_constraints(params: CodeParams, geom: SegmentGeometry) -> np.n
 
 @dataclass
 class SegmentSolution:
-    """Verdict for one geometry: solution space size, nontriviality, and a witness."""
+    """Verdict for one strip: solution space size, nontriviality, and a witness."""
 
     geometry: SegmentGeometry
     nullspace_dim: int
@@ -222,9 +219,9 @@ class SegmentSolution:
 
 
 def solve_segment(params: CodeParams, geom: SegmentGeometry) -> SegmentSolution:
-    """Solve the constraint system and decide nontriviality for one geometry."""
+    """Solve the constraint system and decide nontriviality for one strip."""
     basis = fp.nullspace(build_segment_constraints(params, geom), params.p)
-    vec = _ends_witness(basis, 2 * len(geom.cross_section()), params.p)
+    vec = _ends_witness(basis, 2 * len(geom.section), params.p)
     witness = None if vec is None else _vector_to_config(params, geom.support(), vec)
     return SegmentSolution(geom, basis.shape[0], vec is not None, witness)
 
@@ -242,10 +239,8 @@ class PivotError(ValueError):
 class ReductionResult:
     """Outcome of the structured block elimination of a strip system."""
 
-    width: int
-    length: int
-    transfer_blocks: list[np.ndarray]
-    leftover_blocks: list[np.ndarray]
+    transfer_block: np.ndarray
+    leftover_block: np.ndarray
     residual: np.ndarray
     rank: int
     nullspace_dim: int
@@ -254,18 +249,16 @@ class ReductionResult:
     krylov_bound_ok: bool
 
 
-def canonical_reduction(params: CodeParams, width: int, length: int,
-                        orientation: tuple[int, int] = (0, 1),
-                        kind: str = "flat", corner_at: int | None = None) -> ReductionResult:
+def canonical_reduction(params: CodeParams, geom: SegmentGeometry) -> ReductionResult:
     """Block-eliminate the strip system into upper block-triangular form.
 
     Constraint rows split by the length coordinate of their cube; every
     group touches only two adjacent column blocks through the same pair
     of blocks, so eliminating each group against its own column block
-    (``strip_transfer``) leaves an identity block, a transfer block T
-    feeding the next column, and leftover rows v.  The leftover rows
-    propagate to the final column block, whose rank fixes the rank of
-    the whole system:
+    (``strip_transfer``) leaves an identity block, one transfer block T
+    feeding the next column, and one block of leftover rows v, the same
+    for every group.  The leftover rows propagate to the final column
+    block, whose rank fixes the rank of the whole system:
 
         rank = 2w(l-1) + rank(residual)
              <= 2w(l-1) + rank(Krylov stack of the leftover rows).
@@ -274,13 +267,12 @@ def canonical_reduction(params: CodeParams, width: int, length: int,
     Raises PivotError when a pivot block is rank deficient, which can
     only happen for codes failing deformability.
     """
-    geom = SegmentGeometry(kind, width, length, orientation, corner_at)
-    p = params.p
-    A, F, v = strip_transfer(params, geom)
+    p, length = params.p, geom.length
+    A, F, v = strip_transfer(params, geom.axis, geom.section)
     ncols = A.shape[0]
     if F.shape[1]:
-        raise PivotError(f"pivot block of the {kind} width-{width} strip "
-                         f"along axis {orientation[0]} has rank < {ncols}")
+        raise PivotError(f"pivot block of the width-{len(geom.section)} strip "
+                         f"along axis {geom.axis} has rank < {ncols}")
     krylov = [v]  # v A^i; the residual takes i < l-1, the Krylov stack i < 2w
     while len(krylov) < max(length - 1, ncols):
         krylov.append((krylov[-1] @ A) % p)
@@ -291,10 +283,8 @@ def canonical_reduction(params: CodeParams, width: int, length: int,
     krylov_rank = fp.mat_rank(np.concatenate(krylov[:ncols], axis=0), p)
 
     return ReductionResult(
-        width=width,
-        length=length,
-        transfer_blocks=[(-A) % p] * (length - 1),
-        leftover_blocks=[v] * (length - 1),
+        transfer_block=(-A) % p,
+        leftover_block=v,
         residual=residual,
         rank=rank,
         nullspace_dim=ncols * length - rank,
@@ -320,11 +310,9 @@ def width1_criterion(params: CodeParams, lengths=range(2, 7)) -> dict:
     det_nonzero = [d != 0 for d in dets]
     oracle_no_string = []
     for axis in range(3):
-        wa = 0 if axis != 0 else 1
         hit = False
         for length in lengths:
-            geom = SegmentGeometry("flat", 1, length, (axis, wa))
-            if solve_segment(params, geom).nontrivial:
+            if solve_segment(params, SegmentGeometry(axis, ((0, 0, 0),), length)).nontrivial:
                 hit = True
                 break
         oracle_no_string.append(not hit)

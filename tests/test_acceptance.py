@@ -33,7 +33,7 @@ from qupitcube.algebra import (
     verify_inversion_action,
     verify_projector_identities,
 )
-from qupitcube.oracle import SegmentGeometry, max_nontrivial_length
+from qupitcube.oracle import ORIENTATIONS, SegmentGeometry, scan_width, sections
 from qupitcube.reference import (
     build_segment_constraints,
     canonical_reduction,
@@ -105,8 +105,7 @@ def test_criterion_04_d3_string_bound():
     ok = True
     for w in range(1, 7):
         for kind in ("flat", "cornered"):
-            rpt = max_nontrivial_length(code, w, kind=kind)
-            m = rpt.max_nontrivial_length
+            m = scan_width(code, w, kinds=(kind,))[kind].max_nontrivial_length
             if m is not None and m > w + 1:
                 ok = False
     elapsed = time.monotonic() - t0
@@ -121,8 +120,7 @@ def test_criterion_05_d5_no_string():
     ok = True
     for w in range(1, 5):
         for kind in ("flat", "cornered"):
-            rpt = max_nontrivial_length(code, w, kind=kind)
-            m = rpt.max_nontrivial_length
+            m = scan_width(code, w, kinds=(kind,))[kind].max_nontrivial_length
             if m is not None and m > 2 * w:
                 ok = False
     elapsed = time.monotonic() - t0
@@ -170,13 +168,14 @@ def test_criterion_08_reduction_pipeline_equality():
     for code in (d3_code("S"), d5_code("S")):
         for w in range(1, 5):
             for l in range(2, 9):
-                red = canonical_reduction(code, w, l)
-                sol = solve_segment(code, SegmentGeometry("flat", w, l, (0, 1)))
+                geom = SegmentGeometry(*sections(w, "flat")[0], l)  # along x, width along y
+                red = canonical_reduction(code, geom)
+                sol = solve_segment(code, geom)
                 ok = ok and red.nullspace_dim == sol.nullspace_dim \
                     and red.agrees_with_direct
     # one constraint row per anchor-avoiding generator: 2(w+1)(l-1) rows on
     # 2wl unknowns, hence 12 x 12 at w=2, l=3
-    system = build_segment_constraints(d3_code("S"), SegmentGeometry("flat", 2, 3, (0, 1)))
+    system = build_segment_constraints(d3_code("S"), SegmentGeometry(*sections(2, "flat")[0], 3))
     w, l = 2, 3
     shape_ok = system.shape == (2 * (w + 1) * (l - 1), 2 * w * l)
     _verdict(8, "block reduction and direct solver agree on nullspace "
@@ -281,9 +280,9 @@ def test_criterion_12c_witness_reverification_1000():
         code = random_code(rng, p)
         kind = rng.choice(("flat", "cornered"))
         w = rng.randrange(1, 3) if kind == "flat" else 2
-        geom = SegmentGeometry(kind, w, rng.randrange(2, 5),
-                               rng.choice(((0, 1), (1, 2), (2, 0), (1, 0))),
-                               corner_at=1 if kind == "cornered" else None)
+        # at width 2 each orientation has one cornered family, its corner 1
+        length, orientation = rng.randrange(2, 5), rng.choice(((0, 1), (1, 2), (2, 0), (1, 0)))
+        geom = SegmentGeometry(*sections(w, kind)[ORIENTATIONS.index(orientation)], length)
         sol = solve_segment(code, geom)
         if sol.witness is not None:
             witnesses += 1

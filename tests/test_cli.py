@@ -12,7 +12,7 @@ from qupitcube import algebra, cli, fp, logical
 from qupitcube.algebra import MAX_ALGEBRA_MODULUS
 from qupitcube.classify import MAX_CLASSIFY_MODULUS
 from qupitcube.codes import d5_code
-from qupitcube.oracle import MAX_STRIP_LENGTH, MAX_STRIP_WIDTH, max_nontrivial_length
+from qupitcube.oracle import MAX_STRIP_LENGTH, MAX_STRIP_WIDTH, scan_width
 
 D5_FLAGS = ["--p", "5", "--alpha", "1,0", "--beta", "0,1",
             "--gamma", "1,1", "--delta", "3,2", "--parity", "S"]
@@ -92,9 +92,9 @@ def test_strings_rank_deficient_report_digests():
 def test_strings_corner_report_digests():
     # sha256 of the stdout reports, pinned from the scan of every family
     # before families were scanned once per inversion class: a cornered
-    # witness on a genuine corner (corner_at 2 at widths 3 and 5), cornered
-    # witnesses on corner_at = 1 families (the flat strips along the bend
-    # axis) at every width, and a cornered-only run
+    # witness on a genuine corner (corner 2 at widths 3 and 5), cornered
+    # witnesses on corner-1 families (the flat strips along the bend axis)
+    # at every width, and a cornered-only run
     expected = {
         ("5", "4,4", "0,3", "3,2", "0,1", "S", "both"):
             "3de8639916553fdf37429b0457ef9e7756466a26098e7551143932761f22a0af",
@@ -384,7 +384,7 @@ def test_strings_and_scan_refuse_scans_beyond_the_bounds(monkeypatch, capsys):
         assert message in capsys.readouterr().err
     for width, l_max, message in ((17, None, "width <= 16"), (1, 65, "length <= 64")):
         with pytest.raises(ValueError, match=message):
-            max_nontrivial_length(d5_code(), width, l_max=l_max)
+            scan_width(d5_code(), width, l_max=l_max)
     assert calls == []
 
 
@@ -409,7 +409,7 @@ def test_empty_scans_and_tables_are_refused(monkeypatch, capsys):
         assert err.out == "" and message in err.err, argv
     for width, l_max in ((0, None), (1, 1)):
         with pytest.raises(ValueError, match=">= "):
-            max_nontrivial_length(d5_code(), width, l_max=l_max)
+            scan_width(d5_code(), width, l_max=l_max)
     monkeypatch.undo()
     out = run_cli("strings", *D5_FLAGS, "--wmax", "0", "--expect-no-string")
     assert (out.returncode, out.stdout) == (2, "")

@@ -25,7 +25,6 @@ from qupitcube.logical import (
     encoded_qudit_count,
     encoded_qudit_table,
     face_tile,
-    logical_commutation_table,
     plane_census,
     product_of_all_generators,
 )
@@ -43,6 +42,11 @@ from qupitcube.reference import (
 )
 
 ALL_CODES = [d3_code("S"), d3_code("A"), d5_code("S"), d5_code("A")]
+
+
+def pairwise_table(configs):
+    """The commutation exponent of every ordered pair of configurations."""
+    return np.array([[commutation_exponent(a, b) for b in configs] for a in configs])
 
 
 def dense_generator_matrix(code, dims):
@@ -198,7 +202,7 @@ def test_commutation_table_structure():
     dims = (4, 4, 4)
     ops = census_operators(TorusCode(code, dims), 2)
     assert len(ops) == 4
-    table = logical_commutation_table(ops)
+    table = pairwise_table(ops)
     assert (np.diag(table) == 0).all()
     assert ((table + table.T) % code.p == 0).all()
     # parallel planes of one orientation commute
@@ -231,7 +235,7 @@ def test_transverse_operators_certify_encoded_qudit():
     ops = []
     for normal in range(3):
         ops.extend(census_operators(torus, normal))
-    table = logical_commutation_table(ops)
+    table = pairwise_table(ops)
     assert table.any()
 
 
@@ -405,7 +409,7 @@ def test_k_table_abelian_check_matches_per_torus(monkeypatch, scale):
 
 def test_census_tables_from_plane_arrays_match_configurations():
     # the command line takes each table straight from the census's plane
-    # arrays; logical_commutation_table rebuilds it from configurations
+    # arrays; the pairwise commutation exponents rebuild it from configurations
     for code in ALL_CODES:
         for dims in product(range(2, 9), repeat=3):
             torus = TorusCode(code, dims)
@@ -413,7 +417,7 @@ def test_census_tables_from_plane_arrays_match_configurations():
                 assert planes.shape == (entry["count"], *entry["in_plane_dims"], 2)
                 configs = [plane_config(torus, normal, plane) for plane in planes]
                 assert (commutation_table(planes, code.p).tolist()
-                        == logical_commutation_table(configs).tolist()), (code, dims, normal)
+                        == pairwise_table(configs).tolist()), (code, dims, normal)
 
 
 @pytest.mark.parametrize("scale", [None, 2, 3])
@@ -486,11 +490,9 @@ def test_census_candidates_match_planar_operators():
                 verdict = not syndromes[:, k].any()
                 assert verdict == is_logical(cfg, torus), (code, dims, normal, transpose, k)
                 seen.add(verdict)
-            table = [[commutation_exponent(a, b) for b in configs] for a in configs]
-            assert logical_commutation_table(configs).tolist() == table
-            assert commutation_table(planes, code.p).tolist() == table
+            assert (commutation_table(planes, code.p).tolist()
+                    == pairwise_table(configs).tolist())
     assert seen == {True, False}
-    assert logical_commutation_table([]).shape == (0, 0)
     assert commutation_table(np.zeros((0, 3, 4, 2), dtype=np.int64), 5).shape == (0, 0)
 
 

@@ -10,12 +10,12 @@ from qupitcube import cli, fp, oracle
 from qupitcube.codes import CodeParams, PauliConfig, d3_code, d5_code, generator_config
 from qupitcube.conditions import PrerequisiteError, base_matrix, rel_transition
 from qupitcube.oracle import (
+    ORIENTATIONS,
     DegenerateGeometryError,
     SegmentGeometry,
     SegmentReport,
-    geometries,
-    max_nontrivial_length,
     scan_width,
+    sections,
     strip_transfer,
 )
 from qupitcube.reference import (
@@ -36,11 +36,23 @@ from conftest import random_code, random_deformable_tuple
 P2_TUPLE = CodeParams(2, (1, 0), (0, 1), (1, 1), (1, 0))
 
 
+def strips(width, length, kind):
+    """Every strip of a kind at one width and length, in ``sections`` order."""
+    return [SegmentGeometry(axis, section, length) for axis, section in sections(width, kind)]
+
+
+def flat_strip(width, length, orientation=(0, 1)):
+    return strips(width, length, "flat")[ORIENTATIONS.index(orientation)]
+
+
+def scan(params, width, l_max=None, kind="flat"):
+    return scan_width(params, width, l_max, (kind,))[kind]
+
+
 def test_constraint_matrix_shapes():
     d3 = d3_code()
     for w, l in ((1, 2), (2, 3), (3, 5), (2, 8)):
-        geom = SegmentGeometry("flat", w, l, (0, 1))
-        system = build_segment_constraints(d3, geom)
+        system = build_segment_constraints(d3, flat_strip(w, l))
         assert system.shape == (2 * (w + 1) * (l - 1), 2 * w * l)
 
 
@@ -50,7 +62,7 @@ def test_width1_system_matches_block_form():
     for code in (d3_code("S"), d5_code("S")):
         p = code.p
         a, b, g, d = code.pairs
-        system = build_segment_constraints(code, SegmentGeometry("flat", 1, 2, (0, 1)))
+        system = build_segment_constraints(code, flat_strip(1, 2))
         t_gb = base_matrix(g, b, p)
         t_da = base_matrix(d, a, p)
         block = np.block([[t_gb, t_da], [t_da, t_gb]]) % p
@@ -60,27 +72,59 @@ def test_width1_system_matches_block_form():
 
 
 def test_degenerate_geometries():
+    origin, step = (0, 0, 0), (0, 1, 0)
+    SegmentGeometry(0, (origin, step), 2)
     with pytest.raises(DegenerateGeometryError):
-        SegmentGeometry("flat", 1, 1, (0, 1))
+        SegmentGeometry(0, (origin,), 1)
     with pytest.raises(DegenerateGeometryError):
-        SegmentGeometry("flat", 0, 3, (0, 1))
+        SegmentGeometry(0, (origin, step), -3)
     with pytest.raises(DegenerateGeometryError):
-        SegmentGeometry("cornered", 2, 3, (0, 1), corner_at=2)
-    with pytest.raises(DegenerateGeometryError):
-        SegmentGeometry("cornered", 1, 3, (0, 1), corner_at=None)
-    with pytest.raises(ValueError):
-        SegmentGeometry("flat", 2, 3, (1, 1))
+        SegmentGeometry(0, (), 3)
+    for axis in (-1, 3, 1.5, None):
+        with pytest.raises(ValueError, match="axis must be"):
+            SegmentGeometry(axis, (origin,), 3)
+    with pytest.raises(ValueError, match="repeats"):
+        SegmentGeometry(0, (origin, step, origin), 3)
+    with pytest.raises(ValueError, match="must be 0 on axis 1"):
+        SegmentGeometry(1, (origin, step), 3)
+    with pytest.raises(ValueError, match="must be 0 on axis 2"):
+        SegmentGeometry(2, ((0, 0, -1),), 3)
+
+
+def test_sections_are_connected_cross_sections_in_scan_order():
+    for w in range(1, 17):
+        flat, cornered = sections(w, "flat"), sections(w, "cornered")
+        assert len(flat) == 6 and len(cornered) == 6 * (w - 1)
+        for axis, section in flat + cornered:
+            assert len(section) == len(set(section)) == w
+            assert all(q[axis] == 0 for q in section)
+            # edge-connected: a walk by unit steps reaches every site
+            reached, todo = {section[0]}, [section[0]]
+            while todo:
+                q = todo.pop()
+                for r in section:
+                    if r not in reached and sum(abs(a - b) for a, b in zip(q, r)) == 1:
+                        reached.add(r)
+                        todo.append(r)
+            assert reached == set(section), section
+        assert [axis for axis, _ in flat] == [la for la, _ in ORIENTATIONS]
+        for i, (la, wa) in enumerate(ORIENTATIONS):
+            ba = 3 - la - wa
+            assert flat[i][1] == tuple(tuple(k * (a == wa) for a in range(3)) for k in range(w))
+            if w > 1:
+                # corner 1 is the flat section along the bend axis, site for site
+                assert cornered[i * (w - 1)] == flat[ORIENTATIONS.index((la, ba))]
 
 
 def test_solve_segment_reference_codes():
     d3 = d3_code()
-    sol = solve_segment(d3, SegmentGeometry("flat", 1, 3, (1, 0)))
+    sol = solve_segment(d3, flat_strip(1, 3, (1, 0)))
     assert sol.nullspace_dim == 0 and not sol.nontrivial and sol.witness is None
 
     # width-1 strings exist for the degenerate p=2 tuple at every length
     for length in (2, 4, 8):
         assert any(solve_segment(P2_TUPLE, g).nontrivial
-                   for g in geometries(1, length, "flat"))
+                   for g in strips(1, length, "flat"))
 
 
 def test_scan_bounds_quick():
@@ -89,21 +133,21 @@ def test_scan_bounds_quick():
             d3 = d3_code(parity, variant=variant)
             for w in (1, 2, 3):
                 for kind in ("flat", "cornered"):
-                    rpt = max_nontrivial_length(d3, w, kind=kind)
+                    rpt = scan(d3, w, kind=kind)
                     if rpt.max_nontrivial_length is not None:
                         assert rpt.max_nontrivial_length <= w + 1
     for parity in "SA":
         d5 = d5_code(parity)
         for w in (1, 2):
             for kind in ("flat", "cornered"):
-                rpt = max_nontrivial_length(d5, w, kind=kind)
+                rpt = scan(d5, w, kind=kind)
                 if rpt.max_nontrivial_length is not None:
                     assert rpt.max_nontrivial_length <= 2 * w
 
 
 def test_scan_unbounded_for_degenerate_tuple():
     l_max = 9
-    rpt = max_nontrivial_length(P2_TUPLE, 1, l_max=l_max)
+    rpt = scan(P2_TUPLE, 1, l_max=l_max)
     assert rpt.max_nontrivial_length == l_max       # grows with the scan horizon
     assert rpt.nontrivial_lengths == list(range(2, l_max + 1))
     assert rpt.aspect_ratio == Fraction(l_max, 1)
@@ -113,7 +157,7 @@ def test_scan_unbounded_for_degenerate_tuple():
 def test_scan_monotonicity():
     for code, w, kind in ((d5_code(), 3, "cornered"), (d3_code(), 3, "flat"),
                           (P2_TUPLE, 1, "flat")):
-        rpt = max_nontrivial_length(code, w, kind=kind)
+        rpt = scan(code, w, kind=kind)
         found = set(rpt.nontrivial_lengths)
         for l in found:
             if l > 2:
@@ -126,7 +170,7 @@ def dense_scan(params, width, kind, l_max=None):
     dims, found = {}, []
     witness = witness_geom = None
     for length in range(2, l_max + 1):
-        geoms = geometries(width, length, kind)
+        geoms = strips(width, length, kind)
         if not geoms:
             break
         sols = [solve_segment(params, g) for g in geoms]
@@ -142,7 +186,7 @@ def dense_scan(params, width, kind, l_max=None):
 
 
 def assert_scan_matches_dense(params, width, kind, l_max=None):
-    rpt = max_nontrivial_length(params, width, l_max=l_max, kind=kind)
+    rpt = scan(params, width, l_max=l_max, kind=kind)
     want = dense_scan(params, width, kind, l_max)
     assert rpt.as_dict() == want.as_dict()
     assert rpt.witness_geometry == want.witness_geometry
@@ -164,16 +208,16 @@ def test_transfer_scan_matches_dense_solver():
     assert witnesses >= 10
 
 
-def pivot_fails(code, geom):
+def pivot_fails(code, axis, section):
     """True when the family's first column block is rank deficient, so its
     transfer recursion has free columns ``z_g``."""
-    return strip_transfer(code, geom)[1].shape[1] > 0
+    return strip_transfer(code, axis, section)[1].shape[1] > 0
 
 
 def test_transfer_scan_handles_rank_deficient_pivot_blocks():
     mixed = CodeParams(3, (1, 2), (1, 1), (1, 2), (1, 1))
     degenerate = CodeParams(2, (1, 0), (1, 0), (1, 0), (1, 0))
-    fails = {code: [pivot_fails(code, g) for g in geometries(2, 2, "flat")]
+    fails = {code: [pivot_fails(code, *f) for f in sections(2, "flat")]
              for code in (mixed, degenerate, P2_TUPLE)}
     assert sum(fails[mixed]) == 2
     assert all(fails[degenerate]) and not any(fails[P2_TUPLE])
@@ -197,7 +241,7 @@ def test_transfer_scan_matches_dense_solver_on_rank_deficient_tuples():
         code = random_code(rng, p)
         w = rng.choice((1, 2))
         kind = "flat" if w == 1 else rng.choice(("flat", "cornered"))
-        if not any(pivot_fails(code, g) for g in geometries(w, 2, kind)):
+        if not any(pivot_fails(code, *f) for f in sections(w, kind)):
             continue
         witnesses += assert_scan_matches_dense(code, w, kind, l_max=7).witness is not None
         checked += 1
@@ -206,16 +250,16 @@ def test_transfer_scan_matches_dense_solver_on_rank_deficient_tuples():
 
 def test_scan_runs_one_family_per_inversion_class(monkeypatch):
     # width 1: the six flat strips are three single-site cross-sections, one
-    # per length axis.  Width w >= 2: six flat classes; each corner_at = 1
+    # per length axis.  Width w >= 2: six flat classes; each corner-1
     # family is a flat strip, and the other 6(w - 2) cornered families pair
     # up under inversion, 3w classes in all.  Both kinds to width 16 have
     # 3 + 3 * (2 + ... + 16) = 408 classes among 816 families.
     scanned = []
-    scan = oracle._scan_family
+    scan_family = oracle._scan_family
 
-    def counting(params, geom, l_max):
-        scanned.append(oracle._inversion_class(geom))
-        return scan(params, geom, l_max)
+    def counting(params, axis, section, l_max):
+        scanned.append(oracle._inversion_class(axis, section))
+        return scan_family(params, axis, section, l_max)
 
     monkeypatch.setattr(oracle, "_scan_family", counting)
     d5 = ["--p", "5", "--alpha", "1,0", "--beta", "0,1", "--gamma", "1,1", "--delta", "3,2"]
@@ -225,15 +269,21 @@ def test_scan_runs_one_family_per_inversion_class(monkeypatch):
         assert len(scanned) == classes and len(set(scanned)) == classes
 
 
-def inversion_partner(geom):
-    """The family point inversion maps a cornered ``geom`` onto, in closed
-    form: (la, wa, c) goes to (la, ba, w - c + 1), and to the flat strip
-    along the bend axis ba when c = 1."""
-    la, ba = geom.length_axis, geom.bend_axis
-    if geom.corner_at == 1:
-        return SegmentGeometry("flat", geom.width, geom.length, (la, ba))
-    return SegmentGeometry("cornered", geom.width, geom.length, (la, ba),
-                           geom.width - geom.corner_at + 1)
+def cornered_families(w):
+    """((la, wa, c), (axis, section)) of each cornered family at width w, by
+    ``sections``' order: orientations in turn, corners 1..w-1 within each."""
+    return zip([(la, wa, c) for la, wa in ORIENTATIONS for c in range(1, w)],
+               sections(w, "cornered"))
+
+
+def inversion_partner(w, la, wa, c):
+    """The family point inversion maps the cornered family (la, wa, c) onto,
+    in closed form: (la, ba, w - c + 1), and the flat strip along the bend
+    axis ba when c = 1."""
+    ba = 3 - la - wa
+    if c == 1:
+        return sections(w, "flat")[ORIENTATIONS.index((la, ba))]
+    return sections(w, "cornered")[ORIENTATIONS.index((la, ba)) * (w - 1) + w - c]
 
 
 def test_cornered_families_scan_like_their_inversion_partners():
@@ -247,12 +297,12 @@ def test_cornered_families_scan_like_their_inversion_partners():
                      random_code(rng, p, parity)]
             for code in codes:
                 for w in range(2, 7):
-                    for geom in geometries(w, 2, "cornered"):
-                        partner = inversion_partner(geom)
-                        assert oracle._inversion_class(partner) == oracle._inversion_class(geom)
-                        mine = oracle._scan_family(code, geom, 2 * w + 4)[:2]
-                        theirs = oracle._scan_family(code, partner, 2 * w + 4)[:2]
-                        assert mine == theirs, (code, geom)
+                    for (la, wa, c), family in cornered_families(w):
+                        partner = inversion_partner(w, la, wa, c)
+                        assert oracle._inversion_class(*partner) == oracle._inversion_class(*family)
+                        mine = oracle._scan_family(code, *family, 2 * w + 4)[:2]
+                        theirs = oracle._scan_family(code, *partner, 2 * w + 4)[:2]
+                        assert mine == theirs, (code, family)
                         pairs += 1
     assert pairs == 4 * 2 * 2 * 6 * (1 + 2 + 3 + 4 + 5)
 
@@ -264,10 +314,10 @@ def test_pair_system_matches_whole_strip_assembly():
     for code in codes:
         for w in range(1, 7):
             for kind in ("flat", "cornered"):
-                for geom in geometries(w, 2, kind):
-                    mine = oracle._pair_system(code, geom)
+                for geom in strips(w, 2, kind):
+                    mine = oracle._pair_system(code, geom.axis, geom.section)
                     theirs = build_segment_constraints(code, geom)
-                    assert mine.shape[1] == theirs.shape[1] == 4 * len(geom.cross_section())
+                    assert mine.shape[1] == theirs.shape[1] == 4 * len(geom.section)
                     r_mine, piv_mine = fp.mat_rref(mine, code.p)
                     r_theirs, piv_theirs = fp.mat_rref(theirs, code.p)
                     assert piv_mine == piv_theirs, (code, geom)
@@ -283,33 +333,33 @@ def test_class_heads_have_their_representatives_sites():
             representative = {}
             for kind in kinds:
                 heads = set()
-                for geom in geometries(width, 2, kind):
-                    key = oracle._inversion_class(geom)
-                    first = representative.setdefault(key, geom)
+                for family in sections(width, kind):
+                    key = oracle._inversion_class(*family)
+                    first = representative.setdefault(key, family)
                     if key not in heads:
                         heads.add(key)
-                        assert geom.cross_section() == first.cross_section(), (kinds, geom)
+                        assert family == first, (kinds, family)
 
 
 def test_scan_needs_both_end_columns(monkeypatch):
     # a recursion whose solutions all vanish on the last column: v forces
     # x_{g+1} = 0 while the free columns z_g fill the first one
     eye, zero = np.eye(2, dtype=np.int64), np.zeros((2, 2), dtype=np.int64)
-    monkeypatch.setattr(oracle, "strip_transfer", lambda params, geom: (zero, eye, eye))
-    dims, nontrivial, _ = oracle._scan_family(d3_code(), SegmentGeometry("flat", 1, 2), 5)
+    monkeypatch.setattr(oracle, "strip_transfer", lambda params, axis, section: (zero, eye, eye))
+    dims, nontrivial, _ = oracle._scan_family(d3_code(), 0, ((0, 0, 0),), 5)
     assert dims == [2, 2, 2, 2] and not any(nontrivial)
 
 
 def test_scan_refuses_unknown_kinds():
     for kind in ("flta", "both", ""):
         with pytest.raises(ValueError, match="kind must be"):
-            max_nontrivial_length(d5_code(), 2, kind=kind)
+            scan_width(d5_code(), 2, kinds=(kind,))
         with pytest.raises(ValueError, match="kind must be"):
-            geometries(2, 3, kind)
+            sections(2, kind)
 
 
 def test_width1_cornered_scan_is_empty():
-    rpt = max_nontrivial_length(d3_code(), 1, kind="cornered")
+    rpt = scan(d3_code(), 1, kind="cornered")
     assert rpt.max_nontrivial_length is None and rpt.nullspace_dims == {}
 
 
@@ -321,9 +371,9 @@ def test_witness_reverification():
         code = random_code(rng, p)
         kind = rng.choice(("flat", "cornered"))
         w = rng.randrange(1, 3) if kind == "flat" else 2
-        geom = SegmentGeometry(kind, w, rng.randrange(2, 5),
-                               rng.choice(((0, 1), (1, 2), (2, 0))),
-                               corner_at=1 if kind == "cornered" else None)
+        # at width 2 each orientation has one cornered family, its corner 1
+        length, orientation = rng.randrange(2, 5), rng.choice(((0, 1), (1, 2), (2, 0)))
+        geom = strips(w, length, kind)[ORIENTATIONS.index(orientation)]
         sol = solve_segment(code, geom)
         if sol.witness is not None:
             assert verify_witness(code, geom, sol.witness)
@@ -341,15 +391,15 @@ def test_positive_dimension_when_deformability_fails_on_an_edge():
     for code in cases:
         for length in (2, 4, 6):
             assert any(solve_segment(code, g).nullspace_dim > 0
-                       for g in geometries(1, length, "flat"))
+                       for g in strips(1, length, "flat"))
 
 
 def test_canonical_reduction_matches_solver():
     for code in (d3_code(), d5_code("A")):
         for w in (1, 2, 3):
             for l in (2, 3, 5, 6):
-                red = canonical_reduction(code, w, l)
-                sol = solve_segment(code, SegmentGeometry("flat", w, l, (0, 1)))
+                red = canonical_reduction(code, flat_strip(w, l))
+                sol = solve_segment(code, flat_strip(w, l))
                 assert red.nullspace_dim == sol.nullspace_dim
                 assert red.agrees_with_direct
                 assert red.krylov_bound_ok
@@ -360,23 +410,24 @@ def test_canonical_reduction_width1_blocks():
     for code in (d3_code("S"), d5_code("S")):
         p = code.p
         a, b, g, d = code.pairs
-        red = canonical_reduction(code, 1, 2)
+        red = canonical_reduction(code, flat_strip(1, 2))
         t_named = rel_transition((d, a), (g, b), p)
-        assert (red.transfer_blocks[0] == t_named).all()
+        assert (red.transfer_block == t_named).all()
         residual_named = (rel_transition((g, b), (d, a), p) - t_named) % p
         assert fp.mat_rank(red.residual, p) == fp.mat_rank(residual_named, p)
 
 
 def test_canonical_reduction_cornered():
-    red = canonical_reduction(d5_code(), 3, 4, kind="cornered", corner_at=1)
-    sol = solve_segment(d5_code(), SegmentGeometry("cornered", 3, 4, (0, 1), 1))
+    geom = strips(3, 4, "cornered")[0]  # orientation (0, 1), corner 1
+    red = canonical_reduction(d5_code(), geom)
+    sol = solve_segment(d5_code(), geom)
     assert red.nullspace_dim == sol.nullspace_dim
 
 
 def test_canonical_reduction_pivot_failure():
     degenerate = CodeParams(2, (1, 0), (1, 0), (1, 0), (1, 0))
     with pytest.raises(PivotError):
-        canonical_reduction(degenerate, 1, 3)
+        canonical_reduction(degenerate, flat_strip(1, 3))
 
 
 def test_width1_criterion_agreement():
@@ -451,6 +502,6 @@ def test_flatten_blocking_site():
 
 
 def test_report_serialization():
-    rpt = max_nontrivial_length(d3_code(), 2, l_max=4)
+    rpt = scan(d3_code(), 2, l_max=4)
     d = rpt.as_dict()
     assert d["width"] == 2 and set(d["nullspace_dims"]) == {"2", "3", "4"}
