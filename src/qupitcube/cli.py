@@ -142,8 +142,7 @@ def _report(command: str, options: dict, results: dict,
 
 
 def _emit(report: dict) -> int:
-    json.dump(report, sys.stdout, sort_keys=True, indent=2)
-    sys.stdout.write("\n")
+    sys.stdout.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
     return 0 if report["status"] == "ok" else 1
 
 

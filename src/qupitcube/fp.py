@@ -56,6 +56,19 @@ def fp_inv(x: int, p: int) -> int:
     return pow(x, -1, p)
 
 
+def inverse(x: np.ndarray, p: int) -> np.ndarray:
+    """Elementwise inverse mod p of an int64 array of nonzero residues, by
+    Fermat's x^(p-2): about 2 log2(p) array products, and no table of
+    size p."""
+    out, base, e = np.ones_like(x), x % p, p - 2
+    while e:
+        if e & 1:
+            out = out * base % p
+        base = base * base % p
+        e >>= 1
+    return out
+
+
 def mat_rref(M, p: int, n_pivot_cols: int | None = None) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form of ``M`` over F_p.
 
@@ -89,6 +102,44 @@ def mat_rref(M, p: int, n_pivot_cols: int | None = None) -> tuple[np.ndarray, li
         pivot_cols.append(c)
         r += 1
     return R, pivot_cols
+
+
+def mat_rref_stack(M: np.ndarray, p: int, n_pivot_cols: int) -> tuple[np.ndarray, np.ndarray]:
+    """``mat_rref`` of every matrix of a stack ``M`` of shape (B, m, c)
+    against its first ``n_pivot_cols`` columns, one pass over those columns
+    for the whole stack.
+
+    Returns ``(R, pivoted)``: ``R[b]`` equals ``mat_rref(M[b], p,
+    n_pivot_cols)[0]`` entry for entry (same pivot rows, same row swaps),
+    and ``pivoted[b, c]`` is True when column c is a pivot of member b.
+    Each member keeps its own rank, so its pivot rows differ once one of
+    its columns has no pivot.
+    """
+    R = normalize(M, p)  # a new array: ``% p`` never returns its input
+    B, m, _ = R.shape
+    rank = np.zeros(B, dtype=np.int64)
+    pivoted = np.zeros((B, n_pivot_cols), dtype=bool)
+    rows = np.arange(m)
+    for c in range(n_pivot_cols):
+        candidates = (R[:, :, c] != 0) & (rows >= rank[:, None])
+        has = candidates.any(axis=1)
+        b = np.flatnonzero(has)
+        if not b.size:
+            continue
+        r, pr = rank[b], candidates[b].argmax(axis=1)
+        # the pivot row is zero left of c, so only columns c.. change
+        swapped = R[b, pr, c:]
+        R[b, pr, c:] = R[b, r, c:]
+        row = np.zeros((B, R.shape[2] - c), dtype=np.int64)
+        row[b] = swapped * inverse(swapped[:, 0], p)[:, None] % p
+        col = R[:, :, c] * has[:, None]
+        col[b, r] = 0
+        R[:, :, c:] -= col[:, :, None] * row[:, None, :]
+        R[:, :, c:] %= p
+        R[b, r, c:] = row[b]
+        pivoted[b, c] = True
+        rank[b] += 1
+    return R, pivoted
 
 
 def mat_rank(M, p: int) -> int:
@@ -144,6 +195,13 @@ def transfer(M, n: int, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     independent.
     """
     R, pivots = mat_rref(M, p, n_pivot_cols=n)
+    return transfer_blocks(R, pivots, n, p)
+
+
+def transfer_blocks(R: np.ndarray, pivots: list[int], n: int,
+                    p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``transfer``'s ``(A, F, v)`` from the block elimination ``R, pivots``
+    it makes (``mat_rref`` against the first ``n`` columns)."""
     r = len(pivots)
     free = _non_pivots(n, pivots)
     A = np.zeros((n, R.shape[1] - n), dtype=np.int64)

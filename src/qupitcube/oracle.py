@@ -20,10 +20,14 @@ which is the operational stand-in for "every equivalent segment stays
 connected between the anchors".
 
 Length scans do not solve one system per length: the strip system is
-translation invariant, so one block elimination per strip family
-(``strip_transfer``) decides every length, whether or not the code is
-deformable.  The dense per-strip solver the tests compare the scan
-against is ``reference.solve_segment``.
+translation invariant, so the block elimination of a family's length-2
+system (``strip_transfer``) decides every length, whether or not the
+code is deformable.  ``scan_width`` does this for every family of a
+width at once (``_scan_stack``): one gather of the code's labels into a
+stack of length-2 systems, one stacked elimination
+(``fp.mat_rref_stack``), and one length loop for all the families
+without free columns.  The dense per-strip solver the tests compare the
+scan against is ``reference.solve_segment``.
 
 Column layout: sites are ordered along the strip (length-major, then
 cross-section); each site contributes two adjacent columns holding
@@ -34,6 +38,7 @@ formalism.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
@@ -41,7 +46,15 @@ from itertools import permutations
 import numpy as np
 
 from . import fp
-from .codes import CodeParams, PauliConfig, Site, cubes_touching, generator_rows
+from .codes import (
+    VERTICES,
+    CodeParams,
+    PauliConfig,
+    Site,
+    build_generator,
+    cube_sites,
+    cubes_touching,
+)
 
 
 class DegenerateGeometryError(ValueError):
@@ -49,16 +62,19 @@ class DegenerateGeometryError(ValueError):
 
 
 ORIENTATIONS: tuple[tuple[int, int], ...] = tuple(permutations(range(3), 2))
+KINDS = ("flat", "cornered")
 Section = tuple[Site, ...]
 
 # Widest strip and longest length horizon ``scan_width`` scans.  Measured
-# on a 2-core x86_64 VM: ``strings --wmax 16 --lmax 64`` takes 1.1-1.2 s
-# on d5 at 35 MB and 2.9-3.4 s on the p = 2 string code at 37 MB.  A
-# family keeps only the kernel of its last nontrivial length, so memory
+# in process on a 2-core x86_64 VM: ``strings --wmax 16`` takes 0.5-0.8 s
+# per parity on d5 at 40 MB, with or without ``--lmax 64`` (a family
+# leaves the stacked length loop once its first column vanishes), and
+# ``--wmax 16 --lmax 64`` 0.7-1.2 s on the p = 2 string code at 40 MB.  A
+# family keeps only its kernel at its last nontrivial length, so memory
 # does not grow with each length kept.  Families with free columns are
 # not bounded in time by these: their kernel grows with the length, and
-# on the p = 3 tuple (1,0)^4 ``--wmax 8`` takes 1.0-1.3 s at 37 MB,
-# ``--wmax 11`` 12 s at 60 MB and ``--wmax 12`` 21 s at 74 MB.
+# on the p = 3 tuple (1,0)^4 ``--wmax 8`` takes 1.0-1.5 s at 39 MB,
+# ``--wmax 11`` 12 s at 62 MB and ``--wmax 12`` 21-28 s at 79 MB.
 MAX_STRIP_WIDTH = 16
 MAX_STRIP_LENGTH = 64
 
@@ -106,6 +122,11 @@ def _shift(q: Site, axis: int, j: int) -> Site:
     return tuple(c + j * (a == axis) for a, c in enumerate(q))
 
 
+def _check_kind(kind: str) -> None:
+    if kind not in KINDS:
+        raise ValueError(f"kind must be 'flat' or 'cornered', got {kind!r}")
+
+
 def sections(width: int, kind: str) -> list[tuple[int, Section]]:
     """The (axis, section) families of a kind at one width, for each
     ``ORIENTATIONS`` (length axis la, width axis wa) in order.
@@ -117,12 +138,8 @@ def sections(width: int, kind: str) -> list[tuple[int, Section]]:
     and no genuine L exists below width 3.  Point inversion maps
     (la, wa, c) to (la, ba, width - c + 1).
     """
-    if kind == "flat":
-        corners = (width,)
-    elif kind == "cornered":
-        corners = range(1, width)
-    else:
-        raise ValueError(f"kind must be 'flat' or 'cornered', got {kind!r}")
+    _check_kind(kind)
+    corners = (width,) if kind == "flat" else range(1, width)
     out = []
     for la, wa in ORIENTATIONS:
         ba = 3 - la - wa
@@ -194,20 +211,43 @@ class SegmentReport:
         }
 
 
-def _pair_system(params: CodeParams, axis: int, section: Section) -> np.ndarray:
-    """The length-2 system of a strip family, from its cross-section: a
-    cube at length position -1 or +1 that meets the strip meets an anchor,
-    so the rows are the cubes at 0 whose footprint meets the cross-section,
-    labels (x, z) landing on the (z, x) columns of block ``v[axis]`` with
-    the second negated.  ``reference.build_segment_constraints`` is the
-    oracle.
+def _template(axis: int, section: Section) -> np.ndarray:
+    """Where the generator's labels land in the length-2 system of a strip
+    family, independent of the code: a cube at length position -1 or +1
+    that meets the strip meets an anchor, so the rows are the cubes at 0
+    whose footprint meets the cross-section.  Entry (row, t) is the index
+    in ``VERTICES`` of that cube's vertex on support site t (the section,
+    then its shift along ``axis``), or ``len(VERTICES)`` where the cube
+    misses the site.
     """
     support = [*section, *(_shift(q, axis, 1) for q in section)]
     index = {q: t for t, q in enumerate(support)}
     cubes = [c for c in cubes_touching(section) if c[axis] == 0]
-    M = generator_rows(params, cubes, index.get, len(support))
-    M[:, 1::2] = (-M[:, 1::2]) % params.p
-    return M
+    T = np.full((len(cubes), len(support)), len(VERTICES), dtype=np.intp)
+    for r, c in enumerate(cubes):
+        for k, q in enumerate(cube_sites(c)):
+            if q in index:
+                T[r, index[q]] = k
+    return T
+
+
+def _labels(params: CodeParams) -> np.ndarray:
+    """The generator's labels (x, z) as rows (x, -z) mod p in ``VERTICES``
+    order, then a zero row for the sites a cube misses: gathered by a
+    ``_template``, they land on the (z, x) columns of each site."""
+    labels = build_generator(params)
+    out = np.zeros((len(VERTICES) + 1, 2), dtype=np.int64)
+    out[:-1] = [labels[v] for v in VERTICES]
+    out[:, 1] *= -1
+    return out % params.p
+
+
+def _pair_system(params: CodeParams, axis: int, section: Section) -> np.ndarray:
+    """The length-2 system of a strip family, gathered from its
+    ``_template``.  ``reference.build_segment_constraints`` is the oracle.
+    """
+    T = _template(axis, section)
+    return _labels(params)[T].reshape(len(T), -1)
 
 
 def strip_transfer(params: CodeParams, axis: int,
@@ -223,7 +263,8 @@ def strip_transfer(params: CodeParams, axis: int,
     ``x_g = A x_{g+1} + F z_g`` and ``v x_{g+1} = 0``, where ``z_g`` is
     free and holds one entry per non-pivot column of that block.  ``F``
     has no columns when the block has full rank, as it always does for
-    deformable codes.
+    deformable codes.  ``scan_width`` gets the same blocks for a whole
+    stack of families from one ``fp.mat_rref_stack``.
     """
     M = _pair_system(params, axis, section)
     return fp.transfer(M, M.shape[1] // 2, params.p)
@@ -231,8 +272,8 @@ def strip_transfer(params: CodeParams, axis: int,
 
 def _transfer_witness(params: CodeParams, geom: SegmentGeometry, A: np.ndarray,
                       F: np.ndarray, kernel: np.ndarray) -> PauliConfig:
-    """The witness ``reference.solve_segment`` reports, from ``_scan_family``'s
-    kernel basis at ``geom.length``.
+    """The witness ``reference.solve_segment`` reports, from a kernel basis
+    at ``geom.length`` in the parameter coordinates of ``_scan_family``.
 
     Each basis row (x_{l-1}, z_{l-2}, ..., z_0) expands to the strip
     solution (x_0, ..., x_{l-1}) by ``x_g = A x_{g+1} + F z_g``.  The
@@ -252,23 +293,24 @@ def _transfer_witness(params: CodeParams, geom: SegmentGeometry, A: np.ndarray,
     return _vector_to_config(params, geom.support(), _ends_witness(basis, n, p))
 
 
-def _scan_family(params: CodeParams, axis: int, section: Section, l_max: int):
-    """``(dims, nontrivial, (A, F, kernel))`` of one strip family: the
-    nullspace dimension and nontriviality at lengths 2..l_max, and what
-    ``_transfer_witness`` needs at the last nontrivial length.
+def _scan_family(p: int, A: np.ndarray, F: np.ndarray, v: np.ndarray, l_max: int):
+    """``(dims, nontrivial, (A, F, kernel))`` of one strip family from its
+    ``strip_transfer`` blocks: the nullspace dimension and nontriviality at
+    lengths 2..l_max, and what ``_transfer_witness`` needs at the last
+    nontrivial length.
 
     A length-l solution is fixed by the parameters (x_{l-1}, z_{l-2}, ...,
-    z_0) of ``strip_transfer``'s recursion, and distinct parameters give
-    distinct solutions, since z_g is part of x_g.  One length more puts the
+    z_0) of the transfer recursion, and distinct parameters give distinct
+    solutions, since z_g is part of x_g.  One length more puts the
     constraint ``v x_0 = 0`` on the old first column and prepends the new
     first column ``A x_0 + F z`` with z free: the kernel basis (rows, in
     parameter coordinates) is cut by one nullspace and grows by an identity
     block for z.  Its row count is the nullspace dimension, and the length
     is nontrivial when the kernel's first and last columns are both nonzero.
-    Only the kernel of the last nontrivial length is kept.
+    Only the kernel of the last nontrivial length is kept.  ``scan_width``
+    runs this for families whose ``F`` has columns; ``_scan_transfers``
+    scans the others together.
     """
-    p = params.p
-    A, F, v = strip_transfer(params, axis, section)
     n, f = F.shape
     kernel = np.eye(n, dtype=np.int64)  # length 1: the parameters are x_0
     first = kernel                      # each basis row's first column x_0
@@ -287,6 +329,113 @@ def _scan_family(params: CodeParams, axis: int, section: Section, l_max: int):
         if nontrivial[i]:
             last = kernel
     return dims, nontrivial, (A, F, last)
+
+
+def _add_row(X: np.ndarray, j: int, p: int) -> np.ndarray:
+    """Add row j of each member's ``X`` (B, rows, n) to its reduced
+    constraint space, in place, and return which members gained a pivot.
+
+    Row j must already be reduced, zero at every pivot column.  A nonzero
+    row is scaled to u, 1 at its first nonzero column c, and X is
+    multiplied on the right by I - e_c u.  That is what storing u as the
+    row at pivot c, and clearing column c from the other rows, does to
+    Q = I - P, where P holds each reduced constraint row at its pivot
+    column; so it also keeps N = A^(l-1) Q, and it reduces the rows still
+    to be added against u.
+    """
+    w = X[:, j]
+    nonzero = w != 0
+    has = nonzero.any(axis=1)
+    b = np.flatnonzero(has)
+    if b.size:
+        c = nonzero[b].argmax(axis=1)
+        u = np.zeros_like(w)
+        u[b] = w[b] * fp.inverse(w[b, c], p)[:, None] % p
+        col = np.zeros(X.shape[:2], dtype=np.int64)
+        col[b] = X[b, :, c]
+        X -= col[:, :, None] * u[:, None, :]
+        X %= p
+    return has
+
+
+def _scan_transfers(A: np.ndarray, v: np.ndarray, p: int, l_max: int):
+    """``_scan_family``'s dims and nontriviality for a stack of transfer
+    blocks without free columns, A (B, n, n) and v (B, k, n), as
+    (B, l_max - 1) arrays, and each member's Q at its last nontrivial
+    length (zero if it has none).
+
+    With no free columns the length-l kernel is K_l, the intersection of
+    ker(v A^i) over i < l - 1, in the coordinates of x_{l-1}.  Let P hold
+    the reduced row space of those constraints, each row at its pivot
+    column, and Q = I - P.  Then the nullspace dimension is n minus the
+    rank, the columns of Q span K_l, and the length is nontrivial when the
+    first column A^(l-1) x_{l-1} can be nonzero on K_l, that is when
+    N = A^(l-1) Q is not zero.  The loop keeps Q and N (``_add_row``): the
+    next constraint rows, reduced, are v N.  Once N is zero, no longer
+    strip adds a constraint or has a nonzero first column, so the member
+    leaves the stack with its nullspace dimension fixed; that includes
+    every member whose kernel is empty.
+    """
+    B, k, n = v.shape
+    dims = np.zeros((B, l_max - 1), dtype=np.int64)
+    nontrivial = np.zeros((B, l_max - 1), dtype=bool)
+    # per member: the next constraint rows, Q and N, all with n columns
+    X = np.zeros((B, k + 2 * n, n), dtype=np.int64)
+    X[:, k:k + n] = X[:, k + n:] = np.eye(n, dtype=np.int64)
+    last_Q = np.zeros((B, n, n), dtype=np.int64)
+    live, rank = np.arange(B), np.zeros(B, dtype=np.int64)
+    for i in range(l_max - 1):  # length i + 2
+        if not live.size:
+            break
+        X[:, :k] = v @ X[:, k + n:] % p  # the constraints v A^i, reduced
+        for j in range(k):
+            rank += _add_row(X, j, p)
+        X[:, k + n:] = A @ X[:, k + n:] % p
+        hit = X[:, k + n:].any(axis=(1, 2))
+        dims[live, i] = n - rank
+        dims[live[~hit], i + 1:] = (n - rank[~hit])[:, None]
+        nontrivial[live, i] = hit
+        last_Q[live[hit]] = X[hit, k:k + n]
+        live, A, v, X, rank = live[hit], A[hit], v[hit], X[hit], rank[hit]
+    return dims, nontrivial, last_Q
+
+
+def _scan_stack(params: CodeParams, template: np.ndarray, l_max: int):
+    """``(dims, nontrivial, last)`` of a stack of strip families given by
+    their ``_template``s (B, m, 2w): (B, l_max - 1) arrays of the nullspace
+    dimension and nontriviality at lengths 2..l_max, each equal to
+    ``_scan_family``'s, and ``last(b)``, the ``(A, F, kernel)`` that
+    ``_transfer_witness`` needs at member b's last nontrivial length.
+
+    One gather of the code's labels assembles every member's length-2
+    system and one ``fp.mat_rref_stack`` eliminates them all.  A member
+    whose first block is rank deficient (``F`` has columns) runs
+    ``_scan_family`` from its own slice of that elimination; the others
+    share one ``_scan_transfers``.
+    """
+    p = params.p
+    B, m, n = template.shape
+    R, pivoted = fp.mat_rref_stack(_labels(params)[template].reshape(B, m, 2 * n), p, n)
+    dims = np.zeros((B, l_max - 1), dtype=np.int64)
+    nontrivial = np.zeros((B, l_max - 1), dtype=bool)
+    full = pivoted.all(axis=1)
+    free_scans = {}
+    for b in np.flatnonzero(~full):
+        A, F, v = fp.transfer_blocks(R[b], np.flatnonzero(pivoted[b]).tolist(), n, p)
+        dims[b], nontrivial[b], free_scans[b] = _scan_family(p, A, F, v, l_max)
+    members = np.flatnonzero(full)
+    A = -R[members, :n, n:] % p
+    dims[members], nontrivial[members], last_Q = _scan_transfers(
+        A, R[members, n:, n:], p, l_max)
+
+    def last(b: int):
+        if b in free_scans:
+            return free_scans[b]
+        j = np.searchsorted(members, b)
+        Q = last_Q[j]
+        return A[j], np.zeros((n, 0), dtype=np.int64), Q[:, np.diagonal(Q) == 1].T
+
+    return dims, nontrivial, last
 
 
 def check_scan_bounds(width: int, l_max: int | None = None) -> None:
@@ -316,46 +465,80 @@ def _inversion_class(axis: int, section: Section) -> tuple:
     return axis, min(normal(1), normal(-1))
 
 
+@dataclass(frozen=True)
+class _WidthStack:
+    """The code-independent geometry of one width's scan.
+
+    ``heads`` are the first family of each ``_inversion_class`` in
+    ``sections`` order, flat before cornered; the first family of a class
+    within either kind alone is the same head.  ``members[kind]`` gives the
+    head index of each of that kind's families, in ``sections`` order.
+    ``template`` stacks the heads' ``_template``s.
+    """
+
+    heads: tuple[tuple[int, Section], ...]
+    members: dict[str, tuple[int, ...]]
+    template: np.ndarray
+
+
+@functools.cache
+def _width_stack(width: int) -> _WidthStack:
+    """Built at the first scan of a width and kept: at most
+    ``MAX_STRIP_WIDTH`` entries, read only."""
+    heads, index, members = [], {}, {}
+    for kind in KINDS:
+        members[kind] = []
+        for family in sections(width, kind):
+            key = _inversion_class(*family)
+            if key not in index:
+                index[key] = len(heads)
+                heads.append(family)
+            members[kind].append(index[key])
+    template = np.stack([_template(*family) for family in heads])
+    template.flags.writeable = False
+    return _WidthStack(tuple(heads), {k: tuple(v) for k, v in members.items()}, template)
+
+
 def scan_width(params: CodeParams, width: int, l_max: int | None = None,
-               kinds=("flat", "cornered")) -> dict[str, SegmentReport]:
+               kinds=KINDS) -> dict[str, SegmentReport]:
     """One report per kind at one width: lengths 2..l_max (default 2w + 4,
     past both the w+1 and the 2w bounds) over all orientations and corners.
 
-    Each ``_inversion_class`` is scanned once, by its first family in
-    ``sections`` order; the reports equal ``reference.solve_segment``'s
-    length by length.  Width-1 cornered reports are empty.  Refuses scans
-    beyond ``MAX_STRIP_WIDTH`` or ``MAX_STRIP_LENGTH``, and any kind but
-    "flat" or "cornered".
+    Each ``_inversion_class`` the kinds need is scanned once, as one member
+    of a single ``_scan_stack``; the reports equal
+    ``reference.solve_segment``'s length by length.  Width-1 cornered
+    reports are empty.  Refuses scans beyond ``MAX_STRIP_WIDTH`` or
+    ``MAX_STRIP_LENGTH``, and any kind but "flat" or "cornered".
     """
     check_scan_bounds(width, l_max)
+    for kind in kinds:
+        _check_kind(kind)
     if l_max is None:
         l_max = 2 * width + 4
     lengths = list(range(2, l_max + 1))
-    scanned = {}  # inversion class -> the scan of its first family
+    stack = _width_stack(width)
+    used = sorted({h for kind in kinds for h in stack.members[kind]})
+    dims, nontrivial, last = _scan_stack(params, stack.template[used], l_max)
+    row = {h: i for i, h in enumerate(used)}
     reports = {}
     for kind in kinds:
-        families = []
-        for axis, section in sections(width, kind):
-            key = _inversion_class(axis, section)
-            if key not in scanned:
-                scanned[key] = _scan_family(params, axis, section, l_max)
-            families.append((axis, section, scanned[key]))
-        dims = {l: max(s[0][l - 2] for *_, s in families) for l in lengths} if families else {}
-        found = [l for l in lengths if any(s[1][l - 2] for *_, s in families)]
+        rows = [row[h] for h in stack.members[kind]]
+        kind_dims = dict(zip(lengths, dims[rows].max(axis=0).tolist())) if rows else {}
+        found = [l for l, hit in zip(lengths, nontrivial[rows].any(axis=0)) if hit]
         max_len = max(found, default=None)
         witness = witness_geom = None
         if max_len is not None:
             # as the length-by-length scan: the first nontrivial family at the
             # last hit (its own last one); it heads its class within the kind,
-            # so it has the sites of the family scanned for the class
-            axis, section, scan = next(f for f in families if f[2][1][max_len - 2])
-            witness_geom = SegmentGeometry(axis, section, max_len)
-            witness = _transfer_witness(params, witness_geom, *scan[2])
+            # so it has the sites of the head that was scanned for the class
+            r = next(r for r in rows if nontrivial[r, max_len - 2])
+            witness_geom = SegmentGeometry(*stack.heads[used[r]], max_len)
+            witness = _transfer_witness(params, witness_geom, *last(r))
         reports[kind] = SegmentReport(
             width=width,
             kind=kind,
             lengths_scanned=lengths,
-            nullspace_dims=dims,
+            nullspace_dims=kind_dims,
             nontrivial_lengths=found,
             max_nontrivial_length=max_len,
             aspect_ratio=None if max_len is None else Fraction(max_len, width),
@@ -363,4 +546,3 @@ def scan_width(params: CodeParams, width: int, l_max: int | None = None,
             witness_geometry=witness_geom,
         )
     return reports
-

@@ -27,9 +27,12 @@ production code it checks, and the tests that compare them:
   transfer blocks and compares it with a direct elimination and with the
   Krylov bound.  It checks ``oracle.strip_transfer``
   (``test_oracle.test_canonical_reduction_*``,
-  ``test_acceptance.test_criterion_08_*``).  It raises ``PivotError`` when
-  the first column block is rank deficient (``F`` has columns), where
-  its rank formula does not hold.
+  ``test_acceptance.test_criterion_08_*``), the per-family elimination
+  whose blocks ``oracle._scan_family`` scans; that scan in turn checks
+  each member of ``oracle.scan_width``'s stack
+  (``test_oracle.test_stacked_scan_matches_each_family_scan``).  It
+  raises ``PivotError`` when the first column block is rank deficient
+  (``F`` has columns), where its rank formula does not hold.
 - ``width1_criterion`` sets the width-1 determinant test of
   ``conditions.minimal_string_determinants`` against
   ``solve_segment`` (``test_oracle.test_width1_criterion_agreement``,

@@ -1,6 +1,7 @@
 """Command-line interface: reports, exit codes, determinism."""
 
 import hashlib
+import io
 import json
 import subprocess
 import sys
@@ -347,6 +348,23 @@ def test_in_process_calls_match_fresh_interpreters(capsys):
         fresh = run_cli(*argv)
         assert (rc, out) == (fresh.returncode, fresh.stdout), argv
     assert cli.build_parser() is cli.build_parser()
+
+
+def test_each_report_is_one_write(monkeypatch):
+    # the whole report, newline included, goes to stdout in one write
+    writes = []
+
+    class Recording(io.StringIO):
+        def write(self, text):
+            writes.append(text)
+            return super().write(text)
+
+    for argv in (("strings", *D5_FLAGS, "--wmax", "2"), ("check", *P2_FLAGS)):
+        writes.clear()
+        monkeypatch.setattr(sys, "stdout", Recording())
+        cli.main(list(argv))
+        assert len(writes) == 1 and writes[0].endswith("}\n"), argv
+        assert json.loads(writes[0])["command"] == argv[0]
 
 
 def test_classify_and_scan_refuse_moduli_beyond_the_bound():

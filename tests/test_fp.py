@@ -194,6 +194,34 @@ def test_transfer_parametrises_the_two_block_solutions():
             assert fp.mat_rank(span, p) == len(span) == len(kernel)
 
 
+def test_stacked_elimination_matches_each_member():
+    # same R as mat_rref, entry for entry, and the same pivots, whatever
+    # each member's rank; rank-deficient members shift their pivot rows
+    rng = random.Random(31)
+    deficient = 0
+    for p in (2, 3, 5, 1048573):
+        for _ in range(40):
+            B, m, c = rng.randrange(0, 6), rng.randrange(1, 8), rng.randrange(1, 10)
+            n = rng.randrange(0, c + 1)
+            M = _random_matrix(rng, p, B * m, c).reshape(B, m, c)
+            M[np.array([rng.random() < 0.5 for _ in range(M.size)], dtype=bool).reshape(M.shape)] = 0
+            R, pivoted = fp.mat_rref_stack(M, p, n)
+            assert R.shape == M.shape and pivoted.shape == (B, n)
+            for b in range(B):
+                R1, pivots = fp.mat_rref(M[b], p, n)
+                assert np.array_equal(R[b], R1), (p, M[b], n)
+                assert np.flatnonzero(pivoted[b]).tolist() == pivots
+                deficient += len(pivots) < min(m, n)
+    assert deficient > 50
+
+
+def test_elementwise_inverse_matches_pow():
+    rng = random.Random(37)
+    for p in (2, 3, 5, 7, 11, 1048573):
+        x = np.array([rng.randrange(1, p) for _ in range(50)] + [1, p - 1], dtype=np.int64)
+        assert fp.inverse(x, p).tolist() == [pow(int(a), -1, p) for a in x]
+
+
 def test_mat_power_matches_repeated_products():
     rng = random.Random(29)
     for p in PRIMES:

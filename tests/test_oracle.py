@@ -1,6 +1,7 @@
 """Segment solver: constraint systems, scans, reduction, flattening."""
 
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -253,20 +254,151 @@ def test_scan_runs_one_family_per_inversion_class(monkeypatch):
     # per length axis.  Width w >= 2: six flat classes; each corner-1
     # family is a flat strip, and the other 6(w - 2) cornered families pair
     # up under inversion, 3w classes in all.  Both kinds to width 16 have
-    # 3 + 3 * (2 + ... + 16) = 408 classes among 816 families.
-    scanned = []
-    scan_family = oracle._scan_family
+    # 3 + 3 * (2 + ... + 16) = 408 classes among 816 families.  Each width
+    # is one stacked elimination with one member per class, and a
+    # deformable code runs no per-family recursion.
+    stacks, recursions = [], []
+    rref_stack, scan_family = fp.mat_rref_stack, oracle._scan_family
 
-    def counting(params, axis, section, l_max):
-        scanned.append(oracle._inversion_class(axis, section))
-        return scan_family(params, axis, section, l_max)
+    def counting_stack(M, p, n_pivot_cols):
+        stacks.append((n_pivot_cols // 2, M.shape[0]))  # 2w pivot columns
+        return rref_stack(M, p, n_pivot_cols)
 
-    monkeypatch.setattr(oracle, "_scan_family", counting)
+    def counting_family(*args):
+        recursions.append(args)
+        return scan_family(*args)
+
+    monkeypatch.setattr(fp, "mat_rref_stack", counting_stack)
+    monkeypatch.setattr(oracle, "_scan_family", counting_family)
     d5 = ["--p", "5", "--alpha", "1,0", "--beta", "0,1", "--gamma", "1,1", "--delta", "3,2"]
     for wmax, classes in ((4, 30), (16, 408)):
-        scanned.clear()
+        stacks.clear()
         assert cli.main(["strings", *d5, "--wmax", str(wmax)]) == 0
-        assert len(scanned) == classes and len(set(scanned)) == classes
+        assert [w for w, _ in stacks] == list(range(1, wmax + 1))
+        assert sum(members for _, members in stacks) == classes
+        for w, members in stacks:
+            heads = oracle._width_stack(w).heads
+            assert len({oracle._inversion_class(*h) for h in heads}) == len(heads) == members
+    assert not recursions
+
+
+MIXED = CodeParams(3, (1, 2), (1, 1), (1, 2), (1, 1))
+
+
+def stack_codes():
+    """d3, d5, tuples with free columns and seeded random codes at p = 2-11."""
+    rng = random.Random(151)
+    codes = [d3_code("S"), d3_code("A"), d5_code("S"), d5_code("A"), MIXED, P2_TUPLE,
+             CodeParams(3, (1, 0), (1, 0), (1, 0), (1, 0), "A"),
+             CodeParams(2, (0, 1), (0, 1), (0, 1), (0, 1))]
+    for p, (one, other) in zip((2, 3, 5, 7, 11), ("SA", "AS", "SA", "AS", "SA")):
+        codes.append(random_code(rng, p, one))
+        codes.append(random_code(rng, p, other) if p == 2 else
+                     CodeParams(p, *random_deformable_tuple(rng, p), parity=other))
+    return codes
+
+
+def same_span(X, Y, p):
+    return X.shape == Y.shape and (fp.mat_rref(X, p)[0] == fp.mat_rref(Y, p)[0]).all()
+
+
+def test_stacked_scan_matches_each_family_scan():
+    # the stacked length loop and the free-column recursion against the
+    # per-family scan, member by member, with the kernel each hands on to
+    # the witness; MIXED stacks mix both kinds of member
+    assert [sum(pivot_fails(MIXED, *h) for h in oracle._width_stack(w).heads)
+            for w in (2, 3)] == [2, 4]
+    assert [len(oracle._width_stack(w).heads) for w in (2, 3)] == [6, 9]
+    kinds = set()
+    for code in stack_codes():
+        for w in range(1, 7):
+            stack = oracle._width_stack(w)
+            transfers = [strip_transfer(code, *head) for head in stack.heads]
+            for l_max in (2, 2 * w + 4, 64):
+                if l_max == 64 and w > 1 and any(F.shape[1] for _, F, _ in transfers):
+                    # free-column members run _scan_family itself, whose
+                    # kernel grows with the length: only time to gain here
+                    continue
+                dims, nontrivial, last = oracle._scan_stack(code, stack.template, l_max)
+                assert dims.shape == nontrivial.shape == (len(stack.heads), l_max - 1)
+                for b, (A, F, v) in enumerate(transfers):
+                    d, hits, (_, _, kernel) = oracle._scan_family(code.p, A, F, v, l_max)
+                    assert dims[b].tolist() == d, (code, w, l_max, b)
+                    assert nontrivial[b].tolist() == hits, (code, w, l_max, b)
+                    kinds.add((F.shape[1] > 0, any(hits)))
+                    if any(hits):
+                        A2, F2, kernel2 = last(b)
+                        assert (A2 == A).all() and (F2 == F).all()
+                        assert same_span(kernel2, kernel, code.p), (code, w, l_max, b)
+    assert kinds >= {(False, False), (False, True), (True, True)}
+
+
+def test_transfer_loop_matches_family_scan_on_arbitrary_blocks():
+    # any A, nilpotent and zero ones included, and 0-3 leftover rows: the
+    # stacked loop against the kernel recursion with no free columns, also
+    # at lengths whose kernel is nonzero while A^(l-1) maps it to zero
+    rng = np.random.default_rng(173)
+    killed = 0
+    for p in (2, 3, 5):
+        for n in (1, 2, 3, 4):
+            for k in (0, 1, 2, 3):
+                A = rng.integers(0, p, (6, n, n))
+                A[0], A[1] = np.eye(n, k=1, dtype=np.int64), 0
+                v = rng.integers(0, p, (6, k, n)) * (rng.random((6, k, n)) < 0.6)
+                v[:2] = 0
+                for l_max in (2, 5, 12):
+                    dims, nontrivial, last_Q = oracle._scan_transfers(A, v, p, l_max)
+                    for b in range(6):
+                        d, hits, (_, _, kernel) = oracle._scan_family(
+                            p, A[b], np.zeros((n, 0), dtype=np.int64), v[b], l_max)
+                        assert dims[b].tolist() == d, (p, A[b], v[b], l_max)
+                        assert nontrivial[b].tolist() == hits, (p, A[b], v[b], l_max)
+                        if any(hits):
+                            Q = last_Q[b]
+                            assert same_span(Q[:, np.diagonal(Q) == 1].T, kernel, p)
+                        killed += sum(bool(x) and not h for x, h in zip(d, hits))
+    assert killed > 100
+
+
+def test_stack_members_leave_once_their_first_column_vanishes(monkeypatch):
+    # every member the length loop carries still has N = A^(l-1) Q nonzero;
+    # d5 has no string, so its loop ends long before l_max
+    calls = []
+    add_row = oracle._add_row
+
+    def checking(X, j, p):
+        if j == 0:  # a step's first row; later rows may empty the kernel
+            assert X[:, -X.shape[2]:].any(axis=(1, 2)).all()
+            calls.append(X.shape[0])
+        return add_row(X, j, p)
+
+    monkeypatch.setattr(oracle, "_add_row", checking)
+    for w in (1, 2, 3, 4):
+        calls.clear()
+        scan_width(d5_code(), w, l_max=64)
+        assert calls and len(calls) < 2 * w + 4
+    calls.clear()
+    assert scan(P2_TUPLE, 1, l_max=9).max_nontrivial_length == 9
+    assert len(calls) == 8
+
+
+def test_scan_at_the_largest_modulus():
+    p = 1048573  # the largest prime <= fp.MAX_MODULUS
+    assert fp.check_prime(p) == p
+    rng = random.Random(167)
+    codes = [CodeParams(p, (1, 0), (0, 1), (1, 1), (3, 2), parity) for parity in "SA"]
+    codes += [CodeParams(p, *random_deformable_tuple(rng, p), parity=parity) for parity in "SA"]
+    codes += [CodeParams(p, (1, 0), (0, 1), (1, 1), (p - 1, 0)),  # delta ~ alpha
+              CodeParams(p, (1, 0), (1, 0), (1, 0), (1, 0), "A")]
+    for code in codes:
+        for w in (1, 2):
+            for kind in ("flat", "cornered"):
+                assert_scan_matches_dense(code, w, kind, l_max=6)
+    flags = ["--p", str(p), "--alpha", "1,0", "--beta", "0,1", "--gamma", "1,1",
+             "--delta", "3,2"]
+    t0 = time.perf_counter()
+    assert cli.main(["strings", *flags, "--wmax", "3"]) == 0
+    assert time.perf_counter() - t0 < 0.5
 
 
 def cornered_families(w):
@@ -300,8 +432,10 @@ def test_cornered_families_scan_like_their_inversion_partners():
                     for (la, wa, c), family in cornered_families(w):
                         partner = inversion_partner(w, la, wa, c)
                         assert oracle._inversion_class(*partner) == oracle._inversion_class(*family)
-                        mine = oracle._scan_family(code, *family, 2 * w + 4)[:2]
-                        theirs = oracle._scan_family(code, *partner, 2 * w + 4)[:2]
+                        mine = oracle._scan_family(
+                            p, *strip_transfer(code, *family), 2 * w + 4)[:2]
+                        theirs = oracle._scan_family(
+                            p, *strip_transfer(code, *partner), 2 * w + 4)[:2]
                         assert mine == theirs, (code, family)
                         pairs += 1
     assert pairs == 4 * 2 * 2 * 6 * (1 + 2 + 3 + 4 + 5)
@@ -341,12 +475,11 @@ def test_class_heads_have_their_representatives_sites():
                         assert family == first, (kinds, family)
 
 
-def test_scan_needs_both_end_columns(monkeypatch):
+def test_scan_needs_both_end_columns():
     # a recursion whose solutions all vanish on the last column: v forces
     # x_{g+1} = 0 while the free columns z_g fill the first one
     eye, zero = np.eye(2, dtype=np.int64), np.zeros((2, 2), dtype=np.int64)
-    monkeypatch.setattr(oracle, "strip_transfer", lambda params, axis, section: (zero, eye, eye))
-    dims, nontrivial, _ = oracle._scan_family(d3_code(), 0, ((0, 0, 0),), 5)
+    dims, nontrivial, _ = oracle._scan_family(3, zero, eye, eye, 5)
     assert dims == [2, 2, 2, 2] and not any(nontrivial)
 
 
