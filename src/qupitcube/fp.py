@@ -195,18 +195,20 @@ def transfer(M, n: int, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     independent.
     """
     R, pivots = mat_rref(M, p, n_pivot_cols=n)
-    return transfer_blocks(R, pivots, n, p)
+    return tuple(blocks[0] for blocks in transfer_blocks(R[None], pivots, n, p))
 
 
 def transfer_blocks(R: np.ndarray, pivots: list[int], n: int,
                     p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``transfer``'s ``(A, F, v)`` from the block elimination ``R, pivots``
-    it makes (``mat_rref`` against the first ``n`` columns)."""
+    """``transfer``'s ``(A, F, v)`` of each member of a stack ``R`` (B, m, c)
+    of block eliminations (``mat_rref`` against the first ``n`` columns,
+    or ``mat_rref_stack``) that all have the pivot columns ``pivots``, as
+    (B, n, c - n), (B, n, f) and (B, m - r, c - n) stacks."""
     r = len(pivots)
     free = _non_pivots(n, pivots)
-    A = np.zeros((n, R.shape[1] - n), dtype=np.int64)
-    A[pivots] = (-R[:r, n:]) % p
-    F = np.zeros((n, len(free)), dtype=np.int64)
-    F[pivots] = (-R[:r, free]) % p
-    F[free, range(len(free))] = 1
-    return A, F, R[r:, n:]
+    # x in terms of every column: the pivot rows solved for their pivots,
+    # and z = x at the free columns
+    E = np.zeros((R.shape[0], n, R.shape[2]), dtype=np.int64)
+    E[:, pivots] = -R[:, :r] % p
+    E[:, free, free] = 1
+    return E[:, :, n:], E[:, :, free], R[:, r:, n:]

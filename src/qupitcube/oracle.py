@@ -24,10 +24,13 @@ translation invariant, so the block elimination of a family's length-2
 system (``strip_transfer``) decides every length, whether or not the
 code is deformable.  ``scan_width`` does this for every family of a
 width at once (``_scan_stack``): one gather of the code's labels into a
-stack of length-2 systems, one stacked elimination
-(``fp.mat_rref_stack``), and one length loop for all the families
-without free columns.  The dense per-strip solver the tests compare the
-scan against is ``reference.solve_segment``.
+stack of length-2 systems and one stacked elimination
+(``fp.mat_rref_stack``).  One length loop (``_scan_transfers``) then
+keeps each family's reduced constraint space, on the families without
+free columns together and on each family with free columns alone.  The
+tests compare the scan with the dense per-strip solver
+``reference.solve_segment`` and the loop with the kernel recursion
+``reference.scan_family``.
 
 Column layout: sites are ordered along the strip (length-major, then
 cross-section); each site contributes two adjacent columns holding
@@ -66,15 +69,15 @@ KINDS = ("flat", "cornered")
 Section = tuple[Site, ...]
 
 # Widest strip and longest length horizon ``scan_width`` scans.  Measured
-# in process on a 2-core x86_64 VM: ``strings --wmax 16`` takes 0.5-0.8 s
-# per parity on d5 at 40 MB, with or without ``--lmax 64`` (a family
+# in process on a 2-core x86_64 VM: ``strings --wmax 16`` takes 0.4-0.8 s
+# per parity on d5 at 38 MB, with or without ``--lmax 64`` (a family
 # leaves the stacked length loop once its first column vanishes), and
-# ``--wmax 16 --lmax 64`` 0.7-1.2 s on the p = 2 string code at 40 MB.  A
-# family keeps only its kernel at its last nontrivial length, so memory
-# does not grow with each length kept.  Families with free columns are
-# not bounded in time by these: their kernel grows with the length, and
-# on the p = 3 tuple (1,0)^4 ``--wmax 8`` takes 1.0-1.5 s at 39 MB,
-# ``--wmax 11`` 12 s at 62 MB and ``--wmax 12`` 21-28 s at 79 MB.
+# ``--wmax 16 --lmax 64`` 0.9-1.3 s on the p = 2 string code at 40 MB.
+# Families with free columns are not bounded as tightly: the length
+# loop's state grows with the length, and on the p = 3 tuple (1,0)^4
+# ``--wmax 8`` takes 0.3-0.4 s at 32 MB, ``--wmax 12`` 1.0-1.2 s at 39 MB,
+# ``--wmax 16`` 4.2-4.8 s at 58 MB and ``--wmax 16 --lmax 64`` 14 s at
+# 109 MB.
 MAX_STRIP_WIDTH = 16
 MAX_STRIP_LENGTH = 64
 
@@ -273,7 +276,7 @@ def strip_transfer(params: CodeParams, axis: int,
 def _transfer_witness(params: CodeParams, geom: SegmentGeometry, A: np.ndarray,
                       F: np.ndarray, kernel: np.ndarray) -> PauliConfig:
     """The witness ``reference.solve_segment`` reports, from a kernel basis
-    at ``geom.length`` in the parameter coordinates of ``_scan_family``.
+    at ``geom.length`` in the parameter coordinates of ``_scan_transfers``.
 
     Each basis row (x_{l-1}, z_{l-2}, ..., z_0) expands to the strip
     solution (x_0, ..., x_{l-1}) by ``x_g = A x_{g+1} + F z_g``.  The
@@ -293,55 +296,18 @@ def _transfer_witness(params: CodeParams, geom: SegmentGeometry, A: np.ndarray,
     return _vector_to_config(params, geom.support(), _ends_witness(basis, n, p))
 
 
-def _scan_family(p: int, A: np.ndarray, F: np.ndarray, v: np.ndarray, l_max: int):
-    """``(dims, nontrivial, (A, F, kernel))`` of one strip family from its
-    ``strip_transfer`` blocks: the nullspace dimension and nontriviality at
-    lengths 2..l_max, and what ``_transfer_witness`` needs at the last
-    nontrivial length.
-
-    A length-l solution is fixed by the parameters (x_{l-1}, z_{l-2}, ...,
-    z_0) of the transfer recursion, and distinct parameters give distinct
-    solutions, since z_g is part of x_g.  One length more puts the
-    constraint ``v x_0 = 0`` on the old first column and prepends the new
-    first column ``A x_0 + F z`` with z free: the kernel basis (rows, in
-    parameter coordinates) is cut by one nullspace and grows by an identity
-    block for z.  Its row count is the nullspace dimension, and the length
-    is nontrivial when the kernel's first and last columns are both nonzero.
-    Only the kernel of the last nontrivial length is kept.  ``scan_width``
-    runs this for families whose ``F`` has columns; ``_scan_transfers``
-    scans the others together.
-    """
-    n, f = F.shape
-    kernel = np.eye(n, dtype=np.int64)  # length 1: the parameters are x_0
-    first = kernel                      # each basis row's first column x_0
-    dims, nontrivial, last = [0] * (l_max - 1), [False] * (l_max - 1), None
-    for i in range(l_max - 1):  # length i + 2
-        if not kernel.shape[0]:
-            break  # then F has no columns, and no longer strip has a solution
-        coeffs = fp.nullspace((v @ first.T) % p, p)
-        first = np.concatenate([((coeffs @ first) % p @ A.T) % p, F.T])
-        cut = (coeffs @ kernel) % p
-        kernel = np.zeros((cut.shape[0] + f, cut.shape[1] + f), dtype=np.int64)
-        kernel[:cut.shape[0], :cut.shape[1]] = cut
-        kernel[cut.shape[0]:, cut.shape[1]:] = np.eye(f, dtype=np.int64)
-        dims[i] = kernel.shape[0]
-        nontrivial[i] = bool(first.any() and kernel[:, :n].any())
-        if nontrivial[i]:
-            last = kernel
-    return dims, nontrivial, (A, F, last)
-
-
 def _add_row(X: np.ndarray, j: int, p: int) -> np.ndarray:
-    """Add row j of each member's ``X`` (B, rows, n) to its reduced
-    constraint space, in place, and return which members gained a pivot.
+    """Add row j of each member's ``X`` (B, rows, t), on t parameters, to
+    its reduced constraint space, in place, and return which members
+    gained a pivot.
 
     Row j must already be reduced, zero at every pivot column.  A nonzero
     row is scaled to u, 1 at its first nonzero column c, and X is
     multiplied on the right by I - e_c u.  That is what storing u as the
     row at pivot c, and clearing column c from the other rows, does to
     Q = I - P, where P holds each reduced constraint row at its pivot
-    column; so it also keeps N = A^(l-1) Q, and it reduces the rows still
-    to be added against u.
+    column; so it also keeps N = M Q for the map M from the parameters to
+    the first column, and it reduces the rows still to be added against u.
     """
     w = X[:, j]
     nonzero = w != 0
@@ -358,82 +324,113 @@ def _add_row(X: np.ndarray, j: int, p: int) -> np.ndarray:
     return has
 
 
-def _scan_transfers(A: np.ndarray, v: np.ndarray, p: int, l_max: int):
-    """``_scan_family``'s dims and nontriviality for a stack of transfer
-    blocks without free columns, A (B, n, n) and v (B, k, n), as
-    (B, l_max - 1) arrays, and each member's Q at its last nontrivial
-    length (zero if it has none).
+def _scan_transfers(A: np.ndarray, F: np.ndarray, v: np.ndarray, p: int, l_max: int):
+    """The nullspace dimension and nontriviality at lengths 2..l_max of a
+    stack of strip families from their ``strip_transfer`` blocks, A (B, n,
+    n), F (B, n, f) and v (B, k, n), as (B, l_max - 1) arrays, and each
+    member's Q: without free columns at its last nontrivial length (zero
+    if it has none), with them at l_max.
 
-    With no free columns the length-l kernel is K_l, the intersection of
-    ker(v A^i) over i < l - 1, in the coordinates of x_{l-1}.  Let P hold
-    the reduced row space of those constraints, each row at its pivot
-    column, and Q = I - P.  Then the nullspace dimension is n minus the
-    rank, the columns of Q span K_l, and the length is nontrivial when the
-    first column A^(l-1) x_{l-1} can be nonzero on K_l, that is when
-    N = A^(l-1) Q is not zero.  The loop keeps Q and N (``_add_row``): the
-    next constraint rows, reduced, are v N.  Once N is zero, no longer
-    strip adds a constraint or has a nonzero first column, so the member
-    leaves the stack with its nullspace dimension fixed; that includes
-    every member whose kernel is empty.
+    A length-l solution of ``x_g = A x_{g+1} + F z_g`` is fixed by its
+    parameters (x_{l-1}, z_{l-2}, ..., z_0), and distinct parameters give
+    distinct solutions, since z_g is part of x_g.  Let P hold the reduced
+    row space of the constraints on the parameters, each row at its pivot
+    column, and Q = I - P.  Then the nullspace dimension is the parameter
+    count minus the rank, the columns of Q span the kernel, and N = M Q,
+    for the map M from the parameters to x_0, gives the first column on
+    the kernel.  The length is nontrivial when both end columns can be
+    nonzero there: N is not zero, and neither are the first n rows of Q,
+    which give x_{l-1}.  One length more puts the constraint ``v x_0 = 0``
+    on the old first column, so it adds the rows v N, reduced
+    (``_add_row``), and then prepends the first column ``A x_0 + F z``
+    with the f entries of z as new parameters: Q <- blockdiag(Q, I_f) and
+    N <- [A N | F].  Without free columns, once N is zero no longer strip
+    adds a constraint or has a nonzero first column, so the member leaves
+    the stack with its nullspace dimension fixed; that includes every
+    member whose kernel is empty.  With free columns N is never zero, and
+    the nontrivial lengths stop once the first n rows of Q vanish.  Either
+    way the nontrivial lengths run from 2 up, so a member with free
+    columns run to its last nontrivial length ends with its Q there.
     """
     B, k, n = v.shape
+    f = F.shape[2]
+    size = n + f * (l_max - 1)  # parameters at length l_max
     dims = np.zeros((B, l_max - 1), dtype=np.int64)
     nontrivial = np.zeros((B, l_max - 1), dtype=bool)
-    # per member: the next constraint rows, Q and N, all with n columns
-    X = np.zeros((B, k + 2 * n, n), dtype=np.int64)
-    X[:, k:k + n] = X[:, k + n:] = np.eye(n, dtype=np.int64)
+    # per member: the next constraint rows, N and Q, on the parameters so
+    # far, the first t columns and k + n + t rows
+    X = np.zeros((B, k + n + size, size), dtype=np.int64)
+    X[:, k:k + n, :n] = X[:, k + n:k + 2 * n, :n] = np.eye(n, dtype=np.int64)
     last_Q = np.zeros((B, n, n), dtype=np.int64)
     live, rank = np.arange(B), np.zeros(B, dtype=np.int64)
     for i in range(l_max - 1):  # length i + 2
         if not live.size:
             break
-        X[:, :k] = v @ X[:, k + n:] % p  # the constraints v A^i, reduced
+        t = n + f * i
+        W = X[:, :k + n + t, :t]
+        W[:, :k] = v @ W[:, k:k + n] % p  # the constraints v N, reduced
         for j in range(k):
-            rank += _add_row(X, j, p)
-        X[:, k + n:] = A @ X[:, k + n:] % p
-        hit = X[:, k + n:].any(axis=(1, 2))
-        dims[live, i] = n - rank
-        dims[live[~hit], i + 1:] = (n - rank[~hit])[:, None]
-        nontrivial[live, i] = hit
-        last_Q[live[hit]] = X[hit, k:k + n]
-        live, A, v, X, rank = live[hit], A[hit], v[hit], X[hit], rank[hit]
-    return dims, nontrivial, last_Q
+            rank += _add_row(W, j, p)
+        N = X[:, k:k + n]
+        N[:, :, :t] = A @ N[:, :, :t] % p
+        if f:
+            N[:, :, t:t + f] = F
+            X[:, k + n + t:k + n + t + f, t:t + f] = np.eye(f, dtype=np.int64)
+            t += f
+        hit = N.any(axis=(1, 2))
+        # without free columns Q is nonzero when N = M Q is; with them N never
+        # vanishes, but x_{l-1} (Q's first n rows) may
+        ends = hit & X[:, k + n:k + 2 * n].any(axis=(1, 2)) if f else hit
+        dims[live, i] = t - rank
+        dims[live[~hit], i + 1:] = (t - rank[~hit])[:, None]
+        nontrivial[live, i] = ends
+        if not f:  # copying the growing Q at each length is a third of a scan
+            last_Q[live[ends]] = X[ends, k + n:]
+        if not hit.all():
+            live, A, F, v, X, rank = live[hit], A[hit], F[hit], v[hit], X[hit], rank[hit]
+    return dims, nontrivial, X[:, k + n:] if f else last_Q
 
 
 def _scan_stack(params: CodeParams, template: np.ndarray, l_max: int):
     """``(dims, nontrivial, last)`` of a stack of strip families given by
     their ``_template``s (B, m, 2w): (B, l_max - 1) arrays of the nullspace
-    dimension and nontriviality at lengths 2..l_max, each equal to
-    ``_scan_family``'s, and ``last(b)``, the ``(A, F, kernel)`` that
-    ``_transfer_witness`` needs at member b's last nontrivial length.
+    dimension and nontriviality at lengths 2..l_max, and ``last(b)``, the
+    ``(A, F, kernel)`` that ``_transfer_witness`` needs at member b's last
+    nontrivial length.
 
     One gather of the code's labels assembles every member's length-2
-    system and one ``fp.mat_rref_stack`` eliminates them all.  A member
-    whose first block is rank deficient (``F`` has columns) runs
-    ``_scan_family`` from its own slice of that elimination; the others
-    share one ``_scan_transfers``.
+    system and one ``fp.mat_rref_stack`` eliminates them all.  The members
+    whose first block has full rank share one ``_scan_transfers``, and
+    their Q are kept.  A member whose ``F`` has columns has a kernel that
+    grows with the length, so it runs ``_scan_transfers`` alone, and only
+    the witness's member runs again, to its last nontrivial length, for
+    its Q.
     """
     p = params.p
     B, m, n = template.shape
     R, pivoted = fp.mat_rref_stack(_labels(params)[template].reshape(B, m, 2 * n), p, n)
+    full = pivoted.all(axis=1)
+    stacked = fp.transfer_blocks(R[full], list(range(n)), n, p)
     dims = np.zeros((B, l_max - 1), dtype=np.int64)
     nontrivial = np.zeros((B, l_max - 1), dtype=bool)
-    full = pivoted.all(axis=1)
-    free_scans = {}
+    dims[full], nontrivial[full], last_Q = _scan_transfers(*stacked, p, l_max)
+
+    def alone(b: int):
+        return fp.transfer_blocks(R[b:b + 1], np.flatnonzero(pivoted[b]).tolist(), n, p)
+
     for b in np.flatnonzero(~full):
-        A, F, v = fp.transfer_blocks(R[b], np.flatnonzero(pivoted[b]).tolist(), n, p)
-        dims[b], nontrivial[b], free_scans[b] = _scan_family(p, A, F, v, l_max)
-    members = np.flatnonzero(full)
-    A = -R[members, :n, n:] % p
-    dims[members], nontrivial[members], last_Q = _scan_transfers(
-        A, R[members, n:, n:], p, l_max)
+        dims[b], nontrivial[b], _ = _scan_transfers(*alone(b), p, l_max)
 
     def last(b: int):
-        if b in free_scans:
-            return free_scans[b]
-        j = np.searchsorted(members, b)
-        Q = last_Q[j]
-        return A[j], np.zeros((n, 0), dtype=np.int64), Q[:, np.diagonal(Q) == 1].T
+        if full[b]:
+            j = full[:b].sum()  # b's place in the stack
+            A, F, Q = stacked[0][j], stacked[1][j], last_Q[j]
+        else:
+            blocks = alone(b)
+            length = int(np.flatnonzero(nontrivial[b])[-1]) + 2
+            (A,), (F,), _ = blocks
+            Q = _scan_transfers(*blocks, p, length)[2][0]
+        return A, F, Q[:, np.diagonal(Q) == 1].T
 
     return dims, nontrivial, last
 

@@ -28,11 +28,19 @@ production code it checks, and the tests that compare them:
   Krylov bound.  It checks ``oracle.strip_transfer``
   (``test_oracle.test_canonical_reduction_*``,
   ``test_acceptance.test_criterion_08_*``), the per-family elimination
-  whose blocks ``oracle._scan_family`` scans; that scan in turn checks
-  each member of ``oracle.scan_width``'s stack
-  (``test_oracle.test_stacked_scan_matches_each_family_scan``).  It
-  raises ``PivotError`` when the first column block is rank deficient
-  (``F`` has columns), where its rank formula does not hold.
+  whose blocks ``scan_family`` scans.  It raises ``PivotError`` when the
+  first column block is rank deficient (``F`` has columns), where its
+  rank formula does not hold.
+- ``scan_family`` scans one family's lengths by the kernel recursion:
+  the kernel basis in the transfer parameters, cut by a nullspace and
+  grown by the free columns at each length.  It checks the length loop
+  ``oracle._scan_transfers`` on arbitrary blocks, with free columns and
+  without (``test_oracle.test_transfer_loop_matches_family_scan_*``,
+  ``test_oracle.test_scan_needs_both_end_columns``), and each member of
+  ``oracle.scan_width``'s stack with the kernel it hands on to the
+  witness (``test_oracle.test_stacked_scan_matches_each_family_scan``).
+  It also shows that point inversion keeps a family's scan
+  (``test_oracle.test_cornered_families_scan_like_their_inversion_partners``).
 - ``width1_criterion`` sets the width-1 determinant test of
   ``conditions.minimal_string_determinants`` against
   ``solve_segment`` (``test_oracle.test_width1_criterion_agreement``,
@@ -295,6 +303,45 @@ def canonical_reduction(params: CodeParams, geom: SegmentGeometry) -> ReductionR
         agrees_with_direct=rank == direct_rank,
         krylov_bound_ok=rank <= ncols * (length - 1) + krylov_rank,
     )
+
+
+def scan_family(p: int, A: np.ndarray, F: np.ndarray, v: np.ndarray, l_max: int):
+    """``(dims, nontrivial, (A, F, kernel))`` of one strip family from its
+    ``strip_transfer`` blocks: the nullspace dimension and nontriviality at
+    lengths 2..l_max, and what ``oracle._transfer_witness`` needs at the
+    last nontrivial length.
+
+    A length-l solution is fixed by the parameters (x_{l-1}, z_{l-2}, ...,
+    z_0) of the transfer recursion, and distinct parameters give distinct
+    solutions, since z_g is part of x_g.  One length more puts the
+    constraint ``v x_0 = 0`` on the old first column and prepends the new
+    first column ``A x_0 + F z`` with z free: the kernel basis (rows, in
+    parameter coordinates) is cut by one nullspace and grows by an identity
+    block for z.  Its row count is the nullspace dimension, and the length
+    is nontrivial when the kernel's first and last columns are both nonzero.
+    Only the kernel of the last nontrivial length is kept.  The kernel
+    recursion multiplies the whole kernel, about f l x f l, at every
+    length; ``oracle._scan_transfers`` keeps the reduced constraint space
+    instead.
+    """
+    n, f = F.shape
+    kernel = np.eye(n, dtype=np.int64)  # length 1: the parameters are x_0
+    first = kernel                      # each basis row's first column x_0
+    dims, nontrivial, last = [0] * (l_max - 1), [False] * (l_max - 1), None
+    for i in range(l_max - 1):  # length i + 2
+        if not kernel.shape[0]:
+            break  # then F has no columns, and no longer strip has a solution
+        coeffs = fp.nullspace((v @ first.T) % p, p)
+        first = np.concatenate([((coeffs @ first) % p @ A.T) % p, F.T])
+        cut = (coeffs @ kernel) % p
+        kernel = np.zeros((cut.shape[0] + f, cut.shape[1] + f), dtype=np.int64)
+        kernel[:cut.shape[0], :cut.shape[1]] = cut
+        kernel[cut.shape[0]:, cut.shape[1]:] = np.eye(f, dtype=np.int64)
+        dims[i] = kernel.shape[0]
+        nontrivial[i] = bool(first.any() and kernel[:, :n].any())
+        if nontrivial[i]:
+            last = kernel
+    return dims, nontrivial, (A, F, last)
 
 
 def width1_criterion(params: CodeParams, lengths=range(2, 7)) -> dict:

@@ -272,3 +272,28 @@ def test_solve_consistency():
             sol = reference.solve(A, b, p)
             assert sol is not None
             assert ((A @ sol) % p == b).all()
+
+
+def test_stacked_transfer_blocks_match_each_member():
+    # members of one stack share their pivot columns; each member's blocks
+    # must be transfer's, rank-deficient members and empty v included
+    rng = random.Random(41)
+    kinds = set()
+    for p in (2, 3, 5):
+        for _ in range(40):
+            n, m, c = rng.randrange(0, 5), rng.randrange(0, 7), rng.randrange(0, 5)
+            M = _random_matrix(rng, p, 6 * m, n + c).reshape(6, m, n + c)
+            M[np.array([rng.random() < 0.5 for _ in range(M.size)], dtype=bool).reshape(M.shape)] = 0
+            R, pivoted = fp.mat_rref_stack(M, p, n)
+            for pattern in {tuple(row) for row in pivoted.tolist()}:
+                members = [b for b in range(6) if tuple(pivoted[b].tolist()) == pattern]
+                pivots = np.flatnonzero(pattern).tolist()
+                A, F, v = fp.transfer_blocks(R[members], pivots, n, p)
+                assert A.shape == (len(members), n, c) and v.shape == (len(members), m - len(pivots), c)
+                for j, b in enumerate(members):
+                    A1, F1, v1 = fp.transfer(M[b], n, p)
+                    assert np.array_equal(A[j], A1) and np.array_equal(F[j], F1), (p, M[b], n)
+                    assert np.array_equal(v[j], v1), (p, M[b], n)
+                kinds.add("full" if len(pivots) == n else "deficient")
+                kinds.add("empty v" if len(pivots) == m else "v")
+    assert kinds == {"full", "deficient", "empty v", "v"}

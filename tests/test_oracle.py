@@ -2,6 +2,7 @@
 
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -28,6 +29,7 @@ from qupitcube.reference import (
     in_box_cubes,
     is_stabilizer_combination,
     kink_profile,
+    scan_family,
     solve_segment,
     verify_witness,
     width1_criterion,
@@ -255,31 +257,32 @@ def test_scan_runs_one_family_per_inversion_class(monkeypatch):
     # family is a flat strip, and the other 6(w - 2) cornered families pair
     # up under inversion, 3w classes in all.  Both kinds to width 16 have
     # 3 + 3 * (2 + ... + 16) = 408 classes among 816 families.  Each width
-    # is one stacked elimination with one member per class, and a
-    # deformable code runs no per-family recursion.
-    stacks, recursions = [], []
-    rref_stack, scan_family = fp.mat_rref_stack, oracle._scan_family
+    # is one stacked elimination with one member per class, and for a
+    # deformable code one length loop whose stack holds every class.
+    stacks, loops = [], []
+    rref_stack, scan_transfers = fp.mat_rref_stack, oracle._scan_transfers
 
     def counting_stack(M, p, n_pivot_cols):
         stacks.append((n_pivot_cols // 2, M.shape[0]))  # 2w pivot columns
         return rref_stack(M, p, n_pivot_cols)
 
-    def counting_family(*args):
-        recursions.append(args)
-        return scan_family(*args)
+    def counting_loop(A, F, v, p, l_max):
+        loops.append((A.shape[1] // 2, A.shape[0]))
+        return scan_transfers(A, F, v, p, l_max)
 
     monkeypatch.setattr(fp, "mat_rref_stack", counting_stack)
-    monkeypatch.setattr(oracle, "_scan_family", counting_family)
+    monkeypatch.setattr(oracle, "_scan_transfers", counting_loop)
     d5 = ["--p", "5", "--alpha", "1,0", "--beta", "0,1", "--gamma", "1,1", "--delta", "3,2"]
     for wmax, classes in ((4, 30), (16, 408)):
         stacks.clear()
+        loops.clear()
         assert cli.main(["strings", *d5, "--wmax", str(wmax)]) == 0
         assert [w for w, _ in stacks] == list(range(1, wmax + 1))
         assert sum(members for _, members in stacks) == classes
+        assert loops == stacks
         for w, members in stacks:
             heads = oracle._width_stack(w).heads
             assert len({oracle._inversion_class(*h) for h in heads}) == len(heads) == members
-    assert not recursions
 
 
 MIXED = CodeParams(3, (1, 2), (1, 1), (1, 2), (1, 1))
@@ -303,9 +306,9 @@ def same_span(X, Y, p):
 
 
 def test_stacked_scan_matches_each_family_scan():
-    # the stacked length loop and the free-column recursion against the
-    # per-family scan, member by member, with the kernel each hands on to
-    # the witness; MIXED stacks mix both kinds of member
+    # the length loop, stacked and on free-column members alone, against
+    # the kernel recursion, member by member, with the kernel each hands on
+    # to the witness; MIXED stacks mix both kinds of member
     assert [sum(pivot_fails(MIXED, *h) for h in oracle._width_stack(w).heads)
             for w in (2, 3)] == [2, 4]
     assert [len(oracle._width_stack(w).heads) for w in (2, 3)] == [6, 9]
@@ -315,14 +318,14 @@ def test_stacked_scan_matches_each_family_scan():
             stack = oracle._width_stack(w)
             transfers = [strip_transfer(code, *head) for head in stack.heads]
             for l_max in (2, 2 * w + 4, 64):
-                if l_max == 64 and w > 1 and any(F.shape[1] for _, F, _ in transfers):
-                    # free-column members run _scan_family itself, whose
-                    # kernel grows with the length: only time to gain here
+                if l_max == 64 and w > 3 and any(F.shape[1] for _, F, _ in transfers):
+                    # the oracle's kernel grows with the length: only time
+                    # to gain here
                     continue
                 dims, nontrivial, last = oracle._scan_stack(code, stack.template, l_max)
                 assert dims.shape == nontrivial.shape == (len(stack.heads), l_max - 1)
                 for b, (A, F, v) in enumerate(transfers):
-                    d, hits, (_, _, kernel) = oracle._scan_family(code.p, A, F, v, l_max)
+                    d, hits, (_, _, kernel) = scan_family(code.p, A, F, v, l_max)
                     assert dims[b].tolist() == d, (code, w, l_max, b)
                     assert nontrivial[b].tolist() == hits, (code, w, l_max, b)
                     kinds.add((F.shape[1] > 0, any(hits)))
@@ -346,11 +349,11 @@ def test_transfer_loop_matches_family_scan_on_arbitrary_blocks():
                 A[0], A[1] = np.eye(n, k=1, dtype=np.int64), 0
                 v = rng.integers(0, p, (6, k, n)) * (rng.random((6, k, n)) < 0.6)
                 v[:2] = 0
+                F = np.zeros((6, n, 0), dtype=np.int64)
                 for l_max in (2, 5, 12):
-                    dims, nontrivial, last_Q = oracle._scan_transfers(A, v, p, l_max)
+                    dims, nontrivial, last_Q = oracle._scan_transfers(A, F, v, p, l_max)
                     for b in range(6):
-                        d, hits, (_, _, kernel) = oracle._scan_family(
-                            p, A[b], np.zeros((n, 0), dtype=np.int64), v[b], l_max)
+                        d, hits, (_, _, kernel) = scan_family(p, A[b], F[b], v[b], l_max)
                         assert dims[b].tolist() == d, (p, A[b], v[b], l_max)
                         assert nontrivial[b].tolist() == hits, (p, A[b], v[b], l_max)
                         if any(hits):
@@ -358,6 +361,29 @@ def test_transfer_loop_matches_family_scan_on_arbitrary_blocks():
                             assert same_span(Q[:, np.diagonal(Q) == 1].T, kernel, p)
                         killed += sum(bool(x) and not h for x, h in zip(d, hits))
     assert killed > 100
+    # the blocks of random two-block systems, whose first block is often
+    # rank deficient, each alone, with the kernel of a run to the last
+    # nontrivial length
+    seen = set()
+    for p in (2, 3, 5):
+        for _ in range(100):
+            n, m = int(rng.integers(1, 5)), int(rng.integers(1, 9))
+            M = rng.integers(0, p, (m, 2 * n)) * (rng.random((m, 2 * n)) < 0.5)
+            A, F, v = fp.transfer(M, n, p)
+            for l_max in (2, 7):
+                blocks = A[None], F[None], v[None]
+                dims, nontrivial, _ = oracle._scan_transfers(*blocks, p, l_max)
+                d, hits, (_, _, kernel) = scan_family(p, A, F, v, l_max)
+                assert dims[0].tolist() == d, (p, M, l_max)
+                assert nontrivial[0].tolist() == hits, (p, M, l_max)
+                if any(hits):
+                    length = max(l for l, hit in enumerate(hits, 2) if hit)
+                    Q = oracle._scan_transfers(*blocks, p, length)[2][0]
+                    assert same_span(Q[:, np.diagonal(Q) == 1].T, kernel, p), (p, M, l_max)
+                seen.add((min(F.shape[1], 2), any(hits), all(hits)))
+    # free columns: hits at every length, hits that stop, and none
+    assert seen >= {(1, True, True), (1, True, False), (1, False, False), (2, True, True),
+                    (2, False, False)}
 
 
 def test_stack_members_leave_once_their_first_column_vanishes(monkeypatch):
@@ -368,7 +394,8 @@ def test_stack_members_leave_once_their_first_column_vanishes(monkeypatch):
 
     def checking(X, j, p):
         if j == 0:  # a step's first row; later rows may empty the kernel
-            assert X[:, -X.shape[2]:].any(axis=(1, 2)).all()
+            n = X.shape[2]  # no free columns: rows k..k+n hold N, then Q
+            assert X[:, -2 * n:-n].any(axis=(1, 2)).all()
             calls.append(X.shape[0])
         return add_row(X, j, p)
 
@@ -380,6 +407,32 @@ def test_stack_members_leave_once_their_first_column_vanishes(monkeypatch):
     calls.clear()
     assert scan(P2_TUPLE, 1, l_max=9).max_nontrivial_length == 9
     assert len(calls) == 8
+
+
+def test_free_column_scan_holds_one_kernel_at_a_time():
+    # every family of (1,0)^4 at p = 3 has w free columns, so its kernel
+    # grows with the length: at width 8 and l_max = 64 each ends 520 x 520,
+    # and the 24 classes' kernels together take about 50 MiB
+    code = CodeParams(3, (1, 0), (1, 0), (1, 0), (1, 0))
+    scan_width(code, 8, l_max=2)  # the width's template is built once and kept
+    tracemalloc.start()
+    try:
+        reports = scan_width(code, 8, l_max=64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [r.max_nontrivial_length for r in reports.values()] == [64, 64]
+    assert all(r.witness is not None for r in reports.values())
+    assert peak < 32 * 2**20, peak
+
+
+def test_free_column_scan_to_width_11_is_fast(capsys):
+    # on a 2-core x86_64 VM the per-family kernel recursion took 11-12 s
+    one_zero = ["--p", "3", "--alpha", "1,0", "--beta", "1,0", "--gamma", "1,0", "--delta", "1,0"]
+    t0 = time.perf_counter()
+    assert cli.main(["strings", *one_zero, "--wmax", "11"]) == 0
+    assert time.perf_counter() - t0 < 6
+    assert '"max_nontrivial_length": 26' in capsys.readouterr().out
 
 
 def test_scan_at_the_largest_modulus():
@@ -432,10 +485,8 @@ def test_cornered_families_scan_like_their_inversion_partners():
                     for (la, wa, c), family in cornered_families(w):
                         partner = inversion_partner(w, la, wa, c)
                         assert oracle._inversion_class(*partner) == oracle._inversion_class(*family)
-                        mine = oracle._scan_family(
-                            p, *strip_transfer(code, *family), 2 * w + 4)[:2]
-                        theirs = oracle._scan_family(
-                            p, *strip_transfer(code, *partner), 2 * w + 4)[:2]
+                        mine = scan_family(p, *strip_transfer(code, *family), 2 * w + 4)[:2]
+                        theirs = scan_family(p, *strip_transfer(code, *partner), 2 * w + 4)[:2]
                         assert mine == theirs, (code, family)
                         pairs += 1
     assert pairs == 4 * 2 * 2 * 6 * (1 + 2 + 3 + 4 + 5)
@@ -479,8 +530,9 @@ def test_scan_needs_both_end_columns():
     # a recursion whose solutions all vanish on the last column: v forces
     # x_{g+1} = 0 while the free columns z_g fill the first one
     eye, zero = np.eye(2, dtype=np.int64), np.zeros((2, 2), dtype=np.int64)
-    dims, nontrivial, _ = oracle._scan_family(3, zero, eye, eye, 5)
-    assert dims == [2, 2, 2, 2] and not any(nontrivial)
+    dims, nontrivial, _ = oracle._scan_transfers(zero[None], eye[None], eye[None], 3, 5)
+    assert dims.tolist() == [[2, 2, 2, 2]] and not nontrivial.any()
+    assert scan_family(3, zero, eye, eye, 5)[:2] == (dims[0].tolist(), nontrivial[0].tolist())
 
 
 def test_scan_refuses_unknown_kinds():
