@@ -23,7 +23,7 @@ from itertools import combinations, permutations
 from .codes import CodeParams, Pair, symplectic_product
 from .conditions import theorem1_report
 from .fp import check_prime, fp_inv
-from .oracle import check_scan_bounds, scan_width
+from .oracle import check_scan_bounds, scan_codes
 
 Tuple4 = tuple[Pair, Pair, Pair, Pair]
 
@@ -116,35 +116,34 @@ def scan_theorem1(report: dict, oracle_wmax: int = 2) -> dict:
     conditions 1 and 2 whose string bound max length <= 2w is confirmed
     by the segment solver up to width ``oracle_wmax``, which must lie in
     1..``oracle.MAX_STRIP_WIDTH``.
+
+    The solver runs once per width over all representatives still in the
+    list (``oracle.scan_codes``), not once per representative.
     """
     check_scan_bounds(oracle_wmax)
     p, parity = report["p"], report["parity"]
     literal_pass = []
-    cond12_oracle_pass = []
+    candidates = []
     for entry in report["orbits"]:
-        canon = tuple(tuple(x) for x in entry["representative"])
         t1 = entry["theorem1"]
         if t1["overall"]:
             literal_pass.append(entry["representative"])
         if t1["deformability"] and t1["minimal_string"] and all(t1["minimal_string"]):
-            ok = True
-            widths = {}
-            code = CodeParams(p, *canon, parity=parity)
-            for w in range(1, oracle_wmax + 1):
-                for kind, rpt in scan_width(code, w).items():
-                    m = rpt.max_nontrivial_length
-                    widths[f"{kind}-w{w}"] = m
-                    if m is not None and m > 2 * w:
-                        ok = False
-            if ok:
-                cond12_oracle_pass.append({
-                    "representative": entry["representative"],
-                    "oracle_max_lengths": widths,
-                })
+            candidates.append(entry["representative"])
+    codes = [CodeParams(p, *(tuple(x) for x in rep), parity=parity) for rep in candidates]
+    # the max lengths of each candidate still passing, by its index
+    passing = {i: {} for i in range(len(codes))}
+    for w in range(1, oracle_wmax + 1):
+        live = list(passing)
+        for i, lengths in zip(live, scan_codes([codes[i] for i in live], w)):
+            passing[i].update((f"{kind}-w{w}", m) for kind, m in lengths.items())
+            if any(m is not None and m > 2 * w for m in lengths.values()):
+                del passing[i]
     return {
         "p": p,
         "orbit_count": report["orbit_count"],
         "deformable_count": report["deformable_count"],
         "literal_pass": literal_pass,
-        "cond12_oracle_pass": cond12_oracle_pass,
+        "cond12_oracle_pass": [{"representative": candidates[i], "oracle_max_lengths": widths}
+                               for i, widths in passing.items()],
     }

@@ -22,15 +22,18 @@ connected between the anchors".
 Length scans do not solve one system per length: the strip system is
 translation invariant, so the block elimination of a family's length-2
 system (``strip_transfer``) decides every length, whether or not the
-code is deformable.  ``scan_width`` does this for every family of a
-width at once (``_scan_stack``): one gather of the code's labels into a
-stack of length-2 systems and one stacked elimination
+code is deformable.  One stack (``_scan_stack``) does this for every
+family of a width and for many codes at once: one gather of the codes'
+labels into a stack of length-2 systems and one stacked elimination
 (``fp.mat_rref_stack``).  One length loop (``_scan_transfers``) then
-keeps each family's reduced constraint space, on the families without
-free columns together and on each family with free columns alone.  The
+keeps each member's reduced constraint space, on the members without
+free columns together and on each member with free columns alone.
+``scan_width`` stacks one code's families and adds a witness;
+``scan_codes`` stacks every code of a list, a chunk of them at a time
+within ``MAX_STACK_BYTES``, and reports only the maximal lengths.  The
 tests compare the scan with the dense per-strip solver
-``reference.solve_segment`` and the loop with the kernel recursion
-``reference.scan_family``.
+``reference.solve_segment``, the loop with the kernel recursion
+``reference.scan_family``, and ``scan_codes`` with ``scan_width``.
 
 Column layout: sites are ordered along the strip (length-major, then
 cross-section); each site contributes two adjacent columns holding
@@ -80,6 +83,12 @@ Section = tuple[Site, ...]
 # 109 MB.
 MAX_STRIP_WIDTH = 16
 MAX_STRIP_LENGTH = 64
+
+# Bytes of length-2 systems and length-loop state that one ``scan_codes``
+# stack may hold (``_codes_per_stack``).  Over all 1,630 p = 13
+# representatives on a 2-core x86_64 VM, widths 1-4 took no less time in
+# 8 MiB stacks than in 4 MiB ones, and up to 45 % more in 1 MiB ones.
+MAX_STACK_BYTES = 4 * 2**20
 
 
 @dataclass(frozen=True)
@@ -234,15 +243,15 @@ def _template(axis: int, section: Section) -> np.ndarray:
     return T
 
 
-def _labels(params: CodeParams) -> np.ndarray:
-    """The generator's labels (x, z) as rows (x, -z) mod p in ``VERTICES``
-    order, then a zero row for the sites a cube misses: gathered by a
+def _labels(codes: list[CodeParams]) -> np.ndarray:
+    """Each code's generator labels (x, z) as rows (x, -z) mod p in
+    ``VERTICES`` order, then a zero row for the sites a cube misses, as a
+    (C, len(VERTICES) + 1, 2) stack for codes of one modulus: gathered by a
     ``_template``, they land on the (z, x) columns of each site."""
-    labels = build_generator(params)
-    out = np.zeros((len(VERTICES) + 1, 2), dtype=np.int64)
-    out[:-1] = [labels[v] for v in VERTICES]
-    out[:, 1] *= -1
-    return out % params.p
+    out = np.zeros((len(codes), len(VERTICES) + 1, 2), dtype=np.int64)
+    out[:, :-1] = [[labels[v] for v in VERTICES] for labels in map(build_generator, codes)]
+    out[:, :, 1] *= -1
+    return out % codes[0].p
 
 
 def _pair_system(params: CodeParams, axis: int, section: Section) -> np.ndarray:
@@ -250,7 +259,7 @@ def _pair_system(params: CodeParams, axis: int, section: Section) -> np.ndarray:
     ``_template``.  ``reference.build_segment_constraints`` is the oracle.
     """
     T = _template(axis, section)
-    return _labels(params)[T].reshape(len(T), -1)
+    return _labels([params])[0, T].reshape(len(T), -1)
 
 
 def strip_transfer(params: CodeParams, axis: int,
@@ -391,14 +400,15 @@ def _scan_transfers(A: np.ndarray, F: np.ndarray, v: np.ndarray, p: int, l_max: 
     return dims, nontrivial, X[:, k + n:] if f else last_Q
 
 
-def _scan_stack(params: CodeParams, template: np.ndarray, l_max: int):
-    """``(dims, nontrivial, last)`` of a stack of strip families given by
-    their ``_template``s (B, m, 2w): (B, l_max - 1) arrays of the nullspace
-    dimension and nontriviality at lengths 2..l_max, and ``last(b)``, the
-    ``(A, F, kernel)`` that ``_transfer_witness`` needs at member b's last
-    nontrivial length.
+def _scan_stack(codes: list[CodeParams], template: np.ndarray, l_max: int):
+    """``(dims, nontrivial, last)`` of a stack of (code, strip family)
+    members: every code of ``codes``, all of one modulus, on every family
+    given by its ``_template`` (H, m, 2w).  ``dims`` and ``nontrivial`` are
+    (C, H, l_max - 1) arrays of the nullspace dimension and nontriviality at
+    lengths 2..l_max, and ``last(c, h)`` is the ``(A, F, kernel)`` that
+    ``_transfer_witness`` needs at member (c, h)'s last nontrivial length.
 
-    One gather of the code's labels assembles every member's length-2
+    One gather of the codes' labels assembles every member's length-2
     system and one ``fp.mat_rref_stack`` eliminates them all.  The members
     whose first block has full rank share one ``_scan_transfers``, and
     their Q are kept.  A member whose ``F`` has columns has a kernel that
@@ -406,13 +416,14 @@ def _scan_stack(params: CodeParams, template: np.ndarray, l_max: int):
     the witness's member runs again, to its last nontrivial length, for
     its Q.
     """
-    p = params.p
-    B, m, n = template.shape
-    R, pivoted = fp.mat_rref_stack(_labels(params)[template].reshape(B, m, 2 * n), p, n)
+    p = codes[0].p
+    H, m, n = template.shape
+    systems = _labels(codes)[:, template].reshape(-1, m, 2 * n)
+    R, pivoted = fp.mat_rref_stack(systems, p, n)
     full = pivoted.all(axis=1)
     stacked = fp.transfer_blocks(R[full], list(range(n)), n, p)
-    dims = np.zeros((B, l_max - 1), dtype=np.int64)
-    nontrivial = np.zeros((B, l_max - 1), dtype=bool)
+    dims = np.zeros((len(R), l_max - 1), dtype=np.int64)
+    nontrivial = np.zeros((len(R), l_max - 1), dtype=bool)
     dims[full], nontrivial[full], last_Q = _scan_transfers(*stacked, p, l_max)
 
     def alone(b: int):
@@ -421,7 +432,8 @@ def _scan_stack(params: CodeParams, template: np.ndarray, l_max: int):
     for b in np.flatnonzero(~full):
         dims[b], nontrivial[b], _ = _scan_transfers(*alone(b), p, l_max)
 
-    def last(b: int):
+    def last(c: int, h: int):
+        b = c * H + h
         if full[b]:
             j = full[:b].sum()  # b's place in the stack
             A, F, Q = stacked[0][j], stacked[1][j], last_Q[j]
@@ -432,7 +444,8 @@ def _scan_stack(params: CodeParams, template: np.ndarray, l_max: int):
             Q = _scan_transfers(*blocks, p, length)[2][0]
         return A, F, Q[:, np.diagonal(Q) == 1].T
 
-    return dims, nontrivial, last
+    shape = (len(codes), H, l_max - 1)
+    return dims.reshape(shape), nontrivial.reshape(shape), last
 
 
 def check_scan_bounds(width: int, l_max: int | None = None) -> None:
@@ -496,6 +509,29 @@ def _width_stack(width: int) -> _WidthStack:
     return _WidthStack(tuple(heads), {k: tuple(v) for k, v in members.items()}, template)
 
 
+def _scan_kinds(codes: list[CodeParams], width: int, l_max: int, kinds):
+    """One ``_scan_stack`` of ``codes`` over the ``_inversion_class``es the
+    kinds need at one width, reduced per kind.
+
+    Returns ``(by_kind, nontrivial, last, heads)``.  ``by_kind[kind]`` holds
+    the kind's nullspace dimensions and nontriviality at lengths 2..l_max,
+    per code, as (C, l_max - 1) arrays: the max and the any over its
+    families, ``None`` dimensions for a kind without families.  It also
+    holds the kind's families as rows of the stack, in ``sections`` order.
+    ``heads[r]`` is the family scanned as row r.
+    """
+    stack = _width_stack(width)
+    used = sorted({h for kind in kinds for h in stack.members[kind]})
+    dims, nontrivial, last = _scan_stack(codes, stack.template[used], l_max)
+    row = {h: i for i, h in enumerate(used)}
+    by_kind = {}
+    for kind in kinds:
+        rows = [row[h] for h in stack.members[kind]]
+        by_kind[kind] = (dims[:, rows].max(axis=1) if rows else None,
+                         nontrivial[:, rows].any(axis=1), rows)
+    return by_kind, nontrivial, last, [stack.heads[h] for h in used]
+
+
 def scan_width(params: CodeParams, width: int, l_max: int | None = None,
                kinds=KINDS) -> dict[str, SegmentReport]:
     """One report per kind at one width: lengths 2..l_max (default 2w + 4,
@@ -513,29 +549,24 @@ def scan_width(params: CodeParams, width: int, l_max: int | None = None,
     if l_max is None:
         l_max = 2 * width + 4
     lengths = list(range(2, l_max + 1))
-    stack = _width_stack(width)
-    used = sorted({h for kind in kinds for h in stack.members[kind]})
-    dims, nontrivial, last = _scan_stack(params, stack.template[used], l_max)
-    row = {h: i for i, h in enumerate(used)}
+    by_kind, nontrivial, last, heads = _scan_kinds([params], width, l_max, kinds)
     reports = {}
-    for kind in kinds:
-        rows = [row[h] for h in stack.members[kind]]
-        kind_dims = dict(zip(lengths, dims[rows].max(axis=0).tolist())) if rows else {}
-        found = [l for l, hit in zip(lengths, nontrivial[rows].any(axis=0)) if hit]
+    for kind, (dims, hits, rows) in by_kind.items():
+        found = [l for l, hit in zip(lengths, hits[0]) if hit]
         max_len = max(found, default=None)
         witness = witness_geom = None
         if max_len is not None:
             # as the length-by-length scan: the first nontrivial family at the
             # last hit (its own last one); it heads its class within the kind,
             # so it has the sites of the head that was scanned for the class
-            r = next(r for r in rows if nontrivial[r, max_len - 2])
-            witness_geom = SegmentGeometry(*stack.heads[used[r]], max_len)
-            witness = _transfer_witness(params, witness_geom, *last(r))
+            r = next(r for r in rows if nontrivial[0, r, max_len - 2])
+            witness_geom = SegmentGeometry(*heads[r], max_len)
+            witness = _transfer_witness(params, witness_geom, *last(0, r))
         reports[kind] = SegmentReport(
             width=width,
             kind=kind,
             lengths_scanned=lengths,
-            nullspace_dims=kind_dims,
+            nullspace_dims={} if dims is None else dict(zip(lengths, dims[0].tolist())),
             nontrivial_lengths=found,
             max_nontrivial_length=max_len,
             aspect_ratio=None if max_len is None else Fraction(max_len, width),
@@ -543,3 +574,42 @@ def scan_width(params: CodeParams, width: int, l_max: int | None = None,
             witness_geometry=witness_geom,
         )
     return reports
+
+
+def _codes_per_stack(width: int) -> int:
+    """How many codes one ``_scan_stack`` at this width takes within
+    ``MAX_STACK_BYTES``.  A member's int64 length-2 system (m, 2n) is held
+    about four times over by the gather and the elimination, and the length
+    loop's constraint rows, N and Q, (m + n, n), about three times over with
+    the products and the last Q: tracemalloc puts a stack's peak within 20 %
+    below that estimate at widths 1-4."""
+    H, m, n = _width_stack(width).template.shape
+    member = 8 * (4 * m * 2 * n + 3 * (m + 2 * n) * n)
+    return max(1, MAX_STACK_BYTES // (H * member))
+
+
+def scan_codes(codes, width: int) -> list[dict[str, int | None]]:
+    """Each code's ``max_nontrivial_length`` per kind at one width, as
+    ``scan_width(code, width)`` reports it, without witnesses.
+
+    The codes, all of one modulus, are scanned together: one
+    ``_scan_stack`` per chunk of ``_codes_per_stack`` codes, in order.
+    Refuses mixed moduli and the widths ``check_scan_bounds`` refuses.
+    """
+    check_scan_bounds(width)
+    l_max = 2 * width + 4
+    codes = list(codes)
+    if len({code.p for code in codes}) > 1:
+        raise ValueError(f"scan_codes needs codes of one modulus, got "
+                         f"{sorted({code.p for code in codes})}")
+    size = _codes_per_stack(width)
+    out = []
+    for i in range(0, len(codes), size):
+        chunk = codes[i:i + size]
+        lasts = {}
+        for kind, (_, hits, _) in _scan_kinds(chunk, width, l_max, KINDS)[0].items():
+            # each code's last nontrivial length, from the reversed hits; 0 for none
+            lasts[kind] = np.where(hits.any(axis=1),
+                                   l_max - hits[:, ::-1].argmax(axis=1), 0).tolist()
+        out.extend({kind: m[c] or None for kind, m in lasts.items()} for c in range(len(chunk)))
+    return out

@@ -37,8 +37,9 @@ production code it checks, and the tests that compare them:
   ``oracle._scan_transfers`` on arbitrary blocks, with free columns and
   without (``test_oracle.test_transfer_loop_matches_family_scan_*``,
   ``test_oracle.test_scan_needs_both_end_columns``), and each member of
-  ``oracle.scan_width``'s stack with the kernel it hands on to the
-  witness (``test_oracle.test_stacked_scan_matches_each_family_scan``).
+  (code, family) member of ``oracle._scan_stack`` with the kernel it
+  hands on to the witness
+  (``test_oracle.test_stacked_scan_matches_each_family_scan``).
   It also shows that point inversion keeps a family's scan
   (``test_oracle.test_cornered_families_scan_like_their_inversion_partners``).
 - ``width1_criterion`` sets the width-1 determinant test of

@@ -1,6 +1,7 @@
 """Orbit enumeration and classification under the equivalence group."""
 
 import random
+import time
 
 import pytest
 
@@ -14,6 +15,7 @@ from qupitcube.reference import (
 )
 from qupitcube.codes import CodeParams
 from qupitcube.conditions import check_deformability, theorem1_report
+from qupitcube.oracle import scan_width
 from conftest import random_deformable_tuple
 
 D3_TUPLE = ((1, 0), (0, 1), (1, 1), (1, 2))
@@ -94,6 +96,58 @@ def test_normal_form_matches_breadth_first_orbits():
 def test_orbit_canonical_rejects_non_deformable():
     with pytest.raises(ValueError):
         orbit_canonical(((1, 0), (0, 1), (1, 1), (2, 2)), 3)
+
+
+def scan_theorem1_each_code(report, oracle_wmax):
+    """``scan_theorem1``'s oracle lists from one ``scan_width`` per
+    representative and width."""
+    passing = []
+    for entry in report["orbits"]:
+        t1 = entry["theorem1"]
+        if not (t1["deformability"] and t1["minimal_string"] and all(t1["minimal_string"])):
+            continue
+        code = CodeParams(report["p"], *(tuple(x) for x in entry["representative"]),
+                          parity=report["parity"])
+        widths, ok = {}, True
+        for w in range(1, oracle_wmax + 1):
+            for kind, rpt in scan_width(code, w).items():
+                m = widths[f"{kind}-w{w}"] = rpt.max_nontrivial_length
+                ok = ok and (m is None or m <= 2 * w)
+        if ok:
+            passing.append({"representative": entry["representative"],
+                            "oracle_max_lengths": widths})
+    return passing
+
+
+def test_scan_theorem1_matches_one_scan_per_representative():
+    for p in (3, 5, 7):
+        for parity in "SA":
+            report = classify_orbits(p, parity)
+            for wmax in (1, 2, 3):
+                out = scan_theorem1(report, oracle_wmax=wmax)
+                assert out["cond12_oracle_pass"] == scan_theorem1_each_code(report, wmax), \
+                    (p, parity, wmax)
+
+
+def test_symmetric_literal_passers_have_no_long_segments():
+    # every S representative passing the three literal conditions passes the
+    # solver's 2w bound to width 2 (also all 608 at p = 13); for A codes
+    # 8 of 24 and 96 of 256 do not, the parity defect of theorem1_report
+    for p, count in ((7, 24), (11, 256)):
+        out = scan_theorem1(classify_orbits(p, "S"), oracle_wmax=2)
+        confirmed = [entry["representative"] for entry in out["cond12_oracle_pass"]]
+        assert len(out["literal_pass"]) == count
+        assert all(rep in confirmed for rep in out["literal_pass"]), p
+
+
+def test_scan_theorem1_at_p11_to_width_3_is_fast():
+    # on a 2-core x86_64 VM: 1.1-2.0 s with one scan per representative and
+    # width, 0.12-0.19 s with one stack of representatives per width
+    report = classify_orbits(11)
+    t0 = time.perf_counter()
+    out = scan_theorem1(report, oracle_wmax=3)
+    assert time.perf_counter() - t0 < 0.6
+    assert len(out["cond12_oracle_pass"]) == 490
 
 
 def test_classification_p11():

@@ -166,6 +166,13 @@ def test_classify_and_scan_report_digests():
             "b481a16622043bdb2683bf20d8244bcd5f215c0db3b4eaf8208871c86cc93b05",
         ("scan", "--p", "5", "--oracle-wmax", "1"):
             "ab11f4b3a45e15e97d1f62a3a43680baa6fdde30354ec11e16984d6df693e906",
+        # pinned from one scan_width call per representative and width
+        ("scan", "--p", "5", "--oracle-wmax", "2"):
+            "0a51ff54eddcd9cea60499314f6dbfa5cac72083326c86e5deb6df169bcbb03d",
+        ("scan", "--p", "7", "--oracle-wmax", "3"):
+            "0d403f8602411e8b67336c3b918783856996d14be5870a89dbbf4dd070aea095",
+        ("scan", "--p", "11", "--oracle-wmax", "2"):
+            "199c2e45f132294e7ee78532b3e1d0869852a5d6afe69458ed4f261aecd8147e",
     }
     for argv, digest in expected.items():
         out = run_cli(*argv)

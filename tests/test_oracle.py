@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from qupitcube import cli, fp, oracle
+from qupitcube.classify import classify_orbits
 from qupitcube.codes import CodeParams, PauliConfig, d3_code, d5_code, generator_config
 from qupitcube.conditions import PrerequisiteError, base_matrix, rel_transition
 from qupitcube.oracle import (
@@ -305,35 +306,127 @@ def same_span(X, Y, p):
     return X.shape == Y.shape and (fp.mat_rref(X, p)[0] == fp.mat_rref(Y, p)[0]).all()
 
 
+def by_modulus(codes):
+    groups = {}
+    for code in codes:
+        groups.setdefault(code.p, []).append(code)
+    return list(groups.values())
+
+
 def test_stacked_scan_matches_each_family_scan():
-    # the length loop, stacked and on free-column members alone, against
-    # the kernel recursion, member by member, with the kernel each hands on
-    # to the witness; MIXED stacks mix both kinds of member
+    # the length loop, stacked over all codes of a modulus and on
+    # free-column members alone, against the kernel recursion, member by
+    # member, with the kernel each hands on to the witness; MIXED stacks mix
+    # both kinds of member
     assert [sum(pivot_fails(MIXED, *h) for h in oracle._width_stack(w).heads)
             for w in (2, 3)] == [2, 4]
     assert [len(oracle._width_stack(w).heads) for w in (2, 3)] == [6, 9]
     kinds = set()
-    for code in stack_codes():
+    for group in by_modulus(stack_codes()):
         for w in range(1, 7):
             stack = oracle._width_stack(w)
-            transfers = [strip_transfer(code, *head) for head in stack.heads]
+            transfers = {code: [strip_transfer(code, *head) for head in stack.heads]
+                         for code in group}
             for l_max in (2, 2 * w + 4, 64):
-                if l_max == 64 and w > 3 and any(F.shape[1] for _, F, _ in transfers):
-                    # the oracle's kernel grows with the length: only time
-                    # to gain here
-                    continue
-                dims, nontrivial, last = oracle._scan_stack(code, stack.template, l_max)
-                assert dims.shape == nontrivial.shape == (len(stack.heads), l_max - 1)
-                for b, (A, F, v) in enumerate(transfers):
-                    d, hits, (_, _, kernel) = scan_family(code.p, A, F, v, l_max)
-                    assert dims[b].tolist() == d, (code, w, l_max, b)
-                    assert nontrivial[b].tolist() == hits, (code, w, l_max, b)
-                    kinds.add((F.shape[1] > 0, any(hits)))
-                    if any(hits):
-                        A2, F2, kernel2 = last(b)
-                        assert (A2 == A).all() and (F2 == F).all()
-                        assert same_span(kernel2, kernel, code.p), (code, w, l_max, b)
+                # the oracle's kernel grows with the length: only time to gain
+                # from free-column codes at l_max 64 above width 3
+                codes = [code for code in group if not (
+                    l_max == 64 and w > 3 and any(F.shape[1] for _, F, _ in transfers[code]))]
+                dims, nontrivial, last = oracle._scan_stack(codes, stack.template, l_max)
+                assert dims.shape == nontrivial.shape == (len(codes), len(stack.heads), l_max - 1)
+                for c, code in enumerate(codes):
+                    for h, (A, F, v) in enumerate(transfers[code]):
+                        d, hits, (_, _, kernel) = scan_family(code.p, A, F, v, l_max)
+                        assert dims[c, h].tolist() == d, (code, w, l_max, h)
+                        assert nontrivial[c, h].tolist() == hits, (code, w, l_max, h)
+                        kinds.add((F.shape[1] > 0, any(hits)))
+                        if any(hits):
+                            A2, F2, kernel2 = last(c, h)
+                            assert (A2 == A).all() and (F2 == F).all()
+                            assert same_span(kernel2, kernel, code.p), (code, w, l_max, h)
     assert kinds >= {(False, False), (False, True), (True, True)}
+
+
+def each_code_scan(codes, width):
+    out = []
+    for code in codes:
+        reports = scan_width(code, width)
+        out.append({kind: rpt.max_nontrivial_length for kind, rpt in reports.items()})
+    return out
+
+
+def test_scan_codes_matches_each_code_scan_on_every_orbit():
+    seen = set()
+    for p in (3, 5, 7):
+        for parity in "SA":
+            codes = [CodeParams(p, *(tuple(x) for x in entry["representative"]), parity=parity)
+                     for entry in classify_orbits(p, parity)["orbits"]]
+            for w in (1, 2, 3):
+                assert oracle.scan_codes(codes, w) == each_code_scan(codes, w), (p, parity, w)
+            seen |= {m for lengths in oracle.scan_codes(codes, 3) for m in lengths.values()}
+    # at width 3, segments no longer than w + 1 and segments up to the horizon
+    assert seen == {3, 4, 10}
+
+
+def test_scan_codes_matches_each_code_scan_with_free_columns():
+    # each modulus of stack_codes() as one stack: (1,0)^4 and MIXED put
+    # free-column members next to full-rank ones
+    groups = by_modulus(stack_codes())
+    assert any(MIXED in group and len(group) > 2 for group in groups)
+    for group in groups:
+        for w in (1, 2, 3, 4):
+            assert oracle.scan_codes(group, w) == each_code_scan(group, w), (group[0].p, w)
+    assert oracle.scan_codes([], 2) == []
+    assert oracle.scan_codes(iter([d3_code()]), 2) == each_code_scan([d3_code()], 2)
+
+
+def test_scan_codes_refuses_mixed_moduli_and_bad_scans():
+    with pytest.raises(ValueError, match="one modulus"):
+        oracle.scan_codes([d3_code(), d5_code()], 1)
+    with pytest.raises(ValueError):
+        oracle.scan_codes([d5_code()], 0)
+    with pytest.raises(ValueError):
+        oracle.scan_codes([d5_code()], oracle.MAX_STRIP_WIDTH + 1)
+
+
+def test_scan_codes_chunks_equal_one_stack(monkeypatch):
+    # the p = 3 codes of stack_codes(), free columns included, and the orbits
+    codes = [code for code in stack_codes() if code.p == 3]
+    codes += [CodeParams(3, *(tuple(x) for x in entry["representative"]))
+              for entry in classify_orbits(3)["orbits"]]
+    assert oracle._codes_per_stack(3) >= len(codes)
+    whole = {w: oracle.scan_codes(codes, w) for w in (1, 2, 3)}
+    sizes = []
+    scan_stack = oracle._scan_stack
+
+    def counting(codes, template, l_max):
+        sizes.append(len(codes))
+        return scan_stack(codes, template, l_max)
+
+    monkeypatch.setattr(oracle, "_scan_stack", counting)
+    monkeypatch.setattr(oracle, "MAX_STACK_BYTES", 1)
+    for w, expected in whole.items():
+        sizes.clear()
+        assert oracle.scan_codes(codes, w) == expected, w
+        assert sizes == [1] * len(codes)
+
+
+def test_scan_codes_holds_one_chunk_at_a_time():
+    # tracemalloc puts one stack of all 1,630 p = 13 representatives at
+    # width 3 at 59 MiB, and chunks of MAX_STACK_BYTES at 3.2 MiB
+    codes = [CodeParams(13, *(tuple(x) for x in entry["representative"]))
+             for entry in classify_orbits(13)["orbits"]]
+    assert len(codes) == 1630
+    oracle.scan_codes(codes[:2], 3)  # the width's template is built once and kept
+    tracemalloc.start()
+    try:
+        found = oracle.scan_codes(codes, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(found) == len(codes)
+    assert oracle._codes_per_stack(3) < len(codes)
+    assert peak < 8 * 2**20, peak
 
 
 def test_transfer_loop_matches_family_scan_on_arbitrary_blocks():
