@@ -57,13 +57,18 @@ production code it checks, and the tests that compare them:
   ``test_logical.test_check_abelian_matches_dense``.
 - ``enumerate_deformable`` lists every deformable tuple, and ``orbit``
   closes a tuple breadth-first under ``group_generators``.  They check
-  the normal-form walk of ``classify.classify_orbits`` and
-  ``orbit_canonical``, which names an orbit by the least of
-  ``classify._orbit_normal_forms``
+  ``classify.classify_orbits`` and ``orbit_canonical``, which names an
+  orbit by the least of ``orbit_normal_forms``, the normal forms
+  (``normal_form``) of its permuted and scaled copies
   (``test_classify.test_normal_form_matches_breadth_first_orbits`` and the
   other ``test_classify`` tests,
   ``test_conditions.test_*_invariant_*``,
   ``test_acceptance.test_criterion_01_*``, ``_07_*`` and ``_12d_*``).
+- ``orbits_by_walk`` walks the normal forms one orbit at a time with
+  ``orbit_normal_forms`` and a set of those already seen.  It checks the
+  representatives and orbit sizes that ``classify._orbit_counts`` counts
+  from one array pass of orbit keys
+  (``test_classify.test_orbit_keys_match_the_walk``).
 - ``solve`` and the polynomials through ``matrix_min_poly`` give minimal
   polynomials by Krylov sequences.  No production code uses them; they
   check the Cayley--Hamilton divisibility chain that the Krylov bound of
@@ -141,7 +146,7 @@ production code it checks, and the tests that compare them:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import combinations, permutations, product
 from math import lcm
 
 import numpy as np
@@ -159,7 +164,6 @@ from .algebra import (
     identity_pauli,
     pauli_power,
 )
-from .classify import Tuple4, _orbit_normal_forms
 from .codes import (
     CodeParams,
     InvalidCenterError,
@@ -502,6 +506,8 @@ def flatten_segment(params: CodeParams, config: PauliConfig,
 
 SL2_GENERATORS = (((1, 1), (0, 1)), ((0, -1), (1, 0)))
 
+Tuple4 = tuple[Pair, Pair, Pair, Pair]
+
 
 def nonzero_pairs(p: int) -> list[Pair]:
     return [(a, b) for a in range(p) for b in range(p) if (a, b) != (0, 0)]
@@ -604,6 +610,34 @@ def orbit(t: Tuple4, p: int) -> set[Tuple4]:
     return seen
 
 
+def normal_form(t: Tuple4, p: int) -> Tuple4:
+    """The unique SL(2, p)-image of ``t`` with alpha = (0, 1), beta = (-w, 0).
+
+    With w = <alpha, beta>, the image of a pair v is
+    (-<alpha, v>, -<beta, v> / w), because SL(2, p) preserves the
+    symplectic product.  Requires w != 0.
+    """
+    a, b = t[0], t[1]
+    w_inv = fp.fp_inv(symplectic_product(a, b, p), p)
+    return tuple(((-symplectic_product(a, v, p)) % p,
+                  (-symplectic_product(b, v, p) * w_inv) % p) for v in t)
+
+
+def orbit_normal_forms(t: Tuple4, p: int) -> set[Tuple4]:
+    """Normal forms of the SL(2, p) classes that make up the orbit of ``t``.
+
+    These are the normal forms of c * sigma(t) over the 24 permutations
+    sigma and the scalars c.  Scaling by c multiplies every symplectic
+    product by c^2, so it multiplies the first coordinates of the normal
+    form by c^2 and leaves the second ones alone.
+    """
+    if any(symplectic_product(u, v, p) == 0 for u, v in combinations(t, 2)):
+        raise ValueError(f"tuple {t} is not deformable mod {p}")
+    squares = {c * c % p for c in range(1, p)}
+    forms = [normal_form(s, p) for s in permutations(t)]
+    return {tuple(((q * x) % p, y) for x, y in nf) for nf in forms for q in squares}
+
+
 def orbit_canonical(t: Tuple4, p: int) -> Tuple4:
     """Lexicographically least member of the orbit of a deformable tuple.
 
@@ -611,7 +645,28 @@ def orbit_canonical(t: Tuple4, p: int) -> Tuple4:
     alpha = (0, 1) and second component of beta 0, so it is the least
     normal form over the permutations sigma and scalars c.
     """
-    return min(_orbit_normal_forms(t, p))
+    return min(orbit_normal_forms(t, p))
+
+
+def orbits_by_walk(p: int) -> list[tuple[Tuple4, int]]:
+    """(representative, orbit size) of every orbit at modulus p, in order.
+
+    Walks the normal forms alpha = (0, 1), beta = (-w, 0), gamma and
+    delta one orbit at a time, and skips those already in a visited
+    orbit.  Each normal form stands for p(p^2 - 1) tuples.
+    """
+    units = range(1, p)
+    mixed = [(x, y) for x in units for y in units]
+    forms = (((0, 1), (p - w, 0), g, d) for w in units for g in mixed for d in mixed
+             if symplectic_product(g, d, p))
+    seen: set[Tuple4] = set()
+    orbits: dict[Tuple4, int] = {}
+    for t in forms:
+        if t not in seen:
+            members = orbit_normal_forms(t, p)
+            seen |= members
+            orbits[min(members)] = len(members) * p * (p * p - 1)
+    return sorted(orbits.items())
 
 
 # ---------------------------------------------------------------------------

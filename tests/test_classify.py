@@ -2,15 +2,19 @@
 
 import random
 import time
+import tracemalloc
 
+import numpy as np
 import pytest
 
-from qupitcube.classify import classify_orbits, scan_theorem1
+from qupitcube import classify
+from qupitcube.classify import _orbit_counts, classify_orbits, scan_theorem1
 from qupitcube.reference import (
     enumerate_deformable,
     group_generators,
     orbit,
     orbit_canonical,
+    orbits_by_walk,
     primitive_root,
 )
 from qupitcube.codes import CodeParams
@@ -93,6 +97,43 @@ def test_normal_form_matches_breadth_first_orbits():
         assert sizes[canon] == len(members)
 
 
+def test_orbit_keys_match_the_walk():
+    for p in (2, 3, 5, 7, 11):
+        got = [(tuple(tuple(x) for x in o["representative"]), o["orbit_size"])
+               for o in classify_orbits(p)["orbits"]]
+        assert got == orbits_by_walk(p), p
+
+
+def test_orbit_key_chunks_equal_one_pass(monkeypatch):
+    whole = {p: _orbit_counts(p) for p in (5, 7)}
+    assert classify.MAX_KEY_BYTES // 200 >= 6 ** 4 * 5        # p = 7 is one chunk
+    monkeypatch.setattr(classify, "MAX_KEY_BYTES", 7 * 200)   # 7 forms a chunk
+    for p, counts in whole.items():
+        assert np.array_equal(_orbit_counts(p), counts), p
+
+
+def test_orbit_keys_hold_one_chunk_at_a_time():
+    # 24.5 MiB here: 13.6 MiB of keys, one 8 MiB chunk and the counts;
+    # one chunk of all 1,784,592 normal forms peaks at 276 MiB
+    tracemalloc.start()
+    try:
+        counts = _orbit_counts(19)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 48 * 2**20
+    assert np.count_nonzero(counts) == 8286
+
+
+def test_classify_at_p13_is_fast():
+    # on a 2-core x86_64 VM: 0.8-1.5 s walking the orbits one at a time,
+    # about 0.2 s keying every normal form in one array pass
+    t0 = time.perf_counter()
+    rep = classify_orbits(13)
+    assert time.perf_counter() - t0 < 0.6
+    assert rep["orbit_count"] == 1630
+
+
 def test_orbit_canonical_rejects_non_deformable():
     with pytest.raises(ValueError):
         orbit_canonical(((1, 0), (0, 1), (1, 1), (2, 2)), 3)
@@ -157,6 +198,12 @@ def test_classification_p11():
     total = (p * p - 1) * (p * p - p) * (p - 1) ** 3 * (p - 2)
     assert total == 118_800_000
     assert sum(o["orbit_size"] for o in rep["orbits"]) == rep["deformable_count"] == total
+
+
+def test_classification_p17():
+    rep = classify_orbits(17)
+    assert rep["orbit_count"] == 5178
+    assert sum(o["orbit_size"] for o in rep["orbits"]) == rep["deformable_count"]
 
 
 def test_classification_p3():

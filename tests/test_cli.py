@@ -385,6 +385,20 @@ def test_classify_and_scan_refuse_moduli_beyond_the_bound():
         assert "p <= 19" in out.stderr
 
 
+def test_classify_does_not_load_numpy_ma():
+    # numpy.ma, which np.unique imports lazily, adds half a megabyte to a run
+    script = (
+        "import contextlib, io, sys\n"
+        "import qupitcube.cli as cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['classify', '--p', '5']) == 0\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
+
+
 def test_strings_and_scan_refuse_scans_beyond_the_bounds(monkeypatch, capsys):
     assert (MAX_STRIP_WIDTH, MAX_STRIP_LENGTH) == (16, 64)
     refused = {
