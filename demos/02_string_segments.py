@@ -13,6 +13,7 @@ from qupitcube.oracle import SegmentGeometry, sections
 from qupitcube.reference import (
     build_segment_constraints,
     canonical_reduction,
+    config_mul,
     flatten_segment,
     kink_profile,
     width1_criterion,
@@ -69,8 +70,8 @@ box = (3, 3, 3)
 surface = PauliConfig(5)
 for q in sorted(kink_profile(box))[:6]:
     surface.add(q, (2, 1))
-cloaked = surface.mul(generator_config(d5, (0, 0, 0))).mul(
-    generator_config(d5, (1, 1, 1)))
+cloaked = config_mul(config_mul(surface, generator_config(d5, (0, 0, 0))),
+                     generator_config(d5, (1, 1, 1)))
 flat = flatten_segment(d5, cloaked, box)
 print("\nflattening a 3x3x3 box configuration:")
 print("  support before:", len(cloaked.support), "sites; after:",

@@ -12,8 +12,6 @@ from qupitcube.algebra import (
     PhasedPauli,
     generator_pauli,
     inversion_conjugate,
-    pauli_mul,
-    pauli_power,
     verify_inversion_action,
 )
 from qupitcube.reference import (
@@ -23,6 +21,8 @@ from qupitcube.reference import (
     op_is_zero,
     op_mul,
     operator_identity,
+    pauli_mul,
+    pauli_power,
 )
 
 p = 3

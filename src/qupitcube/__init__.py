@@ -47,8 +47,6 @@ from .algebra import (
     OperatorSum,
     PhasedPauli,
     inversion_conjugate,
-    pauli_mul,
-    pauli_power,
 )
 
 __version__ = "0.1.0"

@@ -35,7 +35,7 @@ import functools
 import operator
 import random
 from dataclasses import dataclass
-from math import gcd, lcm
+from math import gcd
 
 import numpy as np
 
@@ -140,22 +140,6 @@ def _symplectic(u: tuple, v: tuple, p: int) -> int:
     return sum(xu * zv - zu * xv for xu, zu, xv, zv in zip(u[0], u[1], v[0], v[1])) % p
 
 
-def pauli_mul(u: PhasedPauli, v: PhasedPauli) -> PhasedPauli:
-    """Normal-ordered product u v."""
-    if u.p != v.p or u.sites != v.sites:
-        raise ValueError("operands must share modulus and site set")
-    return PhasedPauli(u.p, u.sites, *_key_mul(u.key(), v.key(), _Products(u.p)))
-
-
-def pauli_power(u: PhasedPauli, m: int) -> PhasedPauli:
-    if m < 0:
-        raise ValueError("power must be nonnegative")
-    out = identity_pauli(u.p, u.sites)
-    for _ in range(m):
-        out = pauli_mul(out, u)
-    return out
-
-
 def generator_pauli(params: CodeParams) -> PhasedPauli:
     """The origin cube generator on its eight ``VERTICES`` sites, Weyl-symmetric.
 
@@ -195,20 +179,6 @@ class OperatorSum:
             self.terms[key] = new
         else:
             self.terms.pop(key, None)
-
-    def _over(self, den: int) -> dict:
-        """The numerators over ``den``, a multiple of ``self.den``."""
-        k = den // self.den
-        return {key: n * k for key, n in self.terms.items()}
-
-    def add_monomial(self, mono: PhasedPauli, coeff=1) -> None:
-        """Add coeff * mono, for an integer or rational coeff."""
-        if mono.p != self.p or mono.sites != self.sites:
-            raise ValueError("monomial does not match this operator sum")
-        den = lcm(self.den, coeff.denominator)
-        if den != self.den:
-            self.terms, self.den = self._over(den), den
-        self._accumulate(mono.key(), coeff.numerator * (den // coeff.denominator))
 
     def canonical(self) -> tuple[int, dict]:
         """The unique form (d, {(x, z): numerators}) of Q(omega) coefficients.

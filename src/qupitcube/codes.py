@@ -212,32 +212,6 @@ class PauliConfig:
         out.support = dict(self.support)
         return out
 
-    def mul(self, other: "PauliConfig") -> "PauliConfig":
-        """Phase-free product: sitewise sum of exponent pairs."""
-        self._check_compatible(other)
-        out = self.copy()
-        for site, pair in other.support.items():
-            out.add(site, pair)
-        return out
-
-    def scale(self, c: int) -> "PauliConfig":
-        out = PauliConfig(self.p, self.dims)
-        for site, pair in self.support.items():
-            out.add(site, scale_pair(pair, c, self.p))
-        return out
-
-    def shift(self, offset: Site) -> "PauliConfig":
-        out = PauliConfig(self.p, self.dims)
-        for (x, y, z), pair in self.support.items():
-            out.add((x + offset[0], y + offset[1], z + offset[2]), pair)
-        return out
-
-    def _check_compatible(self, other: "PauliConfig") -> None:
-        if self.p != other.p:
-            raise ValueError(f"modulus mismatch: {self.p} vs {other.p}")
-        if self.dims != other.dims:
-            raise ValueError(f"torus mismatch: {self.dims} vs {other.dims}")
-
     def is_identity(self) -> bool:
         return not self.support
 

@@ -182,33 +182,3 @@ def nullspace(M, p: int) -> np.ndarray:
         basis[range(len(free)), free] = 1
         basis[:, pivot_cols] = (-R[:len(pivot_cols), free]).T % p
     return basis
-
-
-def transfer(M, n: int, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Eliminate a two-block system ``M [x; y] = 0`` against its first
-    ``n`` columns.
-
-    Returns ``(A, F, v)`` with the solutions exactly ``x = A y + F z`` and
-    ``v y = 0`` for free ``z``, which holds one entry per non-pivot column
-    of the first block and equals ``x`` there.  ``F`` has no columns when
-    that block has full column rank.  The rows of ``v`` need not be
-    independent.
-    """
-    R, pivots = mat_rref(M, p, n_pivot_cols=n)
-    return tuple(blocks[0] for blocks in transfer_blocks(R[None], pivots, n, p))
-
-
-def transfer_blocks(R: np.ndarray, pivots: list[int], n: int,
-                    p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``transfer``'s ``(A, F, v)`` of each member of a stack ``R`` (B, m, c)
-    of block eliminations (``mat_rref`` against the first ``n`` columns,
-    or ``mat_rref_stack``) that all have the pivot columns ``pivots``, as
-    (B, n, c - n), (B, n, f) and (B, m - r, c - n) stacks."""
-    r = len(pivots)
-    free = _non_pivots(n, pivots)
-    # x in terms of every column: the pivot rows solved for their pivots,
-    # and z = x at the free columns
-    E = np.zeros((R.shape[0], n, R.shape[2]), dtype=np.int64)
-    E[:, pivots] = -R[:, :r] % p
-    E[:, free, free] = 1
-    return E[:, :, n:], E[:, :, free], R[:, r:, n:]

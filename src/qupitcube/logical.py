@@ -6,8 +6,8 @@ independent generators acting on n qupits; the encoded qudit count is
 k = n - rank of the generator family over F_p.  That k is the dimension
 of the relations among the generators.  A relation is a sequence of
 layer coefficients whose consecutive pairs lie in one layer relation W;
-W comes from a cyclic transfer along a cross-section row, and the count
-from a second cyclic transfer along the sweep axis, so nothing larger
+W comes from a cyclic ``transfer`` along a cross-section row, and the
+count from a second one along the sweep axis, so nothing larger
 than one cross-section is eliminated and no n x 2n matrix is built.
 Both transfers depend on the cross-section only, so a table of k over
 many tori builds them once per cross-section and closes them once per
@@ -39,7 +39,7 @@ from itertools import product
 
 import numpy as np
 
-from . import fp
+from . import transfer
 from .codes import (
     NEIGHBOR_OFFSETS,
     CodeParams,
@@ -114,80 +114,6 @@ def _sweep_axes(dims: Site) -> tuple[int, int, int]:
     return a, u, v
 
 
-def _periodic_part(A: np.ndarray, F: np.ndarray, v: np.ndarray,
-                   p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A transfer restricted to the states its periodic solutions visit.
-
-    ``fp.transfer`` gives x_{j+1} = A x_j + F z_j with v x_j = 0.  Every
-    state of a periodic solution lies in V*, the largest subspace of
-    ker v that A maps into V* + im F; V_{i+1} = ker v & A^-1(V_i + im F)
-    shrinks from V_0 = ker v to V* within dim x steps.  On the basis rows
-    ``V`` of V*, a state is x = c V, and the solutions that stay in V* are
-    c_{j+1} = c_j Ab + w_j Bb, with w_j free and the rows of Bb the
-    coordinates of a basis of V* & im F.  F is injective, so z_j is fixed
-    by (c_j, w_j) and back: periodic solutions of the two recursions
-    correspond one to one.  Returns ``(Ab, Bb, V)``.
-    """
-    if not v.any():  # V* is everything: d3 and d5 at both levels on every torus tried
-        return A.T, F.T, np.eye(len(A), dtype=np.int64)
-    f = F.shape[1]
-    V = fp.nullspace(v, p)
-    while True:
-        beyond = fp.nullspace(np.vstack([V, F.T]), p)  # annihilates V + im F
-        shrunk = fp.nullspace(np.vstack([v, beyond @ A % p]), p)
-        if len(shrunk) == len(V):
-            break
-        V = shrunk
-    s = len(V)
-    G = np.vstack([V, F.T])
-    # A V^T = V^T Ab^T + F K^T: coordinates of each image on the rows of G
-    Ab = fp.transfer(np.hstack([G.T, (-A @ V.T) % p]), s + f, p)[0][:s].T
-    pairs = fp.nullspace(G.T, p)  # alpha V + beta F^T = 0, so alpha V is in im F^T
-    return Ab, pairs[:, :s], V
-
-
-def _krylov(Ab: np.ndarray, Bb: np.ndarray, blocks: int, p: int) -> list[np.ndarray]:
-    """The blocks [Bb, Bb Ab, ..., Bb Ab^(blocks-1)]."""
-    krylov = [Bb]
-    for _ in range(blocks - 1):
-        krylov.append(krylov[-1] @ Ab % p)
-    return krylov[:blocks]
-
-
-def _closure(power: np.ndarray, krylov: list[np.ndarray], p: int) -> np.ndarray:
-    """Rows [Ab^L - I; Bb Ab^(b-1); ...; Bb Ab; Bb] from ``power`` = Ab^L
-    and the first b blocks of ``_krylov``.
-
-    With b = L, (c_0, w_0, ..., w_{L-1}) is a period-L solution of
-    ``_periodic_part``'s recursion iff it lies in the left kernel, since
-    c_L = c_0 Ab^L + sum_i w_i Bb Ab^(L-1-i).  The rows Bb Ab^k span their
-    final space once k reaches dim c, so b = min(L, dim c) gives the same
-    rank.
-    """
-    eye = np.eye(len(power), dtype=np.int64)
-    return np.vstack([(power - eye) % p, *krylov[::-1]])
-
-
-def _periodic_dims(A: np.ndarray, F: np.ndarray, v: np.ndarray, lengths,
-                   p: int) -> list[int]:
-    """Dimension of the period-L solutions of ``fp.transfer``'s recursion,
-    one per L in ``lengths``, from one periodic part.
-
-    The Krylov blocks are formed once, and the lengths are closed in
-    increasing order, so each Ab^L is the previous power times Ab to the
-    gap.
-    """
-    Ab, Bb, _ = _periodic_part(A, F, v, p)
-    s = len(Ab)
-    krylov = _krylov(Ab, Bb, min(max(lengths), s), p)
-    dims, power, done = {}, None, 0
-    for L in sorted(set(lengths)):
-        step = fp.mat_power(Ab, L - done, p)
-        power, done = (step if power is None else power @ step % p), L
-        dims[L] = s + L * len(Bb) - fp.mat_rank(_closure(power, krylov[:min(L, s)], p), p)
-    return [dims[L] for L in lengths]
-
-
 def _layer_relation(params: CodeParams, axes: Site, du: int, dv: int) -> np.ndarray:
     """Basis (a | b) of W = {(a, b) : a B1 + b B0 = 0}, one row each.
 
@@ -199,9 +125,10 @@ def _layer_relation(params: CodeParams, axes: Site, du: int, dv: int) -> np.ndar
     transfer along u: block y_j holds the a and then the b entries of
     cube row j.  The four cube rows of two layers and two rows meet site
     row 1 of site layer 1 in one length-2 system, with v wrapped mod dv
-    and u and the layers left open; eliminating it against the new row
-    gives y_{j+1} = A y_j + F z_j, and the period-du closure wraps u,
-    sides 1 and 2 included.  W depends on the cross-section only.
+    and u and the layers left open.  ``transfer.transfer`` eliminates it
+    against the new row, and the period-du states of
+    ``transfer.periodic_states`` wrap u, sides 1 and 2 included.  W
+    depends on the cross-section only.
     """
     p = params.p
     a, u, v = axes
@@ -215,16 +142,8 @@ def _layer_relation(params: CodeParams, axes: Site, du: int, dv: int) -> np.ndar
         return site[v] % dv if site[a] == 1 and site[u] == 1 else None
 
     cubes = [cube(layer, row, cv) for row in (1, 0) for layer in (0, 1) for cv in range(dv)]
-    A, F, w = fp.transfer(generator_rows(params, cubes, index, dv).T, 2 * dv, p)
-    Ab, Bb, V = _periodic_part(A, F, w, p)
-    s, dw = Bb.shape[1], len(Bb)
-    closure = _closure(fp.mat_power(Ab, du, p), _krylov(Ab, Bb, du, p), p)
-    kernel = fp.nullspace(closure.T, p)  # rows (c_0, w_0, ...)
-    c, rows = kernel[:, :s], []
-    for j in range(du):
-        rows.append(c @ V % p)
-        c = (c @ Ab + kernel[:, s + dw * j:s + dw * (j + 1)] @ Bb) % p
-    y = np.stack(rows, axis=1)  # (dim W, cube row j, 2 dv)
+    A, F, w = transfer.transfer(generator_rows(params, cubes, index, dv).T, 2 * dv, p)
+    y = transfer.periodic_states(A, F, w, du, p)  # (dim W, cube row j, 2 dv)
     return np.hstack([y[..., :dv].reshape(len(y), du * dv),
                       y[..., dv:].reshape(len(y), du * dv)])
 
@@ -242,16 +161,16 @@ def _left_kernel_dims(params: CodeParams, axes: Site, du: int, dv: int,
     sequence is (theta_g W_a) for exactly one cyclic theta-sequence with
     theta_{g+1} W_a = theta_g W_b: a second transfer, with dim W entries
     per layer, closed with period L.  Neither W nor that transfer depends
-    on L, so only the closure runs once per length.  Both transfers come
-    from ``fp.transfer`` and eliminate nothing larger than one
-    cross-section.  ``reference.left_kernel_dim_by_composition`` is the
+    on L, so only the closure runs once per length.  Neither transfer
+    eliminates anything larger than one cross-section.
+    ``reference.left_kernel_dim_by_composition`` is the
     relation-composition sweep this replaced.
     """
     p = params.p
     W = _layer_relation(params, axes, du, dv)
     m = W.shape[1] // 2
-    A, F, v = fp.transfer(np.hstack([W[:, :m].T, (-W[:, m:].T) % p]), len(W), p)
-    return _periodic_dims(A, F, v, lengths, p)
+    A, F, v = transfer.transfer(np.hstack([W[:, :m].T, (-W[:, m:].T) % p]), len(W), p)
+    return transfer.periodic_dims(A, F, v, lengths, p)
 
 
 def _left_kernel_dim(params: CodeParams, dims: Site) -> int:

@@ -20,14 +20,13 @@ which is the operational stand-in for "every equivalent segment stays
 connected between the anchors".
 
 Length scans do not solve one system per length: the strip system is
-translation invariant, so the block elimination of a family's length-2
-system (``strip_transfer``) decides every length, whether or not the
-code is deformable.  One stack (``_scan_stack``) does this for every
-family of a width and for many codes at once: one gather of the codes'
-labels into a stack of length-2 systems and one stacked elimination
-(``fp.mat_rref_stack``).  One length loop (``_scan_transfers``) then
-keeps each member's reduced constraint space, on the members without
-free columns together and on each member with free columns alone.
+translation invariant, so the elimination of a family's length-2 system
+decides every length through ``transfer``, whether or not the code is
+deformable.  One stack (``_scan_stack``) does this for every family of a
+width and for many codes at once: one gather of the codes' labels into a
+stack of length-2 systems, one stacked elimination
+(``fp.mat_rref_stack``) and one ``transfer.scan`` on the members without
+free columns, and one ``transfer.scan`` on each member with them.
 ``scan_width`` stacks one code's families and adds a witness;
 ``scan_codes`` stacks every code of a list, a chunk of them at a time
 within ``MAX_STACK_BYTES``, and reports only the maximal lengths.  The
@@ -51,7 +50,7 @@ from itertools import permutations
 
 import numpy as np
 
-from . import fp
+from . import fp, transfer
 from .codes import (
     VERTICES,
     CodeParams,
@@ -124,10 +123,6 @@ class SegmentGeometry:
     def support(self) -> list[Site]:
         """All strip sites, length-major then cross-section order."""
         return [q for j in range(self.length) for q in self.column_sites(j)]
-
-    def anchors(self) -> tuple[set[Site], set[Site]]:
-        """The two anchor cross-sections, one step beyond each strip end."""
-        return set(self.column_sites(-1)), set(self.column_sites(self.length))
 
 
 def _shift(q: Site, axis: int, j: int) -> Site:
@@ -254,150 +249,23 @@ def _labels(codes: list[CodeParams]) -> np.ndarray:
     return out % codes[0].p
 
 
-def _pair_system(params: CodeParams, axis: int, section: Section) -> np.ndarray:
-    """The length-2 system of a strip family, gathered from its
-    ``_template``.  ``reference.build_segment_constraints`` is the oracle.
-    """
-    T = _template(axis, section)
-    return _labels([params])[0, T].reshape(len(T), -1)
-
-
-def strip_transfer(params: CodeParams, axis: int,
-                   section: Section) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Transfer blocks ``A``, ``F`` and leftover rows ``v`` of the strip
-    family of ``section`` along ``axis``.
-
-    The strip system is translation invariant along the length axis: the
-    generators whose cubes start at length position g act on column
-    blocks g and g+1 through the same two blocks for every g.  Eliminating
-    the length-2 system (``_pair_system``) against its first column block
-    therefore gives (``fp.transfer``), at every length,
-    ``x_g = A x_{g+1} + F z_g`` and ``v x_{g+1} = 0``, where ``z_g`` is
-    free and holds one entry per non-pivot column of that block.  ``F``
-    has no columns when the block has full rank, as it always does for
-    deformable codes.  ``scan_width`` gets the same blocks for a whole
-    stack of families from one ``fp.mat_rref_stack``.
-    """
-    M = _pair_system(params, axis, section)
-    return fp.transfer(M, M.shape[1] // 2, params.p)
-
-
 def _transfer_witness(params: CodeParams, geom: SegmentGeometry, A: np.ndarray,
                       F: np.ndarray, kernel: np.ndarray) -> PauliConfig:
     """The witness ``reference.solve_segment`` reports, from a kernel basis
-    at ``geom.length`` in the parameter coordinates of ``_scan_transfers``.
+    at ``geom.length`` in the parameter coordinates of ``transfer.scan``.
 
-    Each basis row (x_{l-1}, z_{l-2}, ..., z_0) expands to the strip
-    solution (x_0, ..., x_{l-1}) by ``x_g = A x_{g+1} + F z_g``.  The
-    expanded basis is then put in the form ``fp.nullspace`` returns, which
-    is unique for the space: each vector is 1 at its own last nonzero
-    column and 0 there in the others.  That is the reduced echelon form of
-    the column-reversed basis, with rows and columns reversed back.
+    Each basis row (x_{l-1}, z_{l-2}, ..., z_0) unrolls to the strip
+    solution's columns x_{l-1}, ..., x_0.  The solutions are then put in
+    the form ``fp.nullspace`` returns, which is unique for the space: each
+    vector is 1 at its own last nonzero column and 0 there in the others.
+    That is the reduced echelon form of the column-reversed basis, with
+    rows and columns reversed back.
     """
     p = params.p
-    n, f = F.shape
-    blocks = [kernel[:, :n]]
-    for g in range(geom.length - 1):
-        z = kernel[:, n + f * g:n + f * (g + 1)]
-        blocks.append((blocks[-1] @ A.T + z @ F.T) % p)
-    R, _ = fp.mat_rref(np.concatenate(blocks[::-1], axis=1)[:, ::-1], p)
+    columns = transfer.unroll(kernel, A.T, F.T, geom.length - 1, p)
+    R, _ = fp.mat_rref(columns[:, ::-1].reshape(len(kernel), -1)[:, ::-1], p)
     basis = R[:kernel.shape[0], ::-1][::-1]
-    return _vector_to_config(params, geom.support(), _ends_witness(basis, n, p))
-
-
-def _add_row(X: np.ndarray, j: int, p: int) -> np.ndarray:
-    """Add row j of each member's ``X`` (B, rows, t), on t parameters, to
-    its reduced constraint space, in place, and return which members
-    gained a pivot.
-
-    Row j must already be reduced, zero at every pivot column.  A nonzero
-    row is scaled to u, 1 at its first nonzero column c, and X is
-    multiplied on the right by I - e_c u.  That is what storing u as the
-    row at pivot c, and clearing column c from the other rows, does to
-    Q = I - P, where P holds each reduced constraint row at its pivot
-    column; so it also keeps N = M Q for the map M from the parameters to
-    the first column, and it reduces the rows still to be added against u.
-    """
-    w = X[:, j]
-    nonzero = w != 0
-    has = nonzero.any(axis=1)
-    b = np.flatnonzero(has)
-    if b.size:
-        c = nonzero[b].argmax(axis=1)
-        u = np.zeros_like(w)
-        u[b] = w[b] * fp.inverse(w[b, c], p)[:, None] % p
-        col = np.zeros(X.shape[:2], dtype=np.int64)
-        col[b] = X[b, :, c]
-        X -= col[:, :, None] * u[:, None, :]
-        X %= p
-    return has
-
-
-def _scan_transfers(A: np.ndarray, F: np.ndarray, v: np.ndarray, p: int, l_max: int):
-    """The nullspace dimension and nontriviality at lengths 2..l_max of a
-    stack of strip families from their ``strip_transfer`` blocks, A (B, n,
-    n), F (B, n, f) and v (B, k, n), as (B, l_max - 1) arrays, and each
-    member's Q: without free columns at its last nontrivial length (zero
-    if it has none), with them at l_max.
-
-    A length-l solution of ``x_g = A x_{g+1} + F z_g`` is fixed by its
-    parameters (x_{l-1}, z_{l-2}, ..., z_0), and distinct parameters give
-    distinct solutions, since z_g is part of x_g.  Let P hold the reduced
-    row space of the constraints on the parameters, each row at its pivot
-    column, and Q = I - P.  Then the nullspace dimension is the parameter
-    count minus the rank, the columns of Q span the kernel, and N = M Q,
-    for the map M from the parameters to x_0, gives the first column on
-    the kernel.  The length is nontrivial when both end columns can be
-    nonzero there: N is not zero, and neither are the first n rows of Q,
-    which give x_{l-1}.  One length more puts the constraint ``v x_0 = 0``
-    on the old first column, so it adds the rows v N, reduced
-    (``_add_row``), and then prepends the first column ``A x_0 + F z``
-    with the f entries of z as new parameters: Q <- blockdiag(Q, I_f) and
-    N <- [A N | F].  Without free columns, once N is zero no longer strip
-    adds a constraint or has a nonzero first column, so the member leaves
-    the stack with its nullspace dimension fixed; that includes every
-    member whose kernel is empty.  With free columns N is never zero, and
-    the nontrivial lengths stop once the first n rows of Q vanish.  Either
-    way the nontrivial lengths run from 2 up, so a member with free
-    columns run to its last nontrivial length ends with its Q there.
-    """
-    B, k, n = v.shape
-    f = F.shape[2]
-    size = n + f * (l_max - 1)  # parameters at length l_max
-    dims = np.zeros((B, l_max - 1), dtype=np.int64)
-    nontrivial = np.zeros((B, l_max - 1), dtype=bool)
-    # per member: the next constraint rows, N and Q, on the parameters so
-    # far, the first t columns and k + n + t rows
-    X = np.zeros((B, k + n + size, size), dtype=np.int64)
-    X[:, k:k + n, :n] = X[:, k + n:k + 2 * n, :n] = np.eye(n, dtype=np.int64)
-    last_Q = np.zeros((B, n, n), dtype=np.int64)
-    live, rank = np.arange(B), np.zeros(B, dtype=np.int64)
-    for i in range(l_max - 1):  # length i + 2
-        if not live.size:
-            break
-        t = n + f * i
-        W = X[:, :k + n + t, :t]
-        W[:, :k] = v @ W[:, k:k + n] % p  # the constraints v N, reduced
-        for j in range(k):
-            rank += _add_row(W, j, p)
-        N = X[:, k:k + n]
-        N[:, :, :t] = A @ N[:, :, :t] % p
-        if f:
-            N[:, :, t:t + f] = F
-            X[:, k + n + t:k + n + t + f, t:t + f] = np.eye(f, dtype=np.int64)
-            t += f
-        hit = N.any(axis=(1, 2))
-        # without free columns Q is nonzero when N = M Q is; with them N never
-        # vanishes, but x_{l-1} (Q's first n rows) may
-        ends = hit & X[:, k + n:k + 2 * n].any(axis=(1, 2)) if f else hit
-        dims[live, i] = t - rank
-        dims[live[~hit], i + 1:] = (t - rank[~hit])[:, None]
-        nontrivial[live, i] = ends
-        if not f:  # copying the growing Q at each length is a third of a scan
-            last_Q[live[ends]] = X[ends, k + n:]
-        if not hit.all():
-            live, A, F, v, X, rank = live[hit], A[hit], F[hit], v[hit], X[hit], rank[hit]
-    return dims, nontrivial, X[:, k + n:] if f else last_Q
+    return _vector_to_config(params, geom.support(), _ends_witness(basis, len(A), p))
 
 
 def _scan_stack(codes: list[CodeParams], template: np.ndarray, l_max: int):
@@ -410,9 +278,9 @@ def _scan_stack(codes: list[CodeParams], template: np.ndarray, l_max: int):
 
     One gather of the codes' labels assembles every member's length-2
     system and one ``fp.mat_rref_stack`` eliminates them all.  The members
-    whose first block has full rank share one ``_scan_transfers``, and
+    whose first block has full rank share one ``transfer.scan``, and
     their Q are kept.  A member whose ``F`` has columns has a kernel that
-    grows with the length, so it runs ``_scan_transfers`` alone, and only
+    grows with the length, so it runs ``transfer.scan`` alone, and only
     the witness's member runs again, to its last nontrivial length, for
     its Q.
     """
@@ -421,16 +289,16 @@ def _scan_stack(codes: list[CodeParams], template: np.ndarray, l_max: int):
     systems = _labels(codes)[:, template].reshape(-1, m, 2 * n)
     R, pivoted = fp.mat_rref_stack(systems, p, n)
     full = pivoted.all(axis=1)
-    stacked = fp.transfer_blocks(R[full], list(range(n)), n, p)
+    stacked = transfer.transfer_blocks(R[full], list(range(n)), n, p)
     dims = np.zeros((len(R), l_max - 1), dtype=np.int64)
     nontrivial = np.zeros((len(R), l_max - 1), dtype=bool)
-    dims[full], nontrivial[full], last_Q = _scan_transfers(*stacked, p, l_max)
+    dims[full], nontrivial[full], last_Q = transfer.scan(*stacked, p, l_max)
 
     def alone(b: int):
-        return fp.transfer_blocks(R[b:b + 1], np.flatnonzero(pivoted[b]).tolist(), n, p)
+        return transfer.transfer_blocks(R[b:b + 1], np.flatnonzero(pivoted[b]).tolist(), n, p)
 
     for b in np.flatnonzero(~full):
-        dims[b], nontrivial[b], _ = _scan_transfers(*alone(b), p, l_max)
+        dims[b], nontrivial[b], _ = transfer.scan(*alone(b), p, l_max)
 
     def last(c: int, h: int):
         b = c * H + h
@@ -441,7 +309,7 @@ def _scan_stack(codes: list[CodeParams], template: np.ndarray, l_max: int):
             blocks = alone(b)
             length = int(np.flatnonzero(nontrivial[b])[-1]) + 2
             (A,), (F,), _ = blocks
-            Q = _scan_transfers(*blocks, p, length)[2][0]
+            Q = transfer.scan(*blocks, p, length)[2][0]
         return A, F, Q[:, np.diagonal(Q) == 1].T
 
     shape = (len(codes), H, l_max - 1)

@@ -7,8 +7,8 @@ production code it checks, and the tests that compare them:
 
 - ``build_segment_constraints`` assembles a strip's whole constraint
   matrix, one row per cube generator that meets the strip and neither
-  anchor.  At length 2 it checks the row space of ``oracle._pair_system``,
-  which reads the same rows off the cross-section alone
+  anchor (``anchors``).  At length 2 it checks the row space of
+  ``pair_system``, the rows ``oracle._scan_stack`` gathers per family
   (``test_oracle.test_pair_system_matches_whole_strip_assembly``,
   ``test_oracle.test_constraint_matrix_shapes``,
   ``test_oracle.test_width1_system_matches_block_form``).
@@ -25,20 +25,20 @@ production code it checks, and the tests that compare them:
   ``test_acceptance.test_criterion_12c_witness_reverification_1000``).
 - ``canonical_reduction`` rebuilds the rank of a strip system from its
   transfer blocks and compares it with a direct elimination and with the
-  Krylov bound.  It checks ``oracle.strip_transfer``
+  Krylov bound.  It checks ``strip_transfer``
   (``test_oracle.test_canonical_reduction_*``,
-  ``test_acceptance.test_criterion_08_*``), the per-family elimination
-  whose blocks ``scan_family`` scans.  It raises ``PivotError`` when the
-  first column block is rank deficient (``F`` has columns), where its
-  rank formula does not hold.
+  ``test_acceptance.test_criterion_08_*``), the per-family
+  ``transfer.transfer`` whose blocks ``scan_family`` scans.  It raises
+  ``PivotError`` when the first column block is rank deficient (``F`` has
+  columns), where its rank formula does not hold.
 - ``scan_family`` scans one family's lengths by the kernel recursion:
   the kernel basis in the transfer parameters, cut by a nullspace and
   grown by the free columns at each length.  It checks the length loop
-  ``oracle._scan_transfers`` on arbitrary blocks, with free columns and
-  without (``test_oracle.test_transfer_loop_matches_family_scan_*``,
-  ``test_oracle.test_scan_needs_both_end_columns``), and each member of
-  (code, family) member of ``oracle._scan_stack`` with the kernel it
-  hands on to the witness
+  ``transfer.scan`` on arbitrary blocks, with free columns and without
+  (``test_oracle.test_transfer_loop_matches_family_scan_*``,
+  ``test_oracle.test_scan_needs_both_end_columns``), and each (code,
+  family) member of ``oracle._scan_stack`` with the kernel it hands on
+  to the witness
   (``test_oracle.test_stacked_scan_matches_each_family_scan``).
   It also shows that point inversion keeps a family's scan
   (``test_oracle.test_cornered_families_scan_like_their_inversion_partners``).
@@ -84,8 +84,10 @@ production code it checks, and the tests that compare them:
   ``test_acceptance.test_criterion_12b_*``, ``test_fp``).
 - ``commutation_exponent`` sums the symplectic form over the shared
   sites of two configurations; ``verify_witness`` uses it.
-  ``translation_exponents_by_shift`` applies it to shifted copies of a
-  generator.  Together they check ``codes.translation_exponents``,
+  ``translation_exponents_by_shift`` applies it to copies of a generator
+  shifted by ``config_shift``; ``config_mul`` and ``config_scale``
+  multiply and scale configurations for the tests and demo 02.  Together
+  they check ``codes.translation_exponents``,
   ``codes.verify_translation_commutation``,
   ``logical.TorusCode.check_abelian`` and ``logical.commutation_table``
   (``test_codes.test_translation_exponents_match_shifted_copies``,
@@ -113,8 +115,8 @@ production code it checks, and the tests that compare them:
   (``test_logical.test_census_tables_from_plane_arrays_match_configurations``).
 - ``layer_relation_by_nullspace`` is the layer relation W as the dense
   nullspace of [B1; B0]^T, 2m x 2m for m cubes per layer.  It checks
-  the row space of ``logical._layer_relation``, which a cyclic transfer
-  along one cube row gives
+  the row space of ``logical._layer_relation``, which
+  ``transfer.periodic_states`` gives along one cube row
   (``test_logical.test_layer_relation_matches_dense_nullspace``).
   ``left_kernel_dim_by_composition`` composes W layer by layer around
   the torus.  It checks ``logical._left_kernel_dim`` on tori too large
@@ -136,9 +138,11 @@ production code it checks, and the tests that compare them:
   ``algebra.verify_projector_identities`` reads off one integer count
   array, under the real product rule and broken ones
   (``test_algebra.test_batched_projector_checks_match_operator_sums``).
-- ``pauli_inverse`` is the (p - 1)-th power, ``commutator_exponent`` the
-  summed symplectic form of two monomials, and ``pauli_from_config``
-  lifts a configuration to a phase-0 monomial.  The tests and demo 05
+- ``pauli_mul`` applies the product rule to two monomials, ``pauli_power``
+  and ``pauli_inverse`` (the (p - 1)-th power) repeat it,
+  ``commutator_exponent`` is the summed symplectic form of two monomials,
+  ``pauli_from_config`` lifts a configuration to a phase-0 monomial, and
+  ``add_monomial`` adds one to an ``algebra.OperatorSum``.  The tests and demo 05
   use them to state the algebra's identities one operator at a time
   (``test_algebra``).
 """
@@ -157,12 +161,12 @@ from .algebra import (
     OperatorSum,
     PhasedPauli,
     _check_odd_prime,
+    _key_mul,
     _Products,
     _projector,
     _symplectic,
     generator_pauli,
     identity_pauli,
-    pauli_power,
 )
 from .codes import (
     CodeParams,
@@ -176,6 +180,7 @@ from .codes import (
     doubled_center,
     generator_config,
     generator_rows,
+    scale_pair,
     symplectic_product,
 )
 from .conditions import (
@@ -186,10 +191,13 @@ from .conditions import (
 from .logical import TorusCode, _census_tier, _sweep_axes, face_tile, plane_census
 from .oracle import (
     SegmentGeometry,
+    Section,
     _ends_witness,
+    _labels,
+    _template,
     _vector_to_config,
-    strip_transfer,
 )
+from .transfer import transfer
 
 
 def verify_witness(params: CodeParams, geom: SegmentGeometry, witness: PauliConfig) -> bool:
@@ -198,11 +206,16 @@ def verify_witness(params: CodeParams, geom: SegmentGeometry, witness: PauliConf
     Independent of the constraint matrix: generators are rebuilt as
     configurations and tested through the commutation exponent.
     """
-    anchor1, anchor2 = geom.anchors()
+    anchor1, anchor2 = anchors(geom)
     for c in cubes_touching(witness.support, avoid=anchor1 | anchor2):
         if commutation_exponent(generator_config(params, c), witness) != 0:
             return False
     return True
+
+
+def anchors(geom: SegmentGeometry) -> tuple[set[Site], set[Site]]:
+    """The two anchor cross-sections, one step beyond each strip end."""
+    return set(geom.column_sites(-1)), set(geom.column_sites(geom.length))
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +230,7 @@ def build_segment_constraints(params: CodeParams, geom: SegmentGeometry) -> np.n
     """
     support = geom.support()
     index = {q: t for t, q in enumerate(support)}
-    anchor1, anchor2 = geom.anchors()
+    anchor1, anchor2 = anchors(geom)
     cubes = cubes_touching(support, avoid=anchor1 | anchor2)
     rows = generator_rows(params, cubes, index.get, len(support))
     rows[:, 1::2] = (-rows[:, 1::2]) % params.p
@@ -244,6 +257,23 @@ def solve_segment(params: CodeParams, geom: SegmentGeometry) -> SegmentSolution:
 
 # ---------------------------------------------------------------------------
 # Canonical block reduction
+
+
+def pair_system(params: CodeParams, axis: int, section: Section) -> np.ndarray:
+    """The length-2 system of a strip family, gathered from its
+    ``oracle._template`` as ``oracle._scan_stack`` gathers a whole stack.
+    ``build_segment_constraints`` is the oracle."""
+    T = _template(axis, section)
+    return _labels([params])[0, T].reshape(len(T), -1)
+
+
+def strip_transfer(params: CodeParams, axis: int,
+                   section: Section) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ``transfer`` blocks ``(A, F, v)`` of a strip family's
+    ``pair_system``.  The cubes at each length position act on the two
+    column blocks they meet alike, so the blocks hold at every length."""
+    M = pair_system(params, axis, section)
+    return transfer(M, M.shape[1] // 2, params.p)
 
 
 class PivotError(ValueError):
@@ -326,8 +356,7 @@ def scan_family(p: int, A: np.ndarray, F: np.ndarray, v: np.ndarray, l_max: int)
     is nontrivial when the kernel's first and last columns are both nonzero.
     Only the kernel of the last nontrivial length is kept.  The kernel
     recursion multiplies the whole kernel, about f l x f l, at every
-    length; ``oracle._scan_transfers`` keeps the reduced constraint space
-    instead.
+    length; ``transfer.scan`` keeps the reduced constraint space instead.
     """
     n, f = F.shape
     kernel = np.eye(n, dtype=np.int64)  # length 1: the parameters are x_0
@@ -493,7 +522,7 @@ def flatten_segment(params: CodeParams, config: PauliConfig,
     for j, c in enumerate(cubes):
         x = int(coeffs[j])
         if x:
-            out = out.mul(generator_config(params, c).scale(x))
+            out = config_mul(out, config_scale(generator_config(params, c), x))
     leftover = [q for q in out.support if q not in profile]
     if leftover:
         raise FlattenError(sorted(leftover)[0], "elimination left off-profile support")
@@ -879,9 +908,39 @@ def matrix_min_poly(T, p: int) -> list[int]:
 # Pauli configurations: commutation, translates, inversion
 
 
+def check_compatible(a: PauliConfig, b: PauliConfig) -> None:
+    if a.p != b.p:
+        raise ValueError(f"modulus mismatch: {a.p} vs {b.p}")
+    if a.dims != b.dims:
+        raise ValueError(f"torus mismatch: {a.dims} vs {b.dims}")
+
+
+def config_mul(a: PauliConfig, b: PauliConfig) -> PauliConfig:
+    """Phase-free product: sitewise sum of exponent pairs."""
+    check_compatible(a, b)
+    out = a.copy()
+    for site, pair in b.support.items():
+        out.add(site, pair)
+    return out
+
+
+def config_scale(a: PauliConfig, c: int) -> PauliConfig:
+    out = PauliConfig(a.p, a.dims)
+    for site, pair in a.support.items():
+        out.add(site, scale_pair(pair, c, a.p))
+    return out
+
+
+def config_shift(a: PauliConfig, offset: Site) -> PauliConfig:
+    out = PauliConfig(a.p, a.dims)
+    for (x, y, z), pair in a.support.items():
+        out.add((x + offset[0], y + offset[1], z + offset[2]), pair)
+    return out
+
+
 def commutation_exponent(a: PauliConfig, b: PauliConfig) -> int:
     """Exponent e with A B = B A omega^e, summed over shared sites."""
-    a._check_compatible(b)
+    check_compatible(a, b)
     small, big = (a, b) if len(a.support) <= len(b.support) else (b, a)
     e = 0
     for site, pair in small.support.items():
@@ -896,7 +955,7 @@ def commutation_exponent(a: PauliConfig, b: PauliConfig) -> int:
 
 def translation_exponents_by_shift(g: PauliConfig, offsets) -> list[int]:
     """``codes.translation_exponents`` from shifted copies of ``g``."""
-    return [commutation_exponent(g, g.shift(o)) for o in offsets]
+    return [commutation_exponent(g, config_shift(g, o)) for o in offsets]
 
 
 def inversion_image(config: PauliConfig, center) -> PauliConfig:
@@ -1082,6 +1141,22 @@ def pauli_from_config(config: PauliConfig, sites) -> PhasedPauli:
     return PhasedPauli(config.p, sites, tuple(x), tuple(z))
 
 
+def pauli_mul(u: PhasedPauli, v: PhasedPauli) -> PhasedPauli:
+    """Normal-ordered product u v."""
+    if u.p != v.p or u.sites != v.sites:
+        raise ValueError("operands must share modulus and site set")
+    return PhasedPauli(u.p, u.sites, *_key_mul(u.key(), v.key(), _Products(u.p)))
+
+
+def pauli_power(u: PhasedPauli, m: int) -> PhasedPauli:
+    if m < 0:
+        raise ValueError("power must be nonnegative")
+    out = identity_pauli(u.p, u.sites)
+    for _ in range(m):
+        out = pauli_mul(out, u)
+    return out
+
+
 def pauli_inverse(u: PhasedPauli) -> PhasedPauli:
     return pauli_power(u, u.p - 1) if not u.is_identity() else u
 
@@ -1091,9 +1166,20 @@ def build_projector(s: PhasedPauli, r: int) -> OperatorSum:
     return _projector(s, r, _Products(s.p))
 
 
+def add_monomial(op: OperatorSum, mono: PhasedPauli, coeff=1) -> None:
+    """Add coeff * mono to ``op`` in place, for an integer or rational coeff."""
+    if mono.p != op.p or mono.sites != op.sites:
+        raise ValueError("monomial does not match this operator sum")
+    den = lcm(op.den, coeff.denominator)
+    if den != op.den:
+        k = den // op.den
+        op.terms, op.den = {key: n * k for key, n in op.terms.items()}, den
+    op._accumulate(mono.key(), coeff.numerator * (den // coeff.denominator))
+
+
 def operator_identity(p: int, sites) -> OperatorSum:
     out = OperatorSum(p, sites)
-    out.add_monomial(identity_pauli(p, sites))
+    add_monomial(out, identity_pauli(p, sites))
     return out
 
 

@@ -170,12 +170,15 @@ def test_scan_theorem1_matches_one_scan_per_representative():
                     (p, parity, wmax)
 
 
-def test_symmetric_literal_passers_have_no_long_segments():
+@pytest.mark.parametrize("parity", ["S", pytest.param("A", marks=pytest.mark.xfail(
+    strict=True, reason="ROADMAP item 1: theorem1_report ignores parity, and 8 of 24 "
+    "(p = 7) and 96 of 256 (p = 11) A literal passers have a segment longer than 2w"))])
+def test_symmetric_literal_passers_have_no_long_segments(parity):
     # every S representative passing the three literal conditions passes the
     # solver's 2w bound to width 2 (also all 608 at p = 13); for A codes
     # 8 of 24 and 96 of 256 do not, the parity defect of theorem1_report
     for p, count in ((7, 24), (11, 256)):
-        out = scan_theorem1(classify_orbits(p, "S"), oracle_wmax=2)
+        out = scan_theorem1(classify_orbits(p, parity), oracle_wmax=2)
         confirmed = [entry["representative"] for entry in out["cond12_oracle_pass"]]
         assert len(out["literal_pass"]) == count
         assert all(rep in confirmed for rep in out["literal_pass"]), p

@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from qupitcube import fp, reference
+from qupitcube import fp, reference, transfer
 from qupitcube.codes import CodeParams
 from qupitcube.conditions import theorem1_report
 
@@ -182,7 +182,7 @@ def test_transfer_parametrises_the_two_block_solutions():
             n, m = rng.randrange(0, 4), rng.randrange(0, 4)
             rows = rng.randrange(0, 6)
             M = _random_matrix(rng, p, rows, n + m).reshape(rows, n + m)
-            A, F, v = fp.transfer(M, n, p)
+            A, F, v = transfer.transfer(M, n, p)
             assert A.shape == (n, m) and F.shape[0] == n and v.shape[1] == m
             kernel = fp.nullspace(M, p)
             # every (F z + A y, y) with v y = 0 solves M, and they fill the kernel
@@ -288,10 +288,10 @@ def test_stacked_transfer_blocks_match_each_member():
             for pattern in {tuple(row) for row in pivoted.tolist()}:
                 members = [b for b in range(6) if tuple(pivoted[b].tolist()) == pattern]
                 pivots = np.flatnonzero(pattern).tolist()
-                A, F, v = fp.transfer_blocks(R[members], pivots, n, p)
+                A, F, v = transfer.transfer_blocks(R[members], pivots, n, p)
                 assert A.shape == (len(members), n, c) and v.shape == (len(members), m - len(pivots), c)
                 for j, b in enumerate(members):
-                    A1, F1, v1 = fp.transfer(M[b], n, p)
+                    A1, F1, v1 = transfer.transfer(M[b], n, p)
                     assert np.array_equal(A[j], A1) and np.array_equal(F[j], F1), (p, M[b], n)
                     assert np.array_equal(v[j], v1), (p, M[b], n)
                 kinds.add("full" if len(pivots) == n else "deficient")

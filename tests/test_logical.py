@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import random_code, random_deformable_tuple
-from qupitcube import fp, logical
+from qupitcube import fp, logical, transfer
 from qupitcube.codes import (
     CodeParams,
     PauliConfig,
@@ -33,7 +33,9 @@ from qupitcube.reference import (
     build_planar_operator,
     census_operators,
     commutation_exponent,
+    config_mul,
     config_row,
+    config_shift,
     is_logical,
     layer_relation_by_nullspace,
     left_kernel_dim_by_composition,
@@ -87,7 +89,7 @@ def test_build_planar_operator_tiles():
     # unit translation of the tile is the translated configuration
     t0, _ = build_planar_operator(code, PlanarPattern(2, translation=(0, 0)), (4, 4, 2))
     t1, _ = build_planar_operator(code, PlanarPattern(2, translation=(1, 0)), (4, 4, 2))
-    assert t1 == t0.shift((1, 0, 0))
+    assert t1 == config_shift(t0, (1, 0, 0))
 
     _, seam = build_planar_operator(code, PlanarPattern(2), (3, 4, 2))
     assert seam      # odd in-plane dimension wraps inconsistently
@@ -264,21 +266,22 @@ NON_DEFORMABLE = [CodeParams(3, (1, 0), (1, 0), (1, 0), (1, 0), "S"),
 
 def transfer_shapes(monkeypatch):
     """Record (dim x, columns of F, dim ker v, dim V*) of each periodic part."""
-    seen, periodic_part = [], logical._periodic_part
+    seen, periodic_part = [], transfer.periodic_part
 
     def spy(A, F, v, p):
         out = periodic_part(A, F, v, p)
         seen.append((len(A), F.shape[1], len(fp.nullspace(v, p)), len(out[0])))
         return out
 
-    monkeypatch.setattr(logical, "_periodic_part", spy)
+    monkeypatch.setattr(transfer, "periodic_part", spy)
     return seen
 
 
 def test_periodic_dim_counts_cyclic_sequences_by_enumeration():
     # every periodic sequence x_0..x_{l-1} with M [x_{j+1}; x_j] = 0 for all
-    # j (cyclically), enumerated for each l <= L, against fp.transfer and
-    # one _periodic_dims call over the lengths L, ..., 1
+    # j (cyclically), enumerated for each l <= L, against transfer.transfer
+    # and one periodic_dims call over the lengths L, ..., 1; periodic_states
+    # gives a basis of them at each l
     rng = random.Random(173)
     seen = set()
     for p, n, L in [(2, 1, 5), (2, 2, 3), (2, 3, 4), (2, 4, 3), (3, 1, 4), (3, 2, 3),
@@ -292,13 +295,18 @@ def test_periodic_dim_counts_cyclic_sequences_by_enumeration():
                          dtype=np.int64).reshape(rows, 2 * n)
             if rows and rng.random() < 0.3:  # a row on one block only
                 M[0, :n] = 0
-            A, F, v = fp.transfer(M, n, p)
-            dims = logical._periodic_dims(A, F, v, lengths, p)
+            A, F, v = transfer.transfer(M, n, p)
+            dims = transfer.periodic_dims(A, F, v, lengths, p)
             for l, seq, dim in zip(lengths, seqs, dims):
                 pairs = np.concatenate([np.roll(seq, -1, axis=1), seq], axis=2)
                 count = int((~(pairs @ M.T % p).any(axis=(1, 2))).sum())
                 assert p ** dim == count, (p, n, l, M)
-            Ab, Bb, _ = logical._periodic_part(A, F, v, p)
+                # and periodic_states spans them: dim independent solutions
+                basis = transfer.periodic_states(A, F, v, l, p)
+                pairs = np.concatenate([np.roll(basis, -1, axis=1), basis], axis=2)
+                assert basis.shape == (dim, l, n) and not (pairs @ M.T % p).any()
+                assert fp.mat_rank(basis.reshape(dim, l * n), p) == dim, (p, n, l, M)
+            Ab, Bb, _ = transfer.periodic_part(A, F, v, p)
             seen.add((F.shape[1] > 0, len(Bb) > 0, len(Ab) < len(fp.nullspace(v, p))))
     assert seen >= {(True, True, False), (False, False, True), (True, False, True)}
 
@@ -479,9 +487,8 @@ def test_census_candidates_match_planar_operators():
         for normal, transpose in product(range(3), (False, True)):
             built = [build_planar_operator(code, PlanarPattern(normal, t, transpose), dims)[0]
                      for t in ((0, 0), (1, 0), (0, 1), (1, 1))]
-            pairs = [built[0].mul(built[1]), built[2].mul(built[3]),
-                     built[0].mul(built[2]), built[1].mul(built[3])]
-            expected = built + pairs + [pairs[0].mul(pairs[1])]
+            pairs = [config_mul(built[i], built[j]) for i, j in ((0, 1), (2, 3), (0, 2), (1, 3))]
+            expected = built + pairs + [config_mul(pairs[0], pairs[1])]
             planes = logical._census_candidates(code, dims, normal, transpose)
             syndromes = logical._plane_syndromes(code, normal, planes)
             configs = [plane_config(torus, normal, plane) for plane in planes]

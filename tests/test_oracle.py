@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qupitcube import cli, fp, oracle
+from qupitcube import cli, fp, oracle, transfer
 from qupitcube.classify import classify_orbits
 from qupitcube.codes import CodeParams, PauliConfig, d3_code, d5_code, generator_config
 from qupitcube.conditions import PrerequisiteError, base_matrix, rel_transition
@@ -19,19 +19,22 @@ from qupitcube.oracle import (
     SegmentReport,
     scan_width,
     sections,
-    strip_transfer,
 )
 from qupitcube.reference import (
     FlattenError,
     PivotError,
     build_segment_constraints,
     canonical_reduction,
+    config_mul,
+    config_scale,
     flatten_segment,
     in_box_cubes,
     is_stabilizer_combination,
     kink_profile,
+    pair_system,
     scan_family,
     solve_segment,
+    strip_transfer,
     verify_witness,
     width1_criterion,
 )
@@ -261,7 +264,7 @@ def test_scan_runs_one_family_per_inversion_class(monkeypatch):
     # is one stacked elimination with one member per class, and for a
     # deformable code one length loop whose stack holds every class.
     stacks, loops = [], []
-    rref_stack, scan_transfers = fp.mat_rref_stack, oracle._scan_transfers
+    rref_stack, scan = fp.mat_rref_stack, transfer.scan
 
     def counting_stack(M, p, n_pivot_cols):
         stacks.append((n_pivot_cols // 2, M.shape[0]))  # 2w pivot columns
@@ -269,10 +272,10 @@ def test_scan_runs_one_family_per_inversion_class(monkeypatch):
 
     def counting_loop(A, F, v, p, l_max):
         loops.append((A.shape[1] // 2, A.shape[0]))
-        return scan_transfers(A, F, v, p, l_max)
+        return scan(A, F, v, p, l_max)
 
     monkeypatch.setattr(fp, "mat_rref_stack", counting_stack)
-    monkeypatch.setattr(oracle, "_scan_transfers", counting_loop)
+    monkeypatch.setattr(transfer, "scan", counting_loop)
     d5 = ["--p", "5", "--alpha", "1,0", "--beta", "0,1", "--gamma", "1,1", "--delta", "3,2"]
     for wmax, classes in ((4, 30), (16, 408)):
         stacks.clear()
@@ -444,7 +447,7 @@ def test_transfer_loop_matches_family_scan_on_arbitrary_blocks():
                 v[:2] = 0
                 F = np.zeros((6, n, 0), dtype=np.int64)
                 for l_max in (2, 5, 12):
-                    dims, nontrivial, last_Q = oracle._scan_transfers(A, F, v, p, l_max)
+                    dims, nontrivial, last_Q = transfer.scan(A, F, v, p, l_max)
                     for b in range(6):
                         d, hits, (_, _, kernel) = scan_family(p, A[b], F[b], v[b], l_max)
                         assert dims[b].tolist() == d, (p, A[b], v[b], l_max)
@@ -462,16 +465,16 @@ def test_transfer_loop_matches_family_scan_on_arbitrary_blocks():
         for _ in range(100):
             n, m = int(rng.integers(1, 5)), int(rng.integers(1, 9))
             M = rng.integers(0, p, (m, 2 * n)) * (rng.random((m, 2 * n)) < 0.5)
-            A, F, v = fp.transfer(M, n, p)
+            A, F, v = transfer.transfer(M, n, p)
             for l_max in (2, 7):
                 blocks = A[None], F[None], v[None]
-                dims, nontrivial, _ = oracle._scan_transfers(*blocks, p, l_max)
+                dims, nontrivial, _ = transfer.scan(*blocks, p, l_max)
                 d, hits, (_, _, kernel) = scan_family(p, A, F, v, l_max)
                 assert dims[0].tolist() == d, (p, M, l_max)
                 assert nontrivial[0].tolist() == hits, (p, M, l_max)
                 if any(hits):
                     length = max(l for l, hit in enumerate(hits, 2) if hit)
-                    Q = oracle._scan_transfers(*blocks, p, length)[2][0]
+                    Q = transfer.scan(*blocks, p, length)[2][0]
                     assert same_span(Q[:, np.diagonal(Q) == 1].T, kernel, p), (p, M, l_max)
                 seen.add((min(F.shape[1], 2), any(hits), all(hits)))
     # free columns: hits at every length, hits that stop, and none
@@ -483,7 +486,7 @@ def test_stack_members_leave_once_their_first_column_vanishes(monkeypatch):
     # every member the length loop carries still has N = A^(l-1) Q nonzero;
     # d5 has no string, so its loop ends long before l_max
     calls = []
-    add_row = oracle._add_row
+    add_row = transfer._add_row
 
     def checking(X, j, p):
         if j == 0:  # a step's first row; later rows may empty the kernel
@@ -492,7 +495,7 @@ def test_stack_members_leave_once_their_first_column_vanishes(monkeypatch):
             calls.append(X.shape[0])
         return add_row(X, j, p)
 
-    monkeypatch.setattr(oracle, "_add_row", checking)
+    monkeypatch.setattr(transfer, "_add_row", checking)
     for w in (1, 2, 3, 4):
         calls.clear()
         scan_width(d5_code(), w, l_max=64)
@@ -593,7 +596,7 @@ def test_pair_system_matches_whole_strip_assembly():
         for w in range(1, 7):
             for kind in ("flat", "cornered"):
                 for geom in strips(w, 2, kind):
-                    mine = oracle._pair_system(code, geom.axis, geom.section)
+                    mine = pair_system(code, geom.axis, geom.section)
                     theirs = build_segment_constraints(code, geom)
                     assert mine.shape[1] == theirs.shape[1] == 4 * len(geom.section)
                     r_mine, piv_mine = fp.mat_rref(mine, code.p)
@@ -623,7 +626,7 @@ def test_scan_needs_both_end_columns():
     # a recursion whose solutions all vanish on the last column: v forces
     # x_{g+1} = 0 while the free columns z_g fill the first one
     eye, zero = np.eye(2, dtype=np.int64), np.zeros((2, 2), dtype=np.int64)
-    dims, nontrivial, _ = oracle._scan_transfers(zero[None], eye[None], eye[None], 3, 5)
+    dims, nontrivial, _ = transfer.scan(zero[None], eye[None], eye[None], 3, 5)
     assert dims.tolist() == [[2, 2, 2, 2]] and not nontrivial.any()
     assert scan_family(3, zero, eye, eye, 5)[:2] == (dims[0].tolist(), nontrivial[0].tolist())
 
@@ -729,11 +732,11 @@ def test_flatten_already_flat():
 def test_flatten_stabilizer_product():
     d5 = d5_code()
     box = (3, 3, 3)
-    prod = generator_config(d5, (0, 0, 0)).mul(generator_config(d5, (1, 1, 1)))
+    prod = config_mul(generator_config(d5, (0, 0, 0)), generator_config(d5, (1, 1, 1)))
     flat = flatten_segment(d5, prod, box)
     profile = kink_profile(box)
     assert all(q in profile for q in flat.support)
-    diff = flat.mul(prod.scale(5 - 1))
+    diff = config_mul(flat, config_scale(prod, 5 - 1))
     assert is_stabilizer_combination(d5, diff, box)
 
 
@@ -745,14 +748,14 @@ def test_flatten_two_by_two_box():
     for c in in_box_cubes(box):
         k = rng.randrange(5)
         if k:
-            cfg = cfg.mul(generator_config(d5, c).scale(k))
+            cfg = config_mul(cfg, config_scale(generator_config(d5, c), k))
     profile = sorted(kink_profile(box))
     for q in profile[:4]:
         cfg.add(q, (rng.randrange(5), rng.randrange(5)))
     flat = flatten_segment(d5, cfg, box)
     assert not flat.is_identity()
     assert all(q in kink_profile(box) for q in flat.support)
-    diff = flat.mul(cfg.scale(5 - 1))
+    diff = config_mul(flat, config_scale(cfg, 5 - 1))
     assert is_stabilizer_combination(d5, diff, box)
 
 
