@@ -141,8 +141,43 @@ def _report(command: str, options: dict, results: dict,
     }
 
 
+_escape = json.encoder.encode_basestring_ascii
+
+
+def _dumps(value, indent: str = "\n") -> str:
+    """``json.dumps(value, sort_keys=True, indent=2)``, byte for byte.
+
+    With ``indent`` set, the json module of CPython 3.12 and earlier
+    drops its C encoder and passes every token up one generator per
+    level of nesting; this builds each container's text with one join.
+    It takes the types a report holds: dicts with str keys, lists,
+    tuples, str, int, bool and None.  Anything else (a float, a numpy
+    scalar, a set) raises TypeError.
+    """
+    t = type(value)
+    if t is str:
+        return _escape(value)
+    if t is int:
+        return int.__repr__(value)
+    if value is None:
+        return "null"
+    if t is bool:
+        return "true" if value else "false"
+    if t is not dict and t is not list and t is not tuple:
+        raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
+    if not value:
+        return "{}" if t is dict else "[]"
+    inner = indent + "  "
+    sep = "," + inner
+    if t is dict:
+        body = sep.join([f"{_escape(k)}: {_dumps(v, inner)}" for k, v in sorted(value.items())])
+        return f"{{{inner}{body}{indent}}}"
+    body = sep.join([_dumps(v, inner) for v in value])
+    return f"[{inner}{body}{indent}]"
+
+
 def _emit(report: dict) -> int:
-    sys.stdout.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
+    sys.stdout.write(_dumps(report) + "\n")
     return 0 if report["status"] == "ok" else 1
 
 

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 
 from qupitcube import algebra, cli, fp, logical
@@ -26,6 +27,14 @@ def run_cli(*args):
                           capture_output=True, text=True)
 
 
+def report_digest(stdout: str) -> str:
+    """sha256 of a report, once the report is shown to be canonical: the
+    json module, reading it back and writing it with sorted keys and an
+    indent of 2, gives the same text."""
+    assert stdout == json.dumps(json.loads(stdout), sort_keys=True, indent=2) + "\n"
+    return hashlib.sha256(stdout.encode()).hexdigest()
+
+
 def test_scan_p2_zero_tuples():
     out = run_cli("scan", "--p", "2")
     assert out.returncode == 0
@@ -42,6 +51,30 @@ def test_check_d5_reports_discrepancy():
     assert report["results"]["theorem1"]["overall"] is False
     kinds = {d["kind"] for d in report["discrepancies"]}
     assert "condition3-reading-mismatch" in kinds
+
+
+def test_check_report_digests():
+    # sha256 of the stdout reports, pinned from the json module's encoder.
+    # Every code the command line can build has a consistent generator
+    # family (none of the p = 3 tuples nor 3,000 random tuples each at
+    # p = 2, 5 and 7 in either parity has a violation), so no report here
+    # lists a translation_commutation violation.
+    codes = {"d3": ["--p", "3", "--alpha", "1,0", "--beta", "0,1",
+                    "--gamma", "1,1", "--delta", "1,2"],
+             "d5": D5_FLAGS[:-2],
+             "p2": P2_FLAGS}
+    expected = {
+        ("d3", "S"): "fbc280207b0f125f5f8ef7e8af398fb52c49a101c1d03ee39c1a0ad7ee27458e",
+        ("d3", "A"): "7084f8d5f7dcd716b36d2f62877a399029f68976a21556cbaf8042d51d563fde",
+        ("d5", "S"): "8544a30ba5b5706d7a3963bd1792aafce1dbafacf1c2d5e08af17e7ad1093203",
+        ("d5", "A"): "db0496550a9499a1bdd723eb3df292a149b90ebe88d92166a7c23455fe9ae54e",
+        ("p2", "S"): "262ff2d8de42b83321e478b468d2a812f49f4ae962e3425e2e3e57cdf753d84d",
+        ("p2", "A"): "c4ae709b1bdb19542480b8b9f57a0ec9d4aa16cf880b86dec46d6bbbca9c9390",
+    }
+    for (code, parity), digest in expected.items():
+        out = run_cli("check", *codes[code], "--parity", parity)
+        assert out.returncode == 0
+        assert report_digest(out.stdout) == digest, (code, parity)
 
 
 def test_strings_expect_no_string_violation():
@@ -70,7 +103,7 @@ def test_strings_d5_report_digest():
     for parity, digest in expected.items():
         out = run_cli("strings", *D5_FLAGS[:-1], parity, "--wmax", "3")
         assert out.returncode == 0
-        assert hashlib.sha256(out.stdout.encode()).hexdigest() == digest
+        assert report_digest(out.stdout) == digest
 
 
 def test_strings_rank_deficient_report_digests():
@@ -87,7 +120,7 @@ def test_strings_rank_deficient_report_digests():
                  for f in (f"--{name}", pair)]
         out = run_cli("strings", "--p", "3", *flags, "--wmax", "3")
         assert out.returncode == 0
-        assert hashlib.sha256(out.stdout.encode()).hexdigest() == digest, pairs
+        assert report_digest(out.stdout) == digest, pairs
 
 
 def test_strings_corner_report_digests():
@@ -110,7 +143,7 @@ def test_strings_corner_report_digests():
         out = run_cli("strings", "--p", p, *flags, "--parity", parity, "--wmax", "5",
                       "--kind", kind)
         assert out.returncode == 0
-        assert hashlib.sha256(out.stdout.encode()).hexdigest() == digest, pairs
+        assert report_digest(out.stdout) == digest, pairs
 
 
 def test_usage_errors():
@@ -177,7 +210,7 @@ def test_classify_and_scan_report_digests():
     for argv, digest in expected.items():
         out = run_cli(*argv)
         assert out.returncode == 0
-        assert hashlib.sha256(out.stdout.encode()).hexdigest() == digest
+        assert report_digest(out.stdout) == digest
     one = run_cli("classify", "--p", "3")
     again = run_cli("classify", "--p", "3")
     assert one.returncode == 0
@@ -236,7 +269,7 @@ def test_logical_report_digests():
     for (code, parity, dims, *extra), digest in expected.items():
         out = run_cli("logical", *codes[code], "--parity", parity, "--dims", dims, *extra)
         assert out.returncode == 0
-        assert hashlib.sha256(out.stdout.encode()).hexdigest() == digest, (code, parity, dims)
+        assert report_digest(out.stdout) == digest, (code, parity, dims)
 
 
 def test_algebra_report_digests():
@@ -264,7 +297,7 @@ def test_algebra_report_digests():
     for (code, parity, dims, r), digest in expected.items():
         out = run_cli("algebra", *codes[code], "--parity", parity, "--dims", dims, "--r", r)
         assert out.returncode == 0
-        assert hashlib.sha256(out.stdout.encode()).hexdigest() == digest, (code, parity, dims, r)
+        assert report_digest(out.stdout) == digest, (code, parity, dims, r)
 
 
 def test_algebra_r_out_of_range():
@@ -372,6 +405,26 @@ def test_each_report_is_one_write(monkeypatch):
         cli.main(list(argv))
         assert len(writes) == 1 and writes[0].endswith("}\n"), argv
         assert json.loads(writes[0])["command"] == argv[0]
+
+
+def test_report_text_matches_the_json_module():
+    values = [
+        {}, [], (), {"a": {}, "b": [], "c": [[]], "d": [{}], "e": ({},)},
+        [[[]], {"": {"": []}}], (1, (2, ()), [3]),
+        ['"quoted"', "back\\slash", "tab\tnew\nline\r\x00\x1f\x7f", "non-ASCII é ∑ 😀",
+         "  ", ""],
+        {'key "q"': 1, "back\\": 2, "\n": 3, "é": 4, "Z": 5, "a": 6, "": 7},
+        [-1, 0, -(2 ** 63) - 1, 2 ** 63, 2 ** 64 + 1, -(10 ** 30)],
+        [True, 1, False, 0, None], {"t": True, "one": 1, "f": False, "zero": 0, "n": None},
+        "bare", 7, True, False, None,
+    ]
+    for value in values:
+        assert cli._dumps(value) == json.dumps(value, sort_keys=True, indent=2), value
+    for bad in (0.0, 1.5, np.int64(3), np.bool_(True), {1, 2}, frozenset(), {1: "a"},
+                {"a": 1, 2: "b"}, b"bytes"):
+        for value in (bad, [bad], {"k": [1, bad]}):
+            with pytest.raises(TypeError):
+                cli._dumps(value)
 
 
 def test_classify_and_scan_refuse_moduli_beyond_the_bound():
