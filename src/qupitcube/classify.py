@@ -24,15 +24,15 @@ from itertools import permutations
 import numpy as np
 
 from .codes import CodeParams
-from .conditions import theorem1_report
+from .conditions import theorem1
 from .fp import check_prime, fp_inv
 from .oracle import check_scan_bounds, scan_codes
 
 # Bytes of normal forms that ``_orbit_counts`` keys at once, at about 200
 # bytes of int64 products and keys per form: p <= 7 is one chunk.  In a
-# fresh interpreter on a 2-core x86_64 VM, classify_orbits(17) takes 0.4 s
-# at 54 MB peak RSS and classify_orbits(19) 0.7 s at 68 MB, most of it the
-# theorem-1 reports.
+# fresh interpreter on a 2-core x86_64 VM, classify_orbits(17) takes 0.38 s
+# at 54 MB peak RSS and classify_orbits(19) 0.67 s at 69 MB, about half of
+# it these keys and half the theorem-1 reports.
 MAX_KEY_BYTES = 8 * 2**20
 
 # Largest modulus ``classify_orbits`` accepts: at p = 19 its keys take
@@ -91,8 +91,10 @@ def classify_orbits(p: int, parity: str = "S") -> dict:
     (p-1)^4 (p-2) of them) by its orbit's least member in one array pass
     (``_orbit_counts``), and counts them per key.  SL(2, p) acts freely,
     so each normal form stands for p(p^2 - 1) tuples.  Attaches the
-    three-condition report of each orbit representative for the
-    requested parity.  Refuses p > ``MAX_CLASSIFY_MODULUS``.
+    three-condition report of each orbit representative,
+    ``conditions.theorem1`` of its pairs.  That report does not depend on
+    ``parity`` today: both parities get the same entry (ROADMAP item 1).
+    Refuses p > ``MAX_CLASSIFY_MODULUS``.
     """
     p = check_prime(p)
     if p > MAX_CLASSIFY_MODULUS:
@@ -104,11 +106,10 @@ def classify_orbits(p: int, parity: str = "S") -> dict:
     for key in np.flatnonzero(counts).tolist():
         b, X, Y = key // p**4, key // p**2 % p**2, key % p**2
         canon = ((0, 1), (b, 0), divmod(X, p), divmod(Y, p))
-        rpt = theorem1_report(CodeParams(p, *canon, parity=parity))
         entries.append({
             "representative": [list(x) for x in canon],
             "orbit_size": int(counts[key]) * sl2_order,
-            "theorem1": rpt.as_dict(),
+            "theorem1": theorem1(canon, p).as_dict(),
             "parity_note": "symmetric and antisymmetric codes on this tuple are "
                            "bulk/even-length equivalent",
         })

@@ -12,10 +12,25 @@ det(T - T^-1) != 0 for that direction's transition matrix, and no string
 of any width when additionally all squared symplectic products of
 complementary pairings differ.
 
-Every matrix here is 2x2, so the matrix algebra is written out in
-closed form on ints (``det2``, ``inv2``, ``mul2``, ``sub2``); the general
-eliminations ``reference.mat_det`` and ``reference.mat_inverse`` are
-their test oracles.
+Every condition is a function of the six symplectic products
+W[i, j] = <pair i, pair j> (i < j, and W[j, i] = -W[i, j]).  For
+T = T(n0 n1 | d0 d1), write N = W[n0, n1], D = W[d0, d1] and
+S = W[d0, n1] - W[d1, n0].  Its determinant is d = N / D, and the
+adjugate of T(d0, d1) gives its trace t = S / D.  Cayley--Hamilton,
+T^2 - t T + d I = 0, gives T^-1 = (t I - T) / d, so
+T - T^-1 = ((d + 1) T - t I) / d and
+
+    det(T - T^-1) = ((d + 1)^2 d - (d + 1) t^2 + t^2) / d^2
+                  = ((d + 1)^2 - t^2) / d = ((N + D)^2 - S^2) / (N D).
+
+``theorem1`` reads deformability, the pairing squares and these three
+determinants off one W per code.  The 2x2 helpers (``det2``, ``inv2``,
+``mul2``, ``sub2``) remain for the transition matrices themselves and for
+the corner check, which compares a computed determinant with the paper's
+claimed closed form.  The matrix route of the width-1 test is the oracle
+``reference.minimal_string_determinants_by_matrices``, and the general
+eliminations ``reference.mat_det`` and ``reference.mat_inverse`` are the
+oracles of the helpers.
 """
 
 from __future__ import annotations
@@ -51,6 +66,9 @@ WIDTH1_TRANSITIONS = (
     ((0, 1), (3, 2)),   # T(alpha beta  | delta gamma)
     ((0, 3), (2, 1)),   # T(alpha delta | gamma beta)
 )
+
+# The six symplectic products W[i, j], i < j, in report order.
+PRODUCTS = tuple(combinations(range(4), 2))
 
 # Complementary pairings for the squared-product condition.
 PAIRINGS = (((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2)))
@@ -113,25 +131,53 @@ def rel_transition(num: tuple[Pair, Pair], den: tuple[Pair, Pair], p: int) -> np
     return np.array(_transition(num, den, p), dtype=np.int64)
 
 
+def _products(pairs, p: int) -> dict[tuple[int, int], int]:
+    """W[i, j] = <pair i, pair j> mod p for every ordered i != j."""
+    W = {(i, j): symplectic_product(pairs[i], pairs[j], p) for i, j in PRODUCTS}
+    W.update({(j, i): -w % p for (i, j), w in list(W.items())})
+    return W
+
+
+def _width1_determinants(W: dict, p: int) -> list[int]:
+    """det(T - T^-1) = ((N + D)^2 - S^2) / (N D) per direction.  Raises as
+    the matrix route does: on the first proportional denominator
+    (SingularDenominatorError), then on the first singular T."""
+    for _, (d0, d1) in WIDTH1_TRANSITIONS:
+        if W[d0, d1] == 0:
+            raise SingularDenominatorError(
+                f"denominator pairs {PAIR_NAMES[d0]}, {PAIR_NAMES[d1]} "
+                f"are proportional mod {p}")
+    dets = []
+    for (n0, n1), (d0, d1) in WIDTH1_TRANSITIONS:
+        N, D, S = W[n0, n1], W[d0, d1], W[d0, n1] - W[d1, n0]
+        if N == 0:
+            raise fp.SingularMatrixError(f"matrix is singular mod {p}")
+        dets.append(((N + D) ** 2 - S * S) * pow(N * D, -1, p) % p)
+    return dets
+
+
+def _pairing_squares(W: dict, p: int) -> list[dict]:
+    out = []
+    for (i, j), (k, l) in PAIRINGS:
+        u, v = W[i, j], W[k, l]
+        out.append({
+            "pairing": f"{PAIR_NAMES[i]}{PAIR_NAMES[j]}|{PAIR_NAMES[k]}{PAIR_NAMES[l]}",
+            "products": (u, v),
+            "squares_mod_p": ((u * u) % p, (v * v) % p),
+            "distinct_mod_p": (u * u) % p != (v * v) % p,
+            "distinct_integer": u * u != v * v,
+        })
+    return out
+
+
 def check_deformability(params: CodeParams) -> bool:
     """All six pairwise symplectic products among the four pairs nonzero."""
-    return all(
-        symplectic_product(a, b, params.p) != 0
-        for a, b in combinations(params.pairs, 2)
-    )
-
-
-def width1_matrices(params: CodeParams) -> list[Mat2]:
-    """The three direction transition matrices entering the width-1 test."""
-    pairs = params.pairs
-    return [_transition((pairs[n0], pairs[n1]), (pairs[d0], pairs[d1]), params.p)
-            for (n0, n1), (d0, d1) in WIDTH1_TRANSITIONS]
+    return all(_products(params.pairs, params.p).values())
 
 
 def minimal_string_determinants(params: CodeParams) -> list[int]:
     """det(T - T^-1) for each of the three direction matrices."""
-    p = params.p
-    return [det2(sub2(T, inv2(T, p), p), p) for T in width1_matrices(params)]
+    return _width1_determinants(_products(params.pairs, params.p), params.p)
 
 
 def check_no_minimal_string(params: CodeParams) -> tuple[bool, bool, bool]:
@@ -140,9 +186,10 @@ def check_no_minimal_string(params: CodeParams) -> tuple[bool, bool, bool]:
     Deformability is a prerequisite (it guarantees every inverse taken
     here exists); PrerequisiteError otherwise.
     """
-    if not check_deformability(params):
+    W = _products(params.pairs, params.p)
+    if not all(W.values()):
         raise PrerequisiteError("code fails deformability; width-1 test undefined")
-    return tuple(d != 0 for d in minimal_string_determinants(params))
+    return tuple(d != 0 for d in _width1_determinants(W, params.p))
 
 
 def pairing_squares(params: CodeParams) -> list[dict]:
@@ -153,20 +200,7 @@ def pairing_squares(params: CodeParams) -> list[dict]:
     using representatives in [0, p)).  Only the mod-p verdict feeds the
     aggregate condition.
     """
-    p = params.p
-    pairs = params.pairs
-    out = []
-    for (i, j), (k, l) in PAIRINGS:
-        u = symplectic_product(pairs[i], pairs[j], p)
-        v = symplectic_product(pairs[k], pairs[l], p)
-        out.append({
-            "pairing": f"{PAIR_NAMES[i]}{PAIR_NAMES[j]}|{PAIR_NAMES[k]}{PAIR_NAMES[l]}",
-            "products": (u, v),
-            "squares_mod_p": ((u * u) % p, (v * v) % p),
-            "distinct_mod_p": (u * u) % p != (v * v) % p,
-            "distinct_integer": u * u != v * v,
-        })
-    return out
+    return _pairing_squares(_products(params.pairs, params.p), params.p)
 
 
 def check_pairing_squares(params: CodeParams) -> tuple[bool, bool, bool]:
@@ -196,37 +230,37 @@ class TheoremReport:
         }
 
 
-def theorem1_report(params: CodeParams) -> TheoremReport:
-    """Evaluate all three conditions with every intermediate scalar recorded.
+def theorem1(pairs, p: int) -> TheoremReport:
+    """All three conditions on (alpha, beta, gamma, delta) mod prime p, read
+    off the six symplectic products with every intermediate recorded.
 
     ``overall`` is the conjunction; codes failing deformability short out
     the width-1 determinants (they are not defined there).  A pairing
     whose mod-p and integer readings disagree is listed as a discrepancy
     rather than silently resolved.
     """
-    p = params.p
-    prods = {
-        f"{PAIR_NAMES[i]}{PAIR_NAMES[j]}": symplectic_product(params.pairs[i], params.pairs[j], p)
-        for i, j in combinations(range(4), 2)
-    }
-    deform = check_deformability(params)
-    squares_detail = pairing_squares(params)
+    W = _products(pairs, p)
+    deform = all(W.values())
+    squares_detail = _pairing_squares(W, p)
     squares = tuple(e["distinct_mod_p"] for e in squares_detail)
     discrepancies = [
         {"kind": "condition3-reading-mismatch", "pairing": e["pairing"],
          "mod_p": e["distinct_mod_p"], "integer": e["distinct_integer"]}
         for e in squares_detail if e["distinct_mod_p"] != e["distinct_integer"]
     ]
-    details = {"symplectic_products": prods, "pairing_squares": squares_detail}
-    if deform:
-        dets = minimal_string_determinants(params)
-        minimal = tuple(d != 0 for d in dets)
-        details["width1_determinants"] = dets
-    else:
-        minimal = None
-        details["width1_determinants"] = None
-    overall = deform and minimal is not None and all(minimal) and all(squares)
+    details = {
+        "symplectic_products": {f"{PAIR_NAMES[i]}{PAIR_NAMES[j]}": W[i, j] for i, j in PRODUCTS},
+        "pairing_squares": squares_detail,
+        "width1_determinants": _width1_determinants(W, p) if deform else None,
+    }
+    minimal = tuple(d != 0 for d in details["width1_determinants"]) if deform else None
+    overall = deform and all(minimal) and all(squares)
     return TheoremReport(deform, minimal, squares, overall, details, discrepancies)
+
+
+def theorem1_report(params: CodeParams) -> TheoremReport:
+    """``theorem1`` of a code's pairs and modulus; the parity plays no part."""
+    return theorem1(params.pairs, params.p)
 
 
 def corner_determinant_check(params: CodeParams) -> dict:

@@ -42,6 +42,14 @@ production code it checks, and the tests that compare them:
   (``test_oracle.test_stacked_scan_matches_each_family_scan``).
   It also shows that point inversion keeps a family's scan
   (``test_oracle.test_cornered_families_scan_like_their_inversion_partners``).
+- ``width1_matrices`` builds the three width-1 transition matrices, and
+  ``minimal_string_determinants_by_matrices`` takes det(T - T^-1) from
+  them by 2x2 inverses and products.  ``theorem1_report_by_matrices``
+  builds the whole three-condition report on that route.  They check
+  ``conditions.theorem1``, which reads every entry off the six symplectic
+  products, byte for byte and exception for exception
+  (``test_conditions.test_theorem1_matches_matrix_route_*``,
+  ``test_conditions.test_determinants_raise_like_the_matrix_route``).
 - ``width1_criterion`` sets the width-1 determinant test of
   ``conditions.minimal_string_determinants`` against
   ``solve_segment`` (``test_oracle.test_width1_criterion_agreement``,
@@ -184,9 +192,17 @@ from .codes import (
     symplectic_product,
 )
 from .conditions import (
+    PAIR_NAMES,
+    PAIRINGS,
+    WIDTH1_TRANSITIONS,
     PrerequisiteError,
+    TheoremReport,
+    _transition,
     check_deformability,
+    det2,
+    inv2,
     minimal_string_determinants,
+    sub2,
 )
 from .logical import TorusCode, _census_tier, _sweep_axes, face_tile, plane_census
 from .oracle import (
@@ -376,6 +392,55 @@ def scan_family(p: int, A: np.ndarray, F: np.ndarray, v: np.ndarray, l_max: int)
         if nontrivial[i]:
             last = kernel
     return dims, nontrivial, (A, F, last)
+
+
+def width1_matrices(params: CodeParams) -> list:
+    """The three direction transition matrices entering the width-1 test."""
+    pairs = params.pairs
+    return [_transition((pairs[n0], pairs[n1]), (pairs[d0], pairs[d1]), params.p)
+            for (n0, n1), (d0, d1) in WIDTH1_TRANSITIONS]
+
+
+def minimal_string_determinants_by_matrices(params: CodeParams) -> list[int]:
+    """det(T - T^-1) for each direction matrix, by 2x2 inverses and products.
+
+    Raises SingularDenominatorError while building the matrices, then
+    fp.SingularMatrixError for the first T that is not invertible.
+    """
+    p = params.p
+    return [det2(sub2(T, inv2(T, p), p), p) for T in width1_matrices(params)]
+
+
+def theorem1_report_by_matrices(params: CodeParams) -> TheoremReport:
+    """The three-condition report with each product taken from the pairs
+    where it is needed, and the width-1 determinants by matrices."""
+    p, pairs = params.p, params.pairs
+    prods = {f"{PAIR_NAMES[i]}{PAIR_NAMES[j]}": symplectic_product(pairs[i], pairs[j], p)
+             for i, j in combinations(range(4), 2)}
+    deform = all(prods.values())
+    squares_detail = []
+    for (i, j), (k, l) in PAIRINGS:
+        u = symplectic_product(pairs[i], pairs[j], p)
+        v = symplectic_product(pairs[k], pairs[l], p)
+        squares_detail.append({
+            "pairing": f"{PAIR_NAMES[i]}{PAIR_NAMES[j]}|{PAIR_NAMES[k]}{PAIR_NAMES[l]}",
+            "products": (u, v),
+            "squares_mod_p": ((u * u) % p, (v * v) % p),
+            "distinct_mod_p": (u * u) % p != (v * v) % p,
+            "distinct_integer": u * u != v * v,
+        })
+    squares = tuple(e["distinct_mod_p"] for e in squares_detail)
+    discrepancies = [
+        {"kind": "condition3-reading-mismatch", "pairing": e["pairing"],
+         "mod_p": e["distinct_mod_p"], "integer": e["distinct_integer"]}
+        for e in squares_detail if e["distinct_mod_p"] != e["distinct_integer"]
+    ]
+    dets = minimal_string_determinants_by_matrices(params) if deform else None
+    minimal = tuple(d != 0 for d in dets) if deform else None
+    details = {"symplectic_products": prods, "pairing_squares": squares_detail,
+               "width1_determinants": dets}
+    overall = deform and all(minimal) and all(squares)
+    return TheoremReport(deform, minimal, squares, overall, details, discrepancies)
 
 
 def width1_criterion(params: CodeParams, lengths=range(2, 7)) -> dict:

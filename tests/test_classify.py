@@ -18,7 +18,7 @@ from qupitcube.reference import (
     primitive_root,
 )
 from qupitcube.codes import CodeParams
-from qupitcube.conditions import check_deformability, theorem1_report
+from qupitcube.conditions import check_deformability, theorem1, theorem1_report
 from qupitcube.oracle import scan_width
 from conftest import random_deformable_tuple
 
@@ -132,6 +132,22 @@ def test_classify_at_p13_is_fast():
     rep = classify_orbits(13)
     assert time.perf_counter() - t0 < 0.6
     assert rep["orbit_count"] == 1630
+
+
+def test_theorem1_over_p13_representatives_is_fast():
+    # on a 2-core x86_64 VM: 60-110 ms building a CodeParams and three
+    # 2x2 transition matrices per representative, about 22 ms reading
+    # each report off its six symplectic products
+    reps = [tuple(tuple(x) for x in e["representative"])
+            for e in classify_orbits(13)["orbits"]]
+    assert len(reps) == 1630
+    best = float("inf")
+    for _ in range(5):
+        t0 = time.perf_counter()
+        for rep in reps:
+            theorem1(rep, 13)
+        best = min(best, time.perf_counter() - t0)
+    assert best < 0.045
 
 
 def test_orbit_canonical_rejects_non_deformable():

@@ -62,7 +62,10 @@ def test_check_report_digests():
     codes = {"d3": ["--p", "3", "--alpha", "1,0", "--beta", "0,1",
                     "--gamma", "1,1", "--delta", "1,2"],
              "d5": D5_FLAGS[:-2],
-             "p2": P2_FLAGS}
+             "p2": P2_FLAGS,
+             # every pair proportional: width1_determinants is null
+             "p3-parallel": ["--p", "3", "--alpha", "1,0", "--beta", "1,0",
+                             "--gamma", "1,0", "--delta", "1,0"]}
     expected = {
         ("d3", "S"): "fbc280207b0f125f5f8ef7e8af398fb52c49a101c1d03ee39c1a0ad7ee27458e",
         ("d3", "A"): "7084f8d5f7dcd716b36d2f62877a399029f68976a21556cbaf8042d51d563fde",
@@ -70,6 +73,9 @@ def test_check_report_digests():
         ("d5", "A"): "db0496550a9499a1bdd723eb3df292a149b90ebe88d92166a7c23455fe9ae54e",
         ("p2", "S"): "262ff2d8de42b83321e478b468d2a812f49f4ae962e3425e2e3e57cdf753d84d",
         ("p2", "A"): "c4ae709b1bdb19542480b8b9f57a0ec9d4aa16cf880b86dec46d6bbbca9c9390",
+        # pinned from the 2x2 matrix route of the width-1 test
+        ("p3-parallel", "S"): "b40a2c5b819e3bf1c4f4ecb839d1df6a241d3282fb4eefa8bc081076adf096b3",
+        ("p3-parallel", "A"): "94f1459a397000cd647dc6ca36f3ab4d90b6f9bde4d84a89b501a302ba5128d9",
     }
     for (code, parity), digest in expected.items():
         out = run_cli("check", *codes[code], "--parity", parity)
@@ -197,6 +203,11 @@ def test_classify_and_scan_report_digests():
             "d77aff387637eb18fdc66a3c1651a59f2c5fde9a28117dc6c88d997b7add2568",
         ("classify", "--p", "5", "--parity", "A"):
             "b481a16622043bdb2683bf20d8244bcd5f215c0db3b4eaf8208871c86cc93b05",
+        # pinned from the 2x2 matrix route of the width-1 test
+        ("classify", "--p", "7", "--parity", "S"):
+            "1fef8470ea1319ac4dedd3547b8622ca0657afb7ab7ab16cd45d19a6a7111669",
+        ("classify", "--p", "7", "--parity", "A"):
+            "f49fa68edaa87bab2060e4e4eb74db3175d39ca695d372bcc9d5375576dc03dc",
         ("scan", "--p", "5", "--oracle-wmax", "1"):
             "ab11f4b3a45e15e97d1f62a3a43680baa6fdde30354ec11e16984d6df693e906",
         # pinned from one scan_width call per representative and width

@@ -6,7 +6,8 @@ from itertools import product
 import numpy as np
 import pytest
 
-from qupitcube import fp, reference
+from qupitcube import cli, fp, reference
+from qupitcube.classify import classify_orbits
 from qupitcube.codes import CodeParams, d3_code, d5_code, symplectic_product
 from qupitcube.conditions import (
     PrerequisiteError,
@@ -25,7 +26,7 @@ from qupitcube.conditions import (
     theorem1_report,
 )
 from qupitcube.reference import group_generators
-from conftest import random_deformable_tuple, random_pair
+from conftest import random_code, random_deformable_tuple, random_pair
 
 
 def test_base_matrix_examples():
@@ -207,3 +208,50 @@ def test_minimal_string_determinants_are_recorded():
     assert len(dets) == 3 and all(0 <= d < 3 for d in dets)
     rpt = theorem1_report(d3)
     assert rpt.details["width1_determinants"] == dets
+
+
+def test_theorem1_matches_matrix_route_on_orbit_representatives():
+    for p in (3, 5, 7, 11, 13):
+        for entry in classify_orbits(p)["orbits"]:
+            code = CodeParams(p, *(tuple(x) for x in entry["representative"]))
+            want = cli._dumps(reference.theorem1_report_by_matrices(code).as_dict())
+            assert cli._dumps(theorem1_report(code).as_dict()) == want, (p, code)
+            assert cli._dumps(entry["theorem1"]) == want, (p, code)
+
+
+def test_theorem1_matches_matrix_route_on_random_tuples():
+    rng = random.Random(2401)
+    deformable = 0
+    for p in (2, 3, 5, 7, 11, 13):
+        for _ in range(600):
+            code = random_code(rng, p)
+            got = theorem1_report(code)
+            want = reference.theorem1_report_by_matrices(code)
+            assert cli._dumps(got.as_dict()) == cli._dumps(want.as_dict()), code
+            assert got == want, code
+            deformable += got.deformability
+    assert 0 < deformable < 3600
+
+
+def _outcome(fn, code):
+    try:
+        return fn(code)
+    except (SingularDenominatorError, fp.SingularMatrixError) as exc:
+        return type(exc)
+
+
+def test_determinants_raise_like_the_matrix_route():
+    # the matrix route builds all three matrices, each raising on a
+    # proportional denominator, before it inverts any; the closed form
+    # must raise the same type on every code
+    codes = [CodeParams(p, *t) for p in (2, 3)
+             for t in product([c for c in product(range(p), repeat=2) if c != (0, 0)],
+                              repeat=4)]
+    rng = random.Random(2402)
+    codes += [random_code(rng, p) for p in (5, 7, 11, 13) for _ in range(500)]
+    seen = set()
+    for code in codes:
+        want = _outcome(reference.minimal_string_determinants_by_matrices, code)
+        assert _outcome(minimal_string_determinants, code) == want, code
+        seen.add(want if isinstance(want, type) else list)
+    assert seen == {SingularDenominatorError, fp.SingularMatrixError, list}
