@@ -13,15 +13,17 @@ pairs scaled by +1 (symmetric code) or -1 (antisymmetric code):
     (0,0,1) delta     (1,1,0) s*delta
 
 Every module places generators on sites through this one: ``cube_sites``,
-``cubes_touching``, ``generator_config`` and ``generator_rows``.
+``cubes_touching``, ``generator_config`` and ``generator_labels``.
 
 Pauli operators are kept phase-free here: commutation questions depend
 only on the symplectic data (the exact phase algebra lives in
-:mod:`qupitcube.algebra`).
+:mod:`qupitcube.algebra`).  Between translates of one generator they are
+sums of entries of the 8 x 8 label Gram matrix (``label_gram``).
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from itertools import product
@@ -246,44 +248,42 @@ def generator_config(params: CodeParams, position: Site = (0, 0, 0),
     return cfg
 
 
-def generator_rows(params: CodeParams, cubes, index, n_sites: int) -> np.ndarray:
-    """One int64 row per cube generator over 2 * ``n_sites`` columns.
+def generator_labels(params: CodeParams, scale_override: int | None = None) -> np.ndarray:
+    """``build_generator``'s labels as an (8, 2) int64 array in ``VERTICES`` order."""
+    labels = build_generator(params, scale_override)
+    return np.array([labels[v] for v in VERTICES], dtype=np.int64)
 
-    ``index(site)`` gives the site's column pair (x-exponent at 2t,
-    z-exponent at 2t + 1), or None to leave the site out.  Labels landing
-    on the same site are summed mod p.
+
+def label_gram(labels: np.ndarray) -> np.ndarray:
+    """G = X Z^T - Z X^T of (8, 2) labels, unreduced: entry (i, j) is the
+    symplectic product of the labels on vertices i and j."""
+    XZ = np.outer(labels[:, 0], labels[:, 1])
+    return XZ - XZ.T
+
+
+@functools.cache
+def _pair_incidence() -> np.ndarray:
+    """(26, 64): row o marks the vertex pairs (i, j), at column 8 i + j,
+    with v_i - v_j equal to the o-th of ``NEIGHBOR_OFFSETS``, which run
+    through the base-3 digits of o + (1, 1, 1) save 13, the zero offset.
+    Built at the first call and kept, read only."""
+    digits = np.array(VERTICES) @ (9, 3, 1)
+    offsets = (digits[:, None] - digits + 13).ravel()
+    incidence = (np.delete(np.arange(27), 13)[:, None] == offsets).astype(np.int64)
+    incidence.flags.writeable = False
+    return incidence
+
+
+def neighbor_exponents(labels: np.ndarray, p: int) -> np.ndarray:
+    """Exponent e_o with G T_o(G) = T_o(G) G omega^e_o, per offset o of
+    ``NEIGHBOR_OFFSETS``, for the generator G with these (8, 2) labels.
+
+    The translate T_o(G) holds label j at v_j + o, which meets G's label i
+    exactly where v_i - v_j = o, so e_o sums the Gram entries [i, j] over
+    those pairs.  ``reference.translation_exponents`` walks the support
+    site by site.
     """
-    labels = build_generator(params)
-    M = np.zeros((len(cubes), 2 * n_sites), dtype=np.int64)
-    for r, c in enumerate(cubes):
-        for q, v in zip(cube_sites(c), VERTICES):
-            t, g = index(q), labels[v]
-            if t is not None:
-                M[r, 2 * t] += g[0]
-                M[r, 2 * t + 1] += g[1]
-    return M % params.p
-
-
-def translation_exponents(g: PauliConfig, offsets) -> list[int]:
-    """Commutation exponent e_o with G T_o(G) = T_o(G) G omega^e_o, per offset o.
-
-    The translate T_o(G) holds at site s what G holds at s - o (folded on
-    a torus), so each exponent is read off G's own support and no shifted
-    copy is built.
-    """
-    p, dims, support = g.p, g.dims, g.support
-    out = []
-    for ox, oy, oz in offsets:
-        e = 0
-        for (x, y, z), (ax, az) in support.items():
-            q = (x - ox, y - oy, z - oz)
-            if dims is not None:
-                q = (q[0] % dims[0], q[1] % dims[1], q[2] % dims[2])
-            b = support.get(q)
-            if b is not None:
-                e += ax * b[1] - az * b[0]
-        out.append(e % p)
-    return out
+    return _pair_incidence() @ label_gram(labels).ravel() % p
 
 
 def verify_translation_commutation(params: CodeParams,
@@ -294,8 +294,8 @@ def verify_translation_commutation(params: CodeParams,
     an empty list certifies a consistent (abelian) generator family, since
     generators further apart never overlap.
     """
-    base = generator_config(params, scale_override=scale_override)
-    exponents = translation_exponents(base, NEIGHBOR_OFFSETS)
+    labels = generator_labels(params, scale_override)
+    exponents = neighbor_exponents(labels, params.p).tolist()
     return [(off, e) for off, e in zip(NEIGHBOR_OFFSETS, exponents) if e != 0]
 
 

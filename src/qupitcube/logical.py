@@ -20,21 +20,25 @@ the label diagonal to alpha inherits the inversion sign of the code.
 The four unit translates of the tile are the base patterns; products of
 translate pairs stay periodic across one odd direction, and the product
 of all four is uniform, giving the 4 / 2 / 1 census by the parities of
-the two in-plane dimensions.  The census keeps each candidate as an
-L_u x L_v array of pairs on the plane, and decides all nine of one tile
-alignment at once from their syndromes on the only two cube layers that
-touch the plane.  The operators it counts stay plane arrays, and their
-commutation table is X Z^T - Z X^T on the flattened planes.
+the two in-plane dimensions.  A candidate's syndrome on the two cube
+layers that touch the plane is a sum of entries of the origin cube's
+label Gram matrix G = X Z^T - Z X^T, and depends on the torus only
+through the parities of the in-plane sides, so one gather from G
+decides every candidate of every normal and alignment.  The operators
+it counts become L_u x L_v plane arrays, and their commutation table is
+X Z^T - Z X^T on the flattened planes.
 
-Commutation on a torus is read off the origin generator: its exponent
-with each translate comes from its own support (``check_abelian``).  The
-slower constructions these are checked against (``is_logical`` over the
-whole torus, ``build_planar_operator``, the 26 shifted copies) live in
-``qupitcube.reference``.
+Commutation on a torus is read off G too: the origin generator's
+exponents with its 26 neighbour translates, folded modulo the sides
+(``check_abelian``).  The slower constructions these are checked
+against (``is_logical`` over the whole torus, ``build_planar_operator``,
+the census by rolled full-size planes, the site-by-site loop and the
+shifted copies) live in ``qupitcube.reference``.
 """
 
 from __future__ import annotations
 
+import functools
 from itertools import product
 
 import numpy as np
@@ -45,12 +49,10 @@ from .codes import (
     CodeParams,
     PauliConfig,
     Site,
-    add_pairs,
-    build_generator,
     check_dims,
-    generator_config,
-    generator_rows,
-    translation_exponents,
+    generator_labels,
+    label_gram,
+    neighbor_exponents,
 )
 
 # Largest torus.  k comes from two cyclic transfers whose eliminations
@@ -59,7 +61,9 @@ from .codes import (
 # dimensions, 0.2-0.3 s at 42 MB peak RSS.  The k table over all sides
 # 2..16, 3,375 tori, builds each cross-section's transfers once: under a
 # second for d5, 15-16 s for (1,0)^4 (2-core x86_64 VM, Python 3.11,
-# numpy 2.4).  The census and check_abelian keep to the same bound.
+# numpy 2.4).  The census and check_abelian cost the same on every torus:
+# at 16^3, d5's `logical` takes 2.4 ms, 2.0 ms of it the transfers for k,
+# and `--ktable 4` adds 3.6 ms, nearly all of it transfers.
 MAX_TORUS_SITES = 16 ** 3
 
 
@@ -84,18 +88,22 @@ class TorusCode:
         self._rank = None
         self._abelian = None
 
+    @functools.cached_property
+    def labels(self) -> np.ndarray:
+        """The origin generator's (8, 2) labels, ``codes.generator_labels``."""
+        return generator_labels(self.params)
+
     def check_abelian(self) -> bool:
         """All cube generators pairwise commute on the torus.
 
         By translation invariance it suffices that the origin generator
         commutes with its translates by the 26 neighbour offsets, folded
-        modulo the torus sides; generators further apart share no site.
+        modulo the torus sides (``_folded_exponents``); generators further
+        apart share no site.
         """
         if self._abelian is None:
-            g = generator_config(self.params, dims=self.dims)
-            offsets = {tuple(o % L for o, L in zip(off, self.dims))
-                       for off in NEIGHBOR_OFFSETS}
-            self._abelian = not any(translation_exponents(g, sorted(offsets)))
+            exponents = neighbor_exponents(self.labels, self.params.p)
+            self._abelian = not _folded_exponents(exponents, self.dims, self.params.p).any()
         return self._abelian
 
     @property
@@ -104,6 +112,16 @@ class TorusCode:
         if self._rank is None:
             self._rank = self.n - _left_kernel_dim(self.params, self.dims)
         return self._rank
+
+
+def _folded_exponents(exponents: np.ndarray, dims, p: int) -> np.ndarray:
+    """The origin generator's exponents against its translates on a torus:
+    sides of 2 and more keep the cube vertices apart, so each class of
+    neighbour offsets modulo ``dims`` sums its members' exponents.  Class o
+    sits at the base-3 digits o mod min(L, 3); only a side of 2 merges +-1.
+    """
+    key = (np.array(NEIGHBOR_OFFSETS) % np.minimum(dims, 3)) @ (9, 3, 1)
+    return (key == np.arange(27)[:, None]) @ exponents % p
 
 
 def _sweep_axes(dims: Site) -> tuple[int, int, int]:
@@ -131,18 +149,15 @@ def _layer_relation(params: CodeParams, axes: Site, du: int, dv: int) -> np.ndar
     depends on the cross-section only.
     """
     p = params.p
-    a, u, v = axes
-
-    def cube(layer, row, cv):
-        c = [0, 0, 0]
-        c[a], c[u], c[v] = layer, row, cv
-        return tuple(c)
-
-    def index(site):
-        return site[v] % dv if site[a] == 1 and site[u] == 1 else None
-
-    cubes = [cube(layer, row, cv) for row in (1, 0) for layer in (0, 1) for cv in range(dv)]
-    A, F, w = transfer.transfer(generator_rows(params, cubes, index, dv).T, 2 * dv, p)
+    wa, wu, wv = (4 >> axis for axis in axes)
+    # cubes meet site row 1 of site layer 1 through their vertices with offsets
+    # 1 - layer along a, 1 - row along u, and 0 (own column) or 1 along v
+    near, far = generator_labels(params)[[[wa * (1 - layer) + wu * (1 - row) + wv * k
+                                           for row in (1, 0) for layer in (0, 1)]
+                                          for k in (0, 1)]]
+    eye = np.eye(dv, dtype=np.int64)[..., None]
+    rows = near[:, None, None] * eye + far[:, None, None] * eye[(np.arange(dv) + 1) % dv]
+    A, F, w = transfer.transfer((rows.reshape(4 * dv, 2 * dv) % p).T, 2 * dv, p)
     y = transfer.periodic_states(A, F, w, du, p)  # (dim W, cube row j, 2 dv)
     return np.hstack([y[..., :dv].reshape(len(y), du * dv),
                       y[..., dv:].reshape(len(y), du * dv)])
@@ -180,106 +195,104 @@ def _left_kernel_dim(params: CodeParams, dims: Site) -> int:
     return _left_kernel_dims(params, (a, u, v), dims[u], dims[v], [dims[a]])[0]
 
 
-def face_tile(params: CodeParams, normal_axis: int) -> dict[tuple[int, int], tuple]:
-    """Tile entries from the zero-side face of the cube generator.
-
-    Keyed by in-plane vertex offsets; the entry diagonal to alpha carries
-    the code's inversion sign, which is what makes the tiling commute
-    with every generator on a seamless torus.
-    """
-    labels = build_generator(params)
-    u, v = [a for a in range(3) if a != normal_axis]
-    tile = {}
-    for vert, g in labels.items():
-        if vert[normal_axis] == 0:
-            tile[(vert[u], vert[v])] = g
-    return tile
-
-
-def _plane_syndromes(params: CodeParams, normal: int, planes: np.ndarray) -> np.ndarray:
-    """Syndromes of configurations supported on the site layer 0 along ``normal``.
-
-    ``planes`` is (k, L_u, L_v, 2).  Only the cube layers 0 and -1 touch
-    that site layer, layer 0 through its vertices with offset 0 along
-    ``normal`` and layer -1 through those with offset 1, so the whole
-    syndrome is (2, k, L_u, L_v).  At cube c it sums the symplectic
-    product of each such vertex's label with the plane at c + vertex, so
-    it is a sum of the plane arrays rolled by -vertex.
-    """
-    u, v = [a for a in range(3) if a != normal]
-    out = np.zeros((2, *planes.shape[:-1]), dtype=np.int64)
-    for vert, (lx, lz) in build_generator(params).items():
-        shifted = np.roll(planes, (-vert[u], -vert[v]), axis=(1, 2))
-        out[vert[normal]] += lx * shifted[..., 1] - lz * shifted[..., 0]
-    return out % params.p
-
-
-def _census_candidates(params: CodeParams, dims: Site, normal: int,
-                       transpose: bool) -> np.ndarray:
-    """The nine census candidates of one tile alignment, as (9, L_u, L_v, 2).
-
-    A tiling labels each site of the plane through the origin by its
-    in-plane coordinate parities, shifted by a translation (ta, tb) in
-    {0, 1}^2 and swapped when ``transpose`` is set.  Candidates 0-3 are
-    the four translated tilings, 4-7 the paper pairing of translate
-    products (periodic across one direction), and 8 the product of all
-    four (uniform); products are sitewise sums mod p.
-    """
-    p = params.p
-    u, v = [a for a in range(3) if a != normal]
-    tile = face_tile(params, normal)
-    tile = np.array([[tile[(0, 0)], tile[(0, 1)]], [tile[(1, 0)], tile[(1, 1)]]],
-                    dtype=np.int64)
-    cu = np.arange(dims[u])[:, None]
-    cv = np.arange(dims[v])[None, :]
-    base = []
-    for ta, tb in ((0, 0), (1, 0), (0, 1), (1, 1)):
-        a, b = (cu + ta) % 2, (cv + tb) % 2
-        base.append(tile[b, a] if transpose else tile[a, b])
-    base = np.array(base)
-    pairs = (base[[0, 2, 0, 1]] + base[[1, 3, 2, 3]]) % p
-    return np.concatenate([base, pairs, (pairs[:1] + pairs[1:2]) % p])
-
-
+# Each census candidate's combination of the four translated tilings:
+# the tilings, the paper pairing of translate products (periodic across
+# one direction), and the product of all four (uniform).
+CENSUS_PRODUCTS = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1),
+                   (1, 1, 0, 0), (0, 0, 1, 1), (1, 0, 1, 0), (0, 1, 0, 1), (1, 1, 1, 1))
 CENSUS_TIERS = (("base", (0, 1, 2, 3)), ("pair-products", (4, 5, 6, 7)),
                 ("full-product", (8,)))
 
 
-def _census_tier(torus: TorusCode, normal: int) -> tuple[dict, np.ndarray]:
-    """The first tier with a logical, nonempty candidate, and its operators.
+def _tile_vertex(wa, wb, t, su, sv):
+    """Index in ``VERTICES`` of the face label that tiling t puts on in-plane
+    site (su, sv): the face vertex (offset 0 along the normal) at the site
+    parities shifted by (t mod 2, t // 2).  ``wa`` and ``wb`` weigh the two
+    parities in a vertex index: the u and v weights, swapped for the
+    transposed alignment.  Every argument broadcasts."""
+    return wa * ((su ^ t) & 1) + wb * ((sv ^ t >> 1) & 1)
 
-    Tiers run through ``CENSUS_TIERS`` in order, the plain tile alignment
-    before the transposed one.  The nine candidates of an alignment get
-    their syndromes in one batch; the counted ones are returned as their
-    (count, L_u, L_v, 2) plane arrays.
+
+@functools.cache
+def _census_pairs() -> np.ndarray:
+    """Vertex pairs 8 i + j whose Gram entries sum to the tilings' syndromes,
+    independent of the code and the torus: (3, 2, 4, 2, 3, 3, 4) by normal,
+    alignment, tiling, cube layer (0, then -1), cube position (c_u, c_v)
+    on a 3 x 3 plane, and vertex.
+
+    The syndrome at a cube sums <label i, plane at c + v_i> over the four
+    vertices i on the plane, and a tiling's label at a site depends only
+    on the site's parities.  So a cube's syndrome depends only on the
+    parity pairs of the sites it spans along u and along v: (0, 1) and
+    (1, 0) on every side, and on an odd side also the seam (0, 0).  On the
+    3 x 3 plane, positions 0, 1 and 2 span exactly these three.  Built at
+    the first census and kept, read only.
     """
-    for transpose in (False, True):
-        candidates = _census_candidates(torus.params, torus.dims, normal, transpose)
-        logical = ~_plane_syndromes(torus.params, normal, candidates).any(axis=(0, 2, 3))
-        good = logical & candidates.any(axis=(1, 2, 3))
-        for tier, indices in CENSUS_TIERS:
-            ok = [k for k in indices if good[k]]
-            if ok:
-                return ({"count": len(ok), "tier": tier, "transpose": transpose},
-                        candidates[ok])
-    return {"count": 0, "tier": None, "transpose": None}, candidates[:0]
+    weights = 4 >> np.array([[0, 1, 2], [1, 0, 2], [2, 0, 1]])  # normal, u, v
+    normal, tr, t, layer, cu, cv, vu, vv = np.ix_(
+        range(3), (0, 1), range(4), (0, 1), range(3), range(3), (0, 1), (0, 1))
+    wn, wu, wv = (weights[normal, k] for k in range(3))
+    su, sv = (cu + vu) % 3, (cv + vv) % 3
+    tile = _tile_vertex(np.where(tr, wv, wu), np.where(tr, wu, wv), t, su, sv)
+    pairs = (8 * (wn * layer + wu * vu + wv * vv) + tile).reshape(3, 2, 4, 2, 3, 3, 4)
+    pairs.flags.writeable = False
+    return pairs
+
+
+def _census_verdicts(torus: TorusCode) -> tuple[np.ndarray, np.ndarray]:
+    """Whether each census candidate is logical and whether it is nonempty,
+    each (3, 2, 9) by normal axis, tile alignment and candidate: one gather
+    from the label Gram matrix gives the tilings' syndromes on the plane of
+    ``_census_pairs``, less its seam along even sides, and one from the
+    labels their values there (vertex 0 of a layer-0 cube is its own site).
+    """
+    pairs = _census_pairs()
+    syndromes = label_gram(torus.labels).ravel()[pairs].sum(-1)
+    even = np.array(torus.dims)[[[1, 2], [0, 2], [0, 1]]] % 2 == 0
+    syndromes[even[:, 0], ..., 2, :] = 0
+    syndromes[even[:, 1], ..., 2] = 0
+    tilings = np.concatenate([syndromes.reshape(3, 2, 4, 18),
+                              torus.labels[pairs[:, :, :, 0, :, :, 0]].reshape(3, 2, 4, 18)],
+                             axis=-1)
+    candidates = np.array(CENSUS_PRODUCTS) @ tilings % torus.params.p
+    return ~candidates[..., :18].any(-1), candidates[..., 18:].any(-1)
+
+
+def _census_planes(torus: TorusCode, normal: int, transpose: bool, indices) -> np.ndarray:
+    """The census candidates ``indices`` of one alignment as (count, L_u,
+    L_v, 2) plane arrays on the site layer 0 along ``normal``; products
+    are sitewise sums mod p."""
+    u, v = [a for a in range(3) if a != normal]
+    wa, wb = (4 >> v, 4 >> u) if transpose else (4 >> u, 4 >> v)
+    cu, cv = np.arange(torus.dims[u])[:, None], np.arange(torus.dims[v])
+    tilings = torus.labels[_tile_vertex(wa, wb, np.arange(4)[:, None, None], cu, cv)]
+    planes = np.array(CENSUS_PRODUCTS)[indices] @ tilings.reshape(4, -1) % torus.params.p
+    return planes.reshape(len(indices), *tilings.shape[1:])
 
 
 def plane_census(torus: TorusCode) -> dict[str, tuple[dict, np.ndarray]]:
     """Each orientation's census entry and the plane arrays of the logical
-    operators it counts, from one tier search per normal axis.
+    operators it counts, from one batch of verdicts (``_census_verdicts``).
 
-    The first tier containing a logical, nonempty configuration supplies
-    the count: 4 when both in-plane dimensions are even, 2 when one is,
-    1 when none are.  Each (L_u, L_v, 2) array holds the operator on the
-    site layer 0 along the normal.
+    Tiers run through ``CENSUS_TIERS`` in order, the plain tile alignment
+    before the transposed one.  The first tier containing a logical,
+    nonempty candidate supplies the count: 4 when both in-plane
+    dimensions are even, 2 when one is, 1 when none are.  Each (L_u, L_v,
+    2) array holds the operator on the site layer 0 along the normal.
     """
+    logical, nonempty = _census_verdicts(torus)
+    good = (logical & nonempty).tolist()
     out = {}
     for normal in range(3):
-        entry, ops = _census_tier(torus, normal)
+        entry = {"count": 0, "tier": None, "transpose": None}
+        for transpose, (tier, indices) in product((False, True), CENSUS_TIERS):
+            ok = [k for k in indices if good[normal][transpose][k]]
+            if ok:
+                entry = {"count": len(ok), "tier": tier, "transpose": transpose}
+                break
         u, v = [a for a in range(3) if a != normal]
         entry["in_plane_dims"] = (torus.dims[u], torus.dims[v])
-        out[f"normal_{'xyz'[normal]}"] = (entry, ops)
+        out[f"normal_{'xyz'[normal]}"] = (entry, _census_planes(torus, normal, transpose, ok))
     return out
 
 
@@ -291,9 +304,7 @@ def product_of_all_generators(torus: TorusCode) -> PauliConfig:
     their guaranteed encoded qudit), a uniform configuration otherwise.
     """
     p = torus.params.p
-    total = (0, 0)
-    for pair in build_generator(torus.params).values():
-        total = add_pairs(total, pair, p)
+    total = tuple((torus.labels.sum(0) % p).tolist())
     out = PauliConfig(p, torus.dims)
     if total != (0, 0):
         out.support = dict.fromkeys(product(*map(range, torus.dims)), total)
@@ -315,17 +326,19 @@ def encoded_qudit_table(params: CodeParams, sizes=range(2, 5)) -> dict[Site, int
     """k over a cube of torus sizes; exposes the size dependence of k.
 
     Every torus is checked against the size limit before any k is
-    computed.  Abelian-ness is decided once per pattern of sides capped at
-    3: from side 3 on, the 26 folded neighbour offsets are distinct and
-    each translate meets the origin cube on the sites it meets on the
-    infinite lattice, so a side of 3 answers for every longer one.  The
-    sweep runs along the first axis, so each cross-section (L_y, L_z)
-    gives its layer relation once, and all L_x close it.
+    computed.  The neighbour exponents are read off the label Gram matrix
+    once, and abelian-ness is decided once per pattern of sides equal to
+    2: a torus folds the exponents by offset mod min(L, 3)
+    (``_folded_exponents``), so only a side of 2 merges offsets, and a
+    side of 3 answers for every longer one.  The sweep runs along the
+    first axis, so each cross-section (L_y, L_z) gives its layer relation
+    once, and all L_x close it.
     """
     sizes = list(sizes)
     tori = [TorusCode(params, dims) for dims in product(sizes, repeat=3)]
     patterns = {tuple(min(L, 3) for L in torus.dims) for torus in tori}
-    if not all(TorusCode(params, dims).check_abelian() for dims in patterns):
+    exponents = neighbor_exponents(generator_labels(params), params.p)
+    if any(_folded_exponents(exponents, dims, params.p).any() for dims in patterns):
         raise InvalidCodeError("generator family is not abelian on this torus")
     table = {}
     for Ly, Lz in product(sizes, repeat=2):

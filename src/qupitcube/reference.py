@@ -60,9 +60,15 @@ production code it checks, and the tests that compare them:
   flat and cornered strips, the shapes that profile is made of
   (``test_oracle.test_flatten_*``,
   ``test_oracle.test_stabilizer_combination_rejects_support_outside_box``).
-  ``config_row`` writes a configuration in ``codes.generator_rows``'
-  column layout for them and for the dense torus matrix of
-  ``test_logical.test_check_abelian_matches_dense``.
+  ``generator_rows`` scatters the generators of a list of cubes into
+  rows, site by site, for them, for ``layer_relation_by_nullspace`` and
+  for the dense torus matrix of ``test_logical``; ``config_row`` writes
+  a configuration in its column layout (as in
+  ``test_logical.test_check_abelian_matches_dense``).  Through
+  ``layer_relation_by_nullspace``, ``generator_rows`` checks the
+  length-2 rows that ``logical._layer_relation`` lays on the identity
+  and the cyclic shift
+  (``test_logical.test_layer_relation_matches_dense_nullspace``).
 - ``enumerate_deformable`` lists every deformable tuple, and ``orbit``
   closes a tuple breadth-first under ``group_generators``.  They check
   ``classify.classify_orbits`` and ``orbit_canonical``, which names an
@@ -93,9 +99,11 @@ production code it checks, and the tests that compare them:
 - ``commutation_exponent`` sums the symplectic form over the shared
   sites of two configurations; ``verify_witness`` uses it.
   ``translation_exponents_by_shift`` applies it to copies of a generator
-  shifted by ``config_shift``; ``config_mul`` and ``config_scale``
+  shifted by ``config_shift``, and ``translation_exponents`` walks the
+  generator's support site by site; ``config_mul`` and ``config_scale``
   multiply and scale configurations for the tests and demo 02.  Together
-  they check ``codes.translation_exponents``,
+  they check the label Gram matrix's ``codes.neighbor_exponents``, on
+  the open lattice and folded on tori (``logical._folded_exponents``),
   ``codes.verify_translation_commutation``,
   ``logical.TorusCode.check_abelian`` and ``logical.commutation_table``
   (``test_codes.test_translation_exponents_match_shifted_copies``,
@@ -107,14 +115,21 @@ production code it checks, and the tests that compare them:
   ``codes.build_generator`` builds in (``test_codes.test_inversion_*``,
   ``test_codes.test_generator_inversion_invariant``).
 - ``is_logical`` takes the syndrome on the whole torus, and
-  ``build_planar_operator`` (with ``PlanarPattern``) tiles one plane
-  as a configuration, one site at a time.  They check the census
-  candidates that ``logical._census_tier`` builds as plane arrays and
-  judges on the two cube layers touching the plane
+  ``build_planar_operator`` (with ``PlanarPattern`` and ``face_tile``)
+  tiles one plane as a configuration, one site at a time.  They check
+  the census candidates that ``logical._census_planes`` builds as plane
+  arrays and the verdicts that ``logical._census_verdicts`` gathers from
+  the label Gram matrix
   (``test_logical.test_census_candidates_match_planar_operators``,
   ``test_logical.test_is_logical_matches_dense_syndrome``).
+  ``census_candidates`` builds all nine candidates of an alignment on
+  the full plane, ``plane_syndromes`` takes their syndromes by rolling
+  the planes once per vertex, and ``census_by_rolls`` runs the tier
+  search on them.  They check ``logical.plane_census``'s entries and
+  planes, and every verdict of both alignments, on sides 2-16
+  (``test_logical.test_census_reads_only_side_parities``).
   ``planar_census`` and ``census_operators`` are views of
-  ``logical.plane_census`` and ``logical._census_tier`` for the tests
+  ``logical.plane_census`` for the tests
   and demo 04 (``test_logical``, ``test_acceptance.test_criterion_09_*``);
   ``plane_config`` turns the census's plane arrays into the
   configurations ``census_operators`` returns.  Through it,
@@ -182,12 +197,13 @@ from .codes import (
     Pair,
     PauliConfig,
     Site,
+    VERTICES,
     build_generator,
     check_dims,
+    cube_sites,
     cubes_touching,
     doubled_center,
     generator_config,
-    generator_rows,
     scale_pair,
     symplectic_product,
 )
@@ -204,7 +220,7 @@ from .conditions import (
     minimal_string_determinants,
     sub2,
 )
-from .logical import TorusCode, _census_tier, _sweep_axes, face_tile, plane_census
+from .logical import CENSUS_TIERS, TorusCode, _sweep_axes, plane_census
 from .oracle import (
     SegmentGeometry,
     Section,
@@ -1018,9 +1034,49 @@ def commutation_exponent(a: PauliConfig, b: PauliConfig) -> int:
     return e
 
 
+def translation_exponents(g: PauliConfig, offsets) -> list[int]:
+    """Commutation exponent e_o with G T_o(G) = T_o(G) G omega^e_o, per offset o.
+
+    The translate T_o(G) holds at site s what G holds at s - o (folded on
+    a torus), so each exponent is read off G's own support, one site at a
+    time, and no shifted copy is built.
+    """
+    p, dims, support = g.p, g.dims, g.support
+    out = []
+    for ox, oy, oz in offsets:
+        e = 0
+        for (x, y, z), (ax, az) in support.items():
+            q = (x - ox, y - oy, z - oz)
+            if dims is not None:
+                q = (q[0] % dims[0], q[1] % dims[1], q[2] % dims[2])
+            b = support.get(q)
+            if b is not None:
+                e += ax * b[1] - az * b[0]
+        out.append(e % p)
+    return out
+
+
 def translation_exponents_by_shift(g: PauliConfig, offsets) -> list[int]:
-    """``codes.translation_exponents`` from shifted copies of ``g``."""
+    """``translation_exponents`` from shifted copies of ``g``."""
     return [commutation_exponent(g, config_shift(g, o)) for o in offsets]
+
+
+def generator_rows(params: CodeParams, cubes, index, n_sites: int) -> np.ndarray:
+    """One int64 row per cube generator over 2 * ``n_sites`` columns.
+
+    ``index(site)`` gives the site's column pair (x-exponent at 2t,
+    z-exponent at 2t + 1), or None to leave the site out.  Labels landing
+    on the same site are summed mod p.
+    """
+    labels = build_generator(params)
+    M = np.zeros((len(cubes), 2 * n_sites), dtype=np.int64)
+    for r, c in enumerate(cubes):
+        for q, v in zip(cube_sites(c), VERTICES):
+            t, g = index(q), labels[v]
+            if t is not None:
+                M[r, 2 * t] += g[0]
+                M[r, 2 * t + 1] += g[1]
+    return M % params.p
 
 
 def inversion_image(config: PauliConfig, center) -> PauliConfig:
@@ -1160,6 +1216,87 @@ def build_planar_operator(params: CodeParams, pattern: PlanarPattern, dims) -> t
     return cfg, seam
 
 
+def face_tile(params: CodeParams, normal_axis: int) -> dict[tuple[int, int], tuple]:
+    """Tile entries from the zero-side face of the cube generator.
+
+    Keyed by in-plane vertex offsets; the entry diagonal to alpha carries
+    the code's inversion sign, which is what makes the tiling commute
+    with every generator on a seamless torus.
+    """
+    labels = build_generator(params)
+    u, v = [a for a in range(3) if a != normal_axis]
+    tile = {}
+    for vert, g in labels.items():
+        if vert[normal_axis] == 0:
+            tile[(vert[u], vert[v])] = g
+    return tile
+
+
+def plane_syndromes(params: CodeParams, normal: int, planes: np.ndarray) -> np.ndarray:
+    """Syndromes of configurations supported on the site layer 0 along ``normal``.
+
+    ``planes`` is (k, L_u, L_v, 2).  Only the cube layers 0 and -1 touch
+    that site layer, layer 0 through its vertices with offset 0 along
+    ``normal`` and layer -1 through those with offset 1, so the whole
+    syndrome is (2, k, L_u, L_v).  At cube c it sums the symplectic
+    product of each such vertex's label with the plane at c + vertex, so
+    it is a sum of the plane arrays rolled by -vertex.
+    """
+    u, v = [a for a in range(3) if a != normal]
+    out = np.zeros((2, *planes.shape[:-1]), dtype=np.int64)
+    for vert, (lx, lz) in build_generator(params).items():
+        shifted = np.roll(planes, (-vert[u], -vert[v]), axis=(1, 2))
+        out[vert[normal]] += lx * shifted[..., 1] - lz * shifted[..., 0]
+    return out % params.p
+
+
+def census_candidates(params: CodeParams, dims, normal: int, transpose: bool) -> np.ndarray:
+    """The nine census candidates of one tile alignment, as (9, L_u, L_v, 2).
+
+    A tiling labels each site of the plane through the origin by its
+    in-plane coordinate parities, shifted by a translation (ta, tb) in
+    {0, 1}^2 and swapped when ``transpose`` is set.  Candidates 0-3 are
+    the four translated tilings, 4-7 the paper pairing of translate
+    products (periodic across one direction), and 8 the product of all
+    four (uniform); products are sitewise sums mod p.
+    """
+    p = params.p
+    u, v = [a for a in range(3) if a != normal]
+    tile = face_tile(params, normal)
+    tile = np.array([[tile[(0, 0)], tile[(0, 1)]], [tile[(1, 0)], tile[(1, 1)]]],
+                    dtype=np.int64)
+    cu = np.arange(dims[u])[:, None]
+    cv = np.arange(dims[v])[None, :]
+    base = []
+    for ta, tb in ((0, 0), (1, 0), (0, 1), (1, 1)):
+        a, b = (cu + ta) % 2, (cv + tb) % 2
+        base.append(tile[b, a] if transpose else tile[a, b])
+    base = np.array(base)
+    pairs = (base[[0, 2, 0, 1]] + base[[1, 3, 2, 3]]) % p
+    return np.concatenate([base, pairs, (pairs[:1] + pairs[1:2]) % p])
+
+
+def census_by_rolls(torus: TorusCode) -> dict[str, tuple[dict, np.ndarray]]:
+    """``logical.plane_census`` from full-size candidate planes and their
+    rolled syndromes, one tier search per normal axis and alignment."""
+    out = {}
+    for normal in range(3):
+        entry, ops = {"count": 0, "tier": None, "transpose": None}, None
+        for transpose in (False, True):
+            candidates = census_candidates(torus.params, torus.dims, normal, transpose)
+            syndromes = plane_syndromes(torus.params, normal, candidates)
+            good = ~syndromes.any(axis=(0, 2, 3)) & candidates.any(axis=(1, 2, 3))
+            for tier, indices in CENSUS_TIERS:
+                ok = [k for k in indices if good[k]]
+                if ok and ops is None:
+                    entry = {"count": len(ok), "tier": tier, "transpose": transpose}
+                    ops = candidates[ok]
+        u, v = [a for a in range(3) if a != normal]
+        entry["in_plane_dims"] = (torus.dims[u], torus.dims[v])
+        out[f"normal_{'xyz'[normal]}"] = (entry, candidates[:0] if ops is None else ops)
+    return out
+
+
 def planar_census(torus: TorusCode) -> dict:
     """Count valid plane-operator constructions for each orientation."""
     return {name: entry for name, (entry, _) in plane_census(torus).items()}
@@ -1181,7 +1318,8 @@ def plane_config(torus: TorusCode, normal: int, plane: np.ndarray) -> PauliConfi
 def census_operators(torus: TorusCode, normal: int) -> list[PauliConfig]:
     """The logical plane operators the census counts for one orientation,
     as configurations."""
-    return [plane_config(torus, normal, plane) for plane in _census_tier(torus, normal)[1]]
+    planes = plane_census(torus)[f"normal_{'xyz'[normal]}"][1]
+    return [plane_config(torus, normal, plane) for plane in planes]
 
 
 # ---------------------------------------------------------------------------

@@ -249,12 +249,17 @@ def test_logical_report_digests():
     # helpers and the single tier search must reproduce them byte for byte.
     # The --ktable 6 digests were pinned from the per-torus k table, before
     # the table built one layer relation per cross-section and the
-    # commutation tables came from the census's plane arrays.
+    # commutation tables came from the census's plane arrays.  The 7x7x7,
+    # 5x4x7, 2x3x3 and 6x6x2 digests, which reach every census tier, were
+    # pinned from the per-vertex rolls of the census and the per-site loop
+    # of check_abelian, before both were read off the label Gram matrix.
     codes = {"d3": ["--p", "3", "--alpha", "1,0", "--beta", "0,1",
                     "--gamma", "1,1", "--delta", "1,2"],
              "d5": D5_FLAGS[:-2],
              "x4": ["--p", "3", "--alpha", "1,0", "--beta", "1,0",
-                    "--gamma", "1,0", "--delta", "1,0"]}
+                    "--gamma", "1,0", "--delta", "1,0"],
+             "p7": ["--p", "7", "--alpha", "1,0", "--beta", "0,1",
+                    "--gamma", "1,1", "--delta", "3,5"]}
     expected = {
         ("d3", "S", "2x2x2"): "9cb1a812f2428304bed43de9e368ca4a1a1822120f498c7866326dcb0f22afb6",
         ("d3", "S", "3x4x5"): "ca7e5a6183f486ec8b8271d64e99180fec71fac699b75b16ea00974b70a82cb5",
@@ -268,6 +273,38 @@ def test_logical_report_digests():
         ("d5", "A", "2x2x2"): "84d979ccd098df36207829ce6a9205925462044c63e24b2654f3e9f4e48168b8",
         ("d5", "A", "3x4x5"): "3f0d737618ebb59816b4858d3b07e2d9554e73578713a88c49ea84958ea54d20",
         ("d5", "A", "4x4x3"): "5dfe1e4be36e304713d990360259f6f7500bcff81845180218241c99a2cf5d97",
+        ("d3", "S", "7x7x7"): "666f9f6f4fbb23d60aa06c9e85f8ddca492c937c86b81eae0805660c427177f8",
+        ("d3", "S", "5x4x7"): "02f18bfba00dbce57d02a3d0f55309503340d85a208c9a96b43ed4c52783b0a7",
+        ("d3", "S", "2x3x3"): "a257a7faef998dcb00a451259a9c5e3f766446b7f895d7b3d92f8dffd96e7b70",
+        ("d3", "S", "6x6x2"): "b2b6da88597dc5cc580ccca9ecbb48b8443dd5d72ad8fd4e59f95e6e5339b827",
+        ("d3", "A", "7x7x7"): "eee1187381c860e12c030a02b3425b4454316b7db18e8b52ff1707626b667396",
+        ("d3", "A", "5x4x7"): "8672d77f9d4852c7915f0791edd16f7989410ec1bb3a00326d7a2467152312ab",
+        ("d3", "A", "2x3x3"): "07e615050e8cdbaa52e3c67062a9d671bd69f2ab9023291d24c18f5d6231b484",
+        ("d3", "A", "6x6x2"): "d61086590824a3dd288ee358658640449dcf34f5cecf1216230d52f9764323cb",
+        ("d5", "S", "7x7x7"): "2ecd31ec99d3cd9245848ac10213b6981135fa1e28a331c153f625a98b9f849c",
+        ("d5", "S", "5x4x7"): "1ab1bace26450d7a213ea7ef4d7cf07e6c8567841adf8f28b3c95d23e6e17b89",
+        ("d5", "S", "2x3x3"): "96588977386cf0849a8a38a543927ba5192ca838c0af26aae6eb5c84b9c1dbcc",
+        ("d5", "S", "6x6x2"): "b95bca683166450da40ef6f40818d0691210a80c8603dd793871d66e19c4895c",
+        ("d5", "A", "7x7x7"): "8b7f37ebe9cd5894c66e0c923191ad07921ed3b267d55b243d9e32033a5a0eab",
+        ("d5", "A", "5x4x7"): "48ad09e3d6519954d40584ae993b1e0c5dede531a46b1300af78749db3d61c06",
+        ("d5", "A", "2x3x3"): "5e98a392b4ed38040784f0946918f3e004bcb447ac079009e8bc8869fa5547d7",
+        ("d5", "A", "6x6x2"): "056866e6259ac1676052c80ad448649dbfb58a3c081c88999e5c79424282bc1f",
+        ("x4", "S", "7x7x7"): "ff4c2de419a4f1b9d42284ba3760749ab499456344efb208f745c079cf998c19",
+        ("x4", "S", "5x4x7"): "e51eca8b3f62a6a027022bc18baf94f02830cd0680a55c0bf5afd2398ec711a3",
+        ("x4", "S", "2x3x3"): "194534dc41554275d572cddadbfadcab827c09c96746b1d9b5eea2fae07ca6ce",
+        ("x4", "S", "6x6x2"): "3fec63d0d229cfa91708b715feff921b2a4d77ffbb39b3e511388568108c9847",
+        ("x4", "A", "7x7x7"): "eb476159bcea1be260bbd337684843d85da1f28a52a22dccd35f923a0cdf1f64",
+        ("x4", "A", "5x4x7"): "3810461555b1da3e9b4040d59a0105e9525e9325b5e1b9bbcb997e9836c8784f",
+        ("x4", "A", "2x3x3"): "9d170f394bd03272cf84e7f1c4533d66b57ffa3c2eb2f0fabc1770bbd812904d",
+        ("x4", "A", "6x6x2"): "974e8bc25111352f367a1f9557c272355c5eae6bedc95c0b2d778aed2b0ce452",
+        ("p7", "S", "7x7x7"): "c6032130bb40ff0cbabeda51ebe284333397e554bb73d9bb5e71c4c7a24e62b8",
+        ("p7", "S", "5x4x7"): "ecc220f56c18ea2ddd348606c3eeea64301ce06921b48f7bdc5784b5818334de",
+        ("p7", "S", "2x3x3"): "e385dc898a1c62050b083da70007e3c29e5cb33d71b8171e66d73dca297b2eeb",
+        ("p7", "S", "6x6x2"): "316ad31669019bcf183c281883f682ae0ca2d6c643cf1452b516a3454eb82a49",
+        ("p7", "A", "7x7x7"): "e2907edf118933eac8677ae8fae9f3afa5d9d792ee0921848c80f6e76cac6787",
+        ("p7", "A", "5x4x7"): "1028ea9802732f9d611a9769c54860d9e822fbdcad1e85fb405c9c510fad1e14",
+        ("p7", "A", "2x3x3"): "a74ac81757ae6d39127e8d3aa559152a7093ec4aa11ec0a3e42999a978b27814",
+        ("p7", "A", "6x6x2"): "079309740fc95480a26b558b4cf1b0c80293c4a722b723559ef0e79305fbbe8f",
         ("d5", "A", "2x3x2", "--ktable", "3"):
             "be4c28c37179956f2d1f01cf29b5d1112875b5b129c533a0c3fdbec78256e8b7",
         ("d3", "A", "3x4x5", "--ktable", "6"):
@@ -361,17 +398,18 @@ def test_algebra_report_is_independent_of_dims():
 
 
 def test_logical_runs_one_census_tier_search_per_normal(monkeypatch, capsys):
+    # one batched evaluation decides every normal's tier search
     calls = []
-    search = logical._census_tier
+    verdicts = logical._census_verdicts
 
-    def counted(torus, normal):
-        calls.append(normal)
-        return search(torus, normal)
+    def counted(torus):
+        calls.append(torus.dims)
+        return verdicts(torus)
 
-    monkeypatch.setattr(logical, "_census_tier", counted)
+    monkeypatch.setattr(logical, "_census_verdicts", counted)
     assert cli.main(["logical", *D5_FLAGS[:-1], "A", "--dims", "3x4x4"]) == 0
     assert json.loads(capsys.readouterr().out)["results"]["census"]["normal_x"]["count"] == 4
-    assert sorted(calls) == [0, 1, 2]
+    assert calls == [(3, 4, 4)]
 
 
 def test_in_process_calls_match_fresh_interpreters(capsys):

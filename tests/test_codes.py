@@ -17,19 +17,22 @@ from qupitcube.codes import (
     d3_code,
     d5_code,
     generator_config,
-    generator_rows,
+    generator_labels,
     load_params,
+    neighbor_exponents,
     symplectic_product,
-    translation_exponents,
     verify_translation_commutation,
 )
+from qupitcube.logical import _folded_exponents
 from qupitcube.reference import (
     commutation_exponent,
     config_mul,
     config_row,
     config_scale,
     config_shift,
+    generator_rows,
     inversion_image,
+    translation_exponents,
     translation_exponents_by_shift,
 )
 from conftest import random_code, random_pair
@@ -139,20 +142,37 @@ def test_translation_commutation_reference_codes():
     assert verify_translation_commutation(d3_code("S", variant=1)) == []
 
 
+def gram_exponent(exponents, o, dims, p):
+    """The exponent at offset o that the label Gram matrix gives: the
+    neighbour exponent on the open lattice, the folded class sum on a
+    torus, and 0 where o meets no neighbour offset."""
+    if dims is None:
+        return dict(zip(NEIGHBOR_OFFSETS, exponents.tolist())).get(o, 0)
+    folded = _folded_exponents(exponents, dims, p)
+    for c in NEIGHBOR_OFFSETS:
+        if all((a - b) % L == 0 for a, b, L in zip(c, o, dims)):
+            return int(folded[sum(a % min(L, 3) * w for a, L, w in zip(c, dims, (9, 3, 1)))])
+    return 0
+
+
 @pytest.mark.parametrize("scale", [None, 2, 3])
 def test_translation_exponents_match_shifted_copies(scale):
     # every offset of [-2, 2]^3, on the open lattice and on tori with
-    # sides 2-5, where offsets fold and labels sum on wrapped sites
+    # sides 2-5, where offsets fold and labels sum on wrapped sites: the
+    # label Gram matrix's neighbour exponents, folded on tori, and the
+    # per-site loop against shifted copies
     rng = random.Random(47)
     offsets = list(product(range(-2, 3), repeat=3))
     nonzero = False
     for _ in range(40):
         code = random_code(rng, rng.choice((2, 3, 5, 7) if scale is None else (5, 7)))
         dims = tuple(rng.randint(2, 5) for _ in range(3))
+        exponents = neighbor_exponents(generator_labels(code, scale), code.p)
         for on in (None, dims):
             g = generator_config(code, dims=on, scale_override=scale)
-            exps = translation_exponents(g, offsets)
-            assert exps == translation_exponents_by_shift(g, offsets), (code, on)
+            exps = translation_exponents_by_shift(g, offsets)
+            assert translation_exponents(g, offsets) == exps, (code, on)
+            assert [gram_exponent(exponents, o, on, code.p) for o in offsets] == exps, (code, on)
             nonzero = nonzero or any(exps)
         g = generator_config(code, scale_override=scale)
         shifted = translation_exponents_by_shift(g, NEIGHBOR_OFFSETS)

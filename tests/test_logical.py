@@ -8,14 +8,13 @@ import numpy as np
 import pytest
 
 from conftest import random_code, random_deformable_tuple
-from qupitcube import fp, logical, transfer
+from qupitcube import codes, fp, logical, transfer
 from qupitcube.codes import (
     CodeParams,
     PauliConfig,
     d3_code,
     d5_code,
     generator_config,
-    generator_rows,
 )
 from qupitcube.logical import (
     MAX_TORUS_SITES,
@@ -24,23 +23,27 @@ from qupitcube.logical import (
     commutation_table,
     encoded_qudit_count,
     encoded_qudit_table,
-    face_tile,
     plane_census,
     product_of_all_generators,
 )
 from qupitcube.reference import (
     PlanarPattern,
     build_planar_operator,
+    census_by_rolls,
+    census_candidates,
     census_operators,
     commutation_exponent,
     config_mul,
     config_row,
     config_shift,
+    face_tile,
+    generator_rows,
     is_logical,
     layer_relation_by_nullspace,
     left_kernel_dim_by_composition,
     planar_census,
     plane_config,
+    plane_syndromes,
 )
 
 ALL_CODES = [d3_code("S"), d3_code("A"), d5_code("S"), d5_code("A")]
@@ -165,11 +168,12 @@ def test_dense_torus_size_limit():
 
 
 def scaled_generators(monkeypatch, scale):
-    """Make ``logical`` place generators with inversion scale ``scale``."""
-    def scaled(params, position=(0, 0, 0), dims=None, scale_override=None):
-        return generator_config(params, position, dims, scale_override=scale)
+    """Make ``logical`` read generator labels, and so the label Gram
+    matrix, with inversion scale ``scale``."""
+    def scaled(params, scale_override=None):
+        return codes.generator_labels(params, scale)
 
-    monkeypatch.setattr(logical, "generator_config", scaled)
+    monkeypatch.setattr(logical, "generator_labels", scaled)
 
 
 def test_encoded_qudit_count_rejects_nonabelian(monkeypatch):
@@ -484,23 +488,57 @@ def test_census_candidates_match_planar_operators():
     cases += [(d5_code("A"), (5, 2, 4)), (d3_code("S"), (2, 3, 5))]
     for code, dims in cases:
         torus = TorusCode(code, dims)
+        logical_, nonempty = logical._census_verdicts(torus)
         for normal, transpose in product(range(3), (False, True)):
             built = [build_planar_operator(code, PlanarPattern(normal, t, transpose), dims)[0]
                      for t in ((0, 0), (1, 0), (0, 1), (1, 1))]
             pairs = [config_mul(built[i], built[j]) for i, j in ((0, 1), (2, 3), (0, 2), (1, 3))]
             expected = built + pairs + [config_mul(pairs[0], pairs[1])]
-            planes = logical._census_candidates(code, dims, normal, transpose)
-            syndromes = logical._plane_syndromes(code, normal, planes)
+            planes = logical._census_planes(torus, normal, transpose, list(range(9)))
             configs = [plane_config(torus, normal, plane) for plane in planes]
             assert configs == expected, (code, dims, normal, transpose)
             for k, cfg in enumerate(expected):
-                verdict = not syndromes[:, k].any()
+                verdict = bool(logical_[normal, int(transpose), k])
                 assert verdict == is_logical(cfg, torus), (code, dims, normal, transpose, k)
+                assert nonempty[normal, int(transpose), k] == (not cfg.is_identity())
                 seen.add(verdict)
             assert (commutation_table(planes, code.p).tolist()
                     == pairwise_table(configs).tolist())
     assert seen == {True, False}
     assert commutation_table(np.zeros((0, 3, 4, 2), dtype=np.int64), 5).shape == (0, 0)
+
+
+def test_census_reads_only_side_parities():
+    # the census gathers its verdicts on the reduced torus, sides 2 + L mod 2;
+    # entries equal that torus's, and entries, planes and every candidate's
+    # verdicts in both alignments equal the full-size rolled syndromes
+    rng = random.Random(191)
+    seen = set()
+    for p in (2, 3, 5, 7, 11):
+        for _ in range(16):
+            code = random_code(rng, p)
+            dims = (17, 17, 17)
+            while dims[0] * dims[1] * dims[2] > MAX_TORUS_SITES:
+                dims = tuple(rng.randint(2, 16) for _ in range(3))
+            torus = TorusCode(code, dims)
+            census = plane_census(torus)
+            reduced = plane_census(TorusCode(code, tuple(2 + L % 2 for L in dims)))
+            logical_, nonempty = logical._census_verdicts(torus)
+            for normal, (name, (entry, planes)) in enumerate(census.items()):
+                oracle_entry, oracle_planes = census_by_rolls(torus)[name]
+                assert entry == oracle_entry, (code, dims, name)
+                assert np.array_equal(planes, oracle_planes), (code, dims, name)
+                assert ({**entry, "in_plane_dims": None}
+                        == {**reduced[name][0], "in_plane_dims": None}), (code, dims, name)
+                seen.add(entry["tier"])
+                for transpose in (0, 1):
+                    candidates = census_candidates(code, dims, normal, transpose)
+                    syndromes = plane_syndromes(code, normal, candidates)
+                    assert (logical_[normal, transpose]
+                            == ~syndromes.any(axis=(0, 2, 3))).all(), (code, dims, name)
+                    assert (nonempty[normal, transpose]
+                            == candidates.any(axis=(1, 2, 3))).all(), (code, dims, name)
+    assert seen == {"base", "pair-products", "full-product"}
 
 
 def test_product_of_all_generators_matches_dense_row_sum():
