@@ -9,15 +9,14 @@ none are (via products of tilings).
 
 import numpy as np
 
-from qupitcube import (
-    TorusCode,
-    d3_code,
-    d5_code,
-    encoded_qudit_count,
+from qupitcube import TorusCode, d3_code, d5_code, encoded_qudit_count
+from qupitcube.logical import encoded_qudit_table
+from qupitcube.reference import (
+    census_operators,
+    commutation_exponent,
+    planar_census,
     product_of_all_generators,
 )
-from qupitcube.logical import encoded_qudit_table
-from qupitcube.reference import census_operators, commutation_exponent, planar_census
 
 code = d3_code("A")
 

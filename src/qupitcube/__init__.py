@@ -41,7 +41,6 @@ from .classify import (
 from .logical import (
     TorusCode,
     encoded_qudit_count,
-    product_of_all_generators,
 )
 from .algebra import (
     OperatorSum,

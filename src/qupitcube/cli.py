@@ -29,7 +29,6 @@ from .logical import (
     encoded_qudit_count,
     encoded_qudit_table,
     plane_census,
-    product_of_all_generators,
 )
 
 SCHEMA_VERSION = "1"
@@ -241,14 +240,15 @@ def cmd_logical(args, parser) -> int:
     results: dict = {"dims": list(args.dims), "abelian": abelian}
     ok = abelian
     if abelian:
-        prod = product_of_all_generators(torus)
+        # the product of all generators holds the sum of the eight labels on every site
+        identity = not (torus.labels.sum(0) % code.p).any()
         census = plane_census(torus)
         tables = {name: commutation_table(ops, code.p).tolist()
                   for name, (_, ops) in census.items()}
         results.update({
             "census": {name: entry for name, (entry, _) in census.items()},
             "encoded_qudits": k,
-            "product_of_all_generators_identity": prod.is_identity(),
+            "product_of_all_generators_identity": identity,
             "commutation_tables": tables,
         })
         if args.ktable:
@@ -256,7 +256,7 @@ def cmd_logical(args, parser) -> int:
             results["k_table"] = {"x".join(map(str, dims)): kk
                                   for dims, kk in sorted(table.items())}
         if code.parity == "A":
-            ok = ok and prod.is_identity() and k >= 1
+            ok = ok and identity and k >= 1
     opts = {"dims": list(args.dims), "ktable": args.ktable}
     return _emit(_report("logical", opts, results, [], ok, code))
 

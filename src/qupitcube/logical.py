@@ -15,25 +15,41 @@ length.
 
 Noncontractible plane operators are built from a 2x2 tile that matches
 the generator's face across the plane: the tile entry at in-plane parity
-(a, b) is the generator label on the face vertex with those offsets, and
-the label diagonal to alpha inherits the inversion sign of the code.
-The four unit translates of the tile are the base patterns; products of
-translate pairs stay periodic across one odd direction, and the product
-of all four is uniform, giving the 4 / 2 / 1 census by the parities of
-the two in-plane dimensions.  A candidate's syndrome on the two cube
-layers that touch the plane is a sum of entries of the origin cube's
-label Gram matrix G = X Z^T - Z X^T, and depends on the torus only
-through the parities of the in-plane sides, so one gather from G
-decides every candidate of every normal and alignment.  The operators
-it counts become L_u x L_v plane arrays, and their commutation table is
-X Z^T - Z X^T on the flattened planes.
+(a, b) is the label l(a, b) on the face vertex with those offsets, the
+one diagonal to alpha carrying the code's inversion sign s, and the far
+face holds s l(1 - a, 1 - b).  The four unit translates of the tile are
+the base tilings; products of translate pairs stay periodic across one
+odd direction, and the product of all four is uniform, giving the
+4 / 2 / 1 census by the parities of the two in-plane dimensions.  A
+candidate's syndrome on the two cube layers that touch the plane is a
+sum of entries of the origin cube's label Gram matrix
+G = X Z^T - Z X^T, and depends on the torus only through the parities
+of the in-plane sides, so one gather from G decides every candidate of
+every normal.  The operators it counts become L_u x L_v plane arrays,
+and their commutation table is X Z^T - Z X^T on the flattened planes.
+
+Some candidate always decides.  For a tile T, a layer-0 cube at parity
+shift e has syndrome sum_i <l(i), T(i + e)>, parities mod 2, and a
+layer -1 cube s times the same sum at e + (1, 1).  For T = l the sum
+pairs <x, y> with <y, x>, so it is 0:
+
+- both in-plane sides even: the four base tilings are logical and
+  nonempty, so the entry is base with count 4;
+- one side odd: the pair product periodic along it,
+  R_u(y) = l(0, y) + l(1, y), is logical; if R_u = 0, the seam cubes of
+  the base tilings sum to <R_u, .> = 0, so the base tilings are logical;
+- both sides odd: if F = sum l != 0, the uniform full product decides;
+  if F = 0, the seam cubes of each periodic pair product sum to
+  <F, .> = 0, and if also R_u = R_v = 0, every seam and corner sum of the
+  base tilings is 0.
 
 Commutation on a torus is read off G too: the origin generator's
 exponents with its 26 neighbour translates, folded modulo the sides
 (``check_abelian``).  The slower constructions these are checked
-against (``is_logical`` over the whole torus, ``build_planar_operator``,
-the census by rolled full-size planes, the site-by-site loop and the
-shifted copies) live in ``qupitcube.reference``.
+against (``is_logical`` over the whole torus, ``build_planar_operator``
+and the census over its tiled configurations, the product of all
+generators, the site-by-site loop and the shifted copies) live in
+``qupitcube.reference``.
 """
 
 from __future__ import annotations
@@ -47,7 +63,6 @@ from . import transfer
 from .codes import (
     NEIGHBOR_OFFSETS,
     CodeParams,
-    PauliConfig,
     Site,
     check_dims,
     generator_labels,
@@ -204,21 +219,20 @@ CENSUS_TIERS = (("base", (0, 1, 2, 3)), ("pair-products", (4, 5, 6, 7)),
                 ("full-product", (8,)))
 
 
-def _tile_vertex(wa, wb, t, su, sv):
+def _tile_vertex(wu, wv, t, su, sv):
     """Index in ``VERTICES`` of the face label that tiling t puts on in-plane
     site (su, sv): the face vertex (offset 0 along the normal) at the site
-    parities shifted by (t mod 2, t // 2).  ``wa`` and ``wb`` weigh the two
-    parities in a vertex index: the u and v weights, swapped for the
-    transposed alignment.  Every argument broadcasts."""
-    return wa * ((su ^ t) & 1) + wb * ((sv ^ t >> 1) & 1)
+    parities shifted by (t mod 2, t // 2).  ``wu`` and ``wv`` weigh the u
+    and v parities in a vertex index.  Every argument broadcasts."""
+    return wu * ((su ^ t) & 1) + wv * ((sv ^ t >> 1) & 1)
 
 
 @functools.cache
 def _census_pairs() -> np.ndarray:
     """Vertex pairs 8 i + j whose Gram entries sum to the tilings' syndromes,
-    independent of the code and the torus: (3, 2, 4, 2, 3, 3, 4) by normal,
-    alignment, tiling, cube layer (0, then -1), cube position (c_u, c_v)
-    on a 3 x 3 plane, and vertex.
+    independent of the code and the torus: (3, 4, 2, 3, 3, 4) by normal,
+    tiling, cube layer (0, then -1), cube position (c_u, c_v) on a 3 x 3
+    plane, and vertex.
 
     The syndrome at a cube sums <label i, plane at c + v_i> over the four
     vertices i on the plane, and a tiling's label at a site depends only
@@ -229,20 +243,19 @@ def _census_pairs() -> np.ndarray:
     the first census and kept, read only.
     """
     weights = 4 >> np.array([[0, 1, 2], [1, 0, 2], [2, 0, 1]])  # normal, u, v
-    normal, tr, t, layer, cu, cv, vu, vv = np.ix_(
-        range(3), (0, 1), range(4), (0, 1), range(3), range(3), (0, 1), (0, 1))
+    normal, t, layer, cu, cv, vu, vv = np.ix_(
+        range(3), range(4), (0, 1), range(3), range(3), (0, 1), (0, 1))
     wn, wu, wv = (weights[normal, k] for k in range(3))
-    su, sv = (cu + vu) % 3, (cv + vv) % 3
-    tile = _tile_vertex(np.where(tr, wv, wu), np.where(tr, wu, wv), t, su, sv)
-    pairs = (8 * (wn * layer + wu * vu + wv * vv) + tile).reshape(3, 2, 4, 2, 3, 3, 4)
+    tile = _tile_vertex(wu, wv, t, (cu + vu) % 3, (cv + vv) % 3)
+    pairs = (8 * (wn * layer + wu * vu + wv * vv) + tile).reshape(3, 4, 2, 3, 3, 4)
     pairs.flags.writeable = False
     return pairs
 
 
 def _census_verdicts(torus: TorusCode) -> tuple[np.ndarray, np.ndarray]:
     """Whether each census candidate is logical and whether it is nonempty,
-    each (3, 2, 9) by normal axis, tile alignment and candidate: one gather
-    from the label Gram matrix gives the tilings' syndromes on the plane of
+    each (3, 9) by normal axis and candidate: one gather from the label
+    Gram matrix gives the tilings' syndromes on the plane of
     ``_census_pairs``, less its seam along even sides, and one from the
     labels their values there (vertex 0 of a layer-0 cube is its own site).
     """
@@ -251,21 +264,20 @@ def _census_verdicts(torus: TorusCode) -> tuple[np.ndarray, np.ndarray]:
     even = np.array(torus.dims)[[[1, 2], [0, 2], [0, 1]]] % 2 == 0
     syndromes[even[:, 0], ..., 2, :] = 0
     syndromes[even[:, 1], ..., 2] = 0
-    tilings = np.concatenate([syndromes.reshape(3, 2, 4, 18),
-                              torus.labels[pairs[:, :, :, 0, :, :, 0]].reshape(3, 2, 4, 18)],
+    tilings = np.concatenate([syndromes.reshape(3, 4, 18),
+                              torus.labels[pairs[:, :, 0, :, :, 0]].reshape(3, 4, 18)],
                              axis=-1)
     candidates = np.array(CENSUS_PRODUCTS) @ tilings % torus.params.p
     return ~candidates[..., :18].any(-1), candidates[..., 18:].any(-1)
 
 
-def _census_planes(torus: TorusCode, normal: int, transpose: bool, indices) -> np.ndarray:
-    """The census candidates ``indices`` of one alignment as (count, L_u,
-    L_v, 2) plane arrays on the site layer 0 along ``normal``; products
-    are sitewise sums mod p."""
+def _census_planes(torus: TorusCode, normal: int, indices) -> np.ndarray:
+    """The census candidates ``indices`` as (count, L_u, L_v, 2) plane
+    arrays on the site layer 0 along ``normal``; products are sitewise
+    sums mod p."""
     u, v = [a for a in range(3) if a != normal]
-    wa, wb = (4 >> v, 4 >> u) if transpose else (4 >> u, 4 >> v)
     cu, cv = np.arange(torus.dims[u])[:, None], np.arange(torus.dims[v])
-    tilings = torus.labels[_tile_vertex(wa, wb, np.arange(4)[:, None, None], cu, cv)]
+    tilings = torus.labels[_tile_vertex(4 >> u, 4 >> v, np.arange(4)[:, None, None], cu, cv)]
     planes = np.array(CENSUS_PRODUCTS)[indices] @ tilings.reshape(4, -1) % torus.params.p
     return planes.reshape(len(indices), *tilings.shape[1:])
 
@@ -274,40 +286,27 @@ def plane_census(torus: TorusCode) -> dict[str, tuple[dict, np.ndarray]]:
     """Each orientation's census entry and the plane arrays of the logical
     operators it counts, from one batch of verdicts (``_census_verdicts``).
 
-    Tiers run through ``CENSUS_TIERS`` in order, the plain tile alignment
-    before the transposed one.  The first tier containing a logical,
-    nonempty candidate supplies the count: 4 when both in-plane
-    dimensions are even, 2 when one is, 1 when none are.  Each (L_u, L_v,
-    2) array holds the operator on the site layer 0 along the normal.
+    Tiers run through ``CENSUS_TIERS`` in order.  The first tier
+    containing a logical, nonempty candidate supplies the count: 4 when
+    both in-plane dimensions are even, 2 when one is, 1 when none are.
+    By the three cases of the module docstring some tier always does:
+    both sides even, the base tilings; one side odd, the pair product
+    periodic along it, or the base tilings when R_u = 0; both odd, the
+    full product, or when F = 0 a periodic pair product, or when also
+    R_u = R_v = 0 the base tilings.  So the tile is never transposed and
+    ``"transpose"`` is always False.  Each (L_u, L_v, 2) array holds the
+    operator on the site layer 0 along the normal.
     """
     logical, nonempty = _census_verdicts(torus)
     good = (logical & nonempty).tolist()
     out = {}
     for normal in range(3):
-        entry = {"count": 0, "tier": None, "transpose": None}
-        for transpose, (tier, indices) in product((False, True), CENSUS_TIERS):
-            ok = [k for k in indices if good[normal][transpose][k]]
-            if ok:
-                entry = {"count": len(ok), "tier": tier, "transpose": transpose}
-                break
+        tier, ok = next((tier, ok) for tier, indices in CENSUS_TIERS
+                        if (ok := [k for k in indices if good[normal][k]]))
         u, v = [a for a in range(3) if a != normal]
-        entry["in_plane_dims"] = (torus.dims[u], torus.dims[v])
-        out[f"normal_{'xyz'[normal]}"] = (entry, _census_planes(torus, normal, transpose, ok))
-    return out
-
-
-def product_of_all_generators(torus: TorusCode) -> PauliConfig:
-    """Sitewise product over every cube generator on the torus.
-
-    Each site collects (1 + s) times the sum of the four pairs: the zero
-    configuration for antisymmetric codes (the global relation behind
-    their guaranteed encoded qudit), a uniform configuration otherwise.
-    """
-    p = torus.params.p
-    total = tuple((torus.labels.sum(0) % p).tolist())
-    out = PauliConfig(p, torus.dims)
-    if total != (0, 0):
-        out.support = dict.fromkeys(product(*map(range, torus.dims)), total)
+        entry = {"count": len(ok), "tier": tier, "transpose": False,
+                 "in_plane_dims": (torus.dims[u], torus.dims[v])}
+        out[f"normal_{'xyz'[normal]}"] = (entry, _census_planes(torus, normal, ok))
     return out
 
 

@@ -56,9 +56,9 @@ from .codes import (
     CodeParams,
     PauliConfig,
     Site,
-    build_generator,
     cube_sites,
     cubes_touching,
+    generator_labels,
 )
 
 
@@ -239,12 +239,12 @@ def _template(axis: int, section: Section) -> np.ndarray:
 
 
 def _labels(codes: list[CodeParams]) -> np.ndarray:
-    """Each code's generator labels (x, z) as rows (x, -z) mod p in
-    ``VERTICES`` order, then a zero row for the sites a cube misses, as a
+    """Each code's ``codes.generator_labels`` (x, z) as rows (x, -z) mod p,
+    in ``VERTICES`` order, then a zero row for the sites a cube misses, as a
     (C, len(VERTICES) + 1, 2) stack for codes of one modulus: gathered by a
     ``_template``, they land on the (z, x) columns of each site."""
     out = np.zeros((len(codes), len(VERTICES) + 1, 2), dtype=np.int64)
-    out[:, :-1] = [[labels[v] for v in VERTICES] for labels in map(build_generator, codes)]
+    out[:, :-1] = [generator_labels(code) for code in codes]
     out[:, :, 1] *= -1
     return out % codes[0].p
 

@@ -114,28 +114,31 @@ production code it checks, and the tests that compare them:
   centre.  It checks the inversion symmetry that
   ``codes.build_generator`` builds in (``test_codes.test_inversion_*``,
   ``test_codes.test_generator_inversion_invariant``).
-- ``is_logical`` takes the syndrome on the whole torus, and
-  ``build_planar_operator`` (with ``PlanarPattern`` and ``face_tile``)
-  tiles one plane as a configuration, one site at a time.  They check
-  the census candidates that ``logical._census_planes`` builds as plane
-  arrays and the verdicts that ``logical._census_verdicts`` gathers from
-  the label Gram matrix
+- ``is_logical`` takes the syndrome on the whole torus by rolled copies
+  of the configuration, and ``build_planar_operator`` (with
+  ``PlanarPattern`` and ``face_tile``) tiles one plane as a
+  configuration, one site at a time; ``tiled_candidates`` multiplies
+  the tilings into the nine census candidates by ``config_mul``.  They
+  check the plane arrays of ``logical._census_planes`` and the verdicts
+  ``logical._census_verdicts`` gathers from the label Gram matrix
   (``test_logical.test_census_candidates_match_planar_operators``,
   ``test_logical.test_is_logical_matches_dense_syndrome``).
-  ``census_candidates`` builds all nine candidates of an alignment on
-  the full plane, ``plane_syndromes`` takes their syndromes by rolling
-  the planes once per vertex, and ``census_by_rolls`` runs the tier
-  search on them.  They check ``logical.plane_census``'s entries and
-  planes, and every verdict of both alignments, on sides 2-16
+  ``census_by_rolls``, the one census oracle, runs the tier search on
+  them.  It checks ``logical.plane_census``'s entries and operators,
+  and so the proof that a plain tiling always decides, on sides 2-16
   (``test_logical.test_census_reads_only_side_parities``).
   ``planar_census`` and ``census_operators`` are views of
-  ``logical.plane_census`` for the tests
-  and demo 04 (``test_logical``, ``test_acceptance.test_criterion_09_*``);
-  ``plane_config`` turns the census's plane arrays into the
-  configurations ``census_operators`` returns.  Through it,
-  ``commutation_exponent`` checks the tables the command line takes
-  straight from the plane arrays
+  ``logical.plane_census`` for the tests and demo 04 (``test_logical``,
+  ``test_acceptance.test_criterion_09_*``); ``plane_config`` turns the
+  census's plane arrays into the configurations ``census_operators``
+  returns.  Through it, ``commutation_exponent`` checks the tables the
+  command line takes straight from the plane arrays
   (``test_logical.test_census_tables_from_plane_arrays_match_configurations``).
+- ``product_of_all_generators`` multiplies every cube generator of a
+  torus.  It checks the bit ``cli.cmd_logical`` reads off the label sum
+  (``test_cli.test_logical_identity_bit_matches_the_product``) and is
+  checked against the dense torus matrix
+  (``test_logical.test_product_of_all_generators_matches_dense_row_sum``).
 - ``layer_relation_by_nullspace`` is the layer relation W as the dense
   nullspace of [B1; B0]^T, 2m x 2m for m cubes per layer.  It checks
   the row space of ``logical._layer_relation``, which
@@ -1159,6 +1162,18 @@ def left_kernel_dim_by_composition(params: CodeParams, dims) -> int:
 # Planar operators on tori
 
 
+def product_of_all_generators(torus: TorusCode) -> PauliConfig:
+    """Sitewise product over every cube generator on the torus, one
+    generator at a time: the zero configuration for antisymmetric codes
+    (the global relation behind their guaranteed encoded qudit), a
+    uniform configuration otherwise."""
+    out = PauliConfig(torus.params.p, torus.dims)
+    for c in product(*map(range, torus.dims)):
+        for site, pair in generator_config(torus.params, c, torus.dims).support.items():
+            out.add(site, pair)
+    return out
+
+
 def is_logical(config: PauliConfig, torus: TorusCode) -> bool:
     """True when the configuration commutes with every cube generator.
 
@@ -1179,11 +1194,10 @@ def is_logical(config: PauliConfig, torus: TorusCode) -> bool:
 
 @dataclass(frozen=True)
 class PlanarPattern:
-    """A tiled plane through the origin: normal axis, tile translation, transpose."""
+    """A tiled plane through the origin: normal axis and tile translation."""
 
     normal_axis: int
     translation: tuple[int, int] = (0, 0)
-    transpose: bool = False
 
     @property
     def plane_axes(self) -> tuple[int, int]:
@@ -1205,13 +1219,10 @@ def build_planar_operator(params: CodeParams, pattern: PlanarPattern, dims) -> t
     ta, tb = pattern.translation
     for cu in range(dims[u]):
         for cv in range(dims[v]):
-            a, b = (cu + ta) % 2, (cv + tb) % 2
-            if pattern.transpose:
-                a, b = b, a
             site = [0, 0, 0]
             site[u] = cu
             site[v] = cv
-            cfg.add(tuple(site), tile[(a, b)])
+            cfg.add(tuple(site), tile[((cu + ta) % 2, (cv + tb) % 2)])
     seam = dims[u] % 2 == 1 or dims[v] % 2 == 1
     return cfg, seam
 
@@ -1232,68 +1243,31 @@ def face_tile(params: CodeParams, normal_axis: int) -> dict[tuple[int, int], tup
     return tile
 
 
-def plane_syndromes(params: CodeParams, normal: int, planes: np.ndarray) -> np.ndarray:
-    """Syndromes of configurations supported on the site layer 0 along ``normal``.
-
-    ``planes`` is (k, L_u, L_v, 2).  Only the cube layers 0 and -1 touch
-    that site layer, layer 0 through its vertices with offset 0 along
-    ``normal`` and layer -1 through those with offset 1, so the whole
-    syndrome is (2, k, L_u, L_v).  At cube c it sums the symplectic
-    product of each such vertex's label with the plane at c + vertex, so
-    it is a sum of the plane arrays rolled by -vertex.
-    """
-    u, v = [a for a in range(3) if a != normal]
-    out = np.zeros((2, *planes.shape[:-1]), dtype=np.int64)
-    for vert, (lx, lz) in build_generator(params).items():
-        shifted = np.roll(planes, (-vert[u], -vert[v]), axis=(1, 2))
-        out[vert[normal]] += lx * shifted[..., 1] - lz * shifted[..., 0]
-    return out % params.p
+def tiled_candidates(params: CodeParams, normal: int, dims) -> list[PauliConfig]:
+    """The nine census candidates of one normal axis as configurations:
+    the four translated tilings of ``build_planar_operator``, the paper
+    pairing of their products (periodic across one direction), and the
+    product of all four (uniform)."""
+    base = [build_planar_operator(params, PlanarPattern(normal, t), dims)[0]
+            for t in ((0, 0), (1, 0), (0, 1), (1, 1))]
+    pairs = [config_mul(base[i], base[j]) for i, j in ((0, 1), (2, 3), (0, 2), (1, 3))]
+    return base + pairs + [config_mul(pairs[0], pairs[1])]
 
 
-def census_candidates(params: CodeParams, dims, normal: int, transpose: bool) -> np.ndarray:
-    """The nine census candidates of one tile alignment, as (9, L_u, L_v, 2).
-
-    A tiling labels each site of the plane through the origin by its
-    in-plane coordinate parities, shifted by a translation (ta, tb) in
-    {0, 1}^2 and swapped when ``transpose`` is set.  Candidates 0-3 are
-    the four translated tilings, 4-7 the paper pairing of translate
-    products (periodic across one direction), and 8 the product of all
-    four (uniform); products are sitewise sums mod p.
-    """
-    p = params.p
-    u, v = [a for a in range(3) if a != normal]
-    tile = face_tile(params, normal)
-    tile = np.array([[tile[(0, 0)], tile[(0, 1)]], [tile[(1, 0)], tile[(1, 1)]]],
-                    dtype=np.int64)
-    cu = np.arange(dims[u])[:, None]
-    cv = np.arange(dims[v])[None, :]
-    base = []
-    for ta, tb in ((0, 0), (1, 0), (0, 1), (1, 1)):
-        a, b = (cu + ta) % 2, (cv + tb) % 2
-        base.append(tile[b, a] if transpose else tile[a, b])
-    base = np.array(base)
-    pairs = (base[[0, 2, 0, 1]] + base[[1, 3, 2, 3]]) % p
-    return np.concatenate([base, pairs, (pairs[:1] + pairs[1:2]) % p])
-
-
-def census_by_rolls(torus: TorusCode) -> dict[str, tuple[dict, np.ndarray]]:
-    """``logical.plane_census`` from full-size candidate planes and their
-    rolled syndromes, one tier search per normal axis and alignment."""
+def census_by_rolls(torus: TorusCode) -> dict[str, tuple[dict, list[PauliConfig]]]:
+    """``logical.plane_census`` with each ``tiled_candidates`` judged by
+    ``is_logical`` on the whole torus, one tier search per normal axis;
+    the operators it counts are configurations."""
     out = {}
     for normal in range(3):
-        entry, ops = {"count": 0, "tier": None, "transpose": None}, None
-        for transpose in (False, True):
-            candidates = census_candidates(torus.params, torus.dims, normal, transpose)
-            syndromes = plane_syndromes(torus.params, normal, candidates)
-            good = ~syndromes.any(axis=(0, 2, 3)) & candidates.any(axis=(1, 2, 3))
-            for tier, indices in CENSUS_TIERS:
-                ok = [k for k in indices if good[k]]
-                if ok and ops is None:
-                    entry = {"count": len(ok), "tier": tier, "transpose": transpose}
-                    ops = candidates[ok]
+        candidates = tiled_candidates(torus.params, normal, torus.dims)
+        good = [is_logical(c, torus) and not c.is_identity() for c in candidates]
+        tier, ok = next((tier, ok) for tier, indices in CENSUS_TIERS
+                        if (ok := [k for k in indices if good[k]]))
         u, v = [a for a in range(3) if a != normal]
-        entry["in_plane_dims"] = (torus.dims[u], torus.dims[v])
-        out[f"normal_{'xyz'[normal]}"] = (entry, candidates[:0] if ops is None else ops)
+        entry = {"count": len(ok), "tier": tier, "transpose": False,
+                 "in_plane_dims": (torus.dims[u], torus.dims[v])}
+        out[f"normal_{'xyz'[normal]}"] = (entry, [candidates[k] for k in ok])
     return out
 
 

@@ -22,12 +22,8 @@ from qupitcube.codes import (
     verify_translation_commutation,
 )
 from qupitcube.conditions import rel_transition, theorem1_report
-from qupitcube.logical import (
-    TorusCode,
-    encoded_qudit_count,
-    product_of_all_generators,
-)
-from qupitcube.reference import planar_census
+from qupitcube.logical import TorusCode, encoded_qudit_count
+from qupitcube.reference import planar_census, product_of_all_generators
 from qupitcube.algebra import (
     verify_commutation_law,
     verify_inversion_action,

@@ -3,6 +3,7 @@
 import hashlib
 import io
 import json
+import random
 import subprocess
 import sys
 import time
@@ -10,10 +11,13 @@ import time
 import numpy as np
 import pytest
 
+from conftest import random_code
 from qupitcube import algebra, cli, fp, logical
 from qupitcube.algebra import MAX_ALGEBRA_MODULUS
 from qupitcube.classify import MAX_CLASSIFY_MODULUS
-from qupitcube.codes import d5_code
+from qupitcube.codes import CodeParams, d5_code
+from qupitcube.logical import TorusCode
+from qupitcube.reference import product_of_all_generators
 from qupitcube.oracle import MAX_STRIP_LENGTH, MAX_STRIP_WIDTH, scan_width
 
 D5_FLAGS = ["--p", "5", "--alpha", "1,0", "--beta", "0,1",
@@ -253,13 +257,21 @@ def test_logical_report_digests():
     # 5x4x7, 2x3x3 and 6x6x2 digests, which reach every census tier, were
     # pinned from the per-vertex rolls of the census and the per-site loop
     # of check_abelian, before both were read off the label Gram matrix.
+    # The f0 and r0 digests, codes built for the census branches with
+    # F = 0 on every normal and with R_u = R_v = 0 on normal z, were pinned
+    # from the census with both tile alignments and the product of all
+    # generators built site by site.
     codes = {"d3": ["--p", "3", "--alpha", "1,0", "--beta", "0,1",
                     "--gamma", "1,1", "--delta", "1,2"],
              "d5": D5_FLAGS[:-2],
              "x4": ["--p", "3", "--alpha", "1,0", "--beta", "1,0",
                     "--gamma", "1,0", "--delta", "1,0"],
              "p7": ["--p", "7", "--alpha", "1,0", "--beta", "0,1",
-                    "--gamma", "1,1", "--delta", "3,5"]}
+                    "--gamma", "1,1", "--delta", "3,5"],
+             "f0": ["--p", "5", "--alpha", "1,0", "--beta", "0,1",
+                    "--gamma", "1,1", "--delta", "3,3"],
+             "r0": ["--p", "5", "--alpha", "1,0", "--beta", "4,0",
+                    "--gamma", "4,0", "--delta", "1,0"]}
     expected = {
         ("d3", "S", "2x2x2"): "9cb1a812f2428304bed43de9e368ca4a1a1822120f498c7866326dcb0f22afb6",
         ("d3", "S", "3x4x5"): "ca7e5a6183f486ec8b8271d64e99180fec71fac699b75b16ea00974b70a82cb5",
@@ -305,6 +317,14 @@ def test_logical_report_digests():
         ("p7", "A", "5x4x7"): "1028ea9802732f9d611a9769c54860d9e822fbdcad1e85fb405c9c510fad1e14",
         ("p7", "A", "2x3x3"): "a74ac81757ae6d39127e8d3aa559152a7093ec4aa11ec0a3e42999a978b27814",
         ("p7", "A", "6x6x2"): "079309740fc95480a26b558b4cf1b0c80293c4a722b723559ef0e79305fbbe8f",
+        ("f0", "S", "3x3x3"): "60fd252fe05a3f25b6f9d734885de01c5efcb7e12a480d5f0f4d199c10322e3e",
+        ("f0", "S", "3x4x5"): "35207bd2ef5ce3d23c1ca15f39ededb704af92d56362a2bdb825c9313ee37ada",
+        ("f0", "A", "3x3x3"): "ec4b62091b4451a1c2a517fe62d695c8b72d3809f80662e4119e1eebc8498930",
+        ("f0", "A", "3x4x5"): "c63544d33ebad1c863ffd598fd669301447cac69985a66857735d5857d0dc7ae",
+        ("r0", "S", "3x3x3"): "a5c7392c742923dd54f17b0aa886c79538392b6b175432bb04b49cb40476ea88",
+        ("r0", "S", "3x4x5"): "57adabf2a527e5c6fedfbf30466079b1b94ba716e75e4fdaed7bdcc9cc853efb",
+        ("r0", "A", "3x3x3"): "69ec6e97276c5438349a911e5537a5b689b8186fa3a4660a4bce1d237995b387",
+        ("r0", "A", "3x4x5"): "073e22ac52c7d1224fdc55c06dc2994214fd5cd89642e9b5c20c75e05ae65052",
         ("d5", "A", "2x3x2", "--ktable", "3"):
             "be4c28c37179956f2d1f01cf29b5d1112875b5b129c533a0c3fdbec78256e8b7",
         ("d3", "A", "3x4x5", "--ktable", "6"):
@@ -410,6 +430,28 @@ def test_logical_runs_one_census_tier_search_per_normal(monkeypatch, capsys):
     assert cli.main(["logical", *D5_FLAGS[:-1], "A", "--dims", "3x4x4"]) == 0
     assert json.loads(capsys.readouterr().out)["results"]["census"]["normal_x"]["count"] == 4
     assert calls == [(3, 4, 4)]
+
+
+def test_logical_identity_bit_matches_the_product(capsys):
+    # the command reads product_of_all_generators_identity off the sum of
+    # the eight labels; the product of every generator on the torus is the
+    # oracle, for seeded codes in both parities and the F = 0 code
+    rng = random.Random(211)
+    cases = [(random_code(rng, rng.choice((2, 3, 5, 7, 11, 13)), parity),
+              tuple(rng.randint(2, 5) for _ in range(3)))
+             for _ in range(12) for parity in "SA"]
+    cases.append((CodeParams(5, (1, 0), (0, 1), (1, 1), (3, 3), "S"), (3, 3, 3)))
+    seen = set()
+    for code, dims in cases:
+        argv = ["logical", "--p", str(code.p), "--parity", code.parity,
+                "--dims", "x".join(map(str, dims))]
+        for name, (x, z) in zip(("alpha", "beta", "gamma", "delta"), code.pairs):
+            argv += [f"--{name}", f"{x},{z}"]
+        cli.main(argv)
+        bit = json.loads(capsys.readouterr().out)["results"]["product_of_all_generators_identity"]
+        assert bit == product_of_all_generators(TorusCode(code, dims)).is_identity(), code
+        seen.add((code.parity, bit))
+    assert seen == {("S", True), ("S", False), ("A", True)}
 
 
 def test_in_process_calls_match_fresh_interpreters(capsys):

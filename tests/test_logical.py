@@ -24,13 +24,11 @@ from qupitcube.logical import (
     encoded_qudit_count,
     encoded_qudit_table,
     plane_census,
-    product_of_all_generators,
 )
 from qupitcube.reference import (
     PlanarPattern,
     build_planar_operator,
     census_by_rolls,
-    census_candidates,
     census_operators,
     commutation_exponent,
     config_mul,
@@ -43,7 +41,8 @@ from qupitcube.reference import (
     left_kernel_dim_by_composition,
     planar_census,
     plane_config,
-    plane_syndromes,
+    product_of_all_generators,
+    tiled_candidates,
 )
 
 ALL_CODES = [d3_code("S"), d3_code("A"), d5_code("S"), d5_code("A")]
@@ -480,27 +479,24 @@ def test_is_logical_matches_dense_syndrome():
 
 
 def test_census_candidates_match_planar_operators():
-    # each of the nine candidates per normal and alignment, built as a
-    # plane array and judged by the two cube layers touching the plane,
-    # against the tiled configuration and the whole-torus syndrome
+    # each of the nine candidates per normal, built as a plane array and
+    # judged by the two cube layers touching the plane, against the tiled
+    # configuration and the whole-torus syndrome
     seen = set()
     cases = seeded_cases(157, 20) + [(c, (3, 4, 2)) for c in ALL_CODES]
     cases += [(d5_code("A"), (5, 2, 4)), (d3_code("S"), (2, 3, 5))]
     for code, dims in cases:
         torus = TorusCode(code, dims)
         logical_, nonempty = logical._census_verdicts(torus)
-        for normal, transpose in product(range(3), (False, True)):
-            built = [build_planar_operator(code, PlanarPattern(normal, t, transpose), dims)[0]
-                     for t in ((0, 0), (1, 0), (0, 1), (1, 1))]
-            pairs = [config_mul(built[i], built[j]) for i, j in ((0, 1), (2, 3), (0, 2), (1, 3))]
-            expected = built + pairs + [config_mul(pairs[0], pairs[1])]
-            planes = logical._census_planes(torus, normal, transpose, list(range(9)))
+        for normal in range(3):
+            expected = tiled_candidates(code, normal, dims)
+            planes = logical._census_planes(torus, normal, list(range(9)))
             configs = [plane_config(torus, normal, plane) for plane in planes]
-            assert configs == expected, (code, dims, normal, transpose)
+            assert configs == expected, (code, dims, normal)
             for k, cfg in enumerate(expected):
-                verdict = bool(logical_[normal, int(transpose), k])
-                assert verdict == is_logical(cfg, torus), (code, dims, normal, transpose, k)
-                assert nonempty[normal, int(transpose), k] == (not cfg.is_identity())
+                verdict = bool(logical_[normal, k])
+                assert verdict == is_logical(cfg, torus), (code, dims, normal, k)
+                assert nonempty[normal, k] == (not cfg.is_identity())
                 seen.add(verdict)
             assert (commutation_table(planes, code.p).tolist()
                     == pairwise_table(configs).tolist())
@@ -510,8 +506,9 @@ def test_census_candidates_match_planar_operators():
 
 def test_census_reads_only_side_parities():
     # the census gathers its verdicts on the reduced torus, sides 2 + L mod 2;
-    # entries equal that torus's, and entries, planes and every candidate's
-    # verdicts in both alignments equal the full-size rolled syndromes
+    # entries equal that torus's, and entries, operators and every
+    # candidate's verdicts equal the tiled configurations judged on the
+    # whole torus
     rng = random.Random(191)
     seen = set()
     for p in (2, 3, 5, 7, 11):
@@ -522,23 +519,63 @@ def test_census_reads_only_side_parities():
                 dims = tuple(rng.randint(2, 16) for _ in range(3))
             torus = TorusCode(code, dims)
             census = plane_census(torus)
+            oracle = census_by_rolls(torus)
             reduced = plane_census(TorusCode(code, tuple(2 + L % 2 for L in dims)))
             logical_, nonempty = logical._census_verdicts(torus)
             for normal, (name, (entry, planes)) in enumerate(census.items()):
-                oracle_entry, oracle_planes = census_by_rolls(torus)[name]
+                oracle_entry, oracle_ops = oracle[name]
                 assert entry == oracle_entry, (code, dims, name)
-                assert np.array_equal(planes, oracle_planes), (code, dims, name)
+                assert ([plane_config(torus, normal, plane) for plane in planes]
+                        == oracle_ops), (code, dims, name)
                 assert ({**entry, "in_plane_dims": None}
                         == {**reduced[name][0], "in_plane_dims": None}), (code, dims, name)
                 seen.add(entry["tier"])
-                for transpose in (0, 1):
-                    candidates = census_candidates(code, dims, normal, transpose)
-                    syndromes = plane_syndromes(code, normal, candidates)
-                    assert (logical_[normal, transpose]
-                            == ~syndromes.any(axis=(0, 2, 3))).all(), (code, dims, name)
-                    assert (nonempty[normal, transpose]
-                            == candidates.any(axis=(1, 2, 3))).all(), (code, dims, name)
+                candidates = tiled_candidates(code, normal, dims)
+                assert (logical_[normal].tolist()
+                        == [is_logical(c, torus) for c in candidates]), (code, dims, name)
+                assert (nonempty[normal].tolist()
+                        == [not c.is_identity() for c in candidates]), (code, dims, name)
     assert seen == {"base", "pair-products", "full-product"}
+
+
+def near_face_sums(code, normal):
+    """F, the sum of the four near-face labels l(a, b) across ``normal``,
+    and R_u(b) = l(0, b) + l(1, b) and R_v(a) = l(a, 0) + l(a, 1), mod p."""
+    u, v = [a for a in range(3) if a != normal]
+    l = codes.generator_labels(code)[(4 >> u) * np.arange(2)[:, None] + (4 >> v) * np.arange(2)]
+    return l.sum((0, 1)) % code.p, l.sum(0) % code.p, l.sum(1) % code.p
+
+
+def test_plain_tilings_decide_every_census():
+    # the three cases of the logical module docstring, on all eight
+    # side-parity patterns: some tier of plain tilings holds a logical,
+    # nonempty candidate, and every even x even plane reads base with
+    # count 4, for every tuple at p = 2, seeded codes at p = 3-31 and
+    # codes built for the F = 0 and R_u = R_v = 0 branches
+    units = [(0, 1), (1, 0), (1, 1)]
+    codes = [CodeParams(2, *t, parity) for t in product(units, repeat=4) for parity in "SA"]
+    rng = random.Random(197)
+    codes += [random_code(rng, p) for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+              for _ in range(6)]
+    f_zero = CodeParams(5, (1, 0), (0, 1), (1, 1), (3, 3), "S")
+    r_zero = CodeParams(5, (1, 0), (4, 0), (4, 0), (1, 0), "S")
+    assert all(not near_face_sums(f_zero, normal)[0].any() for normal in range(3))
+    # R_u = R_v = 0 makes the face labels, and so all eight, proportional
+    assert not any(r.any() for r in near_face_sums(r_zero, 2))
+    seen = set()
+    for code in codes + [f_zero, r_zero]:
+        for dims in product((2, 3), repeat=3):
+            for entry, planes in plane_census(TorusCode(code, dims)).values():
+                odd = sum(L % 2 for L in entry["in_plane_dims"])
+                assert entry["tier"] is not None and entry["transpose"] is False
+                assert len(planes) == entry["count"] > 0, (code, dims)
+                if not odd:
+                    assert (entry["tier"], entry["count"]) == ("base", 4), (code, dims)
+                seen.add((odd, entry["tier"], code in (f_zero, r_zero)))
+    # both odd: F = 0 leaves a pair product, and R_u = R_v = 0 the base tilings
+    assert seen >= {(1, "base", False), (1, "pair-products", False),
+                    (2, "full-product", False), (2, "pair-products", True),
+                    (2, "base", True)}
 
 
 def test_product_of_all_generators_matches_dense_row_sum():
