@@ -33,6 +33,7 @@ from .oracle import (
     SegmentGeometry,
     SegmentReport,
     scan_width,
+    scan_widths,
 )
 from .classify import (
     classify_orbits,

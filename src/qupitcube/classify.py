@@ -26,7 +26,7 @@ import numpy as np
 from .codes import CodeParams
 from .conditions import theorem1
 from .fp import check_prime, fp_inv
-from .oracle import check_scan_bounds, scan_codes
+from .oracle import check_scan_bounds, scan_codes, width_groups
 
 # Bytes of normal forms that ``_orbit_counts`` keys at once, at about 200
 # bytes of int64 products and keys per form: p <= 7 is one chunk.  In a
@@ -132,8 +132,10 @@ def scan_theorem1(report: dict, oracle_wmax: int = 2) -> dict:
     by the segment solver up to width ``oracle_wmax``, which must lie in
     1..``oracle.MAX_STRIP_WIDTH``.
 
-    The solver runs once per width over all representatives still in the
-    list (``oracle.scan_codes``), not once per representative.
+    The solver runs over all representatives still in the list at once
+    (``oracle.scan_codes``), not once per representative: once per run of
+    ``oracle.width_groups``, so every width shares one stack while the
+    list is short and each width has its own once the list fills one.
     """
     check_scan_bounds(oracle_wmax)
     p, parity = report["p"], report["parity"]
@@ -148,12 +150,17 @@ def scan_theorem1(report: dict, oracle_wmax: int = 2) -> dict:
     codes = [CodeParams(p, *(tuple(x) for x in rep), parity=parity) for rep in candidates]
     # the max lengths of each candidate still passing, by its index
     passing = {i: {} for i in range(len(codes))}
-    for w in range(1, oracle_wmax + 1):
+    widths = list(range(1, oracle_wmax + 1))
+    while widths:
         live = list(passing)
-        for i, lengths in zip(live, scan_codes([codes[i] for i in live], w)):
-            passing[i].update((f"{kind}-w{w}", m) for kind, m in lengths.items())
-            if any(m is not None and m > 2 * w for m in lengths.values()):
-                del passing[i]
+        run = width_groups(widths, len(live))[0]
+        for i, per_width in zip(live, scan_codes([codes[i] for i in live], run)):
+            for w, lengths in per_width.items():
+                passing[i].update((f"{kind}-w{w}", m) for kind, m in lengths.items())
+                if any(m is not None and m > 2 * w for m in lengths.values()):
+                    del passing[i]
+                    break
+        widths = widths[len(run):]
     return {
         "p": p,
         "orbit_count": report["orbit_count"],

@@ -206,9 +206,10 @@ def cmd_strings(args, parser) -> int:
     kinds = ("flat", "cornered") if args.kind == "both" else (args.kind,)
     results = {"widths": {}}
     exceeded = []
-    for w in range(1, args.wmax + 1):
+    reports = oracle.scan_widths(code, range(1, args.wmax + 1), l_max=args.lmax, kinds=kinds)
+    for w, by_kind in reports.items():
         per_kind = {}
-        for kind, rpt in oracle.scan_width(code, w, l_max=args.lmax, kinds=kinds).items():
+        for kind, rpt in by_kind.items():
             per_kind[kind] = rpt.as_dict()
             if rpt.max_nontrivial_length is not None and rpt.max_nontrivial_length > 2 * w:
                 exceeded.append({"width": w, "kind": kind,

@@ -23,16 +23,23 @@ Length scans do not solve one system per length: the strip system is
 translation invariant, so the elimination of a family's length-2 system
 decides every length through ``transfer``, whether or not the code is
 deformable.  One stack (``_scan_stack``) does this for every family of a
-width and for many codes at once: one gather of the codes' labels into a
-stack of length-2 systems, one stacked elimination
+run of widths and for many codes at once: one gather of the codes'
+labels into a stack of length-2 systems, one stacked elimination
 (``fp.mat_rref_stack``) and one ``transfer.scan`` on the members without
-free columns, and one ``transfer.scan`` on each member with them.
-``scan_width`` stacks one code's families and adds a witness;
+free columns, and one ``transfer.scan`` on each member with them.  The
+systems of a run are padded to its widest width (``_Group``): a
+narrower family gets dummy columns, pinned in the first block, that
+change its scan only by a constant nullspace dimension, and each width
+keeps its own length horizon.  ``width_groups`` cuts the widths into
+runs by size alone, so small stacks merge and a large one (a wide
+width, or many codes) runs alone.  ``scan_widths`` stacks one code's
+families and adds witnesses, and ``scan_width`` is its one-width view;
 ``scan_codes`` stacks every code of a list, a chunk of them at a time
 within ``MAX_STACK_BYTES``, and reports only the maximal lengths.  The
 tests compare the scan with the dense per-strip solver
 ``reference.solve_segment``, the loop with the kernel recursion
-``reference.scan_family``, and ``scan_codes`` with ``scan_width``.
+``reference.scan_family``, padded runs with one width at a time, and
+``scan_codes`` with ``scan_width``.
 
 Column layout: sites are ordered along the strip (length-major, then
 cross-section); each site contributes two adjacent columns holding
@@ -70,16 +77,16 @@ ORIENTATIONS: tuple[tuple[int, int], ...] = tuple(permutations(range(3), 2))
 KINDS = ("flat", "cornered")
 Section = tuple[Site, ...]
 
-# Widest strip and longest length horizon ``scan_width`` scans.  Measured
-# in process on a 2-core x86_64 VM: ``strings --wmax 16`` takes 0.4-0.8 s
-# per parity on d5 at 38 MB, with or without ``--lmax 64`` (a family
-# leaves the stacked length loop once its first column vanishes), and
-# ``--wmax 16 --lmax 64`` 0.9-1.3 s on the p = 2 string code at 40 MB.
-# Families with free columns are not bounded as tightly: the length
-# loop's state grows with the length, and on the p = 3 tuple (1,0)^4
-# ``--wmax 8`` takes 0.3-0.4 s at 32 MB, ``--wmax 12`` 1.0-1.2 s at 39 MB,
-# ``--wmax 16`` 4.2-4.8 s at 58 MB and ``--wmax 16 --lmax 64`` 14 s at
-# 109 MB.
+# Widest strip and longest length horizon ``scan_widths`` scans.  Measured
+# from a fresh interpreter on a 2-core x86_64 VM whose speed swings by up
+# to 1.5x: ``strings --wmax 16`` takes 0.57-0.63 s per parity on d5 at
+# 38 MB, with or without ``--lmax 64`` (a family leaves the stacked length
+# loop once its first column vanishes), and ``--wmax 16 --lmax 64``
+# 0.86-1.16 s on the p = 2 string code at 39 MB.  Families with free
+# columns are not bounded as tightly: the length loop's state grows with
+# the length, and on the p = 3 tuple (1,0)^4 ``--wmax 8`` takes 0.37-0.43 s
+# at 33 MB, ``--wmax 12`` 1.0-1.9 s at 42 MB, ``--wmax 16`` 3.6-6.5 s at
+# 63 MB and ``--wmax 16 --lmax 64`` 12-13 s at 125 MB.
 MAX_STRIP_WIDTH = 16
 MAX_STRIP_LENGTH = 64
 
@@ -88,6 +95,17 @@ MAX_STRIP_LENGTH = 64
 # representatives on a 2-core x86_64 VM, widths 1-4 took no less time in
 # 8 MiB stacks than in 4 MiB ones, and up to 45 % more in 1 MiB ones.
 MAX_STACK_BYTES = 4 * 2**20
+
+# Cells of padded length-2 systems, over all codes, up to which a run of
+# consecutive widths shares one ``_scan_stack`` (``width_groups``): for one
+# code, widths 1-5 and then one width per stack.  In process on a 2-core
+# x86_64 VM, best of 8-24 interleaved runs, against one stack per width it
+# took d5 ``strings --wmax 4`` from 3.9 to 2.7 ms and ``--wmax 8`` from
+# 20.3 to 17.7 ms, and ``scan --p 5`` from 2.9 to 2.7 ms.  2^15 read the
+# same within 2 %, 2^13 up to 7 % slower at widths 6-8, and one stack for
+# every width, whose padded cells grow as W^4, slower than 2^14 from width
+# 7 on and 1.8x slower at width 16.
+MAX_GROUP_CELLS = 2**14
 
 
 @dataclass(frozen=True)
@@ -238,13 +256,20 @@ def _template(axis: int, section: Section) -> np.ndarray:
     return T
 
 
+# Where a padded ``_Group`` template pins a dummy site: ``_PIN`` on its z
+# column and ``_PIN + 1`` on its x column (``_labels``).
+_PIN = len(VERTICES) + 1
+
+
 def _labels(codes: list[CodeParams]) -> np.ndarray:
     """Each code's ``codes.generator_labels`` (x, z) as rows (x, -z) mod p,
-    in ``VERTICES`` order, then a zero row for the sites a cube misses, as a
-    (C, len(VERTICES) + 1, 2) stack for codes of one modulus: gathered by a
-    ``_template``, they land on the (z, x) columns of each site."""
-    out = np.zeros((len(codes), len(VERTICES) + 1, 2), dtype=np.int64)
-    out[:, :-1] = [generator_labels(code) for code in codes]
+    in ``VERTICES`` order, then a zero row for the sites a cube misses and
+    the two pins (1, 0) and (0, -1), as a (C, len(VERTICES) + 3, 2) stack
+    for codes of one modulus: gathered by a ``_template``, or a ``_Group``'s
+    padded one, they land on the (z, x) columns of each site."""
+    out = np.zeros((len(codes), _PIN + 2, 2), dtype=np.int64)
+    out[:, :len(VERTICES)] = [generator_labels(code) for code in codes]
+    out[:, _PIN:] = np.eye(2, dtype=np.int64)
     out[:, :, 1] *= -1
     return out % codes[0].p
 
@@ -268,51 +293,68 @@ def _transfer_witness(params: CodeParams, geom: SegmentGeometry, A: np.ndarray,
     return _vector_to_config(params, geom.support(), _ends_witness(basis, len(A), p))
 
 
-def _scan_stack(codes: list[CodeParams], template: np.ndarray, l_max: int):
+def _scan_stack(codes: list[CodeParams], group: _Group, l_max):
     """``(dims, nontrivial, last)`` of a stack of (code, strip family)
-    members: every code of ``codes``, all of one modulus, on every family
-    given by its ``_template`` (H, m, 2w).  ``dims`` and ``nontrivial`` are
-    (C, H, l_max - 1) arrays of the nullspace dimension and nontriviality at
-    lengths 2..l_max, and ``last(c, h)`` is the ``(A, F, kernel)`` that
-    ``_transfer_witness`` needs at member (c, h)'s last nontrivial length.
+    members: every code of ``codes``, all of one modulus, on every member
+    family of ``group``, with the length horizon ``l_max``, one for all or
+    one per family.  ``dims`` and ``nontrivial`` are (C, H, L - 1) arrays
+    of the nullspace dimension and nontriviality at lengths 2..L, for the
+    largest horizon L, zero and False past a member's own horizon, and
+    ``last(c, h)`` is the ``(A, F, kernel)`` that ``_transfer_witness``
+    needs at member (c, h)'s last nontrivial length.
 
-    One gather of the codes' labels assembles every member's length-2
-    system and one ``fp.mat_rref_stack`` eliminates them all.  The members
-    whose first block has full rank share one ``transfer.scan``, and
-    their Q are kept.  A member whose ``F`` has columns has a kernel that
-    grows with the length, so it runs ``transfer.scan`` alone, and only
-    the witness's member runs again, to its last nontrivial length, for
-    its Q.
+    One gather of the codes' labels assembles every member's padded
+    length-2 system and one ``fp.mat_rref_stack`` eliminates them all.  The
+    members whose first block has full rank share one ``transfer.scan``,
+    and their Q are kept.  A width-w member of a group padded to width W
+    has A and v zero on its 2(W - w) dummy columns, so x_{l-1} is free
+    there and adds 2(W - w) to the nullspace dimension at every length,
+    and nothing else changes; its A and Q are cropped to its real columns.
+    A member whose ``F`` has columns has a kernel that grows with the
+    length, so it runs ``transfer.scan`` alone, on the rows and columns of
+    its real sites, and only the witness's member runs again, to its last
+    nontrivial length, for its Q.
     """
     p = codes[0].p
-    H, m, n = template.shape
-    systems = _labels(codes)[:, template].reshape(-1, m, 2 * n)
+    H, m, n = group.template.shape
+    real = np.tile(2 * group.width, len(codes))  # each member's real columns per block
+    horizon = np.tile(np.broadcast_to(l_max, (H,)), len(codes))
+    systems = _labels(codes)[:, group.template].reshape(-1, m, 2 * n)
     R, pivoted = fp.mat_rref_stack(systems, p, n)
     full = pivoted.all(axis=1)
     stacked = transfer.transfer_blocks(R[full], list(range(n)), n, p)
-    dims = np.zeros((len(R), l_max - 1), dtype=np.int64)
-    nontrivial = np.zeros((len(R), l_max - 1), dtype=bool)
-    dims[full], nontrivial[full], last_Q = transfer.scan(*stacked, p, l_max)
+    dims = np.zeros((len(R), horizon.max(initial=2) - 1), dtype=np.int64)
+    nontrivial = np.zeros(dims.shape, dtype=bool)
+    d, hits, last_Q = transfer.scan(*stacked, p, horizon[full])
+    reached = np.arange(2, d.shape[1] + 2) <= horizon[full, None]
+    dims[full, :d.shape[1]] = d - (n - real[full, None]) * reached
+    nontrivial[full, :d.shape[1]] = hits
 
     def alone(b: int):
-        return transfer.transfer_blocks(R[b:b + 1], np.flatnonzero(pivoted[b]).tolist(), n, p)
+        w2 = int(real[b])
+        S = R[b:b + 1]
+        if w2 < n:  # the real pivot rows, then the leftover ones: the pins sit between
+            r = int(pivoted[b, :w2].sum())
+            S = S[:, [*range(r), *range(r + n - w2, m)]][:, :, [*range(w2), *range(n, n + w2)]]
+        return transfer.transfer_blocks(S, np.flatnonzero(pivoted[b, :w2]).tolist(), w2, p)
 
-    for b in np.flatnonzero(~full):
-        dims[b], nontrivial[b], _ = transfer.scan(*alone(b), p, l_max)
+    blocks = {b: alone(b) for b in np.flatnonzero(~full).tolist()}
+    for b, (A, F, v) in blocks.items():
+        l = horizon[b] - 1
+        dims[b, :l], nontrivial[b, :l], _ = transfer.scan(A, F, v, p, horizon[b])
 
     def last(c: int, h: int):
         b = c * H + h
         if full[b]:
-            j = full[:b].sum()  # b's place in the stack
-            A, F, Q = stacked[0][j], stacked[1][j], last_Q[j]
+            j, w2 = full[:b].sum(), real[b]  # b's place in the stack
+            A, F, Q = stacked[0][j, :w2, :w2], stacked[1][j, :w2], last_Q[j, :w2, :w2]
         else:
-            blocks = alone(b)
             length = int(np.flatnonzero(nontrivial[b])[-1]) + 2
-            (A,), (F,), _ = blocks
-            Q = transfer.scan(*blocks, p, length)[2][0]
+            (A,), (F,), _ = blocks[b]
+            Q = transfer.scan(*blocks[b], p, length)[2][0]
         return A, F, Q[:, np.diagonal(Q) == 1].T
 
-    shape = (len(codes), H, l_max - 1)
+    shape = (len(codes), H, dims.shape[1])
     return dims.reshape(shape), nontrivial.reshape(shape), last
 
 
@@ -351,12 +393,12 @@ class _WidthStack:
     ``sections`` order, flat before cornered; the first family of a class
     within either kind alone is the same head.  ``members[kind]`` gives the
     head index of each of that kind's families, in ``sections`` order.
-    ``template`` stacks the heads' ``_template``s.
+    Every head's ``_template`` has ``cubes`` rows.
     """
 
     heads: tuple[tuple[int, Section], ...]
     members: dict[str, tuple[int, ...]]
-    template: np.ndarray
+    cubes: int
 
 
 @functools.cache
@@ -372,112 +414,212 @@ def _width_stack(width: int) -> _WidthStack:
                 index[key] = len(heads)
                 heads.append(family)
             members[kind].append(index[key])
-    template = np.stack([_template(*family) for family in heads])
+    return _WidthStack(tuple(heads), {k: tuple(v) for k, v in members.items()},
+                       len(_template(*heads[0])))
+
+
+def _used(width: int, kinds) -> list[int]:
+    """The heads of ``_width_stack(width)`` that the kinds' families need."""
+    return sorted({h for kind in kinds for h in _width_stack(width).members[kind]})
+
+
+def _padded_rows(widths) -> int:
+    """Rows of a padded group's systems: a width's cubes, then its pins."""
+    return max(_width_stack(w).cubes + 2 * (max(widths) - w) for w in widths)
+
+
+@dataclass(frozen=True)
+class _Group:
+    """The code-independent geometry of one ``_scan_stack``: the heads the
+    kinds need at each of ``widths``, padded to the widest, W.
+
+    A width-w head keeps its cube rows and the columns of its w sites at
+    the front of each block of W sites.  The W - w dummy sites of the first
+    block get one pin row each per column, after the cube rows, so the
+    padded first block has full rank exactly when the head's own has; the
+    dummy sites of the second block stay free.  ``template`` (H, M, 2W)
+    stacks the padded ``_template``s.  ``width[h]`` and ``heads[h]`` are
+    member h's width and family, and ``rows[w][kind]`` gives the member of
+    each of that kind's families at width w, in ``sections`` order.
+    """
+
+    template: np.ndarray
+    width: np.ndarray
+    heads: tuple[tuple[int, Section], ...]
+    rows: dict[int, dict[str, tuple[int, ...]]]
+
+
+@functools.cache
+def _group(widths: tuple[int, ...], kinds: tuple[str, ...]) -> _Group:
+    """Built at the first scan of a run of widths and kept: at most one per
+    run within 1..``MAX_STRIP_WIDTH`` and tuple of kinds, read only."""
+    W = max(widths)
+    heads, width, rows = [], [], {}
+    for w in widths:
+        stack, used = _width_stack(w), _used(w, kinds)
+        member = {h: len(heads) + i for i, h in enumerate(used)}
+        rows[w] = {kind: tuple(member[h] for h in stack.members[kind]) for kind in kinds}
+        heads += [stack.heads[h] for h in used]
+        width += [w] * len(used)
+    template = np.full((len(heads), _padded_rows(widths), 2 * W), len(VERTICES), dtype=np.intp)
+    for T, family, w in zip(template, heads, width):
+        cubes = _template(*family)
+        m, pins = len(cubes), np.arange(2 * (W - w))
+        T[:m, :w], T[:m, W:W + w] = cubes[:, :w], cubes[:, w:]
+        T[m + pins, w + pins // 2] = _PIN + pins % 2
     template.flags.writeable = False
-    return _WidthStack(tuple(heads), {k: tuple(v) for k, v in members.items()}, template)
+    width = np.array(width, dtype=np.int64)
+    width.flags.writeable = False
+    return _Group(template, width, tuple(heads), rows)
 
 
-def _scan_kinds(codes: list[CodeParams], width: int, l_max: int, kinds):
-    """One ``_scan_stack`` of ``codes`` over the ``_inversion_class``es the
-    kinds need at one width, reduced per kind.
+def width_groups(widths, count: int, kinds=KINDS) -> list[tuple[int, ...]]:
+    """``widths`` cut into runs of consecutive entries that one
+    ``_scan_stack`` of ``count`` codes scans together: a run grows while its
+    padded length-2 systems hold at most ``MAX_GROUP_CELLS`` cells, so a
+    width too large to share a stack runs alone.  Decided from the sizes
+    alone."""
+    runs, members = [], 0  # the last run's members
+    for w in widths:
+        heads = len(_used(w, kinds))
+        if runs:
+            run = (*runs[-1], w)
+            if count * (members + heads) * _padded_rows(run) * 4 * max(run) <= MAX_GROUP_CELLS:
+                runs[-1], members = run, members + heads
+                continue
+        runs.append((w,))
+        members = heads
+    return runs
 
-    Returns ``(by_kind, nontrivial, last, heads)``.  ``by_kind[kind]`` holds
+
+def _horizon(width, l_max: int | None):
+    """A width's length horizon: ``l_max``, by default 2w + 4."""
+    return 2 * width + 4 if l_max is None else l_max
+
+
+def _scan_group(codes: list[CodeParams], group: _Group, l_max: int | None):
+    """One ``_scan_stack`` of ``codes`` over ``group``, reduced per width
+    and kind, each width to its own horizon l_max (default 2w + 4).
+
+    Returns ``(by_width, nontrivial, last)``.  ``by_width[w][kind]`` holds
     the kind's nullspace dimensions and nontriviality at lengths 2..l_max,
     per code, as (C, l_max - 1) arrays: the max and the any over its
     families, ``None`` dimensions for a kind without families.  It also
-    holds the kind's families as rows of the stack, in ``sections`` order.
-    ``heads[r]`` is the family scanned as row r.
+    holds the kind's families as members of the stack, in ``sections``
+    order.
     """
-    stack = _width_stack(width)
-    used = sorted({h for kind in kinds for h in stack.members[kind]})
-    dims, nontrivial, last = _scan_stack(codes, stack.template[used], l_max)
-    row = {h: i for i, h in enumerate(used)}
-    by_kind = {}
+    dims, nontrivial, last = _scan_stack(codes, group, _horizon(group.width, l_max))
+    by_width = {}
+    for w, by_kind in group.rows.items():
+        l = _horizon(w, l_max) - 1
+        by_width[w] = {kind: (dims[:, rows, :l].max(axis=1) if rows else None,
+                              nontrivial[:, rows, :l].any(axis=1), rows)
+                       for kind, rows in by_kind.items()}
+    return by_width, nontrivial, last
+
+
+def scan_widths(params: CodeParams, widths, l_max: int | None = None,
+                kinds=KINDS) -> dict[int, dict[str, SegmentReport]]:
+    """One report per kind at each of ``widths``, in increasing order:
+    lengths 2..l_max (default 2w + 4, past both the w+1 and the 2w bounds)
+    over all orientations and corners.
+
+    Each ``_inversion_class`` the kinds need at a width is scanned once, as
+    one member of the ``_scan_stack`` of its run of ``width_groups``; the
+    reports equal ``reference.solve_segment``'s length by length.  Width-1
+    cornered reports are empty.  Refuses scans beyond ``MAX_STRIP_WIDTH``
+    or ``MAX_STRIP_LENGTH``, and any kind but "flat" or "cornered".
+    """
+    widths = sorted(set(widths))
+    for width in widths:
+        check_scan_bounds(width, l_max)
+    kinds = tuple(kinds)
     for kind in kinds:
-        rows = [row[h] for h in stack.members[kind]]
-        by_kind[kind] = (dims[:, rows].max(axis=1) if rows else None,
-                         nontrivial[:, rows].any(axis=1), rows)
-    return by_kind, nontrivial, last, [stack.heads[h] for h in used]
+        _check_kind(kind)
+    out = {}
+    for run in width_groups(widths, 1, kinds):
+        out.update(_run_reports(params, _group(run, kinds), l_max))
+    return out
+
+
+def _run_reports(params: CodeParams, group: _Group, l_max: int | None):
+    """``scan_widths``' reports at the widths of one ``_group``; the
+    stack's arrays go when it returns."""
+    by_width, nontrivial, last = _scan_group([params], group, l_max)
+    out = {}
+    for width, by_kind in by_width.items():
+        lengths = list(range(2, _horizon(width, l_max) + 1))
+        reports = out[width] = {}
+        for kind, (dims, hits, rows) in by_kind.items():
+            found = [l for l, hit in zip(lengths, hits[0]) if hit]
+            max_len = max(found, default=None)
+            witness = witness_geom = None
+            if max_len is not None:
+                # as the length-by-length scan: the first nontrivial family at
+                # the last hit (its own last one); it heads its class within the
+                # kind, so it has the sites of the head that was scanned for it
+                r = next(r for r in rows if nontrivial[0, r, max_len - 2])
+                witness_geom = SegmentGeometry(*group.heads[r], max_len)
+                witness = _transfer_witness(params, witness_geom, *last(0, r))
+            reports[kind] = SegmentReport(
+                width=width,
+                kind=kind,
+                lengths_scanned=lengths,
+                nullspace_dims={} if dims is None else dict(zip(lengths, dims[0].tolist())),
+                nontrivial_lengths=found,
+                max_nontrivial_length=max_len,
+                aspect_ratio=None if max_len is None else Fraction(max_len, width),
+                witness=witness,
+                witness_geometry=witness_geom,
+            )
+    return out
 
 
 def scan_width(params: CodeParams, width: int, l_max: int | None = None,
                kinds=KINDS) -> dict[str, SegmentReport]:
-    """One report per kind at one width: lengths 2..l_max (default 2w + 4,
-    past both the w+1 and the 2w bounds) over all orientations and corners.
-
-    Each ``_inversion_class`` the kinds need is scanned once, as one member
-    of a single ``_scan_stack``; the reports equal
-    ``reference.solve_segment``'s length by length.  Width-1 cornered
-    reports are empty.  Refuses scans beyond ``MAX_STRIP_WIDTH`` or
-    ``MAX_STRIP_LENGTH``, and any kind but "flat" or "cornered".
-    """
-    check_scan_bounds(width, l_max)
-    for kind in kinds:
-        _check_kind(kind)
-    if l_max is None:
-        l_max = 2 * width + 4
-    lengths = list(range(2, l_max + 1))
-    by_kind, nontrivial, last, heads = _scan_kinds([params], width, l_max, kinds)
-    reports = {}
-    for kind, (dims, hits, rows) in by_kind.items():
-        found = [l for l, hit in zip(lengths, hits[0]) if hit]
-        max_len = max(found, default=None)
-        witness = witness_geom = None
-        if max_len is not None:
-            # as the length-by-length scan: the first nontrivial family at the
-            # last hit (its own last one); it heads its class within the kind,
-            # so it has the sites of the head that was scanned for the class
-            r = next(r for r in rows if nontrivial[0, r, max_len - 2])
-            witness_geom = SegmentGeometry(*heads[r], max_len)
-            witness = _transfer_witness(params, witness_geom, *last(0, r))
-        reports[kind] = SegmentReport(
-            width=width,
-            kind=kind,
-            lengths_scanned=lengths,
-            nullspace_dims={} if dims is None else dict(zip(lengths, dims[0].tolist())),
-            nontrivial_lengths=found,
-            max_nontrivial_length=max_len,
-            aspect_ratio=None if max_len is None else Fraction(max_len, width),
-            witness=witness,
-            witness_geometry=witness_geom,
-        )
-    return reports
+    """``scan_widths`` at the one width ``width``."""
+    return scan_widths(params, (width,), l_max, kinds)[width]
 
 
-def _codes_per_stack(width: int) -> int:
-    """How many codes one ``_scan_stack`` at this width takes within
-    ``MAX_STACK_BYTES``.  A member's int64 length-2 system (m, 2n) is held
-    about four times over by the gather and the elimination, and the length
-    loop's constraint rows, N and Q, (m + n, n), about three times over with
-    the products and the last Q: tracemalloc puts a stack's peak within 20 %
-    below that estimate at widths 1-4."""
-    H, m, n = _width_stack(width).template.shape
+def _codes_per_stack(group: _Group) -> int:
+    """How many codes one ``_scan_stack`` of ``group`` takes within
+    ``MAX_STACK_BYTES``.  A member's int64 padded length-2 system (m, 2n)
+    is held about four times over by the gather and the elimination, and
+    the length loop's constraint rows, N and Q, (m + n, n), about three
+    times over with the products and the last Q: tracemalloc puts a
+    one-width stack's peak within 20 % below that estimate at widths 1-4."""
+    H, m, n = group.template.shape
     member = 8 * (4 * m * 2 * n + 3 * (m + 2 * n) * n)
     return max(1, MAX_STACK_BYTES // (H * member))
 
 
-def scan_codes(codes, width: int) -> list[dict[str, int | None]]:
-    """Each code's ``max_nontrivial_length`` per kind at one width, as
-    ``scan_width(code, width)`` reports it, without witnesses.
+def scan_codes(codes, widths) -> list[dict[int, dict[str, int | None]]]:
+    """Each code's ``max_nontrivial_length`` per width and kind, as
+    ``scan_widths(code, widths)`` reports it, without witnesses.
 
     The codes, all of one modulus, are scanned together: one
-    ``_scan_stack`` per chunk of ``_codes_per_stack`` codes, in order.
-    Refuses mixed moduli and the widths ``check_scan_bounds`` refuses.
+    ``_scan_stack`` per run of ``width_groups`` and chunk of
+    ``_codes_per_stack`` codes, in order.  Refuses mixed moduli and the
+    widths ``check_scan_bounds`` refuses.
     """
-    check_scan_bounds(width)
-    l_max = 2 * width + 4
+    widths = sorted(set(widths))
+    for width in widths:
+        check_scan_bounds(width)
     codes = list(codes)
     if len({code.p for code in codes}) > 1:
         raise ValueError(f"scan_codes needs codes of one modulus, got "
                          f"{sorted({code.p for code in codes})}")
-    size = _codes_per_stack(width)
-    out = []
-    for i in range(0, len(codes), size):
-        chunk = codes[i:i + size]
-        lasts = {}
-        for kind, (_, hits, _) in _scan_kinds(chunk, width, l_max, KINDS)[0].items():
-            # each code's last nontrivial length, from the reversed hits; 0 for none
-            lasts[kind] = np.where(hits.any(axis=1),
-                                   l_max - hits[:, ::-1].argmax(axis=1), 0).tolist()
-        out.extend({kind: m[c] or None for kind, m in lasts.items()} for c in range(len(chunk)))
+    out = [{} for _ in codes]
+    for run in width_groups(widths, len(codes), KINDS):
+        group = _group(run, KINDS)
+        size = _codes_per_stack(group)
+        for i in range(0, len(codes), size):
+            by_width = _scan_group(codes[i:i + size], group, None)[0]
+            for width, by_kind in by_width.items():
+                for kind, (_, hits, _) in by_kind.items():
+                    # each code's last nontrivial length, from the reversed hits; 0 for none
+                    lasts = np.where(hits.any(axis=1),
+                                     _horizon(width, None) - hits[:, ::-1].argmax(axis=1), 0)
+                    for c, m in enumerate(lasts.tolist(), i):
+                        out[c].setdefault(width, {})[kind] = m or None
     return out

@@ -1254,20 +1254,21 @@ def tiled_candidates(params: CodeParams, normal: int, dims) -> list[PauliConfig]
     return base + pairs + [config_mul(pairs[0], pairs[1])]
 
 
-def census_by_rolls(torus: TorusCode) -> dict[str, tuple[dict, list[PauliConfig]]]:
+def census_by_rolls(torus: TorusCode) -> dict[str, tuple[dict, list[PauliConfig], list]]:
     """``logical.plane_census`` with each ``tiled_candidates`` judged by
     ``is_logical`` on the whole torus, one tier search per normal axis;
-    the operators it counts are configurations."""
+    the operators it counts are configurations.  Each normal also gives
+    every candidate's verdicts, as (logical, nonempty) pairs."""
     out = {}
     for normal in range(3):
         candidates = tiled_candidates(torus.params, normal, torus.dims)
-        good = [is_logical(c, torus) and not c.is_identity() for c in candidates]
+        verdicts = [(is_logical(c, torus), not c.is_identity()) for c in candidates]
         tier, ok = next((tier, ok) for tier, indices in CENSUS_TIERS
-                        if (ok := [k for k in indices if good[k]]))
+                        if (ok := [k for k in indices if all(verdicts[k])]))
         u, v = [a for a in range(3) if a != normal]
         entry = {"count": len(ok), "tier": tier, "transpose": False,
                  "in_plane_dims": (torus.dims[u], torus.dims[v])}
-        out[f"normal_{'xyz'[normal]}"] = (entry, [candidates[k] for k in ok])
+        out[f"normal_{'xyz'[normal]}"] = (entry, [candidates[k] for k in ok], verdicts)
     return out
 
 

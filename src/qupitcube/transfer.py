@@ -90,12 +90,14 @@ def _add_row(X: np.ndarray, j: int, p: int) -> np.ndarray:
     return has
 
 
-def scan(A: np.ndarray, F: np.ndarray, v: np.ndarray, p: int, l_max: int):
-    """The nullspace dimension and nontriviality at lengths 2..l_max of a
-    stack of strip families from their blocks, A (B, n, n), F (B, n, f) and
-    v (B, k, n), as (B, l_max - 1) arrays, and each member's Q: without
-    free columns at its last nontrivial length (zero if it has none), with
-    them at l_max.
+def scan(A: np.ndarray, F: np.ndarray, v: np.ndarray, p: int, l_max):
+    """The nullspace dimension and nontriviality of a stack of strip
+    families from their blocks, A (B, n, n), F (B, n, f) and v (B, k, n),
+    at lengths 2..l_max, and each member's Q: without free columns at its
+    last nontrivial length (zero if it has none), with them at l_max.
+    ``l_max`` is one horizon for all members or one per member (members
+    with free columns share one).  The arrays are (B, L - 1) for the
+    largest horizon L, zero and False past a member's own horizon.
 
     On a strip the pairs (x, y) are the adjacent columns (x_g, x_{g+1}), so
     x_g = A x_{g+1} + F z_g and v x_{g+1} = 0.  A length-l solution is
@@ -118,20 +120,24 @@ def scan(A: np.ndarray, F: np.ndarray, v: np.ndarray, p: int, l_max: int):
     columns N is never zero, and the nontrivial lengths stop once the first
     n rows of Q vanish.  Either way the nontrivial lengths run from 2 up,
     so a member with free columns run to its last nontrivial length ends
-    with its Q there.
+    with its Q there.  A member also leaves the stack at its own horizon.
     """
     B, k, n = v.shape
     f = F.shape[2]
-    size = n + f * (l_max - 1)  # parameters at length l_max
-    dims = np.zeros((B, l_max - 1), dtype=np.int64)
-    nontrivial = np.zeros((B, l_max - 1), dtype=bool)
+    horizon = np.asarray(l_max)
+    lengths = horizon.ravel().tolist()
+    L = max(lengths, default=2)
+    stops = set(lengths) - {L}  # lengths where some members' horizons end
+    size = n + f * (L - 1)  # parameters at length L
+    dims = np.zeros((B, L - 1), dtype=np.int64)
+    nontrivial = np.zeros((B, L - 1), dtype=bool)
     # per member: the next constraint rows, N and Q, on the parameters so
     # far, the first t columns and k + n + t rows
     X = np.zeros((B, k + n + size, size), dtype=np.int64)
     X[:, k:k + n, :n] = X[:, k + n:k + 2 * n, :n] = np.eye(n, dtype=np.int64)
     last_Q = np.zeros((B, n, n), dtype=np.int64)
     live, rank = np.arange(B), np.zeros(B, dtype=np.int64)
-    for i in range(l_max - 1):  # length i + 2
+    for i in range(L - 1):  # length i + 2
         if not live.size:
             break
         t = n + f * i
@@ -154,8 +160,11 @@ def scan(A: np.ndarray, F: np.ndarray, v: np.ndarray, p: int, l_max: int):
         nontrivial[live, i] = ends
         if not f:  # copying the growing Q at each length is a third of a scan
             last_Q[live[ends]] = X[ends, k + n:]
-        if not hit.all():
-            live, A, F, v, X, rank = live[hit], A[hit], F[hit], v[hit], X[hit], rank[hit]
+        keep = hit & (horizon[live] > i + 2) if i + 2 in stops else hit
+        if not keep.all():
+            live, A, F, v, X, rank = live[keep], A[keep], F[keep], v[keep], X[keep], rank[keep]
+    if stops:
+        dims[np.arange(2, L + 1) > horizon[:, None]] = 0
     return dims, nontrivial, X[:, k + n:] if f else last_Q
 
 

@@ -18,6 +18,7 @@ from qupitcube.oracle import (
     SegmentGeometry,
     SegmentReport,
     scan_width,
+    scan_widths,
     sections,
 )
 from qupitcube.reference import (
@@ -255,19 +256,14 @@ def test_transfer_scan_matches_dense_solver_on_rank_deficient_tuples():
     assert witnesses >= 12
 
 
-def test_scan_runs_one_family_per_inversion_class(monkeypatch):
-    # width 1: the six flat strips are three single-site cross-sections, one
-    # per length axis.  Width w >= 2: six flat classes; each corner-1
-    # family is a flat strip, and the other 6(w - 2) cornered families pair
-    # up under inversion, 3w classes in all.  Both kinds to width 16 have
-    # 3 + 3 * (2 + ... + 16) = 408 classes among 816 families.  Each width
-    # is one stacked elimination with one member per class, and for a
-    # deformable code one length loop whose stack holds every class.
+def count_stacks(monkeypatch):
+    """Record (W, members) of every stacked elimination and length loop:
+    2W pivot columns of a run padded to width W."""
     stacks, loops = [], []
     rref_stack, scan = fp.mat_rref_stack, transfer.scan
 
     def counting_stack(M, p, n_pivot_cols):
-        stacks.append((n_pivot_cols // 2, M.shape[0]))  # 2w pivot columns
+        stacks.append((n_pivot_cols // 2, M.shape[0]))
         return rref_stack(M, p, n_pivot_cols)
 
     def counting_loop(A, F, v, p, l_max):
@@ -276,17 +272,50 @@ def test_scan_runs_one_family_per_inversion_class(monkeypatch):
 
     monkeypatch.setattr(fp, "mat_rref_stack", counting_stack)
     monkeypatch.setattr(transfer, "scan", counting_loop)
-    d5 = ["--p", "5", "--alpha", "1,0", "--beta", "0,1", "--gamma", "1,1", "--delta", "3,2"]
+    return stacks, loops
+
+
+D5_FLAGS = ["--p", "5", "--alpha", "1,0", "--beta", "0,1", "--gamma", "1,1", "--delta", "3,2"]
+
+
+def test_scan_runs_one_family_per_inversion_class(monkeypatch):
+    # width 1: the six flat strips are three single-site cross-sections, one
+    # per length axis.  Width w >= 2: six flat classes; each corner-1
+    # family is a flat strip, and the other 6(w - 2) cornered families pair
+    # up under inversion, 3w classes in all.  Both kinds to width 16 have
+    # 3 + 3 * (2 + ... + 16) = 408 classes among 816 families.  Each run of
+    # width_groups is one stacked elimination with one member per class of
+    # its widths, and for a deformable code one length loop whose stack
+    # holds every class: widths 1-5 share one, and each wider width has its own
+    stacks, loops = count_stacks(monkeypatch)
     for wmax, classes in ((4, 30), (16, 408)):
         stacks.clear()
         loops.clear()
-        assert cli.main(["strings", *d5, "--wmax", str(wmax)]) == 0
-        assert [w for w, _ in stacks] == list(range(1, wmax + 1))
+        assert cli.main(["strings", *D5_FLAGS, "--wmax", str(wmax)]) == 0
+        runs = oracle.width_groups(range(1, wmax + 1), 1)
+        assert runs == [tuple(range(1, min(wmax, 5) + 1))] + [(w,) for w in range(6, wmax + 1)]
+        assert [w for w, _ in stacks] == [max(run) for run in runs]
         assert sum(members for _, members in stacks) == classes
         assert loops == stacks
-        for w, members in stacks:
-            heads = oracle._width_stack(w).heads
-            assert len({oracle._inversion_class(*h) for h in heads}) == len(heads) == members
+        for run, (_, members) in zip(runs, stacks):
+            heads = [h for w in run for h in oracle._width_stack(w).heads]
+            assert len({oracle._inversion_class(*h) for h in heads}) == len(heads)
+            assert len(heads) == members == len(oracle._group(run, oracle.KINDS).heads)
+
+
+def test_deformable_strings_to_width_4_is_one_stack(monkeypatch):
+    # a deformable code's four widths take one elimination and one length
+    # loop, not one of each per width, with --kind and --lmax too, and also
+    # for a code whose strings keep its members in the loop to the horizon
+    stacks, loops = count_stacks(monkeypatch)
+    string_code = ["--p", "5", "--alpha", "1,1", "--beta", "1,3", "--gamma", "2,0",
+                   "--delta", "2,3"]
+    for flags in (D5_FLAGS, [*D5_FLAGS, "--parity", "A"], string_code):
+        for extra in ([], ["--kind", "cornered"], ["--lmax", "9"]):
+            stacks.clear()
+            loops.clear()
+            assert cli.main(["strings", *flags, "--wmax", "4", *extra]) == 0
+            assert len(stacks) == len(loops) == 1, (flags, extra)
 
 
 MIXED = CodeParams(3, (1, 2), (1, 1), (1, 2), (1, 1))
@@ -326,8 +355,10 @@ def test_stacked_scan_matches_each_family_scan():
     assert [len(oracle._width_stack(w).heads) for w in (2, 3)] == [6, 9]
     kinds = set()
     for group in by_modulus(stack_codes()):
+        want = {}  # (code, width, head) -> the oracle at the default horizon
         for w in range(1, 7):
-            stack = oracle._width_stack(w)
+            stack = oracle._group((w,), oracle.KINDS)
+            assert stack.heads == oracle._width_stack(w).heads
             transfers = {code: [strip_transfer(code, *head) for head in stack.heads]
                          for code in group}
             for l_max in (2, 2 * w + 4, 64):
@@ -335,11 +366,13 @@ def test_stacked_scan_matches_each_family_scan():
                 # from free-column codes at l_max 64 above width 3
                 codes = [code for code in group if not (
                     l_max == 64 and w > 3 and any(F.shape[1] for _, F, _ in transfers[code]))]
-                dims, nontrivial, last = oracle._scan_stack(codes, stack.template, l_max)
+                dims, nontrivial, last = oracle._scan_stack(codes, stack, l_max)
                 assert dims.shape == nontrivial.shape == (len(codes), len(stack.heads), l_max - 1)
                 for c, code in enumerate(codes):
                     for h, (A, F, v) in enumerate(transfers[code]):
                         d, hits, (_, _, kernel) = scan_family(code.p, A, F, v, l_max)
+                        if l_max == 2 * w + 4:
+                            want[code, w, h] = d, hits, A, F, kernel
                         assert dims[c, h].tolist() == d, (code, w, l_max, h)
                         assert nontrivial[c, h].tolist() == hits, (code, w, l_max, h)
                         kinds.add((F.shape[1] > 0, any(hits)))
@@ -347,7 +380,54 @@ def test_stacked_scan_matches_each_family_scan():
                             A2, F2, kernel2 = last(c, h)
                             assert (A2 == A).all() and (F2 == F).all()
                             assert same_span(kernel2, kernel, code.p), (code, w, l_max, h)
+        # widths 1-6 in one stack padded to width 6, each to its own horizon
+        run = oracle._group(tuple(range(1, 7)), oracle.KINDS)
+        widths = run.width.tolist()
+        dims, nontrivial, last = oracle._scan_stack(group, run, 2 * run.width + 4)
+        assert dims.shape == (len(group), len(widths), 15)
+        for c, code in enumerate(group):
+            for member, w in enumerate(widths):
+                d, hits, A, F, kernel = want[code, w, member - widths.index(w)]
+                assert dims[c, member].tolist() == d + [0] * (15 - len(d)), (code, member)
+                assert nontrivial[c, member].tolist() == hits + [False] * (15 - len(d))
+                if any(hits):
+                    A2, F2, kernel2 = last(c, member)
+                    assert (A2 == A).all() and (F2 == F).all()
+                    assert same_span(kernel2, kernel, code.p), (code, member)
     assert kinds >= {(False, False), (False, True), (True, True)}
+
+
+def test_multi_width_scan_equals_each_width_scan(monkeypatch):
+    # runs of widths padded to their widest, across the default budget's run
+    # boundary after width 5, and all of widths 1-7 in one run padded to 7;
+    # MIXED and (1,0)^4 put free-column members in padded runs
+    rng = random.Random(181)
+    codes = [d3_code("S"), d3_code("A"), d5_code("S"), d5_code("A"), MIXED,
+             CodeParams(3, (1, 0), (1, 0), (1, 0), (1, 0))]
+    codes += [CodeParams(p, *random_deformable_tuple(rng, p), parity=rng.choice("SA"))
+              for p in (3, 5, 7, 11, 13)]
+    options = ((None, oracle.KINDS), (9, oracle.KINDS), (None, ("cornered",)),
+               (12, ("cornered", "flat")), (None, ("flat",)))
+    widths = range(1, 8)
+    assert oracle.width_groups(widths, 1) == [(1, 2, 3, 4, 5), (6,), (7,)]
+    witnesses = 0
+    for code in codes:
+        for l_max, kinds in options:
+            if code.pairs == ((1, 0),) * 4 and l_max != 9:
+                continue  # each of its members scans alone, up to length 18
+            each = {w: scan_width(code, w, l_max, kinds) for w in widths}
+            for budget in (oracle.MAX_GROUP_CELLS, 2**30):
+                monkeypatch.setattr(oracle, "MAX_GROUP_CELLS", budget)
+                reports = scan_widths(code, widths, l_max, kinds)
+                assert list(reports) == list(widths)
+                for w in widths:
+                    assert list(reports[w]) == list(kinds)
+                    for kind, rpt in reports[w].items():
+                        want = each[w][kind]
+                        assert rpt.as_dict() == want.as_dict(), (code, w, l_max, kind, budget)
+                        assert rpt.witness_geometry == want.witness_geometry
+                        witnesses += rpt.witness is not None
+    assert witnesses >= 50
 
 
 def each_code_scan(codes, width):
@@ -358,6 +438,10 @@ def each_code_scan(codes, width):
     return out
 
 
+def scan_codes_at(codes, width):
+    return [lengths[width] for lengths in oracle.scan_codes(codes, [width])]
+
+
 def test_scan_codes_matches_each_code_scan_on_every_orbit():
     seen = set()
     for p in (3, 5, 7):
@@ -365,8 +449,8 @@ def test_scan_codes_matches_each_code_scan_on_every_orbit():
             codes = [CodeParams(p, *(tuple(x) for x in entry["representative"]), parity=parity)
                      for entry in classify_orbits(p, parity)["orbits"]]
             for w in (1, 2, 3):
-                assert oracle.scan_codes(codes, w) == each_code_scan(codes, w), (p, parity, w)
-            seen |= {m for lengths in oracle.scan_codes(codes, 3) for m in lengths.values()}
+                assert scan_codes_at(codes, w) == each_code_scan(codes, w), (p, parity, w)
+            seen |= {m for lengths in scan_codes_at(codes, 3) for m in lengths.values()}
     # at width 3, segments no longer than w + 1 and segments up to the horizon
     assert seen == {3, 4, 10}
 
@@ -378,18 +462,19 @@ def test_scan_codes_matches_each_code_scan_with_free_columns():
     assert any(MIXED in group and len(group) > 2 for group in groups)
     for group in groups:
         for w in (1, 2, 3, 4):
-            assert oracle.scan_codes(group, w) == each_code_scan(group, w), (group[0].p, w)
-    assert oracle.scan_codes([], 2) == []
-    assert oracle.scan_codes(iter([d3_code()]), 2) == each_code_scan([d3_code()], 2)
+            assert scan_codes_at(group, w) == each_code_scan(group, w), (group[0].p, w)
+    assert oracle.scan_codes([], [2]) == []
+    assert [r[2] for r in oracle.scan_codes(iter([d3_code()]), iter([2]))] == \
+        each_code_scan([d3_code()], 2)
 
 
 def test_scan_codes_refuses_mixed_moduli_and_bad_scans():
     with pytest.raises(ValueError, match="one modulus"):
-        oracle.scan_codes([d3_code(), d5_code()], 1)
+        oracle.scan_codes([d3_code(), d5_code()], [1])
     with pytest.raises(ValueError):
-        oracle.scan_codes([d5_code()], 0)
+        oracle.scan_codes([d5_code()], [0])
     with pytest.raises(ValueError):
-        oracle.scan_codes([d5_code()], oracle.MAX_STRIP_WIDTH + 1)
+        oracle.scan_codes([d5_code()], [1, oracle.MAX_STRIP_WIDTH + 1])
 
 
 def test_scan_codes_chunks_equal_one_stack(monkeypatch):
@@ -397,20 +482,20 @@ def test_scan_codes_chunks_equal_one_stack(monkeypatch):
     codes = [code for code in stack_codes() if code.p == 3]
     codes += [CodeParams(3, *(tuple(x) for x in entry["representative"]))
               for entry in classify_orbits(3)["orbits"]]
-    assert oracle._codes_per_stack(3) >= len(codes)
-    whole = {w: oracle.scan_codes(codes, w) for w in (1, 2, 3)}
+    assert oracle._codes_per_stack(oracle._group((3,), oracle.KINDS)) >= len(codes)
+    whole = {w: oracle.scan_codes(codes, [w]) for w in (1, 2, 3)}
     sizes = []
     scan_stack = oracle._scan_stack
 
-    def counting(codes, template, l_max):
+    def counting(codes, group, l_max):
         sizes.append(len(codes))
-        return scan_stack(codes, template, l_max)
+        return scan_stack(codes, group, l_max)
 
     monkeypatch.setattr(oracle, "_scan_stack", counting)
     monkeypatch.setattr(oracle, "MAX_STACK_BYTES", 1)
     for w, expected in whole.items():
         sizes.clear()
-        assert oracle.scan_codes(codes, w) == expected, w
+        assert oracle.scan_codes(codes, [w]) == expected, w
         assert sizes == [1] * len(codes)
 
 
@@ -420,16 +505,29 @@ def test_scan_codes_holds_one_chunk_at_a_time():
     codes = [CodeParams(13, *(tuple(x) for x in entry["representative"]))
              for entry in classify_orbits(13)["orbits"]]
     assert len(codes) == 1630
-    oracle.scan_codes(codes[:2], 3)  # the width's template is built once and kept
+    oracle.scan_codes(codes[:2], [3])  # the width's template is built once and kept
     tracemalloc.start()
     try:
-        found = oracle.scan_codes(codes, 3)
+        found = oracle.scan_codes(codes, [3])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert len(found) == len(codes)
-    assert oracle._codes_per_stack(3) < len(codes)
+    assert oracle._codes_per_stack(oracle._group((3,), oracle.KINDS)) < len(codes)
     assert peak < 8 * 2**20, peak
+
+
+def arbitrary_blocks(rng):
+    """Six members' blocks (p, A, F, v) without free columns for each p, n
+    and k: any A, nilpotent and zero ones included, and k leftover rows."""
+    for p in (2, 3, 5):
+        for n in (1, 2, 3, 4):
+            for k in (0, 1, 2, 3):
+                A = rng.integers(0, p, (6, n, n))
+                A[0], A[1] = np.eye(n, k=1, dtype=np.int64), 0
+                v = rng.integers(0, p, (6, k, n)) * (rng.random((6, k, n)) < 0.6)
+                v[:2] = 0
+                yield p, A, np.zeros((6, n, 0), dtype=np.int64), v
 
 
 def test_transfer_loop_matches_family_scan_on_arbitrary_blocks():
@@ -438,24 +536,17 @@ def test_transfer_loop_matches_family_scan_on_arbitrary_blocks():
     # at lengths whose kernel is nonzero while A^(l-1) maps it to zero
     rng = np.random.default_rng(173)
     killed = 0
-    for p in (2, 3, 5):
-        for n in (1, 2, 3, 4):
-            for k in (0, 1, 2, 3):
-                A = rng.integers(0, p, (6, n, n))
-                A[0], A[1] = np.eye(n, k=1, dtype=np.int64), 0
-                v = rng.integers(0, p, (6, k, n)) * (rng.random((6, k, n)) < 0.6)
-                v[:2] = 0
-                F = np.zeros((6, n, 0), dtype=np.int64)
-                for l_max in (2, 5, 12):
-                    dims, nontrivial, last_Q = transfer.scan(A, F, v, p, l_max)
-                    for b in range(6):
-                        d, hits, (_, _, kernel) = scan_family(p, A[b], F[b], v[b], l_max)
-                        assert dims[b].tolist() == d, (p, A[b], v[b], l_max)
-                        assert nontrivial[b].tolist() == hits, (p, A[b], v[b], l_max)
-                        if any(hits):
-                            Q = last_Q[b]
-                            assert same_span(Q[:, np.diagonal(Q) == 1].T, kernel, p)
-                        killed += sum(bool(x) and not h for x, h in zip(d, hits))
+    for p, A, F, v in arbitrary_blocks(rng):
+        for l_max in (2, 5, 12):
+            dims, nontrivial, last_Q = transfer.scan(A, F, v, p, l_max)
+            for b in range(6):
+                d, hits, (_, _, kernel) = scan_family(p, A[b], F[b], v[b], l_max)
+                assert dims[b].tolist() == d, (p, A[b], v[b], l_max)
+                assert nontrivial[b].tolist() == hits, (p, A[b], v[b], l_max)
+                if any(hits):
+                    Q = last_Q[b]
+                    assert same_span(Q[:, np.diagonal(Q) == 1].T, kernel, p)
+                killed += sum(bool(x) and not h for x, h in zip(d, hits))
     assert killed > 100
     # the blocks of random two-block systems, whose first block is often
     # rank deficient, each alone, with the kernel of a run to the last
@@ -480,6 +571,22 @@ def test_transfer_loop_matches_family_scan_on_arbitrary_blocks():
     # free columns: hits at every length, hits that stop, and none
     assert seen >= {(1, True, True), (1, True, False), (1, False, False), (2, True, True),
                     (2, False, False)}
+
+
+def test_transfer_loop_with_a_horizon_per_member_equals_one_loop_per_horizon():
+    # each member to its own horizon in one stack, against a stack of that
+    # member alone; past its horizon a member reads zero and False
+    rng = np.random.default_rng(179)
+    for p, A, F, v in arbitrary_blocks(rng):
+        for horizons in (rng.integers(2, 13, 6), np.array([2, 12, 2, 7, 12, 3])):
+            dims, nontrivial, last_Q = transfer.scan(A, F, v, p, horizons)
+            assert dims.shape == nontrivial.shape == (6, horizons.max() - 1)
+            for b, l_max in enumerate(horizons.tolist()):
+                d, hits, Q = transfer.scan(A[b:b + 1], F[b:b + 1], v[b:b + 1], p, l_max)
+                assert (dims[b, :l_max - 1] == d[0]).all(), (p, A[b], v[b], l_max)
+                assert (nontrivial[b, :l_max - 1] == hits[0]).all(), (p, A[b], v[b], l_max)
+                assert not dims[b, l_max - 1:].any() and not nontrivial[b, l_max - 1:].any()
+                assert (last_Q[b] == Q[0]).all()
 
 
 def test_stack_members_leave_once_their_first_column_vanishes(monkeypatch):
