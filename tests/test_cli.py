@@ -1,5 +1,6 @@
 """Command-line interface: reports, exit codes, determinism."""
 
+import argparse
 import hashlib
 import io
 import json
@@ -498,6 +499,28 @@ def test_each_report_is_one_write(monkeypatch):
         assert json.loads(writes[0])["command"] == argv[0]
 
 
+def random_report(rng: random.Random, depth: int = 0):
+    """A random nested value of the types a report holds."""
+    kind = rng.randrange(9 if depth < 4 else 6)
+    if kind == 0:
+        return rng.choice(["", "a", 'q"', "back\\", "tab\t", "é∑", "😀", "\x00", "null"])
+    if kind == 1:
+        return rng.choice([0, 1, -1, 7, -(2 ** 63), 2 ** 64, 10 ** 30])
+    if kind == 2:
+        return rng.choice([True, False])
+    if kind == 3:
+        return None
+    if kind in (4, 5):
+        return rng.randrange(-50, 50)
+    items = [random_report(rng, depth + 1) for _ in range(rng.randrange(5))]
+    if kind == 6:
+        return items
+    if kind == 7:
+        return tuple(items)
+    keys = rng.sample(["a", "B", "z", "", "é", 'k"', "\n", "10", "9", "true"], len(items))
+    return dict(zip(keys, items))
+
+
 def test_report_text_matches_the_json_module():
     values = [
         {}, [], (), {"a": {}, "b": [], "c": [[]], "d": [{}], "e": ({},)},
@@ -507,15 +530,190 @@ def test_report_text_matches_the_json_module():
         {'key "q"': 1, "back\\": 2, "\n": 3, "é": 4, "Z": 5, "a": 6, "": 7},
         [-1, 0, -(2 ** 63) - 1, 2 ** 63, 2 ** 64 + 1, -(10 ** 30)],
         [True, 1, False, 0, None], {"t": True, "one": 1, "f": False, "zero": 0, "n": None},
+        [1, True, 0, False], (False, 0, True, 1), {"a": 1, "b": True, "c": 0, "d": False},
+        [[True, 1], {"x": False, "y": 0}, (0, False, None, "0", "false")],
         "bare", 7, True, False, None,
     ]
+    # each scalar type as a dict value and as a list item, 1-3 levels down,
+    # beside empty and nonempty containers
+    for leaf in ("s", 'q"é', "", 0, -3, 2 ** 70, True, False, None):
+        for depth in (1, 2, 3):
+            as_value = {"a": [], "k": leaf, "m": {"n": 1}, "z": {}}
+            as_item = [[], leaf, {"n": leaf}, (), [leaf]]
+            for _ in range(depth - 1):
+                as_value = {"w": as_value, "x": [as_value]}
+                as_item = [as_item, {"y": as_item}]
+            values += [as_value, as_item]
+    rng = random.Random(28)
+    values += [random_report(rng) for _ in range(500)]
     for value in values:
         assert cli._dumps(value) == json.dumps(value, sort_keys=True, indent=2), value
     for bad in (0.0, 1.5, np.int64(3), np.bool_(True), {1, 2}, frozenset(), {1: "a"},
                 {"a": 1, 2: "b"}, b"bytes"):
-        for value in (bad, [bad], {"k": [1, bad]}):
+        for value in (bad, [bad], {"k": [1, bad]}, [1, bad], ("s", None, bad),
+                      {"k": bad}, {"a": True, "k": bad}):
             with pytest.raises(TypeError):
                 cli._dumps(value)
+
+
+def test_malformed_pairs_and_dims_name_the_expected_form(capsys):
+    # a value that does not parse names the form it should take, not the
+    # private function that parsed it
+    cases = {
+        ("check", "--alpha", "1,"): "qupitcube check: error: argument --alpha: "
+                                    "expected 'a,b', got '1,'",
+        ("logical", *D5_FLAGS, "--dims", "4xax3"): "qupitcube logical: error: argument "
+                                                   "--dims: expected 'LxLyLz' like 4x4x3, "
+                                                   "got '4xax3'",
+    }
+    for argv, message in cases.items():
+        with pytest.raises(SystemExit) as exc:
+            cli.main(list(argv))
+        err = capsys.readouterr().err
+        assert exc.value.code == 2 and err.endswith(message + "\n"), err
+    for flag, text in (("--beta", "a,1"), ("--gamma", "1"), ("--delta", ",")):
+        with pytest.raises(SystemExit):
+            cli.main(["check", "--p", "5", flag, text])
+        assert f"error: argument {flag}: expected 'a,b', got '{text}'" in capsys.readouterr().err
+    for text in ("4x4", "4,x,3", "1,2,", "x", "2x2x2x2"):
+        with pytest.raises(SystemExit):
+            cli.main(["algebra", *D5_FLAGS, "--dims", text])
+        assert f"--dims: expected 'LxLyLz' like 4x4x3, got '{text}'" in capsys.readouterr().err
+
+
+VALID_ARGV = {
+    "check": ("check", *P2_FLAGS),
+    "strings": ("strings", *P2_FLAGS, "--wmax", "1"),
+    "classify": ("classify", "--p", "3"),
+    "logical": ("logical", *D5_FLAGS, "--dims", "2x2x3"),
+    "algebra": ("algebra", "--p", "3", "--alpha", "1,0", "--beta", "0,1",
+                "--gamma", "1,1", "--delta", "1,2", "--r", "2"),
+    "scan": ("scan", "--p", "3", "--oracle-wmax", "1"),
+}
+
+
+def dispatch_corpus(rng: random.Random, params: dict) -> list[list[str]]:
+    """Valid and invalid command lines over all six subcommands."""
+    corpus = [[], ["-h"], ["--help"], ["bogus"], ["chec", "--p", "3"], ["--"],
+              ["--", "check", *P2_FLAGS], ["-h", "check"], ["--schema-version", "2", "scan",
+              "--p", "2"], ["--p", "3", "classify"], ["scan"], ["classify", "--p", "3", "--wmax", "2"],
+              ["scan", "--p", "2", "--frobnicate"], ["check", "--p", "5"],
+              ["logical", *D5_FLAGS], ["classify", "--p", "3", "--parity", "X"],
+              ["strings", *P2_FLAGS, "--kind", "diagonal"], ["scan", "--p", "five"],
+              ["check", "--params"], ["check", "--al", "1,0"], ["check", "--pa", "x"],
+              ["classify", "--p=3", "--parity=A"], ["classify", "--p", "3", "--", "stray"],
+              ["logical", *D5_FLAGS, "--dims", "2x2x2", "--ktable", "1"],
+              ["check", "--p", "4", *P2_FLAGS[2:]], ["classify", "--p", "23"]]
+    corpus += [[name, flag] for name in VALID_ARGV for flag in ("-h", "--help")]
+    corpus += [["check", "--params", path] for path in params.values()]
+    corpus += [["strings", "--params", params["good"], "--parity", "A", "--wmax", "1"],
+               ["logical", "--params", params["good"], "--dims", "2x2x2", "--ktable", "3"],
+               ["algebra", "--params", params["short"], "--r", "2"]]
+    bad_values = ["five", "1,", "4xax3", "-", "", "1.5", "3x3", "X", "--p"]
+    extras = [["--frobnicate"], ["--workers", "2"], ["stray"], ["-h"], ["--help"],
+              ["--wmax", "2"], ["--dims", "2x2x2"], ["--parity", "Q"], ["--p"],
+              ["--kind", "flat"], ["--ktable", "1"], ["--oracle-wmax", "0"],
+              ["--params", params["missing"]], ["--params", params["not-json"]]]
+    for _ in range(160):
+        argv = list(VALID_ARGV[rng.choice(sorted(VALID_ARGV))])
+        for _ in range(rng.randrange(1, 3)):
+            move = rng.randrange(6) if len(argv) > 1 else 1
+            if move == 0:  # drop an option and its value
+                i = rng.randrange(1, len(argv))
+                del argv[i:i + (2 if argv[i].startswith("--") and i + 1 < len(argv)
+                                 and not argv[i + 1].startswith("--") else 1)]
+            elif move == 1:  # insert an option, known to some subcommand or not
+                i = rng.randrange(1, len(argv) + 1)
+                argv[i:i] = rng.choice(extras)
+            elif move == 2:  # spoil a value
+                values = [i for i in range(2, len(argv)) if not argv[i].startswith("--")]
+                if values:
+                    argv[rng.choice(values)] = rng.choice(bad_values)
+            elif move == 3:  # rename or drop the subcommand
+                argv[0] = rng.choice(["bogus", "Check", "scan", "-h", "--help", "--frobnicate"])
+                if rng.random() < 0.2:
+                    argv = argv[1:]
+            elif move == 4:  # a top-level option before the subcommand
+                argv[:0] = rng.choice([["--schema-version", "2"], ["-h"], ["--"], ["-x"]])
+            else:  # move an option pair to the end
+                i = rng.randrange(1, len(argv))
+                argv += argv[i:i + 2]
+                del argv[i:i + 2]
+        corpus.append(argv)
+    return corpus
+
+
+def outcome(run, argv, capsys):
+    try:
+        rc = run(argv)
+    except SystemExit as e:
+        rc = e.code
+    out, err = capsys.readouterr()
+    return rc, out, err
+
+
+def full_parse(argv):
+    """The command line through both argparse passes, then the command."""
+    parser = cli.build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return cli.COMMANDS[args.command](args, parser)
+    except (ValueError, OSError) as e:
+        parser.error(str(e))
+
+
+def params_files(tmp_path) -> dict:
+    good = d5_code("S").as_dict()
+    contents = {"good": json.dumps(good), "short": json.dumps(dict(good, alpha=[1])),
+                "list": json.dumps([good]), "not-json": "{p: 5"}
+    paths = {name: tmp_path / f"{name}.json" for name in contents}
+    for name, text in contents.items():
+        paths[name].write_text(text)
+    paths["missing"] = tmp_path / "missing.json"
+    return {name: str(path) for name, path in paths.items()}
+
+
+def test_one_parse_dispatch_matches_the_full_parser(tmp_path, capsys):
+    # exit code, stdout and stderr of each command line equal what the full
+    # argparse pass and then the command give, usage errors and help included
+    corpus = dispatch_corpus(random.Random(28), params_files(tmp_path))
+    seen = set()
+    for argv in corpus:
+        got = outcome(cli.main, list(argv), capsys)
+        assert got == outcome(full_parse, list(argv), capsys), argv
+        rc, out, err = got
+        seen.add(rc)
+        for kind in ("unrecognized arguments", "invalid choice", "the following arguments are "
+                     "required", "expected one argument", "expected 'a,b'", "expected 'LxLyLz'",
+                     "invalid int value", "No such file", "need --params", "must be"):
+            if kind in err:
+                seen.add(kind)
+        if rc == 0 and out.startswith("usage: qupitcube"):
+            seen.add("help " + out.split("\n")[0].split()[2])
+    assert len(corpus) >= 200
+    assert {0, 2, "unrecognized arguments", "invalid choice", "expected one argument",
+            "the following arguments are required", "expected 'a,b'", "expected 'LxLyLz'",
+            "invalid int value", "No such file", "need --params", "must be",
+            "help [-h]"} <= seen, seen
+    assert {f"help {name}" for name in VALID_ARGV} <= seen, seen
+
+
+def test_a_command_line_is_parsed_once(monkeypatch, capsys):
+    # one argparse pass, by the subcommand's parser; both passes of the full
+    # parser would read the subcommand's arguments twice
+    calls = []
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+
+    def counting(self, *args, **kwargs):
+        calls.append(self.prog)
+        return parse_known_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting)
+    for name, argv in VALID_ARGV.items():
+        calls.clear()
+        assert cli.main(list(argv)) == 0
+        assert json.loads(capsys.readouterr().out)["command"] == name
+        assert calls == [f"qupitcube {name}"], (name, calls)
 
 
 def test_classify_and_scan_refuse_moduli_beyond_the_bound():
