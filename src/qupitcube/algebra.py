@@ -7,18 +7,25 @@ on one site costs omega^-1, so the product rule is
     (a, b, c) * (a', b', c') = (a + a', b + b', c + c' - b . a'),
 
 which reproduces the commutation law S_a S_b = S_b S_a omega^<a, b>.
-Monomials and operator sums share this one rule.
+``_monomial_mul`` is that rule on integer arrays whose last axis runs
+over sites, so one call multiplies whole tables of monomials; the
+verifiers here and the operator sums of ``reference`` all call it.
 
 An operator sum is a rational combination of phased monomials: integer
 numerators keyed by (a, b, c) over one positive denominator, which
 products multiply, so no step leaves the integers.  The only relation
 among keys, 1 + omega + ... + omega^(p-1) = 0, is applied once, when
-sums are compared.  The projector check forms each distinct phase-0
-monomial product once (p^2 of them for the p^4 projector term pairs)
-and decides all p^2 projector products from one integer count array
-of (r, q, monomial, phase), with that relation applied by subtracting
-the phase-(p-1) counts; no operator sum is multiplied there.  The
-verifiers accept p <= MAX_ALGEBRA_MODULUS.
+sums are compared.
+
+The projector and inversion checks multiply no operator sum.  A
+``PowerTable`` holds the generator's powers s^0 .. s^(p-1) as (p, sites)
+x and z exponent arrays and a phase vector, and one array call of the
+rule forms all p^2 products s^m s^k (the p^4 projector term pairs have
+no others).  All p^2 projector products are decided from one integer
+count array of (r, q, monomial, phase), with that relation applied by
+subtracting the phase-(p-1) counts, and the inversion action from the
+counts of the site-permuted powers.  The verifiers accept
+p <= MAX_ALGEBRA_MODULUS.
 
 The identities are checked on the origin cube generator, on its eight
 ``VERTICES`` sites: every operator involved is the identity elsewhere,
@@ -32,7 +39,6 @@ codes at every odd p.
 from __future__ import annotations
 
 import functools
-import operator
 import random
 from dataclasses import dataclass
 from math import gcd
@@ -55,14 +61,17 @@ class NotOrderPError(ValueError):
 
 
 # The projector checks count p^4 term pairs in one integer array: one
-# `algebra` command takes 0.04 s in process (0.3 s in a fresh interpreter)
-# at p = 31 and 0.06 s (0.35 s) at p = 37, peak RSS 35 and 37 MB
-# (2-core x86_64 VM, Python 3.11, numpy 2.4).
+# `algebra` command takes 0.011-0.015 s in process (0.13-0.15 s in a fresh
+# interpreter) at p = 31 and 0.020-0.023 s (0.15-0.16 s) at p = 37, peak
+# RSS 32 and 34 MB (2-core x86_64 VM, Python 3.11, numpy 2.4).
 MAX_ALGEBRA_MODULUS = 31
 
 # The projector checks count (r, q, m, k) quadruples in blocks of rows r
 # with about this many entries each: one row at p >= 23, all rows at p <= 11.
 COUNT_BLOCK_ENTRIES = 1 << 14
+
+# The cube generator's sites map onto themselves under inversion about it.
+CUBE_CENTER = (0.5, 0.5, 0.5)
 
 
 def _check_odd_prime(p: int, limit: int | None = None) -> int:
@@ -105,39 +114,35 @@ class PhasedPauli:
         return self.phase == 0 and not any(self.x) and not any(self.z)
 
 
-def identity_pauli(p: int, sites) -> PhasedPauli:
-    sites = tuple(sites)
-    return PhasedPauli(p, sites, (0,) * len(sites), (0,) * len(sites))
-
-
 def _monomial_mul(u: tuple, v: tuple, p: int) -> tuple:
-    """The product rule on phase-0 (x, z) monomials: (x + x', z + z', -z . x')."""
+    """The product rule on phase-0 (x, z) monomials: (x + x', z + z', -z . x').
+
+    x and z are integer arrays whose last axis runs over sites; the
+    leading axes broadcast, so one call multiplies tables of monomials.
+    """
     (xu, zu), (xv, zv) = u, v
-    return (tuple([(a + b) % p for a, b in zip(xu, xv)]),
-            tuple([(a + b) % p for a, b in zip(zu, zv)]),
-            -sum(map(operator.mul, zu, xv)) % p)
+    return (xu + xv) % p, (zu + zv) % p, -(zu * xv).sum(-1) % p
 
 
-class _Products(dict):
-    """``_monomial_mul`` of each ((x, z), (x', z')) pair looked up, formed once."""
+def _powers(s: PhasedPauli) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The x and z exponents (p, sites) and phases (p,) of s^0 .. s^(p-1).
 
-    def __init__(self, p: int):
-        self.p = p
-
-    def __missing__(self, uv: tuple) -> tuple:
-        out = self[uv] = _monomial_mul(*uv, self.p)
-        return out
-
-
-def _key_mul(u: tuple, v: tuple, products: _Products) -> tuple:
-    """Normal-ordered product of (x, z, phase) keys."""
-    x, z, c = products[u[:2], v[:2]]
-    return (x, z, (u[2] + v[2] + c) % products.p)
-
-
-def _symplectic(u: tuple, v: tuple, p: int) -> int:
-    """e with u v = v u omega^e for (x, z, ...) keys."""
-    return sum(xu * zv - zu * xv for xu, zu, xv, zv in zip(u[0], u[1], v[0], v[1])) % p
+    One call of the product rule multiplies every row m = (m x, m z) by
+    s.  The products must land on the rows m + 1, row p being 0, and
+    their phases, summed from s^0 = 1, give each row's phase and that of
+    s^p, which must be 0: that is s^p = identity exactly.
+    """
+    p = s.p
+    sx, sz = np.array(s.x, dtype=np.int64), np.array(s.z, dtype=np.int64)
+    m = np.arange(p + 1)[:, None]
+    x, z = m * sx % p, m * sz % p
+    nx, nz, c = _monomial_mul((x[:-1], z[:-1]), (sx, sz), p)
+    phases = np.zeros(p + 1, dtype=np.int64)
+    phases[1:] = s.phase + c
+    phases = phases.cumsum() % p
+    if phases[p] or (nx != x[1:]).any() or (nz != z[1:]).any():
+        raise NotOrderPError("operator does not have order p (including phase)")
+    return x[:-1], z[:-1], phases[:-1]
 
 
 def generator_pauli(params: CodeParams) -> PhasedPauli:
@@ -209,46 +214,39 @@ class OperatorSum:
         return f"OperatorSum(p={self.p}, terms={len(self.terms)})"
 
 
-def _powers(s: PhasedPauli, products: _Products) -> list[tuple]:
-    """The keys of s^0 .. s^(p-1); requires s^p = identity exactly."""
-    one = identity_pauli(s.p, s.sites).key()
-    powers = [one]
-    for _ in range(s.p):
-        powers.append(_key_mul(powers[-1], s.key(), products))
-    if powers.pop() != one:
-        raise NotOrderPError("operator does not have order p (including phase)")
-    return powers
+def _inversion_perm(sites: tuple, center) -> list[int]:
+    """Inversion about a (half-)lattice centre as a permutation of ``sites``.
 
-
-def _projector(s: PhasedPauli, r: int, products: _Products) -> OperatorSum:
-    p = s.p
-    out = OperatorSum(p, s.sites)
-    out.den = p
-    for m, (x, z, c) in enumerate(_powers(s, products)):
-        out._accumulate((x, z, (c + r * m) % p), 1)
-    return out
+    Inversion is an involution, so the site landing at position i comes
+    from ``perm[i]``.  Raises InvalidCenterError unless the centre maps
+    the sites onto themselves.
+    """
+    c2 = doubled_center(center)
+    idx = {q: i for i, q in enumerate(sites)}
+    perm = [idx.get(tuple(c2[a] - q[a] for a in range(3))) for q in sites]
+    if None in perm:
+        raise InvalidCenterError(f"inversion about {tuple(center)} does not map "
+                                 f"the operator's sites onto themselves")
+    return perm
 
 
 def inversion_conjugate(P: OperatorSum, center) -> OperatorSum:
     """Conjugate by the inversion permutation about a (half-)lattice centre.
 
     Site permutations carry no phase: each term's exponent vectors are
-    re-indexed; phases, numerators and ``den`` are kept.  Inversion is an
-    involution, so the site landing at position i comes from ``perm[i]``.
-    Raises InvalidCenterError unless the centre maps P's sites onto
-    themselves.
+    re-indexed; phases, numerators and ``den`` are kept.  Raises
+    InvalidCenterError unless the centre maps P's sites onto themselves.
     """
-    c2 = doubled_center(center)
-    idx = {q: i for i, q in enumerate(P.sites)}
-    perm = [idx.get(tuple(c2[a] - q[a] for a in range(3))) for q in P.sites]
-    if None in perm:
-        raise InvalidCenterError(f"inversion about {tuple(center)} does not map "
-                                 f"the operator's sites onto themselves")
+    perm = _inversion_perm(P.sites, center)
     out = OperatorSum(P.p, P.sites)
     out.den = P.den
     for (x, z, phase), n in P.terms.items():
         out._accumulate((tuple(x[i] for i in perm), tuple(z[i] for i in perm), phase), n)
     return out
+
+
+# Inversion about the cube centre as a permutation of the generator's sites
+_CUBE_INVERSION = _inversion_perm(VERTICES, CUBE_CENTER)
 
 
 # ---------------------------------------------------------------------------
@@ -259,95 +257,130 @@ def inversion_conjugate(P: OperatorSum, center) -> OperatorSum:
 def verify_commutation_law(p: int, trials: int = 200, seed: int = 7) -> bool:
     """u v = v u omega^<u, v> on random two-site (x, z, phase) keys.
 
-    The verdict depends only on the arguments, so each process computes
-    it once per argument list; ``cache_clear()`` forgets the verdicts.
+    Every trial's u v and v u come from one array call of the product
+    rule.  The verdict depends only on the arguments, so each process
+    computes it once per argument list; ``cache_clear()`` forgets the
+    verdicts.
     """
     p = _check_odd_prime(p, MAX_ALGEBRA_MODULUS)
-    products = _Products(p)
     rng = random.Random(seed)
+    # per trial u then v, each drawn as x0, x1, z0, z1, phase
+    u, v = np.array([rng.randrange(p) for _ in range(10 * trials)],
+                    dtype=np.int64).reshape(trials, 2, 5).swapaxes(0, 1)
+    left, right = np.stack([u, v]), np.stack([v, u])  # u v, then v u
+    x, z, c = _monomial_mul((left[..., :2], left[..., 2:4]),
+                            (right[..., :2], right[..., 2:4]), p)
+    phase = (left[..., 4] + right[..., 4] + c) % p
+    e = (u[:, :2] * v[:, 2:4] - u[:, 2:4] * v[:, :2]).sum(-1)
+    return bool((x[0] == x[1]).all() and (z[0] == z[1]).all()
+                and (phase[0] == (phase[1] + e) % p).all())
 
-    def draw() -> tuple:
-        return ((rng.randrange(p), rng.randrange(p)),
-                (rng.randrange(p), rng.randrange(p)), rng.randrange(p))
 
-    for _ in range(trials):
-        u, v = draw(), draw()
-        x, z, c = _key_mul(v, u, products)
-        if _key_mul(u, v, products) != (x, z, (c + _symplectic(u, v, p)) % p):
-            return False
-    return True
+def _reduced(counts: np.ndarray) -> np.ndarray:
+    """Numerators on omega^0..omega^(p-2): 1 + omega + ... + omega^(p-1) = 0."""
+    return counts[..., :-1] - counts[..., -1:]
+
+
+class PowerTable:
+    """The cube generator's power table and the projector counts it gives.
+
+    With G_m = s^m, the table holds each G_m's monomial number ``ids[m]``
+    and phase ``phases[m]``, each product G_m G_k's number
+    ``product_ids[m, k]`` and phase ``product_phases[m, k]``, and the
+    number ``inverted_ids[m]`` of G_m conjugated by inversion about the
+    cube centre.  Equal (x, z) rows share a number, ``identity`` is the
+    identity's, and a row in no other place gets a number of its own.
+    ``reduced_projectors[r]`` holds P(s, r)'s numerators over p by
+    (monomial, phase), reduced.  One ``algebra`` command builds one table
+    for both of its code checks.
+    """
+
+    def __init__(self, params: CodeParams):
+        p = self.p = _check_odd_prime(params.p, MAX_ALGEBRA_MODULUS)
+        self.parity = params.parity
+        s = generator_pauli(params)
+        x, z, self.phases = _powers(s)
+        px, pz, pc = _monomial_mul((x[:, None], z[:, None]), (x, z), p)
+        self.product_phases = self.phases[:, None] + self.phases + pc
+        xz = np.stack([x, z], axis=1)
+        rows = np.concatenate([np.zeros_like(xz[:1]), xz,
+                               np.stack([px, pz], axis=2).reshape(p * p, 2, -1),
+                               xz[..., _CUBE_INVERSION]]).reshape(2 * p + p * p + 1, -1)
+        # entries are reduced mod p, so equal (x, z) rows have equal bytes
+        keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+        _, number = np.unique(keys, return_inverse=True)
+        self.n_mono = int(number.max()) + 1
+        self.identity = number[0]
+        self.ids = number[1:p + 1]
+        self.product_ids = number[p + 1:p + 1 + p * p].reshape(p, p)
+        self.inverted_ids = number[p + 1 + p * p:]
+        self.rm = np.arange(p)[:, None] * np.arange(p)  # r m, and likewise q k
+        self.reduced_projectors = self._reduced_counts(self.ids, self.rm)
+
+    def _reduced_counts(self, ids: np.ndarray, rm: np.ndarray) -> np.ndarray:
+        """Per row r of ``rm``, the reduced numerators over p of the sum of
+        omega^(G_m's phase + rm[r, m]) on monomials ``ids[m]``: with the
+        table's ``ids`` and rm[r, m] = r m, that is P(s, r)."""
+        n, p = self.n_mono, self.p
+        flat = (np.arange(len(rm))[:, None] * n + ids) * p + (self.phases + rm) % p
+        return _reduced(np.bincount(flat.ravel(), minlength=len(rm) * n * p)
+                        .reshape(len(rm), n, p))
+
+    def projector_identities(self) -> dict:
+        """Idempotence, orthogonality, completeness of {P(s, r)}.
+
+        P(s, r) P(s, q) is p^-2 sum_{m, k} of omega^(r m + q k) G_m G_k,
+        so the numerators of all p^2 products are one integer count of
+        (r, q, product monomial, phase), and each verdict is a
+        ``canonical()`` equality with the denominators p^2 and p
+        cross-multiplied.
+        """
+        p, n_mono, rm = self.p, self.n_mono, self.rm
+        labels = np.arange(p)
+        red_proj = self.reduced_projectors
+        # for each (q, m, k): the (q, t) cell, and the phase without its r m part
+        cell = (labels[:, None, None] * n_mono + self.product_ids) * p
+        qk = rm[:, None, :] + self.product_phases
+        # differs[r, q]: P(s, r) P(s, q) is not delta_rq P(s, r).  Rows r are
+        # counted a block at a time, about COUNT_BLOCK_ENTRIES (r, q, m, k) each
+        size = p * n_mono * p
+        differs = np.empty((p, p), dtype=bool)
+        block = max(1, COUNT_BLOCK_ENTRIES // p ** 3)
+        for r0 in range(0, p, block):
+            rs = labels[r0:r0 + block]
+            flat = cell + (qk + rm[rs, None, :, None]) % p + (rs - r0)[:, None, None, None] * size
+            red = _reduced(np.bincount(flat.ravel(), minlength=len(rs) * size)
+                           .reshape(len(rs), p, n_mono, p))
+            red[rs - r0, rs] -= p * red_proj[rs]
+            differs[rs] = red.reshape(len(rs), p, -1).any(axis=2)
+        identity = np.zeros((n_mono, p - 1), dtype=np.int64)
+        identity[self.identity, 0] = 1
+        return {"idempotent": not differs.diagonal().any(),
+                "orthogonal": not (differs & ~np.eye(p, dtype=bool)).any(),
+                "complete": np.array_equal(red_proj.sum(axis=0), p * identity)}
+
+    def inversion_action(self, r: int = 1) -> dict:
+        """Conjugating P(s, r) by inversion about the cube centre.
+
+        Expected fixed for symmetric codes and mapped to P(s, -r) for
+        antisymmetric ones.  The conjugate keeps P(s, r)'s phases on the
+        inverted monomials, so its reduced counts are compared with those
+        of P(s, +-r).  The syndrome label r must lie in 0..p-1.
+        """
+        p = self.p
+        if not 0 <= r < p:
+            raise ValueError(f"syndrome label r must be in 0..{p - 1}, got {r}")
+        expect_r = r if self.parity == "S" else (-r) % p
+        conj = self._reduced_counts(self.inverted_ids, self.rm[r:r + 1])
+        return {"r": r, "expected_r": expect_r,
+                "matches": np.array_equal(conj[0], self.reduced_projectors[expect_r])}
 
 
 def verify_projector_identities(params: CodeParams) -> dict:
-    """Idempotence, orthogonality, completeness of {P(s, r)} for the
-    cube generator.
-
-    With G_m the key of s^m, P(s, r) P(s, q) is p^-2 sum_{m, k} of
-    omega^(r m + q k) G_m G_k.  Each product G_m G_k is formed once, as
-    monomial t[m, k] with phase c[m, k]; the numerators of all p^2
-    products are then one integer count of (r, q, t, phase), and each
-    verdict is a ``canonical()`` equality with the denominators p^2 and p
-    cross-multiplied.
-    """
-    p = _check_odd_prime(params.p, MAX_ALGEBRA_MODULUS)
-    products = _Products(p)
-    s = generator_pauli(params)
-    powers = _powers(s, products)
-    index = {identity_pauli(p, s.sites).key()[:2]: 0}  # (x, z) -> monomial number t
-    t, c = [], []
-    for u in powers:
-        for v in powers:
-            x, z, phase = products[u[:2], v[:2]]
-            t.append(index.setdefault((x, z), len(index)))
-            c.append(u[2] + v[2] + phase)
-    n_mono = len(index)
-
-    def reduced(counts: np.ndarray) -> np.ndarray:
-        # numerators on omega^0..omega^(p-2): 1 + omega + ... + omega^(p-1) = 0
-        return counts[..., :p - 1] - counts[..., p - 1:]
-
-    # P(s, r) has numerator 1 on (G_m's monomial, G_m's phase + r m), over p
-    labels = np.arange(p)
-    rm = labels[:, None] * labels  # r m, and likewise q k
-    own = [index[u[:2]] for u in powers]
-    proj = np.zeros((p, n_mono, p), dtype=np.int64)
-    np.add.at(proj, (labels[:, None], own, ([u[2] for u in powers] + rm) % p), 1)
-    red_proj = reduced(proj)
-    # for each (q, m, k): the (q, t) cell, and the phase without its r m part
-    cell = (labels[:, None, None] * n_mono + np.reshape(t, (p, p))) * p
-    qk = rm[:, None, :] + np.reshape(c, (p, p))
-    # differs[r, q]: P(s, r) P(s, q) is not delta_rq P(s, r).  Rows r are
-    # counted a block at a time, about COUNT_BLOCK_ENTRIES (r, q, m, k) each
-    size = p * n_mono * p
-    differs = np.empty((p, p), dtype=bool)
-    block = max(1, COUNT_BLOCK_ENTRIES // p ** 3)
-    for r0 in range(0, p, block):
-        rs = labels[r0:r0 + block]
-        flat = cell + (qk + rm[rs, None, :, None]) % p + (rs - r0)[:, None, None, None] * size
-        red = reduced(np.bincount(flat.ravel(), minlength=len(rs) * size)
-                      .reshape(len(rs), p, n_mono, p))
-        red[rs - r0, rs] -= p * red_proj[rs]
-        differs[rs] = red.reshape(len(rs), p, -1).any(axis=2)
-    identity = np.zeros((n_mono, p - 1), dtype=np.int64)
-    identity[0, 0] = 1
-    return {"idempotent": not differs.diagonal().any(),
-            "orthogonal": not (differs & ~np.eye(p, dtype=bool)).any(),
-            "complete": np.array_equal(red_proj.sum(axis=0), p * identity)}
+    """``PowerTable.projector_identities`` of the code's cube generator."""
+    return PowerTable(params).projector_identities()
 
 
 def verify_inversion_action(params: CodeParams, r: int = 1) -> dict:
-    """Conjugating P(s, r) by inversion about the cube centre.
-
-    Expected fixed for symmetric codes and mapped to P(s, -r) for
-    antisymmetric ones.  The syndrome label r must lie in 0..p-1.
-    """
-    p = _check_odd_prime(params.p, MAX_ALGEBRA_MODULUS)
-    if not 0 <= r < p:
-        raise ValueError(f"syndrome label r must be in 0..{p - 1}, got {r}")
-    products = _Products(p)
-    s = generator_pauli(params)
-    P = _projector(s, r, products)
-    conj = inversion_conjugate(P, (0.5, 0.5, 0.5))
-    expect_r = r if params.parity == "S" else (-r) % p
-    expected = _projector(s, expect_r, products)
-    return {"r": r, "expected_r": expect_r, "matches": conj == expected}
+    """``PowerTable.inversion_action`` of the code's cube generator."""
+    return PowerTable(params).inversion_action(r)

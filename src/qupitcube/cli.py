@@ -18,11 +18,7 @@ import sys
 
 from . import classify as classify_mod
 from . import conditions, oracle
-from .algebra import (
-    verify_commutation_law,
-    verify_inversion_action,
-    verify_projector_identities,
-)
+from .algebra import PowerTable, verify_commutation_law
 from .codes import CodeParams, check_dims, load_params, verify_translation_commutation
 from .logical import (
     InvalidCodeError,
@@ -283,8 +279,9 @@ def cmd_algebra(args, parser) -> int:
     code = _resolve_code(args, parser)
     dims = check_dims(args.dims)
     law = verify_commutation_law(code.p)
-    proj = verify_projector_identities(code)
-    inv = verify_inversion_action(code, r=args.r)
+    table = PowerTable(code)
+    proj = table.projector_identities()
+    inv = table.inversion_action(args.r)
     results = {
         "commutation_law": law,
         "projectors": proj,
@@ -326,21 +323,24 @@ COMMANDS = {
 def main(argv=None) -> int:
     """Parse the command line once and run its subcommand.  A first argument
     naming a subcommand hands the rest straight to that subcommand's parser,
-    and leftovers get the top-level error, as in ``parse_args``."""
+    and leftovers get the top-level error, as in ``parse_args``.  Errors the
+    command finds after parsing are usage errors of the subcommand, reported
+    under its usage line, as argparse reports the errors it finds."""
     parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
     sub = parser.subcommands.get(argv[0]) if argv else None
     if sub is None:
         args = parser.parse_args(argv)
+        sub = parser.subcommands[args.command]
     else:
         args, extras = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
         if extras:
             parser.error(f"unrecognized arguments: {' '.join(extras)}")
     try:
-        return COMMANDS[args.command](args, parser)
+        return COMMANDS[args.command](args, sub)
     except (ValueError, OSError) as e:
-        parser.error(str(e))
+        sub.error(str(e))
 
 
 if __name__ == "__main__":

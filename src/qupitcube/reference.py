@@ -148,10 +148,12 @@ production code it checks, and the tests that compare them:
   the torus.  It checks ``logical._left_kernel_dim`` on tori too large
   for the dense rank, degenerate tuples included
   (``test_logical.test_transfer_k_matches_composition_sweep``).
-- ``build_projector`` builds one syndrome projector P(s, r) by
-  ``algebra._projector``, which ``algebra.verify_inversion_action``
-  calls with a shared product table, from the powers of s that
-  ``algebra._powers`` lists.
+- ``build_projector`` builds one syndrome projector P(s, r) as an
+  operator sum from the rows of the power table ``algebra._powers``
+  gives, the table an ``algebra.PowerTable`` is built on.  It and the
+  operator sums below reach the product rule, ``algebra._monomial_mul``,
+  through the ``algebra`` module at each call, so a rule a test
+  substitutes there reaches both routes.
 - ``op_mul``, ``op_add``, ``op_is_zero`` and ``operator_identity`` are
   the term-pair product, the sum, the zero test and the identity of
   ``algebra.OperatorSum``; the command line never needs them.  The
@@ -164,7 +166,14 @@ production code it checks, and the tests that compare them:
   ``algebra.verify_projector_identities`` reads off one integer count
   array, under the real product rule and broken ones
   (``test_algebra.test_batched_projector_checks_match_operator_sums``).
-- ``pauli_mul`` applies the product rule to two monomials, ``pauli_power``
+- ``verify_inversion_action_by_sums`` conjugates P(s, r) by
+  ``algebra.inversion_conjugate`` and compares ``canonical()`` forms
+  with P(s, r) or P(s, -r).  It checks the verdicts that
+  ``algebra.PowerTable.inversion_action`` reads off the table's counts,
+  for every label r, under the real product rule and broken ones
+  (``test_algebra.test_inversion_verdicts_match_operator_sums``).
+- ``identity_pauli`` is the identity monomial on a site tuple,
+  ``pauli_mul`` applies the product rule to two monomials, ``pauli_power``
   and ``pauli_inverse`` (the (p - 1)-th power) repeat it,
   ``commutator_exponent`` is the summed symplectic form of two monomials,
   ``pauli_from_config`` lifts a configuration to a phase-0 monomial, and
@@ -181,18 +190,15 @@ from math import lcm
 
 import numpy as np
 
-from . import fp
+from . import algebra, fp
 from .algebra import (
+    CUBE_CENTER,
     MAX_ALGEBRA_MODULUS,
     OperatorSum,
     PhasedPauli,
     _check_odd_prime,
-    _key_mul,
-    _Products,
-    _projector,
-    _symplectic,
     generator_pauli,
-    identity_pauli,
+    inversion_conjugate,
 )
 from .codes import (
     CodeParams,
@@ -1301,11 +1307,36 @@ def census_operators(torus: TorusCode, normal: int) -> list[PauliConfig]:
 # Phased Paulis and syndrome projectors
 
 
+# The product rule and the power table are looked up on ``algebra`` at
+# each call, so a rule the tests substitute there reaches these oracles too.
+
+
+class _Products(dict):
+    """``algebra._monomial_mul`` of each ((x, z), (x', z')) tuple pair
+    looked up, formed once."""
+
+    def __init__(self, p: int):
+        self.p = p
+
+    def __missing__(self, uv: tuple) -> tuple:
+        (xu, zu), (xv, zv) = uv
+        x, z, c = algebra._monomial_mul((np.array(xu), np.array(zu)),
+                                        (np.array(xv), np.array(zv)), self.p)
+        out = self[uv] = (tuple(x.tolist()), tuple(z.tolist()), int(c))
+        return out
+
+
+def _key_mul(u: tuple, v: tuple, products: _Products) -> tuple:
+    """Normal-ordered product of (x, z, phase) keys."""
+    x, z, c = products[u[:2], v[:2]]
+    return (x, z, (u[2] + v[2] + c) % products.p)
+
+
 def commutator_exponent(u: PhasedPauli, v: PhasedPauli) -> int:
     """e with u v = v u omega^e; the summed sitewise symplectic product."""
     if u.p != v.p or u.sites != v.sites:
         raise ValueError("operands must share modulus and site set")
-    return _symplectic(u.key(), v.key(), u.p)
+    return sum(xu * zv - zu * xv for xu, zu, xv, zv in zip(u.x, u.z, v.x, v.z)) % u.p
 
 
 def pauli_from_config(config: PauliConfig, sites) -> PhasedPauli:
@@ -1317,6 +1348,11 @@ def pauli_from_config(config: PauliConfig, sites) -> PhasedPauli:
     for q, pair in config.support.items():
         x[idx[q]], z[idx[q]] = pair
     return PhasedPauli(config.p, sites, tuple(x), tuple(z))
+
+
+def identity_pauli(p: int, sites) -> PhasedPauli:
+    sites = tuple(sites)
+    return PhasedPauli(p, sites, (0,) * len(sites), (0,) * len(sites))
 
 
 def pauli_mul(u: PhasedPauli, v: PhasedPauli) -> PhasedPauli:
@@ -1340,8 +1376,15 @@ def pauli_inverse(u: PhasedPauli) -> PhasedPauli:
 
 
 def build_projector(s: PhasedPauli, r: int) -> OperatorSum:
-    """P(s, r) = (1/p) sum_m (omega^r s)^m; requires s^p = identity exactly."""
-    return _projector(s, r, _Products(s.p))
+    """P(s, r) = (1/p) sum_m (omega^r s)^m, from the rows of s's power
+    table; requires s^p = identity exactly."""
+    p = s.p
+    out = OperatorSum(p, s.sites)
+    out.den = p
+    x, z, c = algebra._powers(s)
+    for m, (xm, zm, cm) in enumerate(zip(x.tolist(), z.tolist(), c.tolist())):
+        out._accumulate((tuple(xm), tuple(zm), (cm + r * m) % p), 1)
+    return out
 
 
 def add_monomial(op: OperatorSum, mono: PhasedPauli, coeff=1) -> None:
@@ -1405,7 +1448,7 @@ def verify_projector_identities_by_sums(params: CodeParams) -> dict:
     p = _check_odd_prime(params.p, MAX_ALGEBRA_MODULUS)
     products = _Products(p)
     s = generator_pauli(params)
-    projectors = [_projector(s, r, products) for r in range(p)]
+    projectors = [build_projector(s, r) for r in range(p)]
     idempotent = all(op_mul(P, P, products) == P for P in projectors)
     orthogonal = all(
         op_is_zero(op_mul(projectors[r], projectors[q], products))
@@ -1415,3 +1458,17 @@ def verify_projector_identities_by_sums(params: CodeParams) -> dict:
         total = op_add(total, P)
     complete = total == operator_identity(p, s.sites)
     return {"idempotent": idempotent, "orthogonal": orthogonal, "complete": complete}
+
+
+def verify_inversion_action_by_sums(params: CodeParams, r: int = 1) -> dict:
+    """Conjugating P(s, r) by inversion about the cube centre, as operator
+    sums: ``inversion_conjugate`` of P(s, r) compared by ``canonical()``
+    forms with P(s, r) for symmetric codes and P(s, -r) for antisymmetric
+    ones.  The syndrome label r must lie in 0..p-1."""
+    p = _check_odd_prime(params.p, MAX_ALGEBRA_MODULUS)
+    if not 0 <= r < p:
+        raise ValueError(f"syndrome label r must be in 0..{p - 1}, got {r}")
+    s = generator_pauli(params)
+    conj = inversion_conjugate(build_projector(s, r), CUBE_CENTER)
+    expect_r = r if params.parity == "S" else (-r) % p
+    return {"r": r, "expected_r": expect_r, "matches": conj == build_projector(s, expect_r)}

@@ -32,6 +32,7 @@ from qupitcube.reference import (
     pauli_inverse,
     pauli_mul,
     pauli_power,
+    verify_inversion_action_by_sums,
     verify_projector_identities_by_sums,
 )
 from qupitcube.reference import commutation_exponent as config_commutation
@@ -278,29 +279,38 @@ def test_integer_products_and_canonical_forms_match_fractions():
 
 
 def test_projector_checks_form_p_squared_monomial_products(monkeypatch):
-    # the p projectors' terms pair up p^4 times, but only p^2 distinct
-    # monomial pairs s^m s^n occur; each is formed once per verification
+    # the projectors' terms pair up p^4 times, but only the p^2 monomial
+    # pairs s^m s^k occur: after one call of the product rule builds the
+    # power table, one array call forms all p^2, and the projector and
+    # inversion verdicts read the table's counts without forming more
     calls = []
     rule = algebra._monomial_mul
 
     def counted(u, v, p):
-        calls.append((u, v))
-        return rule(u, v, p)
+        out = rule(u, v, p)
+        calls.append(np.shape(out[0])[:-1])  # the shape of the product table
+        return out
 
     monkeypatch.setattr(algebra, "_monomial_mul", counted)
     for p, code in ((3, d3_code("A")), (5, d5_code("S")), (7, P7_CODE),
                     (11, replace(P7_CODE, p=11, parity="S")), (31, replace(P7_CODE, p=31))):
         calls.clear()
-        assert verify_projector_identities(code) == {
-            "idempotent": True, "orthogonal": True, "complete": True}
-        assert len(calls) == len(set(calls)) <= p * p + p
+        table = algebra.PowerTable(code)
+        assert calls == [(p,), (p, p)]
         calls.clear()
+        assert table.projector_identities() == {
+            "idempotent": True, "orthogonal": True, "complete": True}
+        for r in range(p):
+            assert table.inversion_action(r)["matches"]
+        assert calls == []
+        # each verifier on its own builds one table of its own
+        assert verify_projector_identities(code)["complete"]
         assert verify_inversion_action(code, r=1)["matches"]
-        assert len(calls) == p
-    # the memo lives for one call: a second verification forms them again
+        assert calls == [(p,), (p, p)] * 2
+    # the table lives for one call: a second verification forms it again
     calls.clear()
     verify_projector_identities(d3_code("S"))
-    assert len(calls) == 9
+    assert calls == [(3,), (3, 3)]
 
 
 def _broken_rules():
@@ -319,9 +329,8 @@ def _broken_rules():
             return (x, z, f(c, p))
         return wrong
 
-    def off_by_one(s, products):
-        table = powers(s, products)
-        return table[1:] + table[:1]
+    def off_by_one(s):
+        return tuple(np.roll(column, -1, axis=0) for column in powers(s))
 
     return {
         "phase -c": ("_monomial_mul", with_phase(lambda c, p: -c % p)),
@@ -359,6 +368,34 @@ def test_batched_projector_checks_match_operator_sums(monkeypatch):
                 verdicts.update(out.items())
     assert verdicts == {(key, value) for key in ("idempotent", "orthogonal", "complete")
                         for value in (True, False)}
+
+
+def test_inversion_verdicts_match_operator_sums(monkeypatch):
+    # the verdict read off the power table's counts against the conjugated
+    # operator sum, for every label r, under the real product rule and
+    # under broken ones
+    rng = random.Random(103)
+    codes = [d3_code(parity) for parity in "SA"] + [d5_code(parity) for parity in "SA"]
+    for p in (3, 5, 7, 11, 13, 31):
+        for _ in range(2):
+            pairs = [(rng.randrange(p), rng.randrange(p)) for _ in range(4)]
+            pairs = [pair if any(pair) else (0, 1) for pair in pairs]
+            codes += [CodeParams(p, *pairs, parity) for parity in "SA"]
+    matches = set()
+    for name, (attr, broken) in [("real rule", (None, None)), *_broken_rules().items()]:
+        with monkeypatch.context() as m:
+            if broken is not None:
+                m.setattr(algebra, attr, broken)
+            for code in codes:
+                table = algebra.PowerTable(code)
+                for r in range(code.p):
+                    out = table.inversion_action(r)
+                    assert out == verify_inversion_action_by_sums(code, r), (name, code, r)
+                    assert out == verify_inversion_action(code, r)
+                    matches.add(out["matches"])
+                    if broken is None:
+                        assert out["matches"]
+    assert matches == {True, False}
 
 
 def test_commutation_law_is_computed_once_per_process(monkeypatch):
@@ -497,3 +534,28 @@ def test_monomials_always_have_order_p():
                         rng.randrange(p))
         assert pauli_power(u, p).is_identity()
     assert isinstance(NotOrderPError("x"), ValueError)
+
+
+def test_power_tables_that_do_not_close_are_refused(monkeypatch):
+    # one call of the product rule gives every s^m s; each must land on the
+    # next row, and the phases must sum to zero at s^p
+    rule = algebra._monomial_mul
+    u = PhasedPauli(5, ONE_SITE, (1,), (2,), 3)
+    x, z, c = algebra._powers(u)
+    assert (x.tolist(), z.tolist()) == ([[0], [1], [2], [3], [4]], [[0], [2], [4], [1], [3]])
+    assert [pauli_power(u, m).phase for m in range(5)] == c.tolist()
+
+    def exponent_moved(a, b, p):
+        x, z, c = rule(a, b, p)
+        return (x + 1) % p, z, c
+
+    def extra_phase(a, b, p):  # one more omega where the rule's phase is 0
+        x, z, c = rule(a, b, p)
+        return x, z, c + (c == 0)
+
+    for broken in (exponent_moved, extra_phase):
+        monkeypatch.setattr(algebra, "_monomial_mul", broken)
+        with pytest.raises(NotOrderPError):
+            algebra._powers(u)
+        with pytest.raises(NotOrderPError):
+            build_projector(u, 1)

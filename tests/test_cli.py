@@ -653,13 +653,15 @@ def outcome(run, argv, capsys):
 
 
 def full_parse(argv):
-    """The command line through both argparse passes, then the command."""
+    """The command line through both argparse passes, then the command,
+    whose errors are usage errors of its subcommand."""
     parser = cli.build_parser()
     args = parser.parse_args(argv)
+    sub = parser.subcommands[args.command]
     try:
-        return cli.COMMANDS[args.command](args, parser)
+        return cli.COMMANDS[args.command](args, sub)
     except (ValueError, OSError) as e:
-        parser.error(str(e))
+        sub.error(str(e))
 
 
 def params_files(tmp_path) -> dict:
@@ -714,6 +716,31 @@ def test_a_command_line_is_parsed_once(monkeypatch, capsys):
         assert cli.main(list(argv)) == 0
         assert json.loads(capsys.readouterr().out)["command"] == name
         assert calls == [f"qupitcube {name}"], (name, calls)
+
+
+def test_errors_found_after_parsing_name_the_subcommand(capsys):
+    # a value argparse accepts but the command refuses is a usage error of
+    # the subcommand, reported as argparse reports its own; leftover
+    # arguments keep the top-level usage line
+    cases = {
+        ("check", "--p", "4", *P2_FLAGS[2:]): "modulus must be prime, got 4 = 2 * 2",
+        ("logical", *D5_FLAGS, "--dims", "2x2x2", "--ktable", "1"):
+            "--ktable must be 0 (off) or >= 2, got 1",
+    }
+    subcommands = cli.build_parser().subcommands
+    for argv, message in cases.items():
+        with pytest.raises(SystemExit) as exc:
+            cli.main(list(argv))
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert err.startswith(f"usage: qupitcube {argv[0]} [-h] [--params FILE] [--p P]"), err
+        assert err == (subcommands[argv[0]].format_usage()
+                       + f"qupitcube {argv[0]}: error: {message}\n"), err
+    with pytest.raises(SystemExit):
+        cli.main(["scan", "--p", "2", "--frobnicate"])
+    assert capsys.readouterr().err == (
+        "usage: qupitcube [-h] {check,strings,classify,logical,algebra,scan} ...\n"
+        "qupitcube: error: unrecognized arguments: --frobnicate\n")
 
 
 def test_classify_and_scan_refuse_moduli_beyond_the_bound():
@@ -835,6 +862,23 @@ def test_algebra_allow_large_is_a_no_op():
     flagged = run_cli(*argv, "--allow-large")
     assert plain.returncode == flagged.returncode == 0
     assert plain.stdout == flagged.stdout
+
+
+def test_an_algebra_command_builds_one_power_table(monkeypatch, capsys):
+    # the projector and inversion checks of one command share one table
+    calls = []
+    powers = algebra._powers
+
+    def counted(s):
+        calls.append(s.p)
+        return powers(s)
+
+    monkeypatch.setattr(algebra, "_powers", counted)
+    for argv in (VALID_ARGV["algebra"], ("algebra", *D5_FLAGS[:-1], "A", "--r", "4")):
+        calls.clear()
+        assert cli.main(list(argv)) == 0
+        assert json.loads(capsys.readouterr().out)["status"] == "ok"
+        assert calls == [int(argv[2])]
 
 
 def test_algebra_subcommand():
