@@ -26,7 +26,7 @@ import numpy as np
 from .codes import CodeParams
 from .conditions import theorem1
 from .fp import check_prime, fp_inv
-from .oracle import check_scan_bounds, scan_codes, width_groups
+from .oracle import check_scan_bounds, has_long_segment, scan_codes
 
 # Bytes of normal forms that ``_orbit_counts`` keys at once, at about 200
 # bytes of int64 products and keys per form: p <= 7 is one chunk.  In a
@@ -132,10 +132,9 @@ def scan_theorem1(report: dict, oracle_wmax: int = 2) -> dict:
     by the segment solver up to width ``oracle_wmax``, which must lie in
     1..``oracle.MAX_STRIP_WIDTH``.
 
-    The solver runs over all representatives still in the list at once
-    (``oracle.scan_codes``), not once per representative: once per run of
-    ``oracle.width_groups``, so every width shares one stack while the
-    list is short and each width has its own once the list fills one.
+    The solver runs over all representatives at once (``oracle.scan_codes``),
+    not once per representative, and drops each after the run of widths in
+    which it first has a segment longer than 2w.
     """
     check_scan_bounds(oracle_wmax)
     p, parity = report["p"], report["parity"]
@@ -148,24 +147,15 @@ def scan_theorem1(report: dict, oracle_wmax: int = 2) -> dict:
         if t1["deformability"] and t1["minimal_string"] and all(t1["minimal_string"]):
             candidates.append(entry["representative"])
     codes = [CodeParams(p, *(tuple(x) for x in rep), parity=parity) for rep in candidates]
-    # the max lengths of each candidate still passing, by its index
-    passing = {i: {} for i in range(len(codes))}
-    widths = list(range(1, oracle_wmax + 1))
-    while widths:
-        live = list(passing)
-        run = width_groups(widths, len(live))[0]
-        for i, per_width in zip(live, scan_codes([codes[i] for i in live], run)):
-            for w, lengths in per_width.items():
-                passing[i].update((f"{kind}-w{w}", m) for kind, m in lengths.items())
-                if any(m is not None and m > 2 * w for m in lengths.values()):
-                    del passing[i]
-                    break
-        widths = widths[len(run):]
+    lengths = scan_codes(codes, range(1, oracle_wmax + 1))
     return {
         "p": p,
         "orbit_count": report["orbit_count"],
         "deformable_count": report["deformable_count"],
         "literal_pass": literal_pass,
-        "cond12_oracle_pass": [{"representative": candidates[i], "oracle_max_lengths": widths}
-                               for i, widths in passing.items()],
+        "cond12_oracle_pass": [
+            {"representative": rep,
+             "oracle_max_lengths": {f"{kind}-w{w}": m for w, by_kind in per_width.items()
+                                    for kind, m in by_kind.items()}}
+            for rep, per_width in zip(candidates, lengths) if not has_long_segment(per_width)],
     }

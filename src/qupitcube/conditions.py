@@ -24,13 +24,16 @@ T - T^-1 = ((d + 1) T - t I) / d and
                   = ((d + 1)^2 - t^2) / d = ((N + D)^2 - S^2) / (N D).
 
 ``theorem1`` reads deformability, the pairing squares and these three
-determinants off one W per code.  The 2x2 helpers (``det2``, ``inv2``,
-``mul2``, ``sub2``) remain for the transition matrices themselves and for
-the corner check, which compares a computed determinant with the paper's
-claimed closed form.  The matrix route of the width-1 test is the oracle
-``reference.minimal_string_determinants_by_matrices``, and the general
-eliminations ``reference.mat_det`` and ``reference.mat_inverse`` are the
-oracles of the helpers.
+determinants off one W per code, and ``corner_determinant_check`` reads
+the corner block off W too.  Each zero-row numerator of that block is
+rank one, T(x 0 | gamma alpha) = u (x1, -x2) with u = T(gamma, alpha)^-1 e1,
+so T_int = u (d1, -d2) + v (a1, -a2) with v = -T(beta delta | gamma alpha) u
+and det T_int = det[u v] <a, d> = -(W03 / W02)^2; the paper's claimed
+<a,g><a,d><d,a> is W02 W03 W30 = -W02 W03^2.  So a
+``corner-determinant-mismatch`` is reported exactly when W03 != 0 and
+W02^3 != 1.  The matrix routes are the oracles
+``reference.minimal_string_determinants_by_matrices`` and
+``reference.corner_determinant_by_matrices``, on dense inverses.
 """
 
 from __future__ import annotations
@@ -42,10 +45,6 @@ import numpy as np
 
 from . import fp
 from .codes import CodeParams, Pair, symplectic_product
-
-
-# A 2x2 matrix over F_p as rows of ints.
-Mat2 = tuple[tuple[int, int], tuple[int, int]]
 
 
 class SingularDenominatorError(ValueError):
@@ -74,61 +73,20 @@ PRODUCTS = tuple(combinations(range(4), 2))
 PAIRINGS = (((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2)))
 
 
-def det2(m: Mat2, p: int) -> int:
-    """Determinant ad - bc of a 2x2 matrix ((a, b), (c, d)) over F_p."""
-    (a, b), (c, d) = m
-    return (a * d - b * c) % p
-
-
-def inv2(m: Mat2, p: int) -> Mat2:
-    """Inverse of a 2x2 matrix over F_p: the adjugate over the determinant.
-
-    Raises fp.SingularMatrixError when the determinant vanishes mod p.
-    """
-    det = det2(m, p)
-    if det == 0:
-        raise fp.SingularMatrixError(f"matrix is singular mod {p}")
-    s = pow(det, -1, p)
-    (a, b), (c, d) = m
-    return ((d * s % p, -b * s % p), (-c * s % p, a * s % p))
-
-
-def mul2(m: Mat2, n: Mat2, p: int) -> Mat2:
-    """Product of two 2x2 matrices over F_p."""
-    (a, b), (c, d) = m
-    (e, f), (g, h) = n
-    return (((a * e + b * g) % p, (a * f + b * h) % p),
-            ((c * e + d * g) % p, (c * f + d * h) % p))
-
-
-def sub2(m: Mat2, n: Mat2, p: int) -> Mat2:
-    """Difference of two 2x2 matrices over F_p."""
-    return tuple(tuple((x - y) % p for x, y in zip(mr, nr)) for mr, nr in zip(m, n))
-
-
-def _base(a: Pair, c: Pair, p: int) -> Mat2:
-    return ((a[0] % p, -a[1] % p), (c[0] % p, -c[1] % p))
-
-
-def _transition(num: tuple[Pair, Pair], den: tuple[Pair, Pair], p: int) -> Mat2:
-    if symplectic_product(den[0], den[1], p) == 0:
-        raise SingularDenominatorError(
-            f"denominator pairs {den} are proportional mod {p}")
-    return mul2(inv2(_base(*den, p), p), _base(*num, p), p)
-
-
 def base_matrix(a: Pair, c: Pair, p: int) -> np.ndarray:
-    """[[a1, -a2], [c1, -c2]] mod p."""
-    return np.array(_base(a, c, p), dtype=np.int64)
+    """T(a, c) = [[a1, -a2], [c1, -c2]] mod p."""
+    return np.array([[a[0], -a[1]], [c[0], -c[1]]], dtype=np.int64) % p
 
 
 def rel_transition(num: tuple[Pair, Pair], den: tuple[Pair, Pair], p: int) -> np.ndarray:
-    """T(num | den) = T(den)^-1 T(num).
-
-    Requires <den[0], den[1]> != 0; raises SingularDenominatorError
-    otherwise.
-    """
-    return np.array(_transition(num, den, p), dtype=np.int64)
+    """T(num | den) = T(den)^-1 T(num): the adjugate of T(den) over its
+    determinant -<den[0], den[1]>.  Raises SingularDenominatorError when
+    <den[0], den[1]> = 0."""
+    w = symplectic_product(den[0], den[1], p)
+    if w == 0:
+        raise SingularDenominatorError(f"denominator pairs {den} are proportional mod {p}")
+    (a, b), (c, d) = base_matrix(*den, p)
+    return np.array([[d, -b], [-c, a]]) @ base_matrix(*num, p) % p * pow(-w, -1, p) % p
 
 
 def _products(pairs, p: int) -> dict[tuple[int, int], int]:
@@ -264,26 +222,19 @@ def theorem1_report(params: CodeParams) -> TheoremReport:
 
 
 def corner_determinant_check(params: CodeParams) -> dict:
-    """Evaluate the corner transition block and its claimed determinant.
-
+    """The determinant of the corner transition block
     T_int = T(delta 0 | gamma alpha) - T(beta delta | gamma alpha) T(alpha 0 | gamma alpha),
-    where the zero-row base matrices are formed literally and never
-    inverted.  The claimed closed form <a,g><a,d><d,a> is evaluated
-    alongside the computed determinant; callers surface a mismatch as a
-    discrepancy instead of asserting it.
+    -(W03 / W02)^2, beside the paper's claimed closed form W02 W03 W30.
+    Raises SingularDenominatorError when W02 = <alpha, gamma> = 0.  Callers
+    surface a mismatch as a discrepancy instead of asserting it.
     """
     p = params.p
-    a, b, g, d = params.pairs
-    zero: Pair = (0, 0)
-    den = (g, a)
-    t_d0 = _transition((d, zero), den, p)
-    t_bd = _transition((b, d), den, p)
-    t_a0 = _transition((a, zero), den, p)
-    det = det2(sub2(t_d0, mul2(t_bd, t_a0, p), p), p)
-    ag = symplectic_product(a, g, p)
-    ad = symplectic_product(a, d, p)
-    da = symplectic_product(d, a, p)
-    claimed = (ag * ad * da) % p
+    a, _, g, _ = params.pairs
+    W = _products(params.pairs, p)
+    if W[0, 2] == 0:
+        raise SingularDenominatorError(f"denominator pairs {(g, a)} are proportional mod {p}")
+    det = -(W[0, 3] * pow(W[0, 2], -1, p)) ** 2 % p
+    claimed = W[0, 2] * W[0, 3] * W[3, 0] % p
     return {
         "computed_det": det,
         "claimed_det": claimed,

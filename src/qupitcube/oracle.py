@@ -35,11 +35,11 @@ runs by size alone, so small stacks merge and a large one (a wide
 width, or many codes) runs alone.  ``scan_widths`` stacks one code's
 families and adds witnesses, and ``scan_width`` is its one-width view;
 ``scan_codes`` stacks every code of a list, a chunk of them at a time
-within ``MAX_STACK_BYTES``, and reports only the maximal lengths.  The
-tests compare the scan with the dense per-strip solver
-``reference.solve_segment``, the loop with the kernel recursion
-``reference.scan_family``, padded runs with one width at a time, and
-``scan_codes`` with ``scan_width``.
+within ``MAX_STACK_BYTES``, reports only the maximal lengths, and drops
+a code once it has a segment longer than 2w.  The tests compare the
+scan with the dense per-strip solver ``reference.solve_segment``, the
+loop with the kernel recursion ``reference.scan_family``, padded runs
+with one width at a time, and ``scan_codes`` with ``scan_width``.
 
 Column layout: sites are ordered along the strip (length-major, then
 cross-section); each site contributes two adjacent columns holding
@@ -374,6 +374,16 @@ def check_scan_bounds(width: int, l_max: int | None = None) -> None:
                          f"got {l_max}")
 
 
+def _check_widths(widths, l_max: int | None = None) -> list[int]:
+    """``widths`` sorted and unique; refuses an empty list, as ``check_scan_bounds``."""
+    widths = sorted(set(widths))
+    if not widths:
+        raise ValueError("string scans need at least one width")
+    for width in widths:
+        check_scan_bounds(width, l_max)
+    return widths
+
+
 def _inversion_class(axis: int, section: Section) -> tuple:
     """Length axis and cross-section up to translation and point inversion,
     which maps the cube generator to +-itself and swaps the anchors: the
@@ -528,11 +538,10 @@ def scan_widths(params: CodeParams, widths, l_max: int | None = None,
     one member of the ``_scan_stack`` of its run of ``width_groups``; the
     reports equal ``reference.solve_segment``'s length by length.  Width-1
     cornered reports are empty.  Refuses scans beyond ``MAX_STRIP_WIDTH``
-    or ``MAX_STRIP_LENGTH``, and any kind but "flat" or "cornered".
+    or ``MAX_STRIP_LENGTH``, an empty width list, and any kind but "flat"
+    or "cornered".
     """
-    widths = sorted(set(widths))
-    for width in widths:
-        check_scan_bounds(width, l_max)
+    widths = _check_widths(widths, l_max)
     kinds = tuple(kinds)
     for kind in kinds:
         _check_kind(kind)
@@ -593,33 +602,44 @@ def _codes_per_stack(group: _Group) -> int:
     return max(1, MAX_STACK_BYTES // (H * member))
 
 
+def has_long_segment(lengths: dict[int, dict[str, int | None]]) -> bool:
+    """Whether a ``scan_codes`` entry has a segment longer than 2w at a width w."""
+    return any(m is not None and m > 2 * w
+               for w, by_kind in lengths.items() for m in by_kind.values())
+
+
 def scan_codes(codes, widths) -> list[dict[int, dict[str, int | None]]]:
     """Each code's ``max_nontrivial_length`` per width and kind, as
-    ``scan_widths(code, widths)`` reports it, without witnesses.
+    ``scan_widths(code, widths)`` reports it, without witnesses, up to the
+    run of widths in which the code first has a segment longer than 2w:
+    it is dropped after that run.
 
     The codes, all of one modulus, are scanned together: one
-    ``_scan_stack`` per run of ``width_groups`` and chunk of
-    ``_codes_per_stack`` codes, in order.  Refuses mixed moduli and the
-    widths ``check_scan_bounds`` refuses.
+    ``_scan_stack`` per run of ``width_groups`` of the widths left and the
+    codes still scanned, and chunk of ``_codes_per_stack`` codes, in order.
+    Refuses mixed moduli and the widths ``_check_widths`` refuses.
     """
-    widths = sorted(set(widths))
-    for width in widths:
-        check_scan_bounds(width)
+    widths = _check_widths(widths)
     codes = list(codes)
     if len({code.p for code in codes}) > 1:
         raise ValueError(f"scan_codes needs codes of one modulus, got "
                          f"{sorted({code.p for code in codes})}")
     out = [{} for _ in codes]
-    for run in width_groups(widths, len(codes), KINDS):
+    live = list(range(len(codes)))
+    while live and widths:
+        run = width_groups(widths, len(live), KINDS)[0]
         group = _group(run, KINDS)
         size = _codes_per_stack(group)
-        for i in range(0, len(codes), size):
-            by_width = _scan_group(codes[i:i + size], group, None)[0]
+        for lo in range(0, len(live), size):
+            chunk = live[lo:lo + size]
+            by_width = _scan_group([codes[c] for c in chunk], group, None)[0]
             for width, by_kind in by_width.items():
                 for kind, (_, hits, _) in by_kind.items():
                     # each code's last nontrivial length, from the reversed hits; 0 for none
                     lasts = np.where(hits.any(axis=1),
                                      _horizon(width, None) - hits[:, ::-1].argmax(axis=1), 0)
-                    for c, m in enumerate(lasts.tolist(), i):
+                    for c, m in zip(chunk, lasts.tolist()):
                         out[c].setdefault(width, {})[kind] = m or None
+        live = [c for c in live if not has_long_segment(out[c])]
+        widths = widths[len(run):]
     return out

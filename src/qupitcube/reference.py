@@ -42,14 +42,21 @@ production code it checks, and the tests that compare them:
   (``test_oracle.test_stacked_scan_matches_each_family_scan``).
   It also shows that point inversion keeps a family's scan
   (``test_oracle.test_cornered_families_scan_like_their_inversion_partners``).
-- ``width1_matrices`` builds the three width-1 transition matrices, and
+- ``width1_matrices`` builds the three width-1 transition matrices by
+  ``conditions.rel_transition``, and
   ``minimal_string_determinants_by_matrices`` takes det(T - T^-1) from
-  them by 2x2 inverses and products.  ``theorem1_report_by_matrices``
+  them by ``mat_inverse`` and ``mat_det``.  ``theorem1_report_by_matrices``
   builds the whole three-condition report on that route.  They check
   ``conditions.theorem1``, which reads every entry off the six symplectic
   products, byte for byte and exception for exception
   (``test_conditions.test_theorem1_matches_matrix_route_*``,
   ``test_conditions.test_determinants_raise_like_the_matrix_route``).
+- ``corner_determinant_by_matrices`` forms the corner block T_int as the
+  literal product of dense inverses and base matrices.  It checks
+  ``conditions.corner_determinant_check``, which reads the block's
+  determinant off the symplectic products, value for value and
+  exception for exception
+  (``test_conditions.test_corner_determinant_matches_the_block_product``).
 - ``width1_criterion`` sets the width-1 determinant test of
   ``conditions.minimal_string_determinants`` against
   ``solve_segment`` (``test_oracle.test_width1_criterion_agreement``,
@@ -91,9 +98,9 @@ production code it checks, and the tests that compare them:
   ``test_fp.test_poly_division``, ``test_fp.test_solve_consistency``,
   ``test_acceptance.test_criterion_12a_*``).
 - ``mat_mul``, ``mat_det`` and ``mat_inverse`` are dense products and
-  eliminations of any square size.  They check the closed-form 2x2
-  ``conditions.det2``, ``inv2`` and ``mul2``
-  (``test_conditions.test_closed_form_2x2_helpers_match_dense_oracles``)
+  eliminations of any square size.  They check the adjugate of
+  ``conditions.rel_transition``
+  (``test_conditions.test_rel_transition_matches_dense_oracles``)
   and the transition identities (``test_conditions``,
   ``test_acceptance.test_criterion_12b_*``, ``test_fp``).
 - ``commutation_exponent`` sums the symplectic form over the shared
@@ -221,13 +228,12 @@ from .conditions import (
     PAIRINGS,
     WIDTH1_TRANSITIONS,
     PrerequisiteError,
+    SingularDenominatorError,
     TheoremReport,
-    _transition,
+    base_matrix,
     check_deformability,
-    det2,
-    inv2,
     minimal_string_determinants,
-    sub2,
+    rel_transition,
 )
 from .logical import CENSUS_TIERS, TorusCode, _sweep_axes, plane_census
 from .oracle import (
@@ -422,18 +428,48 @@ def scan_family(p: int, A: np.ndarray, F: np.ndarray, v: np.ndarray, l_max: int)
 def width1_matrices(params: CodeParams) -> list:
     """The three direction transition matrices entering the width-1 test."""
     pairs = params.pairs
-    return [_transition((pairs[n0], pairs[n1]), (pairs[d0], pairs[d1]), params.p)
+    return [rel_transition((pairs[n0], pairs[n1]), (pairs[d0], pairs[d1]), params.p)
             for (n0, n1), (d0, d1) in WIDTH1_TRANSITIONS]
 
 
 def minimal_string_determinants_by_matrices(params: CodeParams) -> list[int]:
-    """det(T - T^-1) for each direction matrix, by 2x2 inverses and products.
+    """det(T - T^-1) for each direction matrix, by dense inverses and
+    determinants.
 
     Raises SingularDenominatorError while building the matrices, then
     fp.SingularMatrixError for the first T that is not invertible.
     """
     p = params.p
-    return [det2(sub2(T, inv2(T, p), p), p) for T in width1_matrices(params)]
+    return [mat_det(T - mat_inverse(T, p), p) for T in width1_matrices(params)]
+
+
+def corner_determinant_by_matrices(params: CodeParams) -> dict:
+    """``conditions.corner_determinant_check`` by the literal block product
+    T_int = T(delta 0 | gamma alpha) - T(beta delta | gamma alpha) T(alpha 0 | gamma alpha),
+    each factor a dense inverse of T(gamma, alpha) times a base matrix.
+
+    Raises SingularDenominatorError, as the closed form does, when
+    T(gamma, alpha) is singular.
+    """
+    p = params.p
+    a, b, g, d = params.pairs
+    zero: Pair = (0, 0)
+    try:
+        inverse = mat_inverse(base_matrix(g, a, p), p)
+    except fp.SingularMatrixError:
+        raise SingularDenominatorError(
+            f"denominator pairs {(g, a)} are proportional mod {p}") from None
+    t_d0, t_bd, t_a0 = (mat_mul(inverse, base_matrix(*num, p), p)
+                        for num in ((d, zero), (b, d), (a, zero)))
+    det = mat_det(t_d0 - mat_mul(t_bd, t_a0, p), p)
+    claimed = (symplectic_product(a, g, p) * symplectic_product(a, d, p)
+               * symplectic_product(d, a, p)) % p
+    return {
+        "computed_det": det,
+        "claimed_det": claimed,
+        "match": det == claimed,
+        "nonzero": det != 0 and claimed != 0,
+    }
 
 
 def theorem1_report_by_matrices(params: CodeParams) -> TheoremReport:

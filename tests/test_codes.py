@@ -13,6 +13,7 @@ from qupitcube.codes import (
     InvalidCenterError,
     PauliConfig,
     build_generator,
+    check_dims,
     cubes_touching,
     d3_code,
     d5_code,
@@ -23,7 +24,7 @@ from qupitcube.codes import (
     symplectic_product,
     verify_translation_commutation,
 )
-from qupitcube.logical import _folded_exponents
+from qupitcube.logical import TorusCode, _folded_exponents
 from qupitcube.reference import (
     commutation_exponent,
     config_mul,
@@ -83,6 +84,20 @@ def test_code_params_validation():
         CodeParams(3, (1, 0), (0, 1), (1, 1), (1, 2), parity="X")
     code = CodeParams(3, (4, 3), (0, 1), (1, 1), (1, 2))
     assert code.alpha == (1, 0)  # reduced mod p
+
+
+def test_check_dims_refuses_sides_that_are_not_integers():
+    assert check_dims((np.int64(4), 3, np.int32(2))) == (4, 3, 2)
+    assert all(type(L) is int for L in check_dims(np.array([5, 4, 3])))
+    for dims in ((2.7, 3, 3), ("4", "4", "4"), (4.0, 4, 4), (True, 3, 3)):
+        with pytest.raises(ValueError, match="integers"):
+            check_dims(dims)
+        with pytest.raises(ValueError, match="integers"):
+            TorusCode(d3_code(), dims)
+        with pytest.raises(ValueError, match="integers"):
+            PauliConfig(3, dims=dims)
+    with pytest.raises(ValueError, match=">= 2"):
+        check_dims((1, 3, 3))
 
 
 def test_build_generator_examples():

@@ -17,10 +17,7 @@ from qupitcube.conditions import (
     check_no_minimal_string,
     check_pairing_squares,
     corner_determinant_check,
-    det2,
-    inv2,
     minimal_string_determinants,
-    mul2,
     pairing_squares,
     rel_transition,
     theorem1_report,
@@ -44,16 +41,20 @@ def test_base_matrix_determinant_convention():
             assert reference.mat_det(base_matrix(a, c, p), p) == symplectic_product(c, a, p)
 
 
-def test_closed_form_2x2_helpers_match_dense_oracles():
+def test_rel_transition_matches_dense_oracles():
+    # T(num | den) by the adjugate against a dense inverse and product; the
+    # matrices m and n are T(den) and T(num), so den and num are their rows
+    # with the second entry negated
     def check(m, n, p):
-        M = np.array(m, dtype=np.int64)
-        assert det2(m, p) == reference.mat_det(M, p), (m, p)
-        assert (np.array(mul2(m, n, p)) == reference.mat_mul(M, n, p)).all(), (m, n, p)
-        if det2(m, p):
-            assert (np.array(inv2(m, p)) == reference.mat_inverse(M, p)).all(), (m, p)
+        den, num = (tuple((a, -b) for a, b in rows) for rows in (m, n))
+        M = base_matrix(*den, p)
+        assert (M == np.array(m) % p).all(), (m, p)
+        if reference.mat_det(M, p):
+            want = reference.mat_mul(reference.mat_inverse(M, p), base_matrix(*num, p), p)
+            assert (rel_transition(num, den, p) == want).all(), (m, n, p)
         else:
-            with pytest.raises(fp.SingularMatrixError):
-                inv2(m, p)
+            with pytest.raises(SingularDenominatorError):
+                rel_transition(num, den, p)
             with pytest.raises(fp.SingularMatrixError):
                 reference.mat_inverse(M, p)
 
@@ -74,7 +75,7 @@ def test_closed_form_2x2_helpers_match_dense_oracles():
             m = ((a, b), (c, d))
             n = tuple(tuple(rng.randrange(-p, 2 * p) for _ in range(2)) for _ in range(2))
             check(m, n, p)
-            singular += det2(m, p) == 0
+            singular += reference.mat_det(m, p) == 0
         assert singular > 0
 
 
@@ -200,6 +201,37 @@ def test_corner_determinant_check_reference_codes():
         out = corner_determinant_check(code)
         assert out["nonzero"]
         assert {"computed_det", "claimed_det", "match"} <= set(out)
+
+
+def _corner(fn, code):
+    try:
+        return fn(code)
+    except SingularDenominatorError as exc:
+        return str(exc)
+
+
+def test_corner_determinant_matches_the_block_product():
+    # every code at p = 2 and 3 and seeded ones to p = 13, deformable or
+    # not; the closed form raises the matrix route's error, message and all
+    codes = [CodeParams(p, *t) for p in (2, 3)
+             for t in product([c for c in product(range(p), repeat=2) if c != (0, 0)],
+                              repeat=4)]
+    rng = random.Random(3001)
+    codes += [random_code(rng, p) for p in (5, 7, 11, 13) for _ in range(500)]
+    seen = set()
+    for code in codes:
+        got = _corner(corner_determinant_check, code)
+        assert got == _corner(reference.corner_determinant_by_matrices, code), code
+        if isinstance(got, str):
+            seen.add("raises")
+            continue
+        a, b, g, d = code.pairs
+        w02, w03 = symplectic_product(a, g, code.p), symplectic_product(a, d, code.p)
+        if w03:
+            assert got["match"] == (pow(w02, 3, code.p) == 1), code
+        seen.add((check_deformability(code), w03 != 0, got["match"]))
+    assert seen >= {"raises", (False, True, True), (False, True, False),
+                    (True, True, True), (True, True, False), (False, False, True)}
 
 
 def test_minimal_string_determinants_are_recorded():

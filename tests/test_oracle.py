@@ -477,6 +477,38 @@ def test_scan_codes_refuses_mixed_moduli_and_bad_scans():
         oracle.scan_codes([d5_code()], [1, oracle.MAX_STRIP_WIDTH + 1])
 
 
+def test_scans_refuse_an_empty_width_list():
+    # no width scanned would read as "no string"
+    for scan in (lambda: scan_widths(d5_code(), []), lambda: oracle.scan_codes([d5_code()], []),
+                 lambda: oracle.scan_codes([], iter([]))):
+        with pytest.raises(ValueError, match="at least one width"):
+            scan()
+
+
+def test_scan_codes_drops_codes_after_their_first_long_run():
+    # every representative at p = 5 (S) and p = 7 (A); those with a segment
+    # longer than 2w have one at width 1.  Widths 1 and 2 share the first
+    # run of the 18 p = 5 codes, so an entry keeps both; the 98 p = 7 codes
+    # scan width 1 alone.  Scanned alone, a code's one run holds widths 1-3.
+    widths = [1, 2, 3]
+    ends = set()
+    for p, parity, first in ((5, "S", (1, 2)), (7, "A", (1,))):
+        codes = [CodeParams(p, *(tuple(x) for x in entry["representative"]), parity=parity)
+                 for entry in classify_orbits(p, parity)["orbits"]]
+        assert oracle.width_groups(widths, len(codes))[0] == first
+        assert oracle.width_groups(widths, 1) == [(1, 2, 3)]
+        for code, got in zip(codes, oracle.scan_codes(codes, widths)):
+            each = {w: {kind: rpt.max_nontrivial_length
+                        for kind, rpt in scan_width(code, w).items()} for w in widths}
+            long = [w for w in widths if oracle.has_long_segment({w: each[w]})]
+            assert not long or long[0] in first, code
+            kept = first if long else widths
+            assert got == {w: each[w] for w in kept}, code
+            assert oracle.scan_codes([code], widths) == [each], code
+            ends.add((p, kept[-1]))
+    assert ends == {(5, 2), (5, 3), (7, 1), (7, 3)}
+
+
 def test_scan_codes_chunks_equal_one_stack(monkeypatch):
     # the p = 3 codes of stack_codes(), free columns included, and the orbits
     codes = [code for code in stack_codes() if code.p == 3]
