@@ -7,16 +7,8 @@ commute, and walks through the algebraic conditions that rule out string
 logical operators.
 """
 
-from qupitcube import (
-    check_deformability,
-    check_no_minimal_string,
-    check_pairing_squares,
-    d3_code,
-    d5_code,
-    theorem1_report,
-    verify_translation_commutation,
-)
-from qupitcube.conditions import minimal_string_determinants
+from qupitcube import d3_code, d5_code, theorem1_report, verify_translation_commutation
+from qupitcube.reference import minimal_string_determinants_by_matrices, rel_transition
 
 # --- a valid code must have commuting generators -------------------------
 d5 = d5_code("S")
@@ -31,12 +23,20 @@ print(f"with scale 2 instead of +-1: {len(bad)} overlaps fail, e.g.", bad[0])
 # --- condition 1: deformability -------------------------------------------
 # all six pairwise symplectic products nonzero, so string supports can be
 # pressed flat by stabilizer multiplication
-print("\ndeformable(d5):", check_deformability(d5))
+rpt = theorem1_report(d5)
+print("\ndeformable(d5):", rpt.deformability)
 
 # --- condition 2: no width-1 string ---------------------------------------
 # det(T - T^-1) per direction, where T is the site-to-site transition matrix
-print("width-1 determinants:", minimal_string_determinants(d5))
-print("no minimal string:", check_no_minimal_string(d5))
+# T(num | den) = T(den)^-1 T(num).  The report reads the determinants off the
+# six symplectic products; the dense matrix route of the reference oracles
+# builds the matrices and agrees
+a, b, g, d = d5.pairs
+print("T(delta alpha | gamma beta) =", rel_transition((d, a), (g, b), d5.p).tolist())
+dets = rpt.details["width1_determinants"]
+assert dets == minimal_string_determinants_by_matrices(d5)
+print("width-1 determinants:", dets)
+print("no minimal string:", rpt.minimal_string)
 
 # --- condition 3: squared pairings ----------------------------------------
 # the squared symplectic products of complementary pairings must differ.
@@ -44,9 +44,7 @@ print("no minimal string:", check_no_minimal_string(d5))
 # equal mod 5 though different over the integers; the report carries the
 # ambiguity instead of hiding it, and the segment solver (demo 02) settles
 # the no-string question regardless.
-print("pairing squares:", check_pairing_squares(d5))
-
-rpt = theorem1_report(d5)
+print("pairing squares:", rpt.squares)
 print("\nfull report: overall =", rpt.overall)
 for d in rpt.discrepancies:
     print("discrepancy:", d)

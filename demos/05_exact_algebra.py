@@ -8,15 +8,11 @@ and every identity printed is also asserted.
 """
 
 from qupitcube import d3_code
-from qupitcube.algebra import (
-    PhasedPauli,
-    generator_pauli,
-    inversion_conjugate,
-    verify_inversion_action,
-)
+from qupitcube.algebra import PhasedPauli, PowerTable, generator_pauli
 from qupitcube.reference import (
     build_projector,
     commutator_exponent,
+    inversion_conjugate,
     op_add,
     op_is_zero,
     op_mul,
@@ -71,7 +67,7 @@ assert conj == projectors[2]
 print("\nantisymmetric code: inversion maps P(s,1) to P(s,2):",
       conj == projectors[2])
 for parity in "SA":
-    out = verify_inversion_action(d3_code(parity), r=1)
+    out = PowerTable(d3_code(parity)).inversion_action(r=1)
     assert out["matches"]
     print(f"parity {parity}: P(s,1) -> P(s,{out['expected_r']}), verified:",
           out["matches"])

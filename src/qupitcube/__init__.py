@@ -20,15 +20,7 @@ from .codes import (
     symplectic_product,
     verify_translation_commutation,
 )
-from .conditions import (
-    TheoremReport,
-    base_matrix,
-    check_deformability,
-    check_no_minimal_string,
-    check_pairing_squares,
-    rel_transition,
-    theorem1_report,
-)
+from .conditions import TheoremReport, theorem1_report
 from .oracle import (
     SegmentGeometry,
     SegmentReport,
@@ -43,10 +35,6 @@ from .logical import (
     TorusCode,
     encoded_qudit_count,
 )
-from .algebra import (
-    OperatorSum,
-    PhasedPauli,
-    inversion_conjugate,
-)
+from .algebra import PhasedPauli
 
 __version__ = "0.1.0"

@@ -11,21 +11,15 @@ which reproduces the commutation law S_a S_b = S_b S_a omega^<a, b>.
 over sites, so one call multiplies whole tables of monomials; the
 verifiers here and the operator sums of ``reference`` all call it.
 
-An operator sum is a rational combination of phased monomials: integer
-numerators keyed by (a, b, c) over one positive denominator, which
-products multiply, so no step leaves the integers.  The only relation
-among keys, 1 + omega + ... + omega^(p-1) = 0, is applied once, when
-sums are compared.
-
-The projector and inversion checks multiply no operator sum.  A
-``PowerTable`` holds the generator's powers s^0 .. s^(p-1) as (p, sites)
-x and z exponent arrays and a phase vector, and one array call of the
-rule forms all p^2 products s^m s^k (the p^4 projector term pairs have
-no others).  All p^2 projector products are decided from one integer
-count array of (r, q, monomial, phase), with that relation applied by
-subtracting the phase-(p-1) counts, and the inversion action from the
-counts of the site-permuted powers.  The verifiers accept
-p <= MAX_ALGEBRA_MODULUS.
+The projector and inversion checks multiply no operator sum; the sums
+are ``reference``'s oracles.  A ``PowerTable`` holds the generator's
+powers s^0 .. s^(p-1) as (p, sites) x and z exponent arrays and a phase
+vector, and one array call of the rule forms all p^2 products s^m s^k
+(the p^4 projector term pairs have no others).  All p^2 projector
+products are decided from one integer count array of (r, q, monomial,
+phase), with 1 + omega + ... + omega^(p-1) = 0 applied by subtracting
+the phase-(p-1) counts, and the inversion action from the counts of the
+site-permuted powers.  The verifiers accept p <= MAX_ALGEBRA_MODULUS.
 
 The identities are checked on the origin cube generator, on its eight
 ``VERTICES`` sites: every operator involved is the identity elsewhere,
@@ -41,7 +35,6 @@ from __future__ import annotations
 import functools
 import random
 from dataclasses import dataclass
-from math import gcd
 
 import numpy as np
 
@@ -52,6 +45,7 @@ from .codes import (
     Site,
     build_generator,
     doubled_center,
+    is_integer,
 )
 from .fp import check_prime
 
@@ -157,63 +151,6 @@ def generator_pauli(params: CodeParams) -> PhasedPauli:
     return PhasedPauli(params.p, VERTICES, x, z, -xz * pow(2, -1, params.p))
 
 
-# ---------------------------------------------------------------------------
-# Operator sums
-
-
-class OperatorSum:
-    """Finite rational combination of phased monomials.
-
-    ``terms`` maps (x, z, phase) keys, standing for omega^phase X^x Z^z,
-    to nonzero integer numerators over the positive integer ``den``.
-    Keys that differ only in phase are dependent, so equality compares
-    ``canonical()`` forms.
-    """
-
-    __slots__ = ("p", "sites", "den", "terms")
-
-    def __init__(self, p: int, sites):
-        self.p = _check_odd_prime(p)
-        self.sites = tuple(sites)
-        self.den = 1
-        self.terms: dict = {}
-
-    def _accumulate(self, key, n: int) -> None:
-        new = self.terms.get(key, 0) + n
-        if new:
-            self.terms[key] = new
-        else:
-            self.terms.pop(key, None)
-
-    def canonical(self) -> tuple[int, dict]:
-        """The unique form (d, {(x, z): numerators}) of Q(omega) coefficients.
-
-        Each tuple holds numerators over d on the basis omega^0..omega^(p-2):
-        the phase-(p-1) one is subtracted from the others, which is
-        1 + omega + ... + omega^(p-1) = 0.  Zero tuples are dropped and d
-        shares no factor with all numerators, so zero alone is (1, {}).
-        """
-        p = self.p
-        gathered: dict = {}
-        for (x, z, phase), n in self.terms.items():
-            gathered.setdefault((x, z), [0] * p)[phase] += n
-        out = {}
-        for mono, vec in gathered.items():
-            last = vec[p - 1]
-            if any(n != last for n in vec[:p - 1]):
-                out[mono] = [n - last for n in vec[:p - 1]]
-        g = gcd(self.den, *(n for vec in out.values() for n in vec))
-        return self.den // g, {mono: tuple(n // g for n in vec) for mono, vec in out.items()}
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, OperatorSum) and self.p == other.p
-                and self.sites == other.sites
-                and self.canonical() == other.canonical())
-
-    def __repr__(self) -> str:
-        return f"OperatorSum(p={self.p}, terms={len(self.terms)})"
-
-
 def _inversion_perm(sites: tuple, center) -> list[int]:
     """Inversion about a (half-)lattice centre as a permutation of ``sites``.
 
@@ -228,21 +165,6 @@ def _inversion_perm(sites: tuple, center) -> list[int]:
         raise InvalidCenterError(f"inversion about {tuple(center)} does not map "
                                  f"the operator's sites onto themselves")
     return perm
-
-
-def inversion_conjugate(P: OperatorSum, center) -> OperatorSum:
-    """Conjugate by the inversion permutation about a (half-)lattice centre.
-
-    Site permutations carry no phase: each term's exponent vectors are
-    re-indexed; phases, numerators and ``den`` are kept.  Raises
-    InvalidCenterError unless the centre maps P's sites onto themselves.
-    """
-    perm = _inversion_perm(P.sites, center)
-    out = OperatorSum(P.p, P.sites)
-    out.den = P.den
-    for (x, z, phase), n in P.terms.items():
-        out._accumulate((tuple(x[i] for i in perm), tuple(z[i] for i in perm), phase), n)
-    return out
 
 
 # Inversion about the cube centre as a permutation of the generator's sites
@@ -260,9 +182,11 @@ def verify_commutation_law(p: int, trials: int = 200, seed: int = 7) -> bool:
     Every trial's u v and v u come from one array call of the product
     rule.  The verdict depends only on the arguments, so each process
     computes it once per argument list; ``cache_clear()`` forgets the
-    verdicts.
+    verdicts.  Refuses trials < 1, which would pass without a product.
     """
     p = _check_odd_prime(p, MAX_ALGEBRA_MODULUS)
+    if trials < 1:
+        raise ValueError(f"the commutation law needs trials >= 1, got {trials}")
     rng = random.Random(seed)
     # per trial u then v, each drawn as x0, x1, z0, z1, phase
     u, v = np.array([rng.randrange(p) for _ in range(10 * trials)],
@@ -365,22 +289,15 @@ class PowerTable:
         Expected fixed for symmetric codes and mapped to P(s, -r) for
         antisymmetric ones.  The conjugate keeps P(s, r)'s phases on the
         inverted monomials, so its reduced counts are compared with those
-        of P(s, +-r).  The syndrome label r must lie in 0..p-1.
+        of P(s, +-r).  The syndrome label r must be an integer in 0..p-1,
+        not a bool.
         """
         p = self.p
+        if not is_integer(r):
+            raise ValueError(f"syndrome label r must be an integer, got {r!r}")
         if not 0 <= r < p:
             raise ValueError(f"syndrome label r must be in 0..{p - 1}, got {r}")
         expect_r = r if self.parity == "S" else (-r) % p
         conj = self._reduced_counts(self.inverted_ids, self.rm[r:r + 1])
         return {"r": r, "expected_r": expect_r,
                 "matches": np.array_equal(conj[0], self.reduced_projectors[expect_r])}
-
-
-def verify_projector_identities(params: CodeParams) -> dict:
-    """``PowerTable.projector_identities`` of the code's cube generator."""
-    return PowerTable(params).projector_identities()
-
-
-def verify_inversion_action(params: CodeParams, r: int = 1) -> dict:
-    """``PowerTable.inversion_action`` of the code's cube generator."""
-    return PowerTable(params).inversion_action(r)

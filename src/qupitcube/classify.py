@@ -94,12 +94,14 @@ def classify_orbits(p: int, parity: str = "S") -> dict:
     three-condition report of each orbit representative,
     ``conditions.theorem1`` of its pairs.  That report does not depend on
     ``parity`` today: both parities get the same entry (ROADMAP item 1).
-    Refuses p > ``MAX_CLASSIFY_MODULUS``.
+    Refuses p > ``MAX_CLASSIFY_MODULUS`` and a parity other than "S" or "A".
     """
     p = check_prime(p)
     if p > MAX_CLASSIFY_MODULUS:
         raise ValueError(f"classification is limited to p <= {MAX_CLASSIFY_MODULUS}, "
                          f"got p = {p}")
+    if parity not in ("S", "A"):
+        raise ValueError(f"parity must be 'S' or 'A', got {parity!r}")
     sl2_order = p * (p * p - 1)
     counts = _orbit_counts(p)
     entries = []

@@ -140,10 +140,15 @@ def scale_pair(a: Pair, c: int, p: int) -> Pair:
     return ((a[0] * c) % p, (a[1] * c) % p)
 
 
+def is_integer(value) -> bool:
+    """An int or numpy integer, and not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def check_dims(dims) -> Site:
     """Torus dimensions as three ints, each at least 2; no side is rounded."""
     dims = tuple(dims)
-    if not all(isinstance(L, (int, np.integer)) and not isinstance(L, bool) for L in dims):
+    if not all(is_integer(L) for L in dims):
         raise ValueError(f"torus dims must be integers, got {dims!r}")
     dims = tuple(int(L) for L in dims)
     if len(dims) != 3 or any(L < 2 for L in dims):

@@ -1,4 +1,4 @@
-"""Transition matrices and the three algebraic no-string conditions.
+"""The three algebraic no-string conditions, read off the symplectic products.
 
 For two symplectic pairs A and C the base matrix is
 
@@ -10,7 +10,9 @@ the unknown boundary pair of a string segment from one site to the next.
 A code admits no width-1 string segment in a given direction when
 det(T - T^-1) != 0 for that direction's transition matrix, and no string
 of any width when additionally all squared symplectic products of
-complementary pairings differ.
+complementary pairings differ.  No matrix is built here: the oracles in
+``reference`` build T(A, C) (``base_matrix``) and T(num | den)
+(``rel_transition``).
 
 Every condition is a function of the six symplectic products
 W[i, j] = <pair i, pair j> (i < j, and W[j, i] = -W[i, j]).  For
@@ -24,9 +26,11 @@ T - T^-1 = ((d + 1) T - t I) / d and
                   = ((d + 1)^2 - t^2) / d = ((N + D)^2 - S^2) / (N D).
 
 ``theorem1`` reads deformability, the pairing squares and these three
-determinants off one W per code, and ``corner_determinant_check`` reads
-the corner block off W too.  Each zero-row numerator of that block is
-rank one, T(x 0 | gamma alpha) = u (x1, -x2) with u = T(gamma, alpha)^-1 e1,
+determinants off one W per code, the determinants only for deformable
+codes, every W nonzero, where every inverse above exists.
+``corner_determinant_check`` reads the corner block off W too.  Each
+zero-row numerator of that block is rank one,
+T(x 0 | gamma alpha) = u (x1, -x2) with u = T(gamma, alpha)^-1 e1,
 so T_int = u (d1, -d2) + v (a1, -a2) with v = -T(beta delta | gamma alpha) u
 and det T_int = det[u v] <a, d> = -(W03 / W02)^2; the paper's claimed
 <a,g><a,d><d,a> is W02 W03 W30 = -W02 W03^2.  So a
@@ -41,18 +45,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 
-import numpy as np
-
-from . import fp
-from .codes import CodeParams, Pair, symplectic_product
+from .codes import CodeParams, symplectic_product
 
 
 class SingularDenominatorError(ValueError):
     """Raised when a transition denominator pair is symplectically degenerate."""
-
-
-class PrerequisiteError(ValueError):
-    """Raised when a check is asked for a code that fails deformability."""
 
 
 PAIR_NAMES = ("alpha", "beta", "gamma", "delta")
@@ -73,22 +70,6 @@ PRODUCTS = tuple(combinations(range(4), 2))
 PAIRINGS = (((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2)))
 
 
-def base_matrix(a: Pair, c: Pair, p: int) -> np.ndarray:
-    """T(a, c) = [[a1, -a2], [c1, -c2]] mod p."""
-    return np.array([[a[0], -a[1]], [c[0], -c[1]]], dtype=np.int64) % p
-
-
-def rel_transition(num: tuple[Pair, Pair], den: tuple[Pair, Pair], p: int) -> np.ndarray:
-    """T(num | den) = T(den)^-1 T(num): the adjugate of T(den) over its
-    determinant -<den[0], den[1]>.  Raises SingularDenominatorError when
-    <den[0], den[1]> = 0."""
-    w = symplectic_product(den[0], den[1], p)
-    if w == 0:
-        raise SingularDenominatorError(f"denominator pairs {den} are proportional mod {p}")
-    (a, b), (c, d) = base_matrix(*den, p)
-    return np.array([[d, -b], [-c, a]]) @ base_matrix(*num, p) % p * pow(-w, -1, p) % p
-
-
 def _products(pairs, p: int) -> dict[tuple[int, int], int]:
     """W[i, j] = <pair i, pair j> mod p for every ordered i != j."""
     W = {(i, j): symplectic_product(pairs[i], pairs[j], p) for i, j in PRODUCTS}
@@ -97,19 +78,11 @@ def _products(pairs, p: int) -> dict[tuple[int, int], int]:
 
 
 def _width1_determinants(W: dict, p: int) -> list[int]:
-    """det(T - T^-1) = ((N + D)^2 - S^2) / (N D) per direction.  Raises as
-    the matrix route does: on the first proportional denominator
-    (SingularDenominatorError), then on the first singular T."""
-    for _, (d0, d1) in WIDTH1_TRANSITIONS:
-        if W[d0, d1] == 0:
-            raise SingularDenominatorError(
-                f"denominator pairs {PAIR_NAMES[d0]}, {PAIR_NAMES[d1]} "
-                f"are proportional mod {p}")
+    """det(T - T^-1) = ((N + D)^2 - S^2) / (N D) per direction, for a W
+    with every entry nonzero."""
     dets = []
     for (n0, n1), (d0, d1) in WIDTH1_TRANSITIONS:
         N, D, S = W[n0, n1], W[d0, d1], W[d0, n1] - W[d1, n0]
-        if N == 0:
-            raise fp.SingularMatrixError(f"matrix is singular mod {p}")
         dets.append(((N + D) ** 2 - S * S) * pow(N * D, -1, p) % p)
     return dets
 
@@ -126,44 +99,6 @@ def _pairing_squares(W: dict, p: int) -> list[dict]:
             "distinct_integer": u * u != v * v,
         })
     return out
-
-
-def check_deformability(params: CodeParams) -> bool:
-    """All six pairwise symplectic products among the four pairs nonzero."""
-    return all(_products(params.pairs, params.p).values())
-
-
-def minimal_string_determinants(params: CodeParams) -> list[int]:
-    """det(T - T^-1) for each of the three direction matrices."""
-    return _width1_determinants(_products(params.pairs, params.p), params.p)
-
-
-def check_no_minimal_string(params: CodeParams) -> tuple[bool, bool, bool]:
-    """Per-direction flags: True when det(T - T^-1) != 0 (no width-1 string).
-
-    Deformability is a prerequisite (it guarantees every inverse taken
-    here exists); PrerequisiteError otherwise.
-    """
-    W = _products(params.pairs, params.p)
-    if not all(W.values()):
-        raise PrerequisiteError("code fails deformability; width-1 test undefined")
-    return tuple(d != 0 for d in _width1_determinants(W, params.p))
-
-
-def pairing_squares(params: CodeParams) -> list[dict]:
-    """Squared symplectic products of the three complementary pairings.
-
-    Each entry records the mod-p squares, the literal mod-p verdict, and
-    the alternative integer-representative reading (squares compared in Z
-    using representatives in [0, p)).  Only the mod-p verdict feeds the
-    aggregate condition.
-    """
-    return _pairing_squares(_products(params.pairs, params.p), params.p)
-
-
-def check_pairing_squares(params: CodeParams) -> tuple[bool, bool, bool]:
-    """Per-pairing flags of the squared-product condition, mod-p reading."""
-    return tuple(e["distinct_mod_p"] for e in pairing_squares(params))
 
 
 @dataclass

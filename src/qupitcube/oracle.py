@@ -66,6 +66,7 @@ from .codes import (
     cube_sites,
     cubes_touching,
     generator_labels,
+    is_integer,
 )
 
 
@@ -361,7 +362,12 @@ def _scan_stack(codes: list[CodeParams], group: _Group, l_max):
 def check_scan_bounds(width: int, l_max: int | None = None) -> None:
     """Refuse a scan outside widths 1..``MAX_STRIP_WIDTH`` or a length
     horizon outside 2..``MAX_STRIP_LENGTH``: an empty scan would report
-    "no string" without solving anything."""
+    "no string" without solving anything.  Both must be integers, bools
+    refused."""
+    if not is_integer(width):
+        raise ValueError(f"string scans need an integer width, got {width!r}")
+    if l_max is not None and not is_integer(l_max):
+        raise ValueError(f"string scans need an integer length, got {l_max!r}")
     if width < 1:
         raise ValueError(f"string scans need width >= 1, got {width}")
     if width > MAX_STRIP_WIDTH:
@@ -375,13 +381,14 @@ def check_scan_bounds(width: int, l_max: int | None = None) -> None:
 
 
 def _check_widths(widths, l_max: int | None = None) -> list[int]:
-    """``widths`` sorted and unique; refuses an empty list, as ``check_scan_bounds``."""
-    widths = sorted(set(widths))
+    """``widths`` sorted and unique; refuses an empty list, and each width
+    ``check_scan_bounds`` refuses, before equal values (1, True, 1.0) merge."""
+    widths = list(widths)
     if not widths:
         raise ValueError("string scans need at least one width")
     for width in widths:
         check_scan_bounds(width, l_max)
-    return widths
+    return sorted(set(widths))
 
 
 def _inversion_class(axis: int, section: Section) -> tuple:

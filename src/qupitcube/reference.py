@@ -42,23 +42,24 @@ production code it checks, and the tests that compare them:
   (``test_oracle.test_stacked_scan_matches_each_family_scan``).
   It also shows that point inversion keeps a family's scan
   (``test_oracle.test_cornered_families_scan_like_their_inversion_partners``).
-- ``width1_matrices`` builds the three width-1 transition matrices by
-  ``conditions.rel_transition``, and
+- ``width1_matrices`` builds the three width-1 transition matrices
+  T(num | den) by ``rel_transition``, the adjugate of the ``base_matrix``
+  T(den) times T(num), and
   ``minimal_string_determinants_by_matrices`` takes det(T - T^-1) from
   them by ``mat_inverse`` and ``mat_det``.  ``theorem1_report_by_matrices``
   builds the whole three-condition report on that route.  They check
   ``conditions.theorem1``, which reads every entry off the six symplectic
-  products, byte for byte and exception for exception
+  products, byte for byte, the determinants wherever all six are nonzero
   (``test_conditions.test_theorem1_matches_matrix_route_*``,
-  ``test_conditions.test_determinants_raise_like_the_matrix_route``).
+  ``test_conditions.test_determinants_match_the_matrix_route``).
 - ``corner_determinant_by_matrices`` forms the corner block T_int as the
   literal product of dense inverses and base matrices.  It checks
   ``conditions.corner_determinant_check``, which reads the block's
   determinant off the symplectic products, value for value and
   exception for exception
   (``test_conditions.test_corner_determinant_matches_the_block_product``).
-- ``width1_criterion`` sets the width-1 determinant test of
-  ``conditions.minimal_string_determinants`` against
+- ``width1_criterion`` sets the width-1 determinants of
+  ``conditions.theorem1_report`` against
   ``solve_segment`` (``test_oracle.test_width1_criterion_agreement``,
   ``test_acceptance.test_criterion_07_*``).
 - ``flatten_segment`` and ``is_stabilizer_combination`` deform a box
@@ -99,7 +100,7 @@ production code it checks, and the tests that compare them:
   ``test_acceptance.test_criterion_12a_*``).
 - ``mat_mul``, ``mat_det`` and ``mat_inverse`` are dense products and
   eliminations of any square size.  They check the adjugate of
-  ``conditions.rel_transition``
+  ``rel_transition``
   (``test_conditions.test_rel_transition_matches_dense_oracles``)
   and the transition identities (``test_conditions``,
   ``test_acceptance.test_criterion_12b_*``, ``test_fp``).
@@ -161,21 +162,25 @@ production code it checks, and the tests that compare them:
   operator sums below reach the product rule, ``algebra._monomial_mul``,
   through the ``algebra`` module at each call, so a rule a test
   substitutes there reaches both routes.
-- ``op_mul``, ``op_add``, ``op_is_zero`` and ``operator_identity`` are
-  the term-pair product, the sum, the zero test and the identity of
-  ``algebra.OperatorSum``; the command line never needs them.  The
-  tests and demo 05 check the sums against dense matrices and
-  fractions with them (``test_algebra.test_operator_sums_*``,
+- An ``OperatorSum`` is a rational combination of phased monomials:
+  integer numerators keyed by (x, z, phase) over one positive
+  denominator, which products multiply, so no step leaves the integers.
+  The only relation among keys, 1 + omega + ... + omega^(p-1) = 0, is
+  applied once, in ``canonical()``, when sums are compared.
+  ``op_mul``, ``op_add``, ``op_is_zero`` and ``operator_identity`` are
+  its term-pair product, sum, zero test and identity; the command line
+  never needs them.  The tests and demo 05 check the sums against dense
+  matrices and fractions with them (``test_algebra.test_operator_sums_*``,
   ``test_algebra.test_integer_products_*``).
 - ``verify_projector_identities_by_sums`` multiplies the p projectors
   term pair by term pair by ``op_mul`` and compares ``canonical()``
   forms.  It checks the verdicts that
-  ``algebra.verify_projector_identities`` reads off one integer count
+  ``algebra.PowerTable.projector_identities`` reads off one integer count
   array, under the real product rule and broken ones
   (``test_algebra.test_batched_projector_checks_match_operator_sums``).
 - ``verify_inversion_action_by_sums`` conjugates P(s, r) by
-  ``algebra.inversion_conjugate`` and compares ``canonical()`` forms
-  with P(s, r) or P(s, -r).  It checks the verdicts that
+  ``inversion_conjugate``, which re-indexes each term's sites, and
+  compares ``canonical()`` forms with P(s, r) or P(s, -r).  It checks the verdicts that
   ``algebra.PowerTable.inversion_action`` reads off the table's counts,
   for every label r, under the real product rule and broken ones
   (``test_algebra.test_inversion_verdicts_match_operator_sums``).
@@ -184,7 +189,7 @@ production code it checks, and the tests that compare them:
   and ``pauli_inverse`` (the (p - 1)-th power) repeat it,
   ``commutator_exponent`` is the summed symplectic form of two monomials,
   ``pauli_from_config`` lifts a configuration to a phase-0 monomial, and
-  ``add_monomial`` adds one to an ``algebra.OperatorSum``.  The tests and demo 05
+  ``add_monomial`` adds one to an ``OperatorSum``.  The tests and demo 05
   use them to state the algebra's identities one operator at a time
   (``test_algebra``).
 """
@@ -193,7 +198,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, permutations, product
-from math import lcm
+from math import gcd, lcm
 
 import numpy as np
 
@@ -201,11 +206,10 @@ from . import algebra, fp
 from .algebra import (
     CUBE_CENTER,
     MAX_ALGEBRA_MODULUS,
-    OperatorSum,
     PhasedPauli,
     _check_odd_prime,
+    _inversion_perm,
     generator_pauli,
-    inversion_conjugate,
 )
 from .codes import (
     CodeParams,
@@ -227,13 +231,9 @@ from .conditions import (
     PAIR_NAMES,
     PAIRINGS,
     WIDTH1_TRANSITIONS,
-    PrerequisiteError,
     SingularDenominatorError,
     TheoremReport,
-    base_matrix,
-    check_deformability,
-    minimal_string_determinants,
-    rel_transition,
+    theorem1_report,
 )
 from .logical import CENSUS_TIERS, TorusCode, _sweep_axes, plane_census
 from .oracle import (
@@ -425,6 +425,26 @@ def scan_family(p: int, A: np.ndarray, F: np.ndarray, v: np.ndarray, l_max: int)
     return dims, nontrivial, (A, F, last)
 
 
+class PrerequisiteError(ValueError):
+    """Raised when a check is asked for a code that fails deformability."""
+
+
+def base_matrix(a: Pair, c: Pair, p: int) -> np.ndarray:
+    """T(a, c) = [[a1, -a2], [c1, -c2]] mod p."""
+    return np.array([[a[0], -a[1]], [c[0], -c[1]]], dtype=np.int64) % p
+
+
+def rel_transition(num: tuple[Pair, Pair], den: tuple[Pair, Pair], p: int) -> np.ndarray:
+    """T(num | den) = T(den)^-1 T(num): the adjugate of T(den) over its
+    determinant -<den[0], den[1]>.  Raises SingularDenominatorError when
+    <den[0], den[1]> = 0."""
+    w = symplectic_product(den[0], den[1], p)
+    if w == 0:
+        raise SingularDenominatorError(f"denominator pairs {den} are proportional mod {p}")
+    (a, b), (c, d) = base_matrix(*den, p)
+    return np.array([[d, -b], [-c, a]]) @ base_matrix(*num, p) % p * pow(-w, -1, p) % p
+
+
 def width1_matrices(params: CodeParams) -> list:
     """The three direction transition matrices entering the width-1 test."""
     pairs = params.pairs
@@ -514,9 +534,10 @@ def width1_criterion(params: CodeParams, lengths=range(2, 7)) -> dict:
     unordered per-direction multisets (the direction-to-matrix pairing is
     convention dependent).
     """
-    if not check_deformability(params):
+    report = theorem1_report(params)
+    if not report.deformability:
         raise PrerequisiteError("width-1 criterion needs a deformable code")
-    dets = minimal_string_determinants(params)
+    dets = report.details["width1_determinants"]
     det_nonzero = [d != 0 for d in dets]
     oracle_no_string = []
     for axis in range(3):
@@ -1409,6 +1430,74 @@ def pauli_power(u: PhasedPauli, m: int) -> PhasedPauli:
 
 def pauli_inverse(u: PhasedPauli) -> PhasedPauli:
     return pauli_power(u, u.p - 1) if not u.is_identity() else u
+
+
+class OperatorSum:
+    """Finite rational combination of phased monomials.
+
+    ``terms`` maps (x, z, phase) keys, standing for omega^phase X^x Z^z,
+    to nonzero integer numerators over the positive integer ``den``.
+    Keys that differ only in phase are dependent, so equality compares
+    ``canonical()`` forms.
+    """
+
+    __slots__ = ("p", "sites", "den", "terms")
+
+    def __init__(self, p: int, sites):
+        self.p = _check_odd_prime(p)
+        self.sites = tuple(sites)
+        self.den = 1
+        self.terms: dict = {}
+
+    def _accumulate(self, key, n: int) -> None:
+        new = self.terms.get(key, 0) + n
+        if new:
+            self.terms[key] = new
+        else:
+            self.terms.pop(key, None)
+
+    def canonical(self) -> tuple[int, dict]:
+        """The unique form (d, {(x, z): numerators}) of Q(omega) coefficients.
+
+        Each tuple holds numerators over d on the basis omega^0..omega^(p-2):
+        the phase-(p-1) one is subtracted from the others, which is
+        1 + omega + ... + omega^(p-1) = 0.  Zero tuples are dropped and d
+        shares no factor with all numerators, so zero alone is (1, {}).
+        """
+        p = self.p
+        gathered: dict = {}
+        for (x, z, phase), n in self.terms.items():
+            gathered.setdefault((x, z), [0] * p)[phase] += n
+        out = {}
+        for mono, vec in gathered.items():
+            last = vec[p - 1]
+            if any(n != last for n in vec[:p - 1]):
+                out[mono] = [n - last for n in vec[:p - 1]]
+        g = gcd(self.den, *(n for vec in out.values() for n in vec))
+        return self.den // g, {mono: tuple(n // g for n in vec) for mono, vec in out.items()}
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, OperatorSum) and self.p == other.p
+                and self.sites == other.sites
+                and self.canonical() == other.canonical())
+
+    def __repr__(self) -> str:
+        return f"OperatorSum(p={self.p}, terms={len(self.terms)})"
+
+
+def inversion_conjugate(P: OperatorSum, center) -> OperatorSum:
+    """Conjugate by the inversion permutation about a (half-)lattice centre.
+
+    Site permutations carry no phase: each term's exponent vectors are
+    re-indexed; phases, numerators and ``den`` are kept.  Raises
+    InvalidCenterError unless the centre maps P's sites onto themselves.
+    """
+    perm = _inversion_perm(P.sites, center)
+    out = OperatorSum(P.p, P.sites)
+    out.den = P.den
+    for (x, z, phase), n in P.terms.items():
+        out._accumulate((tuple(x[i] for i in perm), tuple(z[i] for i in perm), phase), n)
+    return out
 
 
 def build_projector(s: PhasedPauli, r: int) -> OperatorSum:

@@ -21,14 +21,10 @@ from qupitcube.codes import (
     d5_code,
     verify_translation_commutation,
 )
-from qupitcube.conditions import rel_transition, theorem1_report
+from qupitcube.conditions import theorem1_report
 from qupitcube.logical import TorusCode, encoded_qudit_count
-from qupitcube.reference import planar_census, product_of_all_generators
-from qupitcube.algebra import (
-    verify_commutation_law,
-    verify_inversion_action,
-    verify_projector_identities,
-)
+from qupitcube.reference import planar_census, product_of_all_generators, rel_transition
+from qupitcube.algebra import PowerTable, verify_commutation_law
 from qupitcube.oracle import ORIENTATIONS, SegmentGeometry, scan_width, sections
 from qupitcube.reference import (
     build_segment_constraints,
@@ -221,10 +217,11 @@ def test_criterion_11_exact_algebra_identities():
     p7 = CodeParams(7, (1, 0), (0, 1), (1, 1), (3, 5), "A")
     codes = [d3_code("S"), d3_code("A"), d5_code("S"), d5_code("A"), p7]
     for code in codes:
-        proj = verify_projector_identities(code)
+        table = PowerTable(code)
+        proj = table.projector_identities()
         ok = ok and all(proj.values())
         for r in range(code.p):
-            out = verify_inversion_action(code, r=r)
+            out = table.inversion_action(r=r)
             expected_r = r if code.parity == "S" else (-r) % code.p
             ok = ok and out["matches"] and out["expected_r"] == expected_r
     elapsed = time.monotonic() - t0

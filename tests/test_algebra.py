@@ -12,18 +12,17 @@ import pytest
 from qupitcube import algebra
 from qupitcube.algebra import (
     NotOrderPError,
-    OperatorSum,
     PhasedPauli,
+    PowerTable,
     generator_pauli,
-    inversion_conjugate,
     verify_commutation_law,
-    verify_inversion_action,
-    verify_projector_identities,
 )
 from qupitcube.reference import (
+    OperatorSum,
     add_monomial,
     build_projector,
     commutator_exponent,
+    inversion_conjugate,
     op_add,
     op_is_zero,
     op_mul,
@@ -303,13 +302,13 @@ def test_projector_checks_form_p_squared_monomial_products(monkeypatch):
         for r in range(p):
             assert table.inversion_action(r)["matches"]
         assert calls == []
-        # each verifier on its own builds one table of its own
-        assert verify_projector_identities(code)["complete"]
-        assert verify_inversion_action(code, r=1)["matches"]
+        # each new table forms its powers and products again
+        assert PowerTable(code).projector_identities()["complete"]
+        assert PowerTable(code).inversion_action(r=1)["matches"]
         assert calls == [(p,), (p, p)] * 2
-    # the table lives for one call: a second verification forms it again
+    # tables share nothing: one built after the others forms its own
     calls.clear()
-    verify_projector_identities(d3_code("S"))
+    PowerTable(d3_code("S")).projector_identities()
     assert calls == [(3,), (3, 3)]
 
 
@@ -355,7 +354,7 @@ def test_batched_projector_checks_match_operator_sums(monkeypatch):
             codes += [CodeParams(p, *pairs, parity) for parity in "SA"]
             some_codes.append(codes[-1 - i % 2])
     for code in codes:
-        out = verify_projector_identities(code)
+        out = PowerTable(code).projector_identities()
         assert out == verify_projector_identities_by_sums(code)
         assert out == {"idempotent": True, "orthogonal": True, "complete": True}
     verdicts = set()
@@ -363,7 +362,7 @@ def test_batched_projector_checks_match_operator_sums(monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(algebra, attr, broken)
             for code in some_codes:
-                out = verify_projector_identities(code)
+                out = PowerTable(code).projector_identities()
                 assert out == verify_projector_identities_by_sums(code), (name, code)
                 verdicts.update(out.items())
     assert verdicts == {(key, value) for key in ("idempotent", "orthogonal", "complete")
@@ -391,7 +390,7 @@ def test_inversion_verdicts_match_operator_sums(monkeypatch):
                 for r in range(code.p):
                     out = table.inversion_action(r)
                     assert out == verify_inversion_action_by_sums(code, r), (name, code, r)
-                    assert out == verify_inversion_action(code, r)
+                    assert out == PowerTable(code).inversion_action(r)
                     matches.add(out["matches"])
                     if broken is None:
                         assert out["matches"]
@@ -431,7 +430,25 @@ def test_commutation_law_rejects_bad_moduli():
         with pytest.raises(ValueError):
             verify_commutation_law(p)
     with pytest.raises(ValueError, match="p <= 31"):
-        verify_projector_identities(replace(P7_CODE, p=37))
+        PowerTable(replace(P7_CODE, p=37)).projector_identities()
+
+
+def test_commutation_law_refuses_no_trials():
+    # zero trials would pass without forming one product
+    for trials in (0, -3):
+        with pytest.raises(ValueError, match="trials >= 1"):
+            verify_commutation_law(5, trials=trials)
+    assert verify_commutation_law(5, trials=1)
+
+
+def test_inversion_action_refuses_labels_that_are_not_integers():
+    # numpy would read True as a mask and report a false violation
+    table = PowerTable(d5_code())
+    for r in (True, False, 1.0, "1", None):
+        with pytest.raises(ValueError, match="must be an integer"):
+            table.inversion_action(r)
+    assert table.inversion_action(np.int64(2)) == table.inversion_action(2)
+    assert table.inversion_action(2)["matches"]
 
 
 def test_projector_canonical_form():
@@ -450,7 +467,7 @@ def test_projector_canonical_form():
 
 def test_projector_identities_reference_codes():
     for parity in "SA":
-        out = verify_projector_identities(d3_code(parity))
+        out = PowerTable(d3_code(parity)).projector_identities()
         assert out == {"idempotent": True, "orthogonal": True, "complete": True}
 
 
@@ -480,10 +497,10 @@ def test_operator_sum_canonical_equality():
 
 
 def test_inversion_action_examples():
-    assert verify_inversion_action(d3_code("S"), r=1)["matches"]
-    out = verify_inversion_action(d3_code("A"), r=1)
+    assert PowerTable(d3_code("S")).inversion_action(r=1)["matches"]
+    out = PowerTable(d3_code("A")).inversion_action(r=1)
     assert out["expected_r"] == 2 and out["matches"]
-    out0 = verify_inversion_action(d3_code("A"), r=0)
+    out0 = PowerTable(d3_code("A")).inversion_action(r=0)
     assert out0["expected_r"] == 0 and out0["matches"]
 
 
@@ -510,7 +527,7 @@ def test_inversion_conjugate_rejects_centres_off_the_cube():
 def test_p5_runs_without_guard():
     # no size guard: p = 5 needs no opt-in
     code = d5_code("S")
-    assert verify_projector_identities(code) == {
+    assert PowerTable(code).projector_identities() == {
         "idempotent": True, "orthogonal": True, "complete": True}
     s = generator_pauli(code)
     P = build_projector(s, 0)

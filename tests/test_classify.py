@@ -18,7 +18,7 @@ from qupitcube.reference import (
     primitive_root,
 )
 from qupitcube.codes import CodeParams
-from qupitcube.conditions import check_deformability, theorem1, theorem1_report
+from qupitcube.conditions import theorem1, theorem1_report
 from qupitcube.oracle import scan_width
 from conftest import random_deformable_tuple
 
@@ -238,6 +238,13 @@ def test_classification_p3():
         assert reps == {orbit_canonical(D3_TUPLE, 3), orbit_canonical(D3_TUPLE_B, 3)}
 
 
+def test_classification_refuses_unknown_parities():
+    # the report would carry the parity, and scan_theorem1 fail on it later
+    for parity in ("Q", "s", None):
+        with pytest.raises(ValueError, match="parity must be 'S' or 'A'"):
+            classify_orbits(3, parity)
+
+
 def test_classification_p2_empty():
     rep = classify_orbits(2)
     assert rep["orbit_count"] == 0 and rep["orbits"] == []
@@ -269,7 +276,7 @@ def test_deformability_preserved_exhaustive_p3():
     actions = [fn for _, fn, _ in group_generators(3)]
     for t in enumerate_deformable(3):
         for act in actions:
-            assert check_deformability(CodeParams(3, *act(t)))
+            assert theorem1_report(CodeParams(3, *act(t))).deformability
 
 
 def test_scan_theorem1_p3_and_p2():

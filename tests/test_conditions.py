@@ -10,19 +10,11 @@ from qupitcube import cli, fp, reference
 from qupitcube.classify import classify_orbits
 from qupitcube.codes import CodeParams, d3_code, d5_code, symplectic_product
 from qupitcube.conditions import (
-    PrerequisiteError,
     SingularDenominatorError,
-    base_matrix,
-    check_deformability,
-    check_no_minimal_string,
-    check_pairing_squares,
     corner_determinant_check,
-    minimal_string_determinants,
-    pairing_squares,
-    rel_transition,
     theorem1_report,
 )
-from qupitcube.reference import group_generators
+from qupitcube.reference import base_matrix, group_generators, rel_transition
 from conftest import random_code, random_deformable_tuple, random_pair
 
 
@@ -110,24 +102,24 @@ def test_deformability_examples():
             for g in pairs2:
                 for d in pairs2:
                     code = CodeParams(2, a, b, g, d)
-                    assert not check_deformability(code)
+                    assert not theorem1_report(code).deformability
 
     d5 = d5_code()
-    assert check_deformability(d5)
+    assert theorem1_report(d5).deformability
     prods = [symplectic_product(x, y, 5)
              for i, x in enumerate(d5.pairs) for y in d5.pairs[i + 1:]]
     assert prods == [1, 1, 2, 4, 2, 4]
 
-    assert not check_deformability(CodeParams(5, (1, 0), (0, 1), (1, 1), (1, 1)))
+    assert not theorem1_report(CodeParams(5, (1, 0), (0, 1), (1, 1), (1, 1))).deformability
 
 
 def test_minimal_string_examples():
-    assert check_no_minimal_string(d3_code()) == (True, True, True)
+    assert theorem1_report(d3_code()).minimal_string == (True, True, True)
     # evaluated exactly; frozen after a solver cross-check at width 1
     d5 = d5_code()
-    assert check_no_minimal_string(d5) == (True, True, True)
-    with pytest.raises(PrerequisiteError):
-        check_no_minimal_string(CodeParams(2, (1, 0), (0, 1), (1, 1), (1, 0)))
+    assert theorem1_report(d5).minimal_string == (True, True, True)
+    # not defined without deformability
+    assert theorem1_report(CodeParams(2, (1, 0), (0, 1), (1, 1), (1, 0))).minimal_string is None
 
 
 def test_involution_gives_zero_determinant():
@@ -139,11 +131,11 @@ def test_involution_gives_zero_determinant():
 
 
 def test_pairing_squares_examples():
-    assert check_pairing_squares(d3_code()) == (False, False, False)
+    assert theorem1_report(d3_code()).squares == (False, False, False)
 
     d5 = d5_code()
-    flags = check_pairing_squares(d5)
-    detail = pairing_squares(d5)
+    rpt = theorem1_report(d5)
+    flags, detail = rpt.squares, rpt.details["pairing_squares"]
     assert flags == (False, True, True)
     assert detail[0]["pairing"] == "alphabeta|gammadelta"
     assert detail[0]["squares_mod_p"] == (1, 1)      # 1^2 = 4^2 mod 5
@@ -153,8 +145,8 @@ def test_pairing_squares_examples():
     code7 = CodeParams(7, (1, 0), (0, 2), (1, 1), (4, 0))
     assert symplectic_product(code7.alpha, code7.beta, 7) == 2
     assert symplectic_product(code7.gamma, code7.delta, 7) == 3
-    assert check_pairing_squares(code7)[0] is True
-    assert pairing_squares(code7)[0]["squares_mod_p"] == (4, 2)
+    assert theorem1_report(code7).squares[0] is True
+    assert theorem1_report(code7).details["pairing_squares"][0]["squares_mod_p"] == (4, 2)
 
 
 def test_theorem1_report_aggregation():
@@ -180,7 +172,7 @@ def test_deformability_invariant_under_group():
         for _ in range(150):
             t = random_deformable_tuple(rng, p)
             g = rng.choice(gens)
-            assert check_deformability(CodeParams(p, *g(t)))
+            assert theorem1_report(CodeParams(p, *g(t))).deformability
 
 
 def test_overall_verdict_orbit_invariant_sample():
@@ -229,14 +221,14 @@ def test_corner_determinant_matches_the_block_product():
         w02, w03 = symplectic_product(a, g, code.p), symplectic_product(a, d, code.p)
         if w03:
             assert got["match"] == (pow(w02, 3, code.p) == 1), code
-        seen.add((check_deformability(code), w03 != 0, got["match"]))
+        seen.add((theorem1_report(code).deformability, w03 != 0, got["match"]))
     assert seen >= {"raises", (False, True, True), (False, True, False),
                     (True, True, True), (True, True, False), (False, False, True)}
 
 
 def test_minimal_string_determinants_are_recorded():
     d3 = d3_code()
-    dets = minimal_string_determinants(d3)
+    dets = reference.minimal_string_determinants_by_matrices(d3)
     assert len(dets) == 3 and all(0 <= d < 3 for d in dets)
     rpt = theorem1_report(d3)
     assert rpt.details["width1_determinants"] == dets
@@ -272,10 +264,11 @@ def _outcome(fn, code):
         return type(exc)
 
 
-def test_determinants_raise_like_the_matrix_route():
-    # the matrix route builds all three matrices, each raising on a
-    # proportional denominator, before it inverts any; the closed form
-    # must raise the same type on every code
+def test_determinants_match_the_matrix_route():
+    # the closed form reads the determinants exactly when all six W are
+    # nonzero, and then equals the matrix route; elsewhere that route
+    # raises on a proportional denominator or a singular T, or returns a
+    # list, and the report carries none
     codes = [CodeParams(p, *t) for p in (2, 3)
              for t in product([c for c in product(range(p), repeat=2) if c != (0, 0)],
                               repeat=4)]
@@ -284,6 +277,11 @@ def test_determinants_raise_like_the_matrix_route():
     seen = set()
     for code in codes:
         want = _outcome(reference.minimal_string_determinants_by_matrices, code)
-        assert _outcome(minimal_string_determinants, code) == want, code
-        seen.add(want if isinstance(want, type) else list)
-    assert seen == {SingularDenominatorError, fp.SingularMatrixError, list}
+        got = theorem1_report(code).details["width1_determinants"]
+        pairs = code.pairs
+        all_w = all(symplectic_product(pairs[i], pairs[j], code.p)
+                    for i in range(4) for j in range(i + 1, 4))
+        assert got == (want if all_w else None), code
+        seen.add((all_w, want if isinstance(want, type) else list))
+    assert seen == {(True, list), (False, list), (False, SingularDenominatorError),
+                    (False, fp.SingularMatrixError)}

@@ -11,7 +11,6 @@ import pytest
 from qupitcube import cli, fp, oracle, transfer
 from qupitcube.classify import classify_orbits
 from qupitcube.codes import CodeParams, PauliConfig, d3_code, d5_code, generator_config
-from qupitcube.conditions import PrerequisiteError, base_matrix, rel_transition
 from qupitcube.oracle import (
     ORIENTATIONS,
     DegenerateGeometryError,
@@ -24,6 +23,8 @@ from qupitcube.oracle import (
 from qupitcube.reference import (
     FlattenError,
     PivotError,
+    PrerequisiteError,
+    base_matrix,
     build_segment_constraints,
     canonical_reduction,
     config_mul,
@@ -33,6 +34,7 @@ from qupitcube.reference import (
     is_stabilizer_combination,
     kink_profile,
     pair_system,
+    rel_transition,
     scan_family,
     solve_segment,
     strip_transfer,
@@ -483,6 +485,18 @@ def test_scans_refuse_an_empty_width_list():
                  lambda: oracle.scan_codes([], iter([]))):
         with pytest.raises(ValueError, match="at least one width"):
             scan()
+
+
+def test_scans_refuse_widths_and_lengths_that_are_not_integers():
+    # a bool width would key a report True; floats failed inside range
+    d5 = d5_code()
+    for scan in (lambda: scan_widths(d5, [True]), lambda: scan_widths(d5, [1, True]),
+                 lambda: scan_widths(d5, [2.0]), lambda: oracle.scan_codes([d5], [2.0]),
+                 lambda: scan_width(d5, 2, l_max=5.5), lambda: scan_width(d5, 2, l_max=True),
+                 lambda: oracle.check_scan_bounds(True), lambda: oracle.check_scan_bounds(2, "9")):
+        with pytest.raises(ValueError, match="need an integer"):
+            scan()
+    assert scan_widths(d5, [np.int64(2)], l_max=np.int64(6)) == scan_widths(d5, [2], l_max=6)
 
 
 def test_scan_codes_drops_codes_after_their_first_long_run():

@@ -47,3 +47,32 @@ def test_cli_run_does_not_load_reference():
                          env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)))
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "False"
+
+
+MOVED = ("OperatorSum", "inversion_conjugate", "base_matrix", "rel_transition",
+         "PrerequisiteError")
+DELETED = ("check_deformability", "minimal_string_determinants", "check_no_minimal_string",
+           "pairing_squares", "check_pairing_squares", "verify_projector_identities",
+           "verify_inversion_action")
+
+
+def _defined_names(path):
+    """Every top-level function, class and assignment target of a file."""
+    names = set()
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    return names
+
+
+def test_one_route_per_verdict_in_production():
+    # the operator sums and the 2x2 matrices are oracles, and no wrapper
+    # re-reads a field of theorem1_report or PowerTable
+    production = sorted(p for p in PACKAGE.glob("*.py") if p.name != "reference.py")
+    for path in production:
+        names = _defined_names(path) | set(_imported_names(path))
+        assert names.isdisjoint(MOVED + DELETED), (path.name, names & set(MOVED + DELETED))
+    assert _defined_names(PACKAGE / "reference.py") >= set(MOVED)
+    assert not any(hasattr(qupitcube, name) for name in MOVED + DELETED)
