@@ -175,18 +175,19 @@ _CUBE_INVERSION = _inversion_perm(VERTICES, CUBE_CENTER)
 # Identity verifiers used by the CLI and the acceptance suite
 
 
-@functools.cache
+@functools.lru_cache(maxsize=None, typed=True)
 def verify_commutation_law(p: int, trials: int = 200, seed: int = 7) -> bool:
     """u v = v u omega^<u, v> on random two-site (x, z, phase) keys.
 
     Every trial's u v and v u come from one array call of the product
     rule.  The verdict depends only on the arguments, so each process
-    computes it once per argument list; ``cache_clear()`` forgets the
-    verdicts.  Refuses trials < 1, which would pass without a product.
+    computes it once per argument list and types (``trials=True`` is not
+    ``trials=1``); ``cache_clear()`` forgets the verdicts.  Refuses trials
+    that are not integers >= 1; 0 would pass without a product.
     """
     p = _check_odd_prime(p, MAX_ALGEBRA_MODULUS)
-    if trials < 1:
-        raise ValueError(f"the commutation law needs trials >= 1, got {trials}")
+    if not is_integer(trials) or trials < 1:
+        raise ValueError(f"the commutation law needs integer trials >= 1, got {trials!r}")
     rng = random.Random(seed)
     # per trial u then v, each drawn as x0, x1, z0, z1, phase
     u, v = np.array([rng.randrange(p) for _ in range(10 * trials)],

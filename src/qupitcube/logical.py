@@ -9,9 +9,9 @@ layer coefficients whose consecutive pairs lie in one layer relation W;
 W comes from a cyclic ``transfer`` along a cross-section row, and the
 count from a second one along the sweep axis, so nothing larger
 than one cross-section is eliminated and no n x 2n matrix is built.
-Both transfers depend on the cross-section only, so a table of k over
-many tori builds them once per cross-section and closes them once per
-length.
+Both transfers depend on the cross-section only, the row elimination
+under W on its short side only, so a table of k builds each once per
+short side or cross-section and closes them once per length.
 
 Noncontractible plane operators are built from a 2x2 tile that matches
 the generator's face across the plane: the tile entry at in-plane parity
@@ -71,14 +71,14 @@ from .codes import (
 )
 
 # Largest torus.  k comes from two cyclic transfers whose eliminations
-# act on one row or one layer of cubes.  At 16^3, d5 takes under 10 ms,
-# and the non-deformable p = 3 tuple (1,0)^4, whose layer relation has 287
-# dimensions, 0.2-0.3 s at 42 MB peak RSS.  The k table over all sides
-# 2..16, 3,375 tori, builds each cross-section's transfers once: under a
-# second for d5, 15-16 s for (1,0)^4 (2-core x86_64 VM, Python 3.11,
-# numpy 2.4).  The census and check_abelian cost the same on every torus:
-# at 16^3, d5's `logical` takes 2.4 ms, 2.0 ms of it the transfers for k,
-# and `--ktable 4` adds 3.6 ms, nearly all of it transfers.
+# act on one row or one layer of cubes.  At 16^3, d5 takes under 2 ms, and
+# the non-deformable p = 3 tuple (1,0)^4, whose layer relation has 287
+# dimensions, 0.14-0.15 s at 41 MB peak RSS.  The k table over sides 2..16,
+# 3,375 tori, builds one row transfer per (axes, short side) and one layer
+# relation per cross-section: 0.22 s for d5, 13-15 s for (1,0)^4 (2-core
+# x86_64 VM, Python 3.11, numpy 2.4).  The census and check_abelian cost
+# the same on every torus: at 16^3, d5's `logical` takes 2.3 ms, 1.7 ms of
+# it the transfers for k, and `--ktable 4` adds 3.0 ms, nearly all transfers.
 MAX_TORUS_SITES = 16 ** 3
 
 
@@ -147,7 +147,23 @@ def _sweep_axes(dims: Site) -> tuple[int, int, int]:
     return a, u, v
 
 
-def _layer_relation(params: CodeParams, axes: Site, du: int, dv: int) -> np.ndarray:
+def _row_transfer(params: CodeParams, axes: Site, dv: int) -> tuple:
+    """``transfer.transfer``'s ``(A, F, w)`` along u for ``_layer_relation``,
+    which depends on ``axes`` and v's side ``dv`` only."""
+    p = params.p
+    wa, wu, wv = (4 >> axis for axis in axes)
+    # cubes meet site row 1 of site layer 1 through their vertices with offsets
+    # 1 - layer along a, 1 - row along u, and 0 (own column) or 1 along v
+    near, far = generator_labels(params)[[[wa * (1 - layer) + wu * (1 - row) + wv * k
+                                           for row in (1, 0) for layer in (0, 1)]
+                                          for k in (0, 1)]]
+    eye = np.eye(dv, dtype=np.int64)[..., None]
+    rows = near[:, None, None] * eye + far[:, None, None] * eye[(np.arange(dv) + 1) % dv]
+    return transfer.transfer((rows.reshape(4 * dv, 2 * dv) % p).T, 2 * dv, p)
+
+
+def _layer_relation(params: CodeParams, axes: Site, du: int, dv: int,
+                    row_transfer=None) -> np.ndarray:
     """Basis (a | b) of W = {(a, b) : a B1 + b B0 = 0}, one row each.
 
     a and b are coefficients on the cubes of two consecutive layers
@@ -159,27 +175,18 @@ def _layer_relation(params: CodeParams, axes: Site, du: int, dv: int) -> np.ndar
     cube row j.  The four cube rows of two layers and two rows meet site
     row 1 of site layer 1 in one length-2 system, with v wrapped mod dv
     and u and the layers left open.  ``transfer.transfer`` eliminates it
-    against the new row, and the period-du states of
-    ``transfer.periodic_states`` wrap u, sides 1 and 2 included.  W
-    depends on the cross-section only.
+    against the new row (``_row_transfer``, or ``row_transfer`` when
+    given), and the period-du states of ``transfer.periodic_states`` wrap
+    u, sides 1 and 2 included.  W depends on the cross-section only.
     """
-    p = params.p
-    wa, wu, wv = (4 >> axis for axis in axes)
-    # cubes meet site row 1 of site layer 1 through their vertices with offsets
-    # 1 - layer along a, 1 - row along u, and 0 (own column) or 1 along v
-    near, far = generator_labels(params)[[[wa * (1 - layer) + wu * (1 - row) + wv * k
-                                           for row in (1, 0) for layer in (0, 1)]
-                                          for k in (0, 1)]]
-    eye = np.eye(dv, dtype=np.int64)[..., None]
-    rows = near[:, None, None] * eye + far[:, None, None] * eye[(np.arange(dv) + 1) % dv]
-    A, F, w = transfer.transfer((rows.reshape(4 * dv, 2 * dv) % p).T, 2 * dv, p)
-    y = transfer.periodic_states(A, F, w, du, p)  # (dim W, cube row j, 2 dv)
+    A, F, w = row_transfer or _row_transfer(params, axes, dv)
+    y = transfer.periodic_states(A, F, w, du, params.p)  # (dim W, cube row j, 2 dv)
     return np.hstack([y[..., :dv].reshape(len(y), du * dv),
                       y[..., dv:].reshape(len(y), du * dv)])
 
 
 def _left_kernel_dims(params: CodeParams, axes: Site, du: int, dv: int,
-                      lengths) -> list[int]:
+                      lengths, row_transfer=None) -> list[int]:
     """Relation counts of the tori with one cross-section, one per length.
 
     The torus has sides ``du`` and ``dv`` along the cross-section axes
@@ -197,7 +204,7 @@ def _left_kernel_dims(params: CodeParams, axes: Site, du: int, dv: int,
     relation-composition sweep this replaced.
     """
     p = params.p
-    W = _layer_relation(params, axes, du, dv)
+    W = _layer_relation(params, axes, du, dv, row_transfer)
     m = W.shape[1] // 2
     A, F, v = transfer.transfer(np.hstack([W[:, :m].T, (-W[:, m:].T) % p]), len(W), p)
     return transfer.periodic_dims(A, F, v, lengths, p)
@@ -330,8 +337,8 @@ def encoded_qudit_table(params: CodeParams, sizes=range(2, 5)) -> dict[Site, int
     2: a torus folds the exponents by offset mod min(L, 3)
     (``_folded_exponents``), so only a side of 2 merges offsets, and a
     side of 3 answers for every longer one.  The sweep runs along the
-    first axis, so each cross-section (L_y, L_z) gives its layer relation
-    once, and all L_x close it.
+    first axis: one row transfer per (axes, short side), one layer
+    relation per cross-section (L_y, L_z), and all L_x close it.
     """
     sizes = list(sizes)
     tori = [TorusCode(params, dims) for dims in product(sizes, repeat=3)]
@@ -339,10 +346,12 @@ def encoded_qudit_table(params: CodeParams, sizes=range(2, 5)) -> dict[Site, int
     exponents = neighbor_exponents(generator_labels(params), params.p)
     if any(_folded_exponents(exponents, dims, params.p).any() for dims in patterns):
         raise InvalidCodeError("generator family is not abelian on this torus")
-    table = {}
+    table, row_transfers = {}, {}
     for Ly, Lz in product(sizes, repeat=2):
-        axes = (0, 1, 2) if Ly >= Lz else (0, 2, 1)
-        ks = _left_kernel_dims(params, axes, max(Ly, Lz), min(Ly, Lz), sizes)
+        axes, du, dv = ((0, 1, 2), Ly, Lz) if Ly >= Lz else ((0, 2, 1), Lz, Ly)
+        if (axes, dv) not in row_transfers:
+            row_transfers[axes, dv] = _row_transfer(params, axes, dv)
+        ks = _left_kernel_dims(params, axes, du, dv, sizes, row_transfers[axes, dv])
         table.update({(Lx, Ly, Lz): k for Lx, k in zip(sizes, ks)})
     return {torus.dims: table[torus.dims] for torus in tori}
 

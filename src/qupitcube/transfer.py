@@ -54,7 +54,8 @@ def unroll(kernel: np.ndarray, M: np.ndarray, N: np.ndarray, steps: int,
     n, f = len(M), len(N)
     states = [kernel[:, :n]]
     for j in range(steps):
-        states.append((states[-1] @ M + kernel[:, n + f * j:n + f * (j + 1)] @ N) % p)
+        steered = kernel[:, n + f * j:n + f * (j + 1)] @ N if f else 0
+        states.append((states[-1] @ M + steered) % p)
     return np.stack(states, axis=1)
 
 
@@ -213,10 +214,11 @@ def _closure(Ab: np.ndarray, Bb: np.ndarray, power: np.ndarray, blocks: int,
     ``periodic_part``'s recursion iff it lies in the left kernel, since
     c_L = c_0 Ab^L + sum_i w_i Bb Ab^(L-1-i).  The rows Bb Ab^k span their
     final space once k reaches dim c, so b = min(L, dim c) gives the same
-    rank.
+    rank.  When Bb has no rows (d3, d3_B and d5 at both levels, on every
+    torus tried) no Krylov block is built, and the rows are Ab^L - I alone.
     """
     krylov = [Bb]
-    for _ in range(blocks - 1):
+    for _ in range(blocks - 1 if len(Bb) else 0):
         krylov.append(krylov[-1] @ Ab % p)
     eye = np.eye(len(power), dtype=np.int64)
     return np.vstack([(power - eye) % p, *krylov[:blocks][::-1]])

@@ -441,6 +441,16 @@ def test_commutation_law_refuses_no_trials():
     assert verify_commutation_law(5, trials=1)
 
 
+def test_commutation_law_refuses_trials_that_are_not_integers():
+    # range() and reshape() inside would raise a TypeError on these; and a
+    # verdict cached for trials=1 must not answer trials=True
+    assert verify_commutation_law(5, trials=1)
+    for trials in (1.5, True, "3", 2.0):
+        with pytest.raises(ValueError, match="integer trials >= 1"):
+            verify_commutation_law(5, trials=trials)
+    assert verify_commutation_law(5, trials=np.int64(3))
+
+
 def test_inversion_action_refuses_labels_that_are_not_integers():
     # numpy would read True as a mask and report a false violation
     table = PowerTable(d5_code())

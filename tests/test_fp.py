@@ -215,6 +215,36 @@ def test_stacked_elimination_matches_each_member():
     assert deficient > 50
 
 
+def test_elimination_at_torus_sizes_matches_the_stack():
+    # the torus eliminates row transfers, 2 dv x 4 dv against their first
+    # 2 dv columns with dv <= 16, and square closures; a matrix of more than
+    # 64 rows takes its pivot steps only on the rows they change
+    rng = np.random.default_rng(41)
+    shapes = [(2 * dv, 4 * dv, 2 * dv) for dv in (1, 2, 5, 16)]
+    shapes += [(s, s, None) for s in (3, 30, 64, 80)]
+    deficient = 0
+    for p in (2, 3, 5, 31, 1048573):
+        for m, c, n in shapes:
+            for density in (0.05, 0.5):
+                M = rng.integers(0, p, (2, m, c)) * (rng.random((2, m, c)) < density)
+                M[1, m // 2:] = 2 * M[1, :m - m // 2]  # half its rows repeated
+                M += p * rng.integers(-2, 3, M.shape)  # unreduced entries
+                before = M.copy()
+                R, pivoted = fp.mat_rref_stack(M, p, c if n is None else n)
+                for b in range(2):
+                    R1, pivots = fp.mat_rref(M[b], p, n)
+                    assert np.array_equal(R[b], R1), (p, m, c, density)
+                    assert np.flatnonzero(pivoted[b]).tolist() == pivots
+                    deficient += len(pivots) < min(m, c if n is None else n)
+                assert np.array_equal(M, before)
+    assert deficient > 40
+    for shape, n in (((0, 6), None), ((0, 6), 3), ((4, 0), None), ((0, 0), None)):
+        R, pivots = fp.mat_rref(np.zeros(shape, dtype=np.int64), 5, n)
+        assert R.shape == shape and pivots == []
+    assert fp.nullspace(np.zeros((0, 3), dtype=np.int64), 5).tolist() == np.eye(3).tolist()
+    assert fp.nullspace(np.zeros((2, 0), dtype=np.int64), 5).shape == (0, 0)
+
+
 def test_elementwise_inverse_matches_pow():
     rng = random.Random(37)
     for p in (2, 3, 5, 7, 11, 1048573):

@@ -378,6 +378,22 @@ def test_k_table_matches_per_torus_sweep():
                 assert k == logical._left_kernel_dim(code, dims), (code, dims)
 
 
+def test_k_table_builds_one_row_transfer_per_short_side(monkeypatch):
+    # the row transfer depends on the axes and the short cross-section side
+    # only: sides 2..6 give 5 with L_y >= L_z and 4 with L_y < L_z
+    row_transfer, keys = logical._row_transfer, []
+
+    def counted(params, axes, dv):
+        keys.append((axes, dv))
+        return row_transfer(params, axes, dv)
+
+    monkeypatch.setattr(logical, "_row_transfer", counted)
+    encoded_qudit_table(d5_code("S"), sizes=range(2, 7))
+    assert len(keys) == len(set(keys)) == 9
+    assert set(keys) == ({((0, 1, 2), dv) for dv in range(2, 7)}
+                         | {((0, 2, 1), dv) for dv in range(2, 6)})
+
+
 def test_k_table_of_sides_2_to_16_takes_under_three_seconds():
     rng = random.Random(179)
     for parity in "SA":
