@@ -78,11 +78,10 @@ def mat_rref(M, p: int, n_pivot_cols: int | None = None) -> tuple[np.ndarray, li
     and pivots are scaled to 1.  With ``n_pivot_cols`` set, pivots are
     searched only in the leading columns while row operations still act
     on the full width (block elimination against one column block).
-    Each pivot is one step on columns c.. (the pivot row is zero left of
-    c): column c times the scaled pivot row, off every row of a matrix of
-    up to 64 rows, and off the rows nonzero at c of a taller one.
+    Each pivot takes one step on columns c.. (the pivot row is zero left
+    of c): column c times the scaled pivot row, off the other rows nonzero at c.
     """
-    R = np.asarray(M, dtype=np.int64) % p  # a new array: ``% p`` never returns its input
+    R = normalize(M, p)  # a new array: ``% p`` never returns its input
     m, n = R.shape
     if n_pivot_cols is None:
         n_pivot_cols = n
@@ -91,16 +90,16 @@ def mat_rref(M, p: int, n_pivot_cols: int | None = None) -> tuple[np.ndarray, li
     for c in range(n_pivot_cols):
         if r >= m:
             break
-        pr = r + int((R[r:, c] != 0).argmax())
-        if not R[pr, c]:
+        rows = np.flatnonzero(R[:, c])
+        k = int(rows.searchsorted(r))
+        if k == len(rows):
             continue
+        pr = int(rows[k])  # the first nonzero at or below row r
         row = R[pr, c:] * pow(int(R[pr, c]), -1, p) % p
         if pr != r:
-            R[pr] = R[r]
-        # whole-matrix steps on torus row transfers (2 dv <= 32 rows); the tall
-        # closures are sparse.  Row r is cleared with the others, then overwritten
-        rows = np.flatnonzero(R[:, c]) if m > 64 else slice(None)
-        R[rows, c:] = (R[rows, c:] - R[rows, c, None] * row) % p
+            R[pr] = R[r]  # zero at c, so the step leaves it as it is
+        if len(rows) > 1:  # row r, if in rows, is cleared, then overwritten
+            R[rows, c:] = (R[rows, c:] - R[rows, c, None] * row) % p
         R[r, c:] = row
         pivot_cols.append(c)
         r += 1
@@ -172,8 +171,7 @@ def nullspace(M, p: int) -> np.ndarray:
 
     Returns a ``(dim, n)`` array; ``dim`` may be 0.  A matrix with zero
     rows has the full space as its nullspace.  Each basis vector is 1 at
-    its own free column and 0 at the others.  ``mat_rref`` reduces ``M``
-    mod p, so nothing is normalised here.
+    its own free column and 0 at the others.  ``mat_rref`` reduces ``M`` mod p.
     """
     m, n = np.shape(M)
     if m == 0:

@@ -73,12 +73,12 @@ from .codes import (
 # Largest torus.  k comes from two cyclic transfers whose eliminations
 # act on one row or one layer of cubes.  At 16^3, d5 takes under 2 ms, and
 # the non-deformable p = 3 tuple (1,0)^4, whose layer relation has 287
-# dimensions, 0.14-0.15 s at 41 MB peak RSS.  The k table over sides 2..16,
+# dimensions, 0.12-0.15 s at 41 MB peak RSS.  The k table over sides 2..16,
 # 3,375 tori, builds one row transfer per (axes, short side) and one layer
-# relation per cross-section: 0.22 s for d5, 13-15 s for (1,0)^4 (2-core
+# relation per cross-section: 0.22-0.25 s for d5, 13-21 s for (1,0)^4 (2-core
 # x86_64 VM, Python 3.11, numpy 2.4).  The census and check_abelian cost
-# the same on every torus: at 16^3, d5's `logical` takes 2.3 ms, 1.7 ms of
-# it the transfers for k, and `--ktable 4` adds 3.0 ms, nearly all transfers.
+# the same on every torus: at 16^3, d5's `logical` takes 2.1-2.3 ms, 1.6 ms
+# of it the transfers for k, and `--ktable 4` adds 3.0-3.3 ms, nearly all transfers.
 MAX_TORUS_SITES = 16 ** 3
 
 
@@ -148,9 +148,7 @@ def _sweep_axes(dims: Site) -> tuple[int, int, int]:
 
 
 def _row_transfer(params: CodeParams, axes: Site, dv: int) -> tuple:
-    """``transfer.transfer``'s ``(A, F, w)`` along u for ``_layer_relation``,
-    which depends on ``axes`` and v's side ``dv`` only."""
-    p = params.p
+    """``_layer_relation``'s ``transfer.transfer`` along u; it depends on axes and dv only."""
     wa, wu, wv = (4 >> axis for axis in axes)
     # cubes meet site row 1 of site layer 1 through their vertices with offsets
     # 1 - layer along a, 1 - row along u, and 0 (own column) or 1 along v
@@ -159,11 +157,10 @@ def _row_transfer(params: CodeParams, axes: Site, dv: int) -> tuple:
                                           for k in (0, 1)]]
     eye = np.eye(dv, dtype=np.int64)[..., None]
     rows = near[:, None, None] * eye + far[:, None, None] * eye[(np.arange(dv) + 1) % dv]
-    return transfer.transfer((rows.reshape(4 * dv, 2 * dv) % p).T, 2 * dv, p)
+    return transfer.transfer((rows.reshape(4 * dv, 2 * dv) % params.p).T, 2 * dv, params.p)
 
 
-def _layer_relation(params: CodeParams, axes: Site, du: int, dv: int,
-                    row_transfer=None) -> np.ndarray:
+def _layer_relation(params: CodeParams, axes: Site, du: int, dv: int) -> np.ndarray:
     """Basis (a | b) of W = {(a, b) : a B1 + b B0 = 0}, one row each.
 
     a and b are coefficients on the cubes of two consecutive layers
@@ -175,36 +172,40 @@ def _layer_relation(params: CodeParams, axes: Site, du: int, dv: int,
     cube row j.  The four cube rows of two layers and two rows meet site
     row 1 of site layer 1 in one length-2 system, with v wrapped mod dv
     and u and the layers left open.  ``transfer.transfer`` eliminates it
-    against the new row (``_row_transfer``, or ``row_transfer`` when
-    given), and the period-du states of ``transfer.periodic_states`` wrap
-    u, sides 1 and 2 included.  W depends on the cross-section only.
+    against the new row (``_row_transfer``), and the period-du states of
+    ``transfer.periodic_states`` wrap u, sides 1 and 2 included
+    (``_wrapped_relation``).  W depends on the cross-section only.
     """
-    A, F, w = row_transfer or _row_transfer(params, axes, dv)
-    y = transfer.periodic_states(A, F, w, du, params.p)  # (dim W, cube row j, 2 dv)
+    return _wrapped_relation(_row_transfer(params, axes, dv), du, dv, params.p)
+
+
+def _wrapped_relation(row_transfer: tuple, du: int, dv: int, p: int) -> np.ndarray:
+    """``_layer_relation``'s W from its row transfer, wrapped with period du."""
+    y = transfer.periodic_states(*row_transfer, du, p)  # (dim W, cube row j, 2 dv)
     return np.hstack([y[..., :dv].reshape(len(y), du * dv),
                       y[..., dv:].reshape(len(y), du * dv)])
 
 
-def _left_kernel_dims(params: CodeParams, axes: Site, du: int, dv: int,
-                      lengths, row_transfer=None) -> list[int]:
+def _left_kernel_dims(params: CodeParams, du: int, dv: int, lengths,
+                      row_transfer: tuple) -> list[int]:
     """Relation counts of the tori with one cross-section, one per length.
 
-    The torus has sides ``du`` and ``dv`` along the cross-section axes
-    ``axes[1:]`` and each L in ``lengths`` along the sweep axis
-    ``axes[0]``.  Coefficients lambda_0..lambda_{L-1}, one vector per
-    layer along the sweep axis, multiply to the identity iff every
-    cyclically consecutive pair lies in the layer relation W
-    (``_layer_relation``).  W's rows are independent, so each such
-    sequence is (theta_g W_a) for exactly one cyclic theta-sequence with
-    theta_{g+1} W_a = theta_g W_b: a second transfer, with dim W entries
-    per layer, closed with period L.  Neither W nor that transfer depends
-    on L, so only the closure runs once per length.  Neither transfer
-    eliminates anything larger than one cross-section.
-    ``reference.left_kernel_dim_by_composition`` is the
-    relation-composition sweep this replaced.
+    ``row_transfer`` is ``_row_transfer(params, axes, dv)``.  The torus
+    has sides ``du`` and ``dv`` along the cross-section axes ``axes[1:]``
+    and each L in ``lengths`` along the sweep axis ``axes[0]``.
+    Coefficients lambda_0..lambda_{L-1}, one vector per layer along the
+    sweep axis, multiply to the identity iff every cyclically consecutive
+    pair lies in the layer relation W (``_layer_relation``).  W's rows
+    are independent, so each such sequence is (theta_g W_a) for exactly
+    one cyclic theta-sequence with theta_{g+1} W_a = theta_g W_b: a second
+    transfer, with dim W entries per layer, closed with period L.
+    Neither W nor that transfer depends on L, so only the closure runs
+    once per length.  Neither transfer eliminates anything larger than
+    one cross-section.  ``reference.left_kernel_dim_by_composition`` is
+    the relation-composition sweep this replaced.
     """
     p = params.p
-    W = _layer_relation(params, axes, du, dv, row_transfer)
+    W = _wrapped_relation(row_transfer, du, dv, p)
     m = W.shape[1] // 2
     A, F, v = transfer.transfer(np.hstack([W[:, :m].T, (-W[:, m:].T) % p]), len(W), p)
     return transfer.periodic_dims(A, F, v, lengths, p)
@@ -214,7 +215,8 @@ def _left_kernel_dim(params: CodeParams, dims: Site) -> int:
     """Dimension of the space of cube coefficients whose product is identity,
     swept along the longest side (``_sweep_axes``)."""
     a, u, v = _sweep_axes(dims)
-    return _left_kernel_dims(params, (a, u, v), dims[u], dims[v], [dims[a]])[0]
+    return _left_kernel_dims(params, dims[u], dims[v], [dims[a]],
+                             _row_transfer(params, (a, u, v), dims[v]))[0]
 
 
 # Each census candidate's combination of the four translated tilings:
@@ -351,7 +353,7 @@ def encoded_qudit_table(params: CodeParams, sizes=range(2, 5)) -> dict[Site, int
         axes, du, dv = ((0, 1, 2), Ly, Lz) if Ly >= Lz else ((0, 2, 1), Lz, Ly)
         if (axes, dv) not in row_transfers:
             row_transfers[axes, dv] = _row_transfer(params, axes, dv)
-        ks = _left_kernel_dims(params, axes, du, dv, sizes, row_transfers[axes, dv])
+        ks = _left_kernel_dims(params, du, dv, sizes, row_transfers[axes, dv])
         table.update({(Lx, Ly, Lz): k for Lx, k in zip(sizes, ks)})
     return {torus.dims: table[torus.dims] for torus in tori}
 

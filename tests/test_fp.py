@@ -217,8 +217,7 @@ def test_stacked_elimination_matches_each_member():
 
 def test_elimination_at_torus_sizes_matches_the_stack():
     # the torus eliminates row transfers, 2 dv x 4 dv against their first
-    # 2 dv columns with dv <= 16, and square closures; a matrix of more than
-    # 64 rows takes its pivot steps only on the rows they change
+    # 2 dv columns with dv <= 16, and square closures, dense and sparse
     rng = np.random.default_rng(41)
     shapes = [(2 * dv, 4 * dv, 2 * dv) for dv in (1, 2, 5, 16)]
     shapes += [(s, s, None) for s in (3, 30, 64, 80)]
