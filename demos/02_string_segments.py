@@ -8,13 +8,14 @@ solutions reach both ends of the strip.
 """
 
 from qupitcube import CodeParams, d3_code, d5_code, scan_width
-from qupitcube.codes import PauliConfig, generator_config
+from qupitcube.codes import PauliConfig
 from qupitcube.oracle import SegmentGeometry, sections
 from qupitcube.reference import (
     build_segment_constraints,
     canonical_reduction,
     config_mul,
     flatten_segment,
+    generator_config,
     kink_profile,
     width1_criterion,
 )

@@ -13,7 +13,6 @@ from .codes import (
     CodeParams,
     PauliConfig,
     build_generator,
-    generator_config,
     d3_code,
     d5_code,
     load_params,

@@ -13,7 +13,8 @@ pairs scaled by +1 (symmetric code) or -1 (antisymmetric code):
     (0,0,1) delta     (1,1,0) s*delta
 
 Every module places generators on sites through this one: ``cube_sites``,
-``cubes_touching``, ``generator_config`` and ``generator_labels``.
+``cubes_touching`` and ``generator_labels`` (``reference.generator_config``
+for the oracles).
 
 Pauli operators are kept phase-free here: commutation questions depend
 only on the symplectic data (the exact phase algebra lives in
@@ -239,17 +240,6 @@ def cubes_touching(sites, avoid=()) -> list[Site]:
     avoid = set(avoid)
     candidates = {(q[0] - v[0], q[1] - v[1], q[2] - v[2]) for q in sites for v in VERTICES}
     return [c for c in sorted(candidates) if not avoid or avoid.isdisjoint(cube_sites(c))]
-
-
-def generator_config(params: CodeParams, position: Site = (0, 0, 0),
-                     dims: Site | None = None,
-                     scale_override: int | None = None) -> PauliConfig:
-    """The cube generator at ``position`` as a PauliConfig."""
-    labels = build_generator(params, scale_override)
-    cfg = PauliConfig(params.p, dims)
-    for q, v in zip(cube_sites(position), VERTICES):
-        cfg.add(q, labels[v])
-    return cfg
 
 
 def generator_labels(params: CodeParams, scale_override: int | None = None) -> np.ndarray:

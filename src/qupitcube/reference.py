@@ -104,8 +104,10 @@ production code it checks, and the tests that compare them:
   (``test_conditions.test_rel_transition_matches_dense_oracles``)
   and the transition identities (``test_conditions``,
   ``test_acceptance.test_criterion_12b_*``, ``test_fp``).
-- ``commutation_exponent`` sums the symplectic form over the shared
-  sites of two configurations; ``verify_witness`` uses it.
+- ``generator_config`` builds the cube generator at a site as a
+  configuration, and ``commutation_exponent`` sums the symplectic form
+  over the shared sites of two configurations; ``verify_witness`` uses
+  both.
   ``translation_exponents_by_shift`` applies it to copies of a generator
   shifted by ``config_shift``, and ``translation_exponents`` walks the
   generator's support site by site; ``config_mul`` and ``config_scale``
@@ -223,7 +225,6 @@ from .codes import (
     cube_sites,
     cubes_touching,
     doubled_center,
-    generator_config,
     scale_pair,
     symplectic_product,
 )
@@ -1053,6 +1054,17 @@ def matrix_min_poly(T, p: int) -> list[int]:
 
 # ---------------------------------------------------------------------------
 # Pauli configurations: commutation, translates, inversion
+
+
+def generator_config(params: CodeParams, position: Site = (0, 0, 0),
+                     dims: Site | None = None,
+                     scale_override: int | None = None) -> PauliConfig:
+    """The cube generator at ``position`` as a PauliConfig."""
+    labels = build_generator(params, scale_override)
+    cfg = PauliConfig(params.p, dims)
+    for q, v in zip(cube_sites(position), VERTICES):
+        cfg.add(q, labels[v])
+    return cfg
 
 
 def check_compatible(a: PauliConfig, b: PauliConfig) -> None:

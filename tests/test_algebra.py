@@ -22,6 +22,7 @@ from qupitcube.reference import (
     add_monomial,
     build_projector,
     commutator_exponent,
+    generator_config,
     inversion_conjugate,
     op_add,
     op_is_zero,
@@ -41,7 +42,6 @@ from qupitcube.codes import (
     PauliConfig,
     d3_code,
     d5_code,
-    generator_config,
 )
 
 ONE_SITE = ((0, 0, 0),)

@@ -5,9 +5,11 @@ import hashlib
 import io
 import json
 import random
+import runpy
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -700,9 +702,91 @@ def test_one_parse_dispatch_matches_the_full_parser(tmp_path, capsys):
     assert {f"help {name}" for name in VALID_ARGV} <= seen, seen
 
 
+def benchmark_argv() -> list[tuple[str, ...]]:
+    """The command lines of every benchmark workload at three seeds."""
+    workloads = runpy.run_path(str(Path(__file__).resolve().parent.parent / "bench"
+                                   / "workloads.py"))
+    return [op.argv for name in workloads["WORKLOADS"] for seed in (1, 2, 3)
+            for op in workloads["build"](name, seed)]
+
+
+TABLE_VALUES = {
+    "--params": ["d5.json", "", "a b", "x=1"],
+    "--alpha": ["1,0", "0,1", " 3,2", "1, 2"], "--beta": ["0,1", "4,4"],
+    "--gamma": ["1,1", "2,0"], "--delta": ["3,2", "1,2"],
+    "--parity": ["S", "A"], "--kind": ["flat", "cornered", "both"],
+    "--dims": ["2x2x3", "4,4,4", "3x2x2"],
+}
+INT_VALUES = ["0", "3", "5", "007", " 5", "+7", "1_0", "12"]
+BAD_VALUES = ["-1", "-3", "", "five", "1.5", "1,", "4xax3", "3x3", "Q", "s", "diagonal",
+              "--p", "-x", "--alpha", "-", "1,0,4", "2x2x2x2", "1e3"]
+OTHER_TOKENS = ["--alp", "--alpha=1,0", "--p=3", "--", "-h", "--help", "--bogus",
+                "--wma", "--parit", "stray", "-p", "--P"]
+
+
+def table_corpus(rng: random.Random, n: int) -> list[list[str]]:
+    """Command lines drawn from every subcommand's option strings: mostly
+    good values, some negative, empty, mistyped, outside the choices or
+    shaped like an option, missing values, and other spellings."""
+    subcommands = cli.build_parser().subcommands
+    options = {name: [s for a in sub._actions for s in a.option_strings]
+               for name, sub in subcommands.items()}
+    corpus = []
+    for _ in range(n):
+        name = rng.choice(sorted(subcommands))
+        argv = [name]
+        for _ in range(rng.randrange(8)):
+            if rng.random() < 0.03:
+                argv.append(rng.choice(OTHER_TOKENS))
+                continue
+            opt = rng.choice(options[name])
+            argv.append(opt)
+            if opt in ("--expect-no-string", "--allow-large", "-h", "--help"):
+                continue
+            roll = rng.random()
+            if roll < 0.9:
+                argv.append(rng.choice(TABLE_VALUES.get(opt, INT_VALUES)))
+            elif roll < 0.97:
+                argv.append(rng.choice(BAD_VALUES + INT_VALUES + TABLE_VALUES["--alpha"]))
+        if rng.random() < 0.6:  # the required options
+            argv += {"classify": ["--p", "3"], "scan": ["--p", "5"],
+                     "logical": ["--dims", "2x2x2"]}.get(name, [])
+        corpus.append(argv)
+    return corpus
+
+
+def test_the_option_table_reads_what_argparse_reads(capsys):
+    # whenever the table pass accepts a line, the subcommand's parser reads
+    # the same namespace from it (values of the same types: True is not 1),
+    # with no leftovers and no error
+    parser = cli.build_parser()
+    corpus = table_corpus(random.Random(33), 20_000)
+    must = [list(argv) for argv in VALID_ARGV.values()] + [list(a) for a in benchmark_argv()]
+    assert len(must) >= 6 + 3 * (134 + 14 + 5)
+    accepted = 0
+    for i, argv in enumerate(must + corpus):
+        args = cli._read_table(parser.option_tables[argv[0]], argv)
+        if args is None:
+            assert i >= len(must), argv
+            continue
+        accepted += 1
+        try:
+            expected, extras = parser.subcommands[argv[0]].parse_known_args(
+                argv[1:], argparse.Namespace(command=argv[0]))
+        except SystemExit:
+            pytest.fail(f"argparse refused {argv}: {capsys.readouterr().err}")
+        assert extras == [], argv
+        typed = [{k: (type(v), v) for k, v in vars(ns).items()} for ns in (args, expected)]
+        assert typed[0] == typed[1], argv
+    assert accepted - len(must) >= 1000, accepted
+    assert accepted - len(must) < len(corpus) - 1000, accepted
+
+
 def test_a_command_line_is_parsed_once(monkeypatch, capsys):
-    # one argparse pass, by the subcommand's parser; both passes of the full
-    # parser would read the subcommand's arguments twice
+    # a canonical line is read off the option table with no argparse pass;
+    # another spelling of it (--p=3, an abbreviation, -h) takes one pass, by
+    # the subcommand's parser; both passes of the full parser would read
+    # the subcommand's arguments twice
     calls = []
     parse_known_args = argparse.ArgumentParser.parse_known_args
 
@@ -714,8 +798,50 @@ def test_a_command_line_is_parsed_once(monkeypatch, capsys):
     for name, argv in VALID_ARGV.items():
         calls.clear()
         assert cli.main(list(argv)) == 0
-        assert json.loads(capsys.readouterr().out)["command"] == name
-        assert calls == [f"qupitcube {name}"], (name, calls)
+        report = capsys.readouterr().out
+        assert json.loads(report)["command"] == name
+        assert calls == [], (name, calls)
+        assert argv[1] == "--p"
+        others = [[name, f"--p={argv[2]}", *argv[3:]], [*argv, "-h"]]
+        others += [[*argv[:i], argv[i][:-1], *argv[i + 1:]] for i in range(1, len(argv))
+                   if argv[i] in ("--alpha", "--wmax", "--oracle-wmax")][:1]
+        assert len(others) == 2 + (name != "classify"), name
+        for other in others:
+            calls.clear()
+            if "-h" in other:
+                with pytest.raises(SystemExit) as exc:
+                    cli.main(other)
+                assert exc.value.code == 0
+                assert capsys.readouterr().out.startswith(f"usage: qupitcube {name} ")
+            else:
+                assert cli.main(other) == 0
+                assert capsys.readouterr().out == report, other
+            assert calls == [f"qupitcube {name}"], (other, calls)
+
+
+def test_a_params_file_refuses_inline_code_options(tmp_path, capsys):
+    # the file gives the whole code; only --parity may override it
+    path = tmp_path / "d5.json"
+    path.write_text(json.dumps(d5_code("S").as_dict()))
+    subcommands = cli.build_parser().subcommands
+    extra = {"logical": ["--dims", "2x2x2"]}
+    for name in ("check", "strings", "logical", "algebra"):
+        for inline, named in ((["--p", "7", "--alpha", "2,2"], "--p, --alpha"),
+                              (["--delta", "1,1"], "--delta")):
+            with pytest.raises(SystemExit) as exc:
+                cli.main([name, "--params", str(path), *inline, *extra.get(name, [])])
+            out, err = capsys.readouterr()
+            assert exc.value.code == 2
+            assert out == ""
+            assert err == (subcommands[name].format_usage() + f"qupitcube {name}: error: "
+                           f"--params cannot be combined with {named} "
+                           "(only --parity may override the file)\n"), err
+    assert cli.main(["check", "--params", str(path), "--parity", "A"]) == 0
+    assert json.loads(capsys.readouterr().out)["params"]["parity"] == "A"
+    out = run_cli("check", "--params", str(path), "--p", "7")
+    assert (out.returncode, out.stdout) == (2, "")
+    assert out.stderr.endswith("error: --params cannot be combined with --p "
+                               "(only --parity may override the file)\n"), out.stderr
 
 
 def test_errors_found_after_parsing_name_the_subcommand(capsys):

@@ -17,7 +17,6 @@ from qupitcube.codes import (
     cubes_touching,
     d3_code,
     d5_code,
-    generator_config,
     generator_labels,
     load_params,
     neighbor_exponents,
@@ -31,6 +30,7 @@ from qupitcube.reference import (
     config_row,
     config_scale,
     config_shift,
+    generator_config,
     generator_rows,
     inversion_image,
     translation_exponents,

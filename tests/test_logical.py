@@ -14,7 +14,6 @@ from qupitcube.codes import (
     PauliConfig,
     d3_code,
     d5_code,
-    generator_config,
 )
 from qupitcube.logical import (
     MAX_TORUS_SITES,
@@ -35,6 +34,7 @@ from qupitcube.reference import (
     config_row,
     config_shift,
     face_tile,
+    generator_config,
     generator_rows,
     is_logical,
     layer_relation_by_nullspace,

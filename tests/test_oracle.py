@@ -10,7 +10,7 @@ import pytest
 
 from qupitcube import cli, fp, oracle, transfer
 from qupitcube.classify import classify_orbits
-from qupitcube.codes import CodeParams, PauliConfig, d3_code, d5_code, generator_config
+from qupitcube.codes import CodeParams, PauliConfig, d3_code, d5_code
 from qupitcube.oracle import (
     ORIENTATIONS,
     DegenerateGeometryError,
@@ -30,6 +30,7 @@ from qupitcube.reference import (
     config_mul,
     config_scale,
     flatten_segment,
+    generator_config,
     in_box_cubes,
     is_stabilizer_combination,
     kink_profile,

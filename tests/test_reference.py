@@ -50,7 +50,7 @@ def test_cli_run_does_not_load_reference():
 
 
 MOVED = ("OperatorSum", "inversion_conjugate", "base_matrix", "rel_transition",
-         "PrerequisiteError")
+         "PrerequisiteError", "generator_config")
 DELETED = ("check_deformability", "minimal_string_determinants", "check_no_minimal_string",
            "pairing_squares", "check_pairing_squares", "verify_projector_identities",
            "verify_inversion_action")
@@ -68,8 +68,9 @@ def _defined_names(path):
 
 
 def test_one_route_per_verdict_in_production():
-    # the operator sums and the 2x2 matrices are oracles, and no wrapper
-    # re-reads a field of theorem1_report or PowerTable
+    # the operator sums, the 2x2 matrices and the generator as a
+    # configuration are oracles, and no wrapper re-reads a field of
+    # theorem1_report or PowerTable
     production = sorted(p for p in PACKAGE.glob("*.py") if p.name != "reference.py")
     for path in production:
         names = _defined_names(path) | set(_imported_names(path))
