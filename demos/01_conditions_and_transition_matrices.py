@@ -7,8 +7,15 @@ commute, and walks through the algebraic conditions that rule out string
 logical operators.
 """
 
+import numpy as np
+
 from qupitcube import d3_code, d5_code, theorem1_report, verify_translation_commutation
-from qupitcube.reference import minimal_string_determinants_by_matrices, rel_transition
+from qupitcube.codes import NEIGHBOR_OFFSETS, VERTICES, neighbor_exponents
+from qupitcube.reference import (
+    build_generator,
+    minimal_string_determinants_by_matrices,
+    rel_transition,
+)
 
 # --- a valid code must have commuting generators -------------------------
 d5 = d5_code("S")
@@ -16,8 +23,11 @@ print("p=5 code, pairs:", d5.pairs)
 violations = verify_translation_commutation(d5)
 print("translation commutation violations:", violations or "none")
 
-# scaling the inversion images by anything with s^2 != 1 breaks it
-bad = verify_translation_commutation(d5, scale_override=2)
+# scaling the inversion images by anything with s^2 != 1 breaks it: the
+# exponents against the 26 neighbour translates, read off the scaled labels
+scaled = build_generator(d5, scale_override=2)
+exponents = neighbor_exponents(np.array([scaled[v] for v in VERTICES]), d5.p).tolist()
+bad = [(o, e) for o, e in zip(NEIGHBOR_OFFSETS, exponents) if e]
 print(f"with scale 2 instead of +-1: {len(bad)} overlaps fail, e.g.", bad[0])
 
 # --- condition 1: deformability -------------------------------------------

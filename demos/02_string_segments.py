@@ -7,7 +7,7 @@ computes the solution space over F_p and flags a nontrivial segment when
 solutions reach both ends of the strip.
 """
 
-from qupitcube import CodeParams, d3_code, d5_code, scan_width
+from qupitcube import CodeParams, d3_code, d5_code, scan_widths
 from qupitcube.codes import PauliConfig
 from qupitcube.oracle import SegmentGeometry, sections
 from qupitcube.reference import (
@@ -34,14 +34,14 @@ print("the named cross-sections at width 3:", len(sections(3, "flat")), "flat,",
 
 # --- p=2 cannot avoid strings ----------------------------------------------
 p2 = CodeParams(2, (1, 0), (0, 1), (1, 1), (1, 0))
-rpt = scan_width(p2, 1, l_max=8, kinds=("flat",))["flat"]
+rpt = scan_widths(p2, [1], l_max=8, kinds=("flat",))[1]["flat"]
 print("\np=2 tuple, width 1: nontrivial lengths", rpt.nontrivial_lengths)
 print("a witness operator:", sorted(rpt.witness.support.items())[:4], "...")
 
 # --- the p=3 code obeys the w+1 bound ---------------------------------------
 print("\np=3 code, both strip kinds:")
 for w in range(1, 5):
-    for kind, out in scan_width(d3, w).items():
+    for kind, out in scan_widths(d3, [w])[w].items():
         print(f"  w={w:d} {kind:8s} max nontrivial length = "
               f"{out.max_nontrivial_length}  (bound w+1 = {w + 1})")
 
@@ -49,7 +49,7 @@ for w in range(1, 5):
 d5 = d5_code("S")
 print("\np=5 code (3,-3):")
 for w in range(1, 4):
-    out = scan_width(d5, w, kinds=("cornered",))["cornered"]
+    out = scan_widths(d5, [w], kinds=("cornered",))[w]["cornered"]
     print(f"  w={w:d} cornered max = {out.max_nontrivial_length}, "
           f"aspect ratio = {out.aspect_ratio}  (bound 2w = {2 * w})")
 

@@ -8,10 +8,12 @@ and every identity printed is also asserted.
 """
 
 from qupitcube import d3_code
-from qupitcube.algebra import PhasedPauli, PowerTable, generator_pauli
+from qupitcube.algebra import PowerTable
 from qupitcube.reference import (
+    PhasedPauli,
     build_projector,
     commutator_exponent,
+    generator_pauli,
     inversion_conjugate,
     op_add,
     op_is_zero,

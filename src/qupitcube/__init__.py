@@ -12,7 +12,6 @@ package does not import.
 from .codes import (
     CodeParams,
     PauliConfig,
-    build_generator,
     d3_code,
     d5_code,
     load_params,
@@ -23,7 +22,6 @@ from .conditions import TheoremReport, theorem1_report
 from .oracle import (
     SegmentGeometry,
     SegmentReport,
-    scan_width,
     scan_widths,
 )
 from .classify import (
@@ -34,6 +32,5 @@ from .logical import (
     TorusCode,
     encoded_qudit_count,
 )
-from .algebra import PhasedPauli
 
 __version__ = "0.1.0"

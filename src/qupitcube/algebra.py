@@ -19,34 +19,27 @@ vector, and one array call of the rule forms all p^2 products s^m s^k
 products are decided from one integer count array of (r, q, monomial,
 phase), with 1 + omega + ... + omega^(p-1) = 0 applied by subtracting
 the phase-(p-1) counts, and the inversion action from the counts of the
-site-permuted powers.  The verifiers accept p <= MAX_ALGEBRA_MODULUS.
+site-permuted powers: inversion about the cube centre maps vertex v to
+(1, 1, 1) - v, which reverses ``VERTICES``.  The verifiers accept
+p <= MAX_ALGEBRA_MODULUS.
 
 The identities are checked on the origin cube generator, on its eight
-``VERTICES`` sites: every operator involved is the identity elsewhere,
-so no torus (all sides >= 2) can change a verdict.  The generator
-carries the Weyl-symmetric phase omega^(-2^-1 x.z) in front of X^x Z^z
-(Appleby, quant-ph/0412001).  Negating every label then gives exactly
-the inverse, so inversion maps P(s, r) to P(s, -r) for antisymmetric
-codes at every odd p.
+``VERTICES`` sites with the labels of ``codes.generator_labels``: every
+operator involved is the identity elsewhere, so no torus (all sides
+>= 2) can change a verdict.  The generator carries the Weyl-symmetric
+phase omega^(-2^-1 x.z) in front of X^x Z^z (Appleby, quant-ph/0412001).
+Negating every label then gives exactly the inverse, so inversion maps
+P(s, r) to P(s, -r) for antisymmetric codes at every odd p.
 """
 
 from __future__ import annotations
 
 import functools
 import random
-from dataclasses import dataclass
 
 import numpy as np
 
-from .codes import (
-    VERTICES,
-    CodeParams,
-    InvalidCenterError,
-    Site,
-    build_generator,
-    doubled_center,
-    is_integer,
-)
+from .codes import CodeParams, generator_labels, is_integer
 from .fp import check_prime
 
 
@@ -64,9 +57,6 @@ MAX_ALGEBRA_MODULUS = 31
 # with about this many entries each: one row at p >= 23, all rows at p <= 11.
 COUNT_BLOCK_ENTRIES = 1 << 14
 
-# The cube generator's sites map onto themselves under inversion about it.
-CUBE_CENTER = (0.5, 0.5, 0.5)
-
 
 def _check_odd_prime(p: int, limit: int | None = None) -> int:
     p = check_prime(p)
@@ -75,37 +65,6 @@ def _check_odd_prime(p: int, limit: int | None = None) -> int:
     if limit is not None and p > limit:
         raise ValueError(f"algebra checks are limited to p <= {limit}, got p = {p}")
     return p
-
-
-# ---------------------------------------------------------------------------
-# Phased Pauli monomials
-
-
-@dataclass(frozen=True)
-class PhasedPauli:
-    """omega^phase * prod_site X^x Z^z on a fixed, sorted site tuple."""
-
-    p: int
-    sites: tuple[Site, ...]
-    x: tuple[int, ...]
-    z: tuple[int, ...]
-    phase: int = 0
-
-    def __post_init__(self):
-        p = _check_odd_prime(self.p)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "sites", tuple(self.sites))
-        object.__setattr__(self, "x", tuple(v % p for v in self.x))
-        object.__setattr__(self, "z", tuple(v % p for v in self.z))
-        object.__setattr__(self, "phase", self.phase % p)
-        if not (len(self.sites) == len(self.x) == len(self.z)):
-            raise ValueError("sites, x, z must have equal length")
-
-    def key(self) -> tuple:
-        return (self.x, self.z, self.phase)
-
-    def is_identity(self) -> bool:
-        return self.phase == 0 and not any(self.x) and not any(self.z)
 
 
 def _monomial_mul(u: tuple, v: tuple, p: int) -> tuple:
@@ -118,57 +77,25 @@ def _monomial_mul(u: tuple, v: tuple, p: int) -> tuple:
     return (xu + xv) % p, (zu + zv) % p, -(zu * xv).sum(-1) % p
 
 
-def _powers(s: PhasedPauli) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The x and z exponents (p, sites) and phases (p,) of s^0 .. s^(p-1).
+def _powers(sx: np.ndarray, sz: np.ndarray, phase: int,
+            p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The x and z exponents (p, sites) and phases (p,) of s^0 .. s^(p-1),
+    for s = omega^phase X^sx Z^sz.
 
-    One call of the product rule multiplies every row m = (m x, m z) by
+    One call of the product rule multiplies every row m = (m sx, m sz) by
     s.  The products must land on the rows m + 1, row p being 0, and
     their phases, summed from s^0 = 1, give each row's phase and that of
     s^p, which must be 0: that is s^p = identity exactly.
     """
-    p = s.p
-    sx, sz = np.array(s.x, dtype=np.int64), np.array(s.z, dtype=np.int64)
     m = np.arange(p + 1)[:, None]
     x, z = m * sx % p, m * sz % p
     nx, nz, c = _monomial_mul((x[:-1], z[:-1]), (sx, sz), p)
     phases = np.zeros(p + 1, dtype=np.int64)
-    phases[1:] = s.phase + c
+    phases[1:] = phase + c
     phases = phases.cumsum() % p
     if phases[p] or (nx != x[1:]).any() or (nz != z[1:]).any():
         raise NotOrderPError("operator does not have order p (including phase)")
     return x[:-1], z[:-1], phases[:-1]
-
-
-def generator_pauli(params: CodeParams) -> PhasedPauli:
-    """The origin cube generator on its eight ``VERTICES`` sites, Weyl-symmetric.
-
-    The phase is -2^-1 * sum_i x_i z_i: with Z X = omega^-1 X Z, that is
-    the monomial whose label-negated copy is its inverse.
-    """
-    labels = build_generator(params)
-    x, z = zip(*(labels[v] for v in VERTICES))
-    xz = sum(a * b for a, b in zip(x, z))
-    return PhasedPauli(params.p, VERTICES, x, z, -xz * pow(2, -1, params.p))
-
-
-def _inversion_perm(sites: tuple, center) -> list[int]:
-    """Inversion about a (half-)lattice centre as a permutation of ``sites``.
-
-    Inversion is an involution, so the site landing at position i comes
-    from ``perm[i]``.  Raises InvalidCenterError unless the centre maps
-    the sites onto themselves.
-    """
-    c2 = doubled_center(center)
-    idx = {q: i for i, q in enumerate(sites)}
-    perm = [idx.get(tuple(c2[a] - q[a] for a in range(3))) for q in sites]
-    if None in perm:
-        raise InvalidCenterError(f"inversion about {tuple(center)} does not map "
-                                 f"the operator's sites onto themselves")
-    return perm
-
-
-# Inversion about the cube centre as a permutation of the generator's sites
-_CUBE_INVERSION = _inversion_perm(VERTICES, CUBE_CENTER)
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +140,7 @@ class PowerTable:
     and phase ``phases[m]``, each product G_m G_k's number
     ``product_ids[m, k]`` and phase ``product_phases[m, k]``, and the
     number ``inverted_ids[m]`` of G_m conjugated by inversion about the
-    cube centre.  Equal (x, z) rows share a number, ``identity`` is the
+    cube centre, its sites reversed.  Equal (x, z) rows share a number, ``identity`` is the
     identity's, and a row in no other place gets a number of its own.
     ``reduced_projectors[r]`` holds P(s, r)'s numerators over p by
     (monomial, phase), reduced.  One ``algebra`` command builds one table
@@ -223,14 +150,16 @@ class PowerTable:
     def __init__(self, params: CodeParams):
         p = self.p = _check_odd_prime(params.p, MAX_ALGEBRA_MODULUS)
         self.parity = params.parity
-        s = generator_pauli(params)
-        x, z, self.phases = _powers(s)
+        # the origin cube generator on its eight sites, with the Weyl phase
+        # -2^-1 sum_i x_i z_i: its label-negated copy is its inverse
+        sx, sz = generator_labels(params).T
+        x, z, self.phases = _powers(sx, sz, -(sx @ sz) * pow(2, -1, p) % p, p)
         px, pz, pc = _monomial_mul((x[:, None], z[:, None]), (x, z), p)
         self.product_phases = self.phases[:, None] + self.phases + pc
         xz = np.stack([x, z], axis=1)
         rows = np.concatenate([np.zeros_like(xz[:1]), xz,
                                np.stack([px, pz], axis=2).reshape(p * p, 2, -1),
-                               xz[..., _CUBE_INVERSION]]).reshape(2 * p + p * p + 1, -1)
+                               xz[..., ::-1]]).reshape(2 * p + p * p + 1, -1)
         # entries are reduced mod p, so equal (x, z) rows have equal bytes
         keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
         _, number = np.unique(keys, return_inverse=True)

@@ -65,7 +65,7 @@ def _add_code_arguments(sub: argparse.ArgumentParser) -> None:
 
 
 def _resolve_code(args, parser: argparse.ArgumentParser) -> CodeParams:
-    if args.params:
+    if args.params is not None:
         inline = [f"--{n}" for n in ("p", "alpha", "beta", "gamma", "delta")
                   if getattr(args, n) is not None]
         if inline:

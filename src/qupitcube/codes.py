@@ -13,8 +13,10 @@ pairs scaled by +1 (symmetric code) or -1 (antisymmetric code):
     (0,0,1) delta     (1,1,0) s*delta
 
 Every module places generators on sites through this one: ``cube_sites``,
-``cubes_touching`` and ``generator_labels`` (``reference.generator_config``
-for the oracles).
+``cubes_touching`` and ``generator_labels``, the (8, 2) label array in
+``VERTICES`` order, where row 7 - i, the inversion image of vertex i, is
+s times row i (``reference.build_generator`` states the same layout as a
+dict, for the oracles).
 
 Pauli operators are kept phase-free here: commutation questions depend
 only on the symplectic data (the exact phase algebra lives in
@@ -42,11 +44,6 @@ VERTICES: tuple[Site, ...] = tuple(product((0, 1), repeat=3))
 NEIGHBOR_OFFSETS: tuple[Site, ...] = tuple(
     o for o in product((-1, 0, 1), repeat=3) if o != (0, 0, 0)
 )
-
-
-class InvalidCenterError(ValueError):
-    """Raised for an inversion centre off the lattice and dual lattice,
-    or one that cannot pair the sites it acts on consistently."""
 
 
 def symplectic_product(a: Pair, b: Pair, p: int) -> int:
@@ -119,9 +116,13 @@ class CodeParams:
 def params_from_dict(d: dict) -> CodeParams:
     """Build CodeParams from the parameter-file layout: a JSON object with
     an integer p, four pairs of two integers each, and an optional parity.
-    Anything else raises ValueError."""
+    Anything else, an unknown field included, raises ValueError."""
     if not isinstance(d, dict):
         raise ValueError(f"parameter file must hold a JSON object, got {type(d).__name__}")
+    unknown = [repr(key) for key in d
+               if key not in ("p", "alpha", "beta", "gamma", "delta", "parity")]
+    if unknown:
+        raise ValueError(f"parameter file has unknown fields {', '.join(unknown)}")
     try:
         return CodeParams(d["p"], d["alpha"], d["beta"], d["gamma"], d["delta"],
                           d.get("parity", "S"))
@@ -135,10 +136,6 @@ def load_params(path) -> CodeParams:
     """Read a code-parameter file (JSON with fields p, alpha..delta, parity)."""
     with open(path) as f:
         return params_from_dict(json.load(f))
-
-
-def scale_pair(a: Pair, c: int, p: int) -> Pair:
-    return ((a[0] * c) % p, (a[1] * c) % p)
 
 
 def is_integer(value) -> bool:
@@ -155,29 +152,6 @@ def check_dims(dims) -> Site:
     if len(dims) != 3 or any(L < 2 for L in dims):
         raise ValueError(f"torus dims must be three sizes >= 2, got {dims}")
     return dims
-
-
-def build_generator(params: CodeParams, scale_override: int | None = None) -> dict[Site, Pair]:
-    """Vertex-to-pair labels of the cube generator at the origin.
-
-    ``scale_override`` substitutes an arbitrary scalar for the inversion
-    sign; useful for demonstrating that scales with s^2 != 1 break the
-    translation commutation (such families are not valid codes).
-    """
-    s = params.sign if scale_override is None else scale_override % params.p
-    a, b, g, d = params.pairs
-    p = params.p
-    labels = {
-        (0, 0, 0): a,
-        (1, 0, 0): b,
-        (0, 1, 0): g,
-        (0, 0, 1): d,
-        (1, 1, 1): scale_pair(a, s, p),
-        (0, 1, 1): scale_pair(b, s, p),
-        (1, 0, 1): scale_pair(g, s, p),
-        (1, 1, 0): scale_pair(d, s, p),
-    }
-    return labels
 
 
 class PauliConfig:
@@ -242,10 +216,15 @@ def cubes_touching(sites, avoid=()) -> list[Site]:
     return [c for c in sorted(candidates) if not avoid or avoid.isdisjoint(cube_sites(c))]
 
 
-def generator_labels(params: CodeParams, scale_override: int | None = None) -> np.ndarray:
-    """``build_generator``'s labels as an (8, 2) int64 array in ``VERTICES`` order."""
-    labels = build_generator(params, scale_override)
-    return np.array([labels[v] for v in VERTICES], dtype=np.int64)
+def generator_labels(params: CodeParams) -> np.ndarray:
+    """The origin cube generator's labels as an (8, 2) int64 array in
+    ``VERTICES`` order: alpha, delta, gamma and beta at vertices 0, 1, 2
+    and 4, and at 7 - i, the inversion image of vertex i, s times the
+    label at i."""
+    s, p = params.sign, params.p
+    a, b, g, d = params.pairs
+    sa, sb, sg, sd = ((s * x % p, s * z % p) for x, z in params.pairs)
+    return np.array([a, d, g, sb, b, sg, sd, sa], dtype=np.int64)
 
 
 def label_gram(labels: np.ndarray) -> np.ndarray:
@@ -280,28 +259,15 @@ def neighbor_exponents(labels: np.ndarray, p: int) -> np.ndarray:
     return _pair_incidence() @ label_gram(labels).ravel() % p
 
 
-def verify_translation_commutation(params: CodeParams,
-                                   scale_override: int | None = None) -> list[tuple[Site, int]]:
+def verify_translation_commutation(params: CodeParams) -> list[tuple[Site, int]]:
     """Commutation exponents of the generator against its 26 neighbours.
 
     Returns the list of (offset, exponent) entries with nonzero exponent;
     an empty list certifies a consistent (abelian) generator family, since
     generators further apart never overlap.
     """
-    labels = generator_labels(params, scale_override)
-    exponents = neighbor_exponents(labels, params.p).tolist()
+    exponents = neighbor_exponents(generator_labels(params), params.p).tolist()
     return [(off, e) for off, e in zip(NEIGHBOR_OFFSETS, exponents) if e != 0]
-
-
-def doubled_center(center) -> list[int]:
-    """Twice an inversion centre, as integers; components must be half-integers."""
-    c2 = []
-    for comp in center:
-        doubled = 2 * comp
-        if abs(doubled - round(doubled)) > 1e-9:
-            raise InvalidCenterError(f"centre component {comp} is not a half-integer")
-        c2.append(int(round(doubled)))
-    return c2
 
 
 # Reference codes used throughout the tests and narrative examples.

@@ -17,10 +17,6 @@ import numpy as np
 MAX_MODULUS = 1 << 20
 
 
-class SingularMatrixError(ValueError):
-    """Raised when a matrix required to be invertible is singular."""
-
-
 def check_prime(p: int) -> int:
     """Validate that ``p`` is a prime in [2, MAX_MODULUS] and return it.
 

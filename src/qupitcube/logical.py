@@ -4,7 +4,8 @@ A torus L_x x L_y x L_z carries one qupit per site and one cube
 generator per site, so the stabilizer group has at most n = L_x L_y L_z
 independent generators acting on n qupits; the encoded qudit count is
 k = n - rank of the generator family over F_p.  That k is the dimension
-of the relations among the generators.  A relation is a sequence of
+of the relations among the generators, and it is counted as such: no
+rank is formed.  A relation is a sequence of
 layer coefficients whose consecutive pairs lie in one layer relation W;
 W comes from a cyclic ``transfer`` along a cross-section row, and the
 count from a second one along the sweep axis, so nothing larger
@@ -48,8 +49,7 @@ exponents with its 26 neighbour translates, folded modulo the sides
 (``check_abelian``).  The slower constructions these are checked
 against (``is_logical`` over the whole torus, ``build_planar_operator``
 and the census over its tiled configurations, the product of all
-generators, the site-by-site loop and the shifted copies) live in
-``qupitcube.reference``.
+generators and the site-by-site loop) live in ``qupitcube.reference``.
 """
 
 from __future__ import annotations
@@ -100,7 +100,6 @@ class TorusCode:
         if self.n > MAX_TORUS_SITES:
             raise ValueError(f"torus {self.dims} has {self.n} sites; tori are "
                              f"limited to {MAX_TORUS_SITES}")
-        self._rank = None
         self._abelian = None
 
     @functools.cached_property
@@ -121,13 +120,6 @@ class TorusCode:
             self._abelian = not _folded_exponents(exponents, self.dims, self.params.p).any()
         return self._abelian
 
-    @property
-    def rank(self) -> int:
-        """Rank of the n cube generators over F_p, as n - k."""
-        if self._rank is None:
-            self._rank = self.n - _left_kernel_dim(self.params, self.dims)
-        return self._rank
-
 
 def _folded_exponents(exponents: np.ndarray, dims, p: int) -> np.ndarray:
     """The origin generator's exponents against its translates on a torus:
@@ -147,40 +139,37 @@ def _sweep_axes(dims: Site) -> tuple[int, int, int]:
     return a, u, v
 
 
-def _row_transfer(params: CodeParams, axes: Site, dv: int) -> tuple:
-    """``_layer_relation``'s ``transfer.transfer`` along u; it depends on axes and dv only."""
-    wa, wu, wv = (4 >> axis for axis in axes)
-    # cubes meet site row 1 of site layer 1 through their vertices with offsets
-    # 1 - layer along a, 1 - row along u, and 0 (own column) or 1 along v
-    near, far = generator_labels(params)[[[wa * (1 - layer) + wu * (1 - row) + wv * k
-                                           for row in (1, 0) for layer in (0, 1)]
-                                          for k in (0, 1)]]
-    eye = np.eye(dv, dtype=np.int64)[..., None]
-    rows = near[:, None, None] * eye + far[:, None, None] * eye[(np.arange(dv) + 1) % dv]
-    return transfer.transfer((rows.reshape(4 * dv, 2 * dv) % params.p).T, 2 * dv, params.p)
-
-
-def _layer_relation(params: CodeParams, axes: Site, du: int, dv: int) -> np.ndarray:
-    """Basis (a | b) of W = {(a, b) : a B1 + b B0 = 0}, one row each.
+def _row_transfer(labels: np.ndarray, p: int, axes: Site, dv: int) -> tuple:
+    """The ``transfer.transfer`` along u of the layer relation
+    W = {(a, b) : a B1 + b B0 = 0} of the generator with these (8, 2)
+    labels; it depends on axes and dv only.
 
     a and b are coefficients on the cubes of two consecutive layers
     across the sweep axis, the first of ``axes``; the other two are the
-    cross-section sides u and v, of sizes ``du`` and ``dv``.  Entries are
-    indexed row-major by their (u, v) position; B1 and B0 are how those
-    layers act on the site layer between them.  W comes from a cyclic
-    transfer along u: block y_j holds the a and then the b entries of
-    cube row j.  The four cube rows of two layers and two rows meet site
-    row 1 of site layer 1 in one length-2 system, with v wrapped mod dv
-    and u and the layers left open.  ``transfer.transfer`` eliminates it
-    against the new row (``_row_transfer``), and the period-du states of
-    ``transfer.periodic_states`` wrap u, sides 1 and 2 included
-    (``_wrapped_relation``).  W depends on the cross-section only.
+    cross-section sides u and v, of size dv along v.  B1 and B0 are how
+    those layers act on the site layer between them.  Block y_j holds the
+    a and then the b entries of cube row j.  The four cube rows of two
+    layers and two rows meet site row 1 of site layer 1 in one length-2
+    system, with v wrapped mod dv and u and the layers left open, which
+    ``transfer.transfer`` eliminates against the new row.
     """
-    return _wrapped_relation(_row_transfer(params, axes, dv), du, dv, params.p)
+    wa, wu, wv = (4 >> axis for axis in axes)
+    # cubes meet site row 1 of site layer 1 through their vertices with offsets
+    # 1 - layer along a, 1 - row along u, and 0 (own column) or 1 along v
+    near, far = labels[[[wa * (1 - layer) + wu * (1 - row) + wv * k
+                         for row in (1, 0) for layer in (0, 1)]
+                        for k in (0, 1)]]
+    eye = np.eye(dv, dtype=np.int64)[..., None]
+    rows = near[:, None, None] * eye + far[:, None, None] * eye[(np.arange(dv) + 1) % dv]
+    return transfer.transfer((rows.reshape(4 * dv, 2 * dv) % p).T, 2 * dv, p)
 
 
 def _wrapped_relation(row_transfer: tuple, du: int, dv: int, p: int) -> np.ndarray:
-    """``_layer_relation``'s W from its row transfer, wrapped with period du."""
+    """Basis (a | b) of the layer relation W of ``_row_transfer``, one row
+    each, on a cross-section with du cube rows: the period-du states of
+    ``transfer.periodic_states`` wrap u, sides 1 and 2 included.  Entries
+    are indexed row-major by their (u, v) position.  W depends on the
+    cross-section only."""
     y = transfer.periodic_states(*row_transfer, du, p)  # (dim W, cube row j, 2 dv)
     return np.hstack([y[..., :dv].reshape(len(y), du * dv),
                       y[..., dv:].reshape(len(y), du * dv)])
@@ -190,12 +179,12 @@ def _left_kernel_dims(params: CodeParams, du: int, dv: int, lengths,
                       row_transfer: tuple) -> list[int]:
     """Relation counts of the tori with one cross-section, one per length.
 
-    ``row_transfer`` is ``_row_transfer(params, axes, dv)``.  The torus
+    ``row_transfer`` is ``_row_transfer(labels, p, axes, dv)``.  The torus
     has sides ``du`` and ``dv`` along the cross-section axes ``axes[1:]``
     and each L in ``lengths`` along the sweep axis ``axes[0]``.
     Coefficients lambda_0..lambda_{L-1}, one vector per layer along the
     sweep axis, multiply to the identity iff every cyclically consecutive
-    pair lies in the layer relation W (``_layer_relation``).  W's rows
+    pair lies in the layer relation W (``_wrapped_relation``).  W's rows
     are independent, so each such sequence is (theta_g W_a) for exactly
     one cyclic theta-sequence with theta_{g+1} W_a = theta_g W_b: a second
     transfer, with dim W entries per layer, closed with period L.
@@ -209,14 +198,6 @@ def _left_kernel_dims(params: CodeParams, du: int, dv: int, lengths,
     m = W.shape[1] // 2
     A, F, v = transfer.transfer(np.hstack([W[:, :m].T, (-W[:, m:].T) % p]), len(W), p)
     return transfer.periodic_dims(A, F, v, lengths, p)
-
-
-def _left_kernel_dim(params: CodeParams, dims: Site) -> int:
-    """Dimension of the space of cube coefficients whose product is identity,
-    swept along the longest side (``_sweep_axes``)."""
-    a, u, v = _sweep_axes(dims)
-    return _left_kernel_dims(params, dims[u], dims[v], [dims[a]],
-                             _row_transfer(params, (a, u, v), dims[v]))[0]
 
 
 # Each census candidate's combination of the four translated tilings:
@@ -320,14 +301,19 @@ def plane_census(torus: TorusCode) -> dict[str, tuple[dict, np.ndarray]]:
 
 
 def encoded_qudit_count(torus: TorusCode) -> int:
-    """k = n - rank of the generator family over F_p.
+    """k = n - rank of the generator family over F_p: the dimension of
+    the relations among the generators, swept along the longest side
+    (``_sweep_axes``).
 
     Raises InvalidCodeError for a non-commuting generator family (the
     quantity is undefined there).
     """
     if not torus.check_abelian():
         raise InvalidCodeError("generator family is not abelian on this torus")
-    return torus.n - torus.rank
+    params, dims = torus.params, torus.dims
+    a, u, v = _sweep_axes(dims)
+    return _left_kernel_dims(params, dims[u], dims[v], [dims[a]],
+                             _row_transfer(torus.labels, params.p, (a, u, v), dims[v]))[0]
 
 
 def encoded_qudit_table(params: CodeParams, sizes=range(2, 5)) -> dict[Site, int]:
@@ -345,14 +331,15 @@ def encoded_qudit_table(params: CodeParams, sizes=range(2, 5)) -> dict[Site, int
     sizes = list(sizes)
     tori = [TorusCode(params, dims) for dims in product(sizes, repeat=3)]
     patterns = {tuple(min(L, 3) for L in torus.dims) for torus in tori}
-    exponents = neighbor_exponents(generator_labels(params), params.p)
+    labels = generator_labels(params)
+    exponents = neighbor_exponents(labels, params.p)
     if any(_folded_exponents(exponents, dims, params.p).any() for dims in patterns):
         raise InvalidCodeError("generator family is not abelian on this torus")
     table, row_transfers = {}, {}
     for Ly, Lz in product(sizes, repeat=2):
         axes, du, dv = ((0, 1, 2), Ly, Lz) if Ly >= Lz else ((0, 2, 1), Lz, Ly)
         if (axes, dv) not in row_transfers:
-            row_transfers[axes, dv] = _row_transfer(params, axes, dv)
+            row_transfers[axes, dv] = _row_transfer(labels, params.p, axes, dv)
         ks = _left_kernel_dims(params, du, dv, sizes, row_transfers[axes, dv])
         table.update({(Lx, Ly, Lz): k for Lx, k in zip(sizes, ks)})
     return {torus.dims: table[torus.dims] for torus in tori}

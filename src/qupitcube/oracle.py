@@ -33,13 +33,13 @@ change its scan only by a constant nullspace dimension, and each width
 keeps its own length horizon.  ``width_groups`` cuts the widths into
 runs by size alone, so small stacks merge and a large one (a wide
 width, or many codes) runs alone.  ``scan_widths`` stacks one code's
-families and adds witnesses, and ``scan_width`` is its one-width view;
-``scan_codes`` stacks every code of a list, a chunk of them at a time
-within ``MAX_STACK_BYTES``, reports only the maximal lengths, and drops
-a code once it has a segment longer than 2w.  The tests compare the
+families and adds witnesses; ``scan_codes`` stacks every code of a
+list, a chunk of them at a time within ``MAX_STACK_BYTES``, reports only
+the maximal lengths, and drops a code once it has a segment longer than
+2w.  The tests compare the
 scan with the dense per-strip solver ``reference.solve_segment``, the
 loop with the kernel recursion ``reference.scan_family``, padded runs
-with one width at a time, and ``scan_codes`` with ``scan_width``.
+with one width at a time, and ``scan_codes`` with ``scan_widths``.
 
 Column layout: sites are ordered along the strip (length-major, then
 cross-section); each site contributes two adjacent columns holding
@@ -100,12 +100,15 @@ MAX_STACK_BYTES = 4 * 2**20
 # Cells of padded length-2 systems, over all codes, up to which a run of
 # consecutive widths shares one ``_scan_stack`` (``width_groups``): for one
 # code, widths 1-5 and then one width per stack.  In process on a 2-core
-# x86_64 VM, best of 8-24 interleaved runs, against one stack per width it
-# took d5 ``strings --wmax 4`` from 3.9 to 2.7 ms and ``--wmax 8`` from
-# 20.3 to 17.7 ms, and ``scan --p 5`` from 2.9 to 2.7 ms.  2^15 read the
-# same within 2 %, 2^13 up to 7 % slower at widths 6-8, and one stack for
-# every width, whose padded cells grow as W^4, slower than 2^14 from width
-# 7 on and 1.8x slower at width 16.
+# x86_64 VM, best of 20-30 interleaved runs, one stack per width (a budget
+# of 0) took the 14 ``strings`` command lines of the benchmark's seed 1
+# from 21-22 to 28-30 ms in all (1.33x): d5 ``--wmax 4`` from 3.5 to
+# 5.0-5.1 ms and each ``--wmax 2`` line from 1.15 to 1.5 ms.  d5's
+# ``scan_widths`` alone took 2.7-3.3 against 4.2-5.9 ms at widths 1-4 and
+# read the same within 10 % at widths 1-8, as did ``scan --p 5``.  2^15
+# read the same within 2 %, 2^13 up to 7 % slower at widths 6-8, and one
+# stack for every width, whose padded cells grow as W^4, slower than 2^14
+# from width 7 on and 1.8x slower at width 16 (earlier measurements).
 MAX_GROUP_CELLS = 2**14
 
 
@@ -589,12 +592,6 @@ def _run_reports(params: CodeParams, group: _Group, l_max: int | None):
                 witness_geometry=witness_geom,
             )
     return out
-
-
-def scan_width(params: CodeParams, width: int, l_max: int | None = None,
-               kinds=KINDS) -> dict[str, SegmentReport]:
-    """``scan_widths`` at the one width ``width``."""
-    return scan_widths(params, (width,), l_max, kinds)[width]
 
 
 def _codes_per_stack(group: _Group) -> int:

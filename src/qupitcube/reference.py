@@ -14,13 +14,13 @@ production code it checks, and the tests that compare them:
   ``test_oracle.test_width1_system_matches_block_form``).
 - ``solve_segment`` solves one strip by a dense nullspace of that whole
   matrix.  Run at every length on every ``oracle.sections`` family
-  (``test_oracle.dense_scan``) it checks each ``oracle.scan_width``
+  (``test_oracle.dense_scan``) it checks each ``oracle.scan_widths``
   report, witness included, deformable or not
   (``test_oracle.test_transfer_scan_*``).
 - ``verify_witness`` rebuilds every anchor-avoiding cube generator as a
   configuration and tests commutation, independent of the constraint
   matrix.  It checks the witnesses of ``solve_segment`` and
-  ``oracle.scan_width`` (``test_oracle.test_transfer_scan_*``,
+  ``oracle.scan_widths`` (``test_oracle.test_transfer_scan_*``,
   ``test_oracle.test_witness_reverification``,
   ``test_acceptance.test_criterion_12c_witness_reverification_1000``).
 - ``canonical_reduction`` rebuilds the rank of a strip system from its
@@ -74,7 +74,7 @@ production code it checks, and the tests that compare them:
   a configuration in its column layout (as in
   ``test_logical.test_check_abelian_matches_dense``).  Through
   ``layer_relation_by_nullspace``, ``generator_rows`` checks the
-  length-2 rows that ``logical._layer_relation`` lays on the identity
+  length-2 rows that ``logical._row_transfer`` lays on the identity
   and the cyclic shift
   (``test_logical.test_layer_relation_matches_dense_nullspace``).
 - ``enumerate_deformable`` lists every deformable tuple, and ``orbit``
@@ -99,31 +99,40 @@ production code it checks, and the tests that compare them:
   ``test_fp.test_poly_division``, ``test_fp.test_solve_consistency``,
   ``test_acceptance.test_criterion_12a_*``).
 - ``mat_mul``, ``mat_det`` and ``mat_inverse`` are dense products and
-  eliminations of any square size.  They check the adjugate of
+  eliminations of any square size; ``mat_inverse`` raises
+  ``SingularMatrixError``.  They check the adjugate of
   ``rel_transition``
   (``test_conditions.test_rel_transition_matches_dense_oracles``)
   and the transition identities (``test_conditions``,
   ``test_acceptance.test_criterion_12b_*``, ``test_fp``).
+- ``build_generator`` states the cube generator's labels vertex by
+  vertex, as a dict.  It checks ``codes.generator_labels``, which builds
+  the same layout as one array straight from the pairs
+  (``test_codes.test_generator_labels_match_the_vertex_dict``), and its
+  ``scale_override``, an inversion scale with s^2 != 1, gives the
+  families that are not codes to the tests of the commutation checks and
+  to demo 01.
 - ``generator_config`` builds the cube generator at a site as a
-  configuration, and ``commutation_exponent`` sums the symplectic form
-  over the shared sites of two configurations; ``verify_witness`` uses
-  both.
-  ``translation_exponents_by_shift`` applies it to copies of a generator
-  shifted by ``config_shift``, and ``translation_exponents`` walks the
-  generator's support site by site; ``config_mul`` and ``config_scale``
-  multiply and scale configurations for the tests and demo 02.  Together
-  they check the label Gram matrix's ``codes.neighbor_exponents``, on
-  the open lattice and folded on tori (``logical._folded_exponents``),
-  ``codes.verify_translation_commutation``,
+  configuration from ``build_generator``, and ``commutation_exponent``
+  sums the symplectic form over the shared sites of two configurations;
+  ``verify_witness`` uses both.  ``translation_exponents`` walks the
+  generator's support site by site; ``config_mul``, ``config_scale`` and
+  ``config_shift`` multiply, scale and move configurations for the tests
+  and demo 02.  Together they check the label Gram matrix's
+  ``codes.neighbor_exponents``, on the open lattice and folded on tori
+  (``logical._folded_exponents``), ``codes.verify_translation_commutation``,
   ``logical.TorusCode.check_abelian`` and ``logical.commutation_table``
   (``test_codes.test_translation_exponents_match_shifted_copies``,
   ``test_logical.test_census_candidates_match_planar_operators``,
   ``test_logical.test_census_tables_from_plane_arrays_match_configurations``,
   ``test_logical.test_census_operators_reverify_per_generator``).
 - ``inversion_image`` reflects a configuration through a (half-)lattice
-  centre.  It checks the inversion symmetry that
-  ``codes.build_generator`` builds in (``test_codes.test_inversion_*``,
-  ``test_codes.test_generator_inversion_invariant``).
+  centre, ``doubled_center`` reads the centre, and ``InvalidCenterError``
+  refuses one that cannot pair the sites.  They check the inversion
+  symmetry that ``build_generator`` builds in
+  (``test_codes.test_inversion_image_examples``), which
+  ``test_codes.test_generator_inversion_invariant`` checks on
+  ``codes.generator_labels`` as the reversal of ``VERTICES``.
 - ``is_logical`` takes the syndrome on the whole torus by rolled copies
   of the configuration, and ``build_planar_operator`` (with
   ``PlanarPattern`` and ``face_tile``) tiles one plane as a
@@ -151,14 +160,18 @@ production code it checks, and the tests that compare them:
   (``test_logical.test_product_of_all_generators_matches_dense_row_sum``).
 - ``layer_relation_by_nullspace`` is the layer relation W as the dense
   nullspace of [B1; B0]^T, 2m x 2m for m cubes per layer.  It checks
-  the row space of ``logical._layer_relation``, which
+  the row space of ``logical._wrapped_relation``, which
   ``transfer.periodic_states`` gives along one cube row
   (``test_logical.test_layer_relation_matches_dense_nullspace``).
   ``left_kernel_dim_by_composition`` composes W layer by layer around
-  the torus.  It checks ``logical._left_kernel_dim`` on tori too large
+  the torus.  It checks ``logical.encoded_qudit_count`` on tori too large
   for the dense rank, degenerate tuples included
   (``test_logical.test_transfer_k_matches_composition_sweep``).
-- ``build_projector`` builds one syndrome projector P(s, r) as an
+- ``PhasedPauli`` is one phased monomial on a site tuple, and
+  ``generator_pauli`` the origin cube generator as one, from
+  ``build_generator`` with the Weyl phase: the monomial whose powers an
+  ``algebra.PowerTable`` builds from ``codes.generator_labels``.
+  ``build_projector`` builds one syndrome projector P(s, r) as an
   operator sum from the rows of the power table ``algebra._powers``
   gives, the table an ``algebra.PowerTable`` is built on.  It and the
   operator sums below reach the product rule, ``algebra._monomial_mul``,
@@ -181,10 +194,12 @@ production code it checks, and the tests that compare them:
   array, under the real product rule and broken ones
   (``test_algebra.test_batched_projector_checks_match_operator_sums``).
 - ``verify_inversion_action_by_sums`` conjugates P(s, r) by
-  ``inversion_conjugate``, which re-indexes each term's sites, and
-  compares ``canonical()`` forms with P(s, r) or P(s, -r).  It checks the verdicts that
-  ``algebra.PowerTable.inversion_action`` reads off the table's counts,
-  for every label r, under the real product rule and broken ones
+  ``inversion_conjugate``, which re-indexes each term's sites by
+  ``_inversion_perm`` about ``CUBE_CENTER``, and compares ``canonical()``
+  forms with P(s, r) or P(s, -r).  It checks the verdicts that
+  ``algebra.PowerTable.inversion_action`` reads off the table's counts on
+  the reversed ``VERTICES``, for every label r, under the real product
+  rule and broken ones
   (``test_algebra.test_inversion_verdicts_match_operator_sums``).
 - ``identity_pauli`` is the identity monomial on a site tuple,
   ``pauli_mul`` applies the product rule to two monomials, ``pauli_power``
@@ -205,27 +220,16 @@ from math import gcd, lcm
 import numpy as np
 
 from . import algebra, fp
-from .algebra import (
-    CUBE_CENTER,
-    MAX_ALGEBRA_MODULUS,
-    PhasedPauli,
-    _check_odd_prime,
-    _inversion_perm,
-    generator_pauli,
-)
+from .algebra import MAX_ALGEBRA_MODULUS, _check_odd_prime
 from .codes import (
     CodeParams,
-    InvalidCenterError,
     Pair,
     PauliConfig,
     Site,
     VERTICES,
-    build_generator,
     check_dims,
     cube_sites,
     cubes_touching,
-    doubled_center,
-    scale_pair,
     symplectic_product,
 )
 from .conditions import (
@@ -458,7 +462,7 @@ def minimal_string_determinants_by_matrices(params: CodeParams) -> list[int]:
     determinants.
 
     Raises SingularDenominatorError while building the matrices, then
-    fp.SingularMatrixError for the first T that is not invertible.
+    SingularMatrixError for the first T that is not invertible.
     """
     p = params.p
     return [mat_det(T - mat_inverse(T, p), p) for T in width1_matrices(params)]
@@ -477,7 +481,7 @@ def corner_determinant_by_matrices(params: CodeParams) -> dict:
     zero: Pair = (0, 0)
     try:
         inverse = mat_inverse(base_matrix(g, a, p), p)
-    except fp.SingularMatrixError:
+    except SingularMatrixError:
         raise SingularDenominatorError(
             f"denominator pairs {(g, a)} are proportional mod {p}") from None
     t_d0, t_bd, t_a0 = (mat_mul(inverse, base_matrix(*num, p), p)
@@ -850,6 +854,10 @@ def orbits_by_walk(p: int) -> list[tuple[Tuple4, int]]:
 # Dense square matrices over F_p
 
 
+class SingularMatrixError(ValueError):
+    """Raised when a matrix required to be invertible is singular."""
+
+
 def mat_mul(A, B, p: int) -> np.ndarray:
     """Exact matrix product mod p."""
     return (fp.normalize(A, p) @ fp.normalize(B, p)) % p
@@ -891,7 +899,7 @@ def mat_inverse(M, p: int) -> np.ndarray:
     aug = np.concatenate([M, np.eye(n, dtype=np.int64)], axis=1)
     R, pivot_cols = fp.mat_rref(aug, p)
     if pivot_cols[:n] != list(range(n)):
-        raise fp.SingularMatrixError(f"matrix is singular mod {p}")
+        raise SingularMatrixError(f"matrix is singular mod {p}")
     return R[:, n:]
 
 
@@ -1056,6 +1064,41 @@ def matrix_min_poly(T, p: int) -> list[int]:
 # Pauli configurations: commutation, translates, inversion
 
 
+class InvalidCenterError(ValueError):
+    """Raised for an inversion centre off the lattice and dual lattice,
+    or one that cannot pair the sites it acts on consistently."""
+
+
+# The cube generator's sites map onto themselves under inversion about it.
+CUBE_CENTER = (0.5, 0.5, 0.5)
+
+
+def build_generator(params: CodeParams, scale_override: int | None = None) -> dict[Site, Pair]:
+    """Vertex-to-pair labels of the cube generator at the origin, the
+    layout ``codes.generator_labels`` builds as an array.
+
+    ``scale_override`` substitutes an arbitrary scalar for the inversion
+    sign; the tests and demo 01 use it to show that scales with s^2 != 1
+    break the translation commutation (such families are not valid codes).
+    """
+    s = params.sign if scale_override is None else scale_override % params.p
+    a, b, g, d = params.pairs
+    sa, sb, sg, sd = (((s * x) % params.p, (s * z) % params.p) for x, z in params.pairs)
+    return {(0, 0, 0): a, (1, 0, 0): b, (0, 1, 0): g, (0, 0, 1): d,
+            (1, 1, 1): sa, (0, 1, 1): sb, (1, 0, 1): sg, (1, 1, 0): sd}
+
+
+def doubled_center(center) -> list[int]:
+    """Twice an inversion centre, as integers; components must be half-integers."""
+    c2 = []
+    for comp in center:
+        doubled = 2 * comp
+        if abs(doubled - round(doubled)) > 1e-9:
+            raise InvalidCenterError(f"centre component {comp} is not a half-integer")
+        c2.append(int(round(doubled)))
+    return c2
+
+
 def generator_config(params: CodeParams, position: Site = (0, 0, 0),
                      dims: Site | None = None,
                      scale_override: int | None = None) -> PauliConfig:
@@ -1085,8 +1128,8 @@ def config_mul(a: PauliConfig, b: PauliConfig) -> PauliConfig:
 
 def config_scale(a: PauliConfig, c: int) -> PauliConfig:
     out = PauliConfig(a.p, a.dims)
-    for site, pair in a.support.items():
-        out.add(site, scale_pair(pair, c, a.p))
+    for site, (x, z) in a.support.items():
+        out.add(site, ((x * c) % a.p, (z * c) % a.p))
     return out
 
 
@@ -1132,11 +1175,6 @@ def translation_exponents(g: PauliConfig, offsets) -> list[int]:
                 e += ax * b[1] - az * b[0]
         out.append(e % p)
     return out
-
-
-def translation_exponents_by_shift(g: PauliConfig, offsets) -> list[int]:
-    """``translation_exponents`` from shifted copies of ``g``."""
-    return [commutation_exponent(g, config_shift(g, o)) for o in offsets]
 
 
 def generator_rows(params: CodeParams, cubes, index, n_sites: int) -> np.ndarray:
@@ -1186,7 +1224,7 @@ def layer_relation_by_nullspace(params: CodeParams, dims) -> np.ndarray:
     """W = {(a, b) : a B1 + b B0 = 0} as the dense nullspace of [B1; B0]^T.
 
     The cubes of layer 0 across the sweep axis of ``logical._sweep_axes``,
-    in the order of ``logical._layer_relation``, act on site layer 0
+    in the order of ``logical._wrapped_relation``, act on site layer 0
     through B0 and on site layer 1 through B1.
     """
     a, u, v = _sweep_axes(dims)
@@ -1206,7 +1244,7 @@ def layer_relation_by_nullspace(params: CodeParams, dims) -> np.ndarray:
 
 
 def left_kernel_dim_by_composition(params: CodeParams, dims) -> int:
-    """The relation count of ``logical._left_kernel_dim`` by composing W.
+    """The relation count of ``logical.encoded_qudit_count`` by composing W.
 
     Layer coefficients lambda_0..lambda_{L-1} multiply to the identity iff
     every cyclically consecutive pair (a, b) lies in W
@@ -1380,6 +1418,62 @@ def census_operators(torus: TorusCode, normal: int) -> list[PauliConfig]:
 # each call, so a rule the tests substitute there reaches these oracles too.
 
 
+@dataclass(frozen=True)
+class PhasedPauli:
+    """omega^phase * prod_site X^x Z^z on a fixed, sorted site tuple."""
+
+    p: int
+    sites: tuple[Site, ...]
+    x: tuple[int, ...]
+    z: tuple[int, ...]
+    phase: int = 0
+
+    def __post_init__(self):
+        p = _check_odd_prime(self.p)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "sites", tuple(self.sites))
+        object.__setattr__(self, "x", tuple(v % p for v in self.x))
+        object.__setattr__(self, "z", tuple(v % p for v in self.z))
+        object.__setattr__(self, "phase", self.phase % p)
+        if not (len(self.sites) == len(self.x) == len(self.z)):
+            raise ValueError("sites, x, z must have equal length")
+
+    def key(self) -> tuple:
+        return (self.x, self.z, self.phase)
+
+    def is_identity(self) -> bool:
+        return self.phase == 0 and not any(self.x) and not any(self.z)
+
+
+def generator_pauli(params: CodeParams) -> PhasedPauli:
+    """The origin cube generator on its eight ``VERTICES`` sites, Weyl-symmetric,
+    from ``build_generator``: the monomial ``algebra.PowerTable`` builds.
+
+    The phase is -2^-1 * sum_i x_i z_i: with Z X = omega^-1 X Z, that is
+    the monomial whose label-negated copy is its inverse.
+    """
+    labels = build_generator(params)
+    x, z = zip(*(labels[v] for v in VERTICES))
+    xz = sum(a * b for a, b in zip(x, z))
+    return PhasedPauli(params.p, VERTICES, x, z, -xz * pow(2, -1, params.p))
+
+
+def _inversion_perm(sites: tuple, center) -> list[int]:
+    """Inversion about a (half-)lattice centre as a permutation of ``sites``.
+
+    Inversion is an involution, so the site landing at position i comes
+    from ``perm[i]``.  Raises InvalidCenterError unless the centre maps
+    the sites onto themselves.
+    """
+    c2 = doubled_center(center)
+    idx = {q: i for i, q in enumerate(sites)}
+    perm = [idx.get(tuple(c2[a] - q[a] for a in range(3))) for q in sites]
+    if None in perm:
+        raise InvalidCenterError(f"inversion about {tuple(center)} does not map "
+                                 f"the operator's sites onto themselves")
+    return perm
+
+
 class _Products(dict):
     """``algebra._monomial_mul`` of each ((x, z), (x', z')) tuple pair
     looked up, formed once."""
@@ -1518,7 +1612,8 @@ def build_projector(s: PhasedPauli, r: int) -> OperatorSum:
     p = s.p
     out = OperatorSum(p, s.sites)
     out.den = p
-    x, z, c = algebra._powers(s)
+    x, z, c = algebra._powers(np.array(s.x, dtype=np.int64),
+                              np.array(s.z, dtype=np.int64), s.phase, p)
     for m, (xm, zm, cm) in enumerate(zip(x.tolist(), z.tolist(), c.tolist())):
         out._accumulate((tuple(xm), tuple(zm), (cm + r * m) % p), 1)
     return out

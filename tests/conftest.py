@@ -2,9 +2,10 @@ import os
 import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from qupitcube.codes import CodeParams, d3_code, d5_code
+from qupitcube.codes import VERTICES, CodeParams, d3_code, d5_code
 
 # the CLI tests run qupitcube in subprocesses, which import it from this checkout
 os.environ["PYTHONPATH"] = os.pathsep.join(
@@ -46,3 +47,16 @@ def random_code(rng: random.Random, p: int, parity=None) -> CodeParams:
     parity = parity or rng.choice("SA")
     return CodeParams(p, random_pair(rng, p), random_pair(rng, p),
                       random_pair(rng, p), random_pair(rng, p), parity)
+
+
+def scale_generators(monkeypatch, module, scale: int) -> None:
+    """Make ``module`` read the origin generator's (8, 2) labels with the
+    inversion images scaled by ``scale``, from ``reference.build_generator``;
+    a scale with s^2 != 1 gives a family that is not a valid code."""
+    from qupitcube.reference import build_generator
+
+    def scaled(params):
+        labels = build_generator(params, scale)
+        return np.array([labels[v] for v in VERTICES], dtype=np.int64)
+
+    monkeypatch.setattr(module, "generator_labels", scaled)

@@ -25,7 +25,7 @@ from qupitcube.conditions import theorem1_report
 from qupitcube.logical import TorusCode, encoded_qudit_count
 from qupitcube.reference import planar_census, product_of_all_generators, rel_transition
 from qupitcube.algebra import PowerTable, verify_commutation_law
-from qupitcube.oracle import ORIENTATIONS, SegmentGeometry, scan_width, sections
+from qupitcube.oracle import ORIENTATIONS, SegmentGeometry, scan_widths, sections
 from qupitcube.reference import (
     build_segment_constraints,
     canonical_reduction,
@@ -97,7 +97,7 @@ def test_criterion_04_d3_string_bound():
     ok = True
     for w in range(1, 7):
         for kind in ("flat", "cornered"):
-            m = scan_width(code, w, kinds=(kind,))[kind].max_nontrivial_length
+            m = scan_widths(code, [w], kinds=(kind,))[w][kind].max_nontrivial_length
             if m is not None and m > w + 1:
                 ok = False
     elapsed = time.monotonic() - t0
@@ -112,7 +112,7 @@ def test_criterion_05_d5_no_string():
     ok = True
     for w in range(1, 5):
         for kind in ("flat", "cornered"):
-            m = scan_width(code, w, kinds=(kind,))[kind].max_nontrivial_length
+            m = scan_widths(code, [w], kinds=(kind,))[w][kind].max_nontrivial_length
             if m is not None and m > 2 * w:
                 ok = False
     elapsed = time.monotonic() - t0

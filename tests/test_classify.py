@@ -19,7 +19,7 @@ from qupitcube.reference import (
 )
 from qupitcube.codes import CodeParams
 from qupitcube.conditions import theorem1, theorem1_report
-from qupitcube.oracle import scan_width
+from qupitcube.oracle import scan_widths
 from conftest import random_deformable_tuple
 
 D3_TUPLE = ((1, 0), (0, 1), (1, 1), (1, 2))
@@ -156,7 +156,7 @@ def test_orbit_canonical_rejects_non_deformable():
 
 
 def scan_theorem1_each_code(report, oracle_wmax):
-    """``scan_theorem1``'s oracle lists from one ``scan_width`` per
+    """``scan_theorem1``'s oracle lists from one ``scan_widths`` per
     representative and width."""
     passing = []
     for entry in report["orbits"]:
@@ -167,7 +167,7 @@ def scan_theorem1_each_code(report, oracle_wmax):
                           parity=report["parity"])
         widths, ok = {}, True
         for w in range(1, oracle_wmax + 1):
-            for kind, rpt in scan_width(code, w).items():
+            for kind, rpt in scan_widths(code, [w])[w].items():
                 m = widths[f"{kind}-w{w}"] = rpt.max_nontrivial_length
                 ok = ok and (m is None or m <= 2 * w)
         if ok:

@@ -18,10 +18,10 @@ from conftest import random_code
 from qupitcube import algebra, cli, fp, logical
 from qupitcube.algebra import MAX_ALGEBRA_MODULUS
 from qupitcube.classify import MAX_CLASSIFY_MODULUS
-from qupitcube.codes import CodeParams, d5_code
+from qupitcube.codes import CodeParams, d5_code, load_params
 from qupitcube.logical import TorusCode
 from qupitcube.reference import product_of_all_generators
-from qupitcube.oracle import MAX_STRIP_LENGTH, MAX_STRIP_WIDTH, scan_width
+from qupitcube.oracle import MAX_STRIP_LENGTH, MAX_STRIP_WIDTH, scan_widths
 
 D5_FLAGS = ["--p", "5", "--alpha", "1,0", "--beta", "0,1",
             "--gamma", "1,1", "--delta", "3,2", "--parity", "S"]
@@ -217,7 +217,7 @@ def test_classify_and_scan_report_digests():
             "f49fa68edaa87bab2060e4e4eb74db3175d39ca695d372bcc9d5375576dc03dc",
         ("scan", "--p", "5", "--oracle-wmax", "1"):
             "ab11f4b3a45e15e97d1f62a3a43680baa6fdde30354ec11e16984d6df693e906",
-        # pinned from one scan_width call per representative and width
+        # pinned from one scan_widths call per representative and width
         ("scan", "--p", "5", "--oracle-wmax", "2"):
             "0a51ff54eddcd9cea60499314f6dbfa5cac72083326c86e5deb6df169bcbb03d",
         ("scan", "--p", "7", "--oracle-wmax", "3"):
@@ -844,6 +844,52 @@ def test_a_params_file_refuses_inline_code_options(tmp_path, capsys):
                                "(only --parity may override the file)\n"), out.stderr
 
 
+def test_an_empty_params_path_is_refused_like_an_unreadable_file(capsys):
+    # an empty --params names a file, not the absence of one: alone it is
+    # the file that cannot be read, and with inline code options the
+    # combination is refused as for any other path
+    subcommands = cli.build_parser().subcommands
+    extra = {"logical": ["--dims", "2x2x2"]}
+    for name in ("check", "strings", "logical", "algebra"):
+        for inline, message in (
+                ([], "[Errno 2] No such file or directory: ''"),
+                (D5_FLAGS[:-2], "--params cannot be combined with --p, --alpha, --beta, "
+                                "--gamma, --delta (only --parity may override the file)")):
+            with pytest.raises(SystemExit) as exc:
+                cli.main([name, "--params", "", *inline, *extra.get(name, [])])
+            out, err = capsys.readouterr()
+            assert exc.value.code == 2
+            assert out == ""
+            assert err == (subcommands[name].format_usage()
+                           + f"qupitcube {name}: error: {message}\n"), err
+    out = run_cli("check", "--params", "", *D5_FLAGS[:-2])
+    assert (out.returncode, out.stdout) == (2, "")
+
+
+def test_params_files_with_unknown_fields_are_refused(tmp_path, capsys):
+    # a misspelt field would otherwise fall back to its default silently
+    good = d5_code("S").as_dict()
+    cases = {"parrity": ({"p": 5, "alpha": [1, 0], "beta": [0, 1], "gamma": [1, 1],
+                          "delta": [3, 2], "parrity": "A"}, "'parrity'"),
+             "two": (dict(good, name="d5", delta_=[3, 2]), "'name', 'delta_'")}
+    for stem, (content, named) in cases.items():
+        path = tmp_path / f"{stem}.json"
+        path.write_text(json.dumps(content))
+        with pytest.raises(ValueError, match=f"unknown fields {named}$"):
+            load_params(path)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["check", "--params", str(path)])
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2
+        assert out == ""
+        assert err == (cli.build_parser().subcommands["check"].format_usage()
+                       + f"qupitcube check: error: parameter file has unknown fields {named}\n")
+    path = tmp_path / "parrity.json"
+    out = run_cli("check", "--params", str(path))
+    assert (out.returncode, out.stdout) == (2, "")
+    assert "unknown fields 'parrity'" in out.stderr
+
+
 def test_errors_found_after_parsing_name_the_subcommand(capsys):
     # a value argparse accepts but the command refuses is a usage error of
     # the subcommand, reported as argparse reports its own; leftover
@@ -918,7 +964,7 @@ def test_strings_and_scan_refuse_scans_beyond_the_bounds(monkeypatch, capsys):
         assert message in capsys.readouterr().err
     for width, l_max, message in ((17, None, "width <= 16"), (1, 65, "length <= 64")):
         with pytest.raises(ValueError, match=message):
-            scan_width(d5_code(), width, l_max=l_max)
+            scan_widths(d5_code(), [width], l_max=l_max)
     assert calls == []
 
 
@@ -943,7 +989,7 @@ def test_empty_scans_and_tables_are_refused(monkeypatch, capsys):
         assert err.out == "" and message in err.err, argv
     for width, l_max in ((0, None), (1, 1)):
         with pytest.raises(ValueError, match=">= "):
-            scan_width(d5_code(), width, l_max=l_max)
+            scan_widths(d5_code(), [width], l_max=l_max)
     monkeypatch.undo()
     out = run_cli("strings", *D5_FLAGS, "--wmax", "0", "--expect-no-string")
     assert (out.returncode, out.stdout) == (2, "")
@@ -995,9 +1041,9 @@ def test_an_algebra_command_builds_one_power_table(monkeypatch, capsys):
     calls = []
     powers = algebra._powers
 
-    def counted(s):
-        calls.append(s.p)
-        return powers(s)
+    def counted(sx, sz, phase, p):
+        calls.append(p)
+        return powers(sx, sz, phase, p)
 
     monkeypatch.setattr(algebra, "_powers", counted)
     for argv in (VALID_ARGV["algebra"], ("algebra", *D5_FLAGS[:-1], "A", "--r", "4")):

@@ -7,12 +7,12 @@ from itertools import product
 import numpy as np
 import pytest
 
+from qupitcube import codes
 from qupitcube.codes import (
     NEIGHBOR_OFFSETS,
+    VERTICES,
     CodeParams,
-    InvalidCenterError,
     PauliConfig,
-    build_generator,
     check_dims,
     cubes_touching,
     d3_code,
@@ -25,6 +25,8 @@ from qupitcube.codes import (
 )
 from qupitcube.logical import TorusCode, _folded_exponents
 from qupitcube.reference import (
+    InvalidCenterError,
+    build_generator,
     commutation_exponent,
     config_mul,
     config_row,
@@ -34,9 +36,8 @@ from qupitcube.reference import (
     generator_rows,
     inversion_image,
     translation_exponents,
-    translation_exponents_by_shift,
 )
-from conftest import random_code, random_pair
+from conftest import random_code, random_pair, scale_generators
 
 
 def test_symplectic_product_examples():
@@ -101,24 +102,37 @@ def test_check_dims_refuses_sides_that_are_not_integers():
 
 
 def test_build_generator_examples():
-    gen = build_generator(d5_code("S"))
-    assert gen[(1, 1, 1)] == (1, 0)          # symmetric: alpha again
-    gen = build_generator(d5_code("A"))
-    assert gen[(1, 1, 0)] == (2, 3)          # -(3,2) mod 5
-    gen = build_generator(d3_code("A"))
-    assert gen[(1, 1, 1)] == (2, 0)          # -(1,0) mod 3
+    def label(code, v):
+        return tuple(generator_labels(code)[VERTICES.index(v)].tolist())
+
+    assert label(d5_code("S"), (1, 1, 1)) == (1, 0)   # symmetric: alpha again
+    assert label(d5_code("A"), (1, 1, 0)) == (2, 3)   # -(3,2) mod 5
+    assert label(d3_code("A"), (1, 1, 1)) == (2, 0)   # -(1,0) mod 3
 
 
 def test_generator_inversion_invariant():
+    # the inversion image of vertex i is vertex 7 - i: VERTICES reversed
+    assert [tuple(1 - c for c in v) for v in VERTICES] == list(VERTICES[::-1])
     rng = random.Random(23)
     for p in (3, 5, 7):
         for _ in range(50):
             code = random_code(rng, p)
-            gen = build_generator(code)
-            s = code.sign
-            for v, pair in gen.items():
-                vbar = (1 - v[0], 1 - v[1], 1 - v[2])
-                assert gen[vbar] == ((s * pair[0]) % p, (s * pair[1]) % p)
+            labels = generator_labels(code)
+            assert (labels[::-1] == code.sign * labels % p).all(), code
+
+
+def test_generator_labels_match_the_vertex_dict():
+    # the production array, built straight from the pairs, against the
+    # dict that states the layout vertex by vertex
+    rng = random.Random(53)
+    for p in (2, 3, 5, 7, 11, 13):
+        for parity in "SA":
+            for _ in range(10):
+                code = random_code(rng, p, parity)
+                labels = generator_labels(code)
+                gen = build_generator(code)
+                assert labels.dtype == np.int64 and labels.shape == (8, 2)
+                assert labels.tolist() == [list(gen[v]) for v in VERTICES], code
 
 
 def test_commutation_exponent_examples(d5):
@@ -171,34 +185,36 @@ def gram_exponent(exponents, o, dims, p):
 
 
 @pytest.mark.parametrize("scale", [None, 2, 3])
-def test_translation_exponents_match_shifted_copies(scale):
+def test_translation_exponents_match_shifted_copies(monkeypatch, scale):
     # every offset of [-2, 2]^3, on the open lattice and on tori with
     # sides 2-5, where offsets fold and labels sum on wrapped sites: the
     # label Gram matrix's neighbour exponents, folded on tori, and the
-    # per-site loop against shifted copies
+    # commutation violations against the site walk over the translates
+    if scale is not None:
+        scale_generators(monkeypatch, codes, scale)
     rng = random.Random(47)
     offsets = list(product(range(-2, 3), repeat=3))
     nonzero = False
     for _ in range(40):
         code = random_code(rng, rng.choice((2, 3, 5, 7) if scale is None else (5, 7)))
         dims = tuple(rng.randint(2, 5) for _ in range(3))
-        exponents = neighbor_exponents(generator_labels(code, scale), code.p)
+        exponents = neighbor_exponents(codes.generator_labels(code), code.p)
         for on in (None, dims):
             g = generator_config(code, dims=on, scale_override=scale)
-            exps = translation_exponents_by_shift(g, offsets)
-            assert translation_exponents(g, offsets) == exps, (code, on)
+            exps = translation_exponents(g, offsets)
             assert [gram_exponent(exponents, o, on, code.p) for o in offsets] == exps, (code, on)
             nonzero = nonzero or any(exps)
         g = generator_config(code, scale_override=scale)
-        shifted = translation_exponents_by_shift(g, NEIGHBOR_OFFSETS)
-        assert verify_translation_commutation(code, scale_override=scale) == [
-            (o, e) for o, e in zip(NEIGHBOR_OFFSETS, shifted) if e]
+        walked = translation_exponents(g, NEIGHBOR_OFFSETS)
+        assert verify_translation_commutation(code) == [
+            (o, e) for o, e in zip(NEIGHBOR_OFFSETS, walked) if e]
     assert nonzero == (scale is not None)
 
 
-def test_translation_commutation_bad_scale():
+def test_translation_commutation_bad_scale(monkeypatch):
     # scale 2 at p = 5: faces pick up (s^2 - 1) <a, b> = 3 <a, b> != 0
-    bad = verify_translation_commutation(d5_code("S"), scale_override=2)
+    scale_generators(monkeypatch, codes, 2)
+    bad = verify_translation_commutation(d5_code("S"))
     assert bad
     offsets = {o for o, _ in bad}
     assert (1, 0, 0) in offsets

@@ -6,7 +6,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from qupitcube import cli, fp, reference
+from qupitcube import cli, reference
 from qupitcube.classify import classify_orbits
 from qupitcube.codes import CodeParams, d3_code, d5_code, symplectic_product
 from qupitcube.conditions import (
@@ -47,7 +47,7 @@ def test_rel_transition_matches_dense_oracles():
         else:
             with pytest.raises(SingularDenominatorError):
                 rel_transition(num, den, p)
-            with pytest.raises(fp.SingularMatrixError):
+            with pytest.raises(reference.SingularMatrixError):
                 reference.mat_inverse(M, p)
 
     for p in (2, 3, 5):
@@ -260,7 +260,7 @@ def test_theorem1_matches_matrix_route_on_random_tuples():
 def _outcome(fn, code):
     try:
         return fn(code)
-    except (SingularDenominatorError, fp.SingularMatrixError) as exc:
+    except (SingularDenominatorError, reference.SingularMatrixError) as exc:
         return type(exc)
 
 
@@ -284,4 +284,4 @@ def test_determinants_match_the_matrix_route():
         assert got == (want if all_w else None), code
         seen.add((all_w, want if isinstance(want, type) else list))
     assert seen == {(True, list), (False, list), (False, SingularDenominatorError),
-                    (False, fp.SingularMatrixError)}
+                    (False, reference.SingularMatrixError)}

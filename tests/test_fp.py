@@ -64,7 +64,7 @@ def test_mat_inverse_examples():
     assert (inv == [[3, 0], [0, 2]]).all()
     inv = reference.mat_inverse([[1, 1], [0, 1]], 3)
     assert (inv == [[1, 2], [0, 1]]).all()
-    with pytest.raises(fp.SingularMatrixError):
+    with pytest.raises(reference.SingularMatrixError):
         reference.mat_inverse([[1, 2], [2, 4]], 5)
 
 

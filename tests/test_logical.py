@@ -7,7 +7,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from conftest import random_code, random_deformable_tuple
+from conftest import random_code, random_deformable_tuple, scale_generators
 from qupitcube import codes, fp, logical, transfer
 from qupitcube.codes import (
     CodeParams,
@@ -65,6 +65,19 @@ def dense_generator_matrix(code, dims):
 
 def dense_k(code, dims):
     return dims[0] * dims[1] * dims[2] - fp.mat_rank(dense_generator_matrix(code, dims), code.p)
+
+
+def sweep_k(code, dims):
+    """``encoded_qudit_count``'s sweep along the longest side, on sides of
+    1 too, which a TorusCode refuses."""
+    a, u, v = logical._sweep_axes(dims)
+    return logical._left_kernel_dims(code, dims[u], dims[v], [dims[a]],
+                                     logical._row_transfer(codes.generator_labels(code),
+                                                           code.p, (a, u, v), dims[v]))[0]
+
+
+def torus_k(code, dims):
+    return encoded_qudit_count(TorusCode(code, dims))
 
 
 def seeded_cases(seed, count):
@@ -147,7 +160,7 @@ def test_encoded_qudit_count():
     code = d5_code("A")
     torus = TorusCode(code, (2, 2, 2))
     k = encoded_qudit_count(torus)
-    assert k == torus.n - torus.rank
+    assert k == dense_k(code, (2, 2, 2))
     assert k >= 1
 
     table = encoded_qudit_table(d3_code("A"), sizes=range(2, 5))
@@ -166,18 +179,9 @@ def test_dense_torus_size_limit():
         encoded_qudit_table(d3_code("S"), sizes=range(2, 18))
 
 
-def scaled_generators(monkeypatch, scale):
-    """Make ``logical`` read generator labels, and so the label Gram
-    matrix, with inversion scale ``scale``."""
-    def scaled(params, scale_override=None):
-        return codes.generator_labels(params, scale)
-
-    monkeypatch.setattr(logical, "generator_labels", scaled)
-
-
 def test_encoded_qudit_count_rejects_nonabelian(monkeypatch):
     # an inversion scale s with s^2 != 1 breaks translation commutation
-    scaled_generators(monkeypatch, 2)
+    scale_generators(monkeypatch, logical, 2)
     torus = TorusCode(d5_code("S"), (3, 3, 3))
     with pytest.raises(InvalidCodeError):
         encoded_qudit_count(torus)
@@ -199,7 +203,7 @@ def test_rank_invariant_under_row_operations():
         i, j = rng.randrange(len(R)), rng.randrange(len(R))
         if i != j:
             R[i] = (R[i] + rng.randrange(1, p) * R[j]) % p
-    assert fp.mat_rank(R, p) == fp.mat_rank(M, p) == TorusCode(code, (3, 3, 2)).rank
+    assert fp.mat_rank(R, p) == fp.mat_rank(M, p) == 3 * 3 * 2 - torus_k(code, (3, 3, 2))
 
 
 def test_commutation_table_structure():
@@ -252,8 +256,7 @@ def test_sweep_k_matches_dense_rank():
               (d3_code("A"), (6, 3, 2)), (d3_code("S"), (2, 3, 6)),
               (d5_code("A"), (4, 4, 4)), (d5_code("S"), (2, 5, 5))]
     for code, dims in cases:
-        torus = TorusCode(code, dims)
-        assert torus.n - torus.rank == dense_k(code, dims), (code, dims)
+        assert torus_k(code, dims) == dense_k(code, dims), (code, dims)
 
 
 # (1,0)^4 is X on all eight vertices; the others are tuples whose
@@ -325,7 +328,7 @@ def test_transfer_k_matches_dense_rank_on_small_sides(monkeypatch):
               for dims in ((1, 1, 1), (1, 4, 1), (2, 1, 3), (3, 6, 5), (5, 5, 4), (6, 3, 5))]
     cases += [(code, (1, 1, 6)) for code in ALL_CODES]
     for code, dims in cases:
-        assert logical._left_kernel_dim(code, dims) == dense_k(code, dims), (code, dims)
+        assert sweep_k(code, dims) == dense_k(code, dims), (code, dims)
     # free columns at both levels, and a periodic part cut below ker v
     assert any(f for _, f, _, _ in seen[0::2]) and any(f for _, f, _, _ in seen[1::2])
     assert any(kernel > periodic for _, _, kernel, periodic in seen)
@@ -338,7 +341,9 @@ def test_layer_relation_matches_dense_nullspace():
     cases += [(code, (4, 3, 5)) for code in NON_DEFORMABLE + ALL_CODES]
     for code, dims in cases:
         a, u, v = logical._sweep_axes(dims)
-        W = logical._layer_relation(code, (a, u, v), dims[u], dims[v])
+        row_transfer = logical._row_transfer(codes.generator_labels(code), code.p,
+                                             (a, u, v), dims[v])
+        W = logical._wrapped_relation(row_transfer, dims[u], dims[v], code.p)
         dense = layer_relation_by_nullspace(code, dims)
         assert W.shape == dense.shape, (code, dims)
         assert fp.mat_rank(W, code.p) == len(W)
@@ -353,7 +358,7 @@ def test_transfer_k_matches_composition_sweep():
              (NON_DEFORMABLE[3], (12, 10, 11)), (NON_DEFORMABLE[6], (10, 10, 10)),
              (NON_DEFORMABLE[0], (256, 4, 4)), (NON_DEFORMABLE[3], (1024, 2, 2))]
     for code, dims in cases:
-        k = logical._left_kernel_dim(code, dims)
+        k = torus_k(code, dims)
         assert k == left_kernel_dim_by_composition(code, dims), (code, dims)
 
 
@@ -375,21 +380,29 @@ def test_k_table_matches_per_torus_sweep():
             table = encoded_qudit_table(code, sizes=sizes)
             assert list(table) == list(product(sizes, repeat=3))
             for dims, k in table.items():
-                assert k == logical._left_kernel_dim(code, dims), (code, dims)
+                assert k == torus_k(code, dims), (code, dims)
 
 
 def test_k_table_builds_one_row_transfer_per_short_side(monkeypatch):
     # the row transfer depends on the axes and the short cross-section side
-    # only: sides 2..6 give 5 with L_y >= L_z and 4 with L_y < L_z
+    # only: sides 2..6 give 5 with L_y >= L_z and 4 with L_y < L_z; and all
+    # of them read the one label array the table builds
     row_transfer, keys = logical._row_transfer, []
+    generator_labels, built = logical.generator_labels, []
 
-    def counted(params, axes, dv):
+    def counted(labels, p, axes, dv):
         keys.append((axes, dv))
-        return row_transfer(params, axes, dv)
+        return row_transfer(labels, p, axes, dv)
+
+    def labels_counted(params):
+        built.append(params)
+        return generator_labels(params)
 
     monkeypatch.setattr(logical, "_row_transfer", counted)
+    monkeypatch.setattr(logical, "generator_labels", labels_counted)
     encoded_qudit_table(d5_code("S"), sizes=range(2, 7))
     assert len(keys) == len(set(keys)) == 9
+    assert built == [d5_code("S")]
     assert set(keys) == ({((0, 1, 2), dv) for dv in range(2, 7)}
                          | {((0, 2, 1), dv) for dv in range(2, 6)})
 
@@ -404,7 +417,7 @@ def test_k_table_of_sides_2_to_16_takes_under_three_seconds():
         assert time.perf_counter() - start < 3
         assert len(table) == 15 ** 3
         for dims in rng.sample(sorted(table), 20):
-            assert table[dims] == logical._left_kernel_dim(code, dims), (parity, dims)
+            assert table[dims] == torus_k(code, dims), (parity, dims)
 
 
 @pytest.mark.parametrize("scale", [None, 2, 3])
@@ -412,7 +425,7 @@ def test_k_table_abelian_check_matches_per_torus(monkeypatch, scale):
     # the table decides abelian-ness on sides capped at 3; it must raise
     # exactly when some torus of its cube fails check_abelian
     if scale is not None:
-        scaled_generators(monkeypatch, scale)
+        scale_generators(monkeypatch, logical, scale)
     rng = random.Random(181)
     codes = [random_code(rng, rng.choice((2, 3, 5, 7) if scale is None else (5, 7)))
              for _ in range(4)] + [d5_code("S")]
@@ -452,7 +465,7 @@ def test_check_abelian_matches_dense(monkeypatch, scale):
     # every inversion scale with s^2 = 1 gives an abelian family; other
     # scales break commutation on most tori
     if scale is not None:
-        scaled_generators(monkeypatch, scale)
+        scale_generators(monkeypatch, logical, scale)
     seen = set()
     rng = random.Random(137)
     for _ in range(40):

@@ -16,7 +16,6 @@ from qupitcube.oracle import (
     DegenerateGeometryError,
     SegmentGeometry,
     SegmentReport,
-    scan_width,
     scan_widths,
     sections,
 )
@@ -57,7 +56,7 @@ def flat_strip(width, length, orientation=(0, 1)):
 
 
 def scan(params, width, l_max=None, kind="flat"):
-    return scan_width(params, width, l_max, (kind,))[kind]
+    return scan_widths(params, [width], l_max, (kind,))[width][kind]
 
 
 def test_constraint_matrix_shapes():
@@ -418,7 +417,7 @@ def test_multi_width_scan_equals_each_width_scan(monkeypatch):
         for l_max, kinds in options:
             if code.pairs == ((1, 0),) * 4 and l_max != 9:
                 continue  # each of its members scans alone, up to length 18
-            each = {w: scan_width(code, w, l_max, kinds) for w in widths}
+            each = {w: scan_widths(code, [w], l_max, kinds)[w] for w in widths}
             for budget in (oracle.MAX_GROUP_CELLS, 2**30):
                 monkeypatch.setattr(oracle, "MAX_GROUP_CELLS", budget)
                 reports = scan_widths(code, widths, l_max, kinds)
@@ -436,7 +435,7 @@ def test_multi_width_scan_equals_each_width_scan(monkeypatch):
 def each_code_scan(codes, width):
     out = []
     for code in codes:
-        reports = scan_width(code, width)
+        reports = scan_widths(code, [width])[width]
         out.append({kind: rpt.max_nontrivial_length for kind, rpt in reports.items()})
     return out
 
@@ -493,7 +492,7 @@ def test_scans_refuse_widths_and_lengths_that_are_not_integers():
     d5 = d5_code()
     for scan in (lambda: scan_widths(d5, [True]), lambda: scan_widths(d5, [1, True]),
                  lambda: scan_widths(d5, [2.0]), lambda: oracle.scan_codes([d5], [2.0]),
-                 lambda: scan_width(d5, 2, l_max=5.5), lambda: scan_width(d5, 2, l_max=True),
+                 lambda: scan_widths(d5, [2], l_max=5.5), lambda: scan_widths(d5, [2], l_max=True),
                  lambda: oracle.check_scan_bounds(True), lambda: oracle.check_scan_bounds(2, "9")):
         with pytest.raises(ValueError, match="need an integer"):
             scan()
@@ -514,7 +513,7 @@ def test_scan_codes_drops_codes_after_their_first_long_run():
         assert oracle.width_groups(widths, 1) == [(1, 2, 3)]
         for code, got in zip(codes, oracle.scan_codes(codes, widths)):
             each = {w: {kind: rpt.max_nontrivial_length
-                        for kind, rpt in scan_width(code, w).items()} for w in widths}
+                        for kind, rpt in scan_widths(code, [w])[w].items()} for w in widths}
             long = [w for w in widths if oracle.has_long_segment({w: each[w]})]
             assert not long or long[0] in first, code
             kept = first if long else widths
@@ -652,7 +651,7 @@ def test_stack_members_leave_once_their_first_column_vanishes(monkeypatch):
     monkeypatch.setattr(transfer, "_add_row", checking)
     for w in (1, 2, 3, 4):
         calls.clear()
-        scan_width(d5_code(), w, l_max=64)
+        scan_widths(d5_code(), [w], l_max=64)
         assert calls and len(calls) < 2 * w + 4
     calls.clear()
     assert scan(P2_TUPLE, 1, l_max=9).max_nontrivial_length == 9
@@ -664,10 +663,10 @@ def test_free_column_scan_holds_one_kernel_at_a_time():
     # grows with the length: at width 8 and l_max = 64 each ends 520 x 520,
     # and the 24 classes' kernels together take about 50 MiB
     code = CodeParams(3, (1, 0), (1, 0), (1, 0), (1, 0))
-    scan_width(code, 8, l_max=2)  # the width's template is built once and kept
+    scan_widths(code, [8], l_max=2)  # the width's template is built once and kept
     tracemalloc.start()
     try:
-        reports = scan_width(code, 8, l_max=64)
+        reports = scan_widths(code, [8], l_max=64)[8]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -760,7 +759,7 @@ def test_pair_system_matches_whole_strip_assembly():
 
 
 def test_class_heads_have_their_representatives_sites():
-    # scan_width gives the witness family its class representative's kernel:
+    # scan_widths gives the witness family its class representative's kernel:
     # the first family of each inversion class within a kind must have the
     # exact cross-section list of the geometry that was scanned for it
     for kinds in (("flat", "cornered"), ("cornered", "flat"), ("cornered",), ("flat",)):
@@ -788,7 +787,7 @@ def test_scan_needs_both_end_columns():
 def test_scan_refuses_unknown_kinds():
     for kind in ("flta", "both", ""):
         with pytest.raises(ValueError, match="kind must be"):
-            scan_width(d5_code(), 2, kinds=(kind,))
+            scan_widths(d5_code(), [2], kinds=(kind,))
         with pytest.raises(ValueError, match="kind must be"):
             sections(2, kind)
 

@@ -50,10 +50,13 @@ def test_cli_run_does_not_load_reference():
 
 
 MOVED = ("OperatorSum", "inversion_conjugate", "base_matrix", "rel_transition",
-         "PrerequisiteError", "generator_config")
+         "PrerequisiteError", "generator_config", "build_generator", "PhasedPauli",
+         "generator_pauli", "_inversion_perm", "CUBE_CENTER", "doubled_center",
+         "InvalidCenterError", "SingularMatrixError")
 DELETED = ("check_deformability", "minimal_string_determinants", "check_no_minimal_string",
            "pairing_squares", "check_pairing_squares", "verify_projector_identities",
-           "verify_inversion_action")
+           "verify_inversion_action", "scale_pair", "_CUBE_INVERSION", "scan_width",
+           "_left_kernel_dim", "_layer_relation", "translation_exponents_by_shift")
 
 
 def _defined_names(path):
@@ -68,12 +71,19 @@ def _defined_names(path):
 
 
 def test_one_route_per_verdict_in_production():
-    # the operator sums, the 2x2 matrices and the generator as a
-    # configuration are oracles, and no wrapper re-reads a field of
-    # theorem1_report or PowerTable
+    # the operator sums, the 2x2 matrices, the phased monomials and the
+    # generator as a dict or a configuration are oracles; no wrapper
+    # re-reads a field of theorem1_report or PowerTable, no function takes
+    # the test-only inversion scale, and k is not read back off a rank
     production = sorted(p for p in PACKAGE.glob("*.py") if p.name != "reference.py")
     for path in production:
         names = _defined_names(path) | set(_imported_names(path))
         assert names.isdisjoint(MOVED + DELETED), (path.name, names & set(MOVED + DELETED))
+        arguments = {a.arg for node in ast.walk(ast.parse(path.read_text()))
+                     if isinstance(node, ast.arguments)
+                     for a in node.posonlyargs + node.args + node.kwonlyargs}
+        assert "scale_override" not in arguments, path.name
     assert _defined_names(PACKAGE / "reference.py") >= set(MOVED)
+    assert "translation_exponents_by_shift" not in _defined_names(PACKAGE / "reference.py")
     assert not any(hasattr(qupitcube, name) for name in MOVED + DELETED)
+    assert not hasattr(qupitcube.TorusCode, "rank")
